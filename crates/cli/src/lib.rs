@@ -986,6 +986,12 @@ fn dispatch(args: &[String]) -> Result<String, String> {
             let r = vm.run();
             let mut out = String::new();
             let _ = writeln!(out, "profile: {file} (mech {})", choice.label());
+            let _ = writeln!(
+                out,
+                "engine: {} (both engines run one translation per image: \
+                 vm_compile and vm_compiled_blocks count it under either)",
+                img.exec.label()
+            );
             match &r.status {
                 Status::Exited(c) => {
                     let _ = writeln!(out, "status: exit {c}");
@@ -1131,6 +1137,21 @@ mod tests {
         let (code, out) = run_cli(&["run".into(), f]);
         assert_eq!(code, 1);
         assert!(out.contains("line"), "{out}");
+    }
+
+    #[test]
+    fn nesting_past_the_budget_is_a_frontend_error() {
+        let nested = |n: usize| {
+            format!("int main() {{ return {}1{}; }}", "(".repeat(n), ")".repeat(n))
+        };
+        let f = write_temp("rsti_cli_nested_ok.mc", &nested(50));
+        let (code, out) = run_cli(&["run".into(), f]);
+        assert_eq!(code, 0, "{out}");
+        assert!(out.contains("exit: 1"), "{out}");
+        let f = write_temp("rsti_cli_nested_deep.mc", &nested(200_000));
+        let (code, out) = run_cli(&["run".into(), f]);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("nesting deeper than"), "{out}");
     }
 
     #[test]
@@ -1455,9 +1476,14 @@ mod tests {
         assert!(out.contains("status: exit 0"), "{out}");
         // Per-phase wall-time table: the run's own phases must appear.
         assert!(out.contains("phase"), "{out}");
-        for phase in ["parse", "lower", "collect_facts", "analyze", "instrument", "vm_run"] {
+        // The interpreter (the default engine) translates the image too.
+        assert!(out.contains("engine: interp"), "{out}");
+        for phase in
+            ["parse", "lower", "collect_facts", "analyze", "instrument", "vm_compile", "vm_run"]
+        {
             assert!(out.contains(phase), "missing phase `{phase}`: {out}");
         }
+        assert!(out.contains("vm_compiled_blocks"), "{out}");
         // Per-mechanism check counters.
         assert!(out.contains("signs_inserted"), "{out}");
         assert!(out.contains("auths_inserted"), "{out}");

@@ -414,7 +414,7 @@ pub fn inline_small_functions(m: &mut Module, budget: usize) -> usize {
     if cg.scc_recursive.iter().any(|&r| r) || cg.has_indirect.iter().any(|&h| h) {
         return 0;
     }
-    let inlinable: Vec<bool> = m.funcs.iter().map(|f| callee_inlinable(f)).collect();
+    let inlinable: Vec<bool> = m.funcs.iter().map(callee_inlinable).collect();
     let mut inlined = 0usize;
 
     for scc_idx in cg.bottom_up() {
@@ -454,6 +454,62 @@ pub fn inline_small_functions(m: &mut Module, budget: usize) -> usize {
         rsti_ir::verify_module(m).err()
     );
     inlined
+}
+
+/// Per-callee inlinability: defined, and every alloca non-escaped and
+/// store-initialized before use (see [`inline_small_functions`]).
+fn callee_inlinable(f: &rsti_ir::Function) -> bool {
+    if f.is_external || f.blocks.is_empty() {
+        return false;
+    }
+    let census = crate::optimize::alias_census(f);
+    if census.allocas.len() != census.non_escaped.len() {
+        return false;
+    }
+    // Every alloca must be the target of a Store, in its own block, before
+    // any other use of it (PacSign/PacAuth `loc` operands are modifier
+    // metadata, not reads, and may precede the store).
+    for blk in &f.blocks {
+        let mut uninitialized: Vec<ValueId> = Vec::new();
+        for node in &blk.insts {
+            match &node.inst {
+                Inst::Alloca { result, .. } => uninitialized.push(*result),
+                Inst::Store { value, ptr } => {
+                    if let Operand::Value(v) = value {
+                        if uninitialized.contains(v) {
+                            return false;
+                        }
+                    }
+                    if let Operand::Value(v) = ptr {
+                        uninitialized.retain(|u| u != v);
+                    }
+                }
+                other => {
+                    let loc_only = match other {
+                        Inst::PacSign { value, .. } | Inst::PacAuth { value, .. } => {
+                            // The loc operand is benign; the value operand
+                            // is a real use.
+                            !matches!(value, Operand::Value(v) if uninitialized.contains(v))
+                        }
+                        _ => false,
+                    };
+                    if !loc_only {
+                        for op in other.operands() {
+                            if let Operand::Value(v) = op {
+                                if uninitialized.contains(v) {
+                                    return false;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if !uninitialized.is_empty() {
+            return false;
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -762,60 +818,4 @@ mod tests {
             rsti_ir::verify_module(&ipo.module).unwrap();
         }
     }
-}
-
-/// Per-callee inlinability: defined, and every alloca non-escaped and
-/// store-initialized before use (see [`inline_small_functions`]).
-fn callee_inlinable(f: &rsti_ir::Function) -> bool {
-    if f.is_external || f.blocks.is_empty() {
-        return false;
-    }
-    let census = crate::optimize::alias_census(f);
-    if census.allocas.len() != census.non_escaped.len() {
-        return false;
-    }
-    // Every alloca must be the target of a Store, in its own block, before
-    // any other use of it (PacSign/PacAuth `loc` operands are modifier
-    // metadata, not reads, and may precede the store).
-    for blk in &f.blocks {
-        let mut uninitialized: Vec<ValueId> = Vec::new();
-        for node in &blk.insts {
-            match &node.inst {
-                Inst::Alloca { result, .. } => uninitialized.push(*result),
-                Inst::Store { value, ptr } => {
-                    if let Operand::Value(v) = value {
-                        if uninitialized.contains(v) {
-                            return false;
-                        }
-                    }
-                    if let Operand::Value(v) = ptr {
-                        uninitialized.retain(|u| u != v);
-                    }
-                }
-                other => {
-                    let loc_only = match other {
-                        Inst::PacSign { value, .. } | Inst::PacAuth { value, .. } => {
-                            // The loc operand is benign; the value operand
-                            // is a real use.
-                            !matches!(value, Operand::Value(v) if uninitialized.contains(v))
-                        }
-                        _ => false,
-                    };
-                    if !loc_only {
-                        for op in other.operands() {
-                            if let Operand::Value(v) = op {
-                                if uninitialized.contains(v) {
-                                    return false;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !uninitialized.is_empty() {
-            return false;
-        }
-    }
-    true
 }

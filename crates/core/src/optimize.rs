@@ -610,6 +610,7 @@ fn meet_preds(out: &[Option<FactMap>], cfg: &Cfg, b: BlockId) -> Option<FactMap>
 /// landing in the slot between the store and the reload goes unverified
 /// until the next non-elided check — and the kill rules guard everything
 /// else: any intervening write that could alias the slot erases the fact.
+#[allow(clippy::too_many_arguments)]
 fn transfer_block(
     blk: &mut rsti_ir::BasicBlock,
     b: BlockId,

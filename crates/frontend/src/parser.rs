@@ -10,16 +10,41 @@ use crate::token::{lex, SpannedTok, Tok};
 /// Returns the first lexical or syntactic error encountered.
 pub fn parse(src: &str) -> Result<Vec<Item>, CompileError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     p.translation_unit()
 }
+
+/// Nesting budget, in levels, for statements, expressions, function-pointer
+/// types and pointer stars. Every later pass walks the AST recursively, so
+/// the parser is where unbounded nesting must stop: deeper input gets a
+/// [`CompileError`] instead of exhausting the stack (an unoptimized build
+/// spends about 20 KiB of stack per expression level, so 64 levels fit a
+/// 2 MiB thread). Generated programs, the samples and the fuzz corpus nest
+/// at most 10 levels.
+const MAX_NESTING: u32 = 64;
 
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Current nesting depth, bounded by [`MAX_NESTING`].
+    depth: u32,
 }
 
 impl Parser {
+    /// Runs `f` one nesting level deeper, failing once the budget is spent.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        if self.depth >= MAX_NESTING {
+            return Err(nesting_error(self.line()));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -107,7 +132,12 @@ impl Parser {
             }
         };
         let mut ty = base;
+        let mut stars = 0;
         while self.peek() == &Tok::Star {
+            stars += 1;
+            if stars > MAX_NESTING {
+                return Err(nesting_error(self.line()));
+            }
             self.bump();
             ty = ty.ptr();
         }
@@ -122,6 +152,10 @@ impl Parser {
     /// Parses a full abstract type (for casts and sizeof): a type prefix,
     /// optionally a function-pointer suffix `(*)(params)`.
     fn abstract_type(&mut self) -> Result<AstType, CompileError> {
+        self.nested(Self::abstract_type_body)
+    }
+
+    fn abstract_type_body(&mut self) -> Result<AstType, CompileError> {
         let (ty, _) = self.type_prefix()?;
         if self.peek() == &Tok::LParen && self.peek2() == &Tok::Star {
             // RET (*)(PARAMS)
@@ -292,6 +326,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> Result<Stmt, CompileError> {
         let line = self.line();
         match self.peek() {
             Tok::LBrace => Ok(Stmt::Block(self.block()?)),
@@ -492,7 +530,14 @@ impl Parser {
         Ok(lhs)
     }
 
+    /// Every unbounded expression recursion (parentheses, call
+    /// arguments, indices, unary operators, casts) passes through here,
+    /// so this is where expressions spend the nesting budget.
     fn unary(&mut self) -> Result<Expr, CompileError> {
+        self.nested(Self::unary_body)
+    }
+
+    fn unary_body(&mut self) -> Result<Expr, CompileError> {
         let line = self.line();
         match self.peek() {
             Tok::Minus => {
@@ -602,6 +647,11 @@ impl Parser {
     }
 }
 
+#[cold]
+fn nesting_error(line: u32) -> CompileError {
+    CompileError::new(line, format!("nesting deeper than {MAX_NESTING} levels"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,6 +754,25 @@ mod tests {
         };
         assert_eq!(*op, BinOpAst::Add);
         assert!(matches!(**rhs, Expr::Binary { op: BinOpAst::Mul, .. }));
+    }
+
+    fn nested_return(levels: usize) -> String {
+        format!("int main() {{ return {}1{}; }}", "(".repeat(levels), ")".repeat(levels))
+    }
+
+    #[test]
+    fn nesting_is_budgeted() {
+        parse(&nested_return(MAX_NESTING as usize - 8)).unwrap();
+        for src in [
+            nested_return(200_000),
+            format!("int main() {{ {} }}", "{".repeat(200_000)),
+            format!("int main() {{ return {}1; }}", "- ".repeat(200_000)),
+            format!("int main() {{ int{} p = null; return 0; }}", "*".repeat(200_000)),
+            format!("int main() {{ return sizeof(int (*)({}); }}", "int (*)(".repeat(200_000)),
+        ] {
+            let err = parse(&src).unwrap_err();
+            assert!(err.msg.contains("nesting deeper than 64 levels"), "{err}");
+        }
     }
 
     #[test]

@@ -263,6 +263,24 @@ fn collapse_first_call(e: &mut Expr) -> bool {
     }
 }
 
+/// One shrinking step on an expression; type errors introduced here are
+/// caught downstream (the candidate fails to compile and is rejected).
+fn shrink_expr(e: &mut Expr) -> bool {
+    let repl = match e {
+        Expr::Binary { lhs, .. } => Some((**lhs).clone()),
+        Expr::Cast { expr, .. } => Some((**expr).clone()),
+        Expr::Unary { op: UnOp::Neg | UnOp::Not, expr, .. } => Some((**expr).clone()),
+        _ => None,
+    };
+    match repl {
+        Some(r) => {
+            *e = r;
+            true
+        }
+        None => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,23 +323,5 @@ mod tests {
             }
             other => panic!("unexpected shape: {other:?}"),
         }
-    }
-}
-
-/// One shrinking step on an expression; type errors introduced here are
-/// caught downstream (the candidate fails to compile and is rejected).
-fn shrink_expr(e: &mut Expr) -> bool {
-    let repl = match e {
-        Expr::Binary { lhs, .. } => Some((**lhs).clone()),
-        Expr::Cast { expr, .. } => Some((**expr).clone()),
-        Expr::Unary { op: UnOp::Neg | UnOp::Not, expr, .. } => Some((**expr).clone()),
-        _ => None,
-    };
-    match repl {
-        Some(r) => {
-            *e = r;
-            true
-        }
-        None => false,
     }
 }

@@ -730,6 +730,26 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_is_an_error_and_the_next_request_is_answered() {
+        let server = Server::new(ServeConfig { workers: 2, ..ServeConfig::default() });
+        let input = format!(
+            "{}\n{}\n",
+            "[".repeat(200_000),
+            request_line("int main() { return 3; }", "stwc", "none", "interp", "pac")
+        );
+        let mut out = Vec::new();
+        serve_lines(&server, input.as_bytes(), &mut out).unwrap();
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert!(
+            lines[0].contains("\"ok\":false") && lines[0].contains("nesting deeper"),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[1].contains("\"status\":\"exit 3\""), "{}", lines[1]);
+    }
+
+    #[test]
     fn responses_come_back_in_input_order_under_a_worker_pool() {
         let server = Server::new(ServeConfig { workers: 4, ..ServeConfig::default() });
         // Mix cheap and expensive requests so completion order scrambles.

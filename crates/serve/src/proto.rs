@@ -88,7 +88,7 @@ impl Json {
 /// # Errors
 /// Returns a byte-offset-bearing message for malformed input.
 pub fn parse_json(s: &str) -> Result<Json, String> {
-    let mut p = Parser { b: s.as_bytes(), i: 0 };
+    let mut p = Parser { b: s.as_bytes(), i: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -98,9 +98,16 @@ pub fn parse_json(s: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// Nesting budget for arrays and objects. A request is one flat object,
+/// so this sits far above any valid line while keeping the recursive
+/// descent (and the drop of what it built) far from the stack's end.
+const MAX_JSON_DEPTH: usize = 64;
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Open arrays and objects around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -121,8 +128,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_JSON_DEPTH => {
+                Err(format!("nesting deeper than {MAX_JSON_DEPTH} at byte {}", self.i))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -131,6 +141,13 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected {:?} at byte {}", *c as char, self.i)),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
@@ -682,6 +699,16 @@ mod tests {
             }
             other => panic!("expected array, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn json_nesting_is_budgeted() {
+        let ok = format!("{}{}", "[".repeat(MAX_JSON_DEPTH), "]".repeat(MAX_JSON_DEPTH));
+        parse_json(&ok).unwrap();
+        let over = format!("{{\"a\":{}", ok);
+        assert!(parse_json(&over).unwrap_err().contains("nesting deeper"));
+        let err = parse_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
     }
 
     #[test]

@@ -66,7 +66,10 @@ pub enum Phase {
     Instrument,
     /// Core: the O2-model optimizer (`optimize_program`).
     Optimize,
-    /// VM: basic-block compilation for the closure-threaded engine.
+    /// VM: translation of an image's basic blocks into pre-resolved ops,
+    /// once per image. Both engines execute the translation, so this fires
+    /// under the interpreter too (on an image's first run or
+    /// `Image::precompile`).
     VmCompile,
     /// VM: program execution.
     VmRun,
@@ -166,7 +169,8 @@ pub enum CounterId {
     VmRunsInterp,
     /// Finished runs executed by the closure-threaded compiled engine.
     VmRunsCompiled,
-    /// Basic blocks compiled for the closure-threaded engine.
+    /// Basic blocks translated into pre-resolved ops, under either engine
+    /// (one translation per image, shared by every later run of it).
     VmCompiledBlocks,
     /// Dynamic `pac` (sign) operations executed.
     VmPacSigns,

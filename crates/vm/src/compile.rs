@@ -1,8 +1,9 @@
-//! The closure-threaded compiled execution engine.
+//! Translation of an image into pre-resolved ops, and the two drivers
+//! that execute them.
 //!
-//! [`compile_module`] translates every basic block, once, into a chain of
-//! Rust closures ([`CompiledOp`]) with the interpreter's per-instruction
-//! work hoisted to compile time:
+//! [`compile_module`] translates every basic block, once per image, into a
+//! chain of Rust closures (`OpFn`) with all per-instruction
+//! resolution hoisted to translation time:
 //!
 //! * **operand slots** are pre-resolved — a register index, an immediate,
 //!   or an already-laid-out global/string/function address — so executing
@@ -13,29 +14,34 @@
 //! * **PAC call shapes are pre-computed** — key ids, static modifiers,
 //!   site indices, and the enforcement-backend arm are chosen at compile
 //!   time;
-//! * **successor links are direct-threaded** — `br`/`cond_br` continue in
-//!   the driver loop without returning to the outer dispatch.
+//! * **terminators are pre-resolved** — `br`/`cond_br` successors and the
+//!   `ret` operand become [`CompiledTerm`] slots.
 //!
-//! The engine is *observably identical* to the interpreter: same traps
-//! (including `BadProgram` message text), same violation audit records,
-//! same cycle-model and instruction accounting, same telemetry counters.
-//! That is a load-bearing property, not a nicety — it makes the
-//! interpreter the differential oracle for this engine (rsti-fuzz checks
-//! every mechanism × opt level under both), and it means every Fig. 9/10
-//! number is backend-independent. Parity is engineered in three places:
+//! The closures are the one implementation of op semantics. Both engines
+//! execute them:
 //!
-//! 1. **Accounting**: straight-line runs are pre-charged from per-block
-//!    cycle prefix sums and rolled back over the unexecuted suffix when
-//!    an op traps or transfers control, reproducing the interpreter's
-//!    charge-before-execute totals exactly; block entry/exit is funded
-//!    through the shared [`Vm::charge_block_transfer`] site.
-//! 2. **Diagnostics**: the interpreter commits the frame's instruction
-//!    index before every instruction so trap records can read the source
-//!    line. Compiled closures commit it lazily — only on the (cold) paths
-//!    that build audit records, and before every frame push.
-//! 3. **Rare shapes**: `ret`/`unreachable` and anything layout-dependent
-//!    in a malformed image defer to the interpreter's own code paths, so
-//!    the tricky cases have exactly one implementation.
+//! * the **interpreter** ([`Vm::step`]) runs one block per step through
+//!   [`Vm::exec_ops`], charging and fuel-checking every op before it runs
+//!   and committing the frame position before every op;
+//! * the **compiled engine** ([`Vm::run_compiled`]) direct-threads blocks
+//!   through branch successors, pre-charges straight-line runs from
+//!   per-block cycle prefix sums (rolling back the unexecuted suffix when
+//!   an op traps or transfers control), and commits the frame position
+//!   lazily — only where it is observed. It drops to `exec_ops` whenever
+//!   per-op charging is observable: telemetry opclass counting,
+//!   attribution, the flight recorder, or a fuel budget that may expire
+//!   mid-block.
+//!
+//! The engines therefore differ only in dispatch, block pre-charge and
+//! rollback, and position commits, and must be *observably identical*:
+//! same traps (including `BadProgram` message text), same violation audit
+//! records, same cycle-model and instruction accounting, same telemetry
+//! counters, same attribution profiles and incidents. The parity tests
+//! and the dual-engine fuzz oracle check exactly those differences.
+//!
+//! Malformed images (type ids out of table range) are translated without
+//! failing: the affected ops defer their layout lookup to execution time,
+//! so an op that never runs never fails.
 
 use super::*;
 use rsti_ir::{BasicBlock, Function};
@@ -67,30 +73,29 @@ macro_rules! tri {
     };
 }
 
-/// Per-instruction accounting the interpreter would have charged — kept
-/// out of the closure array so the fast path streams only fat pointers.
+/// Per-op accounting charged by the per-op loop — kept out of the closure
+/// array so the compiled fast path streams only fat pointers.
 pub(crate) struct OpCharge {
     /// Cycle cost ([`CostModel::cost`] of the source instruction).
     cost: u64,
-    /// Opcode class index, for the telemetry-enabled slow path.
+    /// Opcode class index, for telemetry's per-op opclass counts.
     class: usize,
     /// Check-site id for PAC-family ops ([`NO_SITE`] otherwise), assigned
     /// in the same `(func, block, inst)` scan order as
-    /// `rsti_core::check_sites` — the attribution slow path records per-
-    /// site stats against the identical table the interpreter looks up.
+    /// `rsti_core::check_sites` — the attribution and recorder hooks key
+    /// their per-site stats and events by it.
     site: u32,
 }
 
-/// A compiled terminator. Branches are direct-threaded; everything else
-/// (returns, unreachable) defers to the interpreter's `exec_term` so the
-/// shadow-stack/corrupted-return logic has a single implementation.
+/// A compiled terminator, executed by [`Vm::exec_term`] in both engines.
 pub(crate) enum CompiledTerm {
     Br(u32),
     /// Conditional branch on a register — the dominant shape, with the
     /// operand match pre-folded away.
     CondBrReg { v: ValueId, then_bb: u32, else_bb: u32 },
     CondBr { cond: Slot, then_bb: u32, else_bb: u32 },
-    Slow(Terminator),
+    Ret(Option<Slot>),
+    Unreachable,
 }
 
 /// One compiled basic block.
@@ -134,7 +139,7 @@ pub(crate) enum Slot {
     /// against the module's deterministic layout.
     Imm(RtVal),
     /// Operand referencing a missing global/string table entry — fails
-    /// exactly when (and how) the interpreter's `eval` would.
+    /// when read, not at translation.
     Bad(&'static str, usize),
 }
 
@@ -144,7 +149,7 @@ fn undefined_use(v: ValueId) -> Trap {
     Trap::BadProgram(format!("use of undefined {v}"))
 }
 
-/// The interpreter's silent int coercion (`binop`'s integer arm).
+/// The silent int coercion (`binop`'s integer arm).
 #[inline(always)]
 fn int_of(v: RtVal) -> i64 {
     match v {
@@ -154,8 +159,7 @@ fn int_of(v: RtVal) -> i64 {
     }
 }
 
-/// The interpreter's float coercion (`binop`'s F64 arm), trap text
-/// included.
+/// The float coercion (`binop`'s F64 arm), trap text included.
 #[inline(always)]
 fn float_of(v: RtVal) -> Result<f64, Trap> {
     match v {
@@ -291,10 +295,10 @@ enum LoadKind {
     I64,
     F64,
     Ptr,
-    /// Unsupported pointee: the interpreter's error, pre-rendered.
+    /// Unsupported pointee: the error, pre-rendered.
     Bad(String),
     /// Out-of-range `TypeId` in a malformed image: defer to `load_typed`
-    /// so the failure mode (a runtime panic) matches the interpreter.
+    /// at execution time.
     Deferred(TypeId),
 }
 
@@ -323,8 +327,8 @@ impl WrapKind {
 
 /// Pre-resolved direct-call target.
 enum Callee {
-    /// Out-of-range function id; errs after argument evaluation, exactly
-    /// like the interpreter's operand-eval-then-callee-check order.
+    /// Out-of-range function id; errs after argument evaluation
+    /// (operands first, then the callee check).
     Missing(usize),
     External { name: String, ret: TypeId },
     Internal(FuncId),
@@ -335,8 +339,8 @@ enum StoreTy {
     /// Known at compile time; `None` falls back by value shape, exactly
     /// like `store_slot_type`'s default arm.
     Static(Option<TypeId>),
-    /// Malformed image (id out of table range): defer to the
-    /// interpreter's `store_slot_type`, panics and all.
+    /// Malformed image (id out of table range): defer to
+    /// `store_slot_type` at execution time, panics and all.
     Deferred(Operand),
 }
 
@@ -372,8 +376,8 @@ impl Cx<'_> {
     }
 
     /// Whether a `TypeId` can be looked up without panicking (malformed
-    /// images carry out-of-range ids; those arms defer to the
-    /// interpreter's lazy behavior instead of failing eagerly here).
+    /// images carry out-of-range ids; those arms defer the lookup to
+    /// execution time instead of failing eagerly here).
     fn ty_ok(&self, ty: TypeId) -> bool {
         (ty.0 as usize) < self.m.types.len()
     }
@@ -484,15 +488,16 @@ fn compile_block(
             }
             cond => CompiledTerm::CondBr { cond, then_bb: then_bb.0, else_bb: else_bb.0 },
         },
-        t => CompiledTerm::Slow(t.clone()),
+        Terminator::Ret(v) => CompiledTerm::Ret(v.as_ref().map(|v| cx.resolve(v))),
+        Terminator::Unreachable => CompiledTerm::Unreachable,
     };
     CompiledBlock { ops, charge, cost_prefix, total_cost: total, term }
 }
 
 /// Commits the frame's position so a trap's audit record reads the same
-/// source line the interpreter (which commits before every instruction)
-/// would report, and so a call's pushed frame knows where the caller
-/// resumes. The driver does not touch the frame on straight-line block
+/// source line the per-op loop (which commits before every op) would
+/// report, and so a call's pushed frame knows where the caller resumes.
+/// The compiled driver does not touch the frame on straight-line block
 /// transfers, so committing closures must write the block index too.
 #[cold]
 #[inline(never)]
@@ -503,10 +508,10 @@ fn commit_pos(vm: &mut Vm<'_>, block: usize, next_idx: usize) {
 }
 
 /// Compiles one instruction into a closure. `bi` is the index of the
-/// block holding it; `next_idx` is the index the interpreter would have
-/// committed before executing it (its position plus one): calls store
-/// both as the caller's resume point, and audit traps store them for
-/// line diagnostics.
+/// block holding it; `next_idx` is the index the per-op loop commits
+/// before executing it (its position plus one): calls store both as the
+/// caller's resume point, and audit traps store them for line
+/// diagnostics.
 fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usize) -> OpFn {
     let mac = cx.backend == Backend::MacTable;
     match inst {
@@ -523,8 +528,8 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                     vm.set(result, RtVal::P(cached));
                     return Control::Next;
                 }
-                // The malformed-image arm reproduces the interpreter's
-                // lazy layout lookup (and its panic).
+                // The malformed-image arm looks the layout up lazily
+                // (and panics there).
                 let size = size
                     .unwrap_or_else(|| vm.tl.size_of(ty).max(1).div_ceil(8).saturating_mul(8));
                 let addr = vm.stack_top;
@@ -594,7 +599,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                     }),
                     // Written out (not via `load_c!`) for the recorder
                     // hook: a load through a pointer-typed slot is a
-                    // lifecycle event the interpreter records too.
+                    // lifecycle event.
                     LoadKind::Ptr => Box::new(move |vm: &mut Vm<'_>| {
                         let p = tri!(vm.as_ptr(tri!(ps.get(vm))));
                         let addr = tri!(vm.deref_addr(p));
@@ -609,8 +614,8 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                         vm.set(result, RtVal::P(bits));
                         Control::Next
                     }),
-                    // The interpreter reaches the unsupported-type error
-                    // only after the pointer itself resolved, so the bad
+                    // The unsupported-type error comes only after the
+                    // pointer itself resolved, so the bad
                     // arm still evaluates and canonicalizes it first.
                     LoadKind::Bad(msg) => Box::new(move |vm: &mut Vm<'_>| {
                         let p = tri!(vm.as_ptr(tri!(ps.get(vm))));
@@ -654,8 +659,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
             // owns the error text (and the conversions, for F64).
             dispatch2!(value_s, ptr_s, |vs, ps| {
                 // The shared prologue: value read, pointer read +
-                // canonicalize, and the MAC handoff, in the interpreter's
-                // order.
+                // canonicalize, and the MAC handoff, in that order.
                 macro_rules! prologue {
                     ($vm:ident, $v:ident, $addr:ident) => {
                         let $v = tri!(vs.get($vm));
@@ -770,8 +774,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                         Control::Next
                     })
                 }),
-                // Malformed image: the interpreter's lazy lookup, panic
-                // included.
+                // Malformed image: the lazy lookup, panic included.
                 None => Box::new(move |vm| {
                     let b = tri!(base.read_ptr(vm));
                     let off = vm.tl.field_offset(struct_id, field);
@@ -852,8 +855,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                         Control::Next
                     })
                 }),
-                // Malformed image: the interpreter's lazy table lookup,
-                // panic included.
+                // Malformed image: the lazy table lookup, panic included.
                 None => Box::new(move |vm| {
                     let v = tri!(value.read(vm));
                     let out = match (v, vm.img.module.types.get(to)) {
@@ -872,8 +874,8 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
             let (result, op, ty) = (*result, *op, *ty);
             let lhs = cx.resolve(lhs);
             let rhs = cx.resolve(rhs);
-            // Malformed `ty`, float ops, and bitwise-on-float defer to the
-            // interpreter's `binop`, which owns the trap order (lhs
+            // Malformed `ty`, float ops, and bitwise-on-float defer to
+            // `binop`, which owns the trap order (lhs
             // coercion errors before rhs, both before "bitwise op on
             // float") and the out-of-range-id panic.
             if !cx.ty_ok(ty) {
@@ -1403,6 +1405,29 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
 }
 
 impl<'img> Vm<'img> {
+    /// One interpreter step: the rest of the current block, one op at a
+    /// time through [`Vm::exec_ops`], then its terminator. Stops early when
+    /// an op pushes a frame; a taken branch commits the successor's entry
+    /// to the frame, so every block entry is a step boundary.
+    pub(crate) fn step_in(&mut self, code: &CompiledModule) -> Result<(), Trap> {
+        let fr = self.frames.last().expect("active frame");
+        let (func, block, idx) = (fr.func.0 as usize, fr.block, fr.idx);
+        let Some(cb) = code.funcs[func].blocks.get(block) else {
+            // A malformed image can branch past the last block; report it
+            // as a trap so the run (and its audit log) completes normally.
+            return Err(missing_block(block, &self.img.module.funcs[func].name));
+        };
+        if !self.exec_ops(cb, block, idx)? {
+            return Ok(());
+        }
+        if let Some(next) = self.exec_term(&cb.term)? {
+            let fr = self.frames.last_mut().expect("active frame");
+            fr.block = next;
+            fr.idx = 0;
+        }
+        Ok(())
+    }
+
     /// The compiled-engine driver: the counterpart of `run_internal`,
     /// with identical watchpoint-pause semantics.
     pub(crate) fn run_compiled(&mut self, watch: Option<FuncId>) {
@@ -1432,7 +1457,7 @@ impl<'img> Vm<'img> {
             skip_check = false;
             // One block per dispatch: the pause check above must see
             // every block entry, exactly like the interpreter's
-            // step-per-dispatch loop.
+            // block-per-step loop.
             if let Err(t) = self.exec_compiled(&code, true) {
                 self.status = Some(Status::Trapped(t));
             }
@@ -1449,21 +1474,21 @@ impl<'img> Vm<'img> {
         let mut func = fr.func.0 as usize;
         let mut block = fr.block;
         let mut idx = fr.idx;
-        // The block table changes only when the frame does (the `Slow`
-        // arm), so resolve it per function, not per block.
+        // The block table changes only when the frame does (a return),
+        // so resolve it per function, not per block.
         let mut fblocks = &code.funcs[func].blocks;
         let branch_cost = self.img.cost.branch;
         // Loop-invariant driver state lives in registers: telemetry
         // tracing and attribution cannot toggle mid-run, and the fuel
-        // headroom only needs re-deriving after a slow path charges per
-        // op. Attribution forces the per-op slow path: it needs the
-        // interpreter's exact charge order (the fast path pre-charges
-        // whole blocks), and that is what makes the two engines attribute
-        // identically.
+        // headroom only needs re-deriving after the per-op loop charges
+        // op by op. Attribution forces the per-op loop: it needs per-op charge
+        // order (the fast path pre-charges whole blocks), and sharing that
+        // loop with the interpreter is what makes the two engines
+        // attribute identically.
         let trace = self.trace_enabled;
         // The flight recorder needs the same per-op treatment as
         // attribution: events carry model-cycle timestamps, and only the
-        // slow path charges cycles in the interpreter's order.
+        // per-op loop charges cycles op by op.
         let obs_on = self.attr.is_some() || self.rec.is_some();
         let mut budget = self.fuel.saturating_sub(self.insts);
         loop {
@@ -1478,8 +1503,8 @@ impl<'img> Vm<'img> {
                 // terminator* up front (cycle prefix sums), roll back the
                 // unexecuted suffix on any early exit. Totals match per-op
                 // charging exactly: the entry condition guarantees the
-                // interpreter's per-transfer fuel check could not have
-                // fired anywhere in this block either.
+                // per-op fuel check could not have fired anywhere in this
+                // block either.
                 budget -= remaining;
                 self.insts += remaining;
                 // `idx == 0` on every transfer except a call resume: the
@@ -1506,43 +1531,14 @@ impl<'img> Vm<'img> {
                     }
                 }
             } else {
-                if !self.exec_block_slow(cb, idx)? {
+                if !self.exec_ops_cold(cb, block, idx)? {
                     return Ok(());
                 }
                 budget = self.fuel.saturating_sub(self.insts);
             }
-            match &cb.term {
-                CompiledTerm::Br(bb) => block = *bb as usize,
-                CompiledTerm::CondBrReg { v, then_bb, else_bb } => {
-                    let Some(&(tag, val)) = self.regs.get(self.reg_base + v.0 as usize) else {
-                        return Err(oob("register", v.0 as usize));
-                    };
-                    if tag != self.cur_gen {
-                        return Err(undefined_use(*v));
-                    }
-                    let taken = match val {
-                        RtVal::I(v) => v != 0,
-                        RtVal::P(p) => p != 0,
-                        RtVal::F(f) => f != 0.0,
-                    };
-                    block = if taken { *then_bb } else { *else_bb } as usize;
-                }
-                CompiledTerm::CondBr { cond, then_bb, else_bb } => {
-                    let taken = match cond.read(self)? {
-                        RtVal::I(v) => v != 0,
-                        RtVal::P(p) => p != 0,
-                        RtVal::F(f) => f != 0.0,
-                    };
-                    block = if taken { *then_bb } else { *else_bb } as usize;
-                }
-                CompiledTerm::Slow(t) => {
-                    // `exec_term` (and any trap it builds) observes the
-                    // frame at this block's entry position — the state the
-                    // interpreter would have committed.
-                    let fr = self.frames.last_mut().expect("active frame");
-                    fr.block = block;
-                    fr.idx = idx;
-                    self.exec_term(t)?;
+            match self.exec_term(&cb.term)? {
+                Some(next) => block = next,
+                None => {
                     if self.frames.len() != depth || self.status.is_some() {
                         return Ok(());
                     }
@@ -1563,9 +1559,9 @@ impl<'img> Vm<'img> {
             }
             // Straight-line transfers track the position in locals only.
             // The frame is written exactly where it is observed: by
-            // committing closures (calls, audit traps), before a `Slow`
-            // terminator, and — here — when watch mode must see every
-            // block entry.
+            // committing closures (calls, audit traps), by the per-op
+            // loop, and — here — when watch mode must see every block
+            // entry.
             idx = 0;
             if single_block {
                 let fr = self.frames.last_mut().expect("active frame");
@@ -1586,17 +1582,18 @@ impl<'img> Vm<'img> {
         self.cycles -= cb.cost_prefix[n] - cb.cost_prefix[j + 1] + branch_cost;
     }
 
-    /// Slow-path block body: telemetry is counting opcode classes, or the
-    /// fuel budget may expire mid-block — charge per op like the
-    /// interpreter, terminator included. Outlined so the measurement path
-    /// keeps only the pre-charge loop in its instruction stream. Returns
-    /// `true` when the block ran to its terminator, `false` when an op
-    /// transferred control out of the frame.
-    #[cold]
+    /// The per-op loop both engines share: ops `idx..` of block `block`,
+    /// each fuel-checked and charged before it runs, with the frame
+    /// position committed before it, then the terminator's charge. The
+    /// interpreter runs every block through here; the compiled engine
+    /// whenever per-op charging is observable (telemetry opclass counts,
+    /// attribution, the recorder, or fuel that may run out mid-block).
+    /// Returns `true` when the block ran to its terminator, `false` when
+    /// an op transferred control out of the frame.
     #[inline(never)]
-    fn exec_block_slow(&mut self, cb: &CompiledBlock, idx: usize) -> Result<bool, Trap> {
-        let attr_on = self.attr.is_some();
-        let rec_on = self.rec.is_some();
+    fn exec_ops(&mut self, cb: &CompiledBlock, block: usize, idx: usize) -> Result<bool, Trap> {
+        let observed = self.attr.is_some() || self.rec.is_some();
+        let mut next = idx;
         for (op, charge) in cb.ops[idx..].iter().zip(&cb.charge[idx..]) {
             if self.insts >= self.fuel {
                 return Err(Trap::FuelExhausted);
@@ -1606,44 +1603,81 @@ impl<'img> Vm<'img> {
                 self.opclass[charge.class] += 1;
             }
             self.cycles += charge.cost;
-            // Recorder staging mirrors `exec_inst_obs`: PAC-family ops
-            // carry their check-site id (baked into the charge stream in
-            // the interpreter's scan order) so events and incident
-            // synthesis name the same site in both engines.
-            if rec_on && charge.class == OPCLASS_PAC {
-                self.rec.as_deref_mut().expect("recorder armed").cur_site = charge.site;
-            }
-            // Attribution hooks mirror the interpreter's per-instruction
-            // path (`exec_inst_obs`) exactly: sample check after the
-            // cycle charge, per-site accounting around the op.
-            let ctl = if attr_on {
-                self.attr_maybe_sample();
-                if charge.site != NO_SITE {
-                    let (s0, a0) = (self.pac.sign_count, self.pac.auth_count);
-                    let ctl = op(self);
-                    self.attr_record_site(
-                        charge.site,
-                        charge.cost,
-                        s0,
-                        a0,
-                        matches!(ctl, Control::Trap(_)),
-                    );
-                    ctl
-                } else {
-                    op(self)
-                }
-            } else {
-                op(self)
-            };
+            // Commit the position before executing: calls resume the
+            // caller here, and trap diagnostics read it.
+            next += 1;
+            let fr = self.frames.last_mut().expect("active frame");
+            fr.block = block;
+            fr.idx = next;
+            let ctl = if observed { self.exec_op_observed(op, charge) } else { op(self) };
             match ctl {
                 Control::Next => {}
                 Control::Transfer => return Ok(false),
                 Control::Trap(t) => return Err(*t),
             }
         }
-        // Block exit: both engines fund the terminator through the same
-        // charge site.
         self.charge_block_transfer()?;
         Ok(true)
+    }
+
+    /// The compiled driver's entry into [`Vm::exec_ops`], marked cold so
+    /// the fast path's code layout treats it as the exception it is.
+    #[cold]
+    #[inline(never)]
+    fn exec_ops_cold(&mut self, cb: &CompiledBlock, block: usize, idx: usize) -> Result<bool, Trap> {
+        self.exec_ops(cb, block, idx)
+    }
+
+    /// One op with attribution and/or the flight recorder on: the
+    /// recorder stages the op's check site (baked into the charge stream
+    /// in `check_sites` order) for the events it records, then the
+    /// sampler runs after the op's charge and per-site accounting wraps
+    /// the op. Outlined so the unobserved loop stays small.
+    #[inline(never)]
+    fn exec_op_observed(&mut self, op: &OpFn, charge: &OpCharge) -> Control {
+        if let Some(r) = self.rec.as_deref_mut() {
+            if charge.class == OPCLASS_PAC {
+                r.cur_site = charge.site;
+            }
+        }
+        if self.attr.is_none() {
+            return op(self);
+        }
+        self.attr_maybe_sample();
+        if charge.site == NO_SITE {
+            return op(self);
+        }
+        let (s0, a0) = (self.pac.sign_count, self.pac.auth_count);
+        let ctl = op(self);
+        self.attr_record_site(charge.site, charge.cost, s0, a0, matches!(ctl, Control::Trap(_)));
+        ctl
+    }
+
+    /// Executes a block's terminator, after its transfer charge. A branch
+    /// only names its successor, `Some(block)`: the engines commit
+    /// positions differently. `ret` and `unreachable` run here and return
+    /// `None`.
+    #[inline(always)]
+    fn exec_term(&mut self, t: &CompiledTerm) -> Result<Option<usize>, Trap> {
+        let (cond, then_bb, else_bb) = match t {
+            CompiledTerm::Br(bb) => return Ok(Some(*bb as usize)),
+            CompiledTerm::CondBrReg { v, then_bb, else_bb } => (RegS(*v).get(self)?, then_bb, else_bb),
+            CompiledTerm::CondBr { cond, then_bb, else_bb } => (cond.read(self)?, then_bb, else_bb),
+            CompiledTerm::Ret(v) => {
+                let val = match v {
+                    Some(s) => Some(s.read(self)?),
+                    None => None,
+                };
+                self.exec_ret(val)?;
+                return Ok(None);
+            }
+            CompiledTerm::Unreachable => return Err(unreachable_reached(&self.cur_func_name())),
+        };
+        let taken = match cond {
+            RtVal::I(v) => v != 0,
+            RtVal::P(p) => p != 0,
+            RtVal::F(f) => f != 0.0,
+        };
+        Ok(Some(if taken { *then_bb } else { *else_bb } as usize))
     }
 }

@@ -1,14 +1,19 @@
-//! # rsti-vm — the runtime: an interpreter with the PA data path wired in
+//! # rsti-vm — the runtime: two execution engines with the PA data path wired in
 //!
 //! Executes (instrumented) `rsti-ir` modules under the software PA model,
 //! realizing the paper's threat model so that attacks and defenses can be
-//! evaluated end-to-end:
+//! evaluated end-to-end. Each image is translated once into pre-resolved
+//! ops (operand slots, folded type layouts, PAC call shapes); both engines
+//! run that one translation — the interpreter one op at a time
+//! ([`Vm::step`]), the compiled engine direct-threaded
+//! ([`ExecBackend::Compiled`]) — so op semantics have one implementation:
 //!
 //! * [`mem`] — segmented process memory, heap allocator, and the boundary
 //!   between program-level permissions and the attacker's corruption
 //!   primitive;
-//! * [`vm`] — the interpreter, the PAC/`pp_*` instruction semantics, the
-//!   external-library model, the attacker API, and trap reporting;
+//! * [`vm`] — the machine state, the op translation and both engines'
+//!   drivers, the PAC/`pp_*` instruction semantics, the external-library
+//!   model, the attacker API, and trap reporting;
 //! * [`cycles`] — the deterministic cost model behind the Figure 9/10
 //!   overhead numbers (PA op ≈ 7 XOR, per the paper's own emulation).
 //!
@@ -795,6 +800,25 @@ mod tests {
             let r = Vm::new(i).run();
             assert_eq!(r.status, Status::Exited(0));
             assert_eq!(r.output, vec!["42"]);
+        }
+    }
+
+    #[test]
+    fn a_second_run_of_an_image_translates_nothing_under_either_engine() {
+        // Both engines execute the image's one cached translation: the
+        // first run fills the cache, every later run (and clone) reuses it.
+        use std::sync::Arc;
+        let m = compile("int main() { print_int(7); return 0; }", "t").unwrap();
+        let p = rsti_core::instrument(&m, Mechanism::Stwc);
+        for exec in [ExecBackend::Interp, ExecBackend::Compiled] {
+            let img = Image::from_instrumented(&p).with_exec(exec);
+            assert!(format!("{img:?}").contains("CompiledCache(empty)"));
+            let first = Vm::new(&img).run();
+            assert!(format!("{img:?}").contains("CompiledCache(compiled)"), "{exec:?}");
+            let code = img.compiled();
+            let second = Vm::new(&img.clone()).run();
+            assert!(Arc::ptr_eq(&code, &img.compiled()), "{exec:?} retranslated");
+            assert_eq!(first, second);
         }
     }
 

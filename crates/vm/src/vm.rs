@@ -1,4 +1,11 @@
-//! The interpreter: executes (instrumented) IR under the PA model.
+//! The virtual machine: executes (instrumented) IR under the PA model.
+//!
+//! Execution runs on the image's translated form (see `compile.rs`): one
+//! pre-resolved op per instruction, shared by both engines — the
+//! interpreter steps it one op at a time, the compiled engine
+//! direct-threads it. This file holds the machine state, the loader, the
+//! frame protocol, the accounting and observation hooks, and the trap
+//! constructors.
 //!
 //! The VM realizes the paper's threat model (§3):
 //!
@@ -34,10 +41,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-// The closure-threaded compiled engine. Declared as a child of this module
-// (rather than a sibling under `lib.rs`) so its closures can reach the
-// interpreter's private state — the register file, the PA unit, the audit
-// constructors — without widening any of it beyond this file's contract.
+// Translation into pre-resolved ops and both engines' drivers. Declared as
+// a child of this module (rather than a sibling under `lib.rs`) so its
+// closures can reach the VM's private state — the register file, the PA
+// unit, the audit constructors — without widening any of it beyond this
+// file's contract.
 #[path = "compile.rs"]
 mod compile;
 
@@ -279,7 +287,7 @@ fn opcode_class(inst: &Inst) -> usize {
 }
 
 /// Builds the out-of-range trap for a malformed image. Kept out of line
-/// so the bounds checks in the interpreter's hottest functions compile to
+/// so the bounds checks in the hottest op closures compile to
 /// a branch plus a call into cold code instead of inline `format!`
 /// machinery.
 #[cold]
@@ -301,6 +309,12 @@ fn grow_slots<T: Copy>(slots: &mut Vec<T>, idx: usize, fill: T) {
 #[inline(never)]
 fn missing_block(block: usize, func: &str) -> Trap {
     Trap::BadProgram(format!("branch to missing block {block} in {func}"))
+}
+
+#[cold]
+#[inline(never)]
+fn unreachable_reached(func: &str) -> Trap {
+    Trap::BadProgram(format!("reached unreachable in {func}"))
 }
 
 #[cold]
@@ -457,16 +471,14 @@ struct FuncStat {
 /// Per-run attribution state, allocated only when [`Image::attr`] is on.
 ///
 /// Attribution observes the run at exactly the points both engines already
-/// share — `push_frame`, the `Ret` arm of `exec_term`, the per-op charge
+/// share — `push_frame`, the return epilogue `exec_ret`, the per-op charge
 /// sites, and `charge_block_transfer` — so the two engines attribute
-/// identically by construction (the compiled driver takes its per-op slow
-/// path under attribution; see `exec_compiled`).
+/// identically by construction (both run ops through the shared per-op
+/// loop under attribution; see `exec_ops`).
 struct AttrState {
-    /// The static check-site table, in deterministic scan order.
+    /// The static check-site table, in deterministic scan order — the ids
+    /// the translation bakes into each op's `OpCharge::site`.
     sites: Vec<CheckSite>,
-    /// `(func, block, inst)` → site id, the interpreter's lookup. The
-    /// compiled engine bakes the same ids into its `OpCharge` stream.
-    site_map: HashMap<(u32, u32, u32), u32>,
     site_stats: Vec<SiteStat>,
     /// Indexed by function id.
     funcs: Vec<FuncStat>,
@@ -487,15 +499,10 @@ struct AttrState {
 impl AttrState {
     fn new(module: &Module, sample_every: u64) -> Box<Self> {
         let sites = check_sites(module);
-        let site_map = sites
-            .iter()
-            .map(|s| ((s.func, s.block, s.inst), s.id))
-            .collect::<HashMap<_, _>>();
         let n_sites = sites.len();
         let sample_every = sample_every.max(1);
         Box::new(AttrState {
             sites,
-            site_map,
             site_stats: vec![SiteStat::default(); n_sites],
             funcs: vec![FuncStat::default(); module.funcs.len()],
             last_cycles: 0,
@@ -597,23 +604,20 @@ struct RecEvent {
 /// is on. Mirrors [`AttrState`]'s discipline: events are captured at
 /// logic both engines share (or at mirrored points with identical
 /// arguments), timestamps come from the deterministic cycle model, and
-/// the recorder forces the compiled driver onto its per-op slow path —
+/// the recorder forces the compiled driver onto the shared per-op loop —
 /// so interp and compiled runs record bit-identical windows.
 struct RecState {
     /// The static check-site table, in deterministic scan order (the same
     /// ids the attribution profiler uses).
     sites: Vec<CheckSite>,
-    /// `(func, block, inst)` → site id, the interpreter's lookup. The
-    /// compiled engine reads the same ids off its `OpCharge` stream.
-    site_map: HashMap<(u32, u32, u32), u32>,
     /// Bounded ring of recent events; `next` is the overwrite cursor
     /// (the oldest row) once the ring is full.
     ring: Vec<RecEvent>,
     cap: usize,
     next: usize,
     dropped: u64,
-    /// Check-site id of the op currently executing (staged by the slow
-    /// paths before each PAC-family op; read by sign/auth/strip events).
+    /// Check-site id of the op currently executing (staged by the per-op
+    /// loop before each PAC-family op; read by sign/auth/strip events).
     cur_site: u32,
     /// The synthesized incident, set at the first detection trap.
     incident: Option<Box<Incident>>,
@@ -622,14 +626,9 @@ struct RecState {
 impl RecState {
     fn new(module: &Module, cap: usize) -> Box<Self> {
         let sites = check_sites(module);
-        let site_map = sites
-            .iter()
-            .map(|s| ((s.func, s.block, s.inst), s.id))
-            .collect::<HashMap<_, _>>();
         let cap = cap.max(1);
         Box::new(RecState {
             sites,
-            site_map,
             ring: Vec::with_capacity(cap.min(1024)),
             cap,
             next: 0,
@@ -687,19 +686,24 @@ pub enum Backend {
 
 /// Which engine executes the image.
 ///
-/// Both engines are observably identical — same traps, same audit
-/// records, same cycle/instruction accounting, same telemetry counters —
-/// so the interpreter serves as the differential oracle for the compiled
-/// engine (the fuzz matrix checks every mechanism × opt level under
-/// both).
+/// Both engines run the same translation of the image — each basic block
+/// compiled once into a chain of closures with pre-resolved operand slots
+/// — and differ only in how they drive it. They are observably identical
+/// (same traps, same audit records, same cycle/instruction accounting,
+/// same telemetry counters), which the parity tests and the fuzz matrix
+/// (every mechanism × opt level under both) check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
-    /// The match-dispatch interpreter ([`Vm::step`]).
+    /// The stepping interpreter ([`Vm::step`]): one block per step, each
+    /// op fuel-checked, charged and position-committed before it runs.
+    /// Every block entry is a step boundary, so watchpoints and the
+    /// attacker API see the exact state between any two blocks.
     #[default]
     Interp,
-    /// Closure-threaded compiled code: each basic block is compiled once
-    /// into a chain of closures with pre-resolved operand slots, then
-    /// direct-threaded through branch successors.
+    /// The direct-threaded driver: blocks chain through branch successors
+    /// without returning to a step loop, straight-line runs are
+    /// pre-charged from cycle prefix sums, and frame positions are
+    /// committed only where observed.
     Compiled,
 }
 
@@ -713,10 +717,11 @@ impl ExecBackend {
     }
 }
 
-/// Lazily-built compiled code, shared by clones of an [`Image`] and
-/// revalidated against the image's current cost model and enforcement
-/// backend (the two knobs folded into compiled closures) on every use —
-/// mutating a pub field after a run cannot leave stale code behind.
+/// Lazily-built translated code, shared by clones of an [`Image`] and by
+/// both engines, and revalidated against the image's current cost model
+/// and enforcement backend (the two knobs folded into the closures) on
+/// every use — mutating a pub field after a run cannot leave stale code
+/// behind.
 pub(crate) struct CompiledCache(Mutex<Option<Arc<compile::CompiledModule>>>);
 
 impl CompiledCache {
@@ -800,7 +805,8 @@ pub struct Image {
     /// Ring capacity for the flight recorder (used only while `record`
     /// is on).
     pub record_cap: usize,
-    /// Cache of closure-threaded code, filled on the first compiled run.
+    /// Cache of translated code, filled on the first run under either
+    /// engine (or by [`Image::precompile`]).
     compiled: CompiledCache,
 }
 
@@ -855,20 +861,19 @@ impl Image {
         self
     }
 
-    /// Forces the compiled engine's lazy translation to run now. Benches
-    /// call this outside their timed region so throughput numbers measure
-    /// steady-state execution rather than the one-time per-image
-    /// translation (a no-op for interpreter images, which need none).
+    /// Forces the lazy translation both engines execute to run now.
+    /// Benches call this outside their timed region so throughput numbers
+    /// measure steady-state execution rather than the one-time per-image
+    /// translation.
     pub fn precompile(&self) {
-        if self.exec == ExecBackend::Compiled {
-            let _ = self.compiled();
-        }
+        let _ = self.compiled();
     }
 
-    /// The compiled form of this image, building (and counting) it on
-    /// first use. Cached code is reused only while the image's cost model
-    /// and enforcement backend still match the fingerprint it was
-    /// compiled under.
+    /// The translated form of this image, building it on first use under
+    /// either engine (timed as [`Phase::VmCompile`], counted in
+    /// `vm_compiled_blocks`). Cached code is reused only while the image's
+    /// cost model and enforcement backend still match the fingerprint it
+    /// was compiled under.
     pub(crate) fn compiled(&self) -> Arc<compile::CompiledModule> {
         let mut guard = self.compiled.0.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(code) = guard.as_ref() {
@@ -1081,7 +1086,6 @@ pub struct Vm<'img> {
     insts: u64,
     fuel: u64,
     global_addrs: Vec<u64>,
-    str_addrs: Vec<u64>,
     stack_top: u64,
     status: Option<Status>,
     paused: bool,
@@ -1240,7 +1244,6 @@ impl<'img> Vm<'img> {
             insts: 0,
             fuel: 500_000_000,
             global_addrs: gaddr,
-            str_addrs: saddr,
             stack_top: layout::STACK_BASE,
             status: None,
             paused: false,
@@ -1420,13 +1423,14 @@ impl<'img> Vm<'img> {
     }
 
     fn run_internal(&mut self, watch: Option<FuncId>) {
+        let code = self.img.compiled();
         let _span = rsti_telemetry::global().span(Phase::VmRun);
         let mut skip_check = std::mem::take(&mut self.paused);
         let Some(w) = watch else {
             // No watchpoint (the measurement path): a tight step loop with
             // no per-step entry check.
             while self.status.is_none() {
-                if let Err(t) = self.step() {
+                if let Err(t) = self.step_in(&code) {
                     self.status = Some(Status::Trapped(t));
                 }
             }
@@ -1443,7 +1447,7 @@ impl<'img> Vm<'img> {
                 }
             }
             skip_check = false;
-            if let Err(t) = self.step() {
+            if let Err(t) = self.step_in(&code) {
                 self.status = Some(Status::Trapped(t));
             }
         }
@@ -1498,49 +1502,8 @@ impl<'img> Vm<'img> {
         a.next_sample = (cycles / a.sample_every + 1) * a.sample_every;
     }
 
-    /// The interpreter's per-instruction path with observation (attribution
-    /// and/or the flight recorder) on: sample check, then — for PAC-family
-    /// ops — check-site resolution, recorder staging, and per-site
-    /// accounting around the execution. Outlined so `step`'s hot loop
-    /// stays unchanged in shape.
-    #[inline(never)]
-    fn exec_inst_obs(
-        &mut self,
-        inst: &Inst,
-        func: u32,
-        block: u32,
-        idx: u32,
-        cost: u64,
-    ) -> Result<(), Trap> {
-        self.attr_maybe_sample();
-        if opcode_class(inst) != OPCLASS_PAC {
-            return self.exec_inst(inst);
-        }
-        // Both observers share one site table (built identically); resolve
-        // through whichever is live.
-        let sid = self
-            .attr
-            .as_deref()
-            .map(|a| &a.site_map)
-            .or_else(|| self.rec.as_deref().map(|r| &r.site_map))
-            .and_then(|m| m.get(&(func, block, idx)).copied())
-            .unwrap_or(NO_SITE);
-        if let Some(r) = self.rec.as_deref_mut() {
-            // Stage the failing-op site for the events this op records.
-            r.cur_site = sid;
-        }
-        if self.attr.is_none() || sid == NO_SITE {
-            return self.exec_inst(inst);
-        }
-        let (s0, a0) = (self.pac.sign_count, self.pac.auth_count);
-        let r = self.exec_inst(inst);
-        self.attr_record_site(sid, cost, s0, a0, r.is_err());
-        r
-    }
-
-    /// Adds one execution of check site `sid` (shared by both engines;
-    /// the compiled slow path calls this with the site id baked into its
-    /// `OpCharge` stream).
+    /// Adds one execution of check site `sid` (the per-op loop calls this
+    /// with the site id baked into the op's `OpCharge`).
     pub(crate) fn attr_record_site(&mut self, sid: u32, cost: u64, s0: u64, a0: u64, trapped: bool) {
         let (signs, auths) = (self.pac.sign_count, self.pac.auth_count);
         let a = self.attr.as_deref_mut().expect("attr on");
@@ -1641,10 +1604,9 @@ impl<'img> Vm<'img> {
     // Every call site below guards on `rec.is_some()`, so with the
     // recorder off (the default) its entire footprint is a few never-taken
     // branches — the same inertness discipline as the attribution hooks.
-    // Events fire either from code both engines share (push_frame,
-    // exec_term, store_typed, the attacker API) or from mirrored points
-    // with identical arguments (the interpreter's PAC/Load/Free arms and
-    // the compiled closures), so recorded windows are engine-identical.
+    // Events fire from code both engines share (push_frame, exec_ret,
+    // store_typed, the attacker API, and the translated PAC/Load/Free
+    // ops), so recorded windows are engine-identical.
 
     /// Records one PAC-family event at the currently staged check site.
     #[inline(never)]
@@ -1851,8 +1813,7 @@ impl<'img> Vm<'img> {
     ///
     /// Cold and out of line, like every failure constructor below: a
     /// detection ends the run, and keeping the string formatting out of
-    /// `exec_inst` keeps that function small enough that the hot
-    /// sign/auth/eval helpers stay inlined into it.
+    /// the op closures keeps them small.
     #[cold]
     #[inline(never)]
     fn record_audit(&mut self, site: &'static str, inst: &'static str, modifier: u64, detail: String) {
@@ -2120,32 +2081,6 @@ impl<'img> Vm<'img> {
         }
     }
 
-    fn eval(&self, op: &Operand) -> Result<RtVal, Trap> {
-        Ok(match op {
-            Operand::Value(v) => {
-                let Some(&(tag, val)) = self.regs.get(self.reg_base + v.0 as usize) else {
-                    return Err(oob("register", v.0 as usize));
-                };
-                if tag != self.cur_gen {
-                    return Err(Trap::BadProgram(format!("use of undefined {v}")));
-                }
-                val
-            }
-            Operand::ConstInt(v, _) => RtVal::I(*v),
-            Operand::ConstFloat(bits, _) => RtVal::F(f64::from_bits(*bits)),
-            Operand::Null(_) => RtVal::P(0),
-            Operand::FuncAddr(fid, _) => RtVal::P(func_address(&self.img.module, *fid)),
-            Operand::GlobalAddr(gid, _) => match self.global_addrs.get(gid.0 as usize) {
-                Some(&a) => RtVal::P(a),
-                None => return Err(oob("global", gid.0 as usize)),
-            },
-            Operand::Str(sid, _) => match self.str_addrs.get(sid.0 as usize) {
-                Some(&a) => RtVal::P(a),
-                None => return Err(oob("string", sid.0 as usize)),
-            },
-        })
-    }
-
     #[inline]
     fn set(&mut self, v: ValueId, val: RtVal) {
         let i = self.reg_base + v.0 as usize;
@@ -2273,100 +2208,17 @@ impl<'img> Vm<'img> {
         })
     }
 
-    // The `None` arm is the fast path the optimizer's precomputed-modifier
-    // pass aims for: no operand eval, no canonicalization — the modifier
-    // is already final.
-    #[inline]
-    fn modifier_with_loc(&self, modifier: u64, loc: &Option<Operand>) -> Result<u64, Trap> {
-        match loc {
-            None => Ok(modifier),
-            Some(l) => {
-                let a = self.as_ptr(self.eval(l)?)?;
-                Ok(modifier ^ self.img.va.canonical(a))
-            }
-        }
-    }
-
-    /// Executes the rest of the current basic block: straight-line
-    /// instructions up to the terminator, stopping early when control
-    /// transfers (a call pushes a frame), the run status is decided (an
-    /// external `exit`), or an instruction traps.
-    ///
-    /// Executing a block per call — rather than one instruction — hoists
-    /// the function/block lookups out of the per-instruction path; the
-    /// instruction and cycle counters advance exactly as they would under
-    /// single-stepping, so every observable total is unchanged.
+    /// Executes the current block from the frame's position to its end,
+    /// one op at a time, then its terminator — the interpreter's unit of
+    /// progress. Stops early when an op pushes a frame or traps; the
+    /// instruction and cycle counters advance per op, exactly as under
+    /// single-instruction stepping.
     ///
     /// # Errors
     /// Returns the trap that stopped execution.
     pub fn step(&mut self) -> Result<(), Trap> {
-        // `self.img` is a `&'img Image` — copying the reference out gives
-        // borrows of the instruction stream that live independently of
-        // `&mut self`, so dispatch borrows each `Inst`/`Terminator` in
-        // place instead of cloning it.
-        let img = self.img;
-        let depth = self.frames.len();
-        let fr = self.frames.last().expect("active frame");
-        let (cur_func, cur_block) = (fr.func.0, fr.block as u32);
-        let f = &img.module.funcs[fr.func.0 as usize];
-        let Some(blk) = f.blocks.get(fr.block) else {
-            // A malformed image can branch past the last block; report it
-            // as a trap so the run (and its audit log) completes normally.
-            return Err(missing_block(fr.block, &f.name));
-        };
-        let mut idx = fr.idx;
-
-        // The observation check is hoisted out of the per-instruction
-        // loop: with the profiler and recorder off (the default), the hot
-        // loop below is exactly the pre-profiler loop — two pointer-null
-        // tests per block, zero per-instruction cost.
-        if self.attr.is_none() && self.rec.is_none() {
-            while idx < blk.insts.len() {
-                if self.insts >= self.fuel {
-                    return Err(Trap::FuelExhausted);
-                }
-                self.insts += 1;
-                let inst = &blk.insts[idx].inst;
-                idx += 1;
-                if self.trace_enabled {
-                    self.opclass[opcode_class(inst)] += 1;
-                }
-                // Commit the new index before executing: calls resume the
-                // caller here, and trap diagnostics read it.
-                self.frames.last_mut().expect("active frame").idx = idx;
-                self.cycles += img.cost.cost(inst);
-                self.exec_inst(inst)?;
-                if self.frames.len() != depth || self.status.is_some() {
-                    // Control left this block (call push / program exit):
-                    // the cached block slice no longer describes the
-                    // current frame, so hand back to the driver loop.
-                    return Ok(());
-                }
-            }
-        } else {
-            while idx < blk.insts.len() {
-                if self.insts >= self.fuel {
-                    return Err(Trap::FuelExhausted);
-                }
-                self.insts += 1;
-                let inst = &blk.insts[idx].inst;
-                let node_idx = idx as u32;
-                idx += 1;
-                if self.trace_enabled {
-                    self.opclass[opcode_class(inst)] += 1;
-                }
-                self.frames.last_mut().expect("active frame").idx = idx;
-                let cost = img.cost.cost(inst);
-                self.cycles += cost;
-                self.exec_inst_obs(inst, cur_func, cur_block, node_idx, cost)?;
-                if self.frames.len() != depth || self.status.is_some() {
-                    return Ok(());
-                }
-            }
-        }
-
-        self.charge_block_transfer()?;
-        self.exec_term(&blk.term)
+        let code = self.img.compiled();
+        self.step_in(&code)
     }
 
     /// The block entry/exit charge: fuel check plus instruction, opcode-
@@ -2390,576 +2242,84 @@ impl<'img> Vm<'img> {
         Ok(())
     }
 
-    fn jump(&mut self, bb: rsti_ir::BlockId) {
-        let fr = self.frames.last_mut().expect("frame");
-        fr.block = bb.0 as usize;
-        fr.idx = 0;
-    }
-
-    fn exec_term(&mut self, t: &Terminator) -> Result<(), Trap> {
-        match t {
-            Terminator::Br(b) => {
-                self.jump(*b);
-                Ok(())
-            }
-            Terminator::CondBr { cond, then_bb, else_bb } => {
-                let c = self.eval(cond)?;
-                let taken = match c {
-                    RtVal::I(v) => v != 0,
-                    RtVal::P(p) => p != 0,
-                    RtVal::F(f) => f != 0.0,
-                };
-                self.jump(if taken { *then_bb } else { *else_bb });
-                Ok(())
-            }
-            Terminator::Ret(v) => {
-                // Frame transition: charge the delta (return-terminator
-                // cost included — `charge_block_transfer` already ran) to
-                // the returning function before its frame pops.
-                if self.attr.is_some() {
-                    self.attr_checkpoint();
-                }
-                let val = match v {
-                    Some(op) => Some(self.eval(op)?),
-                    None => None,
-                };
-                // Without a shadow stack, the epilogue loads the return
-                // address from memory. A corrupted value redirects control
-                // — the ROP surface the paper's §3 assumption closes.
-                if let Some((slot, expected)) = self.frames.last().and_then(|f| f.ret_slot) {
-                    let found = self.mem.read_u64(slot).map_err(|e| self.mem_err(e))?;
-                    if found != expected {
-                        let fr = self.frames.pop().expect("frame");
-                        self.stack_top = fr.stack_mark;
-                        self.sync_reg_window(fr.reg_base);
-                        if self.rec.is_some() {
-                            self.rec_scope(RecKind::ScopeExit, fr.func);
-                        }
-                        self.recycle(fr);
-                        let target = self.img.va.canonical(found);
-                        return match resolve_code_addr(&self.img.module, target) {
-                            Some((fid, true)) => {
-                                let name = self.img.module.funcs[fid.0 as usize].name.clone();
-                                let ret = self.img.module.funcs[fid.0 as usize].sig.ret;
-                                let _ = self.external_call(&name, &[], ret);
-                                // The "gadget" returns into undefined state.
-                                self.status = Some(Status::Trapped(Trap::CallNonFunction {
-                                    func: name,
-                                    target,
-                                }));
-                                Ok(())
-                            }
-                            Some((fid, false)) => self.push_frame(fid, &[], None),
-                            None => Err(Trap::Mem {
-                                func: self.cur_func_name(),
-                                fault: MemFault::Unmapped { addr: found },
-                            }),
-                        };
-                    }
-                }
+    /// The return epilogue both engines share: pops the frame and hands
+    /// `val` to the caller, or ends the run when `main` returns.
+    fn exec_ret(&mut self, val: Option<RtVal>) -> Result<(), Trap> {
+        // Frame transition: charge the delta (return-terminator
+        // cost included — `charge_block_transfer` already ran) to
+        // the returning function before its frame pops.
+        if self.attr.is_some() {
+            self.attr_checkpoint();
+        }
+        // Without a shadow stack, the epilogue loads the return
+        // address from memory. A corrupted value redirects control
+        // — the ROP surface the paper's §3 assumption closes.
+        if let Some((slot, expected)) = self.frames.last().and_then(|f| f.ret_slot) {
+            let found = self.mem.read_u64(slot).map_err(|e| self.mem_err(e))?;
+            if found != expected {
                 let fr = self.frames.pop().expect("frame");
                 self.stack_top = fr.stack_mark;
                 self.sync_reg_window(fr.reg_base);
-                if let Some(a) = self.attr.as_deref_mut() {
-                    // Completed activation: inclusive cycles, entry→return.
-                    a.funcs[fr.func.0 as usize].incl.record(self.cycles - fr.entry_cycles);
-                }
                 if self.rec.is_some() {
-                    // Scope exit, in the one epilogue both engines share
-                    // (the compiled engine defers `Ret` to `exec_term`).
                     self.rec_scope(RecKind::ScopeExit, fr.func);
                 }
-                if self.frames.is_empty() {
-                    let code = match val {
-                        Some(RtVal::I(i)) => i,
-                        Some(RtVal::P(p)) => p as i64,
-                        Some(RtVal::F(f)) => f as i64,
-                        None => 0,
-                    };
-                    self.status = Some(Status::Exited(code));
-                } else if let Some(rt) = fr.ret_to {
-                    let i = self.reg_base + rt.0 as usize;
-                    if i >= self.regs.len() {
-                        grow_slots(&mut self.regs, i, (0, RtVal::I(0)));
-                    }
-                    self.regs[i] = match val {
-                        Some(v) => (self.cur_gen, v),
-                        // Void return into a slot: leave undefined.
-                        None => (0, RtVal::I(0)),
-                    };
-                    if i >= self.reg_top {
-                        self.reg_top = i + 1;
-                    }
-                }
                 self.recycle(fr);
-                Ok(())
-            }
-            Terminator::Unreachable => {
-                Err(Trap::BadProgram(format!("reached unreachable in {}", self.cur_func_name())))
-            }
-        }
-    }
-
-    fn exec_inst(&mut self, inst: &Inst) -> Result<(), Trap> {
-        let img = self.img;
-        let m = &img.module;
-        match inst {
-            Inst::Alloca { result, ty, var } => {
-                let fr = self.frames.last().expect("frame");
-                let (tag, cached) =
-                    fr.alloca_cache.get(result.0 as usize).copied().unwrap_or((0, 0));
-                if tag == fr.gen {
-                    self.set(*result, RtVal::P(cached));
-                    return Ok(());
-                }
-                let size = self.tl.size_of(*ty).max(1).div_ceil(8).saturating_mul(8);
-                let addr = self.stack_top;
-                if addr.checked_add(size).is_none_or(|end| {
-                    end >= layout::STACK_BASE + self.img.stack_size
-                }) {
-                    return Err(Trap::StackOverflow);
-                }
-                self.stack_top += size;
-                // Zero the slot (fresh stack in this model).
-                self.mem.write_zeros(addr, size).map_err(|e| self.mem_err(e))?;
-                let var = *var;
-                let fr = self.frames.last_mut().expect("frame");
-                if result.0 as usize >= fr.alloca_cache.len() {
-                    grow_slots(&mut fr.alloca_cache, result.0 as usize, (0, 0));
-                }
-                fr.alloca_cache[result.0 as usize] = (fr.gen, addr);
-                if let Some(v) = var {
-                    fr.locals.push((v, addr));
-                }
-                self.set(*result, RtVal::P(addr));
-                Ok(())
-            }
-            Inst::Load { result, ptr, ty } => {
-                let p = self.as_ptr(self.eval(ptr)?)?;
-                let addr = self.deref_addr(p)?;
-                let v = self.load_typed(addr, *ty)?;
-                if img.backend == Backend::MacTable && m.types.is_ptr(*ty) {
-                    self.last_ptr_load = Some(addr);
-                }
-                if self.rec.is_some() && m.types.is_ptr(*ty) {
-                    if let RtVal::P(bits) = v {
-                        self.rec_plain(RecKind::Load, addr, bits);
-                    }
-                }
-                self.set(*result, v);
-                Ok(())
-            }
-            Inst::Store { value, ptr } => {
-                let v = self.eval(value)?;
-                let p = self.as_ptr(self.eval(ptr)?)?;
-                let addr = self.deref_addr(p)?;
-                if img.backend == Backend::MacTable {
-                    if let Some(mac) = self.pending_mac.take() {
-                        self.mac_table.insert(addr, mac);
-                    }
-                }
-                let slot_ty = self.store_slot_type(ptr, v);
-                self.store_typed(addr, slot_ty, v)
-            }
-            Inst::FieldAddr { result, base, struct_id, field } => {
-                let b = self.as_ptr(self.eval(base)?)?;
-                let off = self.tl.field_offset(*struct_id, *field);
-                self.set(*result, RtVal::P(b.wrapping_add(off)));
-                Ok(())
-            }
-            Inst::IndexAddr { result, base, index, elem_ty } => {
-                let b = self.as_ptr(self.eval(base)?)?;
-                let i = match self.eval(index)? {
-                    RtVal::I(i) => i,
-                    RtVal::P(p) => p as i64,
-                    RtVal::F(_) => {
-                        return Err(Trap::BadProgram("float index".into()))
-                    }
-                };
-                let sz = self.tl.size_of(*elem_ty).max(1) as i64;
-                // Wrapping, like the pointer add: a huge index times the
-                // element size is a bad *address* (faults on deref), not a
-                // host panic.
-                self.set(*result, RtVal::P(b.wrapping_add(i.wrapping_mul(sz) as u64)));
-                Ok(())
-            }
-            Inst::BitCast { result, value, .. } => {
-                let v = self.eval(value)?;
-                self.set(*result, v);
-                Ok(())
-            }
-            Inst::Convert { result, value, to } => {
-                let v = self.eval(value)?;
-                let out = match (v, m.types.get(*to)) {
-                    (RtVal::I(i), Type::F64) => RtVal::F(i as f64),
-                    (RtVal::F(f), Type::F64) => RtVal::F(f),
-                    (RtVal::F(f), _) => RtVal::I(wrap_int(m, *to, f as i64)),
-                    (RtVal::I(i), _) => RtVal::I(wrap_int(m, *to, i)),
-                    (RtVal::P(p), _) => RtVal::I(wrap_int(m, *to, p as i64)),
-                };
-                self.set(*result, out);
-                Ok(())
-            }
-            Inst::Bin { result, op, lhs, rhs, ty } => {
-                let a = self.eval(lhs)?;
-                let b = self.eval(rhs)?;
-                let out = self.binop(*op, a, b, *ty)?;
-                self.set(*result, out);
-                Ok(())
-            }
-            Inst::Cmp { result, op, lhs, rhs } => {
-                let a = self.eval(lhs)?;
-                let b = self.eval(rhs)?;
-                let r = cmp_vals(*op, a, b);
-                self.set(*result, RtVal::I(r as i64));
-                Ok(())
-            }
-            Inst::Call { result, callee, args } => {
-                let mut argv = std::mem::take(&mut self.call_args);
-                argv.clear();
-                for a in args {
-                    match self.eval(a) {
-                        Ok(v) => argv.push(v),
-                        Err(e) => {
-                            self.call_args = argv;
-                            return Err(e);
-                        }
-                    }
-                }
-                let Some(callee_f) = m.funcs.get(callee.0 as usize) else {
-                    self.call_args = argv;
-                    return Err(oob("function", callee.0 as usize));
-                };
-                let r = if callee_f.is_external {
-                    let v = self.external_call(&callee_f.name, &argv, callee_f.sig.ret);
-                    if let (Some(r), Some(v)) = (result, v) {
-                        self.set(*r, v);
-                    }
-                    Ok(())
-                } else {
-                    self.push_frame(*callee, &argv, *result)
-                };
-                self.call_args = argv;
-                r
-            }
-            Inst::CallIndirect { result, callee, args, sig } => {
-                let p = self.as_ptr(self.eval(callee)?)?;
-                if !self.img.va.is_canonical(p) {
-                    return Err(Trap::NonCanonicalCall { func: self.cur_func_name(), ptr: p });
-                }
-                let target = self.img.va.canonical(p);
-                let Some((fid, external)) = resolve_code_addr(m, target) else {
-                    return Err(Trap::CallNonFunction {
-                        func: self.cur_func_name(),
-                        target,
-                    });
-                };
-                let mut argv = std::mem::take(&mut self.call_args);
-                argv.clear();
-                for a in args {
-                    match self.eval(a) {
-                        Ok(v) => argv.push(v),
-                        Err(e) => {
-                            self.call_args = argv;
-                            return Err(e);
-                        }
-                    }
-                }
-                let r = if external {
-                    let name = m.funcs[fid.0 as usize].name.clone();
-                    let v = self.external_call(&name, &argv, sig.ret);
-                    if let (Some(r), Some(v)) = (result, v) {
-                        self.set(*r, v);
-                    }
-                    Ok(())
-                } else {
-                    self.push_frame(fid, &argv, *result)
-                };
-                self.call_args = argv;
-                r
-            }
-            Inst::Malloc { result, size, .. } => {
-                let sz = match self.eval(size)? {
-                    RtVal::I(i) => i.max(0) as u64,
-                    RtVal::P(p) => p,
-                    RtVal::F(_) => return Err(Trap::BadProgram("float malloc size".into())),
-                };
-                let addr = self.alloc.malloc(sz).ok_or(Trap::HeapExhausted)?;
-                self.set(*result, RtVal::P(addr));
-                Ok(())
-            }
-            Inst::Free { ptr } => {
-                let p = self.as_ptr(self.eval(ptr)?)?;
-                let a = self.img.va.canonical(p);
-                if self.rec.is_some() {
-                    self.rec_plain(RecKind::Free, a, p);
-                }
-                if a != 0 && !self.alloc.free(a) {
-                    self.events.push(ExtEvent {
-                        name: "invalid_free".into(),
-                        args: vec![format!("{a:#x}")],
-                        critical: false,
-                    });
-                }
-                Ok(())
-            }
-            Inst::PrintInt { value } => {
-                let v = self.eval(value)?;
-                self.output.push(v.to_string());
-                Ok(())
-            }
-            Inst::PrintStr { s } => {
-                let Some(text) = m.strings.get(s.0 as usize) else {
-                    return Err(oob("string", s.0 as usize));
-                };
-                self.output.push(text.clone());
-                Ok(())
-            }
-            Inst::PacSign { result, value, key, modifier, loc, site } => {
-                self.site_counts[site_index(*site)] += 1;
-                let p = self.as_ptr(self.eval(value)?)?;
-                let modifier = self.modifier_with_loc(*modifier, loc)?;
-                match img.backend {
-                    Backend::PacInPointer => {
-                        let signed = self.pac.sign(key_id(*key), p, modifier);
-                        if self.rec.is_some() {
-                            self.rec_push(RecKind::Sign, signed, modifier, key_code(key_id(*key)));
-                        }
-                        self.set(*result, RtVal::P(signed));
-                    }
-                    Backend::MacTable => {
-                        // The pointer stays canonical; the MAC is staged
-                        // for the following store (or consumed by an
-                        // immediate re-auth round trip).
-                        self.pac.sign_count += 1;
-                        let mac = self.pac.compute_pac(key_id(*key), p, modifier);
-                        self.pending_mac = Some(mac);
-                        if self.rec.is_some() {
-                            self.rec_push(RecKind::Sign, p, modifier, key_code(key_id(*key)));
-                        }
-                        self.set(*result, RtVal::P(p));
-                    }
-                }
-                Ok(())
-            }
-            Inst::PacAuth { result, value, key, modifier, loc, site } => {
-                self.site_counts[site_index(*site)] += 1;
-                let p = self.as_ptr(self.eval(value)?)?;
-                let modifier = self.modifier_with_loc(*modifier, loc)?;
-                match img.backend {
-                    Backend::PacInPointer => match self.pac.auth(key_id(*key), p, modifier) {
-                        Ok(clean) => {
-                            if self.rec.is_some() {
-                                self.rec_push(RecKind::Auth, p, modifier, key_code(key_id(*key)));
-                            }
-                            self.set(*result, RtVal::P(clean));
-                            Ok(())
-                        }
-                        Err(e) => Err(self.pac_auth_fail(
-                            "pac_auth",
-                            *site,
-                            modifier,
-                            e.found_pac,
-                            e.expected_pac,
-                            p,
-                            key_code(key_id(*key)),
-                        )),
-                    },
-                    Backend::MacTable => {
-                        self.pac.auth_count += 1;
-                        let expected = self.pac.compute_pac(key_id(*key), p, modifier);
-                        // Register-domain round trip (cast/arg re-sign)?
-                        if let Some(mac) = self.pending_mac.take() {
-                            if mac == expected {
-                                if self.rec.is_some() {
-                                    self.rec_push(
-                                        RecKind::Auth,
-                                        p,
-                                        modifier,
-                                        key_code(key_id(*key)),
-                                    );
-                                }
-                                self.set(*result, RtVal::P(p));
-                                return Ok(());
-                            }
-                        } else if let Some(slot) = self.last_ptr_load {
-                            if self.mac_table.get(&slot) == Some(&expected) {
-                                if self.rec.is_some() {
-                                    self.rec_push(
-                                        RecKind::Auth,
-                                        p,
-                                        modifier,
-                                        key_code(key_id(*key)),
-                                    );
-                                }
-                                self.set(*result, RtVal::P(p));
-                                return Ok(());
-                            }
-                        }
-                        self.pac.fail_count += 1;
-                        Err(self.mac_stale_fail(
-                            "pac_auth",
-                            *site,
-                            modifier,
-                            expected,
-                            p,
-                            key_code(key_id(*key)),
-                        ))
-                    }
-                }
-            }
-            Inst::PacStrip { result, value } => {
-                self.site_counts[site_index(PacSite::ExternalStrip)] += 1;
-                let p = self.as_ptr(self.eval(value)?)?;
-                let stripped = self.pac.strip(p);
-                if self.rec.is_some() {
-                    self.rec_push(RecKind::Strip, p, 0, KEY_NONE);
-                }
-                self.set(*result, RtVal::P(stripped));
-                Ok(())
-            }
-            Inst::PpAdd { ce, fe_modifier } => {
-                match self.pp_table.get(ce) {
-                    Some(&fe) if fe != *fe_modifier => Err(self.pp_fail(
-                        "pp_add",
-                        *fe_modifier,
-                        PpFail::Conflict { ce: *ce as u64, had: fe },
-                        0,
-                        KEY_NONE,
-                    )),
-                    _ => {
-                        self.pp_table.insert(*ce, *fe_modifier);
+                let target = self.img.va.canonical(found);
+                return match resolve_code_addr(&self.img.module, target) {
+                    Some((fid, true)) => {
+                        let name = self.img.module.funcs[fid.0 as usize].name.clone();
+                        let ret = self.img.module.funcs[fid.0 as usize].sig.ret;
+                        let _ = self.external_call(&name, &[], ret);
+                        // The "gadget" returns into undefined state.
+                        self.status = Some(Status::Trapped(Trap::CallNonFunction {
+                            func: name,
+                            target,
+                        }));
                         Ok(())
                     }
-                }
-            }
-            Inst::PpSign { result, value, ce, key } => {
-                let p = self.as_ptr(self.eval(value)?)?;
-                let fe = match self.pp_table.get(ce) {
-                    Some(&fe) => fe,
-                    None => {
-                        return Err(self.pp_fail(
-                            "pp_sign",
-                            *ce as u64,
-                            PpFail::NotRegistered { ce: *ce as u64 },
-                            p,
-                            key_code(key_id(*key)),
-                        ));
-                    }
+                    Some((fid, false)) => self.push_frame(fid, &[], None),
+                    None => Err(Trap::Mem {
+                        func: self.cur_func_name(),
+                        fault: MemFault::Unmapped { addr: found },
+                    }),
                 };
-                match img.backend {
-                    Backend::PacInPointer => {
-                        let signed = self.pac.sign(key_id(*key), p, fe);
-                        if self.rec.is_some() {
-                            self.rec_push(RecKind::Sign, signed, fe, key_code(key_id(*key)));
-                        }
-                        self.set(*result, RtVal::P(signed));
-                    }
-                    Backend::MacTable => {
-                        self.pac.sign_count += 1;
-                        self.pending_mac =
-                            Some(self.pac.compute_pac(key_id(*key), p, fe));
-                        if self.rec.is_some() {
-                            self.rec_push(RecKind::Sign, p, fe, key_code(key_id(*key)));
-                        }
-                        self.set(*result, RtVal::P(p));
-                    }
-                }
-                Ok(())
-            }
-            Inst::PpAddTbi { result, value, ce } => {
-                let p = self.as_ptr(self.eval(value)?)?;
-                self.set(*result, RtVal::P(self.img.va.with_tbi_tag(p, *ce)));
-                Ok(())
-            }
-            Inst::PpAuth { result, value, key } => {
-                let p = self.as_ptr(self.eval(value)?)?;
-                let ce = self.img.va.tbi_tag(p);
-                if ce == 0 {
-                    return Err(self.pp_fail(
-                        "pp_auth",
-                        0,
-                        PpFail::MissingTag,
-                        p,
-                        key_code(key_id(*key)),
-                    ));
-                }
-                let fe = match self.pp_table.get(&ce) {
-                    Some(&fe) => fe,
-                    None => {
-                        return Err(self.pp_fail(
-                            "pp_auth",
-                            ce as u64,
-                            PpFail::NotInStore { ce: ce as u64 },
-                            p,
-                            key_code(key_id(*key)),
-                        ));
-                    }
-                };
-                let untagged = self.img.va.clear_tbi(p);
-                match img.backend {
-                    Backend::PacInPointer => {
-                        match self.pac.auth(key_id(*key), untagged, fe) {
-                            Ok(clean) => {
-                                if self.rec.is_some() {
-                                    self.rec_push(
-                                        RecKind::Auth,
-                                        untagged,
-                                        fe,
-                                        key_code(key_id(*key)),
-                                    );
-                                }
-                                self.set(*result, RtVal::P(clean));
-                                Ok(())
-                            }
-                            Err(e) => Err(self.pac_auth_fail(
-                                "pp_auth",
-                                PacSite::OnLoad,
-                                fe,
-                                e.found_pac,
-                                e.expected_pac,
-                                untagged,
-                                key_code(key_id(*key)),
-                            )),
-                        }
-                    }
-                    Backend::MacTable => {
-                        self.pac.auth_count += 1;
-                        let expected =
-                            self.pac.compute_pac(key_id(*key), untagged, fe);
-                        let ok = match (self.pending_mac.take(), self.last_ptr_load) {
-                            (Some(mac), _) => mac == expected,
-                            (None, Some(slot)) => {
-                                self.mac_table.get(&slot) == Some(&expected)
-                            }
-                            _ => false,
-                        };
-                        if ok {
-                            if self.rec.is_some() {
-                                self.rec_push(
-                                    RecKind::Auth,
-                                    untagged,
-                                    fe,
-                                    key_code(key_id(*key)),
-                                );
-                            }
-                            self.set(*result, RtVal::P(untagged));
-                            Ok(())
-                        } else {
-                            self.pac.fail_count += 1;
-                            Err(self.mac_stale_fail(
-                                "pp_auth",
-                                PacSite::OnLoad,
-                                fe,
-                                expected,
-                                untagged,
-                                key_code(key_id(*key)),
-                            ))
-                        }
-                    }
-                }
             }
         }
+        let fr = self.frames.pop().expect("frame");
+        self.stack_top = fr.stack_mark;
+        self.sync_reg_window(fr.reg_base);
+        if let Some(a) = self.attr.as_deref_mut() {
+            // Completed activation: inclusive cycles, entry→return.
+            a.funcs[fr.func.0 as usize].incl.record(self.cycles - fr.entry_cycles);
+        }
+        if self.rec.is_some() {
+            // Scope exit, in the one epilogue both engines share.
+            self.rec_scope(RecKind::ScopeExit, fr.func);
+        }
+        if self.frames.is_empty() {
+            let code = match val {
+                Some(RtVal::I(i)) => i,
+                Some(RtVal::P(p)) => p as i64,
+                Some(RtVal::F(f)) => f as i64,
+                None => 0,
+            };
+            self.status = Some(Status::Exited(code));
+        } else if let Some(rt) = fr.ret_to {
+            let i = self.reg_base + rt.0 as usize;
+            if i >= self.regs.len() {
+                grow_slots(&mut self.regs, i, (0, RtVal::I(0)));
+            }
+            self.regs[i] = match val {
+                Some(v) => (self.cur_gen, v),
+                // Void return into a slot: leave undefined.
+                None => (0, RtVal::I(0)),
+            };
+            if i >= self.reg_top {
+                self.reg_top = i + 1;
+            }
+        }
+        self.recycle(fr);
+        Ok(())
     }
 
     fn binop(&self, op: BinOp, a: RtVal, b: RtVal, ty: TypeId) -> Result<RtVal, Trap> {
@@ -3051,9 +2411,8 @@ fn wrap_int(m: &Module, ty: TypeId, v: i64) -> i64 {
     }
 }
 
-/// Orders two runtime values under the comparison coercion rules; shared
-/// by the interpreter's `cmp_vals` and the compiled engine's per-op
-/// closures. The common `(I, I)` arm leads.
+/// Orders two runtime values under the comparison coercion rules (the
+/// `Cmp` op closures). The common `(I, I)` arm leads.
 #[inline(always)]
 fn ord_vals(a: RtVal, b: RtVal) -> std::cmp::Ordering {
     use std::cmp::Ordering;
@@ -3072,19 +2431,6 @@ fn ord_vals(a: RtVal, b: RtVal) -> std::cmp::Ordering {
         // Float/pointer comparisons cannot come from verified IR; order
         // arbitrarily rather than panic.
         (RtVal::F(_), RtVal::P(_)) | (RtVal::P(_), RtVal::F(_)) => Ordering::Greater,
-    }
-}
-
-fn cmp_vals(op: CmpOp, a: RtVal, b: RtVal) -> bool {
-    use std::cmp::Ordering;
-    let ord = ord_vals(a, b);
-    match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::Ne => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::Le => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::Ge => ord != Ordering::Less,
     }
 }
 

@@ -1,12 +1,13 @@
 //! Interpreter ≡ compiled-engine parity, as executable claims.
 //!
-//! The closure-threaded engine promises to be *observably identical* to
-//! the interpreter — that is what lets the interpreter serve as its
-//! differential oracle. These tests pin the promise down for every trap
-//! class and for the accounting: both engines must produce equal
-//! [`ExecResult`]s (status, output, events, cycles, instructions, PAC
-//! counters, site counts, audit records) on the same image and the same
-//! attacker actions.
+//! Both engines execute the same translated ops; they differ in dispatch,
+//! block pre-charge and rollback, and when they commit frame positions.
+//! These tests pin down that those differences stay unobservable for
+//! every trap class and for the accounting: both engines must produce
+//! equal [`ExecResult`]s (status, output, events, cycles, instructions,
+//! PAC counters, site counts, audit records) on the same image and the
+//! same attacker actions. `op_semantics.rs` pins what the ops themselves
+//! do.
 
 use rsti_core::{Mechanism, OptLevel};
 use rsti_ir::{BlockId, Terminator};
