@@ -59,11 +59,10 @@ fn staged_table() {
         // Stage 2: + register promotion.
         let mut p2 = rsti_core::instrument(&m1, Mechanism::Stwc);
         rsti_core::optimize::promote_single_store_slots(&mut p2.module);
-        rsti_core::optimize::patch_placeholder_types(&mut p2.module);
         let s2 = pct(cycles(&Image::from_instrumented(&p2)));
         // Stage 3: the full CFG pipeline (elision + hoisting + premods).
         let mut p3 = rsti_core::instrument(&m1, Mechanism::Stwc);
-        rsti_core::optimize_program(&mut p3);
+        rsti_core::optimize_program_at(&mut p3, OptLevel::Cfg);
         let s3 = pct(cycles(&Image::from_instrumented(&p3)));
 
         println!(

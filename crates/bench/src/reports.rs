@@ -263,7 +263,7 @@ pub fn render_parts_compare() -> String {
         rsti_core::inline_leaf_functions(&mut m, 96);
         let base = {
             let mut mb = m.clone();
-            rsti_core::optimize_baseline(&mut mb);
+            rsti_core::optimize_module(&mut mb, rsti_core::OptLevel::Cfg);
             let img = rsti_vm::Image::baseline(&mb);
             let mut vm = rsti_vm::Vm::new(&img);
             vm.set_fuel(200_000_000);
@@ -271,7 +271,7 @@ pub fn render_parts_compare() -> String {
         };
         let pct = |mech: rsti_core::Mechanism| {
             let mut p = rsti_core::instrument(&m, mech);
-            rsti_core::optimize_program(&mut p);
+            rsti_core::optimize_program_at(&mut p, rsti_core::OptLevel::Cfg);
             let img = rsti_vm::Image::from_instrumented(&p);
             let mut vm = rsti_vm::Vm::new(&img);
             vm.set_fuel(200_000_000);

@@ -1066,6 +1066,18 @@ fn dispatch(args: &[String]) -> Result<String, String> {
 mod tests {
     use super::*;
 
+    /// Held by every test that switches the process-global telemetry on
+    /// and by every fuzz campaign. The exec oracle diffs opclass counts
+    /// between two VMs, and each VM samples the global switch when it is
+    /// created, so a switch flipped between the two by a test running in
+    /// parallel reads as an engine divergence.
+    static GLOBAL_TELEMETRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn telemetry_guard() -> std::sync::MutexGuard<'static, ()> {
+        // A panicking holder leaves nothing to repair: the lock guards no data.
+        GLOBAL_TELEMETRY.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn write_temp(name: &str, content: &str) -> String {
         let path = std::env::temp_dir().join(name);
         std::fs::write(&path, content).unwrap();
@@ -1278,6 +1290,7 @@ mod tests {
 
     #[test]
     fn profile_reports_split_elision_counters() {
+        let _telemetry = telemetry_guard();
         let f = write_temp("rsti_cli_prof_opt.mc", OPT_RICH_PROG);
         let (code, out) = run_cli(&[
             "profile".into(),
@@ -1323,6 +1336,7 @@ mod tests {
 
     #[test]
     fn profile_reports_interprocedural_counters() {
+        let _telemetry = telemetry_guard();
         let f = write_temp("rsti_cli_prof_ipo.mc", IPO_RICH_PROG);
         let (code, out) = run_cli(&[
             "profile".into(),
@@ -1369,6 +1383,7 @@ mod tests {
 
     #[test]
     fn fuzz_smoke_is_clean_and_exits_zero() {
+        let _telemetry = telemetry_guard();
         let (code, out) = run_cli(&["fuzz".into(), "--seeds".into(), "2".into()]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("2 seed(s)"), "{out}");
@@ -1470,6 +1485,7 @@ mod tests {
 
     #[test]
     fn profile_prints_phase_and_counter_tables() {
+        let _telemetry = telemetry_guard();
         let f = write_temp("rsti_cli_prof.mc", PROG);
         let (code, out) = run_cli(&["profile".into(), f, "--mech".into(), "stwc".into()]);
         assert_eq!(code, 0, "{out}");
@@ -1493,6 +1509,7 @@ mod tests {
 
     #[test]
     fn profile_attr_renders_tables_and_exports() {
+        let _telemetry = telemetry_guard();
         let f = write_temp("rsti_cli_attr.mc", PROG);
         let flame = std::env::temp_dir().join("rsti_cli_attr.folded");
         let chrome = std::env::temp_dir().join("rsti_cli_attr_trace.json");
@@ -1686,6 +1703,7 @@ mod tests {
 
     #[test]
     fn fuzz_smoke_with_recorder_is_clean() {
+        let _telemetry = telemetry_guard();
         // Recorder inertness under the differential oracle: verdicts stay
         // unchanged and interp ≡ compiled incidents on every seed.
         let (code, out) =
@@ -1707,6 +1725,7 @@ mod tests {
 
     #[test]
     fn fuzz_smoke_with_profiler_is_clean() {
+        let _telemetry = telemetry_guard();
         // Satellite guarantee: the attribution profiler never changes an
         // oracle verdict — a profiled campaign stays green.
         let (code, out) =
@@ -1718,6 +1737,7 @@ mod tests {
 
     #[test]
     fn run_trace_emits_valid_jsonl_and_snapshot() {
+        let _telemetry = telemetry_guard();
         let f = write_temp("rsti_cli_trace.mc", PROG);
         let trace = std::env::temp_dir().join("rsti_cli_trace.jsonl");
         let trace_s = trace.to_string_lossy().into_owned();

@@ -15,8 +15,9 @@
 //!    backend a `free` is a metadata change, so it invalidates more than a
 //!    data write would). Stores through a function's *own* allocas are
 //!    invisible to callers: a callee frame is fresh memory no caller fact
-//!    can alias. The dataflow elision then kills only what the callee can
-//!    actually clobber ([`IpoAnalysis`] feeds `kill_of`).
+//!    can alias. The elision engine then kills only what the callee can
+//!    actually clobber ([`IpoAnalysis`] feeds
+//!    [`crate::optimize::Elision::Ipo`]).
 //! 2. **Internal-boundary resign folding**
 //!    ([`fold_boundary_resigns`]): instrumentation models the
 //!    callee-boundary re-signing cost as an adjacent `PacSign`→`PacAuth`
@@ -27,10 +28,12 @@
 //!    exactly the boundary the paper's LTO build erases; the pair folds
 //!    away. External and indirect boundaries keep their re-signs.
 //! 3. **Size-budgeted post-instrumentation inlining**
-//!    ([`inline_small_functions`]): small non-recursive callees splice
-//!    into their callers, removing the call boundary entirely; the spilled
-//!    argument chains this exposes are then cleaned up by the sign→store
-//!    forwarding in the second dataflow pass (`elide_auths_dataflow_ipo`).
+//!    ([`inline_small_functions`]): small callees splice into their
+//!    callers through the shared inliner loop, removing the call boundary
+//!    entirely; only the module gate (no recursion, no indirect call) is
+//!    specific to this level. The spilled argument chains this exposes are
+//!    then cleaned up by the sign→store forwarding of the
+//!    [`crate::optimize::Elision::Ipo`] elision run.
 //!
 //! Everything here is gated on behaviour being bit-identical to the lower
 //! levels — the fuzz oracle runs the full mechanism × level × engine
@@ -44,10 +47,6 @@ use std::collections::{BTreeSet, HashMap};
 /// budget (`inline_leaf_functions(m, 96)` in the pipeline drivers), since
 /// instrumentation roughly doubles a pointer-heavy body.
 pub const IPO_INLINE_BUDGET: usize = 192;
-
-/// Per-caller growth cap for the inliner: once a caller's body exceeds
-/// this many instructions, no further sites in it are inlined.
-const CALLER_GROWTH_CAP: usize = 4096;
 
 /// What one function (transitively) does to memory visible from a caller.
 /// The lattice is three independent monotone facts; the summary of an SCC
@@ -226,24 +225,11 @@ pub fn fold_boundary_resigns(m: &mut Module) -> usize {
         loop {
             let mut use_count: HashMap<ValueId, usize> = HashMap::new();
             for blk in &f.blocks {
-                for node in &blk.insts {
-                    for op in node.inst.operands() {
-                        if let Operand::Value(v) = op {
-                            *use_count.entry(*v).or_default() += 1;
-                        }
-                    }
-                    if let Inst::PacSign { loc: Some(Operand::Value(v)), .. }
-                    | Inst::PacAuth { loc: Some(Operand::Value(v)), .. } = &node.inst
-                    {
+                let ops = blk.insts.iter().flat_map(|n| n.inst.operands());
+                for op in ops.chain(blk.term.operand()) {
+                    if let Operand::Value(v) = op {
                         *use_count.entry(*v).or_default() += 1;
                     }
-                }
-                match &blk.term {
-                    Terminator::CondBr { cond: Operand::Value(v), .. }
-                    | Terminator::Ret(Some(Operand::Value(v))) => {
-                        *use_count.entry(*v).or_default() += 1;
-                    }
-                    _ => {}
                 }
             }
 
@@ -386,27 +372,15 @@ fn find_internal_consumer(
 
 /// Size-budgeted inlining of small non-recursive callees, run *after*
 /// instrumentation (the paper's LTO phase inlines the runtime library into
-/// instrumented code the same way). Processing is bottom-up over the call
-/// graph, so a callee is fully inlined into before its own callers are
-/// considered.
+/// instrumented code the same way), through the shared inliner loop
+/// (`inline_calls` in [`crate::optimize`]) and its frame-safety gate.
 ///
-/// The candidate rules are driven by one requirement: bit-identical
-/// behaviour to the non-inlined module under both engines, traps included.
-///
-/// * **Module gate** — no recursive SCC and no indirect call anywhere.
-///   Inlining grows the caller's frame; with recursion (or cycles hidden
-///   behind indirect calls) the peak stack depth is input-dependent, and
-///   a grown frame could move a deep run's `StackOverflow` point. With an
-///   acyclic fully-static call graph the peak stack is statically bounded
-///   and far from the limit.
-/// * **Callee allocas must be non-escaped** — an escaping slot address
-///   could be observed (via `&local` pointer comparisons) to have one
-///   address per *call* before inlining but one per *caller frame* after.
-/// * **Callee allocas must be store-initialized in their own block before
-///   any other use** — the VM zeroes a frame slot once per frame
-///   activation, so an inlined body re-entered in a loop would otherwise
-///   read the previous iteration's values where a fresh callee frame read
-///   zeros.
+/// On top of that gate, this inliner has a **module gate**: no recursive
+/// SCC and no indirect call anywhere. Inlining grows the caller's frame;
+/// with recursion (or cycles hidden behind indirect calls) the peak stack
+/// depth is input-dependent, and a grown frame could move a deep run's
+/// `StackOverflow` point. With an acyclic fully-static call graph the peak
+/// stack is statically bounded and far from the limit.
 ///
 /// Returns the number of call sites inlined.
 pub fn inline_small_functions(m: &mut Module, budget: usize) -> usize {
@@ -414,102 +388,7 @@ pub fn inline_small_functions(m: &mut Module, budget: usize) -> usize {
     if cg.scc_recursive.iter().any(|&r| r) || cg.has_indirect.iter().any(|&h| h) {
         return 0;
     }
-    let inlinable: Vec<bool> = m.funcs.iter().map(callee_inlinable).collect();
-    let mut inlined = 0usize;
-
-    for scc_idx in cg.bottom_up() {
-        // Acyclic graph: every component is a singleton.
-        let caller_idx = cg.sccs[scc_idx][0].0 as usize;
-        if m.funcs[caller_idx].is_external {
-            continue;
-        }
-        loop {
-            if m.funcs[caller_idx].inst_count() > CALLER_GROWTH_CAP {
-                break;
-            }
-            let site = {
-                let f = &m.funcs[caller_idx];
-                let mut found = None;
-                'scan: for (bi, blk) in f.blocks.iter().enumerate() {
-                    for (ii, node) in blk.insts.iter().enumerate() {
-                        if let Inst::Call { callee, .. } = &node.inst {
-                            let ci = callee.0 as usize;
-                            if inlinable[ci] && m.funcs[ci].inst_count() <= budget {
-                                found = Some((bi, ii));
-                                break 'scan;
-                            }
-                        }
-                    }
-                }
-                found
-            };
-            let Some((bi, ii)) = site else { break };
-            crate::optimize::splice_call_site(m, caller_idx, bi, ii);
-            inlined += 1;
-        }
-    }
-    debug_assert!(
-        rsti_ir::verify_module(m).is_ok(),
-        "ipo inliner broke the module: {:?}",
-        rsti_ir::verify_module(m).err()
-    );
-    inlined
-}
-
-/// Per-callee inlinability: defined, and every alloca non-escaped and
-/// store-initialized before use (see [`inline_small_functions`]).
-fn callee_inlinable(f: &rsti_ir::Function) -> bool {
-    if f.is_external || f.blocks.is_empty() {
-        return false;
-    }
-    let census = crate::optimize::alias_census(f);
-    if census.allocas.len() != census.non_escaped.len() {
-        return false;
-    }
-    // Every alloca must be the target of a Store, in its own block, before
-    // any other use of it (PacSign/PacAuth `loc` operands are modifier
-    // metadata, not reads, and may precede the store).
-    for blk in &f.blocks {
-        let mut uninitialized: Vec<ValueId> = Vec::new();
-        for node in &blk.insts {
-            match &node.inst {
-                Inst::Alloca { result, .. } => uninitialized.push(*result),
-                Inst::Store { value, ptr } => {
-                    if let Operand::Value(v) = value {
-                        if uninitialized.contains(v) {
-                            return false;
-                        }
-                    }
-                    if let Operand::Value(v) = ptr {
-                        uninitialized.retain(|u| u != v);
-                    }
-                }
-                other => {
-                    let loc_only = match other {
-                        Inst::PacSign { value, .. } | Inst::PacAuth { value, .. } => {
-                            // The loc operand is benign; the value operand
-                            // is a real use.
-                            !matches!(value, Operand::Value(v) if uninitialized.contains(v))
-                        }
-                        _ => false,
-                    };
-                    if !loc_only {
-                        for op in other.operands() {
-                            if let Operand::Value(v) = op {
-                                if uninitialized.contains(v) {
-                                    return false;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !uninitialized.is_empty() {
-            return false;
-        }
-    }
-    true
+    crate::optimize::inline_calls(m, |_| true, budget)
 }
 
 #[cfg(test)]

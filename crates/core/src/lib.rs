@@ -47,8 +47,8 @@ pub use ipo::{
 };
 pub use instrument::{instrument, instrument_adaptive, GlobalSign, InstrumentStats, InstrumentedProgram};
 pub use optimize::{
-    compact_values, inline_leaf_functions, optimize_baseline, optimize_module, optimize_program,
-    optimize_program_at, OptLevel, OptSummary,
+    compact_values, inline_leaf_functions, optimize_module, optimize_program_at, OptLevel,
+    OptSummary,
 };
 pub use replay::{recommend, replay_surface, ReplaySurface, DEFAULT_ECV_THRESHOLD};
 pub use ptr2ptr::{plan_pp, PpCensus, PpPlan, PpSite};

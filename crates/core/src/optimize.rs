@@ -11,31 +11,44 @@
 //! Our MiniC lowering is -O0-style (every local in a slot), so the same
 //! pointer slot is often loaded — and re-authenticated — several times.
 //! One [`OptLevel`]-driven pipeline removes the provably redundant
-//! re-checks:
+//! re-checks. Every elision stage runs through one engine,
+//! [`elide_redundant_auths`]: one transfer function over "available
+//! authentications" (a `(slot, modifier, key)` fact per adjacent load+auth
+//! pair) and one fixpoint driver, parameterized by an [`Elision`] value
+//! that picks the scope, the kill rule, and the fact sources.
 //!
-//! * [`OptLevel::BlockLocal`] — single-store slot promotion (mem2reg)
-//!   plus a per-block available-auth cache: if slot `P` was loaded and
-//!   authenticated under modifier `M`, a later identical load+auth pair in
-//!   the same block reuses the earlier authenticated value, as long as
-//!   nothing in between could have changed memory (any store, call, free).
+//! * [`OptLevel::BlockLocal`] — single-store slot promotion (mem2reg),
+//!   then [`Elision::Block`]: if slot `P` was loaded and authenticated
+//!   under modifier `M`, a later identical load+auth pair in the same block
+//!   reuses the earlier authenticated value, as long as nothing in between
+//!   could have changed memory (any store, call, free or malloc).
 //! * [`OptLevel::Cfg`] — adds the CFG-aware stages built on `rsti-ir`'s
-//!   dominator tree and loop forest: (1) **dominator-based elision** — the
-//!   per-block cache generalized to "available authentications" propagated
-//!   as a forward dataflow (meet = intersection over predecessors, reuse
-//!   gated on the defining block dominating the use) with *refined*
-//!   kill-sets: a store through an alloca's own address kills only that
-//!   slot, and calls/unknown stores cannot touch a slot whose address
-//!   never escaped; (2) **loop-invariant auth hoisting** — a header-
-//!   resident load+auth pair of a loop-invariant slot the loop never
-//!   writes moves to the loop preheader, so a hot loop pays one check per
-//!   entry instead of one per iteration (the header runs at least once
+//!   dominator tree and loop forest: (1) **loop-invariant auth hoisting** —
+//!   a header-resident load+auth pair of a loop-invariant slot the loop
+//!   never writes moves to the loop preheader, so a hot loop pays one check
+//!   per entry instead of one per iteration (the header runs at least once
 //!   whenever the preheader does, so behaviour — traps included — is
-//!   preserved even for zero-trip loops); (3) **precomputed PAC
-//!   modifiers** — an STL location-mix (`M ^ &p`, Fig. 5c) whose location
-//!   is a global folds to a plain modifier at optimize time, because the
-//!   loader's global layout is deterministic
+//!   preserved even for zero-trip loops); (2) **dominator-based elision**
+//!   ([`Elision::Cfg`]) — the facts propagated as a forward dataflow (meet
+//!   = intersection over predecessors, reuse gated on the defining block
+//!   dominating the use) with *refined* kill-sets: a store through an
+//!   alloca's own address kills only that slot, and calls/unknown stores
+//!   cannot touch a slot whose address never escaped; (3) **precomputed
+//!   PAC modifiers** — an STL location-mix (`M ^ &p`, Fig. 5c) whose
+//!   location is a global folds to a plain modifier at optimize time,
+//!   because the loader's global layout is deterministic
 //!   ([`rsti_ir::Module::global_addresses`]), letting the VM skip
 //!   per-execution modifier derivation.
+//! * [`OptLevel::Ipo`] — first folds internal-boundary re-signs and inlines
+//!   small callees ([`crate::ipo`]); hoisting then uses the summary-refined
+//!   kills, and after the cfg elision a second engine run at
+//!   [`Elision::Ipo`] adds summary-refined call kills and sign→store
+//!   forwarding.
+//!
+//! Both inliners — [`inline_leaf_functions`] before instrumentation and
+//! [`crate::ipo::inline_small_functions`] after it — share one loop,
+//! `inline_calls`, with one frame-safety gate (`callee_inlinable`) and
+//! one caller-growth cap; they differ only in which callees they admit.
 //!
 //! Like keeping authenticated pointers in registers on real hardware,
 //! elision and hoisting trade a *narrower re-check window* for speed:
@@ -49,29 +62,13 @@
 
 use rsti_ir::{
     BlockId, Cfg, DomTree, Inst, InstNode, LoopForest, Module, Operand, PacKey, Terminator,
-    ValueId,
+    TypeId, ValueId,
 };
 use std::collections::{HashMap, HashSet};
 
-/// Runs elision over every function; returns the number of authentication
-/// operations removed.
-pub fn elide_redundant_auths(m: &mut Module) -> usize {
-    let mut elided = 0;
-    for f in &mut m.funcs {
-        if f.is_external {
-            continue;
-        }
-        for blk in &mut f.blocks {
-            elided += elide_block(&mut blk.insts);
-        }
-    }
-    // NB: the module holds placeholder types until
-    // `patch_placeholder_types` runs; `optimize_program` verifies after.
-    elided
-}
-
-/// Cache key: the address operand must be *syntactically identical* (same
-/// value id or same constant) — a conservative alias-free guarantee.
+/// Fact key for a slot: the address operand must be *syntactically
+/// identical* (same value id or same global) — a conservative alias-free
+/// guarantee.
 #[derive(PartialEq, Eq, Hash, Clone)]
 enum SlotKey {
     Value(ValueId),
@@ -83,90 +80,6 @@ fn slot_key(op: &Operand) -> Option<SlotKey> {
         Operand::Value(v) => Some(SlotKey::Value(*v)),
         Operand::GlobalAddr(g, _) => Some(SlotKey::Global(g.0)),
         _ => None,
-    }
-}
-
-fn elide_block(insts: &mut Vec<InstNode>) -> usize {
-    // (slot, modifier, key) → the authenticated result value.
-    let mut cache: HashMap<(SlotKey, u64, rsti_ir::PacKey), ValueId> = HashMap::new();
-    // Loads awaiting their PacAuth: raw result → slot key.
-    let mut pending_loads: HashMap<ValueId, SlotKey> = HashMap::new();
-    let mut elided = 0;
-
-    let out: Vec<InstNode> = insts
-        .drain(..)
-        .map(|node| {
-            let new_inst = match &node.inst {
-                Inst::Load { result, ptr, ty } => {
-                    if let Some(k) = slot_key(ptr) {
-                        pending_loads.insert(*result, k);
-                    }
-                    Inst::Load { result: *result, ptr: ptr.clone(), ty: *ty }
-                }
-                // STL modifiers depend on the location operand, but eliding
-                // is still sound: the slot-key match guarantees the same
-                // slot, hence the same location, hence the same modifier.
-                Inst::PacAuth { result, value: Operand::Value(raw), key, modifier, .. } => {
-                    match pending_loads.remove(raw) {
-                        Some(slot) => {
-                            let cache_key = (slot, *modifier, *key);
-                            if let Some(&prev) = cache.get(&cache_key) {
-                                elided += 1;
-                                // Reuse the previously authenticated value:
-                                // a register-to-register copy.
-                                Inst::BitCast {
-                                    result: *result,
-                                    value: prev.into(),
-                                    to: auth_result_ty_placeholder(),
-                                }
-                            } else {
-                                cache.insert(cache_key, *result);
-                                node.inst.clone()
-                            }
-                        }
-                        None => node.inst.clone(),
-                    }
-                }
-                // Anything that can write memory invalidates the cache.
-                Inst::Store { .. }
-                | Inst::Call { .. }
-                | Inst::CallIndirect { .. }
-                | Inst::Free { .. }
-                | Inst::Malloc { .. } => {
-                    cache.clear();
-                    node.inst.clone()
-                }
-                _ => node.inst.clone(),
-            };
-            InstNode { inst: new_inst, loc: node.loc }
-        })
-        .collect();
-    *insts = out;
-    elided
-}
-
-// The BitCast `to` type is cosmetic at runtime (the VM copies the value);
-// for the verifier it must be a pointer type. We patch it up in a second
-// pass because the correct type is the result register's declared type.
-fn auth_result_ty_placeholder() -> rsti_ir::TypeId {
-    rsti_ir::TypeId(u32::MAX)
-}
-
-/// Fixes the placeholder types left by [`elide_redundant_auths`] using the
-/// function's value-type table. Exposed separately for testability;
-/// [`optimize_program`] runs both.
-pub fn patch_placeholder_types(m: &mut Module) {
-    for f in &mut m.funcs {
-        let types = f.value_types.clone();
-        for blk in &mut f.blocks {
-            for node in &mut blk.insts {
-                if let Inst::BitCast { result, to, .. } = &mut node.inst {
-                    if *to == auth_result_ty_placeholder() {
-                        *to = types[result.0 as usize];
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -235,10 +148,7 @@ fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) ->
             }
         }
         // Terminator operands count as "other" uses.
-        if let rsti_ir::Terminator::CondBr { cond: Operand::Value(v), .. } = &blk.term {
-            usage.entry(*v).or_default().other = true;
-        }
-        if let rsti_ir::Terminator::Ret(Some(Operand::Value(v))) = &blk.term {
+        if let Some(Operand::Value(v)) = blk.term.operand() {
             usage.entry(*v).or_default().other = true;
         }
     }
@@ -406,7 +316,7 @@ fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) ->
 }
 
 // ---------------------------------------------------------------------------
-// CFG-aware stages (OptLevel::Cfg)
+// The elision engine (every level) and the CFG-aware stages
 // ---------------------------------------------------------------------------
 
 /// Per-function alias census: which values are allocas, which of those
@@ -420,28 +330,29 @@ fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) ->
 /// slot. The payoff: no call, free, or store through an unknown pointer
 /// can possibly write a non-escaped slot, so available-auth facts about it
 /// survive those kills.
-pub(crate) struct AliasCensus {
-    pub(crate) allocas: HashSet<ValueId>,
-    pub(crate) non_escaped: HashSet<ValueId>,
+#[derive(Default)]
+struct AliasCensus {
+    allocas: HashSet<ValueId>,
+    non_escaped: HashSet<ValueId>,
     /// Defining block per value; `None` for params and never-defined ids
     /// (both behave as "defined at entry").
     def_block: Vec<Option<BlockId>>,
 }
 
-pub(crate) fn alias_census(f: &rsti_ir::Function) -> AliasCensus {
+fn alias_census(f: &rsti_ir::Function) -> AliasCensus {
     let mut allocas = HashSet::new();
     let mut escaped = HashSet::new();
     let mut def_block = vec![None; f.value_types.len()];
+    let mut escape = |op: &Operand| {
+        if let Operand::Value(v) = op {
+            escaped.insert(*v);
+        }
+    };
     for (bi, blk) in f.blocks.iter().enumerate() {
         for node in &blk.insts {
             if let Some(r) = node.inst.result() {
                 def_block[r.0 as usize] = Some(BlockId(bi as u32));
             }
-            let mut escape = |op: &Operand| {
-                if let Operand::Value(v) = op {
-                    escaped.insert(*v);
-                }
-            };
             match &node.inst {
                 Inst::Alloca { result, .. } => {
                     allocas.insert(*result);
@@ -451,30 +362,33 @@ pub(crate) fn alias_census(f: &rsti_ir::Function) -> AliasCensus {
                 Inst::PacSign { value, .. } | Inst::PacAuth { value, .. } => {
                     escape(value); // loc use is benign (modifier metadata)
                 }
-                other => {
-                    for op in other.operands() {
-                        escape(op);
-                    }
-                }
+                other => other.operands().into_iter().for_each(&mut escape),
             }
         }
-        match &blk.term {
-            rsti_ir::Terminator::CondBr { cond: Operand::Value(v), .. } => {
-                escaped.insert(*v);
-            }
-            rsti_ir::Terminator::Ret(Some(Operand::Value(v))) => {
-                escaped.insert(*v);
-            }
-            _ => {}
-        }
+        blk.term.operand().into_iter().for_each(&mut escape);
     }
     let non_escaped = allocas.difference(&escaped).copied().collect();
     AliasCensus { allocas, non_escaped, def_block }
 }
 
-/// What a memory-writing instruction invalidates, under the refined alias
-/// rules. `SlotKey::Value` slots that are non-escaped allocas are immune
-/// to everything except a store through their own address and `free`.
+/// Which elision stage the engine runs: the fact scope, the kill rule, and
+/// the fact sources. [`hoist_loop_auths`] takes the same value for its "the
+/// loop never writes the slot" check.
+#[derive(Clone, Copy)]
+pub enum Elision<'a> {
+    /// Per-block scope: every block starts with nothing available, and any
+    /// store, call, free or malloc kills every fact.
+    Block,
+    /// CFG dataflow with the alias-census kills (see `AliasCensus`).
+    Cfg,
+    /// [`Elision::Cfg`] with direct-call kills refined by the callee
+    /// summaries, plus sign→store forwarding (see `transfer_block`).
+    Ipo(&'a [crate::ipo::FuncSummary]),
+}
+
+/// What a memory-writing instruction invalidates. Under the refined alias
+/// rules, `SlotKey::Value` slots that are non-escaped allocas are immune to
+/// everything except a store through their own address and `free`.
 enum Kill<'a> {
     /// No memory written.
     None,
@@ -498,15 +412,22 @@ enum Kill<'a> {
     /// unknown pointers).
     AllButNonEscaped,
     /// Everything (`free`: under the MAC-table backend a metadata change,
-    /// not just a data write, so no fact survives it).
+    /// not just a data write, so no fact survives it; and every memory
+    /// effect at [`Elision::Block`]).
     All,
 }
 
-fn kill_of<'a>(
-    inst: &Inst,
-    census: &AliasCensus,
-    ipo: Option<&'a [crate::ipo::FuncSummary]>,
-) -> Kill<'a> {
+fn kill_of<'a>(inst: &Inst, census: &AliasCensus, stage: Elision<'a>) -> Kill<'a> {
+    if let Elision::Block = stage {
+        return match inst {
+            Inst::Store { .. }
+            | Inst::Call { .. }
+            | Inst::CallIndirect { .. }
+            | Inst::Free { .. }
+            | Inst::Malloc { .. } => Kill::All,
+            _ => Kill::None,
+        };
+    }
     match inst {
         Inst::Store { ptr, .. } => match slot_key(ptr) {
             Some(k @ SlotKey::Value(v)) if census.non_escaped.contains(&v) => Kill::OneSlot(k),
@@ -520,15 +441,23 @@ fn kill_of<'a>(
         // the callee (transitively) can write. `frees` is *stronger* than
         // the intraprocedural rule — a heap release invalidates MAC-table
         // state just like a local `free`, which `AllButNonEscaped` would
-        // understate — but the ipo dataflow runs as a second pass after
-        // the plain one, so stricter kills here can only decline to add
-        // elisions, never undo cfg's.
-        Inst::Call { callee, .. } => match ipo.map(|s| &s[callee.0 as usize]) {
-            Some(s) if s.frees => Kill::All,
-            Some(s) if s.writes_unknown => Kill::AllButNonEscaped,
-            Some(s) if s.writes_globals.is_empty() => Kill::None,
-            Some(s) => Kill::Globals(&s.writes_globals),
-            None => Kill::AllButNonEscaped,
+        // understate — but the ipo stage runs after the cfg one, so
+        // stricter kills here can only decline to add elisions, never undo
+        // cfg's.
+        Inst::Call { callee, .. } => match stage {
+            Elision::Ipo(summaries) => {
+                let s = &summaries[callee.0 as usize];
+                if s.frees {
+                    Kill::All
+                } else if s.writes_unknown {
+                    Kill::AllButNonEscaped
+                } else if s.writes_globals.is_empty() {
+                    Kill::None
+                } else {
+                    Kill::Globals(&s.writes_globals)
+                }
+            }
+            _ => Kill::AllButNonEscaped,
         },
         Inst::CallIndirect { .. } => Kill::AllButNonEscaped,
         Inst::Free { .. } => Kill::All,
@@ -592,35 +521,41 @@ fn meet_preds(out: &[Option<FactMap>], cfg: &Cfg, b: BlockId) -> Option<FactMap>
     })
 }
 
+/// How [`transfer_block`] rewrites: the function's value types (an elided
+/// auth becomes a register copy typed as its result) and, for CFG-scoped
+/// facts, the dominator tree that proves the authenticated register live.
+struct Rewrite<'r> {
+    types: &'r [TypeId],
+    dom: Option<&'r DomTree>,
+}
+
 /// One block's transfer function: adjacent load+auth pairs generate facts,
-/// memory writes kill them per the refined rules. When `rewrite` is set,
-/// an auth whose fact is already available — and whose defining block
-/// dominates this one — is replaced with a register copy. Returns the
-/// number of auths elided.
+/// memory writes kill them per the stage's rule. With `rewrite` set, an
+/// auth whose fact is already available — defined in this block, or in one
+/// that dominates it — is replaced with a register copy. Returns the number
+/// of auths elided.
 ///
-/// With `forward` set (the ipo pass), facts are *also* seeded by
-/// sign→store chains: a `Store` whose value is the result of a same-block
-/// `PacSign` under `(key, modifier)` records that the slot now holds
-/// exactly `sign(v)` — so a later load+auth of that slot under the same
-/// class yields `v` and can be elided to a copy of the sign's input.
-/// This is what makes call-boundary spill/reload chains (and every
-/// `p = q; use *p` store-then-reload idiom) free: the auth after the
-/// reload is the inverse of the sign before the store. Soundness is the
-/// same narrowed re-check window as every other elision — corruption
-/// landing in the slot between the store and the reload goes unverified
-/// until the next non-elided check — and the kill rules guard everything
-/// else: any intervening write that could alias the slot erases the fact.
-#[allow(clippy::too_many_arguments)]
+/// At [`Elision::Ipo`], facts are *also* seeded by sign→store chains: a
+/// `Store` whose value is the result of a same-block `PacSign` under
+/// `(key, modifier)` records that the slot now holds exactly `sign(v)` — so
+/// a later load+auth of that slot under the same class yields `v` and can
+/// be elided to a copy of the sign's input. This is what makes
+/// call-boundary spill/reload chains (and every `p = q; use *p`
+/// store-then-reload idiom) free: the auth after the reload is the inverse
+/// of the sign before the store. Soundness is the same narrowed re-check
+/// window as every other elision — corruption landing in the slot between
+/// the store and the reload goes unverified until the next non-elided check
+/// — and the kill rules guard everything else: any intervening write that
+/// could alias the slot erases the fact.
 fn transfer_block(
     blk: &mut rsti_ir::BasicBlock,
     b: BlockId,
     facts: &mut FactMap,
     census: &AliasCensus,
-    dom: &DomTree,
-    ipo: Option<&[crate::ipo::FuncSummary]>,
-    forward: bool,
-    rewrite: bool,
+    stage: Elision<'_>,
+    rewrite: Option<&Rewrite<'_>>,
 ) -> usize {
+    let forward = matches!(stage, Elision::Ipo(_));
     let mut elided = 0;
     // Same-block PacSign results: sign result → (input value, key, mod).
     let mut pending_signs: HashMap<ValueId, (ValueId, PacKey, u64)> = HashMap::new();
@@ -640,17 +575,19 @@ fn transfer_block(
         };
         if let Some((slot, modifier, key, auth_result)) = pair {
             let fk = (slot, modifier, key);
-            match facts.get(&fk) {
-                Some(&(prev, def_b)) if rewrite && dom.dominates(def_b, b) => {
+            match (facts.get(&fk), rewrite) {
+                (Some(&(prev, def_b)), Some(rw))
+                    if def_b == b || rw.dom.is_some_and(|d| d.dominates(def_b, b)) =>
+                {
                     blk.insts[i + 1].inst = Inst::BitCast {
                         result: auth_result,
                         value: prev.into(),
-                        to: auth_result_ty_placeholder(),
+                        to: rw.types[auth_result.0 as usize],
                     };
                     elided += 1;
                 }
-                Some(_) => {} // analysis pass: fact already available
-                None => {
+                (Some(_), _) => {} // analysis pass: fact already available
+                (None, _) => {
                     facts.insert(fk, (auth_result, b));
                 }
             }
@@ -663,7 +600,7 @@ fn transfer_block(
                 pending_signs.insert(*result, (*v, *key, *modifier));
             }
         }
-        match kill_of(&blk.insts[i].inst, census, ipo) {
+        match kill_of(&blk.insts[i].inst, census, stage) {
             Kill::None => {}
             kill => facts.retain(|(slot, _, _), _| fact_survives(slot, &kill, census)),
         }
@@ -685,43 +622,36 @@ fn transfer_block(
     elided
 }
 
-/// Stage 1 of the CFG pipeline: dominator-based redundant-auth
-/// elimination. Forward "available authentications" dataflow over the CFG
+/// The redundant-auth elimination engine behind every elision stage. At
+/// [`Elision::Block`] each block is rewritten on its own. Otherwise a
+/// forward "available authentications" dataflow runs over the CFG
 /// (optimistic iteration to the greatest fixpoint, meet = intersection),
-/// then a rewrite pass that replaces re-authentications whose fact arrives
-/// on every path — and whose definition dominates the use, so the
+/// then a rewrite pass replaces re-authentications whose fact arrives on
+/// every path — and whose definition dominates the use, so the
 /// authenticated register is live — with register copies.
 ///
-/// Returns the number of auths elided. Leaves placeholder types for
-/// [`patch_placeholder_types`].
-pub fn elide_auths_dataflow(m: &mut Module) -> usize {
-    elide_auths_dataflow_inner(m, None, false)
-}
-
-/// The interprocedural variant of [`elide_auths_dataflow`], run as the
-/// second dataflow pass at [`OptLevel::Ipo`]: direct-call kill sets are
-/// refined by the callee summaries, and facts are additionally seeded by
-/// sign→store chains (see [`transfer_block`]). Because it runs after the
-/// plain pass, everything it elides is elision the summaries or the
-/// store-forwarding earned — the returned count is exactly the
-/// interprocedural contribution.
-pub fn elide_auths_dataflow_ipo(m: &mut Module, summaries: &[crate::ipo::FuncSummary]) -> usize {
-    elide_auths_dataflow_inner(m, Some(summaries), true)
-}
-
-fn elide_auths_dataflow_inner(
-    m: &mut Module,
-    ipo: Option<&[crate::ipo::FuncSummary]>,
-    forward: bool,
-) -> usize {
+/// The pipeline runs the stages in order, so the count each returns is
+/// what that stage added: at [`Elision::Ipo`], exactly the elisions the
+/// summaries and the store forwarding earned.
+pub fn elide_redundant_auths(m: &mut Module, stage: Elision<'_>) -> usize {
     let mut elided = 0;
     for f in &mut m.funcs {
         if f.is_external || f.blocks.is_empty() {
             continue;
         }
+        if let Elision::Block = stage {
+            // The block kill rule never consults the census.
+            let census = AliasCensus::default();
+            let rw = Rewrite { types: &f.value_types, dom: None };
+            for (bi, blk) in f.blocks.iter_mut().enumerate() {
+                let b = BlockId(bi as u32);
+                elided += transfer_block(blk, b, &mut FactMap::new(), &census, stage, Some(&rw));
+            }
+            continue;
+        }
+        let census = alias_census(f);
         let cfg = Cfg::new(f);
         let dom = DomTree::new(&cfg);
-        let census = alias_census(f);
 
         // Fixpoint: OUT[b] = transfer(meet(preds)). `None` = not yet
         // computed (⊤): back-edge predecessors start optimistic so facts
@@ -731,16 +661,7 @@ fn elide_auths_dataflow_inner(
             let mut changed = false;
             for &b in &cfg.rpo {
                 let Some(mut facts) = meet_preds(&out, &cfg, b) else { continue };
-                transfer_block(
-                    &mut f.blocks[b.0 as usize],
-                    b,
-                    &mut facts,
-                    &census,
-                    &dom,
-                    ipo,
-                    forward,
-                    false,
-                );
+                transfer_block(&mut f.blocks[b.0 as usize], b, &mut facts, &census, stage, None);
                 let slot = &mut out[b.0 as usize];
                 if slot.as_ref() != Some(&facts) {
                     *slot = Some(facts);
@@ -753,18 +674,11 @@ fn elide_auths_dataflow_inner(
         }
 
         // Rewrite with the converged IN sets.
+        let rw = Rewrite { types: &f.value_types, dom: Some(&dom) };
         for &b in &cfg.rpo {
             let Some(mut facts) = meet_preds(&out, &cfg, b) else { continue };
-            elided += transfer_block(
-                &mut f.blocks[b.0 as usize],
-                b,
-                &mut facts,
-                &census,
-                &dom,
-                ipo,
-                forward,
-                true,
-            );
+            let blk = &mut f.blocks[b.0 as usize];
+            elided += transfer_block(blk, b, &mut facts, &census, stage, Some(&rw));
         }
     }
     elided
@@ -801,7 +715,7 @@ fn is_reorder_safe(inst: &Inst) -> bool {
     }
 }
 
-/// Stage 2 of the CFG pipeline: loop-invariant auth hoisting. A
+/// Stage 1 of the CFG pipeline: loop-invariant auth hoisting. A
 /// load+authenticate pair in a loop *header* whose address (and STL
 /// location) is loop-invariant, whose slot the loop never writes, and
 /// which is preceded only by reorder-safe instructions moves to the loop's
@@ -817,20 +731,14 @@ fn is_reorder_safe(inst: &Inst) -> bool {
 /// so this is the "block dominates all exits" hoisting condition
 /// specialized to the one placement that is also zero-trip-safe.
 ///
+/// `stage` supplies the kill rule for the "never writes" check: at
+/// [`Elision::Ipo`] a loop body containing a call to a summarized-clean
+/// callee no longer pins its header pairs in place.
+///
 /// Irreducible CFGs (never produced by structured MiniC, conceivable in
 /// hand-built IR) make the loop forest bail out and the function is left
 /// untouched. Returns the number of pairs hoisted.
-pub fn hoist_loop_auths(m: &mut Module) -> usize {
-    hoist_loop_auths_with(m, None)
-}
-
-/// [`hoist_loop_auths`] with optional interprocedural summaries: at
-/// [`OptLevel::Ipo`] a loop body containing a call to a summarized-clean
-/// callee no longer pins its header pairs in place.
-pub fn hoist_loop_auths_with(
-    m: &mut Module,
-    ipo: Option<&[crate::ipo::FuncSummary]>,
-) -> usize {
+pub fn hoist_loop_auths(m: &mut Module, stage: Elision<'_>) -> usize {
     let mut hoisted = 0;
     for f in &mut m.funcs {
         if f.is_external || f.blocks.is_empty() {
@@ -868,7 +776,7 @@ pub fn hoist_loop_auths_with(
             if cfg.succs[ph.0 as usize] != [l.header] {
                 continue;
             }
-            while let Some(li) = find_hoistable_pair(f, l, &census, ipo) {
+            while let Some(li) = find_hoistable_pair(f, l, &census, stage) {
                 let auth = f.blocks[l.header.0 as usize].insts.remove(li + 1);
                 let load = f.blocks[l.header.0 as usize].insts.remove(li);
                 let phb = &mut f.blocks[ph.0 as usize];
@@ -887,7 +795,7 @@ fn find_hoistable_pair(
     f: &rsti_ir::Function,
     l: &rsti_ir::NaturalLoop,
     census: &AliasCensus,
-    ipo: Option<&[crate::ipo::FuncSummary]>,
+    stage: Elision<'_>,
 ) -> Option<usize> {
     let header = &f.blocks[l.header.0 as usize];
     for (i, node) in header.insts.iter().enumerate() {
@@ -924,7 +832,7 @@ fn find_hoistable_pair(
             f.blocks[b.0 as usize]
                 .insts
                 .iter()
-                .all(|n| fact_survives(&slot, &kill_of(&n.inst, census, ipo), census))
+                .all(|n| fact_survives(&slot, &kill_of(&n.inst, census, stage), census))
         });
         if never_killed {
             return Some(i);
@@ -1033,7 +941,7 @@ impl OptLevel {
 pub struct OptSummary {
     /// Load(+auth) sites promoted to copies by mem2reg.
     pub promoted: usize,
-    /// Auths elided by the per-block cache.
+    /// Auths elided by the block-scoped elision stage.
     pub elided_block: usize,
     /// Load(+auth) pairs hoisted to loop preheaders.
     pub hoisted: usize,
@@ -1084,82 +992,9 @@ impl OptSummary {
 ///
 /// Returns the number of value slots dropped across the module.
 pub fn compact_values(m: &mut Module) -> usize {
-    fn remap_v(v: &mut ValueId, remap: &[u32]) {
-        v.0 = remap[v.0 as usize];
-    }
     fn remap_op(op: &mut Operand, remap: &[u32]) {
         if let Operand::Value(v) = op {
-            remap_v(v, remap);
-        }
-    }
-    fn remap_inst(inst: &mut Inst, remap: &[u32]) {
-        match inst {
-            Inst::Alloca { result, .. } => remap_v(result, remap),
-            Inst::Load { result, ptr, .. } => {
-                remap_v(result, remap);
-                remap_op(ptr, remap);
-            }
-            Inst::Store { value, ptr } => {
-                remap_op(value, remap);
-                remap_op(ptr, remap);
-            }
-            Inst::FieldAddr { result, base, .. } => {
-                remap_v(result, remap);
-                remap_op(base, remap);
-            }
-            Inst::IndexAddr { result, base, index, .. } => {
-                remap_v(result, remap);
-                remap_op(base, remap);
-                remap_op(index, remap);
-            }
-            Inst::BitCast { result, value, .. } | Inst::Convert { result, value, .. } => {
-                remap_v(result, remap);
-                remap_op(value, remap);
-            }
-            Inst::Bin { result, lhs, rhs, .. } | Inst::Cmp { result, lhs, rhs, .. } => {
-                remap_v(result, remap);
-                remap_op(lhs, remap);
-                remap_op(rhs, remap);
-            }
-            Inst::Call { result, args, .. } => {
-                if let Some(r) = result {
-                    remap_v(r, remap);
-                }
-                for a in args {
-                    remap_op(a, remap);
-                }
-            }
-            Inst::CallIndirect { result, callee, args, .. } => {
-                if let Some(r) = result {
-                    remap_v(r, remap);
-                }
-                remap_op(callee, remap);
-                for a in args {
-                    remap_op(a, remap);
-                }
-            }
-            Inst::Malloc { result, size, .. } => {
-                remap_v(result, remap);
-                remap_op(size, remap);
-            }
-            Inst::Free { ptr } => remap_op(ptr, remap),
-            Inst::PrintInt { value } => remap_op(value, remap),
-            Inst::PrintStr { .. } | Inst::PpAdd { .. } => {}
-            Inst::PacSign { result, value, loc, .. }
-            | Inst::PacAuth { result, value, loc, .. } => {
-                remap_v(result, remap);
-                remap_op(value, remap);
-                if let Some(l) = loc {
-                    remap_op(l, remap);
-                }
-            }
-            Inst::PacStrip { result, value }
-            | Inst::PpSign { result, value, .. }
-            | Inst::PpAddTbi { result, value, .. }
-            | Inst::PpAuth { result, value, .. } => {
-                remap_v(result, remap);
-                remap_op(value, remap);
-            }
+            v.0 = remap[v.0 as usize];
         }
     }
 
@@ -1198,13 +1033,8 @@ pub fn compact_values(m: &mut Module) -> usize {
                         }
                     }
                 }
-                let term_value = match &b.term {
-                    Terminator::CondBr { cond: Operand::Value(v), .. } => Some(*v),
-                    Terminator::Ret(Some(Operand::Value(v))) => Some(*v),
-                    _ => None,
-                };
-                if let Some(v) = term_value {
-                    if !mark(v) {
+                if let Some(Operand::Value(v)) = b.term.operand() {
+                    if !mark(*v) {
                         continue 'funcs;
                     }
                 }
@@ -1223,17 +1053,16 @@ pub fn compact_values(m: &mut Module) -> usize {
             }
         }
         for (pv, _) in &mut f.params {
-            remap_v(pv, &remap);
+            pv.0 = remap[pv.0 as usize];
         }
         for b in &mut f.blocks {
             for node in &mut b.insts {
-                remap_inst(&mut node.inst, &remap);
+                if let Some(r) = node.inst.result_mut() {
+                    r.0 = remap[r.0 as usize];
+                }
+                node.inst.operands_mut().into_iter().for_each(|op| remap_op(op, &remap));
             }
-            match &mut b.term {
-                Terminator::CondBr { cond, .. } => remap_op(cond, &remap),
-                Terminator::Ret(Some(op)) => remap_op(op, &remap),
-                _ => {}
-            }
+            b.term.operand_mut().into_iter().for_each(|op| remap_op(op, &remap));
         }
         f.value_types = new_types;
         dropped += n - live;
@@ -1269,20 +1098,17 @@ pub fn optimize_module(m: &mut Module, level: OptLevel) -> OptSummary {
         verify_stage(m, "ipo-inline");
     }
     s.promoted = promote_single_store_slots(m);
-    s.elided_block = elide_redundant_auths(m);
-    patch_placeholder_types(m);
+    s.elided_block = elide_redundant_auths(m, Elision::Block);
     verify_stage(m, "block-local");
     if matches!(level, OptLevel::Cfg | OptLevel::Ipo) {
         let ipo_env = (level == OptLevel::Ipo).then(|| crate::ipo::IpoAnalysis::build(m));
-        let summaries = ipo_env.as_ref().map(|a| a.summaries.as_slice());
-        s.hoisted = hoist_loop_auths_with(m, summaries);
+        let stage = ipo_env.as_ref().map_or(Elision::Cfg, |a| Elision::Ipo(&a.summaries));
+        s.hoisted = hoist_loop_auths(m, stage);
         verify_stage(m, "hoist");
-        s.elided_dom = elide_auths_dataflow(m);
-        patch_placeholder_types(m);
+        s.elided_dom = elide_redundant_auths(m, Elision::Cfg);
         verify_stage(m, "dataflow");
         if let Some(a) = &ipo_env {
-            s.elided_ipo = elide_auths_dataflow_ipo(m, &a.summaries);
-            patch_placeholder_types(m);
+            s.elided_ipo = elide_redundant_auths(m, stage);
             verify_stage(m, "ipo-dataflow");
             s.refined = a.refined_call_sites;
         }
@@ -1322,69 +1148,61 @@ pub fn optimize_program_at(
     s
 }
 
-/// Compatibility entry point: the full pipeline at [`OptLevel::Cfg`].
-/// Returns the number of removed/promoted authentication sites.
-pub fn optimize_program(p: &mut crate::instrument::InstrumentedProgram) -> usize {
-    optimize_program_at(p, OptLevel::Cfg).total()
-}
-
-/// Compatibility entry point for *uninstrumented* modules: the full
-/// pipeline at [`OptLevel::Cfg`], so overhead comparisons stay fair (both
-/// sides get mem2reg and hoisting).
-pub fn optimize_baseline(m: &mut Module) -> usize {
-    optimize_module(m, OptLevel::Cfg).total()
-}
-
 /// Leaf-function inlining — the LTO/O2 component of the paper's pipeline
 /// (§5: the pass runs in the LTO phase over the combined module, with the
 /// runtime library inlined; §6.3.2 credits "LTO and -O2 optimizations"
 /// for the gap to PARTS).
 ///
-/// A callee qualifies when it is defined, is not the caller, contains no
-/// calls of its own (leaf), and is at most `max_insts` instructions.
-/// Every qualifying direct call site is replaced by a spliced copy of the
-/// callee's body. Run **before** instrumentation, like LLVM's inliner runs
+/// A callee qualifies when it is a leaf (no calls of its own), passes the
+/// frame-safety gate of `inline_calls`, and is at most `max_insts`
+/// instructions. Run **before** instrumentation, like LLVM's inliner runs
 /// before the RSTI pass: argument-passing boundaries disappear, so STL has
 /// nothing to re-sign there — exactly the effect O2 inlining has on the
 /// paper's numbers.
 ///
 /// Returns the number of call sites inlined.
 pub fn inline_leaf_functions(m: &mut Module, max_insts: usize) -> usize {
-    fn is_leaf(f: &rsti_ir::Function) -> bool {
-        !f.is_external
-            && !f.blocks.is_empty()
-            && f.insts().all(|n| {
-                !matches!(n.inst, Inst::Call { .. } | Inst::CallIndirect { .. })
-            })
-    }
+    inline_calls(
+        m,
+        |f| f.insts().all(|n| !matches!(n.inst, Inst::Call { .. } | Inst::CallIndirect { .. })),
+        max_insts,
+    )
+}
 
-    let leafs: Vec<bool> = m.funcs.iter().map(is_leaf).collect();
-    let sizes: Vec<usize> = m.funcs.iter().map(|f| f.inst_count()).collect();
+/// Per-caller growth cap for the inliners: once a caller's body exceeds
+/// this many instructions, no further sites in it are inlined.
+const CALLER_GROWTH_CAP: usize = 4096;
+
+/// The one inliner loop. Callers are visited bottom-up over
+/// [`rsti_ir::CallGraph`], so a callee is fully inlined into before its own
+/// callers are considered; in each caller, the first direct call to a
+/// callee that passes `gate` and [`callee_inlinable`] (both evaluated once,
+/// up front) and is at most `budget` instructions (checked live) is
+/// spliced, until none is left or the caller outgrows
+/// [`CALLER_GROWTH_CAP`]. Both gates exclude recursive callees (a leaf
+/// makes no calls; the ipo module gate refuses recursion), so no caller
+/// ever splices itself.
+///
+/// Returns the number of call sites inlined.
+pub(crate) fn inline_calls(
+    m: &mut Module,
+    gate: impl Fn(&rsti_ir::Function) -> bool,
+    budget: usize,
+) -> usize {
+    let cg = rsti_ir::CallGraph::new(m);
+    let inlinable: Vec<bool> = m.funcs.iter().map(|f| gate(f) && callee_inlinable(f)).collect();
     let mut inlined = 0usize;
-
-    for caller_idx in 0..m.funcs.len() {
-        if m.funcs[caller_idx].is_external {
-            continue;
-        }
-        // Find one inlinable call site at a time; repeat until none left
-        // (inlined leaf bodies introduce no new calls).
-        loop {
-            let site = {
-                let f = &m.funcs[caller_idx];
-                let mut found = None;
-                'scan: for (bi, blk) in f.blocks.iter().enumerate() {
-                    for (ii, node) in blk.insts.iter().enumerate() {
-                        if let Inst::Call { callee, .. } = &node.inst {
-                            let ci = callee.0 as usize;
-                            if ci != caller_idx && leafs[ci] && sizes[ci] <= max_insts {
-                                found = Some((bi, ii));
-                                break 'scan;
-                            }
-                        }
-                    }
-                }
-                found
-            };
+    for fid in cg.bottom_up().flat_map(|c| cg.sccs[c].iter()) {
+        let caller_idx = fid.0 as usize;
+        while m.funcs[caller_idx].inst_count() <= CALLER_GROWTH_CAP {
+            let site = m.funcs[caller_idx].blocks.iter().enumerate().find_map(|(bi, blk)| {
+                let ii = blk.insts.iter().position(|node| {
+                    matches!(&node.inst, Inst::Call { callee, .. }
+                        if inlinable[callee.0 as usize]
+                            && m.funcs[callee.0 as usize].inst_count() <= budget)
+                })?;
+                Some((bi, ii))
+            });
             let Some((bi, ii)) = site else { break };
             splice_call_site(m, caller_idx, bi, ii);
             inlined += 1;
@@ -1398,12 +1216,74 @@ pub fn inline_leaf_functions(m: &mut Module, max_insts: usize) -> usize {
     inlined
 }
 
+/// The frame-safety gate every inlined callee passes. Defined, and:
+///
+/// * **Every alloca non-escaped** — an escaping slot address could be
+///   observed (via `&local` pointer comparisons) to have one address per
+///   *call* before inlining but one per *caller frame* after.
+/// * **Every alloca store-initialized in its own block before any other
+///   use** — the VM zeroes a frame slot once per frame activation, so an
+///   inlined body re-entered in a loop would otherwise read the previous
+///   iteration's values where a fresh callee frame read zeros.
+fn callee_inlinable(f: &rsti_ir::Function) -> bool {
+    if f.is_external || f.blocks.is_empty() {
+        return false;
+    }
+    let census = alias_census(f);
+    if census.allocas.len() != census.non_escaped.len() {
+        return false;
+    }
+    // Every alloca must be the target of a Store, in its own block, before
+    // any other use of it (PacSign/PacAuth `loc` operands are modifier
+    // metadata, not reads, and may precede the store).
+    for blk in &f.blocks {
+        let mut uninitialized: Vec<ValueId> = Vec::new();
+        for node in &blk.insts {
+            match &node.inst {
+                Inst::Alloca { result, .. } => uninitialized.push(*result),
+                Inst::Store { value, ptr } => {
+                    if let Operand::Value(v) = value {
+                        if uninitialized.contains(v) {
+                            return false;
+                        }
+                    }
+                    if let Operand::Value(v) = ptr {
+                        uninitialized.retain(|u| u != v);
+                    }
+                }
+                other => {
+                    let loc_only = match other {
+                        Inst::PacSign { value, .. } | Inst::PacAuth { value, .. } => {
+                            // The loc operand is benign; the value operand
+                            // is a real use.
+                            !matches!(value, Operand::Value(v) if uninitialized.contains(v))
+                        }
+                        _ => false,
+                    };
+                    if !loc_only {
+                        for op in other.operands() {
+                            if let Operand::Value(v) = op {
+                                if uninitialized.contains(v) {
+                                    return false;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if !uninitialized.is_empty() {
+            return false;
+        }
+    }
+    true
+}
+
 /// Replaces the direct call at `(caller_idx, bi, ii)` with a spliced copy
-/// of the callee's body. Shared by the pre-instrumentation leaf inliner
-/// and the post-instrumentation ipo inliner; the callee may itself contain
-/// calls ([`remap_inst`] remaps them like any other instruction).
-pub(crate) fn splice_call_site(m: &mut Module, caller_idx: usize, bi: usize, ii: usize) {
-    use rsti_ir::{BasicBlock, Terminator};
+/// of the callee's body. The callee may itself contain calls: `FuncId`s
+/// are module-level and survive the splice untouched.
+fn splice_call_site(m: &mut Module, caller_idx: usize, bi: usize, ii: usize) {
+    use rsti_ir::BasicBlock;
 
     // Clone what we need from the callee before mutating the caller.
     let (callee_id, result, args) = {
@@ -1419,11 +1299,16 @@ pub(crate) fn splice_call_site(m: &mut Module, caller_idx: usize, bi: usize, ii:
     // Value remap: callee params -> arg operands; everything else
     // gets fresh caller ids.
     let value_base = caller.value_types.len() as u32;
-    let mut param_map: std::collections::HashMap<ValueId, Operand> =
-        std::collections::HashMap::new();
-    for (i, (pv, _)) in callee.params.iter().enumerate() {
-        param_map.insert(*pv, args[i].clone());
-    }
+    let param_map: HashMap<ValueId, Operand> =
+        callee.params.iter().map(|(pv, _)| *pv).zip(args).collect();
+    let remap = |op: &mut Operand| {
+        if let Operand::Value(v) = op {
+            *op = match param_map.get(v) {
+                Some(repl) => repl.clone(),
+                None => Operand::Value(ValueId(value_base + v.0)),
+            };
+        }
+    };
     // Extend the caller's value table with the callee's (params
     // included; their slots go unused).
     caller.value_types.extend(callee.value_types.iter().copied());
@@ -1444,33 +1329,33 @@ pub(crate) fn splice_call_site(m: &mut Module, caller_idx: usize, bi: usize, ii:
     // Splice callee blocks, remapping operands, block ids, and
     // turning returns into copies + branches to the continuation.
     let ret_ty = callee.sig.ret;
-    for cblk in &callee.blocks {
+    for cblk in callee.blocks {
         let mut nb = BasicBlock::new();
-        for node in &cblk.insts {
-            let mut inst = node.inst.clone();
-            remap_inst(&mut inst, value_base, &param_map);
-            nb.insts.push(InstNode { inst, loc: node.loc });
+        for mut node in cblk.insts {
+            // Results always become fresh caller values (params are never
+            // results).
+            if let Some(r) = node.inst.result_mut() {
+                r.0 += value_base;
+            }
+            node.inst.operands_mut().into_iter().for_each(remap);
+            nb.insts.push(node);
         }
         nb.term_loc = cblk.term_loc;
-        nb.term = match &cblk.term {
+        let mut term = cblk.term;
+        term.operand_mut().into_iter().for_each(remap);
+        nb.term = match term {
             Terminator::Br(b) => Terminator::Br(BlockId(block_base + b.0)),
-            Terminator::CondBr { cond, then_bb, else_bb } => {
-                let mut c = cond.clone();
-                remap_operand(&mut c, value_base, &param_map);
-                Terminator::CondBr {
-                    cond: c,
-                    then_bb: BlockId(block_base + then_bb.0),
-                    else_bb: BlockId(block_base + else_bb.0),
-                }
-            }
+            Terminator::CondBr { cond, then_bb, else_bb } => Terminator::CondBr {
+                cond,
+                then_bb: BlockId(block_base + then_bb.0),
+                else_bb: BlockId(block_base + else_bb.0),
+            },
             Terminator::Ret(v) => {
-                if let (Some(res), Some(v)) = (result, v) {
-                    let mut rv = v.clone();
-                    remap_operand(&mut rv, value_base, &param_map);
+                if let (Some(res), Some(value)) = (result, v) {
                     let copy = if m.types.is_ptr(ret_ty) {
-                        Inst::BitCast { result: res, value: rv, to: ret_ty }
+                        Inst::BitCast { result: res, value, to: ret_ty }
                     } else {
-                        Inst::Convert { result: res, value: rv, to: ret_ty }
+                        Inst::Convert { result: res, value, to: ret_ty }
                     };
                     nb.insts.push(InstNode { inst: copy, loc: cblk.term_loc });
                 }
@@ -1481,103 +1366,6 @@ pub(crate) fn splice_call_site(m: &mut Module, caller_idx: usize, bi: usize, ii:
         caller.blocks.push(nb);
     }
     caller.blocks.push(cont);
-}
-
-fn remap_operand(
-    op: &mut Operand,
-    value_base: u32,
-    param_map: &std::collections::HashMap<ValueId, Operand>,
-) {
-    if let Operand::Value(v) = op {
-        if let Some(repl) = param_map.get(v) {
-            *op = repl.clone();
-        } else {
-            *op = Operand::Value(ValueId(value_base + v.0));
-        }
-    }
-}
-
-fn remap_inst(
-    inst: &mut Inst,
-    value_base: u32,
-    param_map: &std::collections::HashMap<ValueId, Operand>,
-) {
-    // Results always become fresh caller values (params are never results).
-    let remap_result = |r: &mut ValueId| *r = ValueId(value_base + r.0);
-    match inst {
-        Inst::Alloca { result, .. } => remap_result(result),
-        Inst::Load { result, ptr, .. } => {
-            remap_result(result);
-            remap_operand(ptr, value_base, param_map);
-        }
-        Inst::Store { value, ptr } => {
-            remap_operand(value, value_base, param_map);
-            remap_operand(ptr, value_base, param_map);
-        }
-        Inst::FieldAddr { result, base, .. } => {
-            remap_result(result);
-            remap_operand(base, value_base, param_map);
-        }
-        Inst::IndexAddr { result, base, index, .. } => {
-            remap_result(result);
-            remap_operand(base, value_base, param_map);
-            remap_operand(index, value_base, param_map);
-        }
-        Inst::BitCast { result, value, .. } | Inst::Convert { result, value, .. } => {
-            remap_result(result);
-            remap_operand(value, value_base, param_map);
-        }
-        Inst::Bin { result, lhs, rhs, .. } => {
-            remap_result(result);
-            remap_operand(lhs, value_base, param_map);
-            remap_operand(rhs, value_base, param_map);
-        }
-        Inst::Cmp { result, lhs, rhs, .. } => {
-            remap_result(result);
-            remap_operand(lhs, value_base, param_map);
-            remap_operand(rhs, value_base, param_map);
-        }
-        Inst::Malloc { result, size, .. } => {
-            remap_result(result);
-            remap_operand(size, value_base, param_map);
-        }
-        Inst::Free { ptr } => remap_operand(ptr, value_base, param_map),
-        Inst::PrintInt { value } => remap_operand(value, value_base, param_map),
-        Inst::PrintStr { .. } | Inst::PpAdd { .. } => {}
-        Inst::PacSign { result, value, loc, .. } | Inst::PacAuth { result, value, loc, .. } => {
-            remap_result(result);
-            remap_operand(value, value_base, param_map);
-            if let Some(l) = loc {
-                remap_operand(l, value_base, param_map);
-            }
-        }
-        Inst::PacStrip { result, value }
-        | Inst::PpSign { result, value, .. }
-        | Inst::PpAddTbi { result, value, .. }
-        | Inst::PpAuth { result, value, .. } => {
-            remap_result(result);
-            remap_operand(value, value_base, param_map);
-        }
-        // Callees with calls of their own (the ipo inliner's candidates):
-        // `FuncId`s are module-level and survive the splice untouched.
-        Inst::Call { result, args, .. } => {
-            if let Some(r) = result {
-                remap_result(r);
-            }
-            for a in args {
-                remap_operand(a, value_base, param_map);
-            }
-        }
-        Inst::CallIndirect { result, callee, args, .. } => {
-            if let Some(r) = result {
-                remap_result(r);
-            }
-            remap_operand(callee, value_base, param_map);
-            for a in args {
-                remap_operand(a, value_base, param_map);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1604,7 +1392,7 @@ mod tests {
         let m = compile(REPEATY, "t").unwrap();
         let mut p = instrument(&m, Mechanism::Stwc);
         let before = count_auths(&p.module);
-        let elided = optimize_program(&mut p);
+        let elided = optimize_program_at(&mut p, OptLevel::Cfg).total();
         let after = count_auths(&p.module);
         assert!(elided > 0, "expected redundancy in {REPEATY}");
         assert!(after < before, "auths must shrink: {before} -> {after}");
@@ -1624,7 +1412,7 @@ mod tests {
         "#;
         let m = compile(src, "t").unwrap();
         let mut p = instrument(&m, Mechanism::Stwc);
-        optimize_program(&mut p);
+        optimize_program_at(&mut p, OptLevel::Cfg);
         // Behaviour must be unchanged.
         rsti_ir::verify_module(&p.module).unwrap();
     }

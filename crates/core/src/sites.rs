@@ -20,7 +20,7 @@
 //! callers *before* this table is built, so an inlined check's id is the
 //! caller-relative scan position of its spliced copy — deterministic for a
 //! given (source, mechanism, level) triple — while its `line` keeps the
-//! callee's source provenance (`remap_inst` copies `DebugLoc`s verbatim).
+//! callee's source provenance (the splice keeps every `DebugLoc` verbatim).
 //! Ids are **not** stable across optimization levels (elision changes the
 //! set); they are stable across engines, runs, and processes at a fixed
 //! level, which is what `--attr` attribution and incident lineage key on.

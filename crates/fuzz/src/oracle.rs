@@ -3,12 +3,14 @@
 //! Every candidate program — generated, minimized, or replayed from the
 //! committed corpus — is pushed through the same checks:
 //!
-//! 1. **Differential output**: the uninstrumented baseline run and every
-//!    `Mechanism × {unoptimized, block-local, cfg}` instrumented run must
-//!    agree on exit status and printed output. A well-defined MiniC program never
-//!    observes the PAC machinery, so any divergence is a pipeline bug (or,
-//!    for hand-written attack programs, a detection — which is why the
-//!    committed corpus contains only post-fix *passing* programs).
+//! 1. **Differential output**: the uninstrumented baseline run, the
+//!    baseline after the block and cfg levels and after leaf inlining, and
+//!    every `Mechanism × {unoptimized, block-local, cfg, ipo}` instrumented
+//!    run must agree on exit status and printed output. A well-defined
+//!    MiniC program never observes the PAC machinery, so any divergence is
+//!    a pipeline bug (or, for hand-written attack programs, a detection —
+//!    which is why the committed corpus contains only post-fix *passing*
+//!    programs).
 //! 2. **IR verification**: `rsti_ir::verify_module` must accept the module
 //!    after every pass boundary — lower, instrument, optimize.
 //! 3. **No panics**: every stage runs under `catch_unwind`; a panic anywhere
@@ -24,7 +26,7 @@
 //! reducer can insist that a shrunken candidate reproduces the *same* bug,
 //! not merely *a* bug.
 
-use rsti_core::{instrument, optimize_module, Mechanism, OptLevel};
+use rsti_core::{inline_leaf_functions, instrument, optimize_module, Mechanism, OptLevel};
 use rsti_frontend::ast::Item;
 use rsti_frontend::{ast_eq_items, compile, parse, print_items};
 use rsti_ir::verify_module;
@@ -416,6 +418,21 @@ fn check_compiled(src: &str) -> Result<(), FailureKind> {
         let got = run_image(&Image::baseline(&om), &config)?;
         compare(&config, &base, &got)?;
     }
+
+    // The transform every Fig. 9 proxy goes through before instrumentation:
+    // leaf inlining, checked on the uninstrumented module.
+    let config = "baseline+inline";
+    let mut im = m.clone();
+    catch_unwind(AssertUnwindSafe(|| inline_leaf_functions(&mut im, 96))).map_err(|p| {
+        FailureKind::PassPanic {
+            stage: "inline".into(),
+            config: config.into(),
+            detail: panic_msg(p),
+        }
+    })?;
+    check_verified(&im, "inline", config)?;
+    let got = run_image(&Image::baseline(&im), config)?;
+    compare(config, &base, &got)?;
 
     for mech in Mechanism::ALL {
         for level in OptLevel::ALL {

@@ -260,10 +260,11 @@ pub enum Inst {
     },
 }
 
-impl Inst {
-    /// The value this instruction defines, if any.
-    pub fn result(&self) -> Option<ValueId> {
-        match self {
+// One match per accessor, shared by the `&` and `&mut` flavours: the
+// bindings take the reference mode of the scrutinee.
+macro_rules! result_of {
+    ($inst:expr) => {
+        match $inst {
             Inst::Alloca { result, .. }
             | Inst::Load { result, .. }
             | Inst::FieldAddr { result, .. }
@@ -278,14 +279,58 @@ impl Inst {
             | Inst::PacStrip { result, .. }
             | Inst::PpSign { result, .. }
             | Inst::PpAddTbi { result, .. }
-            | Inst::PpAuth { result, .. } => Some(*result),
-            Inst::Call { result, .. } | Inst::CallIndirect { result, .. } => *result,
+            | Inst::PpAuth { result, .. } => Some(result),
+            Inst::Call { result, .. } | Inst::CallIndirect { result, .. } => Option::from(result),
             Inst::Store { .. }
             | Inst::Free { .. }
             | Inst::PrintInt { .. }
             | Inst::PrintStr { .. }
             | Inst::PpAdd { .. } => None,
         }
+    };
+}
+
+macro_rules! operands_of {
+    ($inst:expr) => {
+        match $inst {
+            Inst::Alloca { .. } | Inst::PrintStr { .. } | Inst::PpAdd { .. } => vec![],
+            Inst::Load { ptr, .. } => vec![ptr],
+            Inst::Store { value, ptr } => vec![value, ptr],
+            Inst::FieldAddr { base, .. } => vec![base],
+            Inst::IndexAddr { base, index, .. } => vec![base, index],
+            Inst::BitCast { value, .. } | Inst::Convert { value, .. } => vec![value],
+            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => vec![lhs, rhs],
+            Inst::Call { args, .. } => args.into_iter().collect(),
+            Inst::CallIndirect { callee, args, .. } => {
+                let mut v = vec![callee];
+                v.extend(args);
+                v
+            }
+            Inst::Malloc { size, .. } => vec![size],
+            Inst::Free { ptr } => vec![ptr],
+            Inst::PrintInt { value } => vec![value],
+            Inst::PacSign { value, loc, .. } | Inst::PacAuth { value, loc, .. } => {
+                let mut v = vec![value];
+                v.extend(loc);
+                v
+            }
+            Inst::PacStrip { value, .. }
+            | Inst::PpSign { value, .. }
+            | Inst::PpAddTbi { value, .. }
+            | Inst::PpAuth { value, .. } => vec![value],
+        }
+    };
+}
+
+impl Inst {
+    /// The value this instruction defines, if any.
+    pub fn result(&self) -> Option<ValueId> {
+        result_of!(self).copied()
+    }
+
+    /// Mutable access to the defined value, for renumbering passes.
+    pub fn result_mut(&mut self) -> Option<&mut ValueId> {
+        result_of!(self)
     }
 
     /// Whether this is one of the PA instructions (for cost accounting —
@@ -301,37 +346,15 @@ impl Inst {
         )
     }
 
-    /// Operands read by this instruction (used by the verifier).
+    /// Operands read by this instruction, `loc` included.
     pub fn operands(&self) -> Vec<&Operand> {
-        match self {
-            Inst::Alloca { .. } | Inst::PrintStr { .. } | Inst::PpAdd { .. } => vec![],
-            Inst::Load { ptr, .. } => vec![ptr],
-            Inst::Store { value, ptr } => vec![value, ptr],
-            Inst::FieldAddr { base, .. } => vec![base],
-            Inst::IndexAddr { base, index, .. } => vec![base, index],
-            Inst::BitCast { value, .. } | Inst::Convert { value, .. } => vec![value],
-            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => vec![lhs, rhs],
-            Inst::Call { args, .. } => args.iter().collect(),
-            Inst::CallIndirect { callee, args, .. } => {
-                let mut v = vec![callee];
-                v.extend(args.iter());
-                v
-            }
-            Inst::Malloc { size, .. } => vec![size],
-            Inst::Free { ptr } => vec![ptr],
-            Inst::PrintInt { value } => vec![value],
-            Inst::PacSign { value, loc, .. } | Inst::PacAuth { value, loc, .. } => {
-                let mut v = vec![value];
-                if let Some(l) = loc {
-                    v.push(l);
-                }
-                v
-            }
-            Inst::PacStrip { value, .. }
-            | Inst::PpSign { value, .. }
-            | Inst::PpAddTbi { value, .. }
-            | Inst::PpAuth { value, .. } => vec![value],
-        }
+        operands_of!(self)
+    }
+
+    /// Mutable access to the same operands as [`Inst::operands`], in the
+    /// same order, for renumbering and splicing passes.
+    pub fn operands_mut(&mut self) -> Vec<&mut Operand> {
+        operands_of!(self)
     }
 }
 
@@ -352,6 +375,25 @@ pub enum Terminator {
     Ret(Option<Operand>),
     /// Control never reaches here (e.g. after a guaranteed trap).
     Unreachable,
+}
+
+impl Terminator {
+    /// The value operand this terminator reads: a `CondBr` condition or a
+    /// `Ret` value.
+    pub fn operand(&self) -> Option<&Operand> {
+        match self {
+            Terminator::CondBr { cond, .. } | Terminator::Ret(Some(cond)) => Some(cond),
+            Terminator::Br(_) | Terminator::Ret(None) | Terminator::Unreachable => None,
+        }
+    }
+
+    /// Mutable access to [`Terminator::operand`].
+    pub fn operand_mut(&mut self) -> Option<&mut Operand> {
+        match self {
+            Terminator::CondBr { cond, .. } | Terminator::Ret(Some(cond)) => Some(cond),
+            Terminator::Br(_) | Terminator::Ret(None) | Terminator::Unreachable => None,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ pub enum Phase {
     Analyze,
     /// Core: the instrumentation pass.
     Instrument,
-    /// Core: the O2-model optimizer (`optimize_program`).
+    /// Core: the O2-model optimizer (`optimize_program_at`).
     Optimize,
     /// VM: translation of an image's basic blocks into pre-resolved ops,
     /// once per image. Both engines execute the translation, so this fires

@@ -564,7 +564,7 @@ mod tests {
         let m = compile(src, "t").unwrap();
         let plain = rsti_core::instrument(&m, Mechanism::Stwc);
         let mut opt = rsti_core::instrument(&m, Mechanism::Stwc);
-        let elided = rsti_core::optimize_program(&mut opt);
+        let elided = rsti_core::optimize_program_at(&mut opt, rsti_core::OptLevel::Cfg).total();
         assert!(elided > 0, "churn re-reads g repeatedly");
 
         let r_plain = Vm::new(&Image::from_instrumented(&plain)).run();

@@ -189,3 +189,26 @@ fn cli_end_to_end() {
         assert!(out.contains("11"), "{mech}: {out}");
     }
 }
+
+/// Leaf inlining must not reuse a callee local across calls. The VM zeroes
+/// a frame slot once per activation, so `bump`'s uninitialized `x` reads 0
+/// on every call; spliced into the loop, the same slot would carry the
+/// previous iteration's value and print `1 2 3` instead of `1 1 1`.
+#[test]
+fn leaf_inlining_keeps_callee_locals_fresh() {
+    let src = r#"
+        long bump() { long x; x = x + 1; return x; }
+        int main() {
+            for (int i = 0; i < 3; i = i + 1) { print_int(bump()); }
+            return 0;
+        }
+    "#;
+    let m = rsti_frontend::compile(src, "bump").expect("compiles");
+    let plain = Vm::new(&Image::baseline(&m)).run();
+    assert_eq!(plain.output, ["1", "1", "1"], "{:?}", plain.status);
+    let mut inlined = m.clone();
+    rsti_core::inline_leaf_functions(&mut inlined, 96);
+    let r = Vm::new(&Image::baseline(&inlined)).run();
+    assert_eq!(r.status, plain.status);
+    assert_eq!(r.output, plain.output);
+}
