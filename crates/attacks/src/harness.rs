@@ -139,16 +139,18 @@ pub fn defense_name(d: Option<Mechanism>) -> &'static str {
     }
 }
 
-/// Runs one scenario under one defense and derives the verdict.
+/// Runs one scenario under one defense (default accounting, block
+/// pre-charge) and derives the verdict.
 pub fn evaluate(s: &Scenario, defense: Option<Mechanism>) -> Verdict {
-    evaluate_with_record(s, defense, ExecBackend::Interp, false).0
+    evaluate_with_record(s, defense, ExecBackend::default(), false).0
 }
 
-/// [`evaluate`], with the engine selectable and the flight recorder
-/// optionally armed: when `record` is on and the defense detects the
-/// corruption, the returned [`Incident`] is the forensic narrative of the
-/// attack — failing check site, expected-vs-presented modifier, sign-site
-/// lineage, event window. Both engines produce bit-identical incidents.
+/// [`evaluate`], with the accounting mode selectable and the flight
+/// recorder optionally armed: when `record` is on and the defense detects
+/// the corruption, the returned [`Incident`] is the forensic narrative of
+/// the attack — failing check site, expected-vs-presented modifier,
+/// sign-site lineage, event window. Both modes produce bit-identical
+/// incidents.
 pub fn evaluate_with_record(
     s: &Scenario,
     defense: Option<Mechanism>,

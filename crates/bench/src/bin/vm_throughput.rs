@@ -1,5 +1,5 @@
 //! VM throughput tracker: measures instructions/second and cycle-model
-//! totals over a fixed workload mix, for both execution engines, and
+//! totals over a fixed workload mix, for both accounting modes, and
 //! records them to `BENCH_vm.json`, so the repo carries a machine-readable
 //! perf trajectory across PRs.
 //!
@@ -18,11 +18,13 @@
 //! same image under both engines and cancels out of the recorded ratio
 //! instead of skewing one side.
 //!
-//! Two engines run the identical mix: the interpreter (`exec=interp`, the
-//! historical trajectory) and the closure-threaded compiled engine
-//! (`exec=compiled`). Their instruction and cycle totals are asserted
-//! equal — the bench doubles as a whole-mix parity check — and the
-//! headline `compiled_speedup_vs_interp` ratio is machine-independent.
+//! Both accounting modes of the one driver run the identical mix:
+//! per-op reference accounting (`exec=interp`, the historical
+//! `insts_per_sec` trajectory) and block pre-charge (`exec=compiled`, the
+//! default every other caller runs). Their instruction and cycle totals
+//! are asserted equal — the bench doubles as a whole-mix parity check —
+//! and the headline `compiled_speedup_vs_interp` ratio is
+//! machine-independent.
 //!
 //! Besides the headline (full-pipeline, `cfg`) trajectory, the JSON
 //! carries an `opt_levels` section: the same mix at `none` / `block` /
@@ -30,9 +32,8 @@
 //! check-optimizer's dynamic effect is recorded next to the throughput it
 //! buys.
 //!
-//! The telemetry-enabled rounds run under *both* engines (the compiled
-//! engine pays a different relative cost: its fast path skips per-op
-//! dispatch, so flipping the collector on is proportionally pricier), and
+//! The telemetry-enabled rounds run under *both* modes (block pre-charge
+//! counts opcode classes per block, reference accounting per op), and
 //! an attribution-profiler round pins the profiler's two guarantees on
 //! the real mix: inertness (attr-on deterministic totals are asserted
 //! bit-identical to attr-off) and a recorded profiler-on cost. A flight
@@ -185,8 +186,7 @@ fn main() {
     // mix with the collector enabled (no sink) measures the cost of live
     // counting and pins the off-by-default guarantee — the disabled path
     // adds only branch-on-bool no-ops. The states run paired per image
-    // (interpreter off, interpreter on, compiled off — same image
-    // back-to-back) so machine drift covers every side of each
+    // (interp off, interp on, compiled off — same image back-to-back) so machine drift covers every side of each
     // comparison instead of landing entirely on one.
     let tel = rsti_telemetry::global();
     tel.disable();

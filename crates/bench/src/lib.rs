@@ -12,8 +12,9 @@
 //! | §6.3.2 (PARTS comparison) | `parts_compare` | [`reports::render_parts_compare`] |
 //!
 //! Wall-clock benches (plain timing harness, [`timing`]) live under
-//! `benches/`; the `vm_throughput` binary records the interpreter's
-//! instructions/second trajectory to `BENCH_vm.json`.
+//! `benches/`; the `vm_throughput` binary records the VM's
+//! instructions/second trajectory (both accounting modes) to
+//! `BENCH_vm.json`.
 
 #![warn(missing_docs)]
 

@@ -1,12 +1,11 @@
 //! Attribution-profiler parity and inertness on the real workload mix.
 //!
 //! The acceptance bar for the profiler is twofold. First, *parity*: the
-//! interpreter and the closure-threaded compiled engine must produce the
-//! **identical** attribution profile — per-function cycles/insts/auths,
-//! per-site stats, histograms, and folded call-path samples — on the
-//! nbench + NGINX mix, because attribution forces the compiled driver onto
-//! its per-op slow path where the charge ordering matches the interpreter
-//! exactly. Second, *inertness*: with attribution off (the default), runs
+//! driver's two accounting modes (per-op `interp`, block pre-charge
+//! `compiled`) must produce the **identical** attribution profile —
+//! per-function cycles/insts/auths, per-site stats, histograms, and folded
+//! call-path samples — on the nbench + NGINX mix, because attribution
+//! forces every block onto the per-op loop in both modes. Second, *inertness*: with attribution off (the default), runs
 //! are bit-identical to what they were before the profiler existed, and
 //! turning it on never changes a verdict, an output line, or a
 //! deterministic total — it only observes.

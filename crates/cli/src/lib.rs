@@ -183,9 +183,10 @@ fn cmd_fuzz(args: &[String]) -> Result<(i32, String), String> {
         minimize: args.iter().any(|a| a == "--minimize"),
         ..Default::default()
     };
-    // The campaign cross-checks the compiled engine by default;
-    // `--backend interp` opts out. (Enforcement backends are part of the
-    // oracle matrix itself, so `pac`/`mac` are accepted but irrelevant.)
+    // The campaign cross-checks block pre-charge against the per-op
+    // reference by default; `--backend interp` opts out. (Enforcement
+    // backends are part of the oracle matrix itself, so `pac`/`mac` are
+    // accepted but irrelevant.)
     let (_enforce, exec) = parse_backends(args)?;
     rsti_fuzz::set_exec_oracle(exec != Some(rsti_vm::ExecBackend::Interp));
     // `--attr` runs every oracle VM with the attribution profiler on: the
@@ -292,7 +293,9 @@ pub struct ServeOptions {
 /// stdout stays pure JSONL).
 ///
 /// # Errors
-/// Returns usage errors and fatal I/O errors (bind/accept failures).
+/// Returns usage errors. Fatal I/O errors (bind/accept failures, a broken
+/// stdin or stdout) exit 1 with the error alone: they are not usage
+/// mistakes.
 fn cmd_serve(args: &[String]) -> Result<(i32, String), String> {
     let (cfg, opts) = parse_serve_config(args)?;
     let tel = rsti_telemetry::global();
@@ -304,16 +307,19 @@ fn cmd_serve(args: &[String]) -> Result<(i32, String), String> {
         tel.init_from_env();
     }
     let server = rsti_serve::Server::new(cfg);
-    if let Some(path) = &opts.socket {
-        #[cfg(unix)]
-        rsti_serve::serve_socket(&server, std::path::Path::new(path))
-            .map_err(|e| format!("serve socket `{path}`: {e}"))?;
+    let served = if let Some(path) = &opts.socket {
         #[cfg(not(unix))]
         return Err(format!("--socket is only supported on unix (got `{path}`)"));
+        #[cfg(unix)]
+        rsti_serve::serve_socket(&server, std::path::Path::new(path))
+            .map_err(|e| format!("serve socket `{path}`: {e}"))
     } else {
         let stdin = std::io::stdin();
         rsti_serve::serve_lines(&server, stdin.lock(), std::io::stdout())
-            .map_err(|e| format!("serve I/O: {e}"))?;
+            .map_err(|e| format!("serve I/O: {e}"))
+    };
+    if let Err(e) = served {
+        return Ok((1, format!("error: {e}\n")));
     }
     if let Some(path) = &opts.stats_out {
         std::fs::write(path, server.stats_json())
@@ -338,8 +344,10 @@ usage:
   rsti profile <file.mc> [--mech stwc|stc|stl|parts|none|adaptive] [--backend pac|mac|interp|compiled] [--opt none|block|cfg|ipo] [--attr] [--record] [--top N] [--flame out.folded] [--chrome out.json] [--trace out.jsonl]
 
   --optimize is shorthand for --opt cfg (the full pipeline).
-  --backend selects the enforcement scheme (pac|mac) or the execution
-  engine (interp|compiled); repeat the flag to set both axes.
+  --backend selects the enforcement scheme (pac|mac) or the driver's
+  accounting mode: compiled (block pre-charge, the default) or interp
+  (per-op reference accounting, same results); repeat the flag to set
+  both axes.
   profile --attr adds per-function/per-check-site attribution tables;
   --flame writes folded call stacks (flamegraph.pl input, needs --attr);
   --chrome writes a Chrome/Perfetto trace of the pipeline phases.
@@ -362,11 +370,12 @@ usage:
   rsti equivalence <file.mc>
   rsti fuzz [--seeds N] [--start S] [--backend interp|compiled] [--attr] [--record] [--minimize] [--corpus DIR] [--trace out.jsonl]
 
-  fuzz cross-checks the compiled engine against the interpreter on every
-  run; --backend interp opts out (interpreter-only campaign). --attr runs
-  every oracle VM with the attribution profiler on (verdicts must not
-  change; engine profiles must agree). --record likewise arms the flight
-  recorder everywhere and diffs the engines' incidents.
+  fuzz cross-checks block pre-charge (compiled) against per-op reference
+  accounting (interp) on every run; --backend interp opts out (reference-
+  only campaign). --attr runs every oracle VM with the attribution
+  profiler on (verdicts must not change; both modes' profiles must
+  agree). --record likewise arms the flight recorder everywhere and diffs
+  the two modes' incidents.
   rsti serve [--workers N] [--cache-cap N] [--fuel N] [--socket PATH] [--stats-out FILE] [--trace out.jsonl]
 
   serve reads JSONL requests from stdin (one JSON object per line, e.g.
@@ -439,10 +448,10 @@ fn build_image(
 
 /// Splits every `--backend` occurrence onto the two axes the flag selects:
 /// the enforcement scheme (`pac`|`mac` — how signatures are stored) and the
-/// execution engine (`interp`|`compiled` — how blocks are dispatched). The
+/// accounting mode (`interp`|`compiled` — per-op or block pre-charge). The
 /// flag may be given once per axis; `None` on either axis means the caller's
-/// default (PAC-in-pointer; the interpreter for `run`/`profile`, the
-/// cross-checking differential pair for `fuzz`).
+/// default (PAC-in-pointer; block pre-charge for `run`/`profile`/`explain`,
+/// the cross-checking differential pair for `fuzz`).
 ///
 /// # Errors
 /// Returns a message for unknown names, a missing value, or a repeated
@@ -485,7 +494,7 @@ fn apply_backend(img: Image, args: &[String]) -> Result<Image, String> {
     let (enforce, exec) = parse_backends(args)?;
     Ok(img
         .with_backend(enforce.unwrap_or(rsti_vm::Backend::PacInPointer))
-        .with_exec(exec.unwrap_or(rsti_vm::ExecBackend::Interp)))
+        .with_exec(exec.unwrap_or_default()))
 }
 
 fn render_audit(out: &mut String, r: &ExecResult) {
@@ -770,14 +779,6 @@ fn cmd_report(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Short engine name for headers.
-fn exec_name(e: rsti_vm::ExecBackend) -> &'static str {
-    match e {
-        rsti_vm::ExecBackend::Interp => "interp",
-        rsti_vm::ExecBackend::Compiled => "compiled",
-    }
-}
-
 /// The `explain` subcommand: runs a program — or a Table 1 attack scenario
 /// with `--attack <id>` — with the flight recorder armed and renders the
 /// forensic incident report for the first RSTI detection trap, or says why
@@ -808,7 +809,7 @@ fn cmd_explain(args: &[String]) -> Result<String, String> {
             Some(name) => parse_mechanism(name)?,
             None => Some(Mechanism::Stwc),
         };
-        let engine = exec.unwrap_or(rsti_vm::ExecBackend::Interp);
+        let engine = exec.unwrap_or_default();
         let (verdict, inc) = rsti_attacks::evaluate_with_record(s, mech, engine, true);
         match inc {
             Some(inc) if json => {
@@ -820,7 +821,7 @@ fn cmd_explain(args: &[String]) -> Result<String, String> {
                     "explain: attack `{}` under {} ({} engine): {}",
                     s.id,
                     rsti_attacks::defense_name(mech),
-                    exec_name(engine),
+                    engine.label(),
                     verdict.label()
                 );
                 out.push_str(&inc.render_text());
@@ -832,7 +833,7 @@ fn cmd_explain(args: &[String]) -> Result<String, String> {
                      trap, so there is no incident to explain",
                     s.id,
                     rsti_attacks::defense_name(mech),
-                    exec_name(engine),
+                    engine.label(),
                     verdict.label()
                 );
             }
@@ -988,7 +989,7 @@ fn dispatch(args: &[String]) -> Result<String, String> {
             let _ = writeln!(out, "profile: {file} (mech {})", choice.label());
             let _ = writeln!(
                 out,
-                "engine: {} (both engines run one translation per image: \
+                "engine: {} (both accounting modes run one translation per image: \
                  vm_compile and vm_compiled_blocks count it under either)",
                 img.exec.label()
             );
@@ -1193,20 +1194,33 @@ mod tests {
             ["--backend", "interp", "--backend", "compiled"].map(String::from).into();
         assert!(parse_backends(&dup).unwrap_err().contains("twice"));
         assert!(parse_backends(&["--backend".to_string()]).is_err());
+        // Without `--backend`, run/profile/explain use block pre-charge.
+        let m = rsti_frontend::compile(PROG, "t").unwrap();
+        let img = apply_backend(
+            Image::baseline(&m).with_exec(rsti_vm::ExecBackend::Interp),
+            &[],
+        );
+        assert_eq!(img.unwrap().exec, rsti_vm::ExecBackend::Compiled);
     }
 
     #[test]
     fn run_with_compiled_engine_matches_interp_output() {
         let f = write_temp("rsti_cli_compiled.mc", PROG);
-        let interp = run_cli(&["run".into(), f.clone(), "--stats".into()]);
-        let compiled = run_cli(&[
-            "run".into(),
-            f.clone(),
-            "--backend".into(),
-            "compiled".into(),
-            "--stats".into(),
-        ]);
-        assert_eq!(interp, compiled, "engines must agree on output and stats");
+        let default = run_cli(&["run".into(), f.clone(), "--stats".into()]);
+        let [interp, compiled] = ["interp", "compiled"].map(|exec| {
+            run_cli(&[
+                "run".into(),
+                f.clone(),
+                "--backend".into(),
+                exec.into(),
+                "--stats".into(),
+            ])
+        });
+        assert_eq!(
+            interp, compiled,
+            "accounting modes must agree on output and stats"
+        );
+        assert_eq!(default, compiled);
         // Both axes together, with the optimizer on.
         let (code, out) = run_cli(&[
             "run".into(),
@@ -1451,6 +1465,25 @@ mod tests {
         }
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn serve_io_errors_exit_1_without_the_usage_text() {
+        let sock = std::env::temp_dir()
+            .join("rsti-cli-no-such-dir")
+            .join("serve.sock");
+        let (code, out) = run_cli(&[
+            "serve".into(),
+            "--socket".into(),
+            sock.to_string_lossy().into_owned(),
+        ]);
+        assert_eq!(code, 1);
+        assert!(out.starts_with("error: serve socket"), "{out}");
+        assert!(
+            !out.contains("usage:"),
+            "an I/O error is not a usage mistake: {out}"
+        );
+    }
+
     #[test]
     fn mechanism_parsing() {
         assert_eq!(parse_mechanism("stwc").unwrap(), Some(Mechanism::Stwc));
@@ -1492,8 +1525,8 @@ mod tests {
         assert!(out.contains("status: exit 0"), "{out}");
         // Per-phase wall-time table: the run's own phases must appear.
         assert!(out.contains("phase"), "{out}");
-        // The interpreter (the default engine) translates the image too.
-        assert!(out.contains("engine: interp"), "{out}");
+        // The default accounting mode is block pre-charge.
+        assert!(out.contains("engine: compiled"), "{out}");
         for phase in
             ["parse", "lower", "collect_facts", "analyze", "instrument", "vm_compile", "vm_run"]
         {

@@ -5,8 +5,7 @@
 //! and optimized) module — a `pac`/`aut`/`xpac` or a `pp_*` runtime call.
 //! [`check_sites`] enumerates them in deterministic `(function, block,
 //! instruction)` order over the module, so a site's index in the returned
-//! table is a stable identity both VM engines agree on: the interpreter
-//! resolves it by position lookup, the closure-threaded compiler bakes the
+//! table is a stable identity the VM agrees on: its translation bakes the
 //! same index into each compiled op (it walks functions/blocks/insts in
 //! exactly this order). Because the table is computed *after*
 //! instrument/optimize, it survives every pass by construction — elided or

@@ -16,11 +16,12 @@
 //! 3. **No panics**: every stage runs under `catch_unwind`; a panic anywhere
 //!    in the frontend, a pass, or the VM is a reportable failure even when
 //!    the output would otherwise agree.
-//! 4. **Backend equivalence**: every VM run in the matrix executes under
-//!    both engines — the interpreter and the closure-threaded compiled
-//!    engine — and the complete [`rsti_vm::ExecResult`]s (status, output,
-//!    cycle/instruction totals, PAC counters, audit records) must be
-//!    identical. The interpreter is the compiled engine's oracle.
+//! 4. **Accounting equivalence**: every VM run in the matrix executes under
+//!    both of the driver's accounting modes — per-op reference accounting
+//!    (`interp`) and block pre-charge with rollback (`compiled`) — and the
+//!    complete [`rsti_vm::ExecResult`]s (status, output, cycle/instruction
+//!    totals, PAC counters, audit records) must be identical. The per-op
+//!    reference is the block pre-charge's oracle.
 //!
 //! Failures carry a stable [`FailureKind::class_key`] so the delta-debugging
 //! reducer can insist that a shrunken candidate reproduces the *same* bug,
@@ -105,11 +106,12 @@ pub enum FailureKind {
         /// First differing line, `base` vs `got`.
         detail: String,
     },
-    /// The compiled engine disagreed with the interpreter on the same image.
+    /// Block pre-charge disagreed with per-op reference accounting on the
+    /// same image.
     BackendDivergence {
         /// Pipeline configuration label.
         config: String,
-        /// First differing `ExecResult` field, interpreter vs compiled.
+        /// First differing `ExecResult` field, interp vs compiled.
         detail: String,
     },
 }
@@ -196,11 +198,11 @@ pub(crate) fn panic_msg(p: Box<dyn Any + Send>) -> String {
 }
 
 thread_local! {
-    /// Whether [`run_image`] cross-checks the compiled engine against the
-    /// interpreter (the `exec=compiled` oracle column). On by default;
-    /// `rsti fuzz --backend interp` opts out for an interpreter-only
-    /// campaign. Thread-local because parallel in-process campaigns (the
-    /// test harness) must not see each other's choice.
+    /// Whether [`run_image`] cross-checks block pre-charge against the
+    /// per-op reference accounting (the `exec=compiled` oracle column). On
+    /// by default; `rsti fuzz --backend interp` opts out for a
+    /// reference-only campaign. Thread-local because parallel in-process
+    /// campaigns (the test harness) must not see each other's choice.
     static EXEC_ORACLE: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
 
     /// Whether every VM run in the oracle matrix carries the attribution
@@ -208,16 +210,16 @@ thread_local! {
     /// exercises the production configuration. On, it pins the profiler's
     /// inertness guarantee across the whole generated-program space: the
     /// differential verdicts must be unchanged, and (with the exec oracle)
-    /// the interpreter and compiled engines must produce identical
-    /// profiles, since [`rsti_vm::ExecResult`] equality covers `attr`.
+    /// both accounting modes must produce identical profiles, since
+    /// [`rsti_vm::ExecResult`] equality covers `attr`.
     static ATTR_PROFILE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 
     /// Whether every VM run in the oracle matrix arms the pointer-lifecycle
     /// flight recorder (`rsti fuzz --record`). Off by default. On, any run
     /// that traps on an RSTI detection synthesizes an [`rsti_vm::Incident`]
-    /// in both engines, and the exec oracle's `ExecResult` equality then
-    /// covers the full incident — failing check site, lineage, event
-    /// window, model-cycle timestamps — bit for bit.
+    /// in both accounting modes, and the exec oracle's `ExecResult`
+    /// equality then covers the full incident — failing check site,
+    /// lineage, event window, model-cycle timestamps — bit for bit.
     static RECORD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -239,30 +241,24 @@ pub fn set_record(on: bool) {
     RECORD.with(|c| c.set(on));
 }
 
-/// Runs one image under both engines, diffs the complete [`ExecResult`]s
-/// (the `exec=compiled` oracle column), and returns the interpreter's view.
+/// Runs one image under reference accounting and block pre-charge, diffs
+/// the complete [`ExecResult`]s (the `exec=compiled` oracle column), and
+/// returns the reference run's view.
 fn run_image(img: &Image, config: &str) -> Result<(Status, Vec<String>), FailureKind> {
+    let mut img = img.clone().with_exec(ExecBackend::Interp);
     // With the `--attr` knob on, every run carries the profiler (a small
     // sampling period so short generated programs still sample); the
     // verdicts below must be exactly what the unprofiled run produces.
-    let attr_img;
-    let img = if ATTR_PROFILE.with(|c| c.get()) {
-        attr_img = img.clone().with_attr_sampling(256);
-        &attr_img
-    } else {
-        img
-    };
+    if ATTR_PROFILE.with(|c| c.get()) {
+        img = img.with_attr_sampling(256);
+    }
     // `--record`: the flight recorder rides every run; incident equality
-    // between the engines comes with the `ExecResult` diff below.
-    let rec_img;
-    let img = if RECORD.with(|c| c.get()) {
-        rec_img = img.clone().with_record();
-        &rec_img
-    } else {
-        img
-    };
+    // between the two modes comes with the `ExecResult` diff below.
+    if RECORD.with(|c| c.get()) {
+        img = img.with_record();
+    }
     let r = catch_unwind(AssertUnwindSafe(|| {
-        let mut vm = Vm::new(img);
+        let mut vm = Vm::new(&img);
         vm.set_fuel(FUEL);
         vm.run()
     }))

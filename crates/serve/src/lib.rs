@@ -20,8 +20,9 @@
 //!
 //! * **Ordering** — responses are emitted in request order regardless of
 //!   worker interleaving (a sequence-numbered reorder buffer).
-//! * **Isolation** — a malformed, trapping, or even panicking request
-//!   produces a structured `{"ok":false,...}` response; the pool and the
+//! * **Isolation** — a malformed (bad JSON, not UTF-8, longer than
+//!   [`MAX_LINE_BYTES`]), trapping, or even panicking request produces a
+//!   structured `{"ok":false,...}` response; the session, the pool and the
 //!   cache survive (panics are caught per-request, and every shared lock
 //!   recovers from poisoning).
 //! * **Determinism** — a warm response is byte-identical to the cold
@@ -30,14 +31,14 @@
 //!   configuration would compute (property-tested below).
 
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 use rsti_telemetry::{global as tel, CounterId, Histogram};
-use rsti_vm::{ExecBackend, ExecResult, Image, Vm};
+use rsti_vm::{ExecResult, Image, Vm};
 
 pub mod cache;
 pub mod proto;
@@ -78,7 +79,8 @@ pub enum ServePhase {
     Instrument,
     /// The optimizer at the requested level.
     Optimize,
-    /// Closure translation for the compiled engine.
+    /// Closure translation (cached on the image; both accounting modes
+    /// run it).
     Translate,
     /// VM execution.
     Execute,
@@ -388,11 +390,9 @@ impl Server {
             }
         };
         let img = img.with_backend(req.enforce).with_exec(req.exec);
-        if req.exec == ExecBackend::Compiled {
-            let t = Instant::now();
-            img.precompile();
-            self.metrics.record_phase(ServePhase::Translate, elapsed_ns(t));
-        }
+        let t = Instant::now();
+        img.precompile();
+        self.metrics.record_phase(ServePhase::Translate, elapsed_ns(t));
         let entry = Arc::new(CacheEntry { key, img: Arc::new(img), instr });
         let evicted = self.cache.insert(Arc::clone(&entry));
         if evicted > 0 {
@@ -453,17 +453,61 @@ impl<W: Write> SeqWriter<W> {
     }
 }
 
+/// Longest request line [`serve_lines`] reads, newline excluded. The
+/// largest generated benchmark program is about 35 KB of source; a longer
+/// line is drained to its newline and answered with an error.
+pub const MAX_LINE_BYTES: usize = 4 << 20;
+
+/// Reads one request line into `buf` (newline and a preceding `\r`
+/// stripped) and returns it as text: `None` at EOF, an error message for
+/// a line that is not UTF-8 or is longer than [`MAX_LINE_BYTES`]. An
+/// over-long line is consumed through its newline without being buffered.
+fn read_request_line<'b, R: BufRead>(
+    input: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    let n = input.by_ref().take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if n > MAX_LINE_BYTES {
+        loop {
+            let (used, done) = {
+                let avail = input.fill_buf()?;
+                match avail.iter().position(|&b| b == b'\n') {
+                    Some(i) => (i + 1, true),
+                    None => (avail.len(), avail.is_empty()),
+                }
+            };
+            input.consume(used);
+            if done {
+                return Ok(Some(Err(format!("request line exceeds {MAX_LINE_BYTES} bytes"))));
+            }
+        }
+    }
+    Ok(Some(
+        std::str::from_utf8(buf).map_err(|_| "request line is not valid UTF-8".to_string()),
+    ))
+}
+
 /// Serves JSONL requests from `input` until EOF or a `shutdown` request,
 /// writing one response line per request **in input order** to `output`.
 /// Responses are computed by `cfg.workers` threads sharing the server's
-/// module cache.
+/// module cache. A line that is not UTF-8 or is longer than
+/// [`MAX_LINE_BYTES`] gets an `"ok":false` response, like bad JSON.
 ///
 /// # Errors
 /// Returns the first I/O error from `input` or `output`; requests
 /// already read are still answered where possible.
 pub fn serve_lines<R: BufRead, W: Write + Send>(
     server: &Server,
-    input: R,
+    mut input: R,
     output: W,
 ) -> io::Result<()> {
     let workers = server.cfg.workers.max(1);
@@ -492,19 +536,18 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
         }
 
         let mut seq = 0u64;
-        for line in input.lines() {
-            let line = match line {
-                Ok(l) => l,
+        let mut buf = Vec::new();
+        loop {
+            let parsed = match read_request_line(&mut input, &mut buf) {
+                Ok(None) => break,
+                Ok(Some(Ok(line))) if line.trim().is_empty() => continue,
+                Ok(Some(line)) => line.and_then(Request::parse),
                 Err(e) => {
                     let mut slot = io_err.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                     slot.get_or_insert(e);
                     break;
                 }
             };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parsed = Request::parse(&line);
             let is_shutdown = matches!(&parsed, Ok(r) if r.cmd == Cmd::Shutdown);
             if txq.send((seq, parsed)).is_err() {
                 break;
@@ -747,6 +790,49 @@ mod tests {
             lines[0]
         );
         assert!(lines[1].contains("\"status\":\"exit 3\""), "{}", lines[1]);
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_an_error_and_the_session_goes_on() {
+        let server = Server::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+        let input = b"{\"cmd\":\"stats\"}\n\xff\xfe{\"cmd\":\"stats\"}\r\n{\"cmd\":\"stats\"}\n";
+        let mut out = Vec::new();
+        serve_lines(&server, &input[..], &mut out).unwrap();
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
+        assert!(
+            lines[1].contains("\"ok\":false") && lines[1].contains("not valid UTF-8"),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[2].contains("\"ok\":true"), "{}", lines[2]);
+        assert_eq!(server.metrics().errors(), 1);
+    }
+
+    #[test]
+    fn an_over_budget_line_is_drained_and_answered_with_an_error() {
+        let server = Server::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+        // Limit-sized lines around the budget: exactly at it is read (and
+        // fails only as JSON), one byte over is skipped whole.
+        let at = " ".repeat(MAX_LINE_BYTES - 1) + "x";
+        let over = "y".repeat(MAX_LINE_BYTES + 1);
+        let run = request_line("int main() { return 5; }", "stwc", "none", "compiled", "pac");
+        let input = format!("{at}\n{over}\n{run}\n{over}");
+        let mut out = Vec::new();
+        serve_lines(&server, input.as_bytes(), &mut out).unwrap();
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(lines.len(), 4, "{lines:?}");
+        assert!(lines[0].contains("\"ok\":false"), "{}", lines[0]);
+        assert!(!lines[0].contains("exceeds"), "{}", lines[0]);
+        for i in [1, 3] {
+            assert!(
+                lines[i].contains("\"ok\":false") && lines[i].contains("exceeds 4194304 bytes"),
+                "{}",
+                lines[i]
+            );
+        }
+        assert!(lines[2].contains("\"status\":\"exit 5\""), "{}", lines[2]);
     }
 
     #[test]

@@ -388,7 +388,7 @@ pub struct Request {
     pub mech: MechSel,
     /// Optimization level axis.
     pub opt: OptLevel,
-    /// Execution engine axis.
+    /// Accounting-mode axis (`exec`, default `compiled`).
     pub exec: ExecBackend,
     /// Enforcement scheme axis.
     pub enforce: Backend,
@@ -439,7 +439,7 @@ impl Request {
             Some("interp") => ExecBackend::Interp,
             Some("compiled") => ExecBackend::Compiled,
             Some(other) => return Err(format!("unknown exec {other:?} (expected interp|compiled)")),
-            None => ExecBackend::Interp,
+            None => ExecBackend::default(),
         };
         let enforce = match v.get("enforce").and_then(Json::as_str) {
             Some("pac") => Backend::PacInPointer,
@@ -630,7 +630,8 @@ mod tests {
         assert_eq!(r.id, None);
         assert_eq!(r.mech, MechSel::Fixed(Mechanism::Stwc));
         assert_eq!(r.opt, OptLevel::Cfg);
-        assert_eq!(r.exec, ExecBackend::Interp);
+        // A request without "exec" runs the default block pre-charge.
+        assert_eq!(r.exec, ExecBackend::Compiled);
         assert_eq!(r.enforce, Backend::PacInPointer);
         assert!(!r.record);
     }

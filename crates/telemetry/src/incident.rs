@@ -127,9 +127,9 @@ pub const INCIDENT_SCHEMA: u32 = 1;
 
 /// A structured violation incident: one RSTI detection trap explained.
 ///
-/// Synthesized by the VM (either engine) at the first detection trap of a
-/// recorded run; deterministic and bit-identical between the interpreter
-/// and the compiled backend.
+/// Synthesized by the VM (either accounting mode) at the first detection
+/// trap of a recorded run; deterministic and bit-identical between
+/// `interp` and `compiled` runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Incident {
     /// Schema version ([`INCIDENT_SCHEMA`]).

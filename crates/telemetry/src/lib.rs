@@ -67,9 +67,8 @@ pub enum Phase {
     /// Core: the O2-model optimizer (`optimize_program_at`).
     Optimize,
     /// VM: translation of an image's basic blocks into pre-resolved ops,
-    /// once per image. Both engines execute the translation, so this fires
-    /// under the interpreter too (on an image's first run or
-    /// `Image::precompile`).
+    /// once per image, under either accounting mode (on an image's first
+    /// run or `Image::precompile`).
     VmCompile,
     /// VM: program execution.
     VmRun,
@@ -165,11 +164,11 @@ pub enum CounterId {
     /// Tweak-schedule memo misses (LFSR expansions).
     SchedMemoMisses,
     // -- VM dynamic counts --
-    /// Finished runs executed by the interpreter.
+    /// Finished runs under per-op reference accounting (`interp`).
     VmRunsInterp,
-    /// Finished runs executed by the closure-threaded compiled engine.
+    /// Finished runs under block pre-charge (`compiled`, the default).
     VmRunsCompiled,
-    /// Basic blocks translated into pre-resolved ops, under either engine
+    /// Basic blocks translated into pre-resolved ops, under either mode
     /// (one translation per image, shared by every later run of it).
     VmCompiledBlocks,
     /// Dynamic `pac` (sign) operations executed.

@@ -1,5 +1,5 @@
-//! Translation of an image into pre-resolved ops, and the two drivers
-//! that execute them.
+//! Translation of an image into pre-resolved ops, and the one driver
+//! that executes them.
 //!
 //! [`compile_module`] translates every basic block, once per image, into a
 //! chain of Rust closures (`OpFn`) with all per-instruction
@@ -17,27 +17,28 @@
 //! * **terminators are pre-resolved** — `br`/`cond_br` successors and the
 //!   `ret` operand become [`CompiledTerm`] slots.
 //!
-//! The closures are the one implementation of op semantics. Both engines
-//! execute them:
+//! The closures are the one implementation of op semantics, and one
+//! driver ([`Vm::drive`]) executes them: it direct-threads blocks through
+//! branch successors and commits the frame position lazily — only where
+//! it is observed. Each block is charged one of two ways:
 //!
-//! * the **interpreter** ([`Vm::step`]) runs one block per step through
-//!   [`Vm::exec_ops`], charging and fuel-checking every op before it runs
-//!   and committing the frame position before every op;
-//! * the **compiled engine** ([`Vm::run_compiled`]) direct-threads blocks
-//!   through branch successors, pre-charges straight-line runs from
-//!   per-block cycle prefix sums (rolling back the unexecuted suffix when
-//!   an op traps or transfers control), and commits the frame position
-//!   lazily — only where it is observed. It drops to `exec_ops` whenever
-//!   per-op charging is observable: telemetry opclass counting,
-//!   attribution, the flight recorder, or a fuel budget that may expire
-//!   mid-block.
+//! * **block pre-charge** (the fast path, [`ExecBackend::Compiled`]):
+//!   the whole straight-line run and its terminator are charged up front
+//!   from per-block cycle prefix sums and — with telemetry on — per-block
+//!   opclass totals, and the unexecuted suffix is rolled back when an op
+//!   traps or transfers control;
+//! * **per-op charging** ([`Vm::exec_ops`]): every op is fuel-checked,
+//!   charged and position-committed before it runs. Reference accounting
+//!   ([`ExecBackend::Interp`]) runs every block this way; the fast path
+//!   drops here whenever per-op charging is observable: attribution, the
+//!   flight recorder, or a fuel budget that may expire mid-block.
 //!
-//! The engines therefore differ only in dispatch, block pre-charge and
-//! rollback, and position commits, and must be *observably identical*:
-//! same traps (including `BadProgram` message text), same violation audit
-//! records, same cycle-model and instruction accounting, same telemetry
-//! counters, same attribution profiles and incidents. The parity tests
-//! and the dual-engine fuzz oracle check exactly those differences.
+//! The two accounting modes must be *observably identical*: same traps
+//! (including `BadProgram` message text), same violation audit records,
+//! same cycle-model and instruction accounting, same telemetry counters,
+//! same attribution profiles and incidents. The parity tests and the
+//! dual-mode fuzz oracle hold the block pre-charge and its rollback to
+//! the per-op reference.
 //!
 //! Malformed images (type ids out of table range) are translated without
 //! failing: the affected ops defer their layout lookup to execution time,
@@ -74,7 +75,7 @@ macro_rules! tri {
 }
 
 /// Per-op accounting charged by the per-op loop — kept out of the closure
-/// array so the compiled fast path streams only fat pointers.
+/// array so the fast path streams only fat pointers.
 pub(crate) struct OpCharge {
     /// Cycle cost ([`CostModel::cost`] of the source instruction).
     cost: u64,
@@ -87,7 +88,7 @@ pub(crate) struct OpCharge {
     site: u32,
 }
 
-/// A compiled terminator, executed by [`Vm::exec_term`] in both engines.
+/// A compiled terminator, executed by [`Vm::exec_term`] on either path.
 pub(crate) enum CompiledTerm {
     Br(u32),
     /// Conditional branch on a register — the dominant shape, with the
@@ -111,6 +112,9 @@ pub(crate) struct CompiledBlock {
     /// `idx == 0` — every transfer except a call resume — charge without
     /// touching the prefix-sum allocation.
     total_cost: u64,
+    /// Ops per opcode class ([`OPCLASS_ORDER`]), terminator excluded: the
+    /// fast path's telemetry count for a whole-block entry.
+    class_counts: [u32; 6],
     term: CompiledTerm,
 }
 
@@ -464,6 +468,7 @@ fn compile_block(
     let mut charge = Vec::with_capacity(b.insts.len());
     let mut cost_prefix = Vec::with_capacity(b.insts.len() + 1);
     let mut total = 0u64;
+    let mut class_counts = [0u32; 6];
     cost_prefix.push(0);
     for (i, node) in b.insts.iter().enumerate() {
         let cost = cx.cost.cost(&node.inst);
@@ -471,6 +476,7 @@ fn compile_block(
         cost_prefix.push(total);
         ops.push(compile_inst(cx, f, bi, &node.inst, i + 1));
         let class = opcode_class(&node.inst);
+        class_counts[class] += 1;
         let site = if class == OPCLASS_PAC {
             let s = *next_site;
             *next_site += 1;
@@ -491,13 +497,20 @@ fn compile_block(
         Terminator::Ret(v) => CompiledTerm::Ret(v.as_ref().map(|v| cx.resolve(v))),
         Terminator::Unreachable => CompiledTerm::Unreachable,
     };
-    CompiledBlock { ops, charge, cost_prefix, total_cost: total, term }
+    CompiledBlock {
+        ops,
+        charge,
+        cost_prefix,
+        total_cost: total,
+        class_counts,
+        term,
+    }
 }
 
 /// Commits the frame's position so a trap's audit record reads the same
 /// source line the per-op loop (which commits before every op) would
 /// report, and so a call's pushed frame knows where the caller resumes.
-/// The compiled driver does not touch the frame on straight-line block
+/// The driver does not touch the frame on straight-line block
 /// transfers, so committing closures must write the block index too.
 #[cold]
 #[inline(never)]
@@ -1405,32 +1418,10 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
 }
 
 impl<'img> Vm<'img> {
-    /// One interpreter step: the rest of the current block, one op at a
-    /// time through [`Vm::exec_ops`], then its terminator. Stops early when
-    /// an op pushes a frame; a taken branch commits the successor's entry
-    /// to the frame, so every block entry is a step boundary.
-    pub(crate) fn step_in(&mut self, code: &CompiledModule) -> Result<(), Trap> {
-        let fr = self.frames.last().expect("active frame");
-        let (func, block, idx) = (fr.func.0 as usize, fr.block, fr.idx);
-        let Some(cb) = code.funcs[func].blocks.get(block) else {
-            // A malformed image can branch past the last block; report it
-            // as a trap so the run (and its audit log) completes normally.
-            return Err(missing_block(block, &self.img.module.funcs[func].name));
-        };
-        if !self.exec_ops(cb, block, idx)? {
-            return Ok(());
-        }
-        if let Some(next) = self.exec_term(&cb.term)? {
-            let fr = self.frames.last_mut().expect("active frame");
-            fr.block = next;
-            fr.idx = 0;
-        }
-        Ok(())
-    }
-
-    /// The compiled-engine driver: the counterpart of `run_internal`,
-    /// with identical watchpoint-pause semantics.
-    pub(crate) fn run_compiled(&mut self, watch: Option<FuncId>) {
+    /// The one driver behind [`Vm::run`], [`Vm::run_to_function`] and
+    /// [`Vm::finish`]. With a watchpoint it runs one block per dispatch
+    /// and pauses when `watch` is entered.
+    pub(crate) fn drive(&mut self, watch: Option<FuncId>) {
         let code = self.img.compiled();
         let _span = rsti_telemetry::global().span(Phase::VmRun);
         let mut skip_check = std::mem::take(&mut self.paused);
@@ -1438,7 +1429,7 @@ impl<'img> Vm<'img> {
             // No watchpoint (the measurement path): direct-threaded
             // block execution with no per-block entry check.
             while self.status.is_none() {
-                if let Err(t) = self.exec_compiled(&code, false) {
+                if let Err(t) = self.exec_blocks(&code, false) {
                     self.status = Some(Status::Trapped(t));
                 }
             }
@@ -1456,19 +1447,19 @@ impl<'img> Vm<'img> {
             }
             skip_check = false;
             // One block per dispatch: the pause check above must see
-            // every block entry, exactly like the interpreter's
-            // block-per-step loop.
-            if let Err(t) = self.exec_compiled(&code, true) {
+            // every block entry, and the attacker API the exact state
+            // between any two blocks.
+            if let Err(t) = self.exec_blocks(&code, true) {
                 self.status = Some(Status::Trapped(t));
             }
         }
         self.flush_telemetry();
     }
 
-    /// Executes compiled blocks from the current frame position until
-    /// control leaves the frame (call push, return, exit) or — with
+    /// Executes blocks from the current frame position until control
+    /// leaves the frame (call push, return, exit) or — with
     /// `single_block` — the first block transfer.
-    fn exec_compiled(&mut self, code: &CompiledModule, single_block: bool) -> Result<(), Trap> {
+    fn exec_blocks(&mut self, code: &CompiledModule, single_block: bool) -> Result<(), Trap> {
         let depth = self.frames.len();
         let fr = self.frames.last().expect("active frame");
         let mut func = fr.func.0 as usize;
@@ -1479,17 +1470,16 @@ impl<'img> Vm<'img> {
         let mut fblocks = &code.funcs[func].blocks;
         let branch_cost = self.img.cost.branch;
         // Loop-invariant driver state lives in registers: telemetry
-        // tracing and attribution cannot toggle mid-run, and the fuel
-        // headroom only needs re-deriving after the per-op loop charges
-        // op by op. Attribution forces the per-op loop: it needs per-op charge
-        // order (the fast path pre-charges whole blocks), and sharing that
-        // loop with the interpreter is what makes the two engines
-        // attribute identically.
+        // tracing, attribution and the recorder cannot toggle mid-run, and
+        // the fuel headroom only needs re-deriving after the per-op loop
+        // charges op by op. Attribution and the recorder force the per-op
+        // loop: the sampler and the recorder's event timestamps need
+        // per-op charge order, which the block pre-charge does not keep.
+        // Reference accounting (`ExecBackend::Interp`) takes the per-op
+        // loop for every block.
         let trace = self.trace_enabled;
-        // The flight recorder needs the same per-op treatment as
-        // attribution: events carry model-cycle timestamps, and only the
-        // per-op loop charges cycles op by op.
-        let obs_on = self.attr.is_some() || self.rec.is_some();
+        let per_op =
+            self.attr.is_some() || self.rec.is_some() || self.img.exec == ExecBackend::Interp;
         let mut budget = self.fuel.saturating_sub(self.insts);
         loop {
             let Some(cb) = fblocks.get(block) else {
@@ -1498,9 +1488,10 @@ impl<'img> Vm<'img> {
             };
             let n = cb.ops.len();
             let remaining = (n - idx) as u64 + 1;
-            if !trace && !obs_on && remaining <= budget {
+            if !per_op && remaining <= budget {
                 // Fast path: charge the whole straight-line run *and the
-                // terminator* up front (cycle prefix sums), roll back the
+                // terminator* up front (cycle prefix sums, and with
+                // telemetry on the opclass counts), roll back the
                 // unexecuted suffix on any early exit. Totals match per-op
                 // charging exactly: the entry condition guarantees the
                 // per-op fuel check could not have fired anywhere in this
@@ -1516,16 +1507,19 @@ impl<'img> Vm<'img> {
                     } else {
                         cb.cost_prefix[n] - cb.cost_prefix[idx]
                     };
+                if trace {
+                    self.count_classes(cb, idx);
+                }
                 let mut j = idx;
                 for op in &cb.ops[idx..] {
                     match op(self) {
                         Control::Next => j += 1,
                         Control::Transfer => {
-                            self.rollback_suffix(cb, j, n, branch_cost);
+                            self.rollback_suffix(cb, j, n, branch_cost, trace);
                             return Ok(());
                         }
                         Control::Trap(t) => {
-                            self.rollback_suffix(cb, j, n, branch_cost);
+                            self.rollback_suffix(cb, j, n, branch_cost, trace);
                             return Err(*t);
                         }
                     }
@@ -1577,19 +1571,48 @@ impl<'img> Vm<'img> {
     /// transferred control. (A transferring call re-charges the suffix —
     /// terminator included — when the frame resumes at `j+1`.)
     #[inline]
-    fn rollback_suffix(&mut self, cb: &CompiledBlock, j: usize, n: usize, branch_cost: u64) {
+    fn rollback_suffix(
+        &mut self,
+        cb: &CompiledBlock,
+        j: usize,
+        n: usize,
+        branch_cost: u64,
+        trace: bool,
+    ) {
         self.insts -= (n - (j + 1)) as u64 + 1;
         self.cycles -= cb.cost_prefix[n] - cb.cost_prefix[j + 1] + branch_cost;
+        if trace {
+            for c in &cb.charge[j + 1..] {
+                self.opclass[c.class] -= 1;
+            }
+            self.opclass[OPCLASS_BRANCH] -= 1;
+        }
     }
 
-    /// The per-op loop both engines share: ops `idx..` of block `block`,
-    /// each fuel-checked and charged before it runs, with the frame
-    /// position committed before it, then the terminator's charge. The
-    /// interpreter runs every block through here; the compiled engine
-    /// whenever per-op charging is observable (telemetry opclass counts,
-    /// attribution, the recorder, or fuel that may run out mid-block).
-    /// Returns `true` when the block ran to its terminator, `false` when
-    /// an op transferred control out of the frame.
+    /// The fast path's opclass pre-count for ops `idx..` and the
+    /// terminator: the block's translated per-class totals on a block
+    /// entry, the charge stream's classes on a call resume.
+    fn count_classes(&mut self, cb: &CompiledBlock, idx: usize) {
+        if idx == 0 {
+            for (c, k) in self.opclass.iter_mut().zip(cb.class_counts) {
+                *c += u64::from(k);
+            }
+        } else {
+            for c in &cb.charge[idx..] {
+                self.opclass[c.class] += 1;
+            }
+        }
+        self.opclass[OPCLASS_BRANCH] += 1;
+    }
+
+    /// The per-op loop: ops `idx..` of block `block`, each fuel-checked
+    /// and charged before it runs, with the frame position committed
+    /// before it, then the terminator's charge. Reference accounting runs
+    /// every block through here; the fast path drops here whenever per-op
+    /// charging is observable (attribution, the recorder, or fuel that may
+    /// run out mid-block). Returns `true` when the block ran to its
+    /// terminator, `false` when an op transferred control out of the
+    /// frame.
     #[inline(never)]
     fn exec_ops(&mut self, cb: &CompiledBlock, block: usize, idx: usize) -> Result<bool, Trap> {
         let observed = self.attr.is_some() || self.rec.is_some();
@@ -1620,8 +1643,8 @@ impl<'img> Vm<'img> {
         Ok(true)
     }
 
-    /// The compiled driver's entry into [`Vm::exec_ops`], marked cold so
-    /// the fast path's code layout treats it as the exception it is.
+    /// The driver's entry into [`Vm::exec_ops`], marked cold so the fast
+    /// path's code layout treats it as the exception it is.
     #[cold]
     #[inline(never)]
     fn exec_ops_cold(&mut self, cb: &CompiledBlock, block: usize, idx: usize) -> Result<bool, Trap> {
@@ -1654,8 +1677,8 @@ impl<'img> Vm<'img> {
     }
 
     /// Executes a block's terminator, after its transfer charge. A branch
-    /// only names its successor, `Some(block)`: the engines commit
-    /// positions differently. `ret` and `unreachable` run here and return
+    /// only names its successor, `Some(block)`: the driver tracks the
+    /// position in locals. `ret` and `unreachable` run here and return
     /// `None`.
     #[inline(always)]
     fn exec_term(&mut self, t: &CompiledTerm) -> Result<Option<usize>, Trap> {

@@ -1,18 +1,18 @@
-//! # rsti-vm — the runtime: two execution engines with the PA data path wired in
+//! # rsti-vm — the runtime: one block-threaded driver with the PA data path wired in
 //!
 //! Executes (instrumented) `rsti-ir` modules under the software PA model,
 //! realizing the paper's threat model so that attacks and defenses can be
 //! evaluated end-to-end. Each image is translated once into pre-resolved
-//! ops (operand slots, folded type layouts, PAC call shapes); both engines
-//! run that one translation — the interpreter one op at a time
-//! ([`Vm::step`]), the compiled engine direct-threaded
-//! ([`ExecBackend::Compiled`]) — so op semantics have one implementation:
+//! ops (operand slots, folded type layouts, PAC call shapes), and one
+//! driver ([`Vm::run`]) direct-threads that translation — charging whole
+//! blocks up front ([`ExecBackend::Compiled`], the default) or one op at
+//! a time ([`ExecBackend::Interp`], the reference accounting) — so op
+//! semantics have one implementation:
 //!
 //! * [`mem`] — segmented process memory, heap allocator, and the boundary
 //!   between program-level permissions and the attacker's corruption
 //!   primitive;
-//! * [`vm`] — the machine state, the op translation and both engines'
-//!   drivers, the PAC/`pp_*` instruction semantics, the external-library
+//! * [`vm`] — the machine state, the op translation and the driver, the PAC/`pp_*` instruction semantics, the external-library
 //!   model, the attacker API, and trap reporting;
 //! * [`cycles`] — the deterministic cost model behind the Figure 9/10
 //!   overhead numbers (PA op ≈ 7 XOR, per the paper's own emulation).
@@ -800,6 +800,22 @@ mod tests {
             let r = Vm::new(i).run();
             assert_eq!(r.status, Status::Exited(0));
             assert_eq!(r.output, vec!["42"]);
+        }
+    }
+
+    #[test]
+    fn block_precharge_is_the_default_accounting_for_every_constructor() {
+        let m = compile("int main() { return 0; }", "t").unwrap();
+        let p = rsti_core::instrument(&m, Mechanism::Stwc);
+        assert_eq!(ExecBackend::default(), ExecBackend::Compiled);
+        for img in [
+            Image::from_instrumented(&p),
+            Image::from_instrumented_owned(p.clone()),
+            Image::baseline(&m),
+            Image::baseline_shared(std::sync::Arc::new(m.clone())),
+            Image::baseline_owned(m.clone()),
+        ] {
+            assert_eq!(img.exec, ExecBackend::Compiled);
         }
     }
 

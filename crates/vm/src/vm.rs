@@ -1,11 +1,11 @@
 //! The virtual machine: executes (instrumented) IR under the PA model.
 //!
 //! Execution runs on the image's translated form (see `compile.rs`): one
-//! pre-resolved op per instruction, shared by both engines — the
-//! interpreter steps it one op at a time, the compiled engine
-//! direct-threads it. This file holds the machine state, the loader, the
-//! frame protocol, the accounting and observation hooks, and the trap
-//! constructors.
+//! pre-resolved op per instruction, direct-threaded by one driver that
+//! charges whole blocks up front or — under reference accounting
+//! ([`ExecBackend::Interp`]) and the observers — one op at a time. This
+//! file holds the machine state, the loader, the frame protocol, the
+//! accounting and observation hooks, and the trap constructors.
 //!
 //! The VM realizes the paper's threat model (§3):
 //!
@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-// Translation into pre-resolved ops and both engines' drivers. Declared as
+// Translation into pre-resolved ops and the driver that runs them. Declared as
 // a child of this module (rather than a sibling under `lib.rs`) so its
 // closures can reach the VM's private state — the register file, the PA
 // unit, the audit constructors — without widening any of it beyond this
@@ -403,7 +403,7 @@ pub struct SiteAttr {
 /// accumulators plus deterministically sampled folded call stacks.
 ///
 /// Everything here is derived from the deterministic cycle model, so two
-/// runs of the same image — under either execution engine — produce
+/// runs of the same image — under either accounting mode — produce
 /// bit-identical profiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttrProfile {
@@ -470,11 +470,11 @@ struct FuncStat {
 
 /// Per-run attribution state, allocated only when [`Image::attr`] is on.
 ///
-/// Attribution observes the run at exactly the points both engines already
-/// share — `push_frame`, the return epilogue `exec_ret`, the per-op charge
-/// sites, and `charge_block_transfer` — so the two engines attribute
-/// identically by construction (both run ops through the shared per-op
-/// loop under attribution; see `exec_ops`).
+/// Attribution observes the run at exactly the points both accounting
+/// modes share — `push_frame`, the return epilogue `exec_ret`, the per-op
+/// charge sites, and `charge_block_transfer` — so the two modes attribute
+/// identically by construction (attribution forces every block through
+/// the per-op loop; see `exec_ops`).
 struct AttrState {
     /// The static check-site table, in deterministic scan order — the ids
     /// the translation bakes into each op's `OpCharge::site`.
@@ -602,9 +602,9 @@ struct RecEvent {
 
 /// Per-run flight-recorder state, allocated only when [`Image::record`]
 /// is on. Mirrors [`AttrState`]'s discipline: events are captured at
-/// logic both engines share (or at mirrored points with identical
-/// arguments), timestamps come from the deterministic cycle model, and
-/// the recorder forces the compiled driver onto the shared per-op loop —
+/// logic both accounting modes share (or at mirrored points with
+/// identical arguments), timestamps come from the deterministic cycle
+/// model, and the recorder forces every block through the per-op loop —
 /// so interp and compiled runs record bit-identical windows.
 struct RecState {
     /// The static check-site table, in deterministic scan order (the same
@@ -684,26 +684,27 @@ pub enum Backend {
     MacTable,
 }
 
-/// Which engine executes the image.
+/// How the one driver charges the image's blocks.
 ///
-/// Both engines run the same translation of the image — each basic block
+/// Both modes run the same translation of the image — each basic block
 /// compiled once into a chain of closures with pre-resolved operand slots
-/// — and differ only in how they drive it. They are observably identical
-/// (same traps, same audit records, same cycle/instruction accounting,
-/// same telemetry counters), which the parity tests and the fuzz matrix
-/// (every mechanism × opt level under both) check.
+/// — through the same direct-threaded driver, and differ only in
+/// accounting. They are observably identical (same traps, same audit
+/// records, same cycle/instruction accounting, same telemetry counters),
+/// which the parity tests and the fuzz matrix (every mechanism × opt
+/// level under both) check: `Interp` is the reference the block
+/// pre-charge and its rollback are held to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
-    /// The stepping interpreter ([`Vm::step`]): one block per step, each
-    /// op fuel-checked, charged and position-committed before it runs.
-    /// Every block entry is a step boundary, so watchpoints and the
-    /// attacker API see the exact state between any two blocks.
-    #[default]
+    /// Reference accounting: block pre-charge off, so every op is
+    /// fuel-checked, charged and position-committed before it runs
+    /// (`interp` on the wire and the command line).
     Interp,
-    /// The direct-threaded driver: blocks chain through branch successors
-    /// without returning to a step loop, straight-line runs are
-    /// pre-charged from cycle prefix sums, and frame positions are
-    /// committed only where observed.
+    /// Block pre-charge (the default): straight-line runs are charged
+    /// from cycle prefix sums and per-block opclass totals, the
+    /// unexecuted suffix is rolled back when an op traps or transfers
+    /// control, and frame positions are committed only where observed.
+    #[default]
     Compiled,
 }
 
@@ -718,10 +719,10 @@ impl ExecBackend {
 }
 
 /// Lazily-built translated code, shared by clones of an [`Image`] and by
-/// both engines, and revalidated against the image's current cost model
-/// and enforcement backend (the two knobs folded into the closures) on
-/// every use — mutating a pub field after a run cannot leave stale code
-/// behind.
+/// both accounting modes, and revalidated against the image's current
+/// cost model and enforcement backend (the two knobs folded into the
+/// closures) on every use — mutating a pub field after a run cannot leave
+/// stale code behind.
 pub(crate) struct CompiledCache(Mutex<Option<Arc<compile::CompiledModule>>>);
 
 impl CompiledCache {
@@ -786,7 +787,7 @@ pub struct Image {
     /// honours whatever is there on return — the classic ROP surface RSTI
     /// explicitly does *not* cover.
     pub shadow_stack: bool,
-    /// Execution engine (default [`ExecBackend::Interp`]).
+    /// Accounting mode of the driver (default [`ExecBackend::Compiled`]).
     pub exec: ExecBackend,
     /// Attribution profiling: per-function/per-site accounting plus the
     /// deterministic call-stack sampler. Off by default and provably
@@ -805,8 +806,8 @@ pub struct Image {
     /// Ring capacity for the flight recorder (used only while `record`
     /// is on).
     pub record_cap: usize,
-    /// Cache of translated code, filled on the first run under either
-    /// engine (or by [`Image::precompile`]).
+    /// Cache of translated code, filled on the first run (or by
+    /// [`Image::precompile`]).
     compiled: CompiledCache,
 }
 
@@ -817,7 +818,7 @@ impl Image {
         self
     }
 
-    /// Switches the execution engine (builder style).
+    /// Switches the driver's accounting mode (builder style).
     pub fn with_exec(mut self, exec: ExecBackend) -> Self {
         self.exec = exec;
         self
@@ -861,7 +862,7 @@ impl Image {
         self
     }
 
-    /// Forces the lazy translation both engines execute to run now.
+    /// Forces the lazy translation every run executes to run now.
     /// Benches call this outside their timed region so throughput numbers
     /// measure steady-state execution rather than the one-time per-image
     /// translation.
@@ -870,7 +871,7 @@ impl Image {
     }
 
     /// The translated form of this image, building it on first use under
-    /// either engine (timed as [`Phase::VmCompile`], counted in
+    /// either accounting mode (timed as [`Phase::VmCompile`], counted in
     /// `vm_compiled_blocks`). Cached code is reused only while the image's
     /// cost model and enforcement backend still match the fingerprint it
     /// was compiled under.
@@ -951,7 +952,7 @@ impl Image {
             stack_size: 4 << 20,
             backend: Backend::PacInPointer,
             shadow_stack: true,
-            exec: ExecBackend::Interp,
+            exec: ExecBackend::Compiled,
             attr: false,
             attr_sample_every: DEFAULT_ATTR_SAMPLE_EVERY,
             record: false,
@@ -979,7 +980,7 @@ impl Image {
             stack_size: 4 << 20,
             backend: Backend::PacInPointer,
             shadow_stack: true,
-            exec: ExecBackend::Interp,
+            exec: ExecBackend::Compiled,
             attr: false,
             attr_sample_every: DEFAULT_ATTR_SAMPLE_EVERY,
             record: false,
@@ -1003,8 +1004,8 @@ struct Frame {
     /// ([`Vm::regs`]). Keeping one contiguous `Vec` for every live frame
     /// (instead of a `Vec` per frame) makes a register access two
     /// independent loads off the `Vm` pointer rather than a dependent
-    /// chain through `frames.last()` — the single hottest path in both
-    /// engines.
+    /// chain through `frames.last()` — the single hottest path in the
+    /// driver.
     reg_base: usize,
     stack_mark: u64,
     ret_to: Option<ValueId>,
@@ -1105,8 +1106,8 @@ pub struct Vm<'img> {
     /// argument passing allocates nothing in steady state.
     call_args: Vec<RtVal>,
     /// Snapshot of the global collector's enabled flag, taken at load:
-    /// the per-instruction opcode-class counting branches on this plain
-    /// bool instead of re-reading the atomic in the hot loop.
+    /// opcode-class counting (per op, or per block on the fast path)
+    /// branches on this plain bool instead of re-reading the atomic.
     trace_enabled: bool,
     /// Executed instructions by opcode class ([`OPCLASS_ORDER`]); counted
     /// only while `trace_enabled`.
@@ -1371,7 +1372,7 @@ impl<'img> Vm<'img> {
 
     /// Runs to completion.
     pub fn run(&mut self) -> ExecResult {
-        self.dispatch(None);
+        self.drive(None);
         self.result()
     }
 
@@ -1383,7 +1384,7 @@ impl<'img> Vm<'img> {
                 "no function `{name}`"
             ))));
         };
-        self.dispatch(Some(fid));
+        self.drive(Some(fid));
         match &self.status {
             None => RunStop::Entered,
             Some(s) => RunStop::Done(s.clone()),
@@ -1392,16 +1393,8 @@ impl<'img> Vm<'img> {
 
     /// Continues a paused run to completion.
     pub fn finish(&mut self) -> ExecResult {
-        self.dispatch(None);
+        self.drive(None);
         self.result()
-    }
-
-    /// Routes a (possibly resumed) run to the image's execution engine.
-    fn dispatch(&mut self, watch: Option<FuncId>) {
-        match self.img.exec {
-            ExecBackend::Interp => self.run_internal(watch),
-            ExecBackend::Compiled => self.run_compiled(watch),
-        }
     }
 
     /// The accumulated result (meaningful once finished; callable anytime).
@@ -1422,38 +1415,6 @@ impl<'img> Vm<'img> {
         }
     }
 
-    fn run_internal(&mut self, watch: Option<FuncId>) {
-        let code = self.img.compiled();
-        let _span = rsti_telemetry::global().span(Phase::VmRun);
-        let mut skip_check = std::mem::take(&mut self.paused);
-        let Some(w) = watch else {
-            // No watchpoint (the measurement path): a tight step loop with
-            // no per-step entry check.
-            while self.status.is_none() {
-                if let Err(t) = self.step_in(&code) {
-                    self.status = Some(Status::Trapped(t));
-                }
-            }
-            self.flush_telemetry();
-            return;
-        };
-        while self.status.is_none() {
-            if !skip_check {
-                if let Some(fr) = self.frames.last() {
-                    if fr.func == w && fr.block == 0 && fr.idx == 0 {
-                        self.paused = true;
-                        return; // paused at function entry
-                    }
-                }
-            }
-            skip_check = false;
-            if let Err(t) = self.step_in(&code) {
-                self.status = Some(Status::Trapped(t));
-            }
-        }
-        self.flush_telemetry();
-    }
-
     // ---- attribution hooks -------------------------------------------------
     //
     // Every hook below sits behind an `attr.is_some()` branch at its call
@@ -1462,8 +1423,8 @@ impl<'img> Vm<'img> {
     // vm_throughput guardrail asserts.
 
     /// Charges the accounting delta since the last checkpoint to the
-    /// current (innermost) function. Called at the frame transitions both
-    /// engines share: frame push, return, and end of run.
+    /// current (innermost) function. Called at the frame transitions every
+    /// run shares: frame push, return, and end of run.
     fn attr_checkpoint(&mut self) {
         let cur = self.frames.last().map(|f| f.func.0 as usize);
         let (cycles, insts) = (self.cycles, self.insts);
@@ -1484,7 +1445,7 @@ impl<'img> Vm<'img> {
 
     /// Takes a call-stack sample when `cycles` has crossed the sampling
     /// boundary. Deterministic: the cycle model is deterministic and both
-    /// engines call this at the same accounting points (after each per-op
+    /// accounting modes call this at the same accounting points (after each per-op
     /// charge and after each block-transfer charge), so the sample set is
     /// a pure function of the image.
     fn attr_maybe_sample(&mut self) {
@@ -1604,9 +1565,9 @@ impl<'img> Vm<'img> {
     // Every call site below guards on `rec.is_some()`, so with the
     // recorder off (the default) its entire footprint is a few never-taken
     // branches — the same inertness discipline as the attribution hooks.
-    // Events fire from code both engines share (push_frame, exec_ret,
-    // store_typed, the attacker API, and the translated PAC/Load/Free
-    // ops), so recorded windows are engine-identical.
+    // Events fire from code both accounting modes share (push_frame,
+    // exec_ret, store_typed, the attacker API, and the translated
+    // PAC/Load/Free ops), so recorded windows are mode-identical.
 
     /// Records one PAC-family event at the currently staged check site.
     #[inline(never)]
@@ -1980,8 +1941,8 @@ impl<'img> Vm<'img> {
             return Err(Trap::StackOverflow);
         }
         // Frame transition: charge the delta since the last checkpoint to
-        // the (outgoing) caller. Both engines call through here, at the
-        // same accounting state, so attribution is engine-independent.
+        // the (outgoing) caller. Both accounting modes call through here,
+        // at the same accounting state, so attribution is mode-independent.
         if self.attr.is_some() {
             self.attr_checkpoint();
         }
@@ -2050,7 +2011,7 @@ impl<'img> Vm<'img> {
         self.cur_gen = frame.gen;
         self.frames.push(frame);
         if self.rec.is_some() {
-            // Scope entry, recorded in the one prologue both engines share.
+            // Scope entry, recorded in the one prologue every run shares.
             self.rec_scope(RecKind::ScopeEnter, fid);
         }
         Ok(())
@@ -2208,24 +2169,10 @@ impl<'img> Vm<'img> {
         })
     }
 
-    /// Executes the current block from the frame's position to its end,
-    /// one op at a time, then its terminator — the interpreter's unit of
-    /// progress. Stops early when an op pushes a frame or traps; the
-    /// instruction and cycle counters advance per op, exactly as under
-    /// single-instruction stepping.
-    ///
-    /// # Errors
-    /// Returns the trap that stopped execution.
-    pub fn step(&mut self) -> Result<(), Trap> {
-        let code = self.img.compiled();
-        self.step_in(&code)
-    }
-
-    /// The block entry/exit charge: fuel check plus instruction, opcode-
-    /// class, and cycle accounting for a terminator. Both engines fund
-    /// every block transfer through this one site, so interpreted and
-    /// compiled runs report identical `cycles`/`insts` totals by
-    /// construction.
+    /// The per-op loop's block exit charge: fuel check plus instruction,
+    /// opcode-class, and cycle accounting for a terminator. The fast path
+    /// pre-charges the same `branch` cost and one branch-class count with
+    /// its block.
     #[inline]
     fn charge_block_transfer(&mut self) -> Result<(), Trap> {
         if self.insts >= self.fuel {
@@ -2242,7 +2189,7 @@ impl<'img> Vm<'img> {
         Ok(())
     }
 
-    /// The return epilogue both engines share: pops the frame and hands
+    /// The return epilogue every run shares: pops the frame and hands
     /// `val` to the caller, or ends the run when `main` returns.
     fn exec_ret(&mut self, val: Option<RtVal>) -> Result<(), Trap> {
         // Frame transition: charge the delta (return-terminator
@@ -2293,7 +2240,7 @@ impl<'img> Vm<'img> {
             a.funcs[fr.func.0 as usize].incl.record(self.cycles - fr.entry_cycles);
         }
         if self.rec.is_some() {
-            // Scope exit, in the one epilogue both engines share.
+            // Scope exit, in the one epilogue every run shares.
             self.rec_scope(RecKind::ScopeExit, fr.func);
         }
         if self.frames.is_empty() {

@@ -1,9 +1,10 @@
-//! Interpreter ≡ compiled-engine parity, as executable claims.
+//! Reference accounting ≡ block pre-charge parity, as executable claims.
 //!
-//! Both engines execute the same translated ops; they differ in dispatch,
-//! block pre-charge and rollback, and when they commit frame positions.
-//! These tests pin down that those differences stay unobservable for
-//! every trap class and for the accounting: both engines must produce
+//! One driver executes the translated ops under two accounting modes:
+//! `Interp` charges, fuel-checks and commits the frame position per op;
+//! `Compiled` pre-charges whole blocks and rolls back the unexecuted
+//! suffix. These tests pin down that the difference stays unobservable
+//! for every trap class and for the accounting: both modes must produce
 //! equal [`ExecResult`]s (status, output, events, cycles, instructions,
 //! PAC counters, site counts, audit records) on the same image and the
 //! same attacker actions. `op_semantics.rs` pins what the ops themselves
