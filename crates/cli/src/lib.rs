@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 use rsti_core::{InstrumentStats, Mechanism, OptLevel};
+use rsti_telemetry::{parse_json, Json};
 use rsti_vm::{ExecResult, Image, Status, Vm};
 use std::fmt::Write as _;
 
@@ -241,7 +242,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(i32, String), String> {
 }
 
 /// Parses the `serve` flags into a server config plus the output options
-/// (`--socket`, `--stats-out`, `--trace`). Split from [`cmd_serve`] so the
+/// (`--socket`, `--stats-out`, `--trace`). Split from `cmd_serve` so the
 /// flag grammar is unit-testable without touching stdin.
 ///
 /// # Errors
@@ -569,15 +570,10 @@ fn render_attr_tables(out: &mut String, p: &rsti_vm::AttrProfile, top: usize) {
     }
 }
 
-/// Extracts `"key": <number>` from one line of hand-rolled JSON.
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let i = line.find(&pat)? + pat.len();
-    let rest = line[i..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// A number field of one parsed history entry (`None` for an entry that
+/// is not valid JSON, or a field that is absent or not a number).
+fn entry_num(entry: &Option<Json>, key: &str) -> Option<f64> {
+    entry.as_ref()?.get(key)?.as_f64()
 }
 
 /// Renders the bench-trajectory lines from the non-empty `history` entries
@@ -591,7 +587,8 @@ fn render_history_diff(md: &mut String, history: &str, lines: &[&str]) {
         let _ = writeln!(md, "`{history}` is empty.");
         return;
     };
-    let field = |k: &str| json_num(last, k);
+    let last = parse_json(last).ok();
+    let field = |k: &str| entry_num(&last, k);
     let _ = writeln!(
         md,
         "Last `{history}` entry: interp {:.0} insts/s, compiled {:.0} \
@@ -608,20 +605,20 @@ fn render_history_diff(md: &mut String, history: &str, lines: &[&str]) {
         let _ = writeln!(md, "No prior entry to diff against (first recorded run).");
         return;
     }
-    let prev = lines[lines.len() - 2];
-    if json_num(prev, "schema") != json_num(last, "schema") {
-        let sch = |l: &str| json_num(l, "schema").map_or("?".into(), |v| format!("{v:.0}"));
+    let prev = parse_json(lines[lines.len() - 2]).ok();
+    if entry_num(&prev, "schema") != entry_num(&last, "schema") {
+        let sch = |e| entry_num(e, "schema").map_or("?".into(), |v| format!("{v:.0}"));
         let _ = writeln!(
             md,
             "No prior comparable entry (previous record has schema {}, this one {}) \
              — diff skipped.",
-            sch(prev),
-            sch(last)
+            sch(&prev),
+            sch(&last)
         );
         return;
     }
     let delta = |k: &str| -> Option<f64> {
-        let (p, l) = (json_num(prev, k)?, json_num(last, k)?);
+        let (p, l) = (entry_num(&prev, k)?, entry_num(&last, k)?);
         (p > 0.0).then(|| (l / p - 1.0) * 100.0)
     };
     let _ = writeln!(
@@ -1744,16 +1741,6 @@ mod tests {
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("0 oracle violation(s)"), "{out}");
         rsti_fuzz::set_record(false);
-    }
-
-    #[test]
-    fn json_num_extracts_numbers() {
-        let line = "{\"a\":1,\"b\": -2.5, \"c\":1.2e3,\"s\":\"x\"}";
-        assert_eq!(json_num(line, "a"), Some(1.0));
-        assert_eq!(json_num(line, "b"), Some(-2.5));
-        assert_eq!(json_num(line, "c"), Some(1200.0));
-        assert_eq!(json_num(line, "s"), None);
-        assert_eq!(json_num(line, "missing"), None);
     }
 
     #[test]

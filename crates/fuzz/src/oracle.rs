@@ -230,13 +230,13 @@ pub fn set_exec_oracle(on: bool) {
 }
 
 /// Enables or disables the attribution profiler on every oracle VM run on
-/// the current thread (the `--attr` fuzz knob; see [`ATTR_PROFILE`]).
+/// the current thread (the `--attr` fuzz knob; see `ATTR_PROFILE`).
 pub fn set_attr_profile(on: bool) {
     ATTR_PROFILE.with(|c| c.set(on));
 }
 
 /// Enables or disables the flight recorder on every oracle VM run on the
-/// current thread (the `--record` fuzz knob; see [`RECORD`]).
+/// current thread (the `--record` fuzz knob; see `RECORD`).
 pub fn set_record(on: bool) {
     RECORD.with(|c| c.set(on));
 }

@@ -290,36 +290,46 @@ macro_rules! result_of {
     };
 }
 
-macro_rules! operands_of {
-    ($inst:expr) => {
+/// Calls `$f` on each operand of `$inst` in order, `loc` included; the
+/// bindings take the reference mode of the scrutinee.
+macro_rules! each_operand {
+    ($inst:expr, $f:expr) => {{
+        let mut f = $f;
         match $inst {
-            Inst::Alloca { .. } | Inst::PrintStr { .. } | Inst::PpAdd { .. } => vec![],
-            Inst::Load { ptr, .. } => vec![ptr],
-            Inst::Store { value, ptr } => vec![value, ptr],
-            Inst::FieldAddr { base, .. } => vec![base],
-            Inst::IndexAddr { base, index, .. } => vec![base, index],
-            Inst::BitCast { value, .. } | Inst::Convert { value, .. } => vec![value],
-            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => vec![lhs, rhs],
-            Inst::Call { args, .. } => args.into_iter().collect(),
-            Inst::CallIndirect { callee, args, .. } => {
-                let mut v = vec![callee];
-                v.extend(args);
-                v
+            Inst::Alloca { .. } | Inst::PrintStr { .. } | Inst::PpAdd { .. } => {}
+            Inst::Load { ptr, .. } => f(ptr),
+            Inst::Store { value, ptr } => {
+                f(value);
+                f(ptr);
             }
-            Inst::Malloc { size, .. } => vec![size],
-            Inst::Free { ptr } => vec![ptr],
-            Inst::PrintInt { value } => vec![value],
+            Inst::FieldAddr { base, .. } => f(base),
+            Inst::IndexAddr { base, index, .. } => {
+                f(base);
+                f(index);
+            }
+            Inst::BitCast { value, .. } | Inst::Convert { value, .. } => f(value),
+            Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            Inst::Call { args, .. } => args.into_iter().for_each(f),
+            Inst::CallIndirect { callee, args, .. } => {
+                f(callee);
+                args.into_iter().for_each(f);
+            }
+            Inst::Malloc { size, .. } => f(size),
+            Inst::Free { ptr } => f(ptr),
+            Inst::PrintInt { value } => f(value),
             Inst::PacSign { value, loc, .. } | Inst::PacAuth { value, loc, .. } => {
-                let mut v = vec![value];
-                v.extend(loc);
-                v
+                f(value);
+                loc.into_iter().for_each(f);
             }
             Inst::PacStrip { value, .. }
             | Inst::PpSign { value, .. }
             | Inst::PpAddTbi { value, .. }
-            | Inst::PpAuth { value, .. } => vec![value],
+            | Inst::PpAuth { value, .. } => f(value),
         }
-    };
+    }};
 }
 
 impl Inst {
@@ -348,13 +358,23 @@ impl Inst {
 
     /// Operands read by this instruction, `loc` included.
     pub fn operands(&self) -> Vec<&Operand> {
-        operands_of!(self)
+        let mut v = Vec::new();
+        each_operand!(self, |op| v.push(op));
+        v
     }
 
     /// Mutable access to the same operands as [`Inst::operands`], in the
     /// same order, for renumbering and splicing passes.
     pub fn operands_mut(&mut self) -> Vec<&mut Operand> {
-        operands_of!(self)
+        let mut v = Vec::new();
+        each_operand!(self, |op| v.push(op));
+        v
+    }
+
+    /// Calls `f` on the same operands as [`Inst::operands`], in the same
+    /// order, without collecting them.
+    pub fn for_each_operand(&self, f: impl FnMut(&Operand)) {
+        each_operand!(self, f)
     }
 }
 

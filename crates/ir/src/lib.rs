@@ -12,7 +12,8 @@
 //!   the instrumentation pass inserts (the analogue of `llvm.ptrauth.*`
 //!   intrinsics and the compiler-rt `pp_*` library),
 //! * a builder ([`builder::FunctionBuilder`]), a verifier
-//!   ([`verify::verify_module`]), and a textual printer ([`printer`]).
+//!   ([`verify::verify_module`], over the total id check
+//!   [`verify::check_ids`]), and a textual printer ([`printer`]).
 //!
 //! # Example
 //!
@@ -58,4 +59,4 @@ pub use loops::{insert_preheaders, LoopForest, NaturalLoop};
 pub use module::{FuncId, GlobalDef, GlobalId, GlobalInit, Module, StrId, GLOBAL_SEG_BASE};
 pub use printer::{print_function, print_inst, print_module};
 pub use types::{FieldDef, FuncSig, StructDef, StructId, Type, TypeId, TypeLayout, TypeTable};
-pub use verify::{verify_module, VerifyError};
+pub use verify::{check_ids, verify_module, VerifyError};

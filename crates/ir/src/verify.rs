@@ -2,12 +2,17 @@
 //!
 //! Instrumentation passes rewrite instruction streams wholesale; the
 //! verifier gives them (and the frontend) a machine-checked well-formedness
-//! contract so that the VM can assume structurally valid input. It checks:
+//! contract. It runs in two layers:
 //!
-//! * every branch targets an existing block and no block is left
-//!   unterminated (except deliberate `unreachable`),
-//! * every operand refers to a defined value,
-//! * loads/stores/GEPs/calls/returns are type-consistent.
+//! * [`check_ids`] confirms that every id in a module resolves — types,
+//!   structs and fields, globals, strings, functions, variables, blocks and
+//!   values — and that the type table is well-founded. It is total: it never
+//!   panics, whatever the module holds. The VM runs it once per image, so a
+//!   malformed image loads into a trapped VM instead of failing mid-run.
+//! * [`verify_module`] runs that pass first and, on a module whose ids all
+//!   resolve, checks that no block is left unterminated (except deliberate
+//!   `unreachable`) and that loads/stores/GEPs/calls/returns are
+//!   type-consistent.
 //!
 //! Pointer-typed positions are checked *loosely* (any pointer may stand in
 //! for any other): MiniC, like C, freely passes `struct node*` where `void*`
@@ -17,16 +22,18 @@
 
 use crate::function::Function;
 use crate::inst::{Inst, Operand, Terminator};
-use crate::module::Module;
-use crate::types::{Type, TypeId};
+use crate::module::{GlobalId, GlobalInit, Module};
+use crate::types::{FuncSig, StructId, Type, TypeId, TypeTable};
 use std::fmt;
 
 /// A single verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyError {
-    /// Function name.
+    /// Function name; for a failure outside any function, the item it is
+    /// in (`types`, `global <name>`, `global signing`).
     pub func: String,
-    /// Block index.
+    /// Block index (`usize::MAX` = outside any block: a signature, a value
+    /// table, or a module-level item).
     pub block: usize,
     /// Instruction index within the block (`usize::MAX` = terminator).
     pub index: usize,
@@ -36,7 +43,9 @@ pub struct VerifyError {
 
 impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.index == usize::MAX {
+        if self.block == usize::MAX {
+            write!(f, "{}: {}", self.func, self.msg)
+        } else if self.index == usize::MAX {
             write!(f, "{}: bb{}: terminator: {}", self.func, self.block, self.msg)
         } else {
             write!(f, "{}: bb{}[{}]: {}", self.func, self.block, self.index, self.msg)
@@ -47,12 +56,15 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// Verifies a whole module. Returns all failures rather than the first.
+/// A module with an id that does not resolve gets only [`check_ids`]'
+/// failures: type checking needs every id to resolve.
 ///
 /// # Errors
 /// Returns the list of [`VerifyError`]s when the module is ill-formed.
 pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
+    check_ids(m, [])?;
     let mut errs = Vec::new();
-    for (_, f) in m.funcs() {
+    for (_, f) in m.funcs().filter(|(_, f)| !f.is_external) {
         verify_function(m, f, &mut errs);
     }
     if errs.is_empty() {
@@ -62,6 +74,243 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
     }
 }
 
+/// Checks that every id in `m` resolves, and that the type table is
+/// well-founded (type layout and display terminate). `signed_globals` are
+/// the globals a loader signs before `main` (an image's signing list);
+/// they must name globals of `m` too.
+///
+/// Besides ids, it checks the three shapes a loader relies on: externals
+/// have no body, defined functions have an entry block, and `main` is not
+/// external. Never panics.
+///
+/// # Errors
+/// Returns one [`VerifyError`] per failure.
+pub fn check_ids(
+    m: &Module,
+    signed_globals: impl IntoIterator<Item = GlobalId>,
+) -> Result<(), Vec<VerifyError>> {
+    let mut c = Ids { m, errs: Vec::new(), owner: "types".into(), block: usize::MAX, index: 0 };
+    c.type_table();
+    for g in &m.globals {
+        c.owner = format!("global {}", g.name);
+        c.ty(g.ty);
+        c.id(g.var.0, m.vars.len(), "var var");
+        match g.init {
+            GlobalInit::FuncAddr(f) => c.id(f.0, m.funcs.len(), "function @"),
+            GlobalInit::Str(s) => c.id(s.0, m.strings.len(), "string #"),
+            GlobalInit::Zero | GlobalInit::Int(_) => {}
+        }
+    }
+    c.owner = "global signing".into();
+    for g in signed_globals {
+        c.id(g.0, m.globals.len(), "global #");
+    }
+    for f in &m.funcs {
+        c.function(f);
+    }
+    if m.func_by_name("main").is_some_and(|id| m.func(id).is_external) {
+        (c.owner, c.block) = ("main".into(), usize::MAX);
+        c.err("`main` is an external declaration".into());
+    }
+    if c.errs.is_empty() {
+        Ok(())
+    } else {
+        Err(c.errs)
+    }
+}
+
+/// The id pass's cursor: where the next failure is reported.
+struct Ids<'a> {
+    m: &'a Module,
+    errs: Vec<VerifyError>,
+    owner: String,
+    block: usize,
+    index: usize,
+}
+
+impl Ids<'_> {
+    fn err(&mut self, msg: String) {
+        let (func, block, index) = (self.owner.clone(), self.block, self.index);
+        self.errs.push(VerifyError { func, block, index, msg });
+    }
+
+    /// Reports `unknown <what><i>` unless index `i` is below `len`; `what`
+    /// ends in the id's display prefix (`"type ty"`, `"value %"`).
+    fn id(&mut self, i: u32, len: usize, what: &str) {
+        if i as usize >= len {
+            self.err(format!("unknown {what}{i}"));
+        }
+    }
+
+    fn ty(&mut self, t: TypeId) {
+        self.id(t.0, self.m.types.len(), "type ty");
+    }
+
+    fn sig(&mut self, sig: &FuncSig) {
+        self.ty(sig.ret);
+        for &p in &sig.params {
+            self.ty(p);
+        }
+    }
+
+    /// Component types precede the types built on them (so pointer chains
+    /// end), struct fields name real types, and no struct contains itself
+    /// by value (so sizes are finite).
+    fn type_table(&mut self) {
+        let t: &TypeTable = &self.m.types;
+        for i in 0..t.len() as u32 {
+            let earlier = |c: &TypeId| c.0 < i;
+            let well_founded = match t.get(TypeId(i)) {
+                Type::Ptr(c) | Type::Array(c, _) => earlier(c),
+                Type::Func(sig) => earlier(&sig.ret) && sig.params.iter().all(earlier),
+                Type::Struct(s) => {
+                    self.id(s.0, t.struct_count(), "struct #");
+                    true
+                }
+                _ => true,
+            };
+            if !well_founded {
+                self.err(format!("ty{i} is built on a type that is not an earlier one"));
+            }
+        }
+        for (_, def) in t.structs() {
+            for f in &def.fields {
+                self.ty(f.ty);
+            }
+        }
+        if !self.errs.is_empty() {
+            return;
+        }
+        let by_value = |mut ty: TypeId| {
+            while let Type::Array(e, _) = t.get(ty) {
+                ty = *e;
+            }
+            match t.get(ty) {
+                Type::Struct(s) => Some(s.0 as usize),
+                _ => None,
+            }
+        };
+        // Sizes resolve bottom-up; a struct left unsized sits on a cycle.
+        let mut sized = vec![false; t.struct_count()];
+        let fields_sized = |s: usize, sized: &[bool]| {
+            let fields = &t.struct_def(StructId(s as u32)).fields;
+            fields.iter().all(|f| by_value(f.ty).is_none_or(|d| sized[d]))
+        };
+        while let Some(s) = (0..sized.len()).find(|&s| !sized[s] && fields_sized(s, &sized)) {
+            sized[s] = true;
+        }
+        for (s, def) in t.structs().filter(|(s, _)| !sized[s.0 as usize]) {
+            self.err(format!("struct #{} `{}` contains itself by value", s.0, def.name));
+        }
+    }
+
+    fn function(&mut self, f: &Function) {
+        let (m, nvals, nblocks) = (self.m, f.value_types.len(), f.blocks.len());
+        (self.owner, self.block, self.index) = (f.name.clone(), usize::MAX, 0);
+        self.sig(&f.sig);
+        for &t in &f.value_types {
+            self.ty(t);
+        }
+        for &(v, var) in &f.params {
+            self.id(v.0, nvals, "value %");
+            if let Some(var) = var {
+                self.id(var.0, m.vars.len(), "var var");
+            }
+        }
+        if f.is_external && !f.blocks.is_empty() {
+            self.err("external function has a body".into());
+        }
+        if !f.is_external && f.blocks.is_empty() {
+            self.err("defined function has no blocks".into());
+        }
+        for (bi, b) in f.blocks.iter().enumerate() {
+            self.block = bi;
+            for (ii, node) in b.insts.iter().enumerate() {
+                self.index = ii;
+                self.inst(&node.inst, nvals);
+            }
+            self.index = usize::MAX;
+            let targets = match &b.term {
+                Terminator::Br(t) => vec![*t],
+                Terminator::CondBr { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
+                Terminator::Ret(_) | Terminator::Unreachable => vec![],
+            };
+            for t in targets {
+                self.id(t.0, nblocks, "block bb");
+            }
+            if let Some(op) = b.term.operand() {
+                self.operand(op, nvals);
+            }
+        }
+    }
+
+    fn operand(&mut self, op: &Operand, nvals: usize) {
+        let m = self.m;
+        let ty = match op {
+            Operand::Value(v) => return self.id(v.0, nvals, "value %"),
+            Operand::ConstInt(_, t) | Operand::ConstFloat(_, t) | Operand::Null(t) => t,
+            Operand::FuncAddr(f, t) => {
+                self.id(f.0, m.funcs.len(), "function @");
+                t
+            }
+            Operand::GlobalAddr(g, t) => {
+                self.id(g.0, m.globals.len(), "global #");
+                t
+            }
+            Operand::Str(s, t) => {
+                self.id(s.0, m.strings.len(), "string #");
+                t
+            }
+        };
+        self.ty(*ty);
+    }
+
+    fn inst(&mut self, inst: &Inst, nvals: usize) {
+        let m = self.m;
+        if let Some(r) = inst.result() {
+            self.id(r.0, nvals, "value %");
+        }
+        inst.for_each_operand(|op| self.operand(op, nvals));
+        match inst {
+            Inst::Alloca { ty, var, .. } => {
+                self.ty(*ty);
+                if let Some(v) = var {
+                    self.id(v.0, m.vars.len(), "var var");
+                }
+            }
+            Inst::Load { ty, .. }
+            | Inst::IndexAddr { elem_ty: ty, .. }
+            | Inst::BitCast { to: ty, .. }
+            | Inst::Convert { to: ty, .. }
+            | Inst::Bin { ty, .. }
+            | Inst::Malloc { result_ty: ty, .. } => self.ty(*ty),
+            Inst::FieldAddr { struct_id: s, field, .. } => {
+                self.id(s.0, m.types.struct_count(), "struct #");
+                if let Some((_, def)) = m.types.structs().nth(s.0 as usize) {
+                    if *field >= def.fields.len() {
+                        self.err(format!("unknown field {field} of struct {}", def.name));
+                    }
+                }
+            }
+            Inst::Call { callee, .. } => self.id(callee.0, m.funcs.len(), "function @"),
+            Inst::CallIndirect { sig, .. } => self.sig(sig),
+            Inst::PrintStr { s } => self.id(s.0, m.strings.len(), "string #"),
+            Inst::Store { .. }
+            | Inst::Cmp { .. }
+            | Inst::Free { .. }
+            | Inst::PrintInt { .. }
+            | Inst::PacSign { .. }
+            | Inst::PacAuth { .. }
+            | Inst::PacStrip { .. }
+            | Inst::PpAdd { .. }
+            | Inst::PpSign { .. }
+            | Inst::PpAddTbi { .. }
+            | Inst::PpAuth { .. } => {}
+        }
+    }
+}
+
+/// Type-checking context for one function whose ids all resolve.
 struct Ctx<'a> {
     m: &'a Module,
     f: &'a Function,
@@ -80,32 +329,15 @@ impl Ctx<'_> {
         });
     }
 
-    fn operand_type(&mut self, op: &Operand) -> Option<TypeId> {
+    fn operand_type(&self, op: &Operand) -> TypeId {
         match op {
-            Operand::Value(v) => {
-                if (v.0 as usize) < self.f.value_types.len() {
-                    Some(self.f.value_types[v.0 as usize])
-                } else {
-                    self.err(format!("use of undefined value %{}", v.0));
-                    None
-                }
-            }
+            Operand::Value(v) => self.f.value_type(*v),
             Operand::ConstInt(_, t)
             | Operand::ConstFloat(_, t)
             | Operand::Null(t)
-            | Operand::Str(_, t) => Some(*t),
-            Operand::FuncAddr(fid, t) => {
-                if (fid.0 as usize) >= self.m.funcs.len() {
-                    self.err(format!("funcaddr of unknown function @{}", fid.0));
-                }
-                Some(*t)
-            }
-            Operand::GlobalAddr(gid, t) => {
-                if (gid.0 as usize) >= self.m.globals.len() {
-                    self.err(format!("globaladdr of unknown global #{}", gid.0));
-                }
-                Some(*t)
-            }
+            | Operand::Str(_, t)
+            | Operand::FuncAddr(_, t)
+            | Operand::GlobalAddr(_, t) => *t,
         }
     }
 
@@ -140,32 +372,16 @@ impl Ctx<'_> {
             }
         }
     }
+
+    /// `expect_ptr` on an operand's type.
+    fn expect_ptr_op(&mut self, what: &str, op: &Operand) -> Option<TypeId> {
+        let t = self.operand_type(op);
+        self.expect_ptr(what, t)
+    }
 }
 
 fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
-    if f.is_external {
-        if !f.blocks.is_empty() {
-            errs.push(VerifyError {
-                func: f.name.clone(),
-                block: 0,
-                index: 0,
-                msg: "external function has a body".into(),
-            });
-        }
-        return;
-    }
-    if f.blocks.is_empty() {
-        errs.push(VerifyError {
-            func: f.name.clone(),
-            block: 0,
-            index: 0,
-            msg: "defined function has no blocks".into(),
-        });
-        return;
-    }
-
     let mut ctx = Ctx { m, f, errs, block: 0, index: 0 };
-
     for (bi, blk) in f.blocks.iter().enumerate() {
         ctx.block = bi;
         for (ii, node) in blk.insts.iter().enumerate() {
@@ -174,20 +390,9 @@ fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
         }
         ctx.index = usize::MAX;
         match &blk.term {
-            Terminator::Br(t) => {
-                if (t.0 as usize) >= f.blocks.len() {
-                    ctx.err(format!("branch to unknown block {t}"));
-                }
-            }
-            Terminator::CondBr { cond, then_bb, else_bb } => {
-                if let Some(ct) = ctx.operand_type(cond) {
-                    ctx.expect_compatible("condbr condition", m.types.bool(), ct);
-                }
-                for t in [then_bb, else_bb] {
-                    if (t.0 as usize) >= f.blocks.len() {
-                        ctx.err(format!("branch to unknown block {t}"));
-                    }
-                }
+            Terminator::CondBr { cond, .. } => {
+                let ct = ctx.operand_type(cond);
+                ctx.expect_compatible("condbr condition", m.types.bool(), ct);
             }
             Terminator::Ret(v) => {
                 let want = f.sig.ret;
@@ -200,156 +405,104 @@ fn verify_function(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
                     Some(op) => {
                         if want == m.types.void() {
                             ctx.err("return with value from void function");
-                        } else if let Some(t) = ctx.operand_type(op) {
+                        } else {
+                            let t = ctx.operand_type(op);
                             ctx.expect_compatible("return value", want, t);
                         }
                     }
                 }
             }
-            Terminator::Unreachable => {}
+            Terminator::Br(_) | Terminator::Unreachable => {}
         }
     }
 }
 
 fn verify_inst(ctx: &mut Ctx<'_>, inst: &Inst) {
-    // All operands must at least be defined.
-    for op in inst.operands() {
-        ctx.operand_type(op);
-    }
     match inst {
         Inst::Load { result, ptr, ty } => {
-            if let Some(pt) = ctx.operand_type(ptr) {
-                if let Some(pointee) = ctx.expect_ptr("load pointer", pt) {
-                    ctx.expect_compatible("load result", *ty, pointee);
-                }
+            if let Some(pointee) = ctx.expect_ptr_op("load pointer", ptr) {
+                ctx.expect_compatible("load result", *ty, pointee);
             }
-            let rt = ctx.f.value_types[result.0 as usize];
+            let rt = ctx.f.value_type(*result);
             ctx.expect_compatible("load result register", *ty, rt);
         }
         Inst::Store { value, ptr } => {
             let vt = ctx.operand_type(value);
-            if let (Some(vt), Some(pt)) = (vt, ctx.operand_type(ptr)) {
-                if let Some(pointee) = ctx.expect_ptr("store pointer", pt) {
-                    ctx.expect_compatible("store value", pointee, vt);
-                }
+            if let Some(pointee) = ctx.expect_ptr_op("store pointer", ptr) {
+                ctx.expect_compatible("store value", pointee, vt);
             }
         }
-        Inst::FieldAddr { base, struct_id, field, .. } => {
-            if (struct_id.0 as usize) >= ctx.m.types.struct_count() {
-                ctx.err("fieldaddr of unknown struct");
-                return;
-            }
-            let def = ctx.m.types.struct_def(*struct_id);
-            if *field >= def.fields.len() {
-                ctx.err(format!(
-                    "field index {} out of range for struct {}",
-                    field, def.name
-                ));
-            }
-            if let Some(bt) = ctx.operand_type(base) {
-                ctx.expect_ptr("fieldaddr base", bt);
-            }
+        Inst::FieldAddr { base, .. } => {
+            ctx.expect_ptr_op("fieldaddr base", base);
         }
         Inst::IndexAddr { base, index, .. } => {
-            if let Some(bt) = ctx.operand_type(base) {
-                ctx.expect_ptr("indexaddr base", bt);
-            }
-            if let Some(it) = ctx.operand_type(index) {
-                if !matches!(
-                    ctx.m.types.get(it),
-                    Type::I8 | Type::I16 | Type::I32 | Type::I64
-                ) {
-                    ctx.err("indexaddr index must be an integer");
-                }
+            ctx.expect_ptr_op("indexaddr base", base);
+            let it = ctx.operand_type(index);
+            if !matches!(ctx.m.types.get(it), Type::I8 | Type::I16 | Type::I32 | Type::I64) {
+                ctx.err("indexaddr index must be an integer");
             }
         }
         Inst::BitCast { value, to, .. } => {
-            if let Some(vt) = ctx.operand_type(value) {
-                let both_ptr = ctx.m.types.is_ptr(vt) && ctx.m.types.is_ptr(*to);
-                if !both_ptr {
-                    ctx.err("bitcast requires pointer types on both sides");
-                }
+            let vt = ctx.operand_type(value);
+            if !(ctx.m.types.is_ptr(vt) && ctx.m.types.is_ptr(*to)) {
+                ctx.err("bitcast requires pointer types on both sides");
             }
         }
         Inst::Convert { value, to, .. } => {
-            if let Some(vt) = ctx.operand_type(value) {
-                let numeric = |t: TypeId| {
-                    matches!(
-                        ctx.m.types.get(t),
-                        Type::Bool | Type::I8 | Type::I16 | Type::I32 | Type::I64 | Type::F64
-                    )
-                };
-                if !numeric(vt) || !numeric(*to) {
-                    ctx.err("convert requires numeric types on both sides");
-                }
+            let numeric = |t: TypeId| {
+                matches!(
+                    ctx.m.types.get(t),
+                    Type::Bool | Type::I8 | Type::I16 | Type::I32 | Type::I64 | Type::F64
+                )
+            };
+            if !numeric(ctx.operand_type(value)) || !numeric(*to) {
+                ctx.err("convert requires numeric types on both sides");
             }
         }
         Inst::Bin { op: _, lhs, rhs, ty, .. } => {
-            if let Some(t) = ctx.operand_type(lhs) {
-                ctx.expect_compatible("binop lhs", *ty, t);
-            }
-            if let Some(t) = ctx.operand_type(rhs) {
-                ctx.expect_compatible("binop rhs", *ty, t);
-            }
+            let (lt, rt) = (ctx.operand_type(lhs), ctx.operand_type(rhs));
+            ctx.expect_compatible("binop lhs", *ty, lt);
+            ctx.expect_compatible("binop rhs", *ty, rt);
         }
         Inst::Cmp { lhs, rhs, .. } => {
-            if let (Some(a), Some(b)) = (ctx.operand_type(lhs), ctx.operand_type(rhs)) {
-                if !ctx.types_compatible(a, b) {
-                    ctx.err("cmp operands have different types");
-                }
+            let (a, b) = (ctx.operand_type(lhs), ctx.operand_type(rhs));
+            if !ctx.types_compatible(a, b) {
+                ctx.err("cmp operands have different types");
             }
         }
         Inst::Call { callee, args, .. } => {
-            if (callee.0 as usize) >= ctx.m.funcs.len() {
-                ctx.err("call to unknown function");
-                return;
-            }
-            let sig = ctx.m.funcs[callee.0 as usize].sig.clone();
-            check_call_args(ctx, &sig, args);
+            check_call_args(ctx, &ctx.m.func(*callee).sig, args);
         }
         Inst::CallIndirect { callee, sig, args, .. } => {
-            if let Some(ct) = ctx.operand_type(callee) {
-                ctx.expect_ptr("indirect callee", ct);
-            }
+            ctx.expect_ptr_op("indirect callee", callee);
             check_call_args(ctx, sig, args);
         }
         Inst::Malloc { size, .. } => {
-            if let Some(st) = ctx.operand_type(size) {
-                if !matches!(ctx.m.types.get(st), Type::I32 | Type::I64) {
-                    ctx.err("malloc size must be i32/i64");
-                }
+            let st = ctx.operand_type(size);
+            if !matches!(ctx.m.types.get(st), Type::I32 | Type::I64) {
+                ctx.err("malloc size must be i32/i64");
             }
         }
         Inst::Free { ptr } | Inst::PacStrip { value: ptr, .. } => {
-            if let Some(pt) = ctx.operand_type(ptr) {
-                ctx.expect_ptr("pointer operand", pt);
-            }
+            ctx.expect_ptr_op("pointer operand", ptr);
         }
         Inst::PacSign { value, loc, .. } | Inst::PacAuth { value, loc, .. } => {
-            if let Some(vt) = ctx.operand_type(value) {
-                ctx.expect_ptr("pac operand", vt);
-            }
+            ctx.expect_ptr_op("pac operand", value);
             if let Some(l) = loc {
-                if let Some(lt) = ctx.operand_type(l) {
-                    ctx.expect_ptr("pac location", lt);
-                }
+                ctx.expect_ptr_op("pac location", l);
             }
         }
         Inst::PpSign { value, .. } | Inst::PpAddTbi { value, .. } | Inst::PpAuth { value, .. } => {
-            if let Some(vt) = ctx.operand_type(value) {
-                ctx.expect_ptr("pp operand", vt);
-            }
+            ctx.expect_ptr_op("pp operand", value);
         }
-        Inst::PrintStr { s } => {
-            if (s.0 as usize) >= ctx.m.strings.len() {
-                ctx.err("print of unknown string");
-            }
-        }
-        Inst::Alloca { .. } | Inst::PrintInt { .. } | Inst::PpAdd { .. } => {}
+        Inst::Alloca { .. }
+        | Inst::PrintInt { .. }
+        | Inst::PrintStr { .. }
+        | Inst::PpAdd { .. } => {}
     }
 }
 
-fn check_call_args(ctx: &mut Ctx<'_>, sig: &crate::types::FuncSig, args: &[Operand]) {
+fn check_call_args(ctx: &mut Ctx<'_>, sig: &FuncSig, args: &[Operand]) {
     let fixed = sig.params.len();
     if args.len() < fixed || (!sig.varargs && args.len() != fixed) {
         ctx.err(format!(
@@ -361,9 +514,8 @@ fn check_call_args(ctx: &mut Ctx<'_>, sig: &crate::types::FuncSig, args: &[Opera
         return;
     }
     for (i, (arg, want)) in args.iter().zip(sig.params.iter()).enumerate() {
-        if let Some(t) = ctx.operand_type(arg) {
-            ctx.expect_compatible(&format!("call argument {i}"), *want, t);
-        }
+        let t = ctx.operand_type(arg);
+        ctx.expect_compatible(&format!("call argument {i}"), *want, t);
     }
 }
 

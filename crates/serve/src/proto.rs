@@ -1,10 +1,8 @@
 //! The `rsti serve` wire protocol: one JSON object per line in, one JSON
 //! object per line out, in request order.
 //!
-//! The parser is hand-rolled (the workspace is dependency-free by design)
-//! and deliberately small: it accepts exactly the JSON subset a request
-//! needs — objects, arrays, strings with escapes, numbers, booleans,
-//! `null` — and rejects trailing garbage. Responses are built with the
+//! Requests are read with rsti-telemetry's bounded JSON reader
+//! ([`rsti_telemetry::parse_json`]). Responses are built with the
 //! same stable-field-order discipline as the telemetry serializers, so a
 //! warm cache hit is **byte-identical** to the cold response for the same
 //! request, except for the single `"cache":"hit"` / `"cache":"miss"`
@@ -32,275 +30,10 @@
 
 use rsti_core::{Mechanism, OptLevel};
 use rsti_telemetry::json_str;
+// The request reader is the workspace's one JSON reader; re-exported so
+// existing `proto::{parse_json, Json}` users keep their path.
+pub use rsti_telemetry::{parse_json, Json};
 use rsti_vm::{Backend, ExecBackend, ExecResult, Status};
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value parser
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value. Object fields keep their input order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a field of an object (first match wins).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a string, if it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if it is a number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one complete JSON value; rejects trailing non-whitespace.
-///
-/// # Errors
-/// Returns a byte-offset-bearing message for malformed input.
-pub fn parse_json(s: &str) -> Result<Json, String> {
-    let mut p = Parser { b: s.as_bytes(), i: 0, depth: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing garbage at byte {}", p.i));
-    }
-    Ok(v)
-}
-
-/// Nesting budget for arrays and objects. A request is one flat object,
-/// so this sits far above any valid line while keeping the recursive
-/// descent (and the drop of what it built) far from the stack's end.
-const MAX_JSON_DEPTH: usize = 64;
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-    /// Open arrays and objects around the cursor.
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.b.get(self.i) {
-            Some(b'{' | b'[') if self.depth == MAX_JSON_DEPTH => {
-                Err(format!("nesting deeper than {MAX_JSON_DEPTH} at byte {}", self.i))
-            }
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            Some(c) => Err(format!("unexpected {:?} at byte {}", *c as char, self.i)),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
-        self.depth += 1;
-        let v = f(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while matches!(self.b.get(self.i), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hi = self.hex4()?;
-                            let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if self.b.get(self.i + 1) != Some(&b'\\')
-                                    || self.b.get(self.i + 2) != Some(&b'u')
-                                {
-                                    return Err("lone high surrogate".into());
-                                }
-                                self.i += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err("bad low surrogate".into());
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| "bad unicode escape".to_string())?,
-                            );
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Fast path: consume the whole unescaped run in one
-                    // slice push (the input is a &str, so UTF-8 boundaries
-                    // are valid by construction). Large inline sources
-                    // make per-char pushes a quadratic trap.
-                    let start = self.i;
-                    while !matches!(self.b.get(self.i), None | Some(b'"' | b'\\')) {
-                        self.i += 1;
-                    }
-                    let run =
-                        std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?;
-                    out.push_str(run);
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let s = self
-            .b
-            .get(self.i + 1..self.i + 5)
-            .ok_or_else(|| "truncated \\u escape".to_string())?;
-        let s = std::str::from_utf8(s).map_err(|e| e.to_string())?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| format!("bad \\u escape {s:?}"))?;
-        self.i += 4;
-        Ok(v)
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let k = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            fields.push((k, v));
-            self.skip_ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.b.get(self.i) {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -685,31 +418,6 @@ mod tests {
             let err = Request::parse(line).unwrap_err();
             assert!(err.contains(needle), "{line:?} -> {err:?}");
         }
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = parse_json(r#"{"s":"a\"b\\c\ndA😀","a":[1,-2.5,true,null,{}]}"#)
-            .unwrap();
-        assert_eq!(v.get("s").and_then(Json::as_str), Some("a\"b\\c\nd\u{41}\u{1F600}"));
-        match v.get("a") {
-            Some(Json::Arr(items)) => {
-                assert_eq!(items.len(), 5);
-                assert_eq!(items[0], Json::Num(1.0));
-                assert_eq!(items[1], Json::Num(-2.5));
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn json_nesting_is_budgeted() {
-        let ok = format!("{}{}", "[".repeat(MAX_JSON_DEPTH), "]".repeat(MAX_JSON_DEPTH));
-        parse_json(&ok).unwrap();
-        let over = format!("{{\"a\":{}", ok);
-        assert!(parse_json(&over).unwrap_err().contains("nesting deeper"));
-        let err = parse_json(&"[".repeat(200_000)).unwrap_err();
-        assert!(err.contains("nesting deeper than 64"), "{err}");
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! * [`Incident`] — a full forensic report for one RSTI detection trap,
 //!   synthesized by the VM's flight recorder (`incident` module): failing
 //!   check site, expected-vs-presented modifier/key, sign-site lineage,
-//!   scope timeline, and the last-K event window.
+//!   scope timeline, and the last-K event window;
+//! * [`json`] — the one JSON module: [`json_str`] for the writers and the
+//!   bounded reader [`parse_json`] that `serve` and `rsti report` use.
 //!
 //! ## Off-by-default cost guarantee
 //!
@@ -35,11 +37,13 @@
 
 pub mod export;
 pub mod incident;
+pub mod json;
 
 pub use export::{
     chrome_trace, phase_trace_events, to_folded, Histogram, TraceEvent, HIST_BUCKETS,
 };
 pub use incident::{Incident, IncidentEvent, SignLineage, INCIDENT_SCHEMA};
+pub use json::{json_str, parse_json, Json};
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -433,25 +437,6 @@ impl Event<'_> {
             ),
         }
     }
-}
-
-/// Escapes a string as a JSON string literal (with surrounding quotes).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 // ---------------------------------------------------------------------------

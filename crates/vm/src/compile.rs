@@ -40,9 +40,12 @@
 //! dual-mode fuzz oracle hold the block pre-charge and its rollback to
 //! the per-op reference.
 //!
-//! Malformed images (type ids out of table range) are translated without
-//! failing: the affected ops defer their layout lookup to execution time,
-//! so an op that never runs never fails.
+//! Translation starts with `rsti_ir::check_ids`, once per image: an image
+//! with an id that does not resolve gets no code, only the check's message,
+//! and [`Vm::new`] loads it into a VM already trapped with
+//! [`Trap::BadProgram`]. Every op is therefore translated against ids that
+//! resolve, and only the value shapes a run produces are checked at run
+//! time.
 
 use super::*;
 use rsti_ir::{BasicBlock, Function};
@@ -126,7 +129,9 @@ pub(crate) struct CompiledFunc {
 
 /// A fully compiled module, cached on the [`Image`].
 pub(crate) struct CompiledModule {
-    funcs: Vec<CompiledFunc>,
+    /// The translated bodies, or the id check's first failure for a
+    /// malformed image.
+    pub(crate) funcs: Result<Vec<CompiledFunc>, String>,
     /// The image configuration the code was specialized against; the
     /// cache revalidates this before reuse.
     pub(crate) fingerprint: (CostModel, Backend),
@@ -142,9 +147,6 @@ pub(crate) enum Slot {
     /// Immediate: constants, and global/string/function addresses folded
     /// against the module's deterministic layout.
     Imm(RtVal),
-    /// Operand referencing a missing global/string table entry — fails
-    /// when read, not at translation.
-    Bad(&'static str, usize),
 }
 
 #[cold]
@@ -153,7 +155,7 @@ fn undefined_use(v: ValueId) -> Trap {
     Trap::BadProgram(format!("use of undefined {v}"))
 }
 
-/// The silent int coercion (`binop`'s integer arm).
+/// The silent int coercion of integer `Bin` operands.
 #[inline(always)]
 fn int_of(v: RtVal) -> i64 {
     match v {
@@ -163,7 +165,7 @@ fn int_of(v: RtVal) -> i64 {
     }
 }
 
-/// The float coercion (`binop`'s F64 arm), trap text included.
+/// The float coercion of `F64` `Bin` operands, trap text included.
 #[inline(always)]
 fn float_of(v: RtVal) -> Result<f64, Trap> {
     match v {
@@ -187,7 +189,6 @@ impl Slot {
                 Ok(val)
             }
             Slot::Imm(v) => Ok(*v),
-            Slot::Bad(what, idx) => Err(oob(what, *idx)),
         }
     }
 
@@ -234,8 +235,8 @@ impl SlotR for ImmS {
     }
 }
 
-/// The generic fallback (covers `Bad`, and `Imm x Imm` pairs the
-/// optimizer didn't fold).
+/// The generic fallback (covers `Imm x Imm` pairs the optimizer didn't
+/// fold).
 impl SlotR for Slot {
     #[inline(always)]
     fn get(self, vm: &Vm<'_>) -> Result<RtVal, Trap> {
@@ -282,16 +283,11 @@ macro_rules! dispatch1 {
                 let $a = ImmS(x);
                 $body
             }
-            l => {
-                let $a = l;
-                $body
-            }
         }
     };
 }
 
-/// Pre-folded `Load` width dispatch (the `load_typed` match, decided at
-/// compile time).
+/// Pre-folded `Load` width dispatch, decided at compile time.
 enum LoadKind {
     I8,
     I16,
@@ -301,12 +297,9 @@ enum LoadKind {
     Ptr,
     /// Unsupported pointee: the error, pre-rendered.
     Bad(String),
-    /// Out-of-range `TypeId` in a malformed image: defer to `load_typed`
-    /// at execution time.
-    Deferred(TypeId),
 }
 
-/// Pre-folded `wrap_int` target width.
+/// Pre-folded integer result width (`Bin` and `Convert`).
 #[derive(Clone, Copy)]
 enum WrapKind {
     Bool,
@@ -331,21 +324,8 @@ impl WrapKind {
 
 /// Pre-resolved direct-call target.
 enum Callee {
-    /// Out-of-range function id; errs after argument evaluation
-    /// (operands first, then the callee check).
-    Missing(usize),
     External { name: String, ret: TypeId },
     Internal(FuncId),
-}
-
-/// How a `Store` derives the slot (pointee) type it writes through.
-enum StoreTy {
-    /// Known at compile time; `None` falls back by value shape, exactly
-    /// like `store_slot_type`'s default arm.
-    Static(Option<TypeId>),
-    /// Malformed image (id out of table range): defer to
-    /// `store_slot_type` at execution time, panics and all.
-    Deferred(Operand),
 }
 
 /// Shared compile context: the module plus its deterministic layout,
@@ -368,28 +348,12 @@ impl Cx<'_> {
             Operand::ConstFloat(bits, _) => Slot::Imm(RtVal::F(f64::from_bits(*bits))),
             Operand::Null(_) => Slot::Imm(RtVal::P(0)),
             Operand::FuncAddr(fid, _) => Slot::Imm(RtVal::P(func_address(self.m, *fid))),
-            Operand::GlobalAddr(gid, _) => match self.gaddr.get(gid.0 as usize) {
-                Some(&a) => Slot::Imm(RtVal::P(a)),
-                None => Slot::Bad("global", gid.0 as usize),
-            },
-            Operand::Str(sid, _) => match self.saddr.get(sid.0 as usize) {
-                Some(&a) => Slot::Imm(RtVal::P(a)),
-                None => Slot::Bad("string", sid.0 as usize),
-            },
+            Operand::GlobalAddr(gid, _) => Slot::Imm(RtVal::P(self.gaddr[gid.0 as usize])),
+            Operand::Str(sid, _) => Slot::Imm(RtVal::P(self.saddr[sid.0 as usize])),
         }
-    }
-
-    /// Whether a `TypeId` can be looked up without panicking (malformed
-    /// images carry out-of-range ids; those arms defer the lookup to
-    /// execution time instead of failing eagerly here).
-    fn ty_ok(&self, ty: TypeId) -> bool {
-        (ty.0 as usize) < self.m.types.len()
     }
 
     fn load_kind(&self, ty: TypeId) -> LoadKind {
-        if !self.ty_ok(ty) {
-            return LoadKind::Deferred(ty);
-        }
         match self.m.types.get(ty) {
             Type::Bool | Type::I8 => LoadKind::I8,
             Type::I16 => LoadKind::I16,
@@ -413,10 +377,14 @@ impl Cx<'_> {
 }
 
 /// Compiles an image's module against its cost model and enforcement
-/// backend. Pure over the module — runs share the result through the
-/// image's cache.
+/// backend, after checking every id in the image. Pure over the image —
+/// runs share the result through the image's cache.
 pub(crate) fn compile_module(img: &Image) -> CompiledModule {
     let m: &Module = &img.module;
+    let fingerprint = (img.cost, img.backend);
+    if let Err(errs) = rsti_ir::check_ids(m, img.global_signing.iter().map(|g| g.global)) {
+        return CompiledModule { funcs: Err(errs[0].to_string()), fingerprint, n_blocks: 0 };
+    }
     let (saddr, _) = string_addresses(m);
     let cx = Cx {
         m,
@@ -450,11 +418,7 @@ pub(crate) fn compile_module(img: &Image) -> CompiledModule {
             }
         })
         .collect();
-    CompiledModule {
-        funcs,
-        fingerprint: (img.cost, img.backend),
-        n_blocks,
-    }
+    CompiledModule { funcs: Ok(funcs), fingerprint, n_blocks }
 }
 
 fn compile_block(
@@ -529,22 +493,15 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
     let mac = cx.backend == Backend::MacTable;
     match inst {
         Inst::Alloca { result, ty, var } => {
-            let (result, ty, var) = (*result, *ty, *var);
-            let size = cx
-                .ty_ok(ty)
-                .then(|| cx.tl.size_of(ty).max(1).div_ceil(8).saturating_mul(8));
+            let (result, var) = (*result, *var);
+            let size = cx.tl.size_of(*ty).max(1).div_ceil(8).saturating_mul(8);
             Box::new(move |vm| {
                 let fr = vm.frames.last().expect("frame");
-                let (tag, cached) =
-                    fr.alloca_cache.get(result.0 as usize).copied().unwrap_or((0, 0));
+                let (tag, cached) = fr.alloca_cache[result.0 as usize];
                 if tag == fr.gen {
                     vm.set(result, RtVal::P(cached));
                     return Control::Next;
                 }
-                // The malformed-image arm looks the layout up lazily
-                // (and panics there).
-                let size = size
-                    .unwrap_or_else(|| vm.tl.size_of(ty).max(1).div_ceil(8).saturating_mul(8));
                 let addr = vm.stack_top;
                 if addr
                     .checked_add(size)
@@ -555,9 +512,6 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                 vm.stack_top += size;
                 tri!(vm.mem.write_zeros(addr, size).map_err(|e| vm.mem_err(e)));
                 let fr = vm.frames.last_mut().expect("frame");
-                if result.0 as usize >= fr.alloca_cache.len() {
-                    grow_slots(&mut fr.alloca_cache, result.0 as usize, (0, 0));
-                }
                 fr.alloca_cache[result.0 as usize] = (fr.gen, addr);
                 if let Some(v) = var {
                     fr.locals.push((v, addr));
@@ -570,7 +524,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
             let result = *result;
             let ptr = cx.resolve(ptr);
             let kind = cx.load_kind(*ty);
-            let track = mac && cx.ty_ok(*ty) && cx.m.types.is_ptr(*ty);
+            let track = mac && cx.m.types.is_ptr(*ty);
             // One closure per width (and per pointer-operand kind), so the
             // executed path is ptr read -> canonicalize -> one fixed-width
             // memory read -> register write, with no dispatch left.
@@ -635,33 +589,20 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                         tri!(vm.deref_addr(p));
                         Control::Trap(Box::new(Trap::BadProgram(msg.clone())))
                     }),
-                    LoadKind::Deferred(ty) => {
-                        load_c!(|vm, addr| tri!(vm.load_typed(addr, ty)))
-                    }
                 }
             })
         }
         Inst::Store { value, ptr } => {
             let value_s = cx.resolve(value);
             let ptr_s = cx.resolve(ptr);
+            // The slot (pointee) type the store writes through; `None`
+            // falls back by value shape.
             let sty = match ptr {
-                Operand::Value(v) if (v.0 as usize) < f.value_types.len() => {
-                    let p = f.value_type(*v);
-                    if cx.ty_ok(p) {
-                        StoreTy::Static(cx.m.types.pointee(p))
-                    } else {
-                        StoreTy::Deferred(ptr.clone())
-                    }
-                }
-                Operand::Value(_) => StoreTy::Deferred(ptr.clone()),
+                Operand::Value(v) => cx.m.types.pointee(f.value_type(*v)),
                 Operand::GlobalAddr(_, t) | Operand::Null(t) | Operand::Str(_, t) => {
-                    if cx.ty_ok(*t) {
-                        StoreTy::Static(cx.m.types.pointee(*t))
-                    } else {
-                        StoreTy::Deferred(ptr.clone())
-                    }
+                    cx.m.types.pointee(*t)
                 }
-                _ => StoreTy::Static(None),
+                _ => None,
             };
             let ty_i64 = cx.ty_i64;
             // One closure per pre-decided slot-type source and width (and
@@ -701,7 +642,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                     }};
                 }
                 match sty {
-                    StoreTy::Static(Some(ty)) => match cx.m.types.get(ty) {
+                    Some(ty) => match cx.m.types.get(ty) {
                         Type::Bool | Type::I8 => store_c!(ty, RtVal::I(i) => [i as u8]),
                         Type::I16 => store_c!(ty, RtVal::I(i) => (i as i16).to_le_bytes()),
                         Type::I32 => store_c!(ty, RtVal::I(i) => (i as i32).to_le_bytes()),
@@ -744,12 +685,11 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                             Control::Next
                         }),
                     },
-                    StoreTy::Static(None) => Box::new(move |vm: &mut Vm<'_>| {
+                    None => Box::new(move |vm: &mut Vm<'_>| {
                         prologue!(vm, v, addr);
-                        // Shape-derived slot type (`store_slot_type`'s
-                        // default arm): I and F write their natural width;
-                        // P derives i64 and lets `store_typed` produce the
-                        // mismatch error.
+                        // Shape-derived slot type: I and F write their
+                        // natural width; P derives i64 and lets
+                        // `store_typed` produce the mismatch error.
                         match v {
                             RtVal::I(i) => tri!(vm
                                 .mem
@@ -763,76 +703,40 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                         }
                         Control::Next
                     }),
-                    StoreTy::Deferred(op) => Box::new(move |vm: &mut Vm<'_>| {
-                        prologue!(vm, v, addr);
-                        let ty = vm.store_slot_type(&op, v);
-                        tri!(vm.store_typed(addr, ty, v));
-                        Control::Next
-                    }),
                 }
             })
         }
         Inst::FieldAddr { result, base, struct_id, field } => {
             let result = *result;
             let base = cx.resolve(base);
-            let (struct_id, field) = (*struct_id, *field);
-            let in_range = (struct_id.0 as usize) < cx.m.types.struct_count()
-                && field < cx.m.types.struct_def(struct_id).fields.len();
-            let off = in_range.then(|| cx.tl.field_offset(struct_id, field));
-            match off {
-                Some(off) => dispatch1!(base, |bs| {
-                    Box::new(move |vm: &mut Vm<'_>| {
-                        let b = tri!(vm.as_ptr(tri!(bs.get(vm))));
-                        vm.set(result, RtVal::P(b.wrapping_add(off)));
-                        Control::Next
-                    })
-                }),
-                // Malformed image: the lazy lookup, panic included.
-                None => Box::new(move |vm| {
-                    let b = tri!(base.read_ptr(vm));
-                    let off = vm.tl.field_offset(struct_id, field);
+            let off = cx.tl.field_offset(*struct_id, *field);
+            dispatch1!(base, |bs| {
+                Box::new(move |vm: &mut Vm<'_>| {
+                    let b = tri!(vm.as_ptr(tri!(bs.get(vm))));
                     vm.set(result, RtVal::P(b.wrapping_add(off)));
                     Control::Next
-                }),
-            }
+                })
+            })
         }
         Inst::IndexAddr { result, base, index, elem_ty } => {
             let result = *result;
             let base = cx.resolve(base);
             let index = cx.resolve(index);
-            let elem_ty = *elem_ty;
-            let sz = cx.ty_ok(elem_ty).then(|| cx.tl.size_of(elem_ty).max(1) as i64);
-            match sz {
-                Some(sz) => dispatch2!(base, index, |bs, is| {
-                    Box::new(move |vm: &mut Vm<'_>| {
-                        let b = tri!(vm.as_ptr(tri!(bs.get(vm))));
-                        let i = match tri!(is.get(vm)) {
-                            RtVal::I(i) => i,
-                            RtVal::P(p) => p as i64,
-                            RtVal::F(_) => {
-                                return Control::Trap(Box::new(Trap::BadProgram(
-                                    "float index".into(),
-                                )))
-                            }
-                        };
-                        vm.set(result, RtVal::P(b.wrapping_add(i.wrapping_mul(sz) as u64)));
-                        Control::Next
-                    })
-                }),
-                None => Box::new(move |vm| {
-                    let b = tri!(base.read_ptr(vm));
-                    let i = match tri!(index.read(vm)) {
+            let sz = cx.tl.size_of(*elem_ty).max(1) as i64;
+            dispatch2!(base, index, |bs, is| {
+                Box::new(move |vm: &mut Vm<'_>| {
+                    let b = tri!(vm.as_ptr(tri!(bs.get(vm))));
+                    let i = match tri!(is.get(vm)) {
                         RtVal::I(i) => i,
                         RtVal::P(p) => p as i64,
                         RtVal::F(_) => {
                             return Control::Trap(Box::new(Trap::BadProgram("float index".into())))
                         }
                     };
-                    let sz = vm.tl.size_of(elem_ty).max(1) as i64;
                     vm.set(result, RtVal::P(b.wrapping_add(i.wrapping_mul(sz) as u64)));
                     Control::Next
-                }),
-            }
+                })
+            })
         }
         Inst::BitCast { result, value, .. } => {
             let result = *result;
@@ -848,58 +752,27 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
         Inst::Convert { result, value, to } => {
             let result = *result;
             let value = cx.resolve(value);
-            let to = *to;
-            // (to_f64, wrap target), or defer the lookup for a malformed id.
-            let kind = cx
-                .ty_ok(to)
-                .then(|| (matches!(cx.m.types.get(to), Type::F64), cx.wrap_kind(to)));
-            match kind {
-                Some((to_f64, wk)) => dispatch1!(value, |vs| {
-                    Box::new(move |vm: &mut Vm<'_>| {
-                        let v = tri!(vs.get(vm));
-                        let out = match (v, to_f64) {
-                            (RtVal::I(i), true) => RtVal::F(i as f64),
-                            (RtVal::F(fv), true) => RtVal::F(fv),
-                            (RtVal::F(fv), false) => RtVal::I(wk.apply(fv as i64)),
-                            (RtVal::I(i), false) => RtVal::I(wk.apply(i)),
-                            (RtVal::P(p), _) => RtVal::I(wk.apply(p as i64)),
-                        };
-                        vm.set(result, out);
-                        Control::Next
-                    })
-                }),
-                // Malformed image: the lazy table lookup, panic included.
-                None => Box::new(move |vm| {
-                    let v = tri!(value.read(vm));
-                    let out = match (v, vm.img.module.types.get(to)) {
-                        (RtVal::I(i), Type::F64) => RtVal::F(i as f64),
-                        (RtVal::F(fv), Type::F64) => RtVal::F(fv),
-                        (RtVal::F(fv), _) => RtVal::I(wrap_int(&vm.img.module, to, fv as i64)),
-                        (RtVal::I(i), _) => RtVal::I(wrap_int(&vm.img.module, to, i)),
-                        (RtVal::P(p), _) => RtVal::I(wrap_int(&vm.img.module, to, p as i64)),
+            let to_f64 = matches!(cx.m.types.get(*to), Type::F64);
+            let wk = cx.wrap_kind(*to);
+            dispatch1!(value, |vs| {
+                Box::new(move |vm: &mut Vm<'_>| {
+                    let v = tri!(vs.get(vm));
+                    let out = match (v, to_f64) {
+                        (RtVal::I(i), true) => RtVal::F(i as f64),
+                        (RtVal::F(fv), true) => RtVal::F(fv),
+                        (RtVal::F(fv), false) => RtVal::I(wk.apply(fv as i64)),
+                        (RtVal::I(i), false) => RtVal::I(wk.apply(i)),
+                        (RtVal::P(p), _) => RtVal::I(wk.apply(p as i64)),
                     };
                     vm.set(result, out);
                     Control::Next
-                }),
-            }
+                })
+            })
         }
         Inst::Bin { result, op, lhs, rhs, ty } => {
             let (result, op, ty) = (*result, *op, *ty);
             let lhs = cx.resolve(lhs);
             let rhs = cx.resolve(rhs);
-            // Malformed `ty`, float ops, and bitwise-on-float defer to
-            // `binop`, which owns the trap order (lhs
-            // coercion errors before rhs, both before "bitwise op on
-            // float") and the out-of-range-id panic.
-            if !cx.ty_ok(ty) {
-                return Box::new(move |vm| {
-                    let a = tri!(lhs.read(vm));
-                    let b = tri!(rhs.read(vm));
-                    let out = tri!(vm.binop(op, a, b, ty));
-                    vm.set(result, out);
-                    Control::Next
-                });
-            }
             if matches!(cx.m.types.get(ty), Type::F64) {
                 return dispatch2!(lhs, rhs, |a, b| {
                     macro_rules! fbin {
@@ -919,12 +792,12 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                         BinOp::Mul => fbin!(|x, y| x * y),
                         BinOp::Div => fbin!(|x, y| x / y),
                         BinOp::Rem => fbin!(|x, y| x % y),
+                        // Both operands still coerce first: an lhs error
+                        // wins over an rhs error, both over this one.
                         _ => Box::new(move |vm: &mut Vm<'_>| {
-                            let av = tri!(a.get(vm));
-                            let bv = tri!(b.get(vm));
-                            let out = tri!(vm.binop(op, av, bv, ty));
-                            vm.set(result, out);
-                            Control::Next
+                            tri!(float_of(tri!(a.get(vm))));
+                            tri!(float_of(tri!(b.get(vm))));
+                            Control::Trap(Box::new(Trap::BadProgram("bitwise op on float".into())))
                         }),
                     }
                 });
@@ -1003,12 +876,11 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
         Inst::Call { result, callee, args } => {
             let result = *result;
             let args: Vec<Slot> = args.iter().map(|a| cx.resolve(a)).collect();
-            let kind = match cx.m.funcs.get(callee.0 as usize) {
-                None => Callee::Missing(callee.0 as usize),
-                Some(cf) if cf.is_external => {
-                    Callee::External { name: cf.name.clone(), ret: cf.sig.ret }
-                }
-                Some(_) => Callee::Internal(*callee),
+            let cf = cx.m.func(*callee);
+            let kind = if cf.is_external {
+                Callee::External { name: cf.name.clone(), ret: cf.sig.ret }
+            } else {
+                Callee::Internal(*callee)
             };
             Box::new(move |vm| {
                 let mut argv = std::mem::take(&mut vm.call_args);
@@ -1023,7 +895,6 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                     }
                 }
                 let r = match &kind {
-                    Callee::Missing(i) => Control::Trap(Box::new(oob("function", *i))),
                     Callee::External { name, ret } => {
                         let v = vm.external_call(name, &argv, *ret);
                         if let (Some(rr), Some(v)) = (result, v) {
@@ -1138,12 +1009,8 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
             })
         }
         Inst::PrintStr { s } => {
-            let text = cx.m.strings.get(s.0 as usize).cloned();
-            let idx = s.0 as usize;
+            let text = cx.m.strings[s.0 as usize].clone();
             Box::new(move |vm| {
-                let Some(text) = &text else {
-                    return Control::Trap(Box::new(oob("string", idx)));
-                };
                 vm.output.push(text.clone());
                 Control::Next
             })
@@ -1422,14 +1289,20 @@ impl<'img> Vm<'img> {
     /// [`Vm::finish`]. With a watchpoint it runs one block per dispatch
     /// and pauses when `watch` is entered.
     pub(crate) fn drive(&mut self, watch: Option<FuncId>) {
-        let code = self.img.compiled();
+        let code = Arc::clone(&self.code);
+        // An image that failed the id check has no code; its VM was
+        // trapped at load.
+        let Ok(funcs) = &code.funcs else {
+            self.flush_telemetry();
+            return;
+        };
         let _span = rsti_telemetry::global().span(Phase::VmRun);
         let mut skip_check = std::mem::take(&mut self.paused);
         let Some(w) = watch else {
             // No watchpoint (the measurement path): direct-threaded
             // block execution with no per-block entry check.
             while self.status.is_none() {
-                if let Err(t) = self.exec_blocks(&code, false) {
+                if let Err(t) = self.exec_blocks(funcs, false) {
                     self.status = Some(Status::Trapped(t));
                 }
             }
@@ -1449,7 +1322,7 @@ impl<'img> Vm<'img> {
             // One block per dispatch: the pause check above must see
             // every block entry, and the attacker API the exact state
             // between any two blocks.
-            if let Err(t) = self.exec_blocks(&code, true) {
+            if let Err(t) = self.exec_blocks(funcs, true) {
                 self.status = Some(Status::Trapped(t));
             }
         }
@@ -1459,7 +1332,7 @@ impl<'img> Vm<'img> {
     /// Executes blocks from the current frame position until control
     /// leaves the frame (call push, return, exit) or — with
     /// `single_block` — the first block transfer.
-    fn exec_blocks(&mut self, code: &CompiledModule, single_block: bool) -> Result<(), Trap> {
+    fn exec_blocks(&mut self, code: &[CompiledFunc], single_block: bool) -> Result<(), Trap> {
         let depth = self.frames.len();
         let fr = self.frames.last().expect("active frame");
         let mut func = fr.func.0 as usize;
@@ -1467,7 +1340,7 @@ impl<'img> Vm<'img> {
         let mut idx = fr.idx;
         // The block table changes only when the frame does (a return),
         // so resolve it per function, not per block.
-        let mut fblocks = &code.funcs[func].blocks;
+        let mut fblocks = &code[func].blocks;
         let branch_cost = self.img.cost.branch;
         // Loop-invariant driver state lives in registers: telemetry
         // tracing, attribution and the recorder cannot toggle mid-run, and
@@ -1482,10 +1355,7 @@ impl<'img> Vm<'img> {
             self.attr.is_some() || self.rec.is_some() || self.img.exec == ExecBackend::Interp;
         let mut budget = self.fuel.saturating_sub(self.insts);
         loop {
-            let Some(cb) = fblocks.get(block) else {
-                let name = &self.img.module.funcs[func].name;
-                return Err(missing_block(block, name));
-            };
+            let cb = &fblocks[block];
             let n = cb.ops.len();
             let remaining = (n - idx) as u64 + 1;
             if !per_op && remaining <= budget {
@@ -1543,7 +1413,7 @@ impl<'img> Vm<'img> {
                     func = fr.func.0 as usize;
                     block = fr.block;
                     idx = fr.idx;
-                    fblocks = &code.funcs[func].blocks;
+                    fblocks = &code[func].blocks;
                     if single_block {
                         return Ok(());
                     }

@@ -286,41 +286,22 @@ fn opcode_class(inst: &Inst) -> usize {
     }
 }
 
-/// Builds the out-of-range trap for a malformed image. Kept out of line
-/// so the bounds checks in the hottest op closures compile to
-/// a branch plus a call into cold code instead of inline `format!`
-/// machinery.
+/// Builds the trap for a register read outside the frame's window. The
+/// load-time id check keeps every register id inside its function's value
+/// table, so a checked image never gets here; the read stays total instead
+/// of panicking. Kept out of line so the bounds check in the hottest op
+/// closures compiles to a branch plus a call into cold code instead of
+/// inline `format!` machinery.
 #[cold]
 #[inline(never)]
 fn oob(what: &'static str, idx: usize) -> Trap {
     Trap::BadProgram(format!("{what} {idx} out of range"))
 }
 
-/// Grows a register-file-shaped table so a malformed image's write past
-/// the declared value table lands in fresh slots instead of aborting the
-/// process. Out of line: the resize machinery stays off the hot path.
-#[cold]
-#[inline(never)]
-fn grow_slots<T: Copy>(slots: &mut Vec<T>, idx: usize, fill: T) {
-    slots.resize(idx + 1, fill);
-}
-
-#[cold]
-#[inline(never)]
-fn missing_block(block: usize, func: &str) -> Trap {
-    Trap::BadProgram(format!("branch to missing block {block} in {func}"))
-}
-
 #[cold]
 #[inline(never)]
 fn unreachable_reached(func: &str) -> Trap {
     Trap::BadProgram(format!("reached unreachable in {func}"))
-}
-
-#[cold]
-#[inline(never)]
-fn external_frame(func: &str) -> Trap {
-    Trap::BadProgram(format!("frame pushed for external function {func}"))
 }
 
 /// Which pointer-to-pointer metadata check failed, carried as plain
@@ -870,8 +851,9 @@ impl Image {
         let _ = self.compiled();
     }
 
-    /// The translated form of this image, building it on first use under
-    /// either accounting mode (timed as [`Phase::VmCompile`], counted in
+    /// The translated form of this image (or, for a malformed image, the
+    /// id check's failure), building it on first use under either
+    /// accounting mode (timed as [`Phase::VmCompile`], counted in
     /// `vm_compiled_blocks`). Cached code is reused only while the image's
     /// cost model and enforcement backend still match the fingerprint it
     /// was compiled under.
@@ -1048,10 +1030,8 @@ impl Frame {
 /// The virtual machine.
 pub struct Vm<'img> {
     img: &'img Image,
-    /// Precomputed type sizes / field offsets — address arithmetic in the
-    /// `IndexAddr` / `FieldAddr` / `Alloca` arms is an indexed load rather
-    /// than a recursive walk over struct definitions per instruction.
-    tl: TypeLayout,
+    /// The image's translation, taken from its cache at load.
+    code: Arc<compile::CompiledModule>,
     /// Memory (attacker-reachable data lives here).
     pub mem: Memory,
     alloc: Allocator,
@@ -1136,95 +1116,31 @@ pub enum RunStop {
 }
 
 impl<'img> Vm<'img> {
-    /// Loads an image: lays out globals and strings, applies load-time
-    /// signing, and prepares to call `main`. A module without a `main`
-    /// function yields a VM already trapped with [`Trap::BadProgram`]
-    /// rather than a panic.
+    /// Loads an image: checks its ids (once per image, with its
+    /// translation), lays out globals and strings, applies load-time
+    /// signing, and prepares to call `main`. A malformed image — an id that
+    /// does not resolve, no `main`, or data demands beyond what the VM
+    /// hosts — yields a VM already trapped rather than a panic.
     pub fn new(img: &'img Image) -> Self {
         let m = &img.module;
-        // Globals layout — delegated to the module so the optimizer's
-        // precomputed-modifier pass folds exactly the addresses the VM
-        // loads at (`rsti_ir::Module::global_addresses` is the contract).
-        let gaddr = m.global_addresses();
-        let goff = match (gaddr.last(), m.globals.last()) {
-            (Some(&base), Some(g)) => base
-                .saturating_sub(layout::GLOBAL_BASE)
-                // Saturating: absurd global sizes must survive layout so
-                // the segment-size check below can reject them with a trap.
-                .saturating_add(m.types.size_of(g.ty).max(8).div_ceil(8).saturating_mul(8)),
-            _ => 0,
-        };
-        // Strings layout.
-        let (saddr, soff) = string_addresses(m);
-        // Segment sizes are program-derived (a huge global array inflates
-        // `goff`); an oversized request loads into an already-trapped VM,
-        // mirroring the no-`main` path below, instead of aborting the host.
-        let (mut mem, mem_fault) =
-            match Memory::new(goff.max(8), soff.max(8), img.heap_size, img.stack_size) {
-                Ok(mem) => (mem, None),
-                Err(fault) => (
-                    Memory::new(8, 8, 64, 64).expect("minimal layout fits"),
-                    Some(fault),
-                ),
-            };
-        // String contents (program-read-only segment; written here via the
-        // loader's privileged path).
-        if mem_fault.is_none() {
-            for (s, &a) in m.strings.iter().zip(&saddr) {
-                let mut bytes = s.as_bytes().to_vec();
-                bytes.push(0);
-                mem.attacker_write(a, &bytes).expect("string fits");
-            }
-        }
+        let code = img.compiled();
         let mut pac = PacUnit::new(&img.keys, img.va);
-        // Global initializers.
-        let vm_init = |mem: &mut Memory| {
-            for (gi, g) in m.globals.iter().enumerate() {
-                let a = gaddr[gi];
-                match &g.init {
-                    GlobalInit::Zero => {}
-                    GlobalInit::Int(v) => {
-                        let size = m.types.size_of(g.ty).clamp(1, 8);
-                        let bytes = v.to_le_bytes();
-                        mem.write(a, &bytes[..size as usize]).expect("global fits");
-                    }
-                    GlobalInit::FuncAddr(fid) => {
-                        let fa = func_address(m, *fid);
-                        mem.write_u64(a, fa).expect("global fits");
-                    }
-                    GlobalInit::Str(sid) => {
-                        mem.write_u64(a, saddr[sid.0 as usize]).expect("global fits");
-                    }
-                }
+        let mut mac_table = HashMap::new();
+        let loaded = match &code.funcs {
+            Ok(_) => load_data(img, &mut pac, &mut mac_table),
+            Err(msg) => Err(Trap::BadProgram(msg.clone())),
+        };
+        let (mem, gaddr, load_trap) = match loaded {
+            Ok((mem, gaddr)) => (mem, gaddr, None),
+            Err(t) => {
+                let mem = Memory::new(8, 8, 64, 64).expect("minimal layout fits");
+                (mem, Vec::new(), Some(t))
             }
         };
-        if mem_fault.is_none() {
-            vm_init(&mut mem);
-        }
-        // Load-time signing of static pointer initializers.
-        let mut boot_macs: Vec<(u64, u64)> = Vec::new();
-        for gs in img.global_signing.iter().filter(|_| mem_fault.is_none()) {
-            let a = gaddr[gs.global.0 as usize];
-            let raw = mem.read_u64(a).expect("global mapped");
-            if raw == 0 {
-                continue;
-            }
-            let modifier = if gs.mix_location { gs.modifier ^ a } else { gs.modifier };
-            match img.backend {
-                Backend::PacInPointer => {
-                    let signed = pac.sign(key_id(gs.key), raw, modifier);
-                    mem.write_u64(a, signed).expect("global mapped");
-                }
-                Backend::MacTable => {
-                    let mac = pac.compute_pac(key_id(gs.key), raw, modifier);
-                    boot_macs.push((a, mac));
-                }
-            }
-        }
 
         let mut vm = Vm {
             img,
-            tl: m.types.layout(),
+            code,
             mem,
             alloc: Allocator::new(img.heap_size),
             pac,
@@ -1248,7 +1164,7 @@ impl<'img> Vm<'img> {
             stack_top: layout::STACK_BASE,
             status: None,
             paused: false,
-            mac_table: boot_macs.into_iter().collect(),
+            mac_table,
             pending_mac: None,
             last_ptr_load: None,
             site_counts: [0; 6],
@@ -1260,16 +1176,11 @@ impl<'img> Vm<'img> {
             attr: img.attr.then(|| AttrState::new(&img.module, img.attr_sample_every)),
             rec: img.record.then(|| RecState::new(&img.module, img.record_cap)),
         };
-        // A malformed image (no `main`, a `main` that cannot get a frame,
-        // or data demands beyond what the VM hosts) loads into an
-        // already-trapped VM instead of aborting the process: `run` then
-        // reports the trap like any other failure, and the
-        // audit/telemetry path still sees the run.
-        if let Some(fault) = mem_fault {
-            vm.status = Some(Status::Trapped(Trap::Mem {
-                func: "<loader>".into(),
-                fault,
-            }));
+        // A malformed image loads into an already-trapped VM instead of
+        // aborting the process: `run` then reports the trap like any other
+        // failure, and the audit/telemetry path still sees the run.
+        if let Some(t) = load_trap {
+            vm.status = Some(Status::Trapped(t));
             return vm;
         }
         match m.func_by_name("main") {
@@ -1330,7 +1241,7 @@ impl<'img> Vm<'img> {
     /// Address of a global by name.
     pub fn global_addr(&self, name: &str) -> Option<u64> {
         let gid = self.img.module.global_by_name(name)?;
-        Some(self.global_addrs[gid.0 as usize])
+        self.global_addrs.get(gid.0 as usize).copied()
     }
 
     /// Address of the innermost live stack slot for a variable name.
@@ -1947,12 +1858,7 @@ impl<'img> Vm<'img> {
             self.attr_checkpoint();
         }
         let img = self.img;
-        let Some(f) = img.module.funcs.get(fid.0 as usize) else {
-            return Err(oob("function", fid.0 as usize));
-        };
-        if f.is_external {
-            return Err(external_frame(&f.name));
-        }
+        let f = img.module.func(fid);
         let mut frame = self.frame_pool.pop().unwrap_or_else(Frame::blank);
         let nvals = f.value_types.len();
         // A fresh, globally unique generation invalidates every slot the
@@ -2044,16 +1950,7 @@ impl<'img> Vm<'img> {
 
     #[inline]
     fn set(&mut self, v: ValueId, val: RtVal) {
-        let i = self.reg_base + v.0 as usize;
-        if i >= self.regs.len() {
-            // Malformed image: a result id past the declared value table.
-            // Grow the register file rather than abort the process.
-            grow_slots(&mut self.regs, i, (0, RtVal::I(0)));
-        }
-        self.regs[i] = (self.cur_gen, val);
-        if i >= self.reg_top {
-            self.reg_top = i + 1;
-        }
+        self.regs[self.reg_base + v.0 as usize] = (self.cur_gen, val);
     }
 
     #[inline]
@@ -2088,42 +1985,6 @@ impl<'img> Vm<'img> {
         Trap::Mem { func: self.cur_func_name(), fault }
     }
 
-    fn load_typed(&self, addr: u64, ty: TypeId) -> Result<RtVal, Trap> {
-        let m = &self.img.module;
-        let v = match m.types.get(ty) {
-            Type::Bool | Type::I8 => {
-                let b = self.mem.read_arr::<1>(addr).map_err(|e| self.mem_err(e))?;
-                RtVal::I(b[0] as i8 as i64)
-            }
-            Type::I16 => {
-                let b = self.mem.read_arr::<2>(addr).map_err(|e| self.mem_err(e))?;
-                RtVal::I(i16::from_le_bytes(b) as i64)
-            }
-            Type::I32 => {
-                let b = self.mem.read_arr::<4>(addr).map_err(|e| self.mem_err(e))?;
-                RtVal::I(i32::from_le_bytes(b) as i64)
-            }
-            Type::I64 => {
-                let b = self.mem.read_arr::<8>(addr).map_err(|e| self.mem_err(e))?;
-                RtVal::I(i64::from_le_bytes(b))
-            }
-            Type::F64 => {
-                let b = self.mem.read_arr::<8>(addr).map_err(|e| self.mem_err(e))?;
-                RtVal::F(f64::from_le_bytes(b))
-            }
-            Type::Ptr(_) => {
-                let v = self.mem.read_u64(addr).map_err(|e| self.mem_err(e))?;
-                RtVal::P(v)
-            }
-            other => {
-                return Err(Trap::BadProgram(format!(
-                    "load of unsupported type {other:?}"
-                )))
-            }
-        };
-        Ok(v)
-    }
-
     fn store_typed(&mut self, addr: u64, ty: TypeId, v: RtVal) -> Result<(), Trap> {
         let img = self.img;
         let m = &img.module;
@@ -2152,21 +2013,6 @@ impl<'img> Vm<'img> {
             }
         };
         r.map_err(|e| self.mem_err(e))
-    }
-
-    /// The type a store writes through (pointee of the ptr operand).
-    fn store_slot_type(&self, ptr_op: &Operand, value: RtVal) -> TypeId {
-        let fr = self.frames.last().expect("frame");
-        let f = &self.img.module.funcs[fr.func.0 as usize];
-        let pty = match ptr_op {
-            Operand::Value(v) => Some(f.value_type(*v)),
-            Operand::GlobalAddr(_, t) | Operand::Null(t) | Operand::Str(_, t) => Some(*t),
-            _ => None,
-        };
-        pty.and_then(|p| self.img.module.types.pointee(p)).unwrap_or(match value {
-            RtVal::F(_) => self.img.module.types.f64(),
-            _ => self.img.module.types.i64(),
-        })
     }
 
     /// The per-op loop's block exit charge: fuel check plus instruction,
@@ -2252,79 +2098,14 @@ impl<'img> Vm<'img> {
             };
             self.status = Some(Status::Exited(code));
         } else if let Some(rt) = fr.ret_to {
-            let i = self.reg_base + rt.0 as usize;
-            if i >= self.regs.len() {
-                grow_slots(&mut self.regs, i, (0, RtVal::I(0)));
-            }
-            self.regs[i] = match val {
+            self.regs[self.reg_base + rt.0 as usize] = match val {
                 Some(v) => (self.cur_gen, v),
                 // Void return into a slot: leave undefined.
                 None => (0, RtVal::I(0)),
             };
-            if i >= self.reg_top {
-                self.reg_top = i + 1;
-            }
         }
         self.recycle(fr);
         Ok(())
-    }
-
-    fn binop(&self, op: BinOp, a: RtVal, b: RtVal, ty: TypeId) -> Result<RtVal, Trap> {
-        let m = &self.img.module;
-        if matches!(m.types.get(ty), Type::F64) {
-            let fa = match a {
-                RtVal::F(f) => f,
-                RtVal::I(i) => i as f64,
-                RtVal::P(_) => return Err(Trap::BadProgram("pointer in float op".into())),
-            };
-            let fb = match b {
-                RtVal::F(f) => f,
-                RtVal::I(i) => i as f64,
-                RtVal::P(_) => return Err(Trap::BadProgram("pointer in float op".into())),
-            };
-            let r = match op {
-                BinOp::Add => fa + fb,
-                BinOp::Sub => fa - fb,
-                BinOp::Mul => fa * fb,
-                BinOp::Div => fa / fb,
-                BinOp::Rem => fa % fb,
-                _ => return Err(Trap::BadProgram("bitwise op on float".into())),
-            };
-            return Ok(RtVal::F(r));
-        }
-        let ia = match a {
-            RtVal::I(i) => i,
-            RtVal::P(p) => p as i64,
-            RtVal::F(f) => f as i64,
-        };
-        let ib = match b {
-            RtVal::I(i) => i,
-            RtVal::P(p) => p as i64,
-            RtVal::F(f) => f as i64,
-        };
-        let r = match op {
-            BinOp::Add => ia.wrapping_add(ib),
-            BinOp::Sub => ia.wrapping_sub(ib),
-            BinOp::Mul => ia.wrapping_mul(ib),
-            BinOp::Div => {
-                if ib == 0 {
-                    return Err(Trap::DivByZero { func: self.cur_func_name() });
-                }
-                ia.wrapping_div(ib)
-            }
-            BinOp::Rem => {
-                if ib == 0 {
-                    return Err(Trap::DivByZero { func: self.cur_func_name() });
-                }
-                ia.wrapping_rem(ib)
-            }
-            BinOp::And => ia & ib,
-            BinOp::Or => ia | ib,
-            BinOp::Xor => ia ^ ib,
-            BinOp::Shl => ia.wrapping_shl(ib as u32 & 63),
-            BinOp::Shr => ia.wrapping_shr(ib as u32 & 63),
-        };
-        Ok(RtVal::I(wrap_int(m, ty, r)))
     }
 
     fn external_call(&mut self, name: &str, args: &[RtVal], ret: TypeId) -> Option<RtVal> {
@@ -2345,16 +2126,6 @@ impl<'img> Vm<'img> {
         } else {
             Some(RtVal::I(0))
         }
-    }
-}
-
-fn wrap_int(m: &Module, ty: TypeId, v: i64) -> i64 {
-    match m.types.get(ty) {
-        Type::Bool => (v != 0) as i64,
-        Type::I8 => v as i8 as i64,
-        Type::I16 => v as i16 as i64,
-        Type::I32 => v as i32 as i64,
-        _ => v,
     }
 }
 
@@ -2379,6 +2150,79 @@ fn ord_vals(a: RtVal, b: RtVal) -> std::cmp::Ordering {
         // arbitrarily rather than panic.
         (RtVal::F(_), RtVal::P(_)) | (RtVal::P(_), RtVal::F(_)) => Ordering::Greater,
     }
+}
+
+/// Lays out and fills an id-checked image's data: the globals and strings
+/// segments, global initializers, and load-time signing of static pointer
+/// initializers (PAC-in-pointer), or their boot MACs into `mac_table`.
+/// Returns the memory and every global's address.
+///
+/// # Errors
+/// A [`Trap::Mem`] when the segments are larger than the VM hosts.
+fn load_data(
+    img: &Image,
+    pac: &mut PacUnit,
+    mac_table: &mut HashMap<u64, u64>,
+) -> Result<(Memory, Vec<u64>), Trap> {
+    let m = &img.module;
+    // Globals layout — delegated to the module so the optimizer's
+    // precomputed-modifier pass folds exactly the addresses the VM
+    // loads at (`rsti_ir::Module::global_addresses` is the contract).
+    let gaddr = m.global_addresses();
+    let goff = match (gaddr.last(), m.globals.last()) {
+        (Some(&base), Some(g)) => base
+            .saturating_sub(layout::GLOBAL_BASE)
+            // Saturating: absurd global sizes must survive layout so
+            // the segment-size check below can reject them with a trap.
+            .saturating_add(m.types.size_of(g.ty).max(8).div_ceil(8).saturating_mul(8)),
+        _ => 0,
+    };
+    let (saddr, soff) = string_addresses(m);
+    // Segment sizes are program-derived (a huge global array inflates
+    // `goff`): an oversized request is a trap, not a host abort.
+    let mut mem = Memory::new(goff.max(8), soff.max(8), img.heap_size, img.stack_size)
+        .map_err(|fault| Trap::Mem { func: "<loader>".into(), fault })?;
+    // String contents (program-read-only segment; written here via the
+    // loader's privileged path).
+    for (s, &a) in m.strings.iter().zip(&saddr) {
+        let mut bytes = s.as_bytes().to_vec();
+        bytes.push(0);
+        mem.attacker_write(a, &bytes).expect("string fits");
+    }
+    for (g, &a) in m.globals.iter().zip(&gaddr) {
+        match &g.init {
+            GlobalInit::Zero => {}
+            GlobalInit::Int(v) => {
+                let size = m.types.size_of(g.ty).clamp(1, 8);
+                let bytes = v.to_le_bytes();
+                mem.write(a, &bytes[..size as usize]).expect("global fits");
+            }
+            GlobalInit::FuncAddr(fid) => {
+                mem.write_u64(a, func_address(m, *fid)).expect("global fits");
+            }
+            GlobalInit::Str(sid) => {
+                mem.write_u64(a, saddr[sid.0 as usize]).expect("global fits");
+            }
+        }
+    }
+    for gs in &img.global_signing {
+        let a = gaddr[gs.global.0 as usize];
+        let raw = mem.read_u64(a).expect("global mapped");
+        if raw == 0 {
+            continue;
+        }
+        let modifier = if gs.mix_location { gs.modifier ^ a } else { gs.modifier };
+        match img.backend {
+            Backend::PacInPointer => {
+                let signed = pac.sign(key_id(gs.key), raw, modifier);
+                mem.write_u64(a, signed).expect("global mapped");
+            }
+            Backend::MacTable => {
+                mac_table.insert(a, pac.compute_pac(key_id(gs.key), raw, modifier));
+            }
+        }
+    }
+    Ok((mem, gaddr))
 }
 
 /// String-segment layout: the address of each interned string, plus the

@@ -245,8 +245,8 @@ fn unreachable_parity() {
     );
 }
 
-/// BadProgram parity: a branch to a missing block reports the same
-/// message from the compiled driver's block lookup as from `step`.
+/// BadProgram parity: a branch to a missing block fails the image's id
+/// check at load with the same message under both engines.
 #[test]
 fn missing_block_parity() {
     let mut m = rsti_frontend::compile("int main() { return 0; }", "parity").unwrap();
@@ -254,7 +254,7 @@ fn missing_block_parity() {
     m.funcs[main.0 as usize].blocks[0].term = Terminator::Br(BlockId(99));
     let r = assert_parity(&Image::baseline(&m), 1_000_000, None, "missing-block");
     assert!(
-        matches!(&r.status, Status::Trapped(Trap::BadProgram(s)) if s.contains("missing block")),
+        matches!(&r.status, Status::Trapped(Trap::BadProgram(s)) if s.contains("unknown block")),
         "{:?}",
         r.status
     );

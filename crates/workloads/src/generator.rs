@@ -12,7 +12,7 @@
 //!   harness uses (its output is stable across releases so Fig. 9/10
 //!   numbers stay comparable).
 //! * [`generate_items`] — a grammar-directed generator that builds
-//!   [`Item`](rsti_frontend::ast::Item) trees directly. `rsti-fuzz`
+//!   [`Item`] trees directly. `rsti-fuzz`
 //!   minimizes failures at the AST level, so its inputs must *be* ASTs;
 //!   the pretty-printer (`rsti_frontend::print_items`) turns them into
 //!   source for the pipeline under test. Every program it emits is
