@@ -42,13 +42,24 @@
 //! record-off run (the recorder only observes), and the recorder-on cost
 //! is recorded beside the attr cost. Every run appends one
 //! schema-versioned line to `reports/bench_history.jsonl` — the
-//! trajectory log that `rsti report` diffs and CI's regression check
-//! reads.
+//! trajectory log that `rsti report` diffs.
+//!
+//! The run then gates itself ([`rsti_bench::gates`]): it diffs its entry
+//! against the last committed one (read before appending), prints
+//! `::warning::` lines for a regression or a costly profiler, and exits
+//! non-zero when the compiled/interp or serve warm/cold ratio falls below
+//! its floor.
 
+use rsti_bench::gates::check_trajectory;
 use rsti_core::{Mechanism, OptLevel};
+use rsti_telemetry::json::{self, Fixed};
+use rsti_telemetry::{parse_json, Json};
 use rsti_vm::{ExecBackend, Image, Status, Vm};
-use std::fmt::Write as _;
+use std::io::Write as _;
 use std::time::Instant;
+
+/// The trajectory log: one schema-versioned entry per run.
+const HISTORY: &str = "reports/bench_history.jsonl";
 
 /// Interpreter instructions/second measured on this codebase *before* the
 /// zero-clone hot-loop rework (per-step `Inst`/`Term` clones, `Vec<u8>`
@@ -148,11 +159,15 @@ fn measure_serve() -> (f64, f64, f64) {
         kernels.push(k::tree_kernel(&format!("t{c}"), 4, 1));
     }
     let src = k::assemble(&kernels);
-    let line = format!(
-        "{{\"id\":1,\"cmd\":\"run\",\"source\":{},\"mech\":\"stwc\",\"opt\":\"cfg\",\
-         \"exec\":\"compiled\",\"enforce\":\"pac\"}}",
-        rsti_telemetry::json_str(&src)
-    );
+    let line = json::object(|o| {
+        o.field("id", 1u64)
+            .field("cmd", "run")
+            .field("source", &src)
+            .field("mech", "stwc")
+            .field("opt", "cfg")
+            .field("exec", "compiled")
+            .field("enforce", "pac");
+    });
     let mut cold = f64::INFINITY;
     for _ in 0..5 {
         let server = rsti_serve::Server::new(rsti_serve::ServeConfig::default());
@@ -188,6 +203,7 @@ fn main() {
     // adds only branch-on-bool no-ops. The states run paired per image
     // (interp off, interp on, compiled off — same image back-to-back) so machine drift covers every side of each
     // comparison instead of landing entirely on one.
+    let prev = last_history_entry();
     let tel = rsti_telemetry::global();
     tel.disable();
     let interp_imgs = build_imgs(OptLevel::Cfg, ExecBackend::Interp, false);
@@ -279,20 +295,17 @@ fn main() {
     println!(
         "  serve cold -> warm    : {serve_cold_ms:.2} ms -> {serve_warm_ms:.3} ms  (x{serve_speedup:.1} via module cache)"
     );
-    if serve_speedup < 10.0 {
-        println!("  WARNING: serve_warm_speedup {serve_speedup:.1} below the 10x acceptance bar");
-    }
 
     // The optimizer-level ablation on the same mix, under both engines:
     // fewer executed checks ⇒ fewer instructions ⇒ more useful work per
     // second. Engines run paired per image, like the headline, so
     // slow machine drift lands on both sides of each ratio (cycle totals
     // and auth counts are deterministic; insts/sec is indicative).
-    let mut levels_json = String::new();
+    let mut levels = Vec::new();
     println!("  per-opt-level (same mix, 8 paired rounds each):");
-    for (i, level) in OptLevel::ALL.iter().enumerate() {
-        let imgs = build_imgs(*level, ExecBackend::Interp, false);
-        let cimgs = build_imgs(*level, ExecBackend::Compiled, false);
+    for level in OptLevel::ALL {
+        let imgs = build_imgs(level, ExecBackend::Interp, false);
+        let cimgs = build_imgs(level, ExecBackend::Compiled, false);
         let mut r = MixResult::default();
         let mut rc = MixResult::default();
         let mut br = vec![f64::INFINITY; imgs.len()];
@@ -306,84 +319,112 @@ fn main() {
         r.secs = br.iter().sum();
         rc.secs = brc.iter().sum();
         assert_mix_parity(&r, &rc, level.label());
-        let (lips, lcips) = (r.ips(), rc.ips());
-        let (insts_1, cycles_1, auths_1) = (r.insts, r.cycles, r.pac_auths);
         println!(
             "    {:<6} interp {:>12.0}/s  compiled {:>12.0}/s (x{:.2})  cycles {:>12}  auths {:>9}",
             level.label(),
-            lips,
-            lcips,
-            lcips / lips,
-            cycles_1,
-            auths_1
+            r.ips(),
+            rc.ips(),
+            rc.ips() / r.ips(),
+            r.cycles,
+            r.pac_auths
         );
-        let _ = write!(
-            levels_json,
-            "{}    {{\"level\": \"{}\", \"insts_per_sec\": {:.0}, \
-             \"compiled_insts_per_sec\": {:.0}, \"compiled_speedup\": {:.3}, \
-             \"instructions\": {}, \"cycle_model_total\": {}, \"pac_auths\": {}}}",
-            if i == 0 { "" } else { ",\n" },
-            level.label(),
-            lips,
-            lcips,
-            lcips / lips,
-            insts_1,
-            cycles_1,
-            auths_1
-        );
+        levels.push((level, r, rc));
     }
 
-    // Hand-rolled JSON (the workspace is dependency-free by design).
-    let json = format!(
-        "{{\n  \"bench\": \"vm_throughput\",\n  \"workload_mix\": \"nbench+nginx, baseline+stwc\",\n  \
-         \"pre_change_insts_per_sec\": {PRE_CHANGE_INSTS_PER_SEC:.0},\n  \
-         \"insts_per_sec\": {ips:.0},\n  \"speedup_vs_pre_change\": {speedup:.3},\n  \
-         \"compiled_insts_per_sec\": {cips:.0},\n  \
-         \"compiled_speedup_vs_interp\": {cspeed:.3},\n  \
-         \"instructions\": {},\n  \"cycle_model_total\": {},\n  \"wall_seconds\": {:.4},\n  \
-         \"telemetry_on_insts_per_sec\": {ips_on:.0},\n  \
-         \"telemetry_enabled_cost_pct\": {on_delta_pct:.2},\n  \
-         \"compiled_telemetry_on_insts_per_sec\": {cips_on:.0},\n  \
-         \"compiled_telemetry_cost_pct\": {con_delta_pct:.2},\n  \
-         \"attr_on_insts_per_sec\": {aips:.0},\n  \
-         \"attr_cost_pct\": {attr_delta_pct:.2},\n  \
-         \"record_on_insts_per_sec\": {rips:.0},\n  \
-         \"record_cost_pct\": {record_delta_pct:.2},\n  \
-         \"serve_cold_ms\": {serve_cold_ms:.3},\n  \
-         \"serve_warm_ms\": {serve_warm_ms:.4},\n  \
-         \"serve_warm_speedup\": {serve_speedup:.1},\n  \
-         \"opt_levels\": [\n{levels_json}\n  ]\n}}\n",
-        m.insts, m.cycles, m.secs
-    );
-    std::fs::write("BENCH_vm.json", &json).expect("write BENCH_vm.json");
+    let json = json::object(|o| {
+        o.field("bench", "vm_throughput")
+            .field("workload_mix", "nbench+nginx, baseline+stwc")
+            .field("pre_change_insts_per_sec", Fixed(PRE_CHANGE_INSTS_PER_SEC, 0))
+            .field("insts_per_sec", Fixed(ips, 0))
+            .field("speedup_vs_pre_change", Fixed(speedup, 3))
+            .field("compiled_insts_per_sec", Fixed(cips, 0))
+            .field("compiled_speedup_vs_interp", Fixed(cspeed, 3))
+            .field("instructions", m.insts)
+            .field("cycle_model_total", m.cycles)
+            .field("wall_seconds", Fixed(m.secs, 4))
+            .field("telemetry_on_insts_per_sec", Fixed(ips_on, 0))
+            .field("telemetry_enabled_cost_pct", Fixed(on_delta_pct, 2))
+            .field("compiled_telemetry_on_insts_per_sec", Fixed(cips_on, 0))
+            .field("compiled_telemetry_cost_pct", Fixed(con_delta_pct, 2))
+            .field("attr_on_insts_per_sec", Fixed(aips, 0))
+            .field("attr_cost_pct", Fixed(attr_delta_pct, 2))
+            .field("record_on_insts_per_sec", Fixed(rips, 0))
+            .field("record_cost_pct", Fixed(record_delta_pct, 2))
+            .field("serve_cold_ms", Fixed(serve_cold_ms, 3))
+            .field("serve_warm_ms", Fixed(serve_warm_ms, 4))
+            .field("serve_warm_speedup", Fixed(serve_speedup, 1));
+        o.array("opt_levels", |a| {
+            for (level, r, rc) in &levels {
+                a.object(|o| {
+                    o.field("level", level.label())
+                        .field("insts_per_sec", Fixed(r.ips(), 0))
+                        .field("compiled_insts_per_sec", Fixed(rc.ips(), 0))
+                        .field("compiled_speedup", Fixed(rc.ips() / r.ips(), 3))
+                        .field("instructions", r.insts)
+                        .field("cycle_model_total", r.cycles)
+                        .field("pac_auths", r.pac_auths);
+                });
+            }
+        });
+    });
+    std::fs::write("BENCH_vm.json", json + "\n").expect("write BENCH_vm.json");
     println!("wrote BENCH_vm.json");
 
     // One schema-versioned line per run appended to the trajectory log —
-    // `rsti report` diffs the last two entries, and CI's regression check
-    // reads the final line instead of digging through git history.
+    // `rsti report` diffs the last two entries, and the gates below diff
+    // this one against the last committed one.
     let unix_ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let entry = format!(
-        "{{\"schema\": 1, \"unix_ts\": {unix_ts}, \"bench\": \"vm_throughput\", \
-         \"insts_per_sec\": {ips:.0}, \"compiled_insts_per_sec\": {cips:.0}, \
-         \"compiled_speedup_vs_interp\": {cspeed:.3}, \
-         \"telemetry_enabled_cost_pct\": {on_delta_pct:.2}, \
-         \"compiled_telemetry_cost_pct\": {con_delta_pct:.2}, \
-         \"attr_on_insts_per_sec\": {aips:.0}, \"attr_cost_pct\": {attr_delta_pct:.2}, \
-         \"record_cost_pct\": {record_delta_pct:.2}, \
-         \"serve_warm_speedup\": {serve_speedup:.1}, \
-         \"instructions\": {}, \"cycle_model_total\": {}, \"pac_auths\": {}}}\n",
-        m.insts, m.cycles, m.pac_auths
-    );
+    let entry = json::object(|o| {
+        o.field("schema", 1u64)
+            .field("unix_ts", unix_ts)
+            .field("bench", "vm_throughput")
+            .field("insts_per_sec", Fixed(ips, 0))
+            .field("compiled_insts_per_sec", Fixed(cips, 0))
+            .field("compiled_speedup_vs_interp", Fixed(cspeed, 3))
+            .field("telemetry_enabled_cost_pct", Fixed(on_delta_pct, 2))
+            .field("compiled_telemetry_cost_pct", Fixed(con_delta_pct, 2))
+            .field("attr_on_insts_per_sec", Fixed(aips, 0))
+            .field("attr_cost_pct", Fixed(attr_delta_pct, 2))
+            .field("record_cost_pct", Fixed(record_delta_pct, 2))
+            .field("serve_warm_speedup", Fixed(serve_speedup, 1))
+            .field("instructions", m.insts)
+            .field("cycle_model_total", m.cycles)
+            .field("pac_auths", m.pac_auths);
+    });
     std::fs::create_dir_all("reports").expect("create reports/");
-    use std::io::Write as _;
     std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open("reports/bench_history.jsonl")
-        .and_then(|mut f| f.write_all(entry.as_bytes()))
+        .open(HISTORY)
+        .and_then(|mut f| f.write_all(format!("{entry}\n").as_bytes()))
         .expect("append reports/bench_history.jsonl");
-    println!("appended reports/bench_history.jsonl");
+    println!("appended {HISTORY}");
+
+    // The gates read this run's entry back exactly as it was recorded.
+    let entry = parse_json(&entry).expect("the writer emits valid JSON");
+    let report = check_trajectory(prev.as_ref(), &entry);
+    for note in &report.notes {
+        println!("  {note}");
+    }
+    for w in &report.warnings {
+        println!("::warning::{w}");
+    }
+    for f in &report.failures {
+        println!("::error::{f}");
+    }
+    if !report.failures.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// The last entry of the committed trajectory log, read before this run
+/// appends its own (`None` when the log is absent, empty, or its last line
+/// does not parse).
+fn last_history_entry() -> Option<Json> {
+    let log = std::fs::read_to_string(HISTORY).ok()?;
+    let last = log.lines().rev().find(|l| !l.trim().is_empty())?;
+    parse_json(last).ok()
 }

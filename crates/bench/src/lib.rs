@@ -14,10 +14,12 @@
 //! Wall-clock benches (plain timing harness, [`timing`]) live under
 //! `benches/`; the `vm_throughput` binary records the VM's
 //! instructions/second trajectory (both accounting modes) to
-//! `BENCH_vm.json`.
+//! `BENCH_vm.json` and gates each run against the last committed one
+//! ([`gates`]).
 
 #![warn(missing_docs)]
 
+pub mod gates;
 pub mod overhead;
 pub mod reports;
 pub mod timing;

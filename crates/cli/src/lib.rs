@@ -54,68 +54,10 @@
 
 #![warn(missing_docs)]
 
-use rsti_core::{InstrumentStats, Mechanism, OptLevel};
-use rsti_telemetry::{parse_json, Json};
+use rsti_core::{InstrumentStats, MechChoice, Mechanism, OptLevel};
+use rsti_telemetry::{parse_json, Json, ToJson};
 use rsti_vm::{ExecResult, Image, Status, Vm};
 use std::fmt::Write as _;
-
-/// What `--mech` selects: an uninstrumented baseline, one fixed
-/// mechanism, or the §7 adaptive hardening (STWC plus location-binding
-/// for oversized classes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MechChoice {
-    /// No instrumentation.
-    Baseline,
-    /// One fixed mechanism.
-    Fixed(Mechanism),
-    /// Adaptive hardening on top of STWC.
-    Adaptive,
-}
-
-impl MechChoice {
-    /// Display label for headers.
-    pub fn label(self) -> &'static str {
-        match self {
-            MechChoice::Baseline => "baseline",
-            MechChoice::Fixed(m) => m.name(),
-            MechChoice::Adaptive => "adaptive",
-        }
-    }
-}
-
-/// Parses every mechanism name the usage string lists (plus the
-/// `rsti-*` long forms), including `adaptive`.
-///
-/// # Errors
-/// Returns a message for unknown names.
-pub fn parse_mech_choice(s: &str) -> Result<MechChoice, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "stwc" | "rsti-stwc" => MechChoice::Fixed(Mechanism::Stwc),
-        "stc" | "rsti-stc" => MechChoice::Fixed(Mechanism::Stc),
-        "stl" | "rsti-stl" => MechChoice::Fixed(Mechanism::Stl),
-        "parts" => MechChoice::Fixed(Mechanism::Parts),
-        "none" | "baseline" => MechChoice::Baseline,
-        "adaptive" => MechChoice::Adaptive,
-        other => {
-            return Err(format!(
-                "unknown mechanism `{other}` (stwc|stc|stl|parts|none|adaptive)"
-            ))
-        }
-    })
-}
-
-/// Parses a mechanism name (`none` → `None`). `adaptive` maps to its base
-/// mechanism, STWC; use [`parse_mech_choice`] to distinguish it.
-///
-/// # Errors
-/// Returns a message for unknown names.
-pub fn parse_mechanism(s: &str) -> Result<Option<Mechanism>, String> {
-    Ok(match parse_mech_choice(s)? {
-        MechChoice::Baseline => None,
-        MechChoice::Fixed(m) => Some(m),
-        MechChoice::Adaptive => Some(Mechanism::Stwc),
-    })
-}
 
 /// Runs the CLI; returns (exit code, output text).
 pub fn run_cli(args: &[String]) -> (i32, String) {
@@ -434,17 +376,11 @@ fn build_image(
     choice: MechChoice,
     level: OptLevel,
 ) -> (Image, Option<InstrumentStats>) {
-    let instrumented = match choice {
-        MechChoice::Baseline => return (Image::baseline(module), None),
-        MechChoice::Adaptive => {
-            rsti_core::instrument_adaptive(module, rsti_core::DEFAULT_ECV_THRESHOLD)
-        }
-        MechChoice::Fixed(m) => rsti_core::instrument(module, m),
+    let Some(mut p) = choice.instrument(module) else {
+        return (Image::baseline(module), None);
     };
-    let mut p = instrumented;
     rsti_core::optimize_program_at(&mut p, level);
-    let stats = p.stats;
-    (Image::from_instrumented(&p), Some(stats))
+    (Image::from_instrumented(&p), Some(p.stats))
 }
 
 /// Splits every `--backend` occurrence onto the two axes the flag selects:
@@ -803,7 +739,7 @@ fn cmd_explain(args: &[String]) -> Result<String, String> {
             format!("unknown attack `{id}`; one of: {}", ids.join(", "))
         })?;
         let mech = match flag_value(args, "--mech") {
-            Some(name) => parse_mechanism(name)?,
+            Some(name) => MechChoice::parse(name)?.mechanism(),
             None => Some(Mechanism::Stwc),
         };
         let engine = exec.unwrap_or_default();
@@ -843,7 +779,7 @@ fn cmd_explain(args: &[String]) -> Result<String, String> {
         let src = read_source(file)?;
         let module = rsti_frontend::compile(&src, file).map_err(|e| e.to_string())?;
         let choice = match flag_value(args, "--mech") {
-            Some(s) => parse_mech_choice(s)?,
+            Some(s) => MechChoice::parse(s)?,
             None => MechChoice::Fixed(Mechanism::Stwc),
         };
         let level = parse_opt_level(args)?;
@@ -855,7 +791,7 @@ fn cmd_explain(args: &[String]) -> Result<String, String> {
                 let _ = writeln!(out, "{}", inc.to_json());
             }
             Some(inc) => {
-                let _ = writeln!(out, "explain: {file} (mech {})", choice.label());
+                let _ = writeln!(out, "explain: {file} (mech {})", choice.name());
                 out.push_str(&inc.render_text());
             }
             None => {
@@ -867,7 +803,7 @@ fn cmd_explain(args: &[String]) -> Result<String, String> {
                     out,
                     "explain: {file} (mech {}): no RSTI detection trap ({status}) — \
                      nothing to explain",
-                    choice.label()
+                    choice.name()
                 );
             }
         }
@@ -899,14 +835,10 @@ fn dispatch(args: &[String]) -> Result<String, String> {
     let src = read_source(file)?;
     let module = rsti_frontend::compile(&src, file).map_err(|e| e.to_string())?;
     let choice = match flag_value(args, "--mech") {
-        Some(s) => parse_mech_choice(s)?,
+        Some(s) => MechChoice::parse(s)?,
         None => MechChoice::Fixed(Mechanism::Stwc),
     };
-    let mech = match choice {
-        MechChoice::Baseline => None,
-        MechChoice::Fixed(m) => Some(m),
-        MechChoice::Adaptive => Some(Mechanism::Stwc),
-    };
+    let mech = choice.mechanism();
 
     match cmd.as_str() {
         "run" => {
@@ -983,7 +915,7 @@ fn dispatch(args: &[String]) -> Result<String, String> {
             let mut vm = Vm::new(&img);
             let r = vm.run();
             let mut out = String::new();
-            let _ = writeln!(out, "profile: {file} (mech {})", choice.label());
+            let _ = writeln!(out, "profile: {file} (mech {})", choice.name());
             let _ = writeln!(
                 out,
                 "engine: {} (both accounting modes run one translation per image: \
@@ -1483,10 +1415,11 @@ mod tests {
 
     #[test]
     fn mechanism_parsing() {
-        assert_eq!(parse_mechanism("stwc").unwrap(), Some(Mechanism::Stwc));
-        assert_eq!(parse_mechanism("NONE").unwrap(), None);
-        assert_eq!(parse_mechanism("adaptive").unwrap(), Some(Mechanism::Stwc));
-        assert!(parse_mechanism("xyz").is_err());
+        let mechanism = |s| MechChoice::parse(s).map(MechChoice::mechanism);
+        assert_eq!(mechanism("stwc").unwrap(), Some(Mechanism::Stwc));
+        assert_eq!(mechanism("NONE").unwrap(), None);
+        assert_eq!(mechanism("adaptive").unwrap(), Some(Mechanism::Stwc));
+        assert!(mechanism("xyz").is_err());
     }
 
     #[test]
@@ -1495,7 +1428,7 @@ mod tests {
         // help offers is accepted, and each maps to the expected choice.
         for name in USAGE_MECHS {
             assert!(USAGE.contains(name), "usage lists `{name}`");
-            let c = parse_mech_choice(name).unwrap_or_else(|e| panic!("`{name}`: {e}"));
+            let c = MechChoice::parse(name).unwrap_or_else(|e| panic!("`{name}`: {e}"));
             match name {
                 "none" => assert_eq!(c, MechChoice::Baseline),
                 "adaptive" => assert_eq!(c, MechChoice::Adaptive),
@@ -1508,9 +1441,9 @@ mod tests {
         }
         // Long forms and the baseline alias keep working too.
         for (long, short) in [("rsti-stwc", "stwc"), ("rsti-stc", "stc"), ("rsti-stl", "stl")] {
-            assert_eq!(parse_mech_choice(long).unwrap(), parse_mech_choice(short).unwrap());
+            assert_eq!(MechChoice::parse(long).unwrap(), MechChoice::parse(short).unwrap());
         }
-        assert_eq!(parse_mech_choice("baseline").unwrap(), MechChoice::Baseline);
+        assert_eq!(MechChoice::parse("baseline").unwrap(), MechChoice::Baseline);
     }
 
     #[test]
@@ -1639,9 +1572,12 @@ mod tests {
         assert!(md.contains("schema 0, this one 1"), "{md}");
         assert!(!md.contains("Vs previous entry"), "{md}");
 
+        // Older lines were written with `": "` / `", "` separators; the
+        // reader takes both whitespace styles.
         let newer = one.replace("1000", "1100");
+        let spaced = one.replace(':', ": ").replace(',', ", ");
         let mut md = String::new();
-        render_history_diff(&mut md, "h.jsonl", &[one, newer.as_str()]);
+        render_history_diff(&mut md, "h.jsonl", &[spaced.as_str(), newer.as_str()]);
         assert!(md.contains("Vs previous entry: interp +10.0%"), "{md}");
 
         let mut md = String::new();

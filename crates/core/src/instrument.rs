@@ -23,6 +23,7 @@
 //!   signs them before `main` runs.
 
 use crate::ptr2ptr::{plan_pp, PpPlan};
+use crate::replay::DEFAULT_ECV_THRESHOLD;
 use crate::sti::{analyze, Mechanism, StiAnalysis};
 use crate::storage::{operand_type, root_of_value, storage_of_addr, DefMap, StorageKey};
 use rsti_ir::{
@@ -164,6 +165,79 @@ pub fn instrument_adaptive(m: &Module, ecv_threshold: usize) -> InstrumentedProg
         pp_plan,
         LocPolicy::ClassesLargerThan(ecv_threshold),
     )
+}
+
+/// What a CLI `--mech` flag or a `serve` request's `mech` field selects:
+/// an uninstrumented baseline, one fixed mechanism, or the §7 adaptive
+/// hardening (STWC plus location binding for oversized classes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MechChoice {
+    /// No instrumentation.
+    Baseline,
+    /// One fixed mechanism.
+    Fixed(Mechanism),
+    /// [`instrument_adaptive`] at [`DEFAULT_ECV_THRESHOLD`].
+    Adaptive,
+}
+
+impl MechChoice {
+    /// Parses `stwc|stc|stl|parts|none|adaptive` (any case), plus the
+    /// `rsti-*` long forms and the `baseline` alias.
+    ///
+    /// # Errors
+    /// Returns a message listing the accepted names.
+    pub fn parse(s: &str) -> Result<MechChoice, String> {
+        Ok(match s.to_ascii_lowercase().as_str() {
+            "stwc" | "rsti-stwc" => MechChoice::Fixed(Mechanism::Stwc),
+            "stc" | "rsti-stc" => MechChoice::Fixed(Mechanism::Stc),
+            "stl" | "rsti-stl" => MechChoice::Fixed(Mechanism::Stl),
+            "parts" => MechChoice::Fixed(Mechanism::Parts),
+            "none" | "baseline" => MechChoice::Baseline,
+            "adaptive" => MechChoice::Adaptive,
+            other => {
+                return Err(format!(
+                    "unknown mechanism `{other}` (stwc|stc|stl|parts|none|adaptive)"
+                ))
+            }
+        })
+    }
+
+    /// Short stable label (`baseline`, `stwc`, ..., `adaptive`); one axis
+    /// of `serve`'s content-addressed cache key.
+    pub fn label(self) -> &'static str {
+        match self {
+            MechChoice::Baseline => "baseline",
+            MechChoice::Fixed(m) => m.label(),
+            MechChoice::Adaptive => "adaptive",
+        }
+    }
+
+    /// Display name for headers (`baseline`, `RSTI-STWC`, ..., `adaptive`).
+    pub fn name(self) -> &'static str {
+        match self {
+            MechChoice::Fixed(m) => m.name(),
+            other => other.label(),
+        }
+    }
+
+    /// The mechanism the instrumented code runs under (adaptive builds on
+    /// STWC); `None` for the baseline.
+    pub fn mechanism(self) -> Option<Mechanism> {
+        match self {
+            MechChoice::Baseline => None,
+            MechChoice::Fixed(m) => Some(m),
+            MechChoice::Adaptive => Some(Mechanism::Stwc),
+        }
+    }
+
+    /// Instruments `m` as chosen; `None` for the baseline.
+    pub fn instrument(self, m: &Module) -> Option<InstrumentedProgram> {
+        match self {
+            MechChoice::Baseline => None,
+            MechChoice::Fixed(mech) => Some(instrument(m, mech)),
+            MechChoice::Adaptive => Some(instrument_adaptive(m, DEFAULT_ECV_THRESHOLD)),
+        }
+    }
 }
 
 fn finish_instrument(

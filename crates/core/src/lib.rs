@@ -45,7 +45,9 @@ pub use equivalence::{equivalence_stats, EquivalenceStats};
 pub use ipo::{
     fold_boundary_resigns, inline_small_functions, FuncSummary, IpoAnalysis, IPO_INLINE_BUDGET,
 };
-pub use instrument::{instrument, instrument_adaptive, GlobalSign, InstrumentStats, InstrumentedProgram};
+pub use instrument::{
+    instrument, instrument_adaptive, GlobalSign, InstrumentStats, InstrumentedProgram, MechChoice,
+};
 pub use optimize::{
     compact_values, inline_leaf_functions, optimize_module, optimize_program_at, OptLevel,
     OptSummary,

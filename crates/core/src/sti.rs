@@ -56,6 +56,17 @@ impl Mechanism {
         }
     }
 
+    /// Short lowercase label (`stwc`, `stc`, `stl`, `parts`), as the CLI
+    /// and `serve` accept it.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Mechanism::Stwc => "stwc",
+            Mechanism::Stc => "stc",
+            Mechanism::Stl => "stl",
+            Mechanism::Parts => "parts",
+        }
+    }
+
     /// Whether the runtime modifier mixes the pointer's location.
     pub fn uses_location(&self) -> bool {
         matches!(self, Mechanism::Stl)

@@ -176,17 +176,6 @@ impl std::fmt::Display for FailureKind {
     }
 }
 
-/// Short lowercase label for a mechanism, used in config labels and class
-/// keys (`Mechanism::name` returns the paper-style display name).
-fn mech_label(m: Mechanism) -> &'static str {
-    match m {
-        Mechanism::Stwc => "stwc",
-        Mechanism::Stc => "stc",
-        Mechanism::Stl => "stl",
-        Mechanism::Parts => "parts",
-    }
-}
-
 pub(crate) fn panic_msg(p: Box<dyn Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
@@ -432,7 +421,7 @@ fn check_compiled(src: &str) -> Result<(), FailureKind> {
 
     for mech in Mechanism::ALL {
         for level in OptLevel::ALL {
-            let config = format!("{}{}", mech_label(mech), level_suffix(level));
+            let config = format!("{}{}", mech.label(), level_suffix(level));
             let mut p = catch_unwind(AssertUnwindSafe(|| instrument(&m, mech))).map_err(|p| {
                 FailureKind::PassPanic {
                     stage: "instrument".into(),

@@ -37,14 +37,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-use rsti_telemetry::{global as tel, CounterId, Histogram};
+use rsti_telemetry::{global as tel, json, CounterId, Histogram};
 use rsti_vm::{ExecResult, Image, Vm};
 
 pub mod cache;
 pub mod proto;
 
 use cache::{CacheEntry, ModuleCache};
-use proto::{Cmd, MechSel, Request};
+use proto::{Cmd, Request};
 
 // ---------------------------------------------------------------------------
 // Configuration and metrics
@@ -178,27 +178,22 @@ impl ServeMetrics {
         self.phase_guard()[phase as usize].sum()
     }
 
-    /// The stats snapshot (the payload of a `stats` response).
-    pub fn to_json(&self, cache_len: usize, cache_cap: usize) -> String {
+    /// The fields of a stats snapshot (the payload of a `stats` response).
+    fn write_stats(&self, o: &mut json::ObjectWriter<'_>, cache_len: usize, cache_cap: usize) {
+        o.field("requests", self.requests())
+            .field("hits", self.hits())
+            .field("misses", self.misses())
+            .field("evictions", self.evictions())
+            .field("errors", self.errors())
+            .field("panics", self.panics())
+            .field("cache_len", cache_len)
+            .field("cache_cap", cache_cap);
         let phases = self.phase_guard();
-        let hists: Vec<String> = ServePhase::ALL
-            .iter()
-            .map(|&p| format!("\"{}\":{}", p.name(), phases[p as usize].to_json()))
-            .collect();
-        format!(
-            "{{\"requests\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\
-             \"errors\":{},\"panics\":{},\"cache_len\":{},\"cache_cap\":{},\
-             \"phases\":{{{}}}}}",
-            self.requests(),
-            self.hits(),
-            self.misses(),
-            self.evictions(),
-            self.errors(),
-            self.panics(),
-            cache_len,
-            cache_cap,
-            hists.join(","),
-        )
+        o.object("phases", |o| {
+            for p in ServePhase::ALL {
+                o.field(p.name(), &phases[p as usize]);
+            }
+        });
     }
 }
 
@@ -254,7 +249,7 @@ impl Server {
 
     /// The stats snapshot as JSON (also served via `{"cmd":"stats"}`).
     pub fn stats_json(&self) -> String {
-        self.metrics.to_json(self.cache.len(), self.cache.cap())
+        json::object(|o| self.metrics.write_stats(o, self.cache.len(), self.cache.cap()))
     }
 
     /// Parses and answers one request line. Never panics outward: a
@@ -302,11 +297,12 @@ impl Server {
 
     fn dispatch(&self, req: &Request) -> Result<String, String> {
         match req.cmd {
-            Cmd::Stats => Ok(format!(
-                "{{\"id\":{},\"ok\":true,\"cmd\":\"stats\",\"stats\":{}}}",
-                req.id.map_or_else(|| "null".to_string(), |n| n.to_string()),
-                self.stats_json()
-            )),
+            Cmd::Stats => Ok(json::object(|o| {
+                o.field("id", req.id).field("ok", true).field("cmd", "stats");
+                o.object("stats", |o| {
+                    self.metrics.write_stats(o, self.cache.len(), self.cache.cap());
+                });
+            })),
             Cmd::Shutdown => {
                 self.request_shutdown();
                 Ok(proto::shutdown_response(req.id))
@@ -369,24 +365,15 @@ impl Server {
         let t = Instant::now();
         let module = rsti_frontend::compile(src, "<serve>").map_err(|e| format!("compile error: {e}"))?;
         self.metrics.record_phase(ServePhase::Frontend, elapsed_ns(t));
-        let (img, instr) = match req.mech {
-            MechSel::Baseline => (Image::baseline(&module), None),
-            mech => {
-                let t = Instant::now();
-                let mut p = match mech {
-                    MechSel::Adaptive => rsti_core::instrument_adaptive(
-                        &module,
-                        rsti_core::DEFAULT_ECV_THRESHOLD,
-                    ),
-                    MechSel::Fixed(m) => rsti_core::instrument(&module, m),
-                    MechSel::Baseline => unreachable!("handled above"),
-                };
+        let t = Instant::now();
+        let (img, instr) = match req.mech.instrument(&module) {
+            None => (Image::baseline(&module), None),
+            Some(mut p) => {
                 self.metrics.record_phase(ServePhase::Instrument, elapsed_ns(t));
                 let t = Instant::now();
                 rsti_core::optimize_program_at(&mut p, req.opt);
                 self.metrics.record_phase(ServePhase::Optimize, elapsed_ns(t));
-                let stats = p.stats;
-                (Image::from_instrumented(&p), Some(stats))
+                (Image::from_instrumented(&p), Some(p.stats))
             }
         };
         let img = img.with_backend(req.enforce).with_exec(req.exec);
@@ -645,20 +632,11 @@ mod tests {
     /// (`build_image` in `rsti-cli`), independent of the server code.
     fn oneshot(req: &Request, src: &str) -> (Option<rsti_core::InstrumentStats>, ExecResult) {
         let module = rsti_frontend::compile(src, "<serve>").unwrap();
-        let (img, instr) = match req.mech {
-            MechSel::Baseline => (Image::baseline(&module), None),
-            MechSel::Adaptive => {
-                let mut p =
-                    rsti_core::instrument_adaptive(&module, rsti_core::DEFAULT_ECV_THRESHOLD);
+        let (img, instr) = match req.mech.instrument(&module) {
+            None => (Image::baseline(&module), None),
+            Some(mut p) => {
                 rsti_core::optimize_program_at(&mut p, req.opt);
-                let s = p.stats;
-                (Image::from_instrumented(&p), Some(s))
-            }
-            MechSel::Fixed(m) => {
-                let mut p = rsti_core::instrument(&module, m);
-                rsti_core::optimize_program_at(&mut p, req.opt);
-                let s = p.stats;
-                (Image::from_instrumented(&p), Some(s))
+                (Image::from_instrumented(&p), Some(p.stats))
             }
         };
         let img = img.with_backend(req.enforce).with_exec(req.exec);
@@ -698,6 +676,150 @@ mod tests {
         }
         assert_eq!(server.metrics().hits(), 6 * 3 * 4);
         assert_eq!(server.metrics().misses(), 6 * 3 * 4);
+    }
+
+    /// Golden: whole `run`, error, `stats` and `shutdown` documents.
+    #[test]
+    fn response_documents_are_pinned_whole() {
+        let empty_hist = r#"{"count":0,"sum":0,"min":0,"max":0,"buckets":[]}"#;
+        let phases: Vec<String> =
+            ServePhase::ALL.iter().map(|p| format!("\"{}\":{empty_hist}", p.name())).collect();
+        let server = Server::new(ServeConfig::default());
+        assert_eq!(
+            server.handle_line(r#"{"id":3,"cmd":"stats"}"#),
+            format!(
+                "{}{{{}}}}}}}",
+                concat!(
+                    r#"{"id":3,"ok":true,"cmd":"stats","stats":{"requests":1,"hits":0,"#,
+                    r#""misses":0,"evictions":0,"errors":0,"panics":0,"cache_len":0,"#,
+                    r#""cache_cap":128,"phases":"#,
+                ),
+                phases.join(",")
+            )
+        );
+        let system_run = concat!(
+            r#"{"id":1,"cmd":"run","source":"long system(char* c); "#,
+            r#"int main() { system(\"ls\"); print_int(3); return 7; }"}"#,
+        );
+        let system_doc = concat!(
+            r#"{"id":1,"ok":true,"cmd":"run","cache":"miss","#,
+            r#""key":"b80983d2ba0459669b1dfa4862de44bd","instr":{"signs_on_store":0,"#,
+            r#""auths_on_load":0,"cast_resigns":0,"arg_resigns":0,"strips":1,"pp_signs":0,"#,
+            r#""pp_auths":0},"status":"exit 7","output":["3"],"#,
+            r#""events":[{"name":"system","args":["0x300000000000"],"critical":true}],"#,
+            r#""cycles":17,"insts":5,"pac_signs":0,"pac_auths":0,"audit":[]}"#,
+        );
+        assert_eq!(server.handle_line(system_run), system_doc);
+        let src = "struct fnbox { long (*f)(long v); };\n\
+                   struct databox { long x; };\n\
+                   int main() {\n\
+                   struct databox* pb = (struct databox*) malloc(sizeof(struct databox));\n\
+                   pb->x = 12345;\n\
+                   void* raw = (void*) pb;\n\
+                   struct fnbox* pa = (struct fnbox*) raw;\n\
+                   return (int) pa->f(7);\n\
+                   }\n";
+        let line = format!(r#"{{"id":4,"cmd":"run","source":{}}}"#, rsti_telemetry::json_str(src));
+        let trap_run = concat!(
+            r#"{"id":4,"ok":true,"cmd":"run","cache":"miss","#,
+            r#""key":"1da2f43ee12acef51df6e7bfdddce464","instr":{"signs_on_store":3,"#,
+            r#""auths_on_load":5,"cast_resigns":3,"arg_resigns":0,"strips":0,"pp_signs":0,"#,
+            r#""pp_auths":0},"status":"trap: PAC authentication failure in main:8 at "#,
+            r#"OnLoad (found 0x0, expected 0x3e)","output":[],"events":[],"cycles":158,"#,
+            r#""insts":35,"pac_signs":6,"pac_auths":7,"audit":[{"type":"violation","#,
+            r#""mechanism":"RSTI-STWC","modifier":"0x6a6c966a096cbf7d","site":"on_load","#,
+            r#""func":"main","line":8,"inst":"pac_auth","#,
+            r#""detail":"found PAC 0x0, expected 0x3e"}]}"#,
+        );
+        assert_eq!(server.handle_line(&line), trap_run);
+        // `profile` and `explain` hit the cached image and append one field.
+        let warm_as = |doc: &str, cmd: &str, field: &str| {
+            let head = doc.strip_suffix('}').unwrap().replace(
+                r#""cmd":"run","cache":"miss""#,
+                &format!(r#""cmd":"{cmd}","cache":"hit""#),
+            );
+            format!("{head},{field}}}")
+        };
+        assert_eq!(
+            server.handle_line(&line.replace(r#""run""#, r#""profile""#)),
+            warm_as(
+                trap_run,
+                "profile",
+                r#""attr":[{"func":"main","calls":1,"cycles":158,"insts":35}]"#
+            )
+        );
+        // A clean `explain` answers an explicit `null` incident.
+        assert_eq!(
+            server.handle_line(&system_run.replace(r#""run""#, r#""explain""#)),
+            warm_as(system_doc, "explain", r#""incident":null"#)
+        );
+        assert_eq!(
+            server.handle_line(r#"{"id":2,"cmd":"run","workload":"no such bench"}"#),
+            r#"{"id":2,"ok":false,"error":"unknown workload \"no such bench\""}"#
+        );
+        assert_eq!(
+            server.handle_line("[1]"),
+            r#"{"id":null,"ok":false,"error":"request must be a JSON object"}"#
+        );
+        assert_eq!(
+            server.handle_line(r#"{"id":9,"cmd":"shutdown"}"#),
+            r#"{"id":9,"ok":true,"cmd":"shutdown"}"#
+        );
+        assert_eq!(
+            server.handle_line(r#"{"cmd":"shutdown"}"#),
+            r#"{"id":null,"ok":true,"cmd":"shutdown"}"#
+        );
+    }
+
+    /// Every response shape reads back through the one reader.
+    #[test]
+    fn responses_read_back_through_the_one_reader() {
+        use rsti_telemetry::{parse_json, Json};
+        let nasty = "q\"b\\s\nl\u{1}c é😀";
+        let v = parse_json(&proto::error_response(Some(3), nasty)).unwrap();
+        assert_eq!(v.get("error").and_then(Json::as_str), Some(nasty));
+        assert_eq!(v.get("id").and_then(Json::as_u64), Some(3));
+        let server = Server::new(ServeConfig::default());
+        let src = "int main() { print_int(3); return 7; }";
+        let v = parse_json(&server.handle_line(&request_line(src, "stl", "cfg", "interp", "mac")))
+            .unwrap();
+        assert_eq!(v.get("status").and_then(Json::as_str), Some("exit 7"));
+        assert_eq!(v.get("output"), Some(&Json::Arr(vec![Json::Str("3".into())])));
+        assert_eq!(v.get("key").and_then(Json::as_str).map(str::len), Some(32));
+        assert_eq!(v.get("instr").and_then(|i| i.get("pp_auths")).and_then(Json::as_u64), Some(0));
+        let v = parse_json(&server.handle_line(r#"{"cmd":"stats"}"#)).unwrap();
+        let stats = v.get("stats").unwrap();
+        assert_eq!(stats.get("misses").and_then(Json::as_u64), Some(1));
+        let frontend = stats.get("phases").and_then(|p| p.get("frontend_ns"));
+        assert_eq!(frontend.and_then(|h| h.get("count")).and_then(Json::as_u64), Some(1));
+        let v = parse_json(&server.handle_line(r#"{"id":5,"cmd":"shutdown"}"#)).unwrap();
+        assert_eq!(v.get("cmd").and_then(Json::as_str), Some("shutdown"));
+    }
+
+    /// Golden: the stats payload with recorded histograms.
+    #[test]
+    fn stats_document_is_pinned_whole() {
+        let m = ServeMetrics::default();
+        m.requests.fetch_add(4, Ordering::Relaxed);
+        m.hits.fetch_add(1, Ordering::Relaxed);
+        m.misses.fetch_add(2, Ordering::Relaxed);
+        m.errors.fetch_add(1, Ordering::Relaxed);
+        m.record_phase(ServePhase::Frontend, 3);
+        m.record_phase(ServePhase::Frontend, 1000);
+        m.record_phase(ServePhase::Request, 70);
+        assert_eq!(
+            json::object(|o| m.write_stats(o, 2, 128)),
+            concat!(
+                r#"{"requests":4,"hits":1,"misses":2,"evictions":0,"errors":1,"panics":0,"#,
+                r#""cache_len":2,"cache_cap":128,"phases":{"#,
+                r#""frontend_ns":{"count":2,"sum":1003,"min":3,"max":1000,"buckets":[[2,1],[512,1]]},"#,
+                r#""instrument_ns":{"count":0,"sum":0,"min":0,"max":0,"buckets":[]},"#,
+                r#""optimize_ns":{"count":0,"sum":0,"min":0,"max":0,"buckets":[]},"#,
+                r#""translate_ns":{"count":0,"sum":0,"min":0,"max":0,"buckets":[]},"#,
+                r#""execute_ns":{"count":0,"sum":0,"min":0,"max":0,"buckets":[]},"#,
+                r#""request_ns":{"count":1,"sum":70,"min":70,"max":70,"buckets":[[64,1]]}}}"#,
+            )
+        );
     }
 
     #[test]

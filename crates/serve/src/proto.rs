@@ -2,12 +2,12 @@
 //! object per line out, in request order.
 //!
 //! Requests are read with rsti-telemetry's bounded JSON reader
-//! ([`rsti_telemetry::parse_json`]). Responses are built with the
-//! same stable-field-order discipline as the telemetry serializers, so a
+//! ([`rsti_telemetry::parse_json`]), and responses are written with its
+//! one writer ([`rsti_telemetry::json`]) in a fixed field order, so a
 //! warm cache hit is **byte-identical** to the cold response for the same
 //! request, except for the single `"cache":"hit"` / `"cache":"miss"`
-//! field (a documented part of the contract that `tools/` smoke scripts
-//! strip before diffing).
+//! field (a documented part of the contract that CI's serve smoke strips
+//! before diffing).
 //!
 //! ## Request schema
 //!
@@ -17,19 +17,20 @@
 //! ```
 //!
 //! * `id` — optional request id echoed in the response (`null` if absent).
-//! * `cmd` — `run` | `compile` | `profile` | `explain` | `stats` |
+//! * `cmd` (required) — `run` | `compile` | `profile` | `explain` | `stats` |
 //!   `shutdown` (plus the hidden `__panic` isolation-test hook).
 //! * `source` — inline MiniC text, or `workload` — a benchmark name from
 //!   `rsti-workloads` (`NUMERIC SORT`, `NGINX-access-log`, ...).
 //! * `mech` — `stwc` | `stc` | `stl` | `parts` | `none`/`baseline` |
-//!   `adaptive` (default `stwc`).
+//!   `adaptive` (default `stwc`; parsed by [`MechChoice::parse`], as
+//!   `rsti --mech` is).
 //! * `opt` — `none` | `block` | `cfg` | `ipo` (default `cfg`).
-//! * `exec` — `interp` | `compiled` (default `interp`).
+//! * `exec` — `interp` | `compiled` (default `compiled`).
 //! * `enforce` — `pac` | `mac` (default `pac`).
 //! * `record` — boolean; arm the flight recorder (implied by `explain`).
 
-use rsti_core::{Mechanism, OptLevel};
-use rsti_telemetry::json_str;
+use rsti_core::{MechChoice, Mechanism, OptLevel};
+use rsti_telemetry::json;
 // The request reader is the workspace's one JSON reader; re-exported so
 // existing `proto::{parse_json, Json}` users keep their path.
 pub use rsti_telemetry::{parse_json, Json};
@@ -38,53 +39,6 @@ use rsti_vm::{Backend, ExecBackend, ExecResult, Status};
 // ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
-
-/// The instrumentation-mechanism axis of a request, mirroring the CLI's
-/// `--mech` choices (serve cannot depend on `rsti-cli`, which sits above
-/// it, so the choice is re-stated here with the same accepted names).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MechSel {
-    /// Uninstrumented baseline.
-    Baseline,
-    /// One fixed mechanism.
-    Fixed(Mechanism),
-    /// ECV-threshold-driven per-module choice (paper §6.4).
-    Adaptive,
-}
-
-impl MechSel {
-    /// Stable label — one axis of the content-addressed cache key.
-    pub fn label(self) -> &'static str {
-        match self {
-            MechSel::Baseline => "baseline",
-            MechSel::Fixed(Mechanism::Stwc) => "stwc",
-            MechSel::Fixed(Mechanism::Stc) => "stc",
-            MechSel::Fixed(Mechanism::Stl) => "stl",
-            MechSel::Fixed(Mechanism::Parts) => "parts",
-            MechSel::Adaptive => "adaptive",
-        }
-    }
-
-    /// Parses the names accepted by `rsti --mech`.
-    ///
-    /// # Errors
-    /// Returns a message listing the accepted names.
-    pub fn parse(s: &str) -> Result<MechSel, String> {
-        Ok(match s.to_ascii_lowercase().as_str() {
-            "stwc" | "rsti-stwc" => MechSel::Fixed(Mechanism::Stwc),
-            "stc" | "rsti-stc" => MechSel::Fixed(Mechanism::Stc),
-            "stl" | "rsti-stl" => MechSel::Fixed(Mechanism::Stl),
-            "parts" => MechSel::Fixed(Mechanism::Parts),
-            "none" | "baseline" => MechSel::Baseline,
-            "adaptive" => MechSel::Adaptive,
-            other => {
-                return Err(format!(
-                    "unknown mech {other:?} (expected stwc|stc|stl|parts|none|adaptive)"
-                ))
-            }
-        })
-    }
-}
 
 /// What a request asks the service to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,7 +72,7 @@ pub struct Request {
     /// Benchmark name resolved via `rsti-workloads`.
     pub workload: Option<String>,
     /// Mechanism axis.
-    pub mech: MechSel,
+    pub mech: MechChoice,
     /// Optimization level axis.
     pub opt: OptLevel,
     /// Accounting-mode axis (`exec`, default `compiled`).
@@ -161,8 +115,8 @@ impl Request {
             return Err("\"source\" and \"workload\" are mutually exclusive".into());
         }
         let mech = match v.get("mech").and_then(Json::as_str) {
-            Some(s) => MechSel::parse(s)?,
-            None => MechSel::Fixed(Mechanism::Stwc),
+            Some(s) => MechChoice::parse(s)?,
+            None => MechChoice::Fixed(Mechanism::Stwc),
         };
         let opt = match v.get("opt").and_then(Json::as_str) {
             Some(s) => OptLevel::parse(s)?,
@@ -200,7 +154,7 @@ impl Request {
 /// still shares the compiled block closures.
 pub fn cache_key(
     source: &str,
-    mech: MechSel,
+    mech: MechChoice,
     opt: OptLevel,
     exec: ExecBackend,
     enforce: Backend,
@@ -231,43 +185,19 @@ pub fn cache_key(
 // Responses
 // ---------------------------------------------------------------------------
 
-fn id_json(id: Option<u64>) -> String {
-    id.map_or_else(|| "null".to_string(), |n| n.to_string())
-}
-
 /// A structured error response (the request is still answered in order;
 /// the worker pool survives).
 pub fn error_response(id: Option<u64>, msg: &str) -> String {
-    format!("{{\"id\":{},\"ok\":false,\"error\":{}}}", id_json(id), json_str(msg))
+    json::object(|o| {
+        o.field("id", id).field("ok", false).field("error", msg);
+    })
 }
 
 /// The acknowledgement for a `shutdown` request.
 pub fn shutdown_response(id: Option<u64>) -> String {
-    format!("{{\"id\":{},\"ok\":true,\"cmd\":\"shutdown\"}}", id_json(id))
-}
-
-fn status_json(status: &Status) -> String {
-    match status {
-        Status::Exited(c) => json_str(&format!("exit {c}")),
-        Status::Trapped(t) => json_str(&format!("trap: {t}")),
-    }
-}
-
-fn instr_json(instr: Option<&rsti_core::InstrumentStats>) -> String {
-    match instr {
-        None => "null".to_string(),
-        Some(s) => format!(
-            "{{\"signs_on_store\":{},\"auths_on_load\":{},\"cast_resigns\":{},\
-             \"arg_resigns\":{},\"strips\":{},\"pp_signs\":{},\"pp_auths\":{}}}",
-            s.signs_on_store,
-            s.auths_on_load,
-            s.cast_resigns,
-            s.arg_resigns,
-            s.strips,
-            s.pp_signs,
-            s.pp_auths,
-        ),
-    }
+    json::object(|o| {
+        o.field("id", id).field("ok", true).field("cmd", "shutdown");
+    })
 }
 
 /// The response for `run` / `compile` / `profile` / `explain`.
@@ -288,68 +218,66 @@ pub fn exec_response(
         Cmd::Explain => "explain",
         _ => unreachable!("exec_response is only built for pipeline commands"),
     };
-    let mut out = format!(
-        "{{\"id\":{},\"ok\":true,\"cmd\":\"{}\",\"cache\":\"{}\",\"key\":\"{:032x}\",\"instr\":{}",
-        id_json(req.id),
-        cmd,
-        cache,
-        key,
-        instr_json(instr),
-    );
-    if let Some(r) = result {
-        out.push_str(&format!(",\"status\":{}", status_json(&r.status)));
-        let output: Vec<String> = r.output.iter().map(|l| json_str(l)).collect();
-        out.push_str(&format!(",\"output\":[{}]", output.join(",")));
-        let events: Vec<String> = r
-            .events
-            .iter()
-            .map(|e| {
-                let args: Vec<String> = e.args.iter().map(|a| json_str(a)).collect();
-                format!(
-                    "{{\"name\":{},\"args\":[{}],\"critical\":{}}}",
-                    json_str(&e.name),
-                    args.join(","),
-                    e.critical
-                )
-            })
-            .collect();
-        out.push_str(&format!(",\"events\":[{}]", events.join(",")));
-        out.push_str(&format!(
-            ",\"cycles\":{},\"insts\":{},\"pac_signs\":{},\"pac_auths\":{}",
-            r.cycles, r.insts, r.pac_signs, r.pac_auths
-        ));
-        let audits: Vec<String> = r.audit.iter().map(|a| a.to_json()).collect();
-        out.push_str(&format!(",\"audit\":[{}]", audits.join(",")));
-        if req.cmd == Cmd::Profile {
-            if let Some(attr) = &r.attr {
-                let mut rows: Vec<&rsti_vm::FuncAttr> =
-                    attr.funcs.iter().filter(|f| f.calls > 0).collect();
-                rows.sort_by(|a, b| b.cycles.cmp(&a.cycles).then_with(|| a.name.cmp(&b.name)));
-                let rows: Vec<String> = rows
-                    .iter()
-                    .take(5)
-                    .map(|f| {
-                        format!(
-                            "{{\"func\":{},\"calls\":{},\"cycles\":{},\"insts\":{}}}",
-                            json_str(&f.name),
-                            f.calls,
-                            f.cycles,
-                            f.insts
-                        )
-                    })
-                    .collect();
-                out.push_str(&format!(",\"attr\":[{}]", rows.join(",")));
-            }
+    json::object(|o| {
+        o.field("id", req.id)
+            .field("ok", true)
+            .field("cmd", cmd)
+            .field("cache", cache)
+            .field("key", format!("{key:032x}"));
+        match instr {
+            Some(s) => o.object("instr", |o| {
+                o.field("signs_on_store", s.signs_on_store)
+                    .field("auths_on_load", s.auths_on_load)
+                    .field("cast_resigns", s.cast_resigns)
+                    .field("arg_resigns", s.arg_resigns)
+                    .field("strips", s.strips)
+                    .field("pp_signs", s.pp_signs)
+                    .field("pp_auths", s.pp_auths);
+            }),
+            None => o.null("instr"),
+        };
+        if let Some(r) = result {
+            write_result(o, req, r);
         }
-        if req.record {
-            match &r.incident {
-                Some(i) => out.push_str(&format!(",\"incident\":{}", i.to_json())),
-                None => out.push_str(",\"incident\":null"),
-            }
+    })
+}
+
+/// The execution fields of a pipeline response.
+fn write_result(o: &mut json::ObjectWriter<'_>, req: &Request, r: &ExecResult) {
+    let status = match &r.status {
+        Status::Exited(c) => format!("exit {c}"),
+        Status::Trapped(t) => format!("trap: {t}"),
+    };
+    o.field("status", status).field("output", &r.output);
+    o.array("events", |a| {
+        for e in &r.events {
+            a.object(|o| {
+                o.field("name", &e.name).field("args", &e.args).field("critical", e.critical);
+            });
         }
+    });
+    o.field("cycles", r.cycles)
+        .field("insts", r.insts)
+        .field("pac_signs", r.pac_signs)
+        .field("pac_auths", r.pac_auths)
+        .field("audit", &r.audit);
+    if let (Cmd::Profile, Some(attr)) = (req.cmd, &r.attr) {
+        let mut rows: Vec<&rsti_vm::FuncAttr> = attr.funcs.iter().filter(|f| f.calls > 0).collect();
+        rows.sort_by(|a, b| b.cycles.cmp(&a.cycles).then_with(|| a.name.cmp(&b.name)));
+        o.array("attr", |a| {
+            for f in rows.iter().take(5) {
+                a.object(|o| {
+                    o.field("func", &f.name)
+                        .field("calls", f.calls)
+                        .field("cycles", f.cycles)
+                        .field("insts", f.insts);
+                });
+            }
+        });
     }
-    out.push('}');
-    out
+    if req.record {
+        o.field("incident", r.incident.as_deref());
+    }
 }
 
 #[cfg(test)]
@@ -361,7 +289,7 @@ mod tests {
         let r = Request::parse(r#"{"cmd":"run","source":"int main() { return 0; }"}"#).unwrap();
         assert_eq!(r.cmd, Cmd::Run);
         assert_eq!(r.id, None);
-        assert_eq!(r.mech, MechSel::Fixed(Mechanism::Stwc));
+        assert_eq!(r.mech, MechChoice::Fixed(Mechanism::Stwc));
         assert_eq!(r.opt, OptLevel::Cfg);
         // A request without "exec" runs the default block pre-charge.
         assert_eq!(r.exec, ExecBackend::Compiled);
@@ -379,7 +307,7 @@ mod tests {
         assert_eq!(r.id, Some(7));
         assert_eq!(r.cmd, Cmd::Profile);
         assert_eq!(r.workload.as_deref(), Some("NUMERIC SORT"));
-        assert_eq!(r.mech, MechSel::Fixed(Mechanism::Stl));
+        assert_eq!(r.mech, MechChoice::Fixed(Mechanism::Stl));
         assert_eq!(r.opt, OptLevel::BlockLocal);
         assert_eq!(r.exec, ExecBackend::Compiled);
         assert_eq!(r.enforce, Backend::MacTable);
@@ -426,7 +354,7 @@ mod tests {
         // opt level, execution engine, enforcement — yields a new key.
         let base = (
             "int main() { return 0; }",
-            MechSel::Fixed(Mechanism::Stwc),
+            MechChoice::Fixed(Mechanism::Stwc),
             OptLevel::Cfg,
             ExecBackend::Interp,
             Backend::PacInPointer,
@@ -435,11 +363,11 @@ mod tests {
         let mut keys = vec![k0];
         keys.push(cache_key("int main() { return 1; }", base.1, base.2, base.3, base.4));
         for m in [
-            MechSel::Baseline,
-            MechSel::Fixed(Mechanism::Stc),
-            MechSel::Fixed(Mechanism::Stl),
-            MechSel::Fixed(Mechanism::Parts),
-            MechSel::Adaptive,
+            MechChoice::Baseline,
+            MechChoice::Fixed(Mechanism::Stc),
+            MechChoice::Fixed(Mechanism::Stl),
+            MechChoice::Fixed(Mechanism::Parts),
+            MechChoice::Adaptive,
         ] {
             keys.push(cache_key(base.0, m, base.2, base.3, base.4));
         }
@@ -458,9 +386,9 @@ mod tests {
     fn cache_key_separates_axis_boundaries() {
         // The 0x1f separator keeps (source="a", mech label "stwc"...) from
         // colliding with a source that absorbs part of the next axis.
-        let a = cache_key("a", MechSel::Fixed(Mechanism::Stwc), OptLevel::None,
+        let a = cache_key("a", MechChoice::Fixed(Mechanism::Stwc), OptLevel::None,
             ExecBackend::Interp, Backend::PacInPointer);
-        let b = cache_key("astwc", MechSel::Fixed(Mechanism::Stwc), OptLevel::None,
+        let b = cache_key("astwc", MechChoice::Fixed(Mechanism::Stwc), OptLevel::None,
             ExecBackend::Interp, Backend::PacInPointer);
         assert_ne!(a, b);
     }

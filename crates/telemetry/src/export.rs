@@ -16,7 +16,8 @@
 //! design) and golden-tested: the emitted field names and line syntax are
 //! a public contract.
 
-use crate::{json_str, TelemetrySnapshot};
+use crate::json::{self, Fixed, ToJson};
+use crate::TelemetrySnapshot;
 
 // ---------------------------------------------------------------------------
 // Log-bucketed histogram
@@ -167,25 +168,23 @@ impl Histogram {
         }
     }
 
-    /// Serializes as one JSON object with stable field names
-    /// (`count`, `sum`, `min`, `max`, `buckets` — non-empty buckets only,
-    /// as `[bucket_lo, count]` pairs).
-    pub fn to_json(&self) -> String {
-        let pairs: Vec<String> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| format!("[{},{}]", Self::bucket_lo(i), n))
-            .collect();
-        format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}",
-            self.count,
-            self.sum,
-            self.min(),
-            self.max,
-            pairs.join(",")
-        )
+}
+
+/// One JSON object with stable field names (`count`, `sum`, `min`, `max`,
+/// `buckets` — non-empty buckets only, as `[bucket_lo, count]` pairs).
+impl ToJson for Histogram {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("count", self.count)
+                .field("sum", self.sum)
+                .field("min", self.min())
+                .field("max", self.max);
+            o.array("buckets", |a| {
+                for (i, &n) in self.buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
+                    a.item([Self::bucket_lo(i), n]);
+                }
+            });
+        });
     }
 }
 
@@ -240,24 +239,26 @@ pub struct TraceEvent {
     pub dur_us: f64,
     /// Thread lane the slice renders in.
     pub tid: u64,
-    /// Extra `args` entries, already-JSON-encoded values keyed by name.
-    pub args: Vec<(String, String)>,
+    /// Extra numeric `args` entries, keyed by name.
+    pub args: Vec<(String, u64)>,
 }
 
-impl TraceEvent {
-    fn to_json(&self) -> String {
-        let args: Vec<String> =
-            self.args.iter().map(|(k, v)| format!("{}:{}", json_str(k), v)).collect();
-        format!(
-            "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-             \"pid\":1,\"tid\":{},\"args\":{{{}}}}}",
-            json_str(&self.name),
-            json_str(&self.cat),
-            self.ts_us,
-            self.dur_us,
-            self.tid,
-            args.join(",")
-        )
+impl ToJson for TraceEvent {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("name", &self.name)
+                .field("cat", &self.cat)
+                .field("ph", "X")
+                .field("ts", Fixed(self.ts_us, 3))
+                .field("dur", Fixed(self.dur_us, 3))
+                .field("pid", 1u64)
+                .field("tid", self.tid);
+            o.object("args", |o| {
+                for (k, v) in &self.args {
+                    o.field(k, *v);
+                }
+            });
+        });
     }
 }
 
@@ -265,8 +266,9 @@ impl TraceEvent {
 /// (`{"traceEvents":[...],"displayTimeUnit":"ms"}`), loadable in
 /// `chrome://tracing` and Perfetto.
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
-    let body: Vec<String> = events.iter().map(TraceEvent::to_json).collect();
-    format!("{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}", body.join(","))
+    json::object(|o| {
+        o.field("traceEvents", events).field("displayTimeUnit", "ms");
+    })
 }
 
 /// Converts the collector's accumulated phase spans into trace events.
@@ -291,7 +293,7 @@ pub fn phase_trace_events(snap: &TelemetrySnapshot) -> Vec<TraceEvent> {
             ts_us: ts,
             dur_us: dur,
             tid: 1,
-            args: vec![("calls".to_string(), p.calls.to_string())],
+            args: vec![("calls".to_string(), p.calls)],
         });
         ts += dur;
     }
@@ -406,7 +408,7 @@ mod tests {
             ts_us: 0.0,
             dur_us: 1.5,
             tid: 1,
-            args: vec![("calls".into(), "2".into())],
+            args: vec![("calls".into(), 2)],
         };
         let j = chrome_trace(&[ev]);
         assert_eq!(
@@ -415,6 +417,32 @@ mod tests {
              \"ts\":0.000,\"dur\":1.500,\"pid\":1,\"tid\":1,\"args\":{\"calls\":2}}],\
              \"displayTimeUnit\":\"ms\"}"
         );
+    }
+
+    /// Histograms and Chrome traces read back through the one reader.
+    #[test]
+    fn histogram_and_trace_round_trip() {
+        use crate::json::{parse_json, Json, NASTY};
+        let mut h = Histogram::new();
+        h.record(900);
+        let v = parse_json(&h.to_json()).unwrap();
+        assert_eq!(v.get("max").and_then(Json::as_u64), Some(900));
+        let pair = Json::Arr(vec![Json::Num(512.0), Json::Num(1.0)]);
+        assert_eq!(v.get("buckets"), Some(&Json::Arr(vec![pair])));
+        let ev = TraceEvent {
+            name: NASTY.into(),
+            cat: "rsti.phase".into(),
+            ts_us: 0.5,
+            dur_us: 2.0,
+            tid: 3,
+            args: vec![("calls".into(), 4)],
+        };
+        let v = parse_json(&chrome_trace(&[ev])).unwrap();
+        let Some(Json::Arr(evs)) = v.get("traceEvents") else { panic!("{v:?}") };
+        assert_eq!(evs[0].get("name").and_then(Json::as_str), Some(NASTY));
+        assert_eq!(evs[0].get("ts").and_then(Json::as_f64), Some(0.5));
+        let calls = evs[0].get("args").and_then(|a| a.get("calls"));
+        assert_eq!(calls.and_then(Json::as_u64), Some(4));
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! incidents (the same discipline the attribution profiler established:
 //! `Incident` derives `PartialEq` and rides on `ExecResult`).
 //!
-//! Serialization is hand-rolled (the workspace is dependency-free); the
-//! field names are a public contract pinned by golden tests below.
+//! Serialization goes through the crate's one JSON writer
+//! ([`crate::json`]); the documents are a public contract pinned by golden
+//! tests below.
 
-use crate::json_str;
+use crate::json::{self, Hex, Hex64, ToJson};
 
 /// One pointer-lifecycle event captured by the VM's flight recorder,
 /// fully resolved (names instead of ids) for export.
@@ -51,22 +52,6 @@ pub struct IncidentEvent {
 }
 
 impl IncidentEvent {
-    /// Serializes the event as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"cycle\":{},\"kind\":{},\"func\":{},\"site\":{},\"addr\":\"{:#x}\",\
-             \"value\":\"{:#018x}\",\"modifier\":\"{:#018x}\",\"key\":{}}}",
-            self.cycle,
-            json_str(&self.kind),
-            json_str(&self.func),
-            json_str(&self.site),
-            self.addr,
-            self.value,
-            self.modifier,
-            json_str(&self.key),
-        )
-    }
-
     /// One human-readable line for the report's event window.
     pub fn render_line(&self) -> String {
         let mut line = format!("cycle {:>8}  {:<13} {}", self.cycle, self.kind, self.func);
@@ -86,6 +71,21 @@ impl IncidentEvent {
             line.push_str(&format!("  key {}", self.key));
         }
         line
+    }
+}
+
+impl ToJson for IncidentEvent {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("cycle", self.cycle)
+                .field("kind", &self.kind)
+                .field("func", &self.func)
+                .field("site", &self.site)
+                .field("addr", Hex(self.addr))
+                .field("value", Hex64(self.value))
+                .field("modifier", Hex64(self.modifier))
+                .field("key", &self.key);
+        });
     }
 }
 
@@ -109,16 +109,15 @@ pub struct SignLineage {
     pub key: String,
 }
 
-impl SignLineage {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"site\":{},\"func\":{},\"cycle\":{},\"modifier\":\"{:#018x}\",\"key\":{}}}",
-            json_str(&self.site),
-            json_str(&self.func),
-            self.cycle,
-            self.modifier,
-            json_str(&self.key),
-        )
+impl ToJson for SignLineage {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("site", &self.site)
+                .field("func", &self.func)
+                .field("cycle", self.cycle)
+                .field("modifier", Hex64(self.modifier))
+                .field("key", &self.key);
+        });
     }
 }
 
@@ -181,44 +180,6 @@ pub struct Incident {
 }
 
 impl Incident {
-    /// Serializes the incident as one JSON object (no trailing newline).
-    /// Field names are pinned by the golden test.
-    pub fn to_json(&self) -> String {
-        let lineage =
-            self.lineage.as_ref().map_or_else(|| "null".to_string(), SignLineage::to_json);
-        let timeline: Vec<String> =
-            self.scope_timeline.iter().map(IncidentEvent::to_json).collect();
-        let window: Vec<String> = self.window.iter().map(IncidentEvent::to_json).collect();
-        format!(
-            "{{\"schema\":{},\"mechanism\":{},\"enforcement\":{},\"trap\":{},\"cycle\":{},\
-             \"func\":{},\"line\":{},\"check_site\":{},\"check_kind\":{},\"pac_site\":{},\
-             \"presented_modifier\":\"{:#018x}\",\"presented_key\":{},\
-             \"presented_value\":\"{:#018x}\",\"found_pac\":\"{:#x}\",\
-             \"expected_pac\":\"{:#x}\",\"lineage\":{},\"scope_timeline\":[{}],\
-             \"window\":[{}],\"dropped_events\":{},\"detail\":{}}}",
-            self.schema,
-            json_str(&self.mechanism),
-            json_str(&self.enforcement),
-            json_str(&self.trap),
-            self.cycle,
-            json_str(&self.func),
-            self.line,
-            json_str(&self.check_site),
-            json_str(&self.check_kind),
-            json_str(&self.pac_site),
-            self.presented_modifier,
-            json_str(&self.presented_key),
-            self.presented_value,
-            self.found_pac,
-            self.expected_pac,
-            lineage,
-            timeline.join(","),
-            window.join(","),
-            self.dropped_events,
-            json_str(&self.detail),
-        )
-    }
-
     /// The one-line forensic verdict: what kind of corruption the lineage
     /// implies.
     pub fn verdict(&self) -> String {
@@ -310,6 +271,34 @@ impl Incident {
     }
 }
 
+/// One JSON object, pinned whole by the golden test.
+impl ToJson for Incident {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("schema", self.schema)
+                .field("mechanism", &self.mechanism)
+                .field("enforcement", &self.enforcement)
+                .field("trap", &self.trap)
+                .field("cycle", self.cycle)
+                .field("func", &self.func)
+                .field("line", self.line)
+                .field("check_site", &self.check_site)
+                .field("check_kind", &self.check_kind)
+                .field("pac_site", &self.pac_site)
+                .field("presented_modifier", Hex64(self.presented_modifier))
+                .field("presented_key", &self.presented_key)
+                .field("presented_value", Hex64(self.presented_value))
+                .field("found_pac", Hex(self.found_pac))
+                .field("expected_pac", Hex(self.expected_pac))
+                .field("lineage", &self.lineage)
+                .field("scope_timeline", &self.scope_timeline)
+                .field("window", &self.window)
+                .field("dropped_events", self.dropped_events)
+                .field("detail", &self.detail);
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,64 +347,72 @@ mod tests {
         }
     }
 
-    /// Golden test: the incident JSON field names are a public contract.
-    /// Any change is an incident-format break and must be deliberate
-    /// (bump [`INCIDENT_SCHEMA`] and update every consumer).
+    /// Golden test: the incident JSON document is a public contract —
+    /// field names, field order, separators and hex widths. Any change is
+    /// an incident-format break and must be deliberate (bump
+    /// [`INCIDENT_SCHEMA`] and update every consumer).
     #[test]
     fn incident_json_field_names_are_stable() {
-        let j = sample_incident().to_json();
-        for field in [
-            "\"schema\":1",
-            "\"mechanism\":\"RSTI-STWC\"",
-            "\"enforcement\":\"pac_in_pointer\"",
-            "\"trap\":\"pac_auth_failure\"",
-            "\"cycle\":1234",
-            "\"func\":\"dispatch\"",
-            "\"line\":12",
-            "\"check_site\":\"dispatch:bb2:5\"",
-            "\"check_kind\":\"pac.auth\"",
-            "\"pac_site\":\"on_load\"",
-            "\"presented_modifier\":\"0x0000000000001a2b\"",
-            "\"presented_key\":\"da\"",
-            "\"presented_value\":\"0x00ff000000001234\"",
-            "\"found_pac\":\"0xff\"",
-            "\"expected_pac\":\"0x7a\"",
-            "\"lineage\":{",
-            "\"scope_timeline\":[",
-            "\"window\":[",
-            "\"dropped_events\":2",
-            "\"detail\":\"found 0xff, expected 0x7a\"",
-        ] {
-            assert!(j.contains(field), "missing {field} in {j}");
-        }
-        // Lineage object fields.
-        for field in [
-            "\"site\":\"handler_init:bb0:3\"",
-            "\"func\":\"handler_init\"",
-            "\"cycle\":456",
-            "\"modifier\":\"0x000000000000009f\"",
-            "\"key\":\"da\"",
-        ] {
-            assert!(j.contains(field), "missing lineage {field} in {j}");
-        }
+        let mut inc = sample_incident();
+        inc.scope_timeline = vec![IncidentEvent {
+            cycle: 300,
+            kind: "scope_exit".into(),
+            func: "handler_init".into(),
+            site: String::new(),
+            addr: 0,
+            value: 0,
+            modifier: 0,
+            key: String::new(),
+        }];
+        assert_eq!(
+            inc.to_json(),
+            concat!(
+                r#"{"schema":1,"mechanism":"RSTI-STWC","enforcement":"pac_in_pointer","#,
+                r#""trap":"pac_auth_failure","cycle":1234,"func":"dispatch","line":12,"#,
+                r#""check_site":"dispatch:bb2:5","check_kind":"pac.auth","pac_site":"on_load","#,
+                r#""presented_modifier":"0x0000000000001a2b","presented_key":"da","#,
+                r#""presented_value":"0x00ff000000001234","found_pac":"0xff","#,
+                r#""expected_pac":"0x7a","lineage":{"site":"handler_init:bb0:3","#,
+                r#""func":"handler_init","cycle":456,"modifier":"0x000000000000009f","key":"da"},"#,
+                r#""scope_timeline":[{"cycle":300,"kind":"scope_exit","func":"handler_init","#,
+                r#""site":"","addr":"0x0","value":"0x0000000000000000","#,
+                r#""modifier":"0x0000000000000000","key":""}],"#,
+                r#""window":[{"cycle":456,"kind":"sign","func":"handler_init","#,
+                r#""site":"handler_init:bb0:3","addr":"0x1000","value":"0x00ff000000001234","#,
+                r#""modifier":"0x000000000000009f","key":"da"}],"#,
+                r#""dropped_events":2,"detail":"found 0xff, expected 0x7a"}"#,
+            )
+        );
     }
 
-    /// Event JSON field names are pinned alongside the incident's.
+    /// The event JSON document is pinned alongside the incident's.
     #[test]
     fn event_json_field_names_are_stable() {
-        let j = sample_event().to_json();
-        for field in [
-            "\"cycle\":456",
-            "\"kind\":\"sign\"",
-            "\"func\":\"handler_init\"",
-            "\"site\":\"handler_init:bb0:3\"",
-            "\"addr\":\"0x1000\"",
-            "\"value\":\"0x00ff000000001234\"",
-            "\"modifier\":\"0x000000000000009f\"",
-            "\"key\":\"da\"",
-        ] {
-            assert!(j.contains(field), "missing {field} in {j}");
-        }
+        assert_eq!(
+            sample_event().to_json(),
+            concat!(
+                r#"{"cycle":456,"kind":"sign","func":"handler_init","site":"handler_init:bb0:3","#,
+                r#""addr":"0x1000","value":"0x00ff000000001234","modifier":"0x000000000000009f","#,
+                r#""key":"da"}"#,
+            )
+        );
+    }
+
+    /// The incident reads back through the one reader, escapes included.
+    #[test]
+    fn incident_json_round_trips() {
+        use crate::json::{parse_json, Json, NASTY};
+        let mut inc = sample_incident();
+        inc.detail = NASTY.into();
+        let v = parse_json(&inc.to_json()).unwrap();
+        let s = |v: &Json, k: &str| v.get(k).and_then(Json::as_str).map(str::to_owned);
+        assert_eq!(s(&v, "detail").as_deref(), Some(NASTY));
+        assert_eq!(v.get("cycle").and_then(Json::as_u64), Some(1234));
+        assert_eq!(s(&v, "presented_modifier").as_deref(), Some("0x0000000000001a2b"));
+        let lineage = v.get("lineage").unwrap();
+        assert_eq!(s(lineage, "site").as_deref(), Some("handler_init:bb0:3"));
+        let Some(Json::Arr(window)) = v.get("window") else { panic!("{v:?}") };
+        assert_eq!(s(&window[0], "addr").as_deref(), Some("0x1000"));
     }
 
     /// A missing lineage serializes as JSON `null` and renders the

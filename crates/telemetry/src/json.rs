@@ -1,29 +1,268 @@
-//! The workspace's one JSON module: [`json_str`] escapes strings for the
-//! hand-ordered writers, and [`parse_json`] reads a value back.
+//! The workspace's one JSON module: one writer for every document the
+//! workspace emits, and [`parse_json`] to read a value back.
+//!
+//! The writer owns the syntax — separators, key quoting, string escaping,
+//! `null`, fixed-precision numbers and `"0x…"` hex strings — so a document
+//! type only names its fields, in order:
+//!
+//! ```
+//! use rsti_telemetry::json::{self, Hex};
+//! let doc = json::object(|o| {
+//!     o.field("id", Some(7u64)).field("site", "on_load").field("addr", Hex(0x10));
+//!     o.array("output", |a| {
+//!         a.item("3");
+//!     });
+//! });
+//! assert_eq!(doc, r#"{"id":7,"site":"on_load","addr":"0x10","output":["3"]}"#);
+//! ```
+//!
+//! The output is compact (no whitespace), and fields keep their call
+//! order. Both are part of the byte-identity contracts the incident,
+//! `serve` and report goldens pin.
 //!
 //! The reader is hand-rolled (the workspace is dependency-free by design)
 //! and deliberately small: it accepts objects, arrays, strings with
 //! escapes, numbers, booleans and `null`, rejects trailing garbage, and
 //! bounds nesting at 64 levels so no input can exhaust the stack.
 
-/// Escapes a string as a JSON string literal (with surrounding quotes).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+use std::fmt::Write as _;
+
+// ---------------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------------
+
+/// A value the writer can emit. Document types implement it by writing
+/// one object through [`write_object`].
+pub trait ToJson {
+    /// Appends this value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+
+    /// Serializes this value as one JSON document (no trailing newline).
+    fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
-    out.push('"');
+}
+
+/// Serializes one object whose fields `f` writes.
+pub fn object(f: impl FnOnce(&mut ObjectWriter<'_>)) -> String {
+    let mut out = String::new();
+    write_object(&mut out, f);
     out
 }
+
+/// Appends one object whose fields `f` writes.
+pub fn write_object(out: &mut String, f: impl FnOnce(&mut ObjectWriter<'_>)) {
+    out.push('{');
+    f(&mut ObjectWriter { out: &mut *out, empty: true });
+    out.push('}');
+}
+
+fn write_array(out: &mut String, f: impl FnOnce(&mut ArrayWriter<'_>)) {
+    out.push('[');
+    f(&mut ArrayWriter { out: &mut *out, empty: true });
+    out.push(']');
+}
+
+/// Writes the fields of one object; see [`object`].
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ObjectWriter<'_> {
+    fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        write_str(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// Appends `"key":value`.
+    pub fn field(&mut self, key: &str, value: impl ToJson) -> &mut Self {
+        value.write_json(self.key(key));
+        self
+    }
+
+    /// Appends `"key":null`.
+    pub fn null(&mut self, key: &str) -> &mut Self {
+        self.key(key).push_str("null");
+        self
+    }
+
+    /// Appends `"key":{…}` with the fields `f` writes.
+    pub fn object(&mut self, key: &str, f: impl FnOnce(&mut ObjectWriter<'_>)) -> &mut Self {
+        write_object(self.key(key), f);
+        self
+    }
+
+    /// Appends `"key":[…]` with the items `f` writes.
+    pub fn array(&mut self, key: &str, f: impl FnOnce(&mut ArrayWriter<'_>)) -> &mut Self {
+        write_array(self.key(key), f);
+        self
+    }
+}
+
+/// Writes the items of one array; see [`ObjectWriter::array`].
+pub struct ArrayWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl ArrayWriter<'_> {
+    fn slot(&mut self) -> &mut String {
+        if !std::mem::take(&mut self.empty) {
+            self.out.push(',');
+        }
+        self.out
+    }
+
+    /// Appends one value.
+    pub fn item(&mut self, value: impl ToJson) -> &mut Self {
+        value.write_json(self.slot());
+        self
+    }
+
+    /// Appends one object with the fields `f` writes.
+    pub fn object(&mut self, f: impl FnOnce(&mut ObjectWriter<'_>)) -> &mut Self {
+        write_object(self.slot(), f);
+        self
+    }
+}
+
+/// A `u64` written as a minimal-width hex string: `"0xff"`.
+#[derive(Debug, Clone, Copy)]
+pub struct Hex(pub u64);
+
+/// A `u64` written as a full-width hex string: `"0x00000000000000ff"`.
+#[derive(Debug, Clone, Copy)]
+pub struct Hex64(pub u64);
+
+/// An `f64` written with a fixed number of decimals (`Fixed(1.5, 3)` is
+/// `1.500`); a NaN or infinity is written as `null`.
+#[derive(Debug, Clone, Copy)]
+pub struct Fixed(pub f64, pub usize);
+
+impl ToJson for Hex {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "\"{:#x}\"", self.0);
+    }
+}
+
+impl ToJson for Hex64 {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "\"{:#018x}\"", self.0);
+    }
+}
+
+impl ToJson for Fixed {
+    fn write_json(&self, out: &mut String) {
+        if self.0.is_finite() {
+            let _ = write!(out, "{:.*}", self.1, self.0);
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+macro_rules! display_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+display_json!(u64, u32, usize, bool);
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        write_array(out, |a| {
+            for v in self {
+                a.item(v);
+            }
+        });
+    }
+}
+
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+/// Escapes a string as a JSON string literal (with surrounding quotes).
+pub fn json_str(s: &str) -> String {
+    s.to_json()
+}
+
+/// Appends `s` as a JSON string literal. Unescaped runs are copied in one
+/// push; `"`, `\` and the control characters are escaped.
+fn write_str(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+// ---------------------------------------------------------------------------
+// Reader
+// ---------------------------------------------------------------------------
 
 /// A parsed JSON value. Object fields keep their input order.
 #[derive(Debug, Clone, PartialEq)]
@@ -299,9 +538,44 @@ impl Parser<'_> {
     }
 }
 
+/// A string field value that exercises every escape class: `"`, `\`,
+/// `\n`, a `\u0001` control character and non-ASCII text.
+#[cfg(test)]
+pub(crate) const NASTY: &str = "q\"b\\s\nl\u{1}c é😀";
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn writer_output_reads_back() {
+        let doc = object(|o| {
+            o.field("s", NASTY)
+                .field("id", None::<u64>)
+                .field("n", u64::MAX)
+                .field("hex", Hex(0xff))
+                .field("hex64", Hex64(0xff))
+                .field("f", Fixed(1.25, 1))
+                .field("nan", Fixed(f64::NAN, 2))
+                .null("null");
+            o.array("a", |a| {
+                a.item([1u64, 2]).object(|o| {
+                    o.field("ok", true);
+                });
+            });
+        });
+        assert_eq!(
+            doc,
+            r#"{"s":"q\"b\\s\nl\u0001c é😀","id":null,"n":18446744073709551615,"hex":"0xff","#
+                .to_owned()
+                + r#""hex64":"0x00000000000000ff","f":1.2,"nan":null,"null":null,"a":[[1,2],{"ok":true}]}"#
+        );
+        let v = parse_json(&doc).unwrap();
+        assert_eq!(v.get("s").and_then(Json::as_str), Some(NASTY));
+        assert_eq!(v.get("id"), Some(&Json::Null));
+        assert_eq!(v.get("hex64").and_then(Json::as_str), Some("0x00000000000000ff"));
+        assert_eq!(v.get("f").and_then(Json::as_f64), Some(1.2));
+    }
 
     #[test]
     fn json_parser_handles_escapes_and_nesting() {

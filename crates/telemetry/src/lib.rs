@@ -10,8 +10,7 @@
 //!   `Arc`-shareable handle; the process-wide instance is [`global`];
 //! * [`Phase`] / [`CounterId`] — the closed taxonomy of pipeline phases
 //!   and metric names (stable serialized identifiers);
-//! * [`Event`] — a `#[derive]`-free event enum with hand-rolled JSONL
-//!   serialization (the workspace is dependency-free by design);
+//! * [`Event`] — a `#[derive]`-free event enum serialized as JSONL;
 //! * [`AuditRecord`] — one structured violation-audit entry per RSTI trap:
 //!   mechanism, STI class modifier, instrumentation site, faulting
 //!   instruction, function, and line — the data behind Table 4's
@@ -22,16 +21,19 @@
 //!   synthesized by the VM's flight recorder (`incident` module): failing
 //!   check site, expected-vs-presented modifier/key, sign-site lineage,
 //!   scope timeline, and the last-K event window;
-//! * [`json`] — the one JSON module: [`json_str`] for the writers and the
-//!   bounded reader [`parse_json`] that `serve` and `rsti report` use.
+//! * [`json`] — the one JSON module: the writer every document above (and
+//!   every `serve` response and bench record) goes through, and the
+//!   bounded reader [`parse_json`] that `serve`, `rsti report` and the
+//!   bench gates use.
 //!
 //! ## Off-by-default cost guarantee
 //!
 //! The collector is disabled until [`Collector::enable`] runs (the CLI's
 //! `--trace` flag or the `RSTI_TRACE` environment variable). Every hot-path
 //! entry point begins with a single relaxed-load branch on the enabled
-//! flag, so a disabled collector compiles down to branch-on-bool no-ops;
-//! the `vm_throughput` bench guard holds the disabled-path delta under 2%.
+//! flag, so a disabled collector compiles down to branch-on-bool no-ops.
+//! The `vm_throughput` bench records the enabled-collector cost next to
+//! the disabled run (`telemetry_enabled_cost_pct`).
 
 #![warn(missing_docs)]
 
@@ -43,7 +45,8 @@ pub use export::{
     chrome_trace, phase_trace_events, to_folded, Histogram, TraceEvent, HIST_BUCKETS,
 };
 pub use incident::{Incident, IncidentEvent, SignLineage, INCIDENT_SCHEMA};
-pub use json::{json_str, parse_json, Json};
+pub use json::{json_str, parse_json, Json, ToJson};
+use json::Hex64;
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -359,20 +362,18 @@ pub struct AuditRecord {
     pub detail: String,
 }
 
-impl AuditRecord {
-    /// Serializes the record as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"type\":\"violation\",\"mechanism\":{},\"modifier\":\"{:#018x}\",\
-             \"site\":{},\"func\":{},\"line\":{},\"inst\":{},\"detail\":{}}}",
-            json_str(&self.mechanism),
-            self.modifier,
-            json_str(&self.site),
-            json_str(&self.func),
-            self.line,
-            json_str(&self.inst),
-            json_str(&self.detail),
-        )
+impl ToJson for AuditRecord {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.field("type", "violation")
+                .field("mechanism", &self.mechanism)
+                .field("modifier", Hex64(self.modifier))
+                .field("site", &self.site)
+                .field("func", &self.func)
+                .field("line", self.line)
+                .field("inst", &self.inst)
+                .field("detail", &self.detail);
+        });
     }
 }
 
@@ -381,8 +382,8 @@ impl AuditRecord {
 // ---------------------------------------------------------------------------
 
 /// A trace event, serialized as one JSONL line. Deliberately `#[derive]`-free:
-/// the wire format is the hand-rolled [`Event::to_json`], not an artifact of
-/// a derive, so it cannot drift silently.
+/// the wire format is the field list in its [`ToJson`] impl, not an
+/// artifact of a derive, so it cannot drift silently.
 pub enum Event<'a> {
     /// A completed span.
     Span {
@@ -415,26 +416,26 @@ pub enum Event<'a> {
     },
 }
 
-impl Event<'_> {
-    /// Serializes the event as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
+impl ToJson for Event<'_> {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Event::Span { phase, ns } => {
-                format!("{{\"type\":\"span\",\"phase\":\"{}\",\"ns\":{}}}", phase.name(), ns)
+            Event::Span { phase, ns } => json::write_object(out, |o| {
+                o.field("type", "span").field("phase", phase.name()).field("ns", *ns);
+            }),
+            Event::Counter { id, delta } => json::write_object(out, |o| {
+                o.field("type", "counter").field("name", id.name()).field("delta", *delta);
+            }),
+            Event::Violation(rec) => rec.write_json(out),
+            Event::RunEnd { insts, cycles, pac_signs, pac_auths, status } => {
+                json::write_object(out, |o| {
+                    o.field("type", "run_end")
+                        .field("insts", *insts)
+                        .field("cycles", *cycles)
+                        .field("pac_signs", *pac_signs)
+                        .field("pac_auths", *pac_auths)
+                        .field("status", *status);
+                });
             }
-            Event::Counter { id, delta } => {
-                format!("{{\"type\":\"counter\",\"name\":\"{}\",\"delta\":{}}}", id.name(), delta)
-            }
-            Event::Violation(rec) => rec.to_json(),
-            Event::RunEnd { insts, cycles, pac_signs, pac_auths, status } => format!(
-                "{{\"type\":\"run_end\",\"insts\":{},\"cycles\":{},\"pac_signs\":{},\
-                 \"pac_auths\":{},\"status\":{}}}",
-                insts,
-                cycles,
-                pac_signs,
-                pac_auths,
-                json_str(status)
-            ),
         }
     }
 }
@@ -686,31 +687,28 @@ pub struct TelemetrySnapshot {
     pub counters: Vec<CounterStat>,
 }
 
-impl TelemetrySnapshot {
-    /// Serializes the snapshot as one JSON object.
-    pub fn to_json(&self) -> String {
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"phase\":\"{}\",\"calls\":{},\"total_ns\":{}}}",
-                    p.phase, p.calls, p.total_ns
-                )
-            })
-            .collect();
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|c| format!("{{\"name\":\"{}\",\"value\":{}}}", c.name, c.value))
-            .collect();
-        format!(
-            "{{\"phases\":[{}],\"counters\":[{}]}}",
-            phases.join(","),
-            counters.join(",")
-        )
+impl ToJson for TelemetrySnapshot {
+    fn write_json(&self, out: &mut String) {
+        json::write_object(out, |o| {
+            o.array("phases", |a| {
+                for p in &self.phases {
+                    a.object(|o| {
+                        o.field("phase", p.phase).field("calls", p.calls).field("total_ns", p.total_ns);
+                    });
+                }
+            });
+            o.array("counters", |a| {
+                for c in &self.counters {
+                    a.object(|o| {
+                        o.field("name", c.name).field("value", c.value);
+                    });
+                }
+            });
+        });
     }
+}
 
+impl TelemetrySnapshot {
     /// Value of a counter by stable name (0 when unknown).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
@@ -811,9 +809,8 @@ mod tests {
         assert_eq!(c.get(CounterId::QarmaCalls), 8000);
     }
 
-    #[test]
-    fn events_serialize_to_valid_jsonl_shapes() {
-        let rec = AuditRecord {
+    fn sample_record() -> AuditRecord {
+        AuditRecord {
             mechanism: "RSTI-STWC".into(),
             modifier: 0xdead_beef,
             site: "on_load".into(),
@@ -821,16 +818,57 @@ mod tests {
             line: 12,
             inst: "pac.auth".into(),
             detail: "found 0x0, expected \"0x7\"".into(),
-        };
-        let j = rec.to_json();
-        assert!(j.starts_with("{\"type\":\"violation\""), "{j}");
-        assert!(j.contains("\"mechanism\":\"RSTI-STWC\""), "{j}");
-        assert!(j.contains("\\\"0x7\\\""), "escaped quotes: {j}");
-        let span = Event::Span { phase: Phase::VmRun, ns: 42 }.to_json();
-        assert_eq!(span, "{\"type\":\"span\",\"phase\":\"vm_run\",\"ns\":42}");
-        let end = Event::RunEnd { insts: 1, cycles: 2, pac_signs: 3, pac_auths: 4, status: "exit: 0" }
-            .to_json();
-        assert!(end.contains("\"status\":\"exit: 0\""), "{end}");
+        }
+    }
+
+    /// Golden: the audit record and every event arm, whole documents.
+    #[test]
+    fn events_serialize_to_valid_jsonl_shapes() {
+        let rec = sample_record();
+        let violation = concat!(
+            r#"{"type":"violation","mechanism":"RSTI-STWC","modifier":"0x00000000deadbeef","#,
+            r#""site":"on_load","func":"dispatch","line":12,"inst":"pac.auth","#,
+            r#""detail":"found 0x0, expected \"0x7\""}"#,
+        );
+        assert_eq!(rec.to_json(), violation);
+        assert_eq!(Event::Violation(&rec).to_json(), violation);
+        assert_eq!(
+            Event::Span { phase: Phase::VmRun, ns: 42 }.to_json(),
+            r#"{"type":"span","phase":"vm_run","ns":42}"#
+        );
+        assert_eq!(
+            Event::Counter { id: CounterId::AuthsElidedDom, delta: 9 }.to_json(),
+            r#"{"type":"counter","name":"auths_elided_dom","delta":9}"#
+        );
+        assert_eq!(
+            Event::RunEnd { insts: 1, cycles: 2, pac_signs: 3, pac_auths: 4, status: "exit: 0" }
+                .to_json(),
+            r#"{"type":"run_end","insts":1,"cycles":2,"pac_signs":3,"pac_auths":4,"status":"exit: 0"}"#
+        );
+    }
+
+    /// Every event arm and the snapshot read back through the one reader.
+    #[test]
+    fn events_and_snapshot_round_trip() {
+        let mut rec = sample_record();
+        rec.func = json::NASTY.into();
+        let v = parse_json(&Event::Violation(&rec).to_json()).unwrap();
+        assert_eq!(v.get("func").and_then(Json::as_str), Some(json::NASTY));
+        assert_eq!(v.get("modifier").and_then(Json::as_str), Some("0x00000000deadbeef"));
+        assert_eq!(v.get("line").and_then(Json::as_u64), Some(12));
+        let end = Event::RunEnd { insts: 1, cycles: 2, pac_signs: 3, pac_auths: 4, status: json::NASTY };
+        let v = parse_json(&end.to_json()).unwrap();
+        assert_eq!(v.get("status").and_then(Json::as_str), Some(json::NASTY));
+        assert_eq!(v.get("pac_auths").and_then(Json::as_u64), Some(4));
+        let v = parse_json(&Event::Counter { id: CounterId::VmTraps, delta: 9 }.to_json()).unwrap();
+        assert_eq!(v.get("name").and_then(Json::as_str), Some("vm_traps"));
+        let c = Collector::new();
+        c.enable();
+        c.add(CounterId::VmTraps, 5);
+        let v = parse_json(&c.snapshot().to_json()).unwrap();
+        let Some(Json::Arr(counters)) = v.get("counters") else { panic!("{v:?}") };
+        let traps = counters.iter().find(|e| e.get("name").and_then(Json::as_str) == Some("vm_traps"));
+        assert_eq!(traps.and_then(|e| e.get("value")).and_then(Json::as_u64), Some(5));
     }
 
     #[test]
@@ -922,20 +960,6 @@ mod tests {
         let c = Collector::new();
         c.enable();
         c.add(CounterId::SignsInserted, 1);
-        let json = c.snapshot().to_json();
-        // Top-level shape.
-        assert!(json.starts_with("{\"phases\":["), "{json}");
-        assert!(json.contains("],\"counters\":["), "{json}");
-        // Per-entry field names.
-        assert!(json.contains("{\"phase\":\"parse\",\"calls\":0,\"total_ns\":0}"), "{json}");
-        assert!(json.contains("{\"name\":\"signs_inserted\",\"value\":1}"), "{json}");
-        // The full stable identifier sets.
-        for p in Phase::ALL {
-            assert!(json.contains(&format!("\"phase\":\"{}\"", p.name())), "{}", p.name());
-        }
-        for cid in CounterId::ALL {
-            assert!(json.contains(&format!("\"name\":\"{}\"", cid.name())), "{}", cid.name());
-        }
         let expected_names = [
             "signs_inserted", "auths_inserted", "auths_elided_block", "auths_elided_dom",
             "auths_hoisted", "auths_elided_ipo", "calls_inlined",
@@ -959,6 +983,19 @@ mod tests {
         ];
         let got: Vec<&str> = Phase::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(got, expected_phases, "phase taxonomy drifted");
+        // The whole document, written out independently of the writer.
+        let phases: Vec<String> = expected_phases
+            .iter()
+            .map(|p| format!(r#"{{"phase":"{p}","calls":0,"total_ns":0}}"#))
+            .collect();
+        let counters: Vec<String> = expected_names
+            .iter()
+            .map(|n| format!(r#"{{"name":"{n}","value":{}}}"#, u8::from(*n == "signs_inserted")))
+            .collect();
+        assert_eq!(
+            c.snapshot().to_json(),
+            format!(r#"{{"phases":[{}],"counters":[{}]}}"#, phases.join(","), counters.join(","))
+        );
     }
 
     #[test]

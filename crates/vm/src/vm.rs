@@ -502,7 +502,7 @@ impl AttrState {
 // Flight recorder (violation forensics)
 // ---------------------------------------------------------------------------
 
-/// Default flight-recorder ring capacity. Sized so that the recorded
+/// Flight-recorder ring capacity. Sized so that the recorded
 /// window comfortably spans one pointer round trip (sign → store → scope
 /// churn → load → auth) on every Table 1 scenario while the ring stays a
 /// few KiB of plain `Copy` rows.
@@ -594,7 +594,6 @@ struct RecState {
     /// Bounded ring of recent events; `next` is the overwrite cursor
     /// (the oldest row) once the ring is full.
     ring: Vec<RecEvent>,
-    cap: usize,
     next: usize,
     dropped: u64,
     /// Check-site id of the op currently executing (staged by the per-op
@@ -605,13 +604,10 @@ struct RecState {
 }
 
 impl RecState {
-    fn new(module: &Module, cap: usize) -> Box<Self> {
-        let sites = check_sites(module);
-        let cap = cap.max(1);
+    fn new(module: &Module) -> Box<Self> {
         Box::new(RecState {
-            sites,
-            ring: Vec::with_capacity(cap.min(1024)),
-            cap,
+            sites: check_sites(module),
+            ring: Vec::with_capacity(DEFAULT_RECORD_CAP),
             next: 0,
             dropped: 0,
             cur_site: NO_SITE,
@@ -620,11 +616,11 @@ impl RecState {
     }
 
     fn push(&mut self, ev: RecEvent) {
-        if self.ring.len() < self.cap {
+        if self.ring.len() < DEFAULT_RECORD_CAP {
             self.ring.push(ev);
         } else {
             self.ring[self.next] = ev;
-            self.next = (self.next + 1) % self.cap;
+            self.next = (self.next + 1) % DEFAULT_RECORD_CAP;
             self.dropped += 1;
         }
     }
@@ -784,9 +780,6 @@ pub struct Image {
     /// cycle/inst and the VM's only cost is a handful of is-none
     /// branches.
     pub record: bool,
-    /// Ring capacity for the flight recorder (used only while `record`
-    /// is on).
-    pub record_cap: usize,
     /// Cache of translated code, filled on the first run (or by
     /// [`Image::precompile`]).
     compiled: CompiledCache,
@@ -827,19 +820,11 @@ impl Image {
         self
     }
 
-    /// Arms the flight recorder (builder style) with the default ring
-    /// capacity: a trapped run then carries an [`Incident`] on its
-    /// [`ExecResult`].
+    /// Arms the flight recorder (builder style) with a
+    /// [`DEFAULT_RECORD_CAP`]-entry ring: a trapped run then carries an
+    /// [`Incident`] on its [`ExecResult`].
     pub fn with_record(mut self) -> Self {
         self.record = true;
-        self
-    }
-
-    /// Arms the flight recorder with a custom ring capacity (builder
-    /// style). `0` is clamped to 1.
-    pub fn with_record_cap(mut self, cap: usize) -> Self {
-        self.record = true;
-        self.record_cap = cap.max(1);
         self
     }
 
@@ -938,7 +923,6 @@ impl Image {
             attr: false,
             attr_sample_every: DEFAULT_ATTR_SAMPLE_EVERY,
             record: false,
-            record_cap: DEFAULT_RECORD_CAP,
             compiled: CompiledCache::empty(),
         }
     }
@@ -966,7 +950,6 @@ impl Image {
             attr: false,
             attr_sample_every: DEFAULT_ATTR_SAMPLE_EVERY,
             record: false,
-            record_cap: DEFAULT_RECORD_CAP,
             compiled: CompiledCache::empty(),
         }
     }
@@ -1174,7 +1157,7 @@ impl<'img> Vm<'img> {
             audit: Vec::new(),
             telemetry_flushed: false,
             attr: img.attr.then(|| AttrState::new(&img.module, img.attr_sample_every)),
-            rec: img.record.then(|| RecState::new(&img.module, img.record_cap)),
+            rec: img.record.then(|| RecState::new(&img.module)),
         };
         // A malformed image loads into an already-trapped VM instead of
         // aborting the process: `run` then reports the trap like any other
