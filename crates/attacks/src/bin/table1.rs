@@ -6,6 +6,7 @@ fn main() {
     if std::env::args().any(|a| a == "--extended") {
         scenarios.extend(rsti_attacks::scenarios::extras());
     }
-    let matrix = rsti_attacks::run_matrix(&scenarios);
+    let victims: Vec<_> = scenarios.iter().map(rsti_attacks::Victim::scenario).collect();
+    let matrix = rsti_attacks::run_matrix(&victims);
     print!("{}", rsti_attacks::render_table1(&scenarios, &matrix));
 }

@@ -16,32 +16,8 @@
 //!   slot of a different RSTI-type is detected; reuse within the same
 //!   RSTI-type is the residual risk for STC/STWC.
 
-use rsti_core::Mechanism;
-use rsti_frontend::compile;
-use rsti_vm::{Image, RunStop, Status, Vm};
-
-/// The outcome of a probe under one defense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeOutcome {
-    /// The corruption slipped through (the program kept running on the
-    /// corrupted pointer).
-    Undetected,
-    /// An authentication check fired.
-    Detected,
-    /// The program crashed without a defense check firing.
-    Crashed,
-}
-
-impl ProbeOutcome {
-    /// Table cell label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ProbeOutcome::Undetected => "UNDETECTED",
-            ProbeOutcome::Detected => "detected",
-            ProbeOutcome::Crashed => "crashed",
-        }
-    }
-}
+use crate::harness::{compile_victim, render_grid, run_matrix, Corruption, Verdict, Victim};
+use rsti_vm::Vm;
 
 /// A Table 2 probe.
 pub struct Probe {
@@ -51,23 +27,31 @@ pub struct Probe {
     pub description: &'static str,
     source: &'static str,
     pause_at: &'static str,
-    corrupt: fn(&mut Vm) -> Option<()>,
+    corrupt: fn(&mut Vm) -> Result<(), String>,
 }
 
-fn run_probe(p: &Probe, defense: Option<Mechanism>) -> ProbeOutcome {
-    let m = compile(p.source, p.id).expect("probe compiles");
-    let img = match defense {
-        None => Image::baseline(&m),
-        Some(mech) => Image::from_instrumented(&rsti_core::instrument(&m, mech)),
-    };
-    let mut vm = Vm::new(&img);
-    assert_eq!(vm.run_to_function(p.pause_at), RunStop::Entered, "{}", p.id);
-    (p.corrupt)(&mut vm).expect("corruption applies");
-    let r = vm.finish();
-    match r.status {
-        Status::Exited(_) => ProbeOutcome::Undetected,
-        Status::Trapped(t) if t.is_detection() => ProbeOutcome::Detected,
-        Status::Trapped(_) => ProbeOutcome::Crashed,
+impl<'a> Victim<'a> {
+    /// Compiles a Table 2 probe. A probe has no payload: whether its
+    /// corruption went unnoticed is read off the run's status.
+    pub fn probe(p: &'a Probe) -> Self {
+        Victim {
+            id: p.id,
+            module: compile_victim(p.source, p.id),
+            pause_at: p.pause_at,
+            corrupt: Box::new(p.corrupt),
+            payload_check: |_| false,
+        }
+    }
+}
+
+/// Table 2's cell label for a probe verdict: a run that survives its
+/// corruption is an undetected one.
+pub fn table2_label(v: &Verdict) -> &'static str {
+    match v {
+        Verdict::PayloadExecuted | Verdict::Survived => "UNDETECTED",
+        Verdict::Detected(_) => "detected",
+        Verdict::Crashed(_) => "crashed",
+        Verdict::Inconclusive(_) => "??",
     }
 }
 
@@ -96,10 +80,9 @@ pub fn probe_same_class() -> Probe {
         pause_at: "consume",
         corrupt: |vm| {
             // Copy b's (signed) pointer over a's slot.
-            let src = vm.global_addr("b")?;
-            let dst = vm.global_addr("a")?;
-            let bytes = vm.attacker_read(src, 8).ok()?;
-            vm.attacker_write(dst, &bytes).ok()
+            let src = |vm: &Vm| vm.global_addr("b");
+            let dest = |vm: &Vm| vm.global_addr("a");
+            Corruption::Replay { src, dest }.apply(vm)
         },
     }
 }
@@ -134,10 +117,9 @@ pub fn probe_diff_class() -> Probe {
         "#,
         pause_at: "frontend_read",
         corrupt: |vm| {
-            let src = vm.global_addr("backend_item")?;
-            let dst = vm.global_addr("frontend_item")?;
-            let bytes = vm.attacker_read(src, 8).ok()?;
-            vm.attacker_write(dst, &bytes).ok()
+            let src = |vm: &Vm| vm.global_addr("backend_item");
+            let dest = |vm: &Vm| vm.global_addr("frontend_item");
+            Corruption::Replay { src, dest }.apply(vm)
         },
     }
 }
@@ -167,9 +149,9 @@ pub fn probe_spatial() -> Probe {
         pause_at: "unbox",
         corrupt: |vm| {
             // The overflow plants a raw (unsigned) pointer to the secret.
-            let (obj, _) = *vm.heap_live().get(1)?;
-            let (secret, _) = *vm.heap_live().first()?;
-            vm.attacker_write_u64(obj + 8, secret).ok()
+            let dest = |vm: &Vm| Some(vm.heap_live().get(1)?.0 + 8);
+            let value = |vm: &Vm| Some(vm.heap_live().first()?.0);
+            Corruption::RawWrite { dest, value }.apply(vm)
         },
     }
 }
@@ -202,10 +184,9 @@ pub fn probe_temporal() -> Probe {
         "#,
         pause_at: "serve",
         corrupt: |vm| {
-            let src = vm.global_addr("stale")?;
-            let dst = vm.global_addr("active")?;
-            let bytes = vm.attacker_read(src, 8).ok()?;
-            vm.attacker_write(dst, &bytes).ok()
+            let src = |vm: &Vm| vm.global_addr("stale");
+            let dest = |vm: &Vm| vm.global_addr("active");
+            Corruption::Replay { src, dest }.apply(vm)
         },
     }
 }
@@ -223,42 +204,16 @@ pub fn all_probes() -> Vec<Probe> {
     ]
 }
 
-/// Runs the capability matrix: probes × defenses.
-pub fn capability_matrix() -> Vec<(String, Vec<ProbeOutcome>)> {
-    use crate::harness::DEFENSES;
-    all_probes()
-        .iter()
-        .map(|p| {
-            (
-                p.id.to_string(),
-                DEFENSES.iter().map(|&d| run_probe(p, d)).collect(),
-            )
-        })
-        .collect()
-}
-
 /// Renders the Table 2 report.
 pub fn render_table2() -> String {
-    let matrix = capability_matrix();
+    let probes = all_probes();
+    let victims: Vec<Victim> = probes.iter().map(Victim::probe).collect();
+    let matrix = run_matrix(&victims);
     let mut out = String::new();
     out.push_str(
         "Table 2 reproduction: attacker restrictions per mechanism (measured)\n\n",
     );
-    out.push_str(&format!(
-        "{:<26} {:>12} {:>11} {:>11} {:>11} {:>11}\n",
-        "probe", "no defense", "PARTS", "STC", "STWC", "STL"
-    ));
-    for (id, row) in &matrix {
-        out.push_str(&format!(
-            "{:<26} {:>12} {:>11} {:>11} {:>11} {:>11}\n",
-            id,
-            row[0].label(),
-            row[1].label(),
-            row[2].label(),
-            row[3].label(),
-            row[4].label(),
-        ));
-    }
+    render_grid(&mut out, "probe", (26, 11), &matrix, table2_label);
     out.push_str(
         "\nReading: STL's location binding removes even same-RSTI-type\n\
          substitution; STC/STWC retain the equivalence-class residual risk\n\
@@ -317,15 +272,16 @@ pub fn probe_self_inflicted_overflow() -> Probe {
             // uncomprbuf(16) | tiff(16). Copying 32 bytes into the 16-byte
             // uncomprbuf overlays the whole TIFF object; bytes 24..32 land
             // on tif_encoderow.
-            let input = vm.heap_live().first()?.0;
-            let len_slot = vm.global_addr("g_input_len")?;
-            let gadget = vm.func_addr("default_encoderow")?; // any raw addr
+            let addrs = vm.heap_live().first().zip(vm.global_addr("g_input_len"));
+            let gadget = vm.func_addr("default_encoderow"); // any raw addr
+            let ((&(input, _), len_slot), gadget) =
+                addrs.zip(gadget).ok_or("corruption addresses did not resolve")?;
             let mut payload = [0u8; 32];
             for c in payload.chunks_exact_mut(8) {
                 c.copy_from_slice(&gadget.to_le_bytes());
             }
-            vm.attacker_write(input, &payload).ok()?;
-            vm.attacker_write_u64(len_slot, 32).ok()
+            vm.attacker_write(input, &payload).map_err(|e| e.to_string())?;
+            vm.attacker_write_u64(len_slot, 32).map_err(|e| e.to_string())
         },
     }
 }
@@ -333,37 +289,41 @@ pub fn probe_self_inflicted_overflow() -> Probe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsti_core::{Mechanism, OptLevel};
+    use rsti_vm::ExecBackend;
+
+    /// One unoptimized Table 2 cell, by its label.
+    fn cell(p: &Probe, defense: Option<Mechanism>) -> &'static str {
+        let v = Victim::probe(p).attack(defense, OptLevel::None, ExecBackend::default(), false);
+        table2_label(&v.0)
+    }
 
     #[test]
     fn same_class_substitution_beats_stc_stwc_but_not_stl() {
         let p = probe_same_class();
-        assert_eq!(run_probe(&p, None), ProbeOutcome::Undetected);
-        assert_eq!(run_probe(&p, Some(Mechanism::Parts)), ProbeOutcome::Undetected);
-        assert_eq!(run_probe(&p, Some(Mechanism::Stc)), ProbeOutcome::Undetected);
-        assert_eq!(run_probe(&p, Some(Mechanism::Stwc)), ProbeOutcome::Undetected);
-        assert_eq!(run_probe(&p, Some(Mechanism::Stl)), ProbeOutcome::Detected);
+        assert_eq!(cell(&p, None), "UNDETECTED");
+        assert_eq!(cell(&p, Some(Mechanism::Parts)), "UNDETECTED");
+        assert_eq!(cell(&p, Some(Mechanism::Stc)), "UNDETECTED");
+        assert_eq!(cell(&p, Some(Mechanism::Stwc)), "UNDETECTED");
+        assert_eq!(cell(&p, Some(Mechanism::Stl)), "detected");
     }
 
     #[test]
     fn diff_class_substitution_caught_by_rsti_missed_by_parts() {
         let p = probe_diff_class();
-        assert_eq!(run_probe(&p, None), ProbeOutcome::Undetected);
-        assert_eq!(run_probe(&p, Some(Mechanism::Parts)), ProbeOutcome::Undetected);
-        assert_eq!(run_probe(&p, Some(Mechanism::Stc)), ProbeOutcome::Detected);
-        assert_eq!(run_probe(&p, Some(Mechanism::Stwc)), ProbeOutcome::Detected);
-        assert_eq!(run_probe(&p, Some(Mechanism::Stl)), ProbeOutcome::Detected);
+        assert_eq!(cell(&p, None), "UNDETECTED");
+        assert_eq!(cell(&p, Some(Mechanism::Parts)), "UNDETECTED");
+        assert_eq!(cell(&p, Some(Mechanism::Stc)), "detected");
+        assert_eq!(cell(&p, Some(Mechanism::Stwc)), "detected");
+        assert_eq!(cell(&p, Some(Mechanism::Stl)), "detected");
     }
 
     #[test]
     fn spatial_overflow_detected_by_all_pac_schemes() {
         let p = probe_spatial();
-        assert_eq!(run_probe(&p, None), ProbeOutcome::Undetected);
+        assert_eq!(cell(&p, None), "UNDETECTED");
         for mech in Mechanism::ALL {
-            assert_eq!(
-                run_probe(&p, Some(mech)),
-                ProbeOutcome::Detected,
-                "{mech} must detect raw overflow"
-            );
+            assert_eq!(cell(&p, Some(mech)), "detected", "{mech} must detect raw overflow");
         }
     }
 
@@ -374,16 +334,11 @@ mod tests {
         // run executes the planted address; every RSTI mechanism traps at
         // the next authenticated load.
         let p = probe_self_inflicted_overflow();
-        let unprotected = run_probe(&p, None);
-        assert_ne!(
-            unprotected,
-            ProbeOutcome::Detected,
-            "no defense, nothing to detect"
-        );
+        assert_ne!(cell(&p, None), "detected", "no defense, nothing to detect");
         for mech in [Mechanism::Stc, Mechanism::Stwc, Mechanism::Stl] {
             assert_eq!(
-                run_probe(&p, Some(mech)),
-                ProbeOutcome::Detected,
+                cell(&p, Some(mech)),
+                "detected",
                 "{mech} must catch the self-inflicted overflow"
             );
         }
@@ -392,13 +347,38 @@ mod tests {
     #[test]
     fn temporal_replay_detected_when_classes_differ() {
         let p = probe_temporal();
-        assert_eq!(run_probe(&p, None), ProbeOutcome::Undetected);
+        assert_eq!(cell(&p, None), "UNDETECTED");
         for mech in [Mechanism::Stc, Mechanism::Stwc, Mechanism::Stl] {
-            assert_eq!(
-                run_probe(&p, Some(mech)),
-                ProbeOutcome::Detected,
-                "{mech} must detect the dangling replay"
-            );
+            assert_eq!(cell(&p, Some(mech)), "detected", "{mech} must detect the dangling replay");
         }
+    }
+
+    #[test]
+    fn a_probe_that_never_reaches_its_pause_is_inconclusive() {
+        // `consume` exists but is never called: the run ends before the
+        // pause, and the cell says so instead of panicking.
+        let p = Probe {
+            source: "long consume() { return 1; } int main() { return 0; }",
+            ..probe_same_class()
+        };
+        let (v, _) = Victim::probe(&p).attack(None, OptLevel::None, ExecBackend::default(), false);
+        assert!(
+            matches!(&v, Verdict::Inconclusive(why) if why.contains("never reached consume")),
+            "{v:?}"
+        );
+        assert_eq!(table2_label(&v), "??");
+    }
+
+    #[test]
+    fn a_probe_whose_corruption_does_not_resolve_says_why() {
+        // No global `b` to replay from: the cell keeps the corruption's
+        // own reason, the one a Table 1 cell reports.
+        let p = Probe {
+            source: "struct item { long v; }; struct item* a; long consume() { return 1; } \
+                     int main() { return (int) consume(); }",
+            ..probe_same_class()
+        };
+        let (v, _) = Victim::probe(&p).attack(None, OptLevel::None, ExecBackend::default(), false);
+        assert_eq!(v, Verdict::Inconclusive("corruption addresses did not resolve".into()));
     }
 }

@@ -4,14 +4,15 @@
 //! scope-type relationships mirror the paper's table, plus a corruption
 //! procedure using the VM's attacker API and a payload predicate. The
 //! harness runs every scenario under no defense, PARTS, and the three RSTI
-//! mechanisms, and *derives* the verdict from what actually happens — the
-//! attack either achieves its goal, is detected by an authentication trap,
-//! or crashes.
+//! mechanisms, at any opt level, and *derives* the verdict from what
+//! actually happens — the attack either achieves its goal, is detected by
+//! an authentication trap, or crashes.
 
-use rsti_core::Mechanism;
+use rsti_core::{Mechanism, OptLevel};
 use rsti_frontend::compile;
+use rsti_ir::Module;
 use rsti_vm::{ExecBackend, ExecResult, Image, Incident, RunStop, Status, Trap, Vm};
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Attack category (Table 1 grouping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,117 +140,197 @@ pub fn defense_name(d: Option<Mechanism>) -> &'static str {
     }
 }
 
-/// Runs one scenario under one defense (default accounting, block
-/// pre-charge) and derives the verdict.
-pub fn evaluate(s: &Scenario, defense: Option<Mechanism>) -> Verdict {
-    evaluate_with_record(s, defense, ExecBackend::default(), false).0
+impl Corruption {
+    /// Performs the corruption on a paused victim.
+    ///
+    /// # Errors
+    /// Says why an address did not resolve or an access was refused.
+    pub fn apply(&self, vm: &mut Vm) -> Result<(), String> {
+        const UNRESOLVED: &str = "corruption addresses did not resolve";
+        match self {
+            Corruption::RawWrite { dest, value } => {
+                let (d, v) = dest(vm).zip(value(vm)).ok_or(UNRESOLVED)?;
+                vm.attacker_write_u64(d, v).map_err(|e| e.to_string())
+            }
+            Corruption::Replay { src, dest } => {
+                let (sa, da) = src(vm).zip(dest(vm)).ok_or(UNRESOLVED)?;
+                let bytes = vm.attacker_read(sa, 8).map_err(|e| e.to_string())?;
+                vm.attacker_write(da, &bytes).map_err(|e| e.to_string())
+            }
+        }
+    }
 }
 
-/// [`evaluate`], with the accounting mode selectable and the flight
-/// recorder optionally armed: when `record` is on and the defense detects
-/// the corruption, the returned [`Incident`] is the forensic narrative of
-/// the attack — failing check site, expected-vs-presented modifier,
-/// sign-site lineage, event window. Both modes produce bit-identical
-/// incidents.
-pub fn evaluate_with_record(
+/// A corruption of a paused victim; `Err` says why it did not resolve.
+type Corrupt<'a> = Box<dyn Fn(&mut Vm) -> Result<(), String> + 'a>;
+
+/// A victim compiled once — a Table 1 [`Scenario`] or a Table 2
+/// [`Probe`](crate::capability::Probe) — from which every cell builds.
+pub struct Victim<'a> {
+    /// Row id.
+    pub id: &'static str,
+    pub(crate) module: Result<Module, String>,
+    pub(crate) pause_at: &'static str,
+    pub(crate) corrupt: Corrupt<'a>,
+    pub(crate) payload_check: fn(&ExecResult) -> bool,
+}
+
+/// Compiles a victim's source; `Err` makes its every cell inconclusive.
+pub(crate) fn compile_victim(source: &str, id: &str) -> Result<Module, String> {
+    compile(source, id).map_err(|e| format!("victim does not compile: {e}"))
+}
+
+impl<'a> Victim<'a> {
+    /// Compiles a Table 1 scenario.
+    pub fn scenario(s: &'a Scenario) -> Self {
+        Victim {
+            id: s.id,
+            module: compile_victim(s.source, s.id),
+            pause_at: s.pause_at,
+            corrupt: Box::new(|vm| s.corruption.apply(vm)),
+            payload_check: s.payload_check,
+        }
+    }
+
+    /// The one attack driver. Builds the image the way Fig. 9's cells do
+    /// (no defense: the module optimized at `level`; a mechanism:
+    /// instrumented, then optimized at `level`) in accounting mode `exec`,
+    /// with the flight recorder when `record`. With `attack` it runs to the
+    /// pause scope and corrupts; then it finishes and derives the verdict.
+    fn run(
+        &self,
+        defense: Option<Mechanism>,
+        level: OptLevel,
+        exec: ExecBackend,
+        record: bool,
+        attack: bool,
+    ) -> (Verdict, Option<Box<Incident>>) {
+        let inconclusive = |why: String| (Verdict::Inconclusive(why), None);
+        let m = match &self.module {
+            Ok(m) => m,
+            Err(e) => return inconclusive(e.clone()),
+        };
+        let img = match defense {
+            None => {
+                let mut m = m.clone();
+                rsti_core::optimize_module(&mut m, level);
+                Image::baseline_owned(m)
+            }
+            Some(mech) => {
+                let mut p = rsti_core::instrument(m, mech);
+                rsti_core::optimize_program_at(&mut p, level);
+                Image::from_instrumented_owned(p)
+            }
+        }
+        .with_exec(exec);
+        let img = if record { img.with_record() } else { img };
+        let mut vm = Vm::new(&img);
+        if attack {
+            if let RunStop::Done(st) = vm.run_to_function(self.pause_at) {
+                return inconclusive(format!("victim never reached {}: {st:?}", self.pause_at));
+            }
+            if let Err(e) = (self.corrupt)(&mut vm) {
+                return inconclusive(e);
+            }
+        }
+        let r = vm.finish();
+        let verdict = match r.status {
+            _ if (self.payload_check)(&r) => Verdict::PayloadExecuted,
+            Status::Exited(_) => Verdict::Survived,
+            Status::Trapped(t) if t.is_detection() => Verdict::Detected(t),
+            Status::Trapped(t) => Verdict::Crashed(t),
+        };
+        (verdict, r.incident)
+    }
+
+    /// Attacks the victim under `defense` at `level` and derives the
+    /// verdict. With `record`, a detection also yields the forensic
+    /// [`Incident`] (failing check site, expected-vs-presented modifier,
+    /// sign-site lineage, event window), bit-identical in both accounting
+    /// modes.
+    pub fn attack(
+        &self,
+        defense: Option<Mechanism>,
+        level: OptLevel,
+        exec: ExecBackend,
+        record: bool,
+    ) -> (Verdict, Option<Box<Incident>>) {
+        self.run(defense, level, exec, record, true)
+    }
+
+    /// Sanity check: the same build, run *without* an attack, must exit
+    /// cleanly without firing the payload.
+    pub fn check_benign(
+        &self,
+        defense: Option<Mechanism>,
+        level: OptLevel,
+        exec: ExecBackend,
+    ) -> Result<(), String> {
+        match self.run(defense, level, exec, false, false).0 {
+            Verdict::Survived => Ok(()),
+            v => Err(format!("unattacked run: {} ({v:?})", v.label())),
+        }
+    }
+}
+
+/// Runs one scenario under one defense, unoptimized, in the default
+/// accounting mode, and derives the verdict.
+pub fn evaluate(s: &Scenario, defense: Option<Mechanism>) -> Verdict {
+    evaluate_at(s, defense, OptLevel::None, ExecBackend::default(), false).0
+}
+
+/// Runs one scenario under one defense at opt level `level` in accounting
+/// mode `exec`, optionally with the flight recorder (see
+/// [`Victim::attack`]).
+pub fn evaluate_at(
     s: &Scenario,
     defense: Option<Mechanism>,
+    level: OptLevel,
     exec: ExecBackend,
     record: bool,
 ) -> (Verdict, Option<Box<Incident>>) {
-    let m = match compile(s.source, s.id) {
-        Ok(m) => m,
-        Err(e) => {
-            return (Verdict::Inconclusive(format!("victim does not compile: {e}")), None)
-        }
-    };
-    let mut img = match defense {
-        None => Image::baseline(&m),
-        Some(mech) => Image::from_instrumented(&rsti_core::instrument(&m, mech)),
-    };
-    img = img.with_exec(exec);
-    if record {
-        img = img.with_record();
-    }
-    let mut vm = Vm::new(&img);
-    match vm.run_to_function(s.pause_at) {
-        RunStop::Entered => {}
-        RunStop::Done(st) => {
-            return (
-                Verdict::Inconclusive(format!("victim never reached {}: {st:?}", s.pause_at)),
-                None,
-            )
-        }
-    }
-    // Perform the corruption.
-    let err = match &s.corruption {
-        Corruption::RawWrite { dest, value } => {
-            match (dest(&vm), value(&vm)) {
-                (Some(d), Some(v)) => vm.attacker_write_u64(d, v).err().map(|e| e.to_string()),
-                _ => Some("corruption addresses did not resolve".into()),
-            }
-        }
-        Corruption::Replay { src, dest } => match (src(&vm), dest(&vm)) {
-            (Some(sa), Some(da)) => match vm.attacker_read(sa, 8) {
-                Ok(bytes) => vm.attacker_write(da, &bytes).err().map(|e| e.to_string()),
-                Err(e) => Some(e.to_string()),
-            },
-            _ => Some("corruption addresses did not resolve".into()),
-        },
-    };
-    if let Some(e) = err {
-        return (Verdict::Inconclusive(e), None);
-    }
-    let r = vm.finish();
-    if (s.payload_check)(&r) {
-        return (Verdict::PayloadExecuted, r.incident);
-    }
-    let verdict = match r.status {
-        Status::Exited(_) => Verdict::Survived,
-        Status::Trapped(t) if t.is_detection() => Verdict::Detected(t),
-        Status::Trapped(t) => Verdict::Crashed(t),
-    };
-    (verdict, r.incident)
+    Victim::scenario(s).attack(defense, level, exec, record)
 }
 
-/// Sanity check: the victim must run cleanly (no traps, no payload) when
-/// *not* attacked, under every defense. Returns an error description.
-pub fn check_benign(s: &Scenario, defense: Option<Mechanism>) -> Result<(), String> {
-    let m = compile(s.source, s.id).map_err(|e| format!("compile: {e}"))?;
-    let img = match defense {
-        None => Image::baseline(&m),
-        Some(mech) => Image::from_instrumented(&rsti_core::instrument(&m, mech)),
-    };
-    let r = Vm::new(&img).run();
-    match &r.status {
-        Status::Exited(_) => {
-            if (s.payload_check)(&r) {
-                Err("payload fires without an attack".into())
-            } else {
-                Ok(())
-            }
-        }
-        Status::Trapped(t) => Err(format!("benign run trapped: {t}")),
-    }
-}
-
-/// One row of the full evaluation matrix.
+/// One row of an evaluation matrix.
 pub struct MatrixRow {
-    /// Scenario id.
+    /// Victim id.
     pub id: &'static str,
     /// Verdicts in [`DEFENSES`] order.
     pub verdicts: Vec<Verdict>,
 }
 
-/// Runs the full matrix over `scenarios`.
-pub fn run_matrix(scenarios: &[Scenario]) -> Vec<MatrixRow> {
-    scenarios
+/// Attacks every unoptimized victim under every defense in [`DEFENSES`]
+/// in the default accounting mode.
+pub fn run_matrix(victims: &[Victim]) -> Vec<MatrixRow> {
+    let attack = |v: &Victim, d| v.attack(d, OptLevel::None, ExecBackend::default(), false).0;
+    victims
         .iter()
-        .map(|s| MatrixRow {
-            id: s.id,
-            verdicts: DEFENSES.iter().map(|&d| evaluate(s, d)).collect(),
-        })
+        .map(|v| MatrixRow { id: v.id, verdicts: DEFENSES.iter().map(|&d| attack(v, d)).collect() })
         .collect()
+}
+
+/// Appends a verdict grid: a header row naming the id column `first`, then
+/// one row per victim with cells labelled by `label`. `widths` are the id
+/// column's and each mechanism column's.
+pub(crate) fn render_grid(
+    out: &mut String,
+    first: &str,
+    (w, c): (usize, usize),
+    matrix: &[MatrixRow],
+    label: fn(&Verdict) -> &'static str,
+) {
+    let header = vec![first, "no defense", "PARTS", "STC", "STWC", "STL"];
+    let rows = matrix
+        .iter()
+        .map(|r| [r.id].into_iter().chain(r.verdicts.iter().map(label)).collect());
+    for l in std::iter::once(header).chain(rows) {
+        let _ = writeln!(
+            out,
+            "{:<w$} {:>12} {:>c$} {:>c$} {:>c$} {:>c$}",
+            l[0], l[1], l[2], l[3], l[4], l[5]
+        );
+    }
 }
 
 /// Renders the Table 1 report.
@@ -260,21 +341,7 @@ pub fn render_table1(scenarios: &[Scenario], matrix: &[MatrixRow]) -> String {
          (paper: all rows detected by RSTI; PARTS misses same-basic-type\n\
          substitutions such as DOP ProFTPd and PittyPat)\n\n",
     );
-    out.push_str(&format!(
-        "{:<22} {:>12} {:>10} {:>10} {:>10} {:>10}\n",
-        "attack", "no defense", "PARTS", "STC", "STWC", "STL"
-    ));
-    for (s, row) in scenarios.iter().zip(matrix) {
-        out.push_str(&format!(
-            "{:<22} {:>12} {:>10} {:>10} {:>10} {:>10}\n",
-            s.id,
-            row.verdicts[0].label(),
-            row.verdicts[1].label(),
-            row.verdicts[2].label(),
-            row.verdicts[3].label(),
-            row.verdicts[4].label(),
-        ));
-    }
+    render_grid(&mut out, "attack", (22, 10), matrix, Verdict::label);
     out.push('\n');
     for s in scenarios {
         out.push_str(&format!(

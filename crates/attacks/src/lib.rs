@@ -3,7 +3,8 @@
 //! Re-creates all twelve Table 1 exploits as MiniC victims with the same
 //! pointer scope-type relationships as the paper's table, drives them with
 //! the VM's attacker API, and derives per-defense verdicts; plus measured
-//! Table 2 capability probes.
+//! Table 2 capability probes. Both tables go through one driver
+//! ([`Victim::attack`]), which builds each cell at any opt level.
 //!
 //! ```
 //! use rsti_attacks::{scenarios, harness};
@@ -25,16 +26,17 @@ pub mod capability;
 pub mod harness;
 pub mod scenarios;
 
-pub use capability::{capability_matrix, render_table2, ProbeOutcome};
+pub use capability::{render_table2, table2_label, Probe};
 pub use harness::{
-    check_benign, defense_name, evaluate, evaluate_with_record, render_table1, run_matrix,
-    AttackKind, Category, Corruption, MatrixRow, Scenario, Verdict, DEFENSES,
+    defense_name, evaluate, evaluate_at, render_table1, run_matrix, AttackKind, Category,
+    Corruption, MatrixRow, Scenario, Verdict, Victim, DEFENSES,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsti_core::Mechanism;
+    use rsti_core::{Mechanism, OptLevel};
+    use rsti_vm::ExecBackend;
 
     /// Scenarios whose substitution uses the same basic type on both
     /// sides — the ones the PARTS baseline cannot detect (§6.1.2).
@@ -43,10 +45,10 @@ mod tests {
     #[test]
     fn every_victim_runs_cleanly_when_not_attacked() {
         for s in scenarios::all() {
+            let v = Victim::scenario(&s);
             for d in DEFENSES {
-                check_benign(&s, d).unwrap_or_else(|e| {
-                    panic!("{} under {}: {e}", s.id, defense_name(d))
-                });
+                v.check_benign(d, OptLevel::None, ExecBackend::default())
+                    .unwrap_or_else(|e| panic!("{} under {}: {e}", s.id, defense_name(d)));
             }
         }
     }
@@ -103,7 +105,8 @@ mod tests {
     #[test]
     fn matrix_report_renders() {
         let scenarios = scenarios::all();
-        let matrix = run_matrix(&scenarios[..2]);
+        let victims: Vec<Victim> = scenarios[..2].iter().map(Victim::scenario).collect();
+        let matrix = run_matrix(&victims);
         let text = render_table1(&scenarios[..2], &matrix);
         assert!(text.contains("newton-cscfi"));
         assert!(text.contains("HIJACKED"));
@@ -128,8 +131,9 @@ mod tests {
                     mech
                 );
             }
+            let v = Victim::scenario(&s);
             for d in DEFENSES {
-                check_benign(&s, d)
+                v.check_benign(d, OptLevel::None, ExecBackend::default())
                     .unwrap_or_else(|e| panic!("{} benign under {}: {e}", s.id, defense_name(d)));
             }
         }
@@ -152,13 +156,11 @@ mod tests {
         // expected-vs-presented modifier, with sign-site lineage for
         // replayed (legitimately signed) values and none for raw
         // overwrites — bit-identical between the two engines.
-        use rsti_vm::ExecBackend;
         for s in scenarios::all() {
+            let v = Victim::scenario(&s);
             for mech in [Mechanism::Stwc, Mechanism::Stc, Mechanism::Stl] {
-                let (vi, ii) =
-                    evaluate_with_record(&s, Some(mech), ExecBackend::Interp, true);
-                let (vc, ic) =
-                    evaluate_with_record(&s, Some(mech), ExecBackend::Compiled, true);
+                let (vi, ii) = v.attack(Some(mech), OptLevel::None, ExecBackend::Interp, true);
+                let (vc, ic) = v.attack(Some(mech), OptLevel::None, ExecBackend::Compiled, true);
                 assert_eq!(vi, vc, "{} under {mech}: verdicts diverge", s.id);
                 assert_eq!(ii, ic, "{} under {mech}: incidents diverge", s.id);
                 assert!(

@@ -16,7 +16,8 @@ fn main() {
     // Security evaluation.
     let mut scenarios = rsti_attacks::scenarios::all();
     scenarios.extend(rsti_attacks::scenarios::extras());
-    let matrix = rsti_attacks::run_matrix(&scenarios);
+    let victims: Vec<_> = scenarios.iter().map(rsti_attacks::Victim::scenario).collect();
+    let matrix = rsti_attacks::run_matrix(&victims);
     write("table1.txt", rsti_attacks::render_table1(&scenarios, &matrix));
     write("table2.txt", rsti_attacks::render_table2());
 

@@ -40,7 +40,8 @@
 //! check site, the expected-vs-presented modifier and key, the sign-site
 //! lineage of the authenticated value, a scope timeline, and the last-K
 //! event window (`--json` for the structured form). `--attack <id>` runs a
-//! Table 1 scenario from `rsti-attacks` instead of a file; `run`,
+//! Table 1 scenario from `rsti-attacks` instead of a file, built at the
+//! `--opt` level like a file; `run`,
 //! `profile`, and `fuzz` accept `--record` to arm the same recorder.
 //!
 //! `--trace <path>` (or the `RSTI_TRACE` env var) turns the global
@@ -300,14 +301,15 @@ usage:
   on and writes DIR/hotspots.md (default reports/): the per-function
   app/PAC/pp cycle split plus a diff of the last two bench-history entries.
   rsti explain <file.mc> [--mech stwc|stc|stl|parts|none|adaptive] [--backend pac|mac|interp|compiled] [--opt none|block|cfg|ipo] [--json]
-  rsti explain --attack <scenario-id> [--mech stwc|stc|stl|parts|none] [--backend interp|compiled] [--json]
+  rsti explain --attack <scenario-id> [--mech stwc|stc|stl|parts|none] [--backend interp|compiled] [--opt none|block|cfg|ipo] [--json]
 
   explain arms the pointer-provenance flight recorder and renders the
   forensic incident report for the first RSTI detection trap: failing
   check site, expected vs presented modifier/key, sign-site lineage,
   scope timeline, and the last-K event window (--json for the structured
-  form). --attack runs a Table 1 scenario instead of a file. run, profile,
-  and fuzz accept --record to arm the same recorder on their runs.
+  form). --attack runs a Table 1 scenario instead of a file, built at the
+  --opt level. run, profile, and fuzz accept --record to arm the same
+  recorder on their runs.
   rsti analyze <file.mc> [--mech stwc|stc|stl|parts]
   rsti instrument <file.mc> [--mech stwc|stc|stl|parts]
   rsti equivalence <file.mc>
@@ -719,15 +721,22 @@ fn cmd_report(args: &[String]) -> Result<String, String> {
 ///
 /// # Errors
 /// Returns usage errors: unknown attack id or flag values, a missing or
-/// unreadable input, or `--backend pac|mac` combined with `--attack`.
+/// unreadable input, or `--mech adaptive` or `--backend pac|mac` combined
+/// with `--attack`.
 fn cmd_explain(args: &[String]) -> Result<String, String> {
-    let json = args.iter().any(|a| a == "--json");
     let (enforce, exec) = parse_backends(args)?;
-    let mut out = String::new();
-    if let Some(id) = flag_value(args, "--attack") {
-        if enforce.is_some() {
-            return Err("--backend pac|mac does not combine with --attack (the harness \
-                        owns enforcement); pick the engine with --backend interp|compiled"
+    let choice = flag_value(args, "--mech")
+        .map(MechChoice::parse)
+        .transpose()?
+        .unwrap_or(MechChoice::Fixed(Mechanism::Stwc));
+    let level = parse_opt_level(args)?;
+    // The header over an incident, the line that says there is none, and
+    // the incident.
+    let (found, nothing, incident) = if let Some(id) = flag_value(args, "--attack") {
+        if enforce.is_some() || choice == MechChoice::Adaptive {
+            return Err("--attack runs Table 1's defenses (--mech none|parts|stc|stwc|stl) \
+                        under the harness's enforcement (--backend interp|compiled picks \
+                        the engine); adaptive, pac and mac do not combine with it"
                 .into());
         }
         let all: Vec<rsti_attacks::Scenario> = rsti_attacks::scenarios::all()
@@ -738,39 +747,18 @@ fn cmd_explain(args: &[String]) -> Result<String, String> {
             let ids: Vec<&str> = all.iter().map(|s| s.id).collect();
             format!("unknown attack `{id}`; one of: {}", ids.join(", "))
         })?;
-        let mech = match flag_value(args, "--mech") {
-            Some(name) => MechChoice::parse(name)?.mechanism(),
-            None => Some(Mechanism::Stwc),
-        };
-        let engine = exec.unwrap_or_default();
-        let (verdict, inc) = rsti_attacks::evaluate_with_record(s, mech, engine, true);
-        match inc {
-            Some(inc) if json => {
-                let _ = writeln!(out, "{}", inc.to_json());
-            }
-            Some(inc) => {
-                let _ = writeln!(
-                    out,
-                    "explain: attack `{}` under {} ({} engine): {}",
-                    s.id,
-                    rsti_attacks::defense_name(mech),
-                    engine.label(),
-                    verdict.label()
-                );
-                out.push_str(&inc.render_text());
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "explain: attack `{}` under {} ({} engine): {} — no detection \
-                     trap, so there is no incident to explain",
-                    s.id,
-                    rsti_attacks::defense_name(mech),
-                    engine.label(),
-                    verdict.label()
-                );
-            }
-        }
+        let (mech, engine) = (choice.mechanism(), exec.unwrap_or_default());
+        let (verdict, inc) = rsti_attacks::evaluate_at(s, mech, level, engine, true);
+        let head = format!(
+            "explain: attack `{}` under {} ({} engine, opt {}): {}",
+            s.id,
+            rsti_attacks::defense_name(mech),
+            engine.label(),
+            level.label(),
+            verdict.label()
+        );
+        let nothing = format!("{head} — no detection trap, so there is no incident to explain");
+        (head, nothing, inc)
     } else {
         let file = args
             .get(1)
@@ -778,37 +766,22 @@ fn cmd_explain(args: &[String]) -> Result<String, String> {
             .ok_or("explain needs <file.mc> or --attack <scenario-id>")?;
         let src = read_source(file)?;
         let module = rsti_frontend::compile(&src, file).map_err(|e| e.to_string())?;
-        let choice = match flag_value(args, "--mech") {
-            Some(s) => MechChoice::parse(s)?,
-            None => MechChoice::Fixed(Mechanism::Stwc),
-        };
-        let level = parse_opt_level(args)?;
         let (img, _stats) = build_image(&module, choice, level);
         let img = apply_backend(img, args)?.with_record();
         let r = Vm::new(&img).run();
-        match &r.incident {
-            Some(inc) if json => {
-                let _ = writeln!(out, "{}", inc.to_json());
-            }
-            Some(inc) => {
-                let _ = writeln!(out, "explain: {file} (mech {})", choice.name());
-                out.push_str(&inc.render_text());
-            }
-            None => {
-                let status = match &r.status {
-                    Status::Exited(c) => format!("exit {c}"),
-                    Status::Trapped(t) => format!("trap {t}"),
-                };
-                let _ = writeln!(
-                    out,
-                    "explain: {file} (mech {}): no RSTI detection trap ({status}) — \
-                     nothing to explain",
-                    choice.name()
-                );
-            }
-        }
-    }
-    Ok(out)
+        let status = match &r.status {
+            Status::Exited(c) => format!("exit {c}"),
+            Status::Trapped(t) => format!("trap {t}"),
+        };
+        let head = format!("explain: {file} (mech {})", choice.name());
+        let nothing = format!("{head}: no RSTI detection trap ({status}) — nothing to explain");
+        (head, nothing, r.incident)
+    };
+    Ok(match incident {
+        Some(inc) if args.iter().any(|a| a == "--json") => format!("{}\n", inc.to_json()),
+        Some(inc) => format!("{found}\n{}", inc.render_text()),
+        None => format!("{nothing}\n"),
+    })
 }
 
 fn dispatch(args: &[String]) -> Result<String, String> {
@@ -1636,6 +1609,42 @@ mod tests {
             bodies.push(out);
         }
         assert_eq!(bodies[0], bodies[1], "incident JSON must be engine-invariant");
+    }
+
+    #[test]
+    fn explain_attack_builds_at_the_requested_opt_level() {
+        // dop-proftpd's pause function is inlined at ipo; the attack still
+        // pauses there and the header names the level it was built at.
+        let (code, out) = run_cli(&[
+            "explain".into(),
+            "--attack".into(),
+            "dop-proftpd".into(),
+            "--opt".into(),
+            "ipo".into(),
+        ]);
+        assert_eq!(code, 0, "{out}");
+        assert!(
+            out.contains("under RSTI-STWC (compiled engine, opt ipo): detected"),
+            "{out}"
+        );
+        assert!(out.contains("== RSTI incident report =="), "{out}");
+        assert!(USAGE.contains("--attack <scenario-id> [--mech stwc|stc|stl|parts|none] \
+                                [--backend interp|compiled] [--opt"));
+    }
+
+    #[test]
+    fn explain_attack_rejects_adaptive() {
+        let (code, out) = run_cli(&[
+            "explain".into(),
+            "--attack".into(),
+            "newton-cscfi".into(),
+            "--mech".into(),
+            "adaptive".into(),
+        ]);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("--mech none|parts|stc|stwc|stl"), "{out}");
+        assert!(out.contains("adaptive, pac and mac do not combine"), "{out}");
+        assert!(!out.contains("RSTI-STWC"), "{out}");
     }
 
     #[test]

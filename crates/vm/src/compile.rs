@@ -492,8 +492,8 @@ fn commit_pos(vm: &mut Vm<'_>, block: usize, next_idx: usize) {
 fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usize) -> OpFn {
     let mac = cx.backend == Backend::MacTable;
     match inst {
-        Inst::Alloca { result, ty, var } => {
-            let (result, var) = (*result, *var);
+        Inst::Alloca { result, ty, .. } => {
+            let result = *result;
             let size = cx.tl.size_of(*ty).max(1).div_ceil(8).saturating_mul(8);
             Box::new(move |vm| {
                 let fr = vm.frames.last().expect("frame");
@@ -513,9 +513,6 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                 tri!(vm.mem.write_zeros(addr, size).map_err(|e| vm.mem_err(e)));
                 let fr = vm.frames.last_mut().expect("frame");
                 fr.alloca_cache[result.0 as usize] = (fr.gen, addr);
-                if let Some(v) = var {
-                    fr.locals.push((v, addr));
-                }
                 vm.set(result, RtVal::P(addr));
                 Control::Next
             })
@@ -1286,9 +1283,10 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
 
 impl<'img> Vm<'img> {
     /// The one driver behind [`Vm::run`], [`Vm::run_to_function`] and
-    /// [`Vm::finish`]. With a watchpoint it runs one block per dispatch
-    /// and pauses when `watch` is entered.
-    pub(crate) fn drive(&mut self, watch: Option<FuncId>) {
+    /// [`Vm::finish`]. With a watchpoint — the `(function, block)` entries
+    /// of a source scope — it runs one block per dispatch and pauses on
+    /// entering any of them.
+    pub(crate) fn drive(&mut self, watch: Option<&HashSet<(FuncId, usize)>>) {
         let code = Arc::clone(&self.code);
         // An image that failed the id check has no code; its VM was
         // trapped at load.
@@ -1310,15 +1308,12 @@ impl<'img> Vm<'img> {
             return;
         };
         while self.status.is_none() {
-            if !skip_check {
-                if let Some(fr) = self.frames.last() {
-                    if fr.func == w && fr.block == 0 && fr.idx == 0 {
-                        self.paused = true;
-                        return; // paused at function entry
-                    }
-                }
+            let fresh = !std::mem::take(&mut skip_check);
+            let fr = self.frames.last();
+            if fresh && fr.is_some_and(|fr| fr.idx == 0 && w.contains(&(fr.func, fr.block))) {
+                self.paused = true;
+                return; // paused at a scope entry
             }
-            skip_check = false;
             // One block per dispatch: the pause check above must see
             // every block entry, and the attacker API the exact state
             // between any two blocks.

@@ -217,8 +217,9 @@ impl Memory {
             return Err(MemFault::OutOfRange { addr, len });
         }
         let mut out = vec![0u8; len as usize];
-        let avail = s.data.len().saturating_sub(off).min(len as usize);
-        out[..avail].copy_from_slice(&s.data[off..off + avail]);
+        let prefix = s.data.get(off..).unwrap_or_default();
+        let avail = prefix.len().min(len as usize);
+        out[..avail].copy_from_slice(&prefix[..avail]);
         Ok(out)
     }
 
@@ -493,11 +494,13 @@ mod tests {
         // Materialize only the first 8 bytes, then read a scalar whose
         // whole range sits beyond the prefix but inside the segment: it is
         // never-written zero-fill, not a panic (regression: the empty-copy
-        // path used to index `data[off..off]` with `off > len`).
+        // path used to index `data[off..off]` with `off > len`). The
+        // attacker API's byte-range read takes the same range.
         let mut m = Memory::new(64, 64, 64, 64).unwrap();
         m.write_u64(layout::GLOBAL_BASE, 0xBEEF).unwrap();
         assert_eq!(m.read_u64(layout::GLOBAL_BASE + 16).unwrap(), 0);
         assert_eq!(m.read_arr::<4>(layout::GLOBAL_BASE + 24).unwrap(), [0u8; 4]);
+        assert_eq!(m.read(layout::GLOBAL_BASE + 16, 8).unwrap(), [0u8; 8]);
     }
 
     #[test]

@@ -29,15 +29,15 @@ use crate::cycles::CostModel;
 use crate::mem::{layout, Allocator, MemFault, Memory};
 use rsti_core::{check_sites, CheckSite, GlobalSign, InstrumentedProgram, Mechanism};
 use rsti_ir::{
-    BinOp, CmpOp, FuncId, GlobalInit, Inst, Module, Operand, PacKey, PacSite, Terminator, Type,
-    TypeId, TypeLayout, ValueId, VarId,
+    term_successors, BinOp, CmpOp, FuncId, GlobalInit, Inst, Module, Operand, PacKey,
+    PacSite, Scope, Terminator, Type, TypeId, TypeLayout, ValueId,
 };
 use rsti_pac::{KeyId, PacKeys, PacUnit, VaConfig};
 use rsti_telemetry::{
     AuditRecord, CounterId, Event, Histogram, Incident, IncidentEvent, Phase, SignLineage,
     INCIDENT_SCHEMA,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -974,7 +974,6 @@ struct Frame {
     reg_base: usize,
     stack_mark: u64,
     ret_to: Option<ValueId>,
-    locals: Vec<(VarId, u64)>,
     /// Per-value alloca address cache, indexed and generation-tagged like
     /// the register file (an entry is live only when its tag matches
     /// `gen`).
@@ -1001,7 +1000,6 @@ impl Frame {
             reg_base: 0,
             stack_mark: 0,
             ret_to: None,
-            locals: Vec::new(),
             alloca_cache: Vec::new(),
             gen: 0,
             ret_slot: None,
@@ -1040,9 +1038,8 @@ pub struct Vm<'img> {
     /// instead of a walk over the VA configuration.
     noncanon_mask: u64,
     addr_mask: u64,
-    /// Retired frames kept for reuse: their `alloca_cache`/`locals`
-    /// buffers are recycled so steady-state call/return performs no heap
-    /// allocation.
+    /// Retired frames kept for reuse: their `alloca_cache` buffers are
+    /// recycled so steady-state call/return performs no heap allocation.
     frame_pool: Vec<Frame>,
     output: Vec<String>,
     events: Vec<ExtEvent>,
@@ -1086,6 +1083,47 @@ pub struct Vm<'img> {
     /// Flight-recorder state — `None` (one pointer-null branch per hook)
     /// unless the image arms it.
     rec: Option<Box<RecState>>,
+}
+
+/// The `(function, block)` pairs at which a copy of `w`'s body begins:
+/// `w`'s block 0, and each block whose code carries `Scope::Function(w)`
+/// and is entered from outside a copy of `w` — an inlined copy keeps its
+/// callee's [`rsti_ir::DebugLoc`]s. A walk from each entry block tracks
+/// the chain of scopes the code is nested in: a branch into a scope on the
+/// chain returns to it (the continuation after an inlined call), a branch
+/// into any other scope enters a copy of it.
+fn scope_entries(m: &Module, w: FuncId) -> HashSet<(FuncId, usize)> {
+    let mut entries = HashSet::from([(w, 0)]);
+    for (fi, f) in m.funcs.iter().enumerate().filter(|(_, f)| !f.blocks.is_empty()) {
+        let scope = |b: usize| {
+            let b = &f.blocks[b];
+            b.insts.iter().find_map(|n| n.loc).or(b.term_loc).map(|l| l.scope)
+        };
+        let mut chain: Vec<Option<Vec<Scope>>> = vec![None; f.blocks.len()];
+        chain[0] = Some(scope(0).into_iter().collect());
+        let mut work = vec![0];
+        while let Some(b) = work.pop() {
+            for s in term_successors(&f.blocks[b].term).into_iter().map(|s| s.0 as usize) {
+                if chain[s].is_some() {
+                    continue;
+                }
+                let mut c = chain[b].clone().unwrap_or_default();
+                if let Some(sc) = scope(s) {
+                    match c.iter().position(|&x| x == sc) {
+                        Some(i) => c.truncate(i + 1),
+                        None if sc == Scope::Function(w.0) => {
+                            entries.insert((FuncId(fi as u32), s));
+                            c.push(sc);
+                        }
+                        None => c.push(sc),
+                    }
+                }
+                chain[s] = Some(c);
+                work.push(s);
+            }
+        }
+    }
+    entries
 }
 
 /// Result of [`Vm::run_to_function`].
@@ -1227,18 +1265,6 @@ impl<'img> Vm<'img> {
         self.global_addrs.get(gid.0 as usize).copied()
     }
 
-    /// Address of the innermost live stack slot for a variable name.
-    pub fn local_addr(&self, name: &str) -> Option<u64> {
-        for fr in self.frames.iter().rev() {
-            for (vid, addr) in fr.locals.iter().rev() {
-                if self.img.module.var(*vid).name == name {
-                    return Some(*addr);
-                }
-            }
-        }
-        None
-    }
-
     /// The code address of a function by name (what an attacker writes
     /// into a hijacked code pointer).
     pub fn func_addr(&self, name: &str) -> Option<u64> {
@@ -1270,15 +1296,17 @@ impl<'img> Vm<'img> {
         self.result()
     }
 
-    /// Runs until `name` is entered (paused at its first instruction), or
-    /// to completion.
+    /// Runs until a copy of `name`'s body is entered (paused at its first
+    /// instruction), or to completion. The pause is by source scope, not
+    /// by frame: `name`'s own entry and the entry of every copy the
+    /// inliner spliced into a caller both count.
     pub fn run_to_function(&mut self, name: &str) -> RunStop {
         let Some(fid) = self.img.module.func_by_name(name) else {
             return RunStop::Done(Status::Trapped(Trap::BadProgram(format!(
                 "no function `{name}`"
             ))));
         };
-        self.drive(Some(fid));
+        self.drive(Some(&scope_entries(&self.img.module, fid)));
         match &self.status {
             None => RunStop::Entered,
             Some(s) => RunStop::Done(s.clone()),
@@ -1859,7 +1887,6 @@ impl<'img> Vm<'img> {
         if frame.alloca_cache.len() < nvals {
             frame.alloca_cache.resize(nvals, (0, 0));
         }
-        frame.locals.clear();
         // Extra arguments (a hijacked call with a mismatched signature, or
         // varargs) are silently dropped, as the AAPCS would leave them in
         // unread registers.

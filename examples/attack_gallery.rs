@@ -8,7 +8,8 @@
 fn main() {
     let scenarios = rsti_attacks::scenarios::all();
     println!("running {} attacks x 5 defenses...\n", scenarios.len());
-    let matrix = rsti_attacks::run_matrix(&scenarios);
+    let victims: Vec<_> = scenarios.iter().map(rsti_attacks::Victim::scenario).collect();
+    let matrix = rsti_attacks::run_matrix(&victims);
     print!("{}", rsti_attacks::render_table1(&scenarios, &matrix));
 
     // Summarize the headline claims.

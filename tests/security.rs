@@ -140,7 +140,8 @@ fn partial_pointer_overwrite_is_detected() {
 #[test]
 fn table1_and_table2_matrices() {
     let scenarios = rsti_attacks::scenarios::all();
-    let matrix = rsti_attacks::run_matrix(&scenarios);
+    let victims: Vec<_> = scenarios.iter().map(rsti_attacks::Victim::scenario).collect();
+    let matrix = rsti_attacks::run_matrix(&victims);
     for row in &matrix {
         // Column 0 = no defense: all hijacked.
         assert_eq!(row.verdicts[0], rsti_attacks::Verdict::PayloadExecuted, "{}", row.id);
@@ -149,10 +150,13 @@ fn table1_and_table2_matrices() {
             assert!(matches!(v, rsti_attacks::Verdict::Detected(_)), "{}: {v:?}", row.id);
         }
     }
-    let cap = rsti_attacks::capability_matrix();
+    let probes = rsti_attacks::capability::all_probes();
+    let victims: Vec<_> = probes.iter().map(rsti_attacks::Victim::probe).collect();
+    let cap = rsti_attacks::run_matrix(&victims);
     // STL detects even same-RSTI-type substitution (its Table 2 column).
-    let same = cap.iter().find(|(id, _)| id == "subst-same-rsti-type").unwrap();
-    assert_eq!(same.1[4], rsti_attacks::ProbeOutcome::Detected);
+    let same = cap.iter().find(|r| r.id == "subst-same-rsti-type").unwrap();
+    let stl = &same.verdicts[4];
+    assert!(matches!(stl, rsti_attacks::Verdict::Detected(_)), "{stl:?}");
 }
 
 /// The VM's DEP model: indirect calls to data addresses trap.
