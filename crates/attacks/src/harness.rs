@@ -192,10 +192,9 @@ impl<'a> Victim<'a> {
         }
     }
 
-    /// The one attack driver. Builds the image the way Fig. 9's cells do
-    /// (no defense: the module optimized at `level`; a mechanism:
-    /// instrumented, then optimized at `level`) in accounting mode `exec`,
-    /// with the flight recorder when `record`. With `attack` it runs to the
+    /// The one attack driver. Builds the cell with [`Image::build`], the
+    /// recipe Fig. 9's cells use, in accounting mode `exec`, with the
+    /// flight recorder when `record`. With `attack` it runs to the
     /// pause scope and corrupts; then it finishes and derives the verdict.
     fn run(
         &self,
@@ -210,19 +209,7 @@ impl<'a> Victim<'a> {
             Ok(m) => m,
             Err(e) => return inconclusive(e.clone()),
         };
-        let img = match defense {
-            None => {
-                let mut m = m.clone();
-                rsti_core::optimize_module(&mut m, level);
-                Image::baseline_owned(m)
-            }
-            Some(mech) => {
-                let mut p = rsti_core::instrument(m, mech);
-                rsti_core::optimize_program_at(&mut p, level);
-                Image::from_instrumented_owned(p)
-            }
-        }
-        .with_exec(exec);
+        let img = Image::build(m, defense, level).0.with_exec(exec);
         let img = if record { img.with_record() } else { img };
         let mut vm = Vm::new(&img);
         if attack {

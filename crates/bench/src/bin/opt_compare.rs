@@ -51,7 +51,7 @@ fn staged_table() {
         ))));
         // Stage 1: + leaf inlining (before the pass, like LTO).
         let mut m1 = m0.clone();
-        rsti_core::inline_leaf_functions(&mut m1, 96);
+        rsti_core::inline_leaf_functions(&mut m1, rsti_core::LEAF_INLINE_BUDGET);
         let s1 = pct(cycles(&Image::from_instrumented(&rsti_core::instrument(
             &m1,
             Mechanism::Stwc,

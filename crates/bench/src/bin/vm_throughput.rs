@@ -91,14 +91,10 @@ fn build_imgs(level: OptLevel, exec: ExecBackend, attr: bool) -> Vec<Image> {
     let mut imgs = Vec::new();
     let ws: Vec<_> = rsti_workloads::nbench().into_iter().chain(rsti_workloads::nginx()).collect();
     for w in &ws {
-        let mut m = w.module();
-        rsti_core::inline_leaf_functions(&mut m, 96);
-        let mut mb = m.clone();
-        rsti_core::optimize_module(&mut mb, level);
-        imgs.push(Image::baseline_owned(mb).with_exec(exec));
-        let mut p = rsti_core::instrument(&m, Mechanism::Stwc);
-        rsti_core::optimize_module(&mut p.module, level);
-        imgs.push(Image::from_instrumented_owned(p).with_exec(exec));
+        let m = w.proxy_module();
+        for choice in [None, Some(Mechanism::Stwc)] {
+            imgs.push(Image::build(&m, choice, level).0.with_exec(exec));
+        }
     }
     if attr {
         imgs = imgs.into_iter().map(Image::with_attr).collect();

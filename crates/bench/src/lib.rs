@@ -11,7 +11,7 @@
 //! | §6.2.2 (pointer-to-pointer census) | `pp_census` | [`reports::render_pp_census`] |
 //! | §6.3.2 (PARTS comparison) | `parts_compare` | [`reports::render_parts_compare`] |
 //!
-//! Wall-clock benches (plain timing harness, [`timing`]) live under
+//! The ablation bench (plain timing harness, [`timing`]) lives under
 //! `benches/`; the `vm_throughput` binary records the VM's
 //! instructions/second trajectory (both accounting modes) to
 //! `BENCH_vm.json` and gates each run against the last committed one
@@ -25,7 +25,7 @@ pub mod reports;
 pub mod timing;
 
 pub use overhead::{
-    bench_threads, box_stats, geomean_pct, measure, measure_suite, measure_suite_with_threads,
+    box_stats, geomean_pct, measure, measure_suite, measure_suite_with_threads,
     pearson, BoxStats, MeasureError, OverheadRow, MECHS,
 };
 pub use reports::{render_fig10, render_parts_compare, render_pp_census, render_table3, Fig9};

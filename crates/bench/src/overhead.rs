@@ -96,23 +96,19 @@ pub fn measure(w: &Workload) -> Result<OverheadRow, MeasureError> {
 /// Returns [`MeasureError`] when any of the four runs traps or exits
 /// non-zero.
 pub fn measure_at(w: &Workload, level: OptLevel) -> Result<OverheadRow, MeasureError> {
-    let mut m = w.module();
-    rsti_core::inline_leaf_functions(&mut m, 96);
-    let mut mb = m.clone();
-    rsti_core::optimize_module(&mut mb, level);
-    let base = run_measured(&Image::baseline_owned(mb), w.name)?.cycles;
+    let m = w.proxy_module();
+    let base = run_measured(&Image::build(&m, None, level).0, w.name)?.cycles;
     let mut cycles = [0u64; 3];
     let mut pct = [0f64; 3];
     let mut sites = 0;
     let mut pac_signs = [0u64; 3];
     let mut pac_auths = [0u64; 3];
-    for (i, mech) in MECHS.iter().enumerate() {
-        let mut p = rsti_core::instrument(&m, *mech);
-        rsti_core::optimize_module(&mut p.module, level);
-        if *mech == Mechanism::Stwc {
-            sites = p.stats.signs_on_store + p.stats.auths_on_load;
+    for (i, &mech) in MECHS.iter().enumerate() {
+        let (img, stats) = Image::build(&m, mech, level);
+        if let (Mechanism::Stwc, Some(st)) = (mech, stats) {
+            sites = st.signs_on_store + st.auths_on_load;
         }
-        let r = run_measured(&Image::from_instrumented_owned(p), w.name)?;
+        let r = run_measured(&img, w.name)?;
         cycles[i] = r.cycles;
         pct[i] = (r.cycles as f64 / base as f64 - 1.0) * 100.0;
         pac_signs[i] = r.pac_signs;
@@ -130,20 +126,8 @@ pub fn measure_at(w: &Workload, level: OptLevel) -> Result<OverheadRow, MeasureE
     })
 }
 
-/// Worker count for parallel sweeps: `RSTI_BENCH_THREADS` when set to a
-/// positive integer, else all available cores; always capped by
-/// [`std::thread::available_parallelism`] so an over-eager override
-/// cannot oversubscribe the machine.
-pub fn bench_threads() -> usize {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    match std::env::var("RSTI_BENCH_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n.min(hw),
-        _ => hw,
-    }
-}
-
-/// Measures a whole suite, fanning the workloads out over
-/// [`bench_threads`] scoped threads.
+/// Measures a whole suite, fanning the workloads out over one scoped
+/// thread per available core ([`std::thread::available_parallelism`]).
 ///
 /// Each row is a pure function of its workload (the VM's cycle model is
 /// deterministic), so the fan-out cannot change any reported number —
@@ -154,7 +138,7 @@ pub fn bench_threads() -> usize {
 /// Returns the first (in suite order) [`MeasureError`] of any failing
 /// workload.
 pub fn measure_suite(ws: &[Workload]) -> Result<Vec<OverheadRow>, MeasureError> {
-    measure_suite_with_threads(ws, bench_threads())
+    measure_suite_with_threads(ws, std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// [`measure_suite`] with an explicit worker count (`1` = fully serial,
@@ -402,25 +386,12 @@ mod tests {
         // auths[level][mech], summed over the suite.
         let mut auths = [[0u64; 3]; 4];
         for w in &ws {
-            let mut m = w.module();
-            rsti_core::inline_leaf_functions(&mut m, 96);
-            for (mi, mech) in MECHS.iter().enumerate() {
+            let m = w.proxy_module();
+            for (mi, &mech) in MECHS.iter().enumerate() {
                 let mut reference: Option<(Status, Vec<String>)> = None;
                 for (li, level) in OptLevel::ALL.iter().enumerate() {
-                    let mut p = rsti_core::instrument(&m, *mech);
-                    rsti_core::optimize_module(&mut p.module, *level);
-                    let img = Image::from_instrumented_owned(p);
-                    let mut vm = Vm::new(&img);
-                    vm.set_fuel(200_000_000);
-                    let r = vm.run();
-                    assert!(
-                        matches!(r.status, Status::Exited(0)),
-                        "{} {} {}: {:?}",
-                        w.name,
-                        mech.name(),
-                        level.label(),
-                        r.status
-                    );
+                    let r = run_measured(&Image::build(&m, mech, *level).0, w.name)
+                        .unwrap_or_else(|e| panic!("{} {}: {e}", mech.name(), level.label()));
                     match &reference {
                         None => reference = Some((r.status.clone(), r.output.clone())),
                         Some((s, o)) => {
@@ -468,12 +439,5 @@ mod tests {
         let e = measure(&w).expect_err("non-zero exit must fail the measurement");
         assert_eq!(e.workload, "exits-badly");
         assert_eq!(e.status, Status::Exited(3));
-    }
-
-    #[test]
-    fn bench_threads_is_positive_and_capped() {
-        let n = bench_threads();
-        let hw = std::thread::available_parallelism().map_or(1, |c| c.get());
-        assert!(n >= 1 && n <= hw, "bench_threads() = {n}, hw = {hw}");
     }
 }

@@ -1,6 +1,7 @@
 //! Text renderers for the figure/table reproductions.
 
 use crate::overhead::{box_stats, geomean_pct, measure_suite, pearson, MeasureError, OverheadRow};
+use rsti_core::Mechanism;
 use rsti_workloads::{cpython, nbench, nginx, spec2006, spec2017, Workload};
 
 /// The full Figure 9 data set: per-benchmark SPEC2017 overheads plus the
@@ -23,10 +24,9 @@ impl Fig9 {
     /// release).
     ///
     /// All five suites are flattened into one workload list and fanned
-    /// out together over [`crate::overhead::bench_threads`] scoped
-    /// threads — one pool, so the long SPEC rows overlap the short
-    /// nbench/NGINX tail instead of each suite serialising on its own
-    /// slowest member. The flat results are split back per suite in
+    /// out together by [`measure_suite`] — one pool, so the long SPEC
+    /// rows overlap the short nbench/NGINX tail instead of each suite
+    /// serialising on its own slowest member. The flat results are split back per suite in
     /// order, so every row is exactly what a serial sweep would report.
     ///
     /// # Errors
@@ -226,7 +226,7 @@ pub fn render_pp_census() -> String {
     out.push_str(&format!("{:<12} {:>12} {:>16}\n", "BM", "pp sites", "lost-type sites"));
     for w in spec2006() {
         let m = w.module();
-        let a = rsti_core::analyze(&m, rsti_core::Mechanism::Stwc);
+        let a = rsti_core::analyze(&m, Mechanism::Stwc);
         let plan = rsti_core::plan_pp(&m, &a);
         out.push_str(&format!(
             "{:<12} {:>12} {:>16}\n",
@@ -259,28 +259,19 @@ pub fn render_parts_compare() -> String {
     let mut parts_all = Vec::new();
     let mut rsti_all = [Vec::new(), Vec::new(), Vec::new()];
     for w in &ws {
-        let mut m = w.module();
-        rsti_core::inline_leaf_functions(&mut m, 96);
-        let base = {
-            let mut mb = m.clone();
-            rsti_core::optimize_module(&mut mb, rsti_core::OptLevel::Cfg);
-            let img = rsti_vm::Image::baseline(&mb);
+        let m = w.proxy_module();
+        let cycles = |choice: Option<Mechanism>| {
+            let img = rsti_vm::Image::build(&m, choice, rsti_core::OptLevel::Cfg).0;
             let mut vm = rsti_vm::Vm::new(&img);
             vm.set_fuel(200_000_000);
             vm.run().cycles as f64
         };
-        let pct = |mech: rsti_core::Mechanism| {
-            let mut p = rsti_core::instrument(&m, mech);
-            rsti_core::optimize_program_at(&mut p, rsti_core::OptLevel::Cfg);
-            let img = rsti_vm::Image::from_instrumented(&p);
-            let mut vm = rsti_vm::Vm::new(&img);
-            vm.set_fuel(200_000_000);
-            (vm.run().cycles as f64 / base - 1.0) * 100.0
-        };
-        let parts = pct(rsti_core::Mechanism::Parts);
-        let stwc = pct(rsti_core::Mechanism::Stwc);
-        let stc = pct(rsti_core::Mechanism::Stc);
-        let stl = pct(rsti_core::Mechanism::Stl);
+        let base = cycles(None);
+        let pct = |mech: Mechanism| (cycles(Some(mech)) / base - 1.0) * 100.0;
+        let parts = pct(Mechanism::Parts);
+        let stwc = pct(Mechanism::Stwc);
+        let stc = pct(Mechanism::Stc);
+        let stl = pct(Mechanism::Stl);
         out.push_str(&format!(
             "{:<18} {:>9.2} {:>9.2} {:>9.2} {:>9.2}\n",
             w.name, parts, stwc, stc, stl

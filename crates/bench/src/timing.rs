@@ -1,7 +1,7 @@
-//! A minimal wall-clock timing harness for the `benches/` binaries.
+//! A minimal wall-clock timing harness for the `benches/ablation.rs` bench.
 //!
 //! The build environment has no third-party registry, so Criterion is not
-//! available; this module provides the small slice of it the benches need:
+//! available; this module provides the small slice of it the bench needs:
 //! warmup, a time-targeted measurement loop, and a per-iteration report.
 //! Numbers are indicative (no outlier rejection) — the cycle-model reports
 //! remain the deterministic source of truth.

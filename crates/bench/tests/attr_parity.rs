@@ -10,23 +10,20 @@
 //! turning it on never changes a verdict, an output line, or a
 //! deterministic total — it only observes.
 
-use rsti_core::{Mechanism, OptLevel};
+use rsti_core::{MechChoice, Mechanism, OptLevel};
 use rsti_vm::{ExecBackend, Image, Status, Vm};
 
-/// Baseline + STWC images for every workload in the mix, mirroring the
-/// `vm_throughput` image set (same inlining and opt level).
+/// Baseline + STWC images for every workload in the mix at `level`,
+/// through the build recipe.
 fn mix_images(level: OptLevel) -> Vec<(String, Image)> {
     let mut imgs = Vec::new();
     let ws: Vec<_> = rsti_workloads::nbench().into_iter().chain(rsti_workloads::nginx()).collect();
     for w in &ws {
-        let mut m = w.module();
-        rsti_core::inline_leaf_functions(&mut m, 96);
-        let mut mb = m.clone();
-        rsti_core::optimize_module(&mut mb, level);
-        imgs.push((format!("{}/baseline", w.name), Image::baseline_owned(mb)));
-        let mut p = rsti_core::instrument(&m, Mechanism::Stwc);
-        rsti_core::optimize_module(&mut p.module, level);
-        imgs.push((format!("{}/stwc", w.name), Image::from_instrumented_owned(p)));
+        let m = w.proxy_module();
+        for choice in [MechChoice::Baseline, MechChoice::Fixed(Mechanism::Stwc)] {
+            let img = Image::build(&m, choice, level).0;
+            imgs.push((format!("{}/{}", w.name, choice.label()), img));
+        }
     }
     imgs
 }

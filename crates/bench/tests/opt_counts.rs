@@ -1,8 +1,8 @@
 //! Golden per-stage optimizer counts on every Fig. 9 proxy.
 //!
-//! Each proxy goes through the Fig. 9 recipe (`inline_leaf_functions(96)`,
-//! then `instrument`), and the optimizer runs at every level under every
-//! mechanism. One line per cell records every [`OptSummary`] field plus
+//! Each proxy is prepared as Fig. 9's are (`Workload::proxy_module`, leaf
+//! inlining) and instrumented, and the optimizer runs at every level under
+//! every mechanism. One line per cell records every [`OptSummary`] field plus
 //! the static `PacAuth` count left in the module. The table pins exact
 //! numbers, not inequalities: a refactor of the optimizer must leave it
 //! byte-identical, and an intended change to what a stage removes shows up
@@ -47,8 +47,7 @@ fn line(
 fn table() -> String {
     let mut out = String::new();
     for w in rsti_workloads::all_workloads() {
-        let mut m = w.module();
-        rsti_core::inline_leaf_functions(&mut m, 96);
+        let m = w.proxy_module();
         for mech in Mechanism::ALL {
             let p = rsti_core::instrument(&m, mech);
             for level in OptLevel::ALL {

@@ -55,7 +55,7 @@
 
 #![warn(missing_docs)]
 
-use rsti_core::{InstrumentStats, MechChoice, Mechanism, OptLevel};
+use rsti_core::{MechChoice, Mechanism, OptLevel};
 use rsti_telemetry::{parse_json, Json, ToJson};
 use rsti_vm::{ExecResult, Image, Status, Vm};
 use std::fmt::Write as _;
@@ -372,19 +372,6 @@ pub fn parse_opt_level(args: &[String]) -> Result<OptLevel, String> {
     })
 }
 
-/// Instruments (or not) per the mechanism choice and builds the image.
-fn build_image(
-    module: &rsti_ir::Module,
-    choice: MechChoice,
-    level: OptLevel,
-) -> (Image, Option<InstrumentStats>) {
-    let Some(mut p) = choice.instrument(module) else {
-        return (Image::baseline(module), None);
-    };
-    rsti_core::optimize_program_at(&mut p, level);
-    (Image::from_instrumented(&p), Some(p.stats))
-}
-
 /// Splits every `--backend` occurrence onto the two axes the flag selects:
 /// the enforcement scheme (`pac`|`mac` — how signatures are stored) and the
 /// accounting mode (`interp`|`compiled` — per-op or block pre-charge). The
@@ -607,11 +594,7 @@ fn cmd_report(args: &[String]) -> Result<String, String> {
         let ws: Vec<_> =
             rsti_workloads::nbench().into_iter().chain(rsti_workloads::nginx()).collect();
         for w in &ws {
-            let mut m = w.module();
-            rsti_core::inline_leaf_functions(&mut m, 96);
-            let mut p = rsti_core::instrument(&m, mech);
-            rsti_core::optimize_program_at(&mut p, OptLevel::Cfg);
-            let img = Image::from_instrumented(&p).with_attr();
+            let img = Image::build(&w.proxy_module(), mech, OptLevel::Cfg).0.with_attr();
             let mut vm = Vm::new(&img);
             vm.set_fuel(200_000_000);
             let r = vm.run();
@@ -766,7 +749,7 @@ fn cmd_explain(args: &[String]) -> Result<String, String> {
             .ok_or("explain needs <file.mc> or --attack <scenario-id>")?;
         let src = read_source(file)?;
         let module = rsti_frontend::compile(&src, file).map_err(|e| e.to_string())?;
-        let (img, _stats) = build_image(&module, choice, level);
+        let (img, _stats) = Image::build(&module, choice, level);
         let img = apply_backend(img, args)?.with_record();
         let r = Vm::new(&img).run();
         let status = match &r.status {
@@ -817,7 +800,7 @@ fn dispatch(args: &[String]) -> Result<String, String> {
         "run" => {
             let mut out = String::new();
             let level = parse_opt_level(args)?;
-            let (img, stats) = build_image(&module, choice, level);
+            let (img, stats) = Image::build(&module, choice, level);
             let mut img = apply_backend(img, args)?;
             if args.iter().any(|a| a == "--record") {
                 img = img.with_record();
@@ -877,7 +860,7 @@ fn dispatch(args: &[String]) -> Result<String, String> {
             if flame.is_some() && !attr {
                 return Err("--flame needs --attr (folded stacks come from the profiler)".into());
             }
-            let (img, _stats) = build_image(&module, choice, level);
+            let (img, _stats) = Image::build(&module, choice, level);
             let mut img = apply_backend(img, args)?;
             if attr {
                 img = img.with_attr();

@@ -180,6 +180,19 @@ pub enum MechChoice {
     Adaptive,
 }
 
+impl From<Mechanism> for MechChoice {
+    fn from(m: Mechanism) -> Self {
+        MechChoice::Fixed(m)
+    }
+}
+
+/// `None` is the uninstrumented baseline.
+impl From<Option<Mechanism>> for MechChoice {
+    fn from(m: Option<Mechanism>) -> Self {
+        m.map_or(MechChoice::Baseline, MechChoice::Fixed)
+    }
+}
+
 impl MechChoice {
     /// Parses `stwc|stc|stl|parts|none|adaptive` (any case), plus the
     /// `rsti-*` long forms and the `baseline` alias.

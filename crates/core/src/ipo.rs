@@ -42,11 +42,17 @@
 use rsti_ir::{CallGraph, Inst, Module, Operand, PacSite, Terminator, ValueId};
 use std::collections::{BTreeSet, HashMap};
 
+/// Instruction budget of the pre-instrumentation leaf inliner
+/// (`inline_leaf_functions`) in the Fig. 9 proxies' preparation: each
+/// proxy is leaf-inlined at this budget before the build recipe
+/// instruments and optimizes it. A pre-pass of the proxies only, not an
+/// `OptLevel` stage.
+pub const LEAF_INLINE_BUDGET: usize = 96;
+
 /// Instruction budget for the post-instrumentation inliner, in
-/// *instrumented* IR instructions. Twice the pre-instrumentation leaf
-/// budget (`inline_leaf_functions(m, 96)` in the pipeline drivers), since
+/// *instrumented* IR instructions. Twice [`LEAF_INLINE_BUDGET`], since
 /// instrumentation roughly doubles a pointer-heavy body.
-pub const IPO_INLINE_BUDGET: usize = 192;
+pub const IPO_INLINE_BUDGET: usize = 2 * LEAF_INLINE_BUDGET;
 
 /// What one function (transitively) does to memory visible from a caller.
 /// The lattice is three independent monotone facts; the summary of an SCC

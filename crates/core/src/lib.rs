@@ -44,6 +44,7 @@ pub mod storage;
 pub use equivalence::{equivalence_stats, EquivalenceStats};
 pub use ipo::{
     fold_boundary_resigns, inline_small_functions, FuncSummary, IpoAnalysis, IPO_INLINE_BUDGET,
+    LEAF_INLINE_BUDGET,
 };
 pub use instrument::{
     instrument, instrument_adaptive, GlobalSign, InstrumentStats, InstrumentedProgram, MechChoice,

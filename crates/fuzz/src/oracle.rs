@@ -27,7 +27,9 @@
 //! reducer can insist that a shrunken candidate reproduces the *same* bug,
 //! not merely *a* bug.
 
-use rsti_core::{inline_leaf_functions, instrument, optimize_module, Mechanism, OptLevel};
+use rsti_core::{
+    inline_leaf_functions, instrument, optimize_module, Mechanism, OptLevel, LEAF_INLINE_BUDGET,
+};
 use rsti_frontend::ast::Item;
 use rsti_frontend::{ast_eq_items, compile, parse, print_items};
 use rsti_ir::verify_module;
@@ -388,8 +390,9 @@ fn check_compiled(src: &str) -> Result<(), FailureKind> {
 
     // Optimizer correctness on the uninstrumented module (mem2reg,
     // hoisting etc. must not change observable behaviour even before any
-    // PAC ops exist).
-    for level in [OptLevel::BlockLocal, OptLevel::Cfg] {
+    // PAC ops exist), at every level a baseline is built at
+    // (`Image::build` optimizes `--mech none` at the requested level).
+    for level in [OptLevel::BlockLocal, OptLevel::Cfg, OptLevel::Ipo] {
         let config = format!("baseline{}", level_suffix(level));
         let mut om = m.clone();
         catch_unwind(AssertUnwindSafe(|| optimize_module(&mut om, level))).map_err(|p| {
@@ -408,13 +411,12 @@ fn check_compiled(src: &str) -> Result<(), FailureKind> {
     // leaf inlining, checked on the uninstrumented module.
     let config = "baseline+inline";
     let mut im = m.clone();
-    catch_unwind(AssertUnwindSafe(|| inline_leaf_functions(&mut im, 96))).map_err(|p| {
-        FailureKind::PassPanic {
+    catch_unwind(AssertUnwindSafe(|| inline_leaf_functions(&mut im, LEAF_INLINE_BUDGET)))
+        .map_err(|p| FailureKind::PassPanic {
             stage: "inline".into(),
             config: config.into(),
             detail: panic_msg(p),
-        }
-    })?;
+        })?;
     check_verified(&im, "inline", config)?;
     let got = run_image(&Image::baseline(&im), config)?;
     compare(config, &base, &got)?;

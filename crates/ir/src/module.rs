@@ -116,6 +116,20 @@ impl Module {
         &mut self.funcs[id.0 as usize]
     }
 
+    /// Releases the spare capacity that rewriting in place leaves in the
+    /// function bodies (instrumentation grows instruction lists, the
+    /// optimizer shrinks them), so a module kept alive afterwards holds
+    /// no more memory than a fresh copy of it would.
+    pub fn shrink_to_fit(&mut self) {
+        for f in &mut self.funcs {
+            for b in &mut f.blocks {
+                b.insts.shrink_to_fit();
+            }
+            f.blocks.shrink_to_fit();
+            f.value_types.shrink_to_fit();
+        }
+    }
+
     /// The global behind an id.
     pub fn global(&self, id: GlobalId) -> &GlobalDef {
         &self.globals[id.0 as usize]

@@ -75,9 +75,10 @@ impl Default for ServeConfig {
 pub enum ServePhase {
     /// Parse + lower (`rsti-frontend`).
     Frontend,
-    /// STI fact collection + instrumentation pass.
+    /// STI fact collection + instrumentation pass (not sampled for the
+    /// baseline).
     Instrument,
-    /// The optimizer at the requested level.
+    /// The optimizer at the requested level (the baseline's too).
     Optimize,
     /// Closure translation (cached on the image; both accounting modes
     /// run it).
@@ -365,17 +366,16 @@ impl Server {
         let t = Instant::now();
         let module = rsti_frontend::compile(src, "<serve>").map_err(|e| format!("compile error: {e}"))?;
         self.metrics.record_phase(ServePhase::Frontend, elapsed_ns(t));
+        // `Image::build` in two timed halves.
         let t = Instant::now();
-        let (img, instr) = match req.mech.instrument(&module) {
-            None => (Image::baseline(&module), None),
-            Some(mut p) => {
-                self.metrics.record_phase(ServePhase::Instrument, elapsed_ns(t));
-                let t = Instant::now();
-                rsti_core::optimize_program_at(&mut p, req.opt);
-                self.metrics.record_phase(ServePhase::Optimize, elapsed_ns(t));
-                (Image::from_instrumented(&p), Some(p.stats))
-            }
-        };
+        let p = req.mech.instrument(&module);
+        let instr = p.as_ref().map(|p| p.stats);
+        if instr.is_some() {
+            self.metrics.record_phase(ServePhase::Instrument, elapsed_ns(t));
+        }
+        let t = Instant::now();
+        let img = Image::optimized(&module, p, req.opt);
+        self.metrics.record_phase(ServePhase::Optimize, elapsed_ns(t));
         let img = img.with_backend(req.enforce).with_exec(req.exec);
         let t = Instant::now();
         img.precompile();
@@ -628,17 +628,11 @@ mod tests {
         )
     }
 
-    /// One-shot reference pipeline — the exact sequence `rsti run` uses
-    /// (`build_image` in `rsti-cli`), independent of the server code.
+    /// One-shot reference: the build recipe `rsti run` uses
+    /// (`Image::build`), independent of the server's cache and timers.
     fn oneshot(req: &Request, src: &str) -> (Option<rsti_core::InstrumentStats>, ExecResult) {
         let module = rsti_frontend::compile(src, "<serve>").unwrap();
-        let (img, instr) = match req.mech.instrument(&module) {
-            None => (Image::baseline(&module), None),
-            Some(mut p) => {
-                rsti_core::optimize_program_at(&mut p, req.opt);
-                (Image::from_instrumented(&p), Some(p.stats))
-            }
-        };
+        let (img, instr) = Image::build(&module, req.mech, req.opt);
         let img = img.with_backend(req.enforce).with_exec(req.exec);
         let mut vm = Vm::new(&img);
         vm.set_fuel(ServeConfig::default().fuel);
@@ -650,7 +644,7 @@ mod tests {
         let src = sample_source();
         let server = Server::new(ServeConfig::default());
         for mech in ["none", "parts", "stc", "stwc", "stl", "adaptive"] {
-            for opt in ["none", "block", "cfg"] {
+            for opt in ["none", "block", "cfg", "ipo"] {
                 for (exec, enforce) in
                     [("interp", "pac"), ("compiled", "pac"), ("interp", "mac"), ("compiled", "mac")]
                 {
@@ -674,8 +668,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(server.metrics().hits(), 6 * 3 * 4);
-        assert_eq!(server.metrics().misses(), 6 * 3 * 4);
+        assert_eq!(server.metrics().hits(), 6 * 4 * 4);
+        assert_eq!(server.metrics().misses(), 6 * 4 * 4);
     }
 
     /// Golden: whole `run`, error, `stats` and `shutdown` documents.

@@ -27,7 +27,10 @@
 
 use crate::cycles::CostModel;
 use crate::mem::{layout, Allocator, MemFault, Memory};
-use rsti_core::{check_sites, CheckSite, GlobalSign, InstrumentedProgram, Mechanism};
+use rsti_core::{
+    check_sites, optimize_module, optimize_program_at, CheckSite, GlobalSign, InstrumentStats,
+    InstrumentedProgram, MechChoice, Mechanism, OptLevel,
+};
 use rsti_ir::{
     term_successors, BinOp, CmpOp, FuncId, GlobalInit, Inst, Module, Operand, PacKey,
     PacSite, Scope, Terminator, Type, TypeId, TypeLayout, ValueId,
@@ -958,6 +961,45 @@ impl Image {
     /// module (zero-copy).
     pub fn baseline_owned(m: Module) -> Self {
         Self::baseline_shared(Arc::new(m))
+    }
+
+    /// The one build recipe for a (program, defense, opt level) cell:
+    /// instruments `m` as `choice` selects, then optimizes at `level`
+    /// ([`Image::optimized`]). The baseline goes through the same level,
+    /// so an overhead is always measured against a baseline optimized
+    /// alike. Returns the instrumentation counters (`None` for the
+    /// baseline).
+    pub fn build(
+        m: &Module,
+        choice: impl Into<MechChoice>,
+        level: OptLevel,
+    ) -> (Self, Option<InstrumentStats>) {
+        let p = choice.into().instrument(m);
+        let stats = p.as_ref().map(|p| p.stats);
+        (Self::optimized(m, p, level), stats)
+    }
+
+    /// The optimizing half of [`Image::build`], for callers that time
+    /// instrumentation on its own: `p` is `m` instrumented, or `None` for
+    /// the baseline. A baseline is `optimize_module` on a copy of `m`; a
+    /// program goes through `optimize_program_at` (telemetry span and
+    /// per-stage counters). Either way the image owns the result, trimmed
+    /// of the spare capacity the passes left ([`Module::shrink_to_fit`]):
+    /// `serve` caches these images.
+    pub fn optimized(m: &Module, p: Option<InstrumentedProgram>, level: OptLevel) -> Self {
+        match p {
+            None => {
+                let mut m = m.clone();
+                optimize_module(&mut m, level);
+                m.shrink_to_fit();
+                Self::baseline_owned(m)
+            }
+            Some(mut p) => {
+                optimize_program_at(&mut p, level);
+                p.module.shrink_to_fit();
+                Self::from_instrumented_owned(p)
+            }
+        }
     }
 }
 

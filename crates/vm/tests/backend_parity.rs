@@ -10,7 +10,7 @@
 //! same attacker actions. `op_semantics.rs` pins what the ops themselves
 //! do.
 
-use rsti_core::{Mechanism, OptLevel};
+use rsti_core::{MechChoice, Mechanism, OptLevel};
 use rsti_ir::{BlockId, Terminator};
 use rsti_vm::{Backend, ExecBackend, ExecResult, Image, RunStop, Status, Trap, Vm};
 
@@ -48,11 +48,9 @@ fn assert_parity(
     compiled
 }
 
-fn instrumented(src: &str, mech: Mechanism, opt: OptLevel) -> Image {
+fn image(src: &str, mech: impl Into<MechChoice>, opt: OptLevel) -> Image {
     let m = rsti_frontend::compile(src, "parity").expect("compiles");
-    let mut p = rsti_core::instrument(&m, mech);
-    rsti_core::optimize_program_at(&mut p, opt);
-    Image::from_instrumented(&p)
+    Image::build(&m, mech, opt).0
 }
 
 fn baseline(src: &str) -> Image {
@@ -121,7 +119,7 @@ fn pac_violation_parity_per_mechanism() {
     for mech in Mechanism::ALL {
         for opt in OptLevel::ALL {
             for enforce in [Backend::PacInPointer, Backend::MacTable] {
-                let img = instrumented(VICTIM, mech, opt).with_backend(enforce);
+                let img = image(VICTIM, mech, opt).with_backend(enforce);
                 let label = format!("{mech:?}/{opt:?}/{enforce:?}");
                 let r = assert_parity(&img, 10_000_000, Some(corrupt), &label);
                 assert!(
@@ -269,11 +267,9 @@ fn missing_block_parity() {
 #[test]
 fn cycle_model_total_is_backend_neutral() {
     for src in [MIXED, VICTIM] {
-        let b = baseline(src);
-        assert_parity(&b, 50_000_000, None, "baseline accounting");
-        for mech in Mechanism::ALL {
+        for mech in std::iter::once(None).chain(Mechanism::ALL.map(Some)) {
             for opt in OptLevel::ALL {
-                let img = instrumented(src, mech, opt);
+                let img = image(src, mech, opt);
                 let label = format!("accounting {mech:?}/{opt:?}");
                 let r = assert_parity(&img, 50_000_000, None, &label);
                 assert!(r.status.is_exit(), "{label}: {:?}", r.status);
@@ -306,7 +302,7 @@ fn fuel_exhaustion_accounting_parity() {
 /// compiled driver's single-block mode must see every block entry.
 #[test]
 fn watchpoint_resume_parity() {
-    let img = instrumented(VICTIM, Mechanism::Stwc, OptLevel::Cfg);
+    let img = image(VICTIM, Mechanism::Stwc, OptLevel::Cfg);
     let benign: &dyn Fn(&mut Vm) = &|vm| {
         // Pause, look, touch nothing: the run must stay clean.
         assert!(!vm.heap_live().is_empty());
@@ -320,7 +316,7 @@ fn watchpoint_resume_parity() {
 #[test]
 fn mac_table_clean_run_parity() {
     for mech in Mechanism::ALL {
-        let img = instrumented(VICTIM, mech, OptLevel::BlockLocal).with_backend(Backend::MacTable);
+        let img = image(VICTIM, mech, OptLevel::BlockLocal).with_backend(Backend::MacTable);
         let r = assert_parity(&img, 10_000_000, None, &format!("mac-clean {mech:?}"));
         assert_eq!(r.status, Status::Exited(0), "{mech:?}");
     }
@@ -329,7 +325,7 @@ fn mac_table_clean_run_parity() {
 /// The compiled engine reports the same per-site dynamic PA profile.
 #[test]
 fn site_count_parity_under_stl() {
-    let img = instrumented(VICTIM, Mechanism::Stl, OptLevel::None);
+    let img = image(VICTIM, Mechanism::Stl, OptLevel::None);
     let r = assert_parity(&img, 10_000_000, None, "stl-sites");
     assert!(r.site_counts.iter().sum::<u64>() > 0, "STL run exercised no PA sites");
 }
@@ -350,7 +346,7 @@ fn audit_record_full_field_parity() {
     };
     for mech in Mechanism::ALL {
         for enforce in [Backend::PacInPointer, Backend::MacTable] {
-            let img = instrumented(VICTIM, mech, OptLevel::Cfg).with_backend(enforce);
+            let img = image(VICTIM, mech, OptLevel::Cfg).with_backend(enforce);
             let label = format!("{mech:?}/{enforce:?}");
             let i = run_one(&img, ExecBackend::Interp, 10_000_000, Some(corrupt));
             let c = run_one(&img, ExecBackend::Compiled, 10_000_000, Some(corrupt));
@@ -384,7 +380,7 @@ fn incident_parity_per_mechanism() {
     for mech in Mechanism::ALL {
         for opt in OptLevel::ALL {
             for enforce in [Backend::PacInPointer, Backend::MacTable] {
-                let img = instrumented(VICTIM, mech, opt)
+                let img = image(VICTIM, mech, opt)
                     .with_backend(enforce)
                     .with_record();
                 let label = format!("{mech:?}/{opt:?}/{enforce:?}");
@@ -426,7 +422,7 @@ fn incident_parity_per_mechanism() {
 #[test]
 fn recorder_off_is_inert() {
     for exec in [ExecBackend::Interp, ExecBackend::Compiled] {
-        let plain = instrumented(MIXED, Mechanism::Stwc, OptLevel::Cfg).with_exec(exec);
+        let plain = image(MIXED, Mechanism::Stwc, OptLevel::Cfg).with_exec(exec);
         let armed = plain.clone().with_record();
         let off = Vm::new(&plain).run();
         let on = Vm::new(&armed).run();
@@ -473,7 +469,7 @@ fn replay_incident_carries_sign_lineage() {
         let bytes = vm.attacker_read(src_a, 8).unwrap();
         vm.attacker_write(dst_a, &bytes).unwrap();
     };
-    let img = instrumented(src, Mechanism::Stwc, OptLevel::None).with_record();
+    let img = image(src, Mechanism::Stwc, OptLevel::None).with_record();
     let r = assert_parity(&img, 10_000_000, Some(replay), "replay-lineage");
     assert!(
         matches!(&r.status, Status::Trapped(t) if t.is_detection()),

@@ -62,14 +62,7 @@ const VICTIM: &str = r#"
 
 fn image(src: &str, mech: Option<Mechanism>, opt: OptLevel) -> Image {
     let m = rsti_frontend::compile(src, "telemetry").expect("compiles");
-    match mech {
-        None => Image::baseline(&m),
-        Some(mech) => {
-            let mut p = rsti_core::instrument(&m, mech);
-            rsti_core::optimize_program_at(&mut p, opt);
-            Image::from_instrumented(&p)
-        }
-    }
+    Image::build(&m, mech, opt).0
 }
 
 fn run(img: &Image, exec: ExecBackend, fuel: u64, attack: bool) -> ExecResult {

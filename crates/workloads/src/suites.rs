@@ -63,6 +63,15 @@ impl Workload {
         compile(&self.source, self.name)
             .unwrap_or_else(|e| panic!("workload {}: {e}", self.name))
     }
+
+    /// [`Workload::module`] after the proxies' one preparation step: leaf
+    /// inlining at [`rsti_core::LEAF_INLINE_BUDGET`] (the LTO model),
+    /// before any instrumentation. Every Fig. 9-style cell starts here.
+    pub fn proxy_module(&self) -> Module {
+        let mut m = self.module();
+        rsti_core::inline_leaf_functions(&mut m, rsti_core::LEAF_INLINE_BUDGET);
+        m
+    }
 }
 
 fn wl(name: &'static str, suite: Suite, kernels: &[Kernel]) -> Workload {

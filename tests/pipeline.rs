@@ -7,10 +7,7 @@ use rsti_vm::{Image, Status, Vm};
 
 fn run(src: &str, mech: Option<Mechanism>) -> rsti_vm::ExecResult {
     let m = rsti_frontend::compile(src, "it").expect("compiles");
-    let img = match mech {
-        None => Image::baseline(&m),
-        Some(mech) => Image::from_instrumented(&rsti_core::instrument(&m, mech)),
-    };
+    let img = Image::build(&m, mech, rsti_core::OptLevel::None).0;
     let mut vm = Vm::new(&img);
     vm.set_fuel(50_000_000);
     vm.run()
@@ -207,8 +204,56 @@ fn leaf_inlining_keeps_callee_locals_fresh() {
     let plain = Vm::new(&Image::baseline(&m)).run();
     assert_eq!(plain.output, ["1", "1", "1"], "{:?}", plain.status);
     let mut inlined = m.clone();
-    rsti_core::inline_leaf_functions(&mut inlined, 96);
+    rsti_core::inline_leaf_functions(&mut inlined, rsti_core::LEAF_INLINE_BUDGET);
     let r = Vm::new(&Image::baseline(&inlined)).run();
     assert_eq!(r.status, plain.status);
     assert_eq!(r.output, plain.output);
+}
+
+/// One build recipe: `rsti run --stats`, a `serve` `run` response and
+/// `Image::build` report the same cycles for every (defense, opt level)
+/// cell of `samples/dispatcher.mc`, and the baseline is optimized at the
+/// requested level on all three (933 at cfg; 958 unoptimized).
+#[test]
+fn cli_serve_and_image_build_share_one_recipe() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../samples/dispatcher.mc");
+    let src = std::fs::read_to_string(path).expect("sample exists");
+    let m = rsti_frontend::compile(&src, path).expect("compiles");
+    let server = rsti_serve::Server::new(rsti_serve::ServeConfig::default());
+    for mech in ["none", "stwc"] {
+        for opt in ["none", "block", "cfg", "ipo"] {
+            let cell = format!("{mech}/{opt}");
+            let choice = rsti_core::MechChoice::parse(mech).unwrap();
+            let level = rsti_core::OptLevel::parse(opt).unwrap();
+            let built = Vm::new(&Image::build(&m, choice, level).0).run().cycles;
+
+            let args = ["run", path, "--mech", mech, "--opt", opt, "--stats"].map(String::from);
+            let (code, out) = rsti_cli::run_cli(&args);
+            assert_eq!(code, 0, "{cell}: {out}");
+            let cli = out
+                .split("cycles: ")
+                .nth(1)
+                .and_then(|s| s.split_whitespace().next())
+                .and_then(|n| n.parse::<u64>().ok())
+                .unwrap_or_else(|| panic!("{cell}: no cycles in {out}"));
+
+            let line = format!(
+                "{{\"cmd\":\"run\",\"source\":{},\"mech\":\"{mech}\",\"opt\":\"{opt}\"}}",
+                rsti_telemetry::json_str(&src)
+            );
+            let resp = server.handle_line(&line);
+            let served = rsti_telemetry::parse_json(&resp)
+                .ok()
+                .and_then(|j| j.get("cycles").and_then(|c| c.as_u64()))
+                .unwrap_or_else(|| panic!("{cell}: no cycles in {resp}"));
+
+            assert_eq!((cli, served), (built, built), "{cell}");
+            match (mech, opt) {
+                ("none", "none") => assert_eq!(built, 958, "{cell}"),
+                ("none", "cfg") => assert_eq!(built, 933, "{cell}"),
+                ("stwc", "cfg") => assert_eq!(built, 1297, "{cell}"),
+                _ => {}
+            }
+        }
+    }
 }

@@ -116,23 +116,14 @@ fn optimizer_is_semantics_preserving() {
         let src = rsti_workloads::generate(seed, rsti_workloads::GenConfig::default());
         let mut m = rsti_frontend::compile(&src, "gen").unwrap();
         let base = Vm::new(&Image::baseline(&m)).run();
-        rsti_core::inline_leaf_functions(&mut m, 96);
-        for mech in Mechanism::ALL {
+        rsti_core::inline_leaf_functions(&mut m, rsti_core::LEAF_INLINE_BUDGET);
+        // The optimized baseline and every mechanism, at every level.
+        for choice in std::iter::once(None).chain(Mechanism::ALL.map(Some)) {
             for level in rsti_core::OptLevel::ALL {
-                let mut p = rsti_core::instrument(&m, mech);
-                rsti_core::optimize_module(&mut p.module, level);
-                let r = Vm::new(&Image::from_instrumented(&p)).run();
-                assert_eq!(r.status, base.status, "seed {seed} {mech} {}", level.label());
-                assert_eq!(r.output, base.output, "seed {seed} {mech} {}", level.label());
+                let r = Vm::new(&Image::build(&m, choice, level).0).run();
+                assert_eq!(r.status, base.status, "seed {seed} {choice:?} {}", level.label());
+                assert_eq!(r.output, base.output, "seed {seed} {choice:?} {}", level.label());
             }
-        }
-        // And the optimized baseline too, at every level.
-        for level in rsti_core::OptLevel::ALL {
-            let mut mb = m.clone();
-            rsti_core::optimize_module(&mut mb, level);
-            let rb = Vm::new(&Image::baseline(&mb)).run();
-            assert_eq!(rb.status, base.status, "seed {seed} {}", level.label());
-            assert_eq!(rb.output, base.output, "seed {seed} {}", level.label());
         }
     }
 }
