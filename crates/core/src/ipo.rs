@@ -40,7 +40,7 @@
 //! matrix — which drives the conservatisms documented on each pass.
 
 use rsti_ir::{CallGraph, Inst, Module, Operand, PacSite, Terminator, ValueId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Instruction budget of the pre-instrumentation leaf inliner
 /// (`inline_leaf_functions`) in the Fig. 9 proxies' preparation: each
@@ -133,20 +133,21 @@ fn local_effects(
     }
     // A function's own allocas: stores through them are frame-local and
     // invisible to any caller fact.
-    let own_allocas: std::collections::HashSet<ValueId> = f
-        .insts()
-        .filter_map(|n| match &n.inst {
-            Inst::Alloca { result, .. } => Some(*result),
-            _ => None,
-        })
-        .collect();
+    let mut own_allocas = vec![false; f.value_types.len()];
+    for n in f.insts() {
+        if let Inst::Alloca { result, .. } = &n.inst {
+            if let Some(a) = own_allocas.get_mut(result.0 as usize) {
+                *a = true;
+            }
+        }
+    }
     for node in f.insts() {
         match &node.inst {
             Inst::Store { ptr, .. } => match ptr {
                 Operand::GlobalAddr(g, _) => {
                     s.writes_globals.insert(g.0);
                 }
-                Operand::Value(v) if own_allocas.contains(v) => {}
+                Operand::Value(v) if own_allocas.get(v.0 as usize) == Some(&true) => {}
                 _ => s.writes_unknown = true,
             },
             Inst::Free { .. } => s.frees = true,
@@ -219,94 +220,28 @@ fn summarize(m: &Module, cg: &CallGraph) -> Vec<FuncSummary> {
 /// Returns the number of pairs folded (each removes one dynamic sign and
 /// one dynamic auth per execution).
 pub fn fold_boundary_resigns(m: &mut Module) -> usize {
-    let mut folded = 0;
     let externals: Vec<bool> = m.funcs.iter().map(|f| f.is_external).collect();
+    let mut folded = 0;
     for f in &mut m.funcs {
         if f.is_external || f.blocks.is_empty() {
             continue;
         }
-        let is_entry = f.name == "main";
-        // One fold per iteration, recounting uses each time: folds change
-        // use counts, and bodies are small enough that simplicity wins.
-        loop {
-            let mut use_count: HashMap<ValueId, usize> = HashMap::new();
-            for blk in &f.blocks {
-                let ops = blk.insts.iter().flat_map(|n| n.inst.operands());
-                for op in ops.chain(blk.term.operand()) {
-                    if let Operand::Value(v) = op {
-                        *use_count.entry(*v).or_default() += 1;
-                    }
-                }
-            }
-
-            let mut action: Option<(usize, usize, Consumer)> = None;
-            'scan: for (bi, blk) in f.blocks.iter().enumerate() {
-                for (ii, node) in blk.insts.iter().enumerate() {
-                    let Inst::PacSign {
-                        result: s_res,
-                        key: s_key,
-                        modifier: s_mod,
-                        loc: s_loc,
-                        site: s_site,
+        let mut work: Vec<Pos> = Vec::new();
+        for (bi, blk) in f.blocks.iter().enumerate().rev() {
+            for (ii, node) in blk.insts.iter().enumerate().rev() {
+                if matches!(
+                    &node.inst,
+                    Inst::PacSign {
+                        site: PacSite::ArgResign | PacSite::CastResign,
                         ..
-                    } = &node.inst
-                    else {
-                        continue;
-                    };
-                    if !matches!(s_site, PacSite::ArgResign | PacSite::CastResign) {
-                        continue;
                     }
-                    let Some(Inst::PacAuth {
-                        result: a_res,
-                        value: Operand::Value(a_val),
-                        key: a_key,
-                        modifier: a_mod,
-                        loc: a_loc,
-                        ..
-                    }) = blk.insts.get(ii + 1).map(|n| &n.inst)
-                    else {
-                        continue;
-                    };
-                    if a_val != s_res
-                        || a_key != s_key
-                        || a_mod != s_mod
-                        || a_loc != s_loc
-                        || use_count.get(s_res).copied().unwrap_or(0) != 1
-                    {
-                        continue;
-                    }
-                    if let Some(c) =
-                        find_internal_consumer(f, *a_res, &use_count, &externals, is_entry)
-                    {
-                        action = Some((bi, ii, c));
-                        break 'scan;
-                    }
+                ) {
+                    work.push((bi as u32, ii as u32));
                 }
             }
-            let Some((bi, ii, consumer)) = action else { break };
-            let (s_val, a_res) = match (&f.blocks[bi].insts[ii].inst, &f.blocks[bi].insts[ii + 1].inst)
-            {
-                (Inst::PacSign { value, .. }, Inst::PacAuth { result, .. }) => {
-                    (value.clone(), *result)
-                }
-                _ => unreachable!("action points at a sign/auth pair"),
-            };
-            match consumer {
-                Consumer::CallArgs(cb, ci) => {
-                    if let Inst::Call { args, .. } = &mut f.blocks[cb].insts[ci].inst {
-                        for a in args {
-                            if matches!(a, Operand::Value(v) if *v == a_res) {
-                                *a = s_val.clone();
-                            }
-                        }
-                    }
-                }
-                Consumer::Ret(rb) => {
-                    f.blocks[rb].term = Terminator::Ret(Some(s_val.clone()));
-                }
-            }
-            f.blocks[bi].insts.drain(ii..ii + 2);
-            folded += 1;
+        }
+        if !work.is_empty() {
+            folded += Folder::new(f, &externals).run(f, work);
         }
     }
     debug_assert!(
@@ -317,63 +252,297 @@ pub fn fold_boundary_resigns(m: &mut Module) -> usize {
     folded
 }
 
+/// An instruction's position: block and index, with index [`TERM`] for
+/// the block's terminator.
+type Pos = (u32, u32);
+const TERM: u32 = u32::MAX;
+const NIL: u32 = u32::MAX;
+
 /// Where a foldable pair's authenticated value goes.
 enum Consumer {
-    /// All uses are arguments of the direct call at (block, index).
-    CallArgs(usize, usize),
+    /// All uses are arguments of the direct call at this position.
+    CallArgs(Pos),
     /// The single use is the `Ret` operand of the block.
-    Ret(usize),
+    Ret(u32),
 }
 
-/// Finds the unique internal consumer of `a_res`, if its every use is (a)
-/// arguments of one direct call to a defined callee, or (b) the operand of
-/// one `Ret` in a non-entry function. Returns `None` when uses are spread
-/// across instructions, feed an external/indirect boundary, or include a
-/// `loc` (modifier metadata must keep its operand).
-fn find_internal_consumer(
-    f: &rsti_ir::Function,
-    a_res: ValueId,
-    use_count: &HashMap<ValueId, usize>,
-    externals: &[bool],
+/// The resign folder's def-use index over one function. Folded pairs are
+/// marked dead in place and dropped in one pass at the end, so positions
+/// stay stable; "adjacent" means adjacent among the live instructions.
+///
+/// A fold only ever enables others — it never disables a foldable pair —
+/// and folds commute, so a worklist that re-examines exactly the pairs a
+/// fold can affect reaches the module that folding the first foldable pair
+/// in scan order, over and over, reaches.
+struct Folder<'e> {
+    externals: &'e [bool],
     is_entry: bool,
-) -> Option<Consumer> {
-    let total = use_count.get(&a_res).copied().unwrap_or(0);
-    if total == 0 {
-        return None; // cast-model pair: result deliberately unused
+    /// First flat instruction index of each block.
+    base: Vec<usize>,
+    dead: Vec<bool>,
+    uses: Vec<u32>,
+    /// Defining position per value.
+    def: Vec<Pos>,
+    /// Users per value: a chain through `users` of `(position, next)`,
+    /// one link per using instruction (more may go stale or dead).
+    first_user: Vec<u32>,
+    users: Vec<(Pos, u32)>,
+}
+
+impl<'e> Folder<'e> {
+    fn new(f: &rsti_ir::Function, externals: &'e [bool]) -> Folder<'e> {
+        let n = f.value_types.len();
+        let mut base = Vec::with_capacity(f.blocks.len());
+        let mut total = 0;
+        for blk in &f.blocks {
+            base.push(total);
+            total += blk.insts.len();
+        }
+        let mut fo = Folder {
+            externals,
+            is_entry: f.name == "main",
+            base,
+            dead: vec![false; total],
+            uses: vec![0; n],
+            def: vec![(NIL, NIL); n],
+            first_user: vec![NIL; n],
+            users: Vec::new(),
+        };
+        for (bi, blk) in f.blocks.iter().enumerate() {
+            for (ii, node) in blk.insts.iter().enumerate() {
+                let at = (bi as u32, ii as u32);
+                if let Some(r) = node.inst.result() {
+                    if let Some(d) = fo.def.get_mut(r.0 as usize) {
+                        *d = at;
+                    }
+                }
+                node.inst.for_each_operand(|op| fo.add_use(op, at, 1));
+            }
+            if let Some(op) = blk.term.operand() {
+                fo.add_use(op, (bi as u32, TERM), 1);
+            }
+        }
+        fo
     }
-    for (bi, blk) in f.blocks.iter().enumerate() {
-        for (ii, node) in blk.insts.iter().enumerate() {
-            let uses_here = node
-                .inst
-                .operands()
-                .iter()
-                .filter(|op| matches!(op, Operand::Value(v) if *v == a_res))
-                .count();
-            let loc_use = matches!(
-                &node.inst,
-                Inst::PacSign { loc: Some(Operand::Value(v)), .. }
-                | Inst::PacAuth { loc: Some(Operand::Value(v)), .. } if *v == a_res
-            );
-            if uses_here == 0 && !loc_use {
+
+    fn add_use(&mut self, op: &Operand, at: Pos, count: u32) {
+        let Operand::Value(v) = op else { return };
+        let v = v.0 as usize;
+        if v >= self.uses.len() {
+            self.uses.resize(v + 1, 0);
+            self.first_user.resize(v + 1, NIL);
+        }
+        self.uses[v] += count;
+        let head = self.first_user[v];
+        if head == NIL || self.users[head as usize].0 != at {
+            self.first_user[v] = self.users.len() as u32;
+            self.users.push((at, head));
+        }
+    }
+
+    fn drop_use(&mut self, op: &Operand) {
+        if let Operand::Value(v) = op {
+            self.uses[v.0 as usize] -= 1;
+        }
+    }
+
+    fn use_count(&self, v: ValueId) -> u32 {
+        self.uses.get(v.0 as usize).copied().unwrap_or(0)
+    }
+
+    fn is_dead(&self, (b, i): Pos) -> bool {
+        i != TERM && self.dead[self.base[b as usize] + i as usize]
+    }
+
+    /// The next (`step` 1) or previous (`step` -1) live instruction.
+    fn live_neighbour(&self, f: &rsti_ir::Function, (b, i): Pos, step: isize) -> Option<Pos> {
+        let mut j = i as isize + step;
+        while j >= 0 && (j as usize) < f.blocks[b as usize].insts.len() {
+            if !self.dead[self.base[b as usize] + j as usize] {
+                return Some((b, j as u32));
+            }
+            j += step;
+        }
+        None
+    }
+
+    /// Runs the worklist, which starts with every boundary/cast re-sign in
+    /// scan order (the first on top); returns the number of pairs folded.
+    fn run(mut self, f: &mut rsti_ir::Function, mut work: Vec<Pos>) -> usize {
+        let mut folded = 0;
+        while let Some(sign) = work.pop() {
+            if let Some((auth, consumer)) = self.foldable(f, sign) {
+                self.fold(f, sign, auth, consumer, &mut work);
+                folded += 1;
+            }
+        }
+        if folded > 0 {
+            for (bi, blk) in f.blocks.iter_mut().enumerate() {
+                let dead = &self.dead[self.base[bi]..][..blk.insts.len()];
+                let mut i = 0;
+                blk.insts.retain(|_| {
+                    i += 1;
+                    !dead[i - 1]
+                });
+            }
+        }
+        folded
+    }
+
+    /// Whether the sign at `sign` and the live instruction after it are a
+    /// foldable round-trip: same `(key, modifier, loc)`, the auth consuming
+    /// the sign's only use, and every use of the auth's result going to one
+    /// internal consumer.
+    fn foldable(&self, f: &rsti_ir::Function, sign: Pos) -> Option<(Pos, Consumer)> {
+        if self.is_dead(sign) {
+            return None;
+        }
+        let Inst::PacSign {
+            result: s_res,
+            key: s_key,
+            modifier: s_mod,
+            loc: s_loc,
+            site,
+            ..
+        } = &f.blocks[sign.0 as usize].insts[sign.1 as usize].inst
+        else {
+            return None;
+        };
+        if !matches!(site, PacSite::ArgResign | PacSite::CastResign) {
+            return None;
+        }
+        let auth = self.live_neighbour(f, sign, 1)?;
+        let Inst::PacAuth {
+            result: a_res,
+            value: Operand::Value(a_val),
+            key: a_key,
+            modifier: a_mod,
+            loc: a_loc,
+            ..
+        } = &f.blocks[auth.0 as usize].insts[auth.1 as usize].inst
+        else {
+            return None;
+        };
+        if a_val != s_res
+            || a_key != s_key
+            || a_mod != s_mod
+            || a_loc != s_loc
+            || self.use_count(*s_res) != 1
+        {
+            return None;
+        }
+        Some((auth, self.internal_consumer(f, *a_res)?))
+    }
+
+    /// The unique internal consumer of `a_res`, if its every use is (a)
+    /// arguments of one direct call to a defined callee, or (b) the operand
+    /// of one `Ret` in a non-entry function. `None` when uses are spread
+    /// across instructions, feed an external/indirect boundary, or include
+    /// a `loc` (modifier metadata must keep its operand).
+    fn internal_consumer(&self, f: &rsti_ir::Function, a_res: ValueId) -> Option<Consumer> {
+        let total = self.use_count(a_res);
+        if total == 0 {
+            return None; // cast-model pair: result deliberately unused
+        }
+        let mut at = None;
+        let mut link = self.first_user[a_res.0 as usize];
+        while link != NIL {
+            let (pos, next) = self.users[link as usize];
+            link = next;
+            if self.is_dead(pos) {
                 continue;
             }
-            if loc_use {
-                return None;
+            match at {
+                None => at = Some(pos),
+                Some(p) if p != pos => return None,
+                Some(_) => {}
             }
-            return match &node.inst {
-                Inst::Call { callee, .. }
-                    if !externals[callee.0 as usize] && uses_here == total =>
-                {
-                    Some(Consumer::CallArgs(bi, ii))
-                }
-                _ => None,
-            };
         }
-        if matches!(&blk.term, Terminator::Ret(Some(Operand::Value(v))) if *v == a_res) {
-            return (!is_entry && total == 1).then_some(Consumer::Ret(bi));
+        let (b, i) = at?;
+        if i == TERM {
+            let is_ret = matches!(&f.blocks[b as usize].term,
+                Terminator::Ret(Some(Operand::Value(v))) if *v == a_res);
+            return (is_ret && !self.is_entry && total == 1).then_some(Consumer::Ret(b));
+        }
+        match &f.blocks[b as usize].insts[i as usize].inst {
+            Inst::Call { callee, args, .. } if !self.externals[callee.0 as usize] => {
+                let here = args
+                    .iter()
+                    .filter(|a| matches!(a, Operand::Value(v) if *v == a_res));
+                (here.count() as u32 == total).then_some(Consumer::CallArgs((b, i)))
+            }
+            _ => None,
         }
     }
-    None
+
+    /// Folds the pair at `sign`/`auth` into its consumer and queues the
+    /// pairs the fold can have made foldable: the one newly adjacent across
+    /// the removed pair, and the ones whose values the fold moved or dropped
+    /// uses of.
+    fn fold(
+        &mut self,
+        f: &mut rsti_ir::Function,
+        sign: Pos,
+        auth: Pos,
+        consumer: Consumer,
+        work: &mut Vec<Pos>,
+    ) {
+        let (s_val, loc, s_res) = match &f.blocks[sign.0 as usize].insts[sign.1 as usize].inst {
+            Inst::PacSign {
+                value, loc, result, ..
+            } => (value.clone(), loc.clone(), *result),
+            _ => unreachable!("fold points at a sign"),
+        };
+        let a_res = f.blocks[auth.0 as usize].insts[auth.1 as usize]
+            .inst
+            .result()
+            .expect("an auth defines a value");
+        let (moved, at) = match consumer {
+            Consumer::CallArgs(c) => {
+                let mut moved = 0;
+                let call = &mut f.blocks[c.0 as usize].insts[c.1 as usize].inst;
+                if let Inst::Call { args, .. } = call {
+                    for a in args {
+                        if matches!(a, Operand::Value(v) if *v == a_res) {
+                            *a = s_val.clone();
+                            moved += 1;
+                        }
+                    }
+                }
+                (moved, c)
+            }
+            Consumer::Ret(rb) => {
+                f.blocks[rb as usize].term = Terminator::Ret(Some(s_val.clone()));
+                (1, (rb, TERM))
+            }
+        };
+        self.uses[a_res.0 as usize] -= moved;
+        self.add_use(&s_val, at, moved);
+        self.drop_use(&s_val);
+        self.drop_use(&Operand::Value(s_res));
+        for _ in 0..2 {
+            loc.iter().for_each(|l| self.drop_use(l));
+        }
+        for p in [sign, auth] {
+            self.dead[self.base[p.0 as usize] + p.1 as usize] = true;
+        }
+
+        if let Some(prev) = self.live_neighbour(f, sign, -1) {
+            work.push(prev);
+        }
+        for op in [Some(&s_val), loc.as_ref()].into_iter().flatten() {
+            let Operand::Value(v) = op else { continue };
+            let Some(&d) = self.def.get(v.0 as usize).filter(|d| d.0 != NIL) else {
+                continue;
+            };
+            // `v` is a sign result (its pair starts at `d`) or an auth
+            // result (its pair starts at the live instruction before it).
+            work.push(d);
+            if let Some(prev) = self.live_neighbour(f, d, -1) {
+                work.push(prev);
+            }
+        }
+    }
 }
 
 /// Size-budgeted inlining of small non-recursive callees, run *after*
@@ -534,6 +703,89 @@ mod tests {
         );
         assert_eq!(auths(&p.module), auths0 - folded);
         rsti_ir::verify_module(&p.module).unwrap();
+    }
+
+    /// Folding one re-sign makes the next foldable, twice over: a pair
+    /// whose result feeds another pair's sign folds once that pair has, and
+    /// removing a pair makes the two instructions around it adjacent.
+    #[test]
+    fn fold_cascades_to_pairs_it_unblocks() {
+        use rsti_ir::{FuncSig, FunctionBuilder, PacKey};
+        let mut m = Module::new("t");
+        let i64t = m.types.i64();
+        let pty = m.types.ptr(i64t);
+        let void = m.types.void();
+        let ret = m.types.i32();
+        let sink = m.declare_func("sink", FuncSig::new(void, vec![pty, pty]), false);
+        let main = m.declare_func("main", FuncSig::new(ret, vec![]), false);
+        let mut b = FunctionBuilder::new(&mut m, sink);
+        b.ret(None);
+        b.finish();
+        let mut b = FunctionBuilder::new(&mut m, main);
+        let resign = |b: &mut FunctionBuilder, value: Operand, with_auth: bool| {
+            let (s, a) = (b.fresh_value(pty), b.fresh_value(pty));
+            let (key, modifier, loc, site) = (PacKey::Da, 5, None, PacSite::ArgResign);
+            b.push_raw(Inst::PacSign {
+                result: s,
+                value,
+                key,
+                modifier,
+                loc: loc.clone(),
+                site,
+            });
+            if with_auth {
+                b.push_raw(Inst::PacAuth {
+                    result: a,
+                    value: s.into(),
+                    key,
+                    modifier,
+                    loc,
+                    site,
+                });
+            }
+            (s, a)
+        };
+        let x = b.malloc(Operand::ConstInt(8, i64t), pty);
+        let y = b.malloc(Operand::ConstInt(8, i64t), pty);
+        // Chain: x's round-trip feeds a second round-trip; only the outer
+        // pair's result reaches the call.
+        let (_, inner) = resign(&mut b, x.into(), true);
+        let (_, outer) = resign(&mut b, inner.into(), true);
+        // Nest: y's sign, then a whole pair, then y's auth.
+        let (ys, _) = resign(&mut b, y.into(), false);
+        let (_, mid) = resign(&mut b, x.into(), true);
+        let ya = b.fresh_value(pty);
+        b.push_raw(Inst::PacAuth {
+            result: ya,
+            value: ys.into(),
+            key: PacKey::Da,
+            modifier: 5,
+            loc: None,
+            site: PacSite::ArgResign,
+        });
+        b.call(sink, vec![outer.into(), mid.into()]);
+        b.call(sink, vec![ya.into(), ya.into()]);
+        b.ret(Some(Operand::ConstInt(0, ret)));
+        b.finish();
+        rsti_ir::verify_module(&m).unwrap();
+
+        assert_eq!(fold_boundary_resigns(&mut m), 4);
+        let f = m.func(main);
+        assert!(
+            f.insts().all(|n| !n.inst.is_pac_op()),
+            "every round-trip folded"
+        );
+        let args: Vec<Vec<Operand>> = f
+            .insts()
+            .filter_map(|n| match &n.inst {
+                Inst::Call { args, .. } => Some(args.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            args,
+            vec![vec![x.into(), x.into()], vec![y.into(), y.into()]]
+        );
     }
 
     #[test]

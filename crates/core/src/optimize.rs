@@ -11,11 +11,13 @@
 //! Our MiniC lowering is -O0-style (every local in a slot), so the same
 //! pointer slot is often loaded — and re-authenticated — several times.
 //! One [`OptLevel`]-driven pipeline removes the provably redundant
-//! re-checks. Every elision stage runs through one engine,
-//! [`elide_redundant_auths`]: one transfer function over "available
+//! re-checks. Every elision stage runs through one engine (see
+//! [`elide_redundant_auths`]): one block walk over "available
 //! authentications" (a `(slot, modifier, key)` fact per adjacent load+auth
-//! pair) and one fixpoint driver, parameterized by an [`Elision`] value
-//! that picks the scope, the kill rule, and the fact sources.
+//! pair) and one bitset fixpoint over the blocks' summaries, parameterized
+//! by an [`Elision`] value that picks the scope, the kill rule, and the
+//! fact sources. No stage rescans a function per candidate (DESIGN.md §6,
+//! "The O2 model's cost", gives each stage's cost).
 //!
 //! * [`OptLevel::BlockLocal`] — single-store slot promotion (mem2reg),
 //!   then [`Elision::Block`]: if slot `P` was loaded and authenticated
@@ -61,15 +63,14 @@
 //! mechanism; `verify_module` holds after every stage boundary.
 
 use rsti_ir::{
-    BlockId, Cfg, DomTree, Inst, InstNode, LoopForest, Module, Operand, PacKey, Terminator,
-    TypeId, ValueId,
+    BasicBlock, BlockId, Cfg, DomTree, Inst, InstNode, LoopForest, Module, Operand, PacKey,
+    Terminator, TypeId, ValueId,
 };
-use std::collections::{HashMap, HashSet};
 
 /// Fact key for a slot: the address operand must be *syntactically
 /// identical* (same value id or same global) — a conservative alias-free
 /// guarantee.
-#[derive(PartialEq, Eq, Hash, Clone)]
+#[derive(PartialEq, Eq, Clone, Copy)]
 enum SlotKey {
     Value(ValueId),
     Global(u32),
@@ -82,6 +83,9 @@ fn slot_key(op: &Operand) -> Option<SlotKey> {
         _ => None,
     }
 }
+
+/// "No entry" in the dense `u32` index tables below.
+const NIL: u32 = u32::MAX;
 
 /// Register promotion of single-store pointer slots — the reproduction's
 /// mem2reg. A slot qualifies when it is an entry-block `alloca` of pointer
@@ -105,181 +109,207 @@ pub fn promote_single_store_slots(m: &mut Module) -> usize {
     promoted
 }
 
-fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) -> usize {
-    use std::collections::{HashMap as Map, HashSet};
+/// One slot's uses, from the census walk of [`promote_in_function`].
+#[derive(Clone, Copy, Default)]
+struct Usage {
+    /// Stores through the slot, and the position of the first one.
+    stores: u32,
+    store_at: (u32, u32),
+    loads: u32,
+    /// Used as anything but a load or store address.
+    other: bool,
+    in_entry_alloca: bool,
+    /// An entry-block load precedes every store.
+    load_before_store: bool,
+}
 
-    // 1. Usage census over the original body.
-    #[derive(Default)]
-    struct Usage {
-        stores: Vec<(usize, usize)>, // (block, index) of Store { ptr = slot }
-        loads: usize,
-        other: bool,
-        in_entry_alloca: bool,
+/// `v`'s entry in a dense per-value table, growing the table for ids past
+/// the function's value table (never produced by the frontend).
+fn dense<T: Clone + Default>(table: &mut Vec<T>, v: ValueId) -> &mut T {
+    let i = v.0 as usize;
+    if i >= table.len() {
+        table.resize(i + 1, T::default());
     }
-    let mut usage: Map<ValueId, Usage> = Map::new();
+    &mut table[i]
+}
 
+/// One census walk, then one rewrite per promoted slot over only its own
+/// loads and their auths, then one rebuild of the entry block with every
+/// canonical load(+auth) inserted.
+fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) -> usize {
+    // 1. Usage census over the original body. Every load through a value
+    // and every auth of a value is listed in scan order for step 3.
+    let mut usage = vec![Usage::default(); f.value_types.len()];
+    let mut loads: Vec<(ValueId, u32, u32)> = Vec::new();
+    let mut auths: Vec<(ValueId, u32, u32)> = Vec::new();
     for (bi, blk) in f.blocks.iter().enumerate() {
         for (ii, node) in blk.insts.iter().enumerate() {
+            let at = (bi as u32, ii as u32);
             match &node.inst {
-                Inst::Alloca { result, .. } => {
-                    let u = usage.entry(*result).or_default();
-                    u.in_entry_alloca = bi == 0;
-                }
+                Inst::Alloca { result, .. } => dense(&mut usage, *result).in_entry_alloca = bi == 0,
                 Inst::Store { value, ptr } => {
                     if let Operand::Value(v) = ptr {
-                        usage.entry(*v).or_default().stores.push((bi, ii));
+                        let u = dense(&mut usage, *v);
+                        if u.stores == 0 {
+                            u.store_at = at;
+                        }
+                        u.stores += 1;
                     }
                     if let Operand::Value(v) = value {
-                        usage.entry(*v).or_default().other = true;
+                        dense(&mut usage, *v).other = true;
                     }
                 }
                 Inst::Load { ptr, .. } => {
                     if let Operand::Value(v) = ptr {
-                        usage.entry(*v).or_default().loads += 1;
+                        let u = dense(&mut usage, *v);
+                        u.loads += 1;
+                        u.load_before_store |= bi == 0 && u.stores == 0;
+                        loads.push((*v, at.0, at.1));
                     }
                 }
                 other => {
-                    for op in other.operands() {
-                        if let Operand::Value(v) = op {
-                            usage.entry(*v).or_default().other = true;
-                        }
+                    if let Inst::PacAuth {
+                        value: Operand::Value(v),
+                        ..
+                    } = other
+                    {
+                        auths.push((*v, at.0, at.1));
                     }
+                    other.for_each_operand(|op| {
+                        if let Operand::Value(v) = op {
+                            dense(&mut usage, *v).other = true;
+                        }
+                    });
                 }
             }
         }
         // Terminator operands count as "other" uses.
         if let Some(Operand::Value(v)) = blk.term.operand() {
-            usage.entry(*v).or_default().other = true;
+            dense(&mut usage, *v).other = true;
         }
     }
 
-    let candidates: HashSet<ValueId> = usage
+    // 2. Candidates, with every entry-block load after the store, in
+    // descending store order: the order the fresh value ids are drawn in.
+    let mut order: Vec<(ValueId, u32)> = usage
         .iter()
+        .enumerate()
         .filter(|(_, u)| {
             u.in_entry_alloca
                 && !u.other
-                && u.stores.len() == 1
-                && u.stores[0].0 == 0
+                && u.stores == 1
+                && u.store_at.0 == 0
                 && u.loads >= 2
+                && !u.load_before_store
         })
-        .map(|(v, _)| *v)
+        .map(|(v, u)| (ValueId(v as u32), u.store_at.1))
         .collect();
-    if candidates.is_empty() {
+    if order.is_empty() {
         return 0;
     }
+    order.sort_by_key(|e| std::cmp::Reverse(e.1));
 
-    // 2. Per-candidate: is every entry-block load after the store? And is
-    // there an auth following each load (instrumented) or not (baseline)?
-    let mut rewrite: Map<ValueId, (usize, usize)> = Map::new(); // slot -> store pos
-    for &slot in &candidates {
-        let (sb, si) = usage[&slot].stores[0];
-        debug_assert_eq!(sb, 0);
-        let mut ok = true;
-        for (ii, node) in f.blocks[0].insts.iter().enumerate() {
-            if let Inst::Load { ptr: Operand::Value(v), .. } = &node.inst {
-                if *v == slot && ii < si {
-                    ok = false;
-                }
+    // Each candidate's loads, and the auths of their results, in scan order.
+    let mut cand = vec![NIL; usage.len()];
+    for (ci, &(v, _)) in order.iter().enumerate() {
+        cand[v.0 as usize] = ci as u32;
+    }
+    let mut owner = vec![NIL; f.value_types.len()];
+    let mut slot_loads: Vec<Vec<(u32, u32)>> = vec![Vec::new(); order.len()];
+    for &(v, bi, ii) in &loads {
+        let ci = cand[v.0 as usize];
+        if ci != NIL {
+            slot_loads[ci as usize].push((bi, ii));
+            if let Inst::Load { result, .. } = &f.blocks[bi as usize].insts[ii as usize].inst {
+                *dense(&mut owner, *result) = ci;
             }
         }
-        if ok {
-            rewrite.insert(slot, (sb, si));
+    }
+    let mut slot_auths: Vec<Vec<(u32, u32)>> = vec![Vec::new(); order.len()];
+    for &(v, bi, ii) in &auths {
+        if let Some(&ci) = owner.get(v.0 as usize).filter(|&&ci| ci != NIL) {
+            slot_auths[ci as usize].push((bi, ii));
         }
     }
-    if rewrite.is_empty() {
-        return 0;
-    }
 
-    // 3. Rewrite. For each promoted slot, find the modifier/key from the
-    // first load's following auth (if any), insert the canonical
-    // load(+auth) right after the store, then convert every load(+auth)
-    // of the slot into copies.
+    // 3. Rewrite, slot by slot. The modifier/key come from the auth after
+    // the slot's last load (none after a pp-auth: those tags must be
+    // revalidated per load), and every load(+auth) of the slot becomes a
+    // copy of the canonical value. Earlier slots' rewrites are visible to
+    // later slots' scans; the canonical pairs go in at the end, after
+    // their stores, which no load follows directly.
     let mut promoted = 0usize;
-    let mut fresh = {
-        let mut next = f.value_types.len() as u32;
-        move |tys: &mut Vec<rsti_ir::TypeId>, ty: rsti_ir::TypeId| {
-            let id = ValueId(next);
-            next += 1;
-            tys.push(ty);
-            id
-        }
-    };
-
-    // Descending store order: insertions into the entry block must not
-    // shift the recorded positions of slots processed later.
-    let mut order: Vec<(ValueId, usize)> =
-        rewrite.iter().map(|(&v, &(_, i))| (v, i)).collect();
-    order.sort_by_key(|e| std::cmp::Reverse(e.1));
-    for (slot, store_idx) in order {
-        // Find one auth template + the load type.
+    let mut in_results = vec![false; f.value_types.len()];
+    let mut inserts: Vec<(usize, InstNode, Option<InstNode>)> = Vec::new();
+    for (ci, &(slot, store_idx)) in order.iter().enumerate() {
         let mut load_ty = None;
         let mut auth_template = None;
-        let mut load_results: HashSet<ValueId> = HashSet::new();
-        for blk in &f.blocks {
-            for (ii, node) in blk.insts.iter().enumerate() {
-                if let Inst::Load { result, ptr: Operand::Value(v), ty } = &node.inst {
-                    if *v == slot {
-                        load_ty = Some(*ty);
-                        load_results.insert(*result);
-                        // Auth directly consuming this load?
-                        if let Some(Inst::PacAuth { key, modifier, loc, site, .. }) =
-                            blk.insts.get(ii + 1).map(|n| &n.inst)
-                        {
-                            auth_template = Some((*key, *modifier, loc.clone(), *site));
-                        }
-                        if let Some(Inst::PpAuth { .. }) =
-                            blk.insts.get(ii + 1).map(|n| &n.inst)
-                        {
-                            // pp-authenticated slots are left alone: their
-                            // tags must be revalidated per load.
-                            auth_template = None;
-                            load_results.clear();
-                        }
-                    }
+        let mut load_results: Vec<ValueId> = Vec::new();
+        for &(bi, ii) in &slot_loads[ci] {
+            let insts = &f.blocks[bi as usize].insts;
+            let Inst::Load { result, ty, .. } = &insts[ii as usize].inst else {
+                unreachable!("listed loads of a slot stay loads until the slot is rewritten")
+            };
+            load_ty = Some(*ty);
+            load_results.push(*result);
+            match insts.get(ii as usize + 1).map(|n| &n.inst) {
+                Some(Inst::PacAuth {
+                    key,
+                    modifier,
+                    loc,
+                    site,
+                    ..
+                }) => {
+                    auth_template = Some((*key, *modifier, loc.clone(), *site));
                 }
+                Some(Inst::PpAuth { .. }) => {
+                    auth_template = None;
+                    load_results.clear();
+                }
+                _ => {}
             }
         }
         let Some(load_ty) = load_ty else { continue };
         if load_results.is_empty() {
             continue;
         }
-        // Only promote pointer-typed content (what instrumentation cares
-        // about; scalar slots are cheap anyway).
-        // `load_ty` pointer-ness is checked by the caller's type table via
-        // the auth presence; without an auth (baseline) we still promote.
 
-        // Insert canonical load (+ auth) after the store.
-        let loc_of_store = f.blocks[0].insts[store_idx].loc;
-        let raw = fresh(&mut f.value_types, load_ty);
-        let mut insert_at = store_idx + 1;
-        f.blocks[0].insts.insert(
-            insert_at,
-            InstNode {
-                inst: Inst::Load { result: raw, ptr: slot.into(), ty: load_ty },
-                loc: loc_of_store,
-            },
-        );
-        insert_at += 1;
-        let canonical = if let Some((key, modifier, loc, site)) = &auth_template {
-            let authed = fresh(&mut f.value_types, load_ty);
-            f.blocks[0].insts.insert(
-                insert_at,
-                InstNode {
-                    inst: Inst::PacAuth {
-                        result: authed,
-                        value: raw.into(),
-                        key: *key,
-                        modifier: *modifier,
-                        loc: loc.clone(),
-                        site: *site,
-                    },
-                    loc: loc_of_store,
-                },
-            );
-            authed
-        } else {
-            raw
+        // The canonical load (+ auth), inserted after the store below.
+        let loc_of_store = f.blocks[0].insts[store_idx as usize].loc;
+        let raw = ValueId(f.value_types.len() as u32);
+        f.value_types.push(load_ty);
+        let load = Inst::Load {
+            result: raw,
+            ptr: slot.into(),
+            ty: load_ty,
         };
+        let load = InstNode {
+            inst: load,
+            loc: loc_of_store,
+        };
+        let (canonical, auth) = match auth_template {
+            Some((key, modifier, loc, site)) => {
+                let authed = ValueId(f.value_types.len() as u32);
+                f.value_types.push(load_ty);
+                let inst = Inst::PacAuth {
+                    result: authed,
+                    value: raw.into(),
+                    key,
+                    modifier,
+                    loc,
+                    site,
+                };
+                (
+                    authed,
+                    Some(InstNode {
+                        inst,
+                        loc: loc_of_store,
+                    }),
+                )
+            }
+            None => (raw, None),
+        };
+        inserts.push((store_idx as usize, load, auth));
 
         // Convert all original load(+auth) pairs of this slot to copies.
         // Pointers copy via `bitcast`, scalars via `convert` — both are
@@ -293,24 +323,46 @@ fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) ->
                 Inst::Convert { result, value: canonical.into(), to: load_ty }
             }
         };
-        for blk in &mut f.blocks {
-            for node in &mut blk.insts {
-                match &node.inst {
-                    Inst::Load { result, ptr: Operand::Value(v), .. }
-                        if *v == slot && *result != raw =>
-                    {
-                        node.inst = copy(*result);
-                        promoted += 1;
-                    }
-                    Inst::PacAuth { result, value: Operand::Value(rv), .. }
-                        if load_results.contains(rv) =>
-                    {
-                        node.inst = copy(*result);
-                    }
-                    _ => {}
+        for &r in &load_results {
+            *dense(&mut in_results, r) = true;
+        }
+        for &(bi, ii) in &slot_loads[ci] {
+            let node = &mut f.blocks[bi as usize].insts[ii as usize];
+            if let Some(result) = node.inst.result() {
+                node.inst = copy(result);
+                promoted += 1;
+            }
+        }
+        for &(bi, ii) in &slot_auths[ci] {
+            let node = &mut f.blocks[bi as usize].insts[ii as usize];
+            if let Inst::PacAuth {
+                result,
+                value: Operand::Value(rv),
+                ..
+            } = &node.inst
+            {
+                if in_results.get(rv.0 as usize).copied().unwrap_or(false) {
+                    node.inst = copy(*result);
                 }
             }
         }
+    }
+
+    // 4. One rebuild of the entry block with every canonical pair after
+    // its store.
+    if !inserts.is_empty() {
+        inserts.sort_by_key(|e| e.0);
+        let old = std::mem::take(&mut f.blocks[0].insts);
+        let mut insts = Vec::with_capacity(old.len() + 2 * inserts.len());
+        let mut next = inserts.into_iter().peekable();
+        for (ii, node) in old.into_iter().enumerate() {
+            insts.push(node);
+            if let Some((_, load, auth)) = next.next_if(|e| e.0 == ii) {
+                insts.push(load);
+                insts.extend(auth);
+            }
+        }
+        f.blocks[0].insts = insts;
     }
     promoted
 }
@@ -320,7 +372,8 @@ fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) ->
 // ---------------------------------------------------------------------------
 
 /// Per-function alias census: which values are allocas, which of those
-/// never escape, and where every value is defined.
+/// never escape, and where every value is defined. Every table is dense,
+/// indexed by value id.
 ///
 /// An alloca's address *escapes* the moment it is used as anything other
 /// than the direct pointer of a `load`/`store` — stored somewhere, passed
@@ -332,20 +385,33 @@ fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) ->
 /// survive those kills.
 #[derive(Default)]
 struct AliasCensus {
-    allocas: HashSet<ValueId>,
-    non_escaped: HashSet<ValueId>,
+    alloca: Vec<bool>,
+    non_escaped: Vec<bool>,
     /// Defining block per value; `None` for params and never-defined ids
     /// (both behave as "defined at entry").
     def_block: Vec<Option<BlockId>>,
 }
 
+impl AliasCensus {
+    fn is_alloca(&self, v: ValueId) -> bool {
+        self.alloca.get(v.0 as usize).copied().unwrap_or(false)
+    }
+
+    fn is_non_escaped(&self, v: ValueId) -> bool {
+        self.non_escaped.get(v.0 as usize).copied().unwrap_or(false)
+    }
+}
+
 fn alias_census(f: &rsti_ir::Function) -> AliasCensus {
-    let mut allocas = HashSet::new();
-    let mut escaped = HashSet::new();
-    let mut def_block = vec![None; f.value_types.len()];
+    let n = f.value_types.len();
+    let mut alloca = vec![false; n];
+    let mut escaped = vec![false; n];
+    let mut def_block = vec![None; n];
     let mut escape = |op: &Operand| {
         if let Operand::Value(v) = op {
-            escaped.insert(*v);
+            if let Some(e) = escaped.get_mut(v.0 as usize) {
+                *e = true;
+            }
         }
     };
     for (bi, blk) in f.blocks.iter().enumerate() {
@@ -354,26 +420,32 @@ fn alias_census(f: &rsti_ir::Function) -> AliasCensus {
                 def_block[r.0 as usize] = Some(BlockId(bi as u32));
             }
             match &node.inst {
-                Inst::Alloca { result, .. } => {
-                    allocas.insert(*result);
-                }
+                Inst::Alloca { result, .. } => alloca[result.0 as usize] = true,
                 Inst::Load { .. } => {} // ptr use is benign
                 Inst::Store { value, .. } => escape(value), // ptr use is benign
                 Inst::PacSign { value, .. } | Inst::PacAuth { value, .. } => {
                     escape(value); // loc use is benign (modifier metadata)
                 }
-                other => other.operands().into_iter().for_each(&mut escape),
+                other => other.for_each_operand(&mut escape),
             }
         }
         blk.term.operand().into_iter().for_each(&mut escape);
     }
-    let non_escaped = allocas.difference(&escaped).copied().collect();
-    AliasCensus { allocas, non_escaped, def_block }
+    let non_escaped = alloca
+        .iter()
+        .zip(&escaped)
+        .map(|(&a, &e)| a && !e)
+        .collect();
+    AliasCensus {
+        alloca,
+        non_escaped,
+        def_block,
+    }
 }
 
 /// Which elision stage the engine runs: the fact scope, the kill rule, and
-/// the fact sources. [`hoist_loop_auths`] takes the same value for its "the
-/// loop never writes the slot" check.
+/// the fact sources. Loop-invariant hoisting takes the same value for its
+/// "the loop never writes the slot" check.
 #[derive(Clone, Copy)]
 pub enum Elision<'a> {
     /// Per-block scope: every block starts with nothing available, and any
@@ -382,7 +454,7 @@ pub enum Elision<'a> {
     /// CFG dataflow with the alias-census kills (see `AliasCensus`).
     Cfg,
     /// [`Elision::Cfg`] with direct-call kills refined by the callee
-    /// summaries, plus sign→store forwarding (see `transfer_block`).
+    /// summaries, plus sign→store forwarding (see `Engine::walk`).
     Ipo(&'a [crate::ipo::FuncSummary]),
 }
 
@@ -430,10 +502,8 @@ fn kill_of<'a>(inst: &Inst, census: &AliasCensus, stage: Elision<'a>) -> Kill<'a
     }
     match inst {
         Inst::Store { ptr, .. } => match slot_key(ptr) {
-            Some(k @ SlotKey::Value(v)) if census.non_escaped.contains(&v) => Kill::OneSlot(k),
-            Some(k @ SlotKey::Value(v)) if census.allocas.contains(&v) => {
-                Kill::SlotAndInteriors(k)
-            }
+            Some(k @ SlotKey::Value(v)) if census.is_non_escaped(v) => Kill::OneSlot(k),
+            Some(k @ SlotKey::Value(v)) if census.is_alloca(v) => Kill::SlotAndInteriors(k),
             Some(SlotKey::Global(g)) => Kill::GlobalAndInteriors(g),
             _ => Kill::AllButNonEscaped,
         },
@@ -467,159 +537,500 @@ fn kill_of<'a>(inst: &Inst, census: &AliasCensus, stage: Elision<'a>) -> Kill<'a
     }
 }
 
-/// Whether a fact about `slot` survives `kill`.
-fn fact_survives(slot: &SlotKey, kill: &Kill<'_>, census: &AliasCensus) -> bool {
-    let is_interior = |s: &SlotKey| match s {
-        SlotKey::Value(v) => !census.allocas.contains(v),
-        SlotKey::Global(_) => false,
-    };
-    match kill {
-        Kill::None => true,
-        Kill::OneSlot(k) => slot != k,
-        Kill::SlotAndInteriors(k) => slot != k && !is_interior(slot),
-        Kill::GlobalAndInteriors(g) => {
-            !matches!(slot, SlotKey::Global(x) if x == g) && !is_interior(slot)
-        }
-        Kill::Globals(gs) => match slot {
-            SlotKey::Value(v) => census.allocas.contains(v),
-            SlotKey::Global(g) => !gs.contains(g),
-        },
-        Kill::AllButNonEscaped => {
-            matches!(slot, SlotKey::Value(v) if census.non_escaped.contains(v))
-        }
-        Kill::All => false,
-    }
+/// A slot that a fact or a kill has named, with its kill class and clock.
+struct Slot {
+    /// A non-escaped alloca: immune to every kill but a store through its
+    /// own address and `free`.
+    pinned: bool,
+    /// An interior pointer: a value that is not an alloca.
+    interior: bool,
+    /// Clock reading of the slot's last own kill (0: never).
+    killed_at: u32,
+    /// Its first fact key (a chain through `FactKey::next`).
+    keys: u32,
 }
 
-/// An "available authentication": the slot/modifier/key triple is mapped to
-/// the authenticated value and the block that defined it.
-type FactKey = (SlotKey, u64, PacKey);
-type FactMap = HashMap<FactKey, (ValueId, BlockId)>;
-
-fn meet_preds(out: &[Option<FactMap>], cfg: &Cfg, b: BlockId) -> Option<FactMap> {
-    let mut acc: Option<FactMap> = None;
-    for &p in &cfg.preds[b.0 as usize] {
-        if !cfg.is_reachable(p) {
-            continue;
-        }
-        match (&mut acc, &out[p.0 as usize]) {
-            (_, None) => {} // unprocessed pred = ⊤, identity of the meet
-            (None, Some(m)) => acc = Some(m.clone()),
-            (Some(a), Some(m)) => {
-                a.retain(|k, v| m.get(k) == Some(v));
-            }
-        }
-    }
-    acc.or_else(|| {
-        // Entry (or a block whose preds are all unprocessed): nothing is
-        // available at the entry; stay ⊤ elsewhere until a pred resolves.
-        if cfg.preds[b.0 as usize].is_empty() {
-            Some(FactMap::new())
-        } else {
-            None
-        }
-    })
+/// An interned `(slot, modifier, key)` — at most one fact per such key is
+/// available at a time — with its fact ids and its state in the walk under
+/// way.
+struct FactKey {
+    slot: u32,
+    modifier: u64,
+    key: PacKey,
+    /// The slot's next key.
+    next: u32,
+    /// The key's fact ids, `facts.0..facts.1`: one per block that
+    /// generates the key.
+    facts: (u32, u32),
+    /// Clock reading of the walked block's last generation of the key (0 or
+    /// before the block: none), the value it made available, and whether the
+    /// key had not been killed yet in the block at that point.
+    gen_at: u32,
+    gen_value: ValueId,
+    gen_if_absent: bool,
 }
 
-/// How [`transfer_block`] rewrites: the function's value types (an elided
-/// auth becomes a register copy typed as its result) and, for CFG-scoped
-/// facts, the dominator tree that proves the authenticated register live.
+/// What [`Engine::walk`] found available for a key.
+enum Avail {
+    /// Available: the authenticated value and its defining block.
+    Here(ValueId, BlockId),
+    Absent,
+    /// Available exactly when the block's entry has the key (a summary walk,
+    /// which does not know the entry).
+    IfEntryHas,
+}
+
+/// How a walk rewrites: the function's value types (an elided auth becomes
+/// a register copy typed as its result) and, for CFG-scoped facts, the
+/// dominator tree that proves the authenticated register live.
 struct Rewrite<'r> {
     types: &'r [TypeId],
     dom: Option<&'r DomTree>,
 }
 
-/// One block's transfer function: adjacent load+auth pairs generate facts,
-/// memory writes kill them per the stage's rule. With `rewrite` set, an
-/// auth whose fact is already available — defined in this block, or in one
-/// that dominates it — is replaced with a register copy. Returns the number
-/// of auths elided.
+/// What a block does to the available facts: the kills and the facts it
+/// generates, summarized by one walk.
+#[derive(Default)]
+struct BlockSummary {
+    /// `KILLS_*` bits of the slot classes it kills wholesale.
+    classes: u8,
+    /// Range of its own-slot kills in `Summaries::killed`.
+    killed: (u32, u32),
+    /// Range of its generated facts in `Summaries::gens`.
+    gens: (u32, u32),
+    /// Whether its walk found a pair's fact generated earlier in the block
+    /// (so it elides something), and the range in `Summaries::asked` of
+    /// the keys whose pairs found them only if the entry has them. A block
+    /// with neither elides nothing, and its rewrite walk is skipped.
+    hit: bool,
+    asked: (u32, u32),
+}
+
+/// Every block's summary, plus the flat lists they index.
+#[derive(Default)]
+struct Summaries {
+    blocks: Vec<BlockSummary>,
+    killed: Vec<u32>,
+    /// `(fact key, value, generated only if the block's entry lacks the
+    /// key)`; the fact id is assigned once every block is summarized.
+    gens: Vec<(u32, ValueId, bool)>,
+    gen_fact: Vec<u32>,
+    asked: Vec<u32>,
+}
+
+/// Kill classes a block can kill as a whole.
+const KILLS_ALL: u8 = 1;
+const KILLS_UNPINNED: u8 = 2;
+const KILLS_INTERIORS: u8 = 4;
+
+/// The available-authentications engine for one function.
 ///
-/// At [`Elision::Ipo`], facts are *also* seeded by sign→store chains: a
-/// `Store` whose value is the result of a same-block `PacSign` under
-/// `(key, modifier)` records that the slot now holds exactly `sign(v)` — so
-/// a later load+auth of that slot under the same class yields `v` and can
-/// be elided to a copy of the sign's input. This is what makes
-/// call-boundary spill/reload chains (and every `p = q; use *p`
-/// store-then-reload idiom) free: the auth after the reload is the inverse
-/// of the sign before the store. Soundness is the same narrowed re-check
-/// window as every other elision — corruption landing in the slot between
-/// the store and the reload goes unverified until the next non-elided check
-/// — and the kill rules guard everything else: any intervening write that
-/// could alias the slot erases the fact.
-fn transfer_block(
-    blk: &mut rsti_ir::BasicBlock,
-    b: BlockId,
-    facts: &mut FactMap,
-    census: &AliasCensus,
-    stage: Elision<'_>,
-    rewrite: Option<&Rewrite<'_>>,
-) -> usize {
-    let forward = matches!(stage, Elision::Ipo(_));
-    let mut elided = 0;
-    // Same-block PacSign results: sign result → (input value, key, mod).
-    let mut pending_signs: HashMap<ValueId, (ValueId, PacKey, u64)> = HashMap::new();
-    for i in 0..blk.insts.len() {
-        // Adjacent load+auth pair? (Instrumentation always emits them
-        // adjacent; the MAC-table backend depends on the same adjacency.)
-        let pair = match &blk.insts[i].inst {
-            Inst::Load { result, ptr, .. } => match blk.insts.get(i + 1).map(|n| &n.inst) {
-                Some(Inst::PacAuth { result: ar, value: Operand::Value(raw), key, modifier, .. })
-                    if raw == result =>
-                {
-                    slot_key(ptr).map(|s| (s, *modifier, *key, *ar))
-                }
-                _ => None,
+/// Every fact is a `(slot, modifier, key, value, defining block)`; at most
+/// one fact per `(slot, modifier, key)` is available at a time, and a kill
+/// erases every fact of its slots. Kills are recorded on a clock:
+/// each slot, and each of three slot classes (every slot, every slot but
+/// the pinned ones, every interior pointer), remembers its last kill, so
+/// "was this fact killed since it was generated" is a constant-time
+/// question however many kills a block holds.
+struct Engine<'a> {
+    census: &'a AliasCensus,
+    stage: Elision<'a>,
+    clock: u32,
+    /// Clock reading at the start of the block being walked.
+    block_start: u32,
+    /// Last kill of every slot, of every unpinned slot, of every interior.
+    all_killed_at: u32,
+    unpinned_killed_at: u32,
+    interiors_killed_at: u32,
+    slots: Vec<Slot>,
+    /// Slot id per value id and per global id.
+    value_slot: Vec<u32>,
+    global_slot: Vec<u32>,
+    keys: Vec<FactKey>,
+    /// Keys generated, and slots first killed, by the block being walked;
+    /// whether a pair there found its key generated earlier in the block,
+    /// and the keys pairs found only if the entry has them.
+    block_gens: Vec<u32>,
+    block_kills: Vec<u32>,
+    block_hit: bool,
+    block_asked: Vec<u32>,
+    /// At [`Elision::Ipo`], per value id: the sign defining it, as (clock
+    /// reading of its block's walk, input, key, modifier).
+    signs: Vec<(u32, ValueId, PacKey, u64)>,
+    /// Value and defining block per fact id.
+    fact_value: Vec<ValueId>,
+    fact_block: Vec<BlockId>,
+}
+
+impl<'a> Engine<'a> {
+    fn new(census: &'a AliasCensus, stage: Elision<'a>, values: usize) -> Engine<'a> {
+        let ipo = matches!(stage, Elision::Ipo(_));
+        Engine {
+            census,
+            stage,
+            clock: 0,
+            block_start: 0,
+            all_killed_at: 0,
+            unpinned_killed_at: 0,
+            interiors_killed_at: 0,
+            slots: Vec::new(),
+            value_slot: vec![NIL; values],
+            global_slot: Vec::new(),
+            keys: Vec::new(),
+            block_gens: Vec::new(),
+            block_hit: false,
+            block_asked: Vec::new(),
+            block_kills: Vec::new(),
+            signs: if ipo {
+                vec![(0, ValueId(0), PacKey::Da, 0); values]
+            } else {
+                Vec::new()
             },
-            _ => None,
-        };
-        if let Some((slot, modifier, key, auth_result)) = pair {
-            let fk = (slot, modifier, key);
-            match (facts.get(&fk), rewrite) {
-                (Some(&(prev, def_b)), Some(rw))
-                    if def_b == b || rw.dom.is_some_and(|d| d.dominates(def_b, b)) =>
-                {
-                    blk.insts[i + 1].inst = Inst::BitCast {
-                        result: auth_result,
-                        value: prev.into(),
-                        to: rw.types[auth_result.0 as usize],
-                    };
-                    elided += 1;
-                }
-                (Some(_), _) => {} // analysis pass: fact already available
-                (None, _) => {
-                    facts.insert(fk, (auth_result, b));
-                }
-            }
-            continue;
-        }
-        if forward {
-            if let Inst::PacSign { result, value: Operand::Value(v), key, modifier, .. } =
-                &blk.insts[i].inst
-            {
-                pending_signs.insert(*result, (*v, *key, *modifier));
-            }
-        }
-        match kill_of(&blk.insts[i].inst, census, stage) {
-            Kill::None => {}
-            kill => facts.retain(|(slot, _, _), _| fact_survives(slot, &kill, census)),
-        }
-        if forward {
-            // Seed *after* the store's own kill: the slot now provably
-            // holds the freshly signed value. The sign and the future
-            // reload's auth share the slot's storage class, so matching
-            // (slot, modifier, key) suffices — same argument as the
-            // load-pair facts above (slot match ⇒ same STL location).
-            if let Inst::Store { value: Operand::Value(sv), ptr } = &blk.insts[i].inst {
-                if let (Some(&(orig, key, modifier)), Some(slot)) =
-                    (pending_signs.get(sv), slot_key(ptr))
-                {
-                    facts.insert((slot, modifier, key), (orig, b));
-                }
-            }
+            fact_value: Vec::new(),
+            fact_block: Vec::new(),
         }
     }
-    elided
+
+    fn slot(&mut self, key: SlotKey) -> u32 {
+        let (pinned, interior) = match key {
+            SlotKey::Value(v) => (self.census.is_non_escaped(v), !self.census.is_alloca(v)),
+            SlotKey::Global(_) => (false, false),
+        };
+        let (table, i) = match key {
+            SlotKey::Value(v) => (&mut self.value_slot, v.0 as usize),
+            SlotKey::Global(g) => (&mut self.global_slot, g as usize),
+        };
+        if i >= table.len() {
+            table.resize(i + 1, NIL);
+        }
+        if table[i] == NIL {
+            table[i] = self.slots.len() as u32;
+            self.slots.push(Slot {
+                pinned,
+                interior,
+                killed_at: 0,
+                keys: NIL,
+            });
+        }
+        table[i]
+    }
+
+    fn fact_key(&mut self, slot: u32, modifier: u64, key: PacKey) -> u32 {
+        let mut k = self.slots[slot as usize].keys;
+        while k != NIL {
+            let fk = &self.keys[k as usize];
+            if fk.modifier == modifier && fk.key == key {
+                return k;
+            }
+            k = fk.next;
+        }
+        let id = self.keys.len() as u32;
+        self.keys.push(FactKey {
+            slot,
+            modifier,
+            key,
+            next: self.slots[slot as usize].keys,
+            facts: (0, 0),
+            gen_at: 0,
+            gen_value: ValueId(0),
+            gen_if_absent: false,
+        });
+        self.slots[slot as usize].keys = id;
+        id
+    }
+
+    /// Whether a kill after clock reading `t` reached `slot`.
+    fn killed_since(&self, slot: u32, t: u32) -> bool {
+        let s = &self.slots[slot as usize];
+        self.all_killed_at > t
+            || s.killed_at > t
+            || (self.unpinned_killed_at > t && !s.pinned)
+            || (self.interiors_killed_at > t && s.interior)
+    }
+
+    fn kill_slot(&mut self, key: SlotKey) {
+        let id = self.slot(key);
+        let s = &mut self.slots[id as usize];
+        if s.killed_at <= self.block_start {
+            self.block_kills.push(id);
+        }
+        s.killed_at = self.clock;
+    }
+
+    /// Records `inst`'s kill at the current clock reading.
+    fn kill(&mut self, inst: &Inst) {
+        match kill_of(inst, self.census, self.stage) {
+            Kill::None => {}
+            Kill::OneSlot(k) => self.kill_slot(k),
+            Kill::SlotAndInteriors(k) => {
+                self.kill_slot(k);
+                self.interiors_killed_at = self.clock;
+            }
+            Kill::GlobalAndInteriors(g) => {
+                self.kill_slot(SlotKey::Global(g));
+                self.interiors_killed_at = self.clock;
+            }
+            Kill::Globals(gs) => {
+                for &g in gs {
+                    self.kill_slot(SlotKey::Global(g));
+                }
+                self.interiors_killed_at = self.clock;
+            }
+            Kill::AllButNonEscaped => self.unpinned_killed_at = self.clock,
+            Kill::All => self.all_killed_at = self.clock,
+        }
+    }
+
+    fn generate(&mut self, k: u32, value: ValueId, if_absent: bool) {
+        let fk = &mut self.keys[k as usize];
+        fk.gen_at = self.clock;
+        fk.gen_value = value;
+        fk.gen_if_absent = if_absent;
+        self.block_gens.push(k);
+    }
+
+    /// Whether the walked block's generation of `k` is still available.
+    fn generated_here(&self, k: u32) -> bool {
+        let fk = &self.keys[k as usize];
+        fk.gen_at > self.block_start && !self.killed_since(fk.slot, fk.gen_at)
+    }
+
+    fn available(&self, k: u32, b: BlockId, entry: Option<&[u64]>) -> Avail {
+        let fk = &self.keys[k as usize];
+        if self.generated_here(k) {
+            return Avail::Here(fk.gen_value, b);
+        }
+        if self.killed_since(fk.slot, self.block_start) {
+            return Avail::Absent;
+        }
+        let Some(entry) = entry else {
+            return Avail::IfEntryHas;
+        };
+        match first_in(entry, fk.facts) {
+            Some(f) => Avail::Here(self.fact_value[f as usize], self.fact_block[f as usize]),
+            None => Avail::Absent,
+        }
+    }
+
+    /// One walk over block `b`: adjacent load+auth pairs generate facts,
+    /// memory writes kill them per the stage's rule. `entry` is the set of
+    /// fact ids available at the block's entry, or `None` for a summary
+    /// walk, which leaves its kills and generated keys in `block_kills`
+    /// and `block_gens`. With `rewrite` set, an auth whose fact is already
+    /// available — defined in this block, or in one that dominates it — is
+    /// replaced with a register copy. Returns the number of auths elided.
+    ///
+    /// A key is generated only when it is absent, and a kill erases it. So
+    /// what a block generates for a key is its first fact for the key after
+    /// the key's last kill; for a key the block never kills, that fact counts
+    /// only when no fact for the key arrives at the entry.
+    ///
+    /// At [`Elision::Ipo`], facts are *also* seeded by sign→store chains: a
+    /// `Store` whose value is the result of a same-block `PacSign` under
+    /// `(key, modifier)` records that the slot now holds exactly `sign(v)` —
+    /// so a later load+auth of that slot under the same class yields `v` and
+    /// can be elided to a copy of the sign's input. This is what makes
+    /// call-boundary spill/reload chains (and every `p = q; use *p`
+    /// store-then-reload idiom) free: the auth after the reload is the
+    /// inverse of the sign before the store. Soundness is the same narrowed
+    /// re-check window as every other elision — corruption landing in the
+    /// slot between the store and the reload goes unverified until the next
+    /// non-elided check — and the kill rules guard everything else: any
+    /// intervening write that could alias the slot erases the fact.
+    fn walk(
+        &mut self,
+        blk: &mut BasicBlock,
+        b: BlockId,
+        entry: Option<&[u64]>,
+        rewrite: Option<&Rewrite<'_>>,
+    ) -> usize {
+        let forward = matches!(self.stage, Elision::Ipo(_));
+        self.clock += 1;
+        self.block_start = self.clock;
+        self.block_gens.clear();
+        self.block_kills.clear();
+        self.block_hit = false;
+        self.block_asked.clear();
+        let mut elided = 0;
+        for i in 0..blk.insts.len() {
+            self.clock += 1;
+            // Adjacent load+auth pair? (Instrumentation always emits them
+            // adjacent; the MAC-table backend depends on the same adjacency.)
+            let pair = match &blk.insts[i].inst {
+                Inst::Load { result, ptr, .. } => match blk.insts.get(i + 1).map(|n| &n.inst) {
+                    Some(Inst::PacAuth {
+                        result: ar,
+                        value: Operand::Value(raw),
+                        key,
+                        modifier,
+                        ..
+                    }) if raw == result => slot_key(ptr).map(|s| (s, *modifier, *key, *ar)),
+                    _ => None,
+                },
+                _ => None,
+            };
+            if let Some((slot, modifier, key, auth_result)) = pair {
+                let s = self.slot(slot);
+                let k = self.fact_key(s, modifier, key);
+                match self.available(k, b, entry) {
+                    Avail::Here(prev, def_b) => {
+                        self.block_hit = true;
+                        if let Some(rw) = rewrite {
+                            if def_b == b || rw.dom.is_some_and(|d| d.dominates(def_b, b)) {
+                                blk.insts[i + 1].inst = Inst::BitCast {
+                                    result: auth_result,
+                                    value: prev.into(),
+                                    to: rw.types[auth_result.0 as usize],
+                                };
+                                elided += 1;
+                            }
+                        }
+                    }
+                    Avail::Absent => self.generate(k, auth_result, false),
+                    Avail::IfEntryHas => {
+                        self.block_asked.push(k);
+                        self.generate(k, auth_result, true);
+                    }
+                }
+                continue;
+            }
+            if forward {
+                if let Inst::PacSign {
+                    result,
+                    value: Operand::Value(v),
+                    key,
+                    modifier,
+                    ..
+                } = &blk.insts[i].inst
+                {
+                    if let Some(e) = self.signs.get_mut(result.0 as usize) {
+                        *e = (self.block_start, *v, *key, *modifier);
+                    }
+                }
+            }
+            self.kill(&blk.insts[i].inst);
+            if forward {
+                // Seed *after* the store's own kill: the slot now provably
+                // holds the freshly signed value. The sign and the future
+                // reload's auth share the slot's storage class, so matching
+                // (slot, modifier, key) suffices — same argument as the
+                // load-pair facts above (slot match ⇒ same STL location).
+                if let Inst::Store {
+                    value: Operand::Value(sv),
+                    ptr,
+                } = &blk.insts[i].inst
+                {
+                    if let (Some(&(at, orig, key, modifier)), Some(slot)) =
+                        (self.signs.get(sv.0 as usize), slot_key(ptr))
+                    {
+                        if at == self.block_start {
+                            self.clock += 1;
+                            let s = self.slot(slot);
+                            let k = self.fact_key(s, modifier, key);
+                            debug_assert!(self.killed_since(s, self.block_start));
+                            self.generate(k, orig, false);
+                        }
+                    }
+                }
+            }
+        }
+        elided
+    }
+
+    /// Records the block just walked in `sums`.
+    fn summarize(&mut self, sums: &mut Summaries) {
+        let mut classes = 0;
+        for (at, class) in [
+            (self.all_killed_at, KILLS_ALL),
+            (self.unpinned_killed_at, KILLS_UNPINNED),
+            (self.interiors_killed_at, KILLS_INTERIORS),
+        ] {
+            if at > self.block_start {
+                classes |= class;
+            }
+        }
+        let killed_from = sums.killed.len() as u32;
+        sums.killed.extend_from_slice(&self.block_kills);
+        let killed = (killed_from, sums.killed.len() as u32);
+        let start = sums.gens.len() as u32;
+        for i in 0..self.block_gens.len() {
+            let k = self.block_gens[i];
+            if self.generated_here(k) {
+                let fk = &mut self.keys[k as usize];
+                sums.gens.push((k, fk.gen_value, fk.gen_if_absent));
+                fk.gen_at = 0; // listed once
+            }
+        }
+        let gens = (start, sums.gens.len() as u32);
+        let asked_from = sums.asked.len() as u32;
+        sums.asked.extend_from_slice(&self.block_asked);
+        let asked = (asked_from, sums.asked.len() as u32);
+        sums.blocks.push(BlockSummary {
+            classes,
+            killed,
+            gens,
+            hit: self.block_hit,
+            asked,
+        });
+    }
+
+    /// Assigns fact ids, contiguous per key and per slot, to every summarized
+    /// generation; returns the bitset word count and each slot's fact range.
+    fn number_facts(
+        &mut self,
+        sums: &mut Summaries,
+        order: &[BlockId],
+    ) -> (usize, Vec<(u32, u32)>) {
+        for &(k, _, _) in &sums.gens {
+            self.keys[k as usize].facts.1 += 1;
+        }
+        let mut next = 0u32;
+        let mut slot_facts = vec![(0, 0); self.slots.len()];
+        for (s, range) in slot_facts.iter_mut().enumerate() {
+            range.0 = next;
+            let mut k = self.slots[s].keys;
+            while k != NIL {
+                let fk = &mut self.keys[k as usize];
+                fk.facts = (next, next + fk.facts.1);
+                next = fk.facts.1;
+                k = fk.next;
+            }
+            range.1 = next;
+        }
+        self.fact_value = vec![ValueId(0); next as usize];
+        self.fact_block = vec![BlockId(0); next as usize];
+        let mut cursor: Vec<u32> = self.keys.iter().map(|fk| fk.facts.0).collect();
+        sums.gen_fact = Vec::with_capacity(sums.gens.len());
+        for (bs, &b) in sums.blocks.iter().zip(order) {
+            for &(k, value, _) in &sums.gens[bs.gens.0 as usize..bs.gens.1 as usize] {
+                let f = cursor[k as usize];
+                cursor[k as usize] += 1;
+                self.fact_value[f as usize] = value;
+                self.fact_block[f as usize] = b;
+                sums.gen_fact.push(f);
+            }
+        }
+        ((next as usize).div_ceil(64), slot_facts)
+    }
+}
+
+/// The first member of `set` in `lo..hi`.
+fn first_in(set: &[u64], (lo, hi): (u32, u32)) -> Option<u32> {
+    (lo..hi).find(|&i| {
+        set.get(i as usize / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    })
+}
+
+fn set_bits(set: &mut [u64], (lo, hi): (u32, u32), on: bool) {
+    for i in lo..hi {
+        let (w, m) = (i as usize / 64, 1u64 << (i % 64));
+        if on {
+            set[w] |= m;
+        } else {
+            set[w] &= !m;
+        }
+    }
 }
 
 /// The redundant-auth elimination engine behind every elision stage. At
@@ -629,6 +1040,11 @@ fn transfer_block(
 /// then a rewrite pass replaces re-authentications whose fact arrives on
 /// every path — and whose definition dominates the use, so the
 /// authenticated register is live — with register copies.
+///
+/// The dataflow runs on block summaries: one walk per block records what
+/// it kills and generates, each distinct fact gets a dense id, and the
+/// fixpoint iterates on bitsets (meet = AND, change test = word compare)
+/// before one rewrite walk per block.
 ///
 /// The pipeline runs the stages in order, so the count each returns is
 /// what that stage added: at [`Elision::Ipo`], exactly the elisions the
@@ -642,43 +1058,152 @@ pub fn elide_redundant_auths(m: &mut Module, stage: Elision<'_>) -> usize {
         if let Elision::Block = stage {
             // The block kill rule never consults the census.
             let census = AliasCensus::default();
+            let mut eng = Engine::new(&census, stage, f.value_types.len());
             let rw = Rewrite { types: &f.value_types, dom: None };
             for (bi, blk) in f.blocks.iter_mut().enumerate() {
-                let b = BlockId(bi as u32);
-                elided += transfer_block(blk, b, &mut FactMap::new(), &census, stage, Some(&rw));
+                elided += eng.walk(blk, BlockId(bi as u32), Some(&[][..]), Some(&rw));
             }
             continue;
         }
-        let census = alias_census(f);
         let cfg = Cfg::new(f);
         let dom = DomTree::new(&cfg);
+        let census = alias_census(f);
+        elided += elide_in_function(f, &cfg, &dom, &census, stage);
+    }
+    elided
+}
 
-        // Fixpoint: OUT[b] = transfer(meet(preds)). `None` = not yet
-        // computed (⊤): back-edge predecessors start optimistic so facts
-        // can circulate through loops, then shrink to the fixpoint.
-        let mut out: Vec<Option<FactMap>> = vec![None; f.blocks.len()];
-        loop {
-            let mut changed = false;
-            for &b in &cfg.rpo {
-                let Some(mut facts) = meet_preds(&out, &cfg, b) else { continue };
-                transfer_block(&mut f.blocks[b.0 as usize], b, &mut facts, &census, stage, None);
-                let slot = &mut out[b.0 as usize];
-                if slot.as_ref() != Some(&facts) {
-                    *slot = Some(facts);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
+/// The CFG-scoped engine over one function, given its CFG, dominator tree
+/// and alias census.
+fn elide_in_function(
+    f: &mut rsti_ir::Function,
+    cfg: &Cfg,
+    dom: &DomTree,
+    census: &AliasCensus,
+    stage: Elision<'_>,
+) -> usize {
+    let mut eng = Engine::new(census, stage, f.value_types.len());
+
+    // 1. One summary walk per reachable block.
+    let mut sums = Summaries::default();
+    for &b in &cfg.rpo {
+        eng.walk(&mut f.blocks[b.0 as usize], b, None, None);
+        eng.summarize(&mut sums);
+    }
+    let (words, slot_facts) = eng.number_facts(&mut sums, &cfg.rpo);
+
+    // Per block (in RPO position): the facts it keeps, and the ones it
+    // generates unconditionally.
+    let class_mask = |pick: fn(&Slot) -> bool| {
+        let mut mask = vec![0u64; words];
+        for (s, &range) in eng.slots.iter().zip(&slot_facts) {
+            if pick(s) {
+                set_bits(&mut mask, range, true);
             }
         }
+        mask
+    };
+    let unpinned = class_mask(|s| !s.pinned);
+    let interiors = class_mask(|s| s.interior);
+    let n = cfg.rpo.len();
+    let mut keep = vec![!0u64; n * words];
+    let mut gen = vec![0u64; n * words];
+    for (pos, bs) in sums.blocks.iter().enumerate() {
+        let (keep, gen) = (
+            &mut keep[pos * words..][..words],
+            &mut gen[pos * words..][..words],
+        );
+        for (w, word) in keep.iter_mut().enumerate() {
+            if bs.classes & KILLS_ALL != 0 {
+                *word = 0;
+            }
+            if bs.classes & KILLS_UNPINNED != 0 {
+                *word &= !unpinned[w];
+            }
+            if bs.classes & KILLS_INTERIORS != 0 {
+                *word &= !interiors[w];
+            }
+        }
+        for &s in &sums.killed[bs.killed.0 as usize..bs.killed.1 as usize] {
+            set_bits(keep, slot_facts[s as usize], false);
+        }
+        for g in bs.gens.0 as usize..bs.gens.1 as usize {
+            if !sums.gens[g].2 {
+                set_bits(gen, (sums.gen_fact[g], sums.gen_fact[g] + 1), true);
+            }
+        }
+    }
 
-        // Rewrite with the converged IN sets.
-        let rw = Rewrite { types: &f.value_types, dom: Some(&dom) };
-        for &b in &cfg.rpo {
-            let Some(mut facts) = meet_preds(&out, &cfg, b) else { continue };
-            let blk = &mut f.blocks[b.0 as usize];
-            elided += transfer_block(blk, b, &mut facts, &census, stage, Some(&rw));
+    // 2. Fixpoint: OUT[b] = transfer(meet(preds)). An uncomputed block is
+    // ⊤: back-edge predecessors start optimistic so facts can circulate
+    // through loops, then shrink to the fixpoint.
+    let rpo_pos = |b: BlockId| cfg.rpo_index[b.0 as usize].map(|i| i as usize);
+    let mut out = vec![0u64; n * words];
+    let mut computed = vec![false; n];
+    let (mut entry, mut next) = (vec![0u64; words], vec![0u64; words]);
+    let meet = |out: &[u64], computed: &[bool], b: BlockId, acc: &mut [u64]| -> bool {
+        let mut any = false;
+        for &p in cfg.preds(b) {
+            let Some(pp) = rpo_pos(p).filter(|&pp| computed[pp]) else {
+                continue;
+            };
+            let po = &out[pp * words..][..words];
+            if any {
+                acc.iter_mut().zip(po).for_each(|(a, o)| *a &= o);
+            } else {
+                acc.copy_from_slice(po);
+                any = true;
+            }
+        }
+        // The entry (no predecessors) starts with nothing available; a
+        // block whose predecessors are all uncomputed stays ⊤ for now.
+        if !any && cfg.preds(b).is_empty() {
+            acc.fill(0);
+            any = true;
+        }
+        any
+    };
+    loop {
+        let mut changed = false;
+        for (pos, &b) in cfg.rpo.iter().enumerate() {
+            if !meet(&out, &computed, b, &mut entry) {
+                continue;
+            }
+            let bs = &sums.blocks[pos];
+            for (w, word) in next.iter_mut().enumerate() {
+                *word = entry[w] & keep[pos * words + w] | gen[pos * words + w];
+            }
+            for g in bs.gens.0 as usize..bs.gens.1 as usize {
+                let (k, _, if_absent) = sums.gens[g];
+                if if_absent && first_in(&entry, eng.keys[k as usize].facts).is_none() {
+                    set_bits(&mut next, (sums.gen_fact[g], sums.gen_fact[g] + 1), true);
+                }
+            }
+            if !computed[pos] || out[pos * words..][..words] != next[..] {
+                out[pos * words..][..words].copy_from_slice(&next);
+                computed[pos] = true;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+
+    // 3. Rewrite with the converged entry sets.
+    let rw = Rewrite {
+        types: &f.value_types,
+        dom: Some(dom),
+    };
+    let mut elided = 0;
+    for (&b, bs) in cfg.rpo.iter().zip(&sums.blocks) {
+        let asked = &sums.asked[bs.asked.0 as usize..bs.asked.1 as usize];
+        if !bs.hit && asked.is_empty() || !meet(&out, &computed, b, &mut entry) {
+            continue;
+        }
+        let entry_has = |&k: &u32| first_in(&entry, eng.keys[k as usize].facts).is_some();
+        if bs.hit || asked.iter().any(entry_has) {
+            elided += eng.walk(&mut f.blocks[b.0 as usize], b, Some(&entry), Some(&rw));
         }
     }
     elided
@@ -735,70 +1260,101 @@ fn is_reorder_safe(inst: &Inst) -> bool {
 /// [`Elision::Ipo`] a loop body containing a call to a summarized-clean
 /// callee no longer pins its header pairs in place.
 ///
-/// Irreducible CFGs (never produced by structured MiniC, conceivable in
-/// hand-built IR) make the loop forest bail out and the function is left
-/// untouched. Returns the number of pairs hoisted.
-pub fn hoist_loop_auths(m: &mut Module, stage: Elision<'_>) -> usize {
+/// `forest` is the loop forest after [`rsti_ir::insert_preheaders`]: every
+/// header has a dedicated preheader as its single out-of-loop predecessor.
+/// Returns the number of pairs hoisted.
+fn hoist_loop_auths(
+    f: &mut rsti_ir::Function,
+    cfg: &Cfg,
+    forest: &LoopForest,
+    census: &AliasCensus,
+    stage: Elision<'_>,
+) -> usize {
     let mut hoisted = 0;
-    for f in &mut m.funcs {
-        if f.is_external || f.blocks.is_empty() {
+    let mut kills = Engine::new(census, stage, f.value_types.len());
+    for l in &forest.loops {
+        if l.header == BlockId(0) {
             continue;
         }
-        let cfg = Cfg::new(f);
-        let dom = DomTree::new(&cfg);
-        let forest = LoopForest::new(&cfg, &dom);
-        if forest.irreducible || forest.loops.is_empty() {
+        let entries: Vec<BlockId> = cfg
+            .preds(l.header)
+            .iter()
+            .copied()
+            .filter(|p| !l.contains(*p))
+            .collect();
+        let [ph] = entries[..] else { continue };
+        if cfg.succs(ph) != [l.header] {
             continue;
         }
-        // The entry block has an implicit function-entry edge no preheader
-        // can capture; a loop headed there is not hoistable.
-        if forest.loops.iter().all(|l| l.header == BlockId(0)) {
-            continue;
-        }
-        rsti_ir::insert_preheaders(f, &forest);
-
-        // Re-analyze the new shape: every header now has a dedicated
-        // preheader as its single out-of-loop predecessor.
-        let cfg = Cfg::new(f);
-        let dom = DomTree::new(&cfg);
-        let forest = LoopForest::new(&cfg, &dom);
-        let census = alias_census(f);
-        for l in &forest.loops {
-            if l.header == BlockId(0) {
-                continue;
-            }
-            let entries: Vec<BlockId> = cfg.preds[l.header.0 as usize]
-                .iter()
-                .copied()
-                .filter(|p| !l.contains(*p))
-                .collect();
-            let [ph] = entries[..] else { continue };
-            if cfg.succs[ph.0 as usize] != [l.header] {
-                continue;
-            }
-            while let Some(li) = find_hoistable_pair(f, l, &census, stage) {
-                let auth = f.blocks[l.header.0 as usize].insts.remove(li + 1);
-                let load = f.blocks[l.header.0 as usize].insts.remove(li);
-                let phb = &mut f.blocks[ph.0 as usize];
-                phb.insts.push(load);
-                phb.insts.push(auth);
-                hoisted += 1;
-            }
+        // The scan resumes where the last hoisted pair was: everything
+        // before it is unchanged and already passed.
+        let mut loop_kills = None;
+        let mut from = 0;
+        while let Some(li) = find_hoistable_pair(f, l, census, &mut kills, &mut loop_kills, from) {
+            let header = &mut f.blocks[l.header.0 as usize].insts;
+            let pair: Vec<InstNode> = header.drain(li..li + 2).collect();
+            f.blocks[ph.0 as usize].insts.extend(pair);
+            hoisted += 1;
+            from = li;
         }
     }
     hoisted
 }
 
-/// Finds the first header-resident load+auth pair that satisfies every
-/// hoisting condition; returns its index.
+/// The CFG-aware stages over one function, in pipeline order: loop-invariant
+/// auth hoisting with `stage`'s kill rule, the [`Elision::Cfg`] dataflow,
+/// and with `ipo` set the summary-refined [`Elision::Ipo`] dataflow. Returns
+/// what each removed: `(hoisted, elided_dom, elided_ipo)`.
+///
+/// The stages share one CFG, dominator tree and alias census: once the
+/// preheaders are in, hoisting and elision only move loads and auths or
+/// turn auths into copies, which changes neither the CFG nor which allocas
+/// escape. Every loop of a reducible CFG gets a preheader, even one that
+/// ends up empty: block transfers cost model cycles, so the CFG shape is
+/// part of the output. Irreducible CFGs (never produced by structured
+/// MiniC, conceivable in hand-built IR) make the loop forest bail out, and
+/// nothing is hoisted.
+fn cfg_stages(f: &mut rsti_ir::Function, stage: Elision<'_>) -> (usize, usize, usize) {
+    let mut cfg = Cfg::new(f);
+    let mut dom = DomTree::new(&cfg);
+    let mut forest = LoopForest::new(&cfg, &dom);
+    // The entry block has an implicit function-entry edge no preheader
+    // can capture; a loop headed there is not hoistable.
+    let loops = !forest.irreducible && forest.loops.iter().any(|l| l.header != BlockId(0));
+    if loops {
+        rsti_ir::insert_preheaders(f, &forest);
+        cfg = Cfg::new(f);
+        dom = DomTree::new(&cfg);
+        forest = LoopForest::new(&cfg, &dom);
+    }
+    let census = alias_census(f);
+    let hoisted = if loops {
+        hoist_loop_auths(f, &cfg, &forest, &census, stage)
+    } else {
+        0
+    };
+    let elided_dom = elide_in_function(f, &cfg, &dom, &census, Elision::Cfg);
+    let elided_ipo = match stage {
+        Elision::Ipo(_) => elide_in_function(f, &cfg, &dom, &census, stage),
+        _ => 0,
+    };
+    (hoisted, elided_dom, elided_ipo)
+}
+
+/// Finds the first header-resident load+auth pair at or after `from` that
+/// satisfies every hoisting condition; returns its index. The loop's kills
+/// are recorded on `kills`' clock once, on the first candidate that needs
+/// them; `loop_kills` keeps the clock reading they started after.
 fn find_hoistable_pair(
     f: &rsti_ir::Function,
     l: &rsti_ir::NaturalLoop,
     census: &AliasCensus,
-    stage: Elision<'_>,
+    kills: &mut Engine<'_>,
+    loop_kills: &mut Option<u32>,
+    from: usize,
 ) -> Option<usize> {
     let header = &f.blocks[l.header.0 as usize];
-    for (i, node) in header.insts.iter().enumerate() {
+    for (i, node) in header.insts.iter().enumerate().skip(from) {
         if !is_reorder_safe(&node.inst)
             && !matches!(node.inst, Inst::Load { .. })
         {
@@ -812,7 +1368,7 @@ fn find_hoistable_pair(
             // straight off an alloca's own address (frame storage is
             // always mapped). Anything else could fault, and the hoisted
             // auth must not run ahead of a fault.
-            if matches!(ptr, Operand::Value(v) if census.allocas.contains(v)) {
+            if matches!(ptr, Operand::Value(v) if census.is_alloca(*v)) {
                 continue;
             }
             return None;
@@ -827,17 +1383,19 @@ fn find_hoistable_pair(
             return None;
         }
         // The loop must never write the slot (pair instructions themselves
-        // are loads/auths, not kills).
-        let never_killed = l.blocks.iter().all(|&b| {
-            f.blocks[b.0 as usize]
-                .insts
-                .iter()
-                .all(|n| fact_survives(&slot, &kill_of(&n.inst, census, stage), census))
+        // are loads/auths, not kills, so hoisting leaves this unchanged).
+        let start = *loop_kills.get_or_insert_with(|| {
+            let start = kills.clock;
+            for &b in &l.blocks {
+                for n in &f.blocks[b.0 as usize].insts {
+                    kills.clock += 1;
+                    kills.kill(&n.inst);
+                }
+            }
+            start
         });
-        if never_killed {
-            return Some(i);
-        }
-        return None;
+        let s = kills.slot(slot);
+        return (!kills.killed_since(s, start)).then_some(i);
     }
     None
 }
@@ -999,46 +1557,37 @@ pub fn compact_values(m: &mut Module) -> usize {
     }
 
     let mut dropped = 0usize;
-    'funcs: for f in &mut m.funcs {
+    for f in &mut m.funcs {
         if f.is_external {
             continue;
         }
         let n = f.value_types.len();
         let mut used = vec![false; n];
-        {
-            let mut mark = |v: ValueId| match used.get_mut(v.0 as usize) {
-                Some(u) => {
-                    *u = true;
-                    true
+        let mut in_range = true;
+        let mut mark = |v: ValueId| match used.get_mut(v.0 as usize) {
+            Some(u) => *u = true,
+            None => in_range = false,
+        };
+        for (pv, _) in &f.params {
+            mark(*pv);
+        }
+        for b in &f.blocks {
+            for node in &b.insts {
+                if let Some(r) = node.inst.result() {
+                    mark(r);
                 }
-                None => false,
-            };
-            for (pv, _) in &f.params {
-                if !mark(*pv) {
-                    continue 'funcs;
-                }
+                node.inst.for_each_operand(|op| {
+                    if let Operand::Value(v) = op {
+                        mark(*v);
+                    }
+                });
             }
-            for b in &f.blocks {
-                for node in &b.insts {
-                    if let Some(r) = node.inst.result() {
-                        if !mark(r) {
-                            continue 'funcs;
-                        }
-                    }
-                    for op in node.inst.operands() {
-                        if let Operand::Value(v) = op {
-                            if !mark(*v) {
-                                continue 'funcs;
-                            }
-                        }
-                    }
-                }
-                if let Some(Operand::Value(v)) = b.term.operand() {
-                    if !mark(*v) {
-                        continue 'funcs;
-                    }
-                }
+            if let Some(Operand::Value(v)) = b.term.operand() {
+                mark(*v);
             }
+        }
+        if !in_range {
+            continue;
         }
         let live = used.iter().filter(|&&u| u).count();
         if live == n {
@@ -1060,7 +1609,7 @@ pub fn compact_values(m: &mut Module) -> usize {
                 if let Some(r) = node.inst.result_mut() {
                     r.0 = remap[r.0 as usize];
                 }
-                node.inst.operands_mut().into_iter().for_each(|op| remap_op(op, &remap));
+                node.inst.for_each_operand_mut(|op| remap_op(op, &remap));
             }
             b.term.operand_mut().into_iter().for_each(|op| remap_op(op, &remap));
         }
@@ -1103,15 +1652,17 @@ pub fn optimize_module(m: &mut Module, level: OptLevel) -> OptSummary {
     if matches!(level, OptLevel::Cfg | OptLevel::Ipo) {
         let ipo_env = (level == OptLevel::Ipo).then(|| crate::ipo::IpoAnalysis::build(m));
         let stage = ipo_env.as_ref().map_or(Elision::Cfg, |a| Elision::Ipo(&a.summaries));
-        s.hoisted = hoist_loop_auths(m, stage);
-        verify_stage(m, "hoist");
-        s.elided_dom = elide_redundant_auths(m, Elision::Cfg);
-        verify_stage(m, "dataflow");
-        if let Some(a) = &ipo_env {
-            s.elided_ipo = elide_redundant_auths(m, stage);
-            verify_stage(m, "ipo-dataflow");
-            s.refined = a.refined_call_sites;
+        for f in &mut m.funcs {
+            if f.is_external || f.blocks.is_empty() {
+                continue;
+            }
+            let (hoisted, elided_dom, elided_ipo) = cfg_stages(f, stage);
+            s.hoisted += hoisted;
+            s.elided_dom += elided_dom;
+            s.elided_ipo += elided_ipo;
         }
+        verify_stage(m, "hoist+dataflow");
+        s.refined = ipo_env.as_ref().map_or(0, |a| a.refined_call_sites);
         s.premods = precompute_pac_modifiers(m);
         verify_stage(m, "premod");
     }
@@ -1230,7 +1781,7 @@ fn callee_inlinable(f: &rsti_ir::Function) -> bool {
         return false;
     }
     let census = alias_census(f);
-    if census.allocas.len() != census.non_escaped.len() {
+    if census.alloca != census.non_escaped {
         return false;
     }
     // Every alloca must be the target of a Store, in its own block, before
@@ -1260,14 +1811,15 @@ fn callee_inlinable(f: &rsti_ir::Function) -> bool {
                         }
                         _ => false,
                     };
+                    let mut reads_uninitialized = false;
                     if !loc_only {
-                        for op in other.operands() {
-                            if let Operand::Value(v) = op {
-                                if uninitialized.contains(v) {
-                                    return false;
-                                }
-                            }
-                        }
+                        other.for_each_operand(|op| {
+                            reads_uninitialized |=
+                                matches!(op, Operand::Value(v) if uninitialized.contains(v));
+                        });
+                    }
+                    if reads_uninitialized {
+                        return false;
                     }
                 }
             }
@@ -1299,13 +1851,15 @@ fn splice_call_site(m: &mut Module, caller_idx: usize, bi: usize, ii: usize) {
     // Value remap: callee params -> arg operands; everything else
     // gets fresh caller ids.
     let value_base = caller.value_types.len() as u32;
-    let param_map: HashMap<ValueId, Operand> =
-        callee.params.iter().map(|(pv, _)| *pv).zip(args).collect();
+    let mut param_map: Vec<Option<Operand>> = vec![None; callee.value_types.len()];
+    for (&(pv, _), arg) in callee.params.iter().zip(args) {
+        *dense(&mut param_map, pv) = Some(arg);
+    }
     let remap = |op: &mut Operand| {
         if let Operand::Value(v) = op {
-            *op = match param_map.get(v) {
-                Some(repl) => repl.clone(),
-                None => Operand::Value(ValueId(value_base + v.0)),
+            *op = match param_map.get(v.0 as usize) {
+                Some(Some(repl)) => repl.clone(),
+                _ => Operand::Value(ValueId(value_base + v.0)),
             };
         }
     };
@@ -1337,7 +1891,7 @@ fn splice_call_site(m: &mut Module, caller_idx: usize, bi: usize, ii: usize) {
             if let Some(r) = node.inst.result_mut() {
                 r.0 += value_base;
             }
-            node.inst.operands_mut().into_iter().for_each(remap);
+            node.inst.for_each_operand_mut(remap);
             nb.insts.push(node);
         }
         nb.term_loc = cblk.term_loc;
@@ -1613,6 +2167,134 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One instrumented pointer read in `b`'s current block: `load` of
+    /// `slot` plus an `auth` of the loaded value under modifier 7. Returns
+    /// the authenticated value.
+    fn load_auth(b: &mut rsti_ir::FunctionBuilder, slot: ValueId, pty: TypeId) -> ValueId {
+        let raw = b.load(slot, pty);
+        let authed = b.fresh_value(pty);
+        b.push_raw(Inst::PacAuth {
+            result: authed,
+            value: raw.into(),
+            key: PacKey::Da,
+            modifier: 7,
+            loc: None,
+            site: rsti_ir::PacSite::OnLoad,
+        });
+        authed
+    }
+
+    /// What `r` became a register copy of, if it did.
+    fn copy_source(f: &rsti_ir::Function, r: ValueId) -> Option<ValueId> {
+        f.insts().find_map(|n| match &n.inst {
+            Inst::BitCast {
+                result,
+                value: Operand::Value(v),
+                ..
+            } if *result == r => Some(*v),
+            _ => None,
+        })
+    }
+
+    /// A module with one `main` whose body `body` builds from its pointer
+    /// slot (a non-escaped alloca, initialized) and the slot's type.
+    fn hand_built(body: impl FnOnce(&mut rsti_ir::FunctionBuilder, ValueId, TypeId)) -> Module {
+        let mut m = Module::new("t");
+        let i64t = m.types.i64();
+        let pty = m.types.ptr(i64t);
+        let ret = m.types.i32();
+        let fid = m.declare_func("main", rsti_ir::FuncSig::new(ret, vec![]), false);
+        let mut b = rsti_ir::FunctionBuilder::new(&mut m, fid);
+        let slot = b.alloca(pty, None);
+        b.store(Operand::Null(pty), slot);
+        body(&mut b, slot, pty);
+        b.ret(Some(Operand::ConstInt(0, ret)));
+        b.finish();
+        rsti_ir::verify_module(&m).unwrap();
+        m
+    }
+
+    /// A block that kills a key and then generates it twice: the second
+    /// pair is elided within the block, and what leaves the block is the
+    /// first fact after the kill — not the one before it.
+    #[test]
+    fn killed_key_regenerates_with_its_first_fact_after_the_kill() {
+        let (mut first, mut second, mut later) = (ValueId(0), ValueId(0), ValueId(0));
+        let mut m = hand_built(|b, slot, pty| {
+            let before = load_auth(b, slot, pty);
+            b.store(before, slot); // kills the slot's key
+            first = load_auth(b, slot, pty);
+            second = load_auth(b, slot, pty);
+            let next = b.new_block();
+            b.br(next);
+            b.switch_to(next);
+            later = load_auth(b, slot, pty);
+        });
+        assert_eq!(elide_redundant_auths(&mut m, Elision::Cfg), 2);
+        let f = &m.funcs[0];
+        assert_eq!(copy_source(f, second), Some(first));
+        assert_eq!(copy_source(f, later), Some(first));
+        assert_eq!(copy_source(f, first), None);
+        rsti_ir::verify_module(&m).unwrap();
+    }
+
+    /// A loop whose back edge carries a different fact for the key than
+    /// its entry edge: the meet at the header keeps neither, so the
+    /// header's auth stays.
+    #[test]
+    fn back_edge_with_another_value_drops_the_key_at_the_header() {
+        let mut header_auth = ValueId(0);
+        let mut m = hand_built(|b, slot, pty| {
+            load_auth(b, slot, pty);
+            let (header, body, exit) = (b.new_block(), b.new_block(), b.new_block());
+            b.br(header);
+            b.switch_to(header);
+            header_auth = load_auth(b, slot, pty);
+            let bool_ty = b.module.types.bool();
+            b.cond_br(Operand::ConstInt(0, bool_ty), body, exit);
+            b.switch_to(body);
+            b.store(Operand::Null(pty), slot);
+            load_auth(b, slot, pty);
+            b.br(header);
+            b.switch_to(exit);
+        });
+        assert_eq!(elide_redundant_auths(&mut m, Elision::Cfg), 0);
+        assert_eq!(copy_source(&m.funcs[0], header_auth), None);
+        assert!(m.funcs[0].insts().any(|n| matches!(&n.inst,
+            Inst::PacAuth { result, .. } if *result == header_auth)));
+    }
+
+    /// A loop with nothing to hoist still gets its (empty) preheader: block
+    /// transfers cost model cycles, so the CFG shape is part of the output.
+    #[test]
+    fn loop_without_hoistable_pairs_still_gets_a_preheader() {
+        let src = r#"
+            int main() {
+                long i = 0;
+                long acc = 0;
+                while (i < 4) { acc = acc + i; i = i + 1; }
+                return (int) acc;
+            }
+        "#;
+        let m = compile(src, "t").unwrap();
+        let main = m.func_by_name("main").unwrap().0 as usize;
+        let blocks = m.funcs[main].blocks.len();
+        let (s, opt) = opt_at(src, Mechanism::Stwc, OptLevel::Cfg);
+        assert_eq!(s.hoisted, 0, "{s:?}");
+        let f = &opt.funcs[main];
+        assert_eq!(f.blocks.len(), blocks + 1, "one preheader appended");
+        let ph = f.blocks.last().unwrap();
+        assert!(ph.insts.is_empty());
+        let Terminator::Br(header) = ph.term else {
+            panic!("preheader branches to its header")
+        };
+        let header = &f.blocks[header.0 as usize];
+        assert!(
+            matches!(header.term, Terminator::CondBr { .. }),
+            "the loop test heads the loop"
+        );
     }
 
     #[test]

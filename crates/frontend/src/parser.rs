@@ -18,9 +18,10 @@ pub fn parse(src: &str) -> Result<Vec<Item>, CompileError> {
 /// types and pointer stars. Every later pass walks the AST recursively, so
 /// the parser is where unbounded nesting must stop: deeper input gets a
 /// [`CompileError`] instead of exhausting the stack (an unoptimized build
-/// spends about 20 KiB of stack per expression level, so 64 levels fit a
-/// 2 MiB thread). Generated programs, the samples and the fuzz corpus nest
-/// at most 10 levels.
+/// spends about 6 KiB of stack per expression level, so the deepest
+/// admitted expression fits a 1 MiB thread more than twice over).
+/// Generated programs, the samples and the fuzz corpus nest at most 10
+/// levels.
 const MAX_NESTING: u32 = 64;
 
 struct Parser {
@@ -57,11 +58,18 @@ impl Parser {
         self.toks[self.pos].line
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
+    }
+
+    /// Moves the current token out of the stream and advances. The one
+    /// backtracking point (cast or parenthesized expression) rewinds over
+    /// a `(` only, which it bumps rather than takes.
+    fn take(&mut self) -> Tok {
+        let t = std::mem::replace(&mut self.toks[self.pos].tok, Tok::Eof);
+        self.bump();
         t
     }
 
@@ -78,16 +86,16 @@ impl Parser {
     }
 
     fn eat_ident(&mut self) -> Result<String, CompileError> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            other => Err(CompileError::new(
+        if !matches!(self.peek(), Tok::Ident(_)) {
+            return Err(CompileError::new(
                 self.line(),
-                format!("expected identifier, found `{other}`"),
-            )),
+                format!("expected identifier, found `{}`", self.peek()),
+            ));
         }
+        let Tok::Ident(s) = self.take() else {
+            unreachable!("peeked an identifier")
+        };
+        Ok(s)
     }
 
     /// Whether the current token can begin a type.
@@ -115,7 +123,7 @@ impl Parser {
             self.bump();
             is_const = true;
         }
-        let base = match self.bump() {
+        let base = match self.take() {
             Tok::KwVoid => AstType::Void,
             Tok::KwBool => AstType::Bool,
             Tok::KwChar => AstType::Char,
@@ -205,7 +213,7 @@ impl Parser {
         let name = self.eat_ident()?;
         if self.peek() == &Tok::LBracket {
             self.bump();
-            let n = match self.bump() {
+            let n = match self.take() {
                 Tok::Int(v) if v > 0 => v as u64,
                 other => {
                     return Err(CompileError::new(
@@ -444,44 +452,40 @@ impl Parser {
             return Ok(Stmt::Decl { ty, name, is_const, init, line });
         }
         let e = self.expr()?;
-        match self.peek().clone() {
+        let (op, one) = match self.peek() {
             Tok::Assign => {
                 self.bump();
                 let value = self.expr()?;
-                Ok(Stmt::Assign { target: e, value, line })
-            }
-            Tok::PlusAssign | Tok::MinusAssign | Tok::StarAssign => {
-                let op = match self.bump() {
-                    Tok::PlusAssign => BinOpAst::Add,
-                    Tok::MinusAssign => BinOpAst::Sub,
-                    _ => BinOpAst::Mul,
-                };
-                let rhs = self.expr()?;
-                // `x op= e` desugars to `x = x op e`.
-                let value = Expr::Binary {
-                    op,
-                    lhs: Box::new(e.clone()),
-                    rhs: Box::new(rhs),
+                return Ok(Stmt::Assign {
+                    target: e,
+                    value,
                     line,
-                };
-                Ok(Stmt::Assign { target: e, value, line })
+                });
             }
-            Tok::PlusPlus | Tok::MinusMinus => {
-                let op = if self.bump() == Tok::PlusPlus {
-                    BinOpAst::Add
-                } else {
-                    BinOpAst::Sub
-                };
-                let value = Expr::Binary {
-                    op,
-                    lhs: Box::new(e.clone()),
-                    rhs: Box::new(Expr::IntLit(1, line)),
-                    line,
-                };
-                Ok(Stmt::Assign { target: e, value, line })
-            }
-            _ => Ok(Stmt::Expr(e)),
-        }
+            Tok::PlusAssign => (BinOpAst::Add, None),
+            Tok::MinusAssign => (BinOpAst::Sub, None),
+            Tok::StarAssign => (BinOpAst::Mul, None),
+            Tok::PlusPlus => (BinOpAst::Add, Some(Expr::IntLit(1, line))),
+            Tok::MinusMinus => (BinOpAst::Sub, Some(Expr::IntLit(1, line))),
+            _ => return Ok(Stmt::Expr(e)),
+        };
+        self.bump();
+        // `x op= e` desugars to `x = x op e`, and `x++` to `x = x + 1`.
+        let rhs = match one {
+            Some(one) => one,
+            None => self.expr()?,
+        };
+        let value = Expr::Binary {
+            op,
+            lhs: Box::new(e.clone()),
+            rhs: Box::new(rhs),
+            line,
+        };
+        Ok(Stmt::Assign {
+            target: e,
+            value,
+            line,
+        })
     }
 
     // ---- expressions (precedence climbing) --------------------------------
@@ -490,41 +494,16 @@ impl Parser {
         self.bin_expr(0)
     }
 
-    fn bin_op_at(&self, level: u8) -> Option<BinOpAst> {
-        let t = self.peek();
-        let op = match (level, t) {
-            (0, Tok::PipePipe) => BinOpAst::LogOr,
-            (1, Tok::AmpAmp) => BinOpAst::LogAnd,
-            (2, Tok::Pipe) => BinOpAst::BitOr,
-            (3, Tok::Caret) => BinOpAst::BitXor,
-            (4, Tok::Amp) => BinOpAst::BitAnd,
-            (5, Tok::EqEq) => BinOpAst::Eq,
-            (5, Tok::NotEq) => BinOpAst::Ne,
-            (6, Tok::Lt) => BinOpAst::Lt,
-            (6, Tok::Le) => BinOpAst::Le,
-            (6, Tok::Gt) => BinOpAst::Gt,
-            (6, Tok::Ge) => BinOpAst::Ge,
-            (7, Tok::Shl) => BinOpAst::Shl,
-            (7, Tok::Shr) => BinOpAst::Shr,
-            (8, Tok::Plus) => BinOpAst::Add,
-            (8, Tok::Minus) => BinOpAst::Sub,
-            (9, Tok::Star) => BinOpAst::Mul,
-            (9, Tok::Slash) => BinOpAst::Div,
-            (9, Tok::Percent) => BinOpAst::Rem,
-            _ => return None,
-        };
-        Some(op)
-    }
-
-    fn bin_expr(&mut self, level: u8) -> Result<Expr, CompileError> {
-        if level > 9 {
-            return self.unary();
-        }
-        let mut lhs = self.bin_expr(level + 1)?;
-        while let Some(op) = self.bin_op_at(level) {
+    /// Precedence climbing: an operand, then every binary operator that
+    /// binds at least as tightly as `min`, each with a right operand that
+    /// binds tighter (so all of them associate to the left). One call per
+    /// operand plus one per rise in precedence, at most ten deep.
+    fn bin_expr(&mut self, min: u8) -> Result<Expr, CompileError> {
+        let mut lhs = self.unary()?;
+        while let Some((op, prec)) = bin_op(self.peek()).filter(|&(_, p)| p >= min) {
             let line = self.line();
             self.bump();
-            let rhs = self.bin_expr(level + 1)?;
+            let rhs = self.bin_expr(prec + 1)?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), line };
         }
         Ok(lhs)
@@ -539,29 +518,17 @@ impl Parser {
 
     fn unary_body(&mut self) -> Result<Expr, CompileError> {
         let line = self.line();
-        match self.peek() {
-            Tok::Minus => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::Neg, expr: Box::new(self.unary()?), line })
-            }
-            Tok::Bang => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::Not, expr: Box::new(self.unary()?), line })
-            }
-            Tok::Star => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::Deref, expr: Box::new(self.unary()?), line })
-            }
-            Tok::Amp => {
-                self.bump();
-                Ok(Expr::Unary { op: UnOp::AddrOf, expr: Box::new(self.unary()?), line })
-            }
+        let op = match self.peek() {
+            Tok::Minus => UnOp::Neg,
+            Tok::Bang => UnOp::Not,
+            Tok::Star => UnOp::Deref,
+            Tok::Amp => UnOp::AddrOf,
             Tok::KwSizeof => {
                 self.bump();
                 self.eat(&Tok::LParen)?;
                 let ty = self.abstract_type()?;
                 self.eat(&Tok::RParen)?;
-                Ok(Expr::Sizeof(ty, line))
+                return Ok(Expr::Sizeof(ty, line));
             }
             Tok::LParen => {
                 // cast or parenthesized expression
@@ -574,58 +541,70 @@ impl Parser {
                     return Ok(Expr::Cast { ty, expr: Box::new(inner), line });
                 }
                 self.pos = save;
-                self.postfix()
+                return self.postfix();
             }
-            _ => self.postfix(),
-        }
+            _ => return self.postfix(),
+        };
+        self.bump();
+        Ok(Expr::Unary {
+            op,
+            expr: Box::new(self.unary()?),
+            line,
+        })
     }
 
     fn postfix(&mut self) -> Result<Expr, CompileError> {
         let mut e = self.primary()?;
         loop {
             let line = self.line();
-            match self.peek() {
+            let arrow = match self.peek() {
                 Tok::LParen => {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if self.peek() != &Tok::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if self.peek() == &Tok::Comma {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.eat(&Tok::RParen)?;
+                    let args = self.call_args()?;
                     e = Expr::Call { callee: Box::new(e), args, line };
+                    continue;
                 }
                 Tok::LBracket => {
                     self.bump();
                     let idx = self.expr()?;
                     self.eat(&Tok::RBracket)?;
                     e = Expr::Index { base: Box::new(e), index: Box::new(idx), line };
+                    continue;
                 }
-                Tok::Dot => {
-                    self.bump();
-                    let field = self.eat_ident()?;
-                    e = Expr::Member { base: Box::new(e), field, arrow: false, line };
+                Tok::Dot => false,
+                Tok::Arrow => true,
+                _ => return Ok(e),
+            };
+            self.bump();
+            let field = self.eat_ident()?;
+            e = Expr::Member {
+                base: Box::new(e),
+                field,
+                arrow,
+                line,
+            };
+        }
+    }
+
+    /// A call's parenthesized argument list.
+    fn call_args(&mut self) -> Result<Vec<Expr>, CompileError> {
+        self.eat(&Tok::LParen)?;
+        let mut args = Vec::new();
+        if self.peek() != &Tok::RParen {
+            loop {
+                args.push(self.expr()?);
+                if self.peek() != &Tok::Comma {
+                    break;
                 }
-                Tok::Arrow => {
-                    self.bump();
-                    let field = self.eat_ident()?;
-                    e = Expr::Member { base: Box::new(e), field, arrow: true, line };
-                }
-                _ => break,
+                self.bump();
             }
         }
-        Ok(e)
+        self.eat(&Tok::RParen)?;
+        Ok(args)
     }
 
     fn primary(&mut self) -> Result<Expr, CompileError> {
         let line = self.line();
-        match self.bump() {
+        match self.take() {
             Tok::Int(v) => Ok(Expr::IntLit(v, line)),
             Tok::Float(v) => Ok(Expr::FloatLit(v, line)),
             Tok::Str(s) => Ok(Expr::StrLit(s, line)),
@@ -645,6 +624,32 @@ impl Parser {
             )),
         }
     }
+}
+
+/// A binary operator token's operator and precedence, loosest (0) to
+/// tightest (9).
+fn bin_op(t: &Tok) -> Option<(BinOpAst, u8)> {
+    Some(match t {
+        Tok::PipePipe => (BinOpAst::LogOr, 0),
+        Tok::AmpAmp => (BinOpAst::LogAnd, 1),
+        Tok::Pipe => (BinOpAst::BitOr, 2),
+        Tok::Caret => (BinOpAst::BitXor, 3),
+        Tok::Amp => (BinOpAst::BitAnd, 4),
+        Tok::EqEq => (BinOpAst::Eq, 5),
+        Tok::NotEq => (BinOpAst::Ne, 5),
+        Tok::Lt => (BinOpAst::Lt, 6),
+        Tok::Le => (BinOpAst::Le, 6),
+        Tok::Gt => (BinOpAst::Gt, 6),
+        Tok::Ge => (BinOpAst::Ge, 6),
+        Tok::Shl => (BinOpAst::Shl, 7),
+        Tok::Shr => (BinOpAst::Shr, 7),
+        Tok::Plus => (BinOpAst::Add, 8),
+        Tok::Minus => (BinOpAst::Sub, 8),
+        Tok::Star => (BinOpAst::Mul, 9),
+        Tok::Slash => (BinOpAst::Div, 9),
+        Tok::Percent => (BinOpAst::Rem, 9),
+        _ => return None,
+    })
 }
 
 #[cold]
@@ -762,7 +767,28 @@ mod tests {
 
     #[test]
     fn nesting_is_budgeted() {
-        parse(&nested_return(MAX_NESTING as usize - 8)).unwrap();
+        // The deepest expression the budget admits (the statement takes one
+        // level, the outermost operand another) parses on a 1 MiB thread in
+        // an unoptimized build, which needs about 0.4 MiB for it; ten nested
+        // calls per operand needed about 1.1 MiB. One level more is refused.
+        let deepest = std::thread::Builder::new()
+            .stack_size(1 << 20)
+            .spawn(|| {
+                let ok = parse(&nested_return(MAX_NESTING as usize - 2)).map(|_| ());
+                (
+                    ok,
+                    parse(&nested_return(MAX_NESTING as usize - 1)).map(|_| ()),
+                )
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(deepest.0, Ok(()));
+        assert!(deepest
+            .1
+            .unwrap_err()
+            .msg
+            .contains("nesting deeper than 64 levels"));
         for src in [
             nested_return(200_000),
             format!("int main() {{ {} }}", "{".repeat(200_000)),

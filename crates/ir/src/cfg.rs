@@ -27,14 +27,17 @@ pub fn term_successors(t: &Terminator) -> Vec<BlockId> {
 }
 
 /// The control-flow graph of one function: successors, predecessors, and a
-/// reverse-postorder over the blocks reachable from the entry.
+/// reverse-postorder over the blocks reachable from the entry. The edge
+/// lists are stored flat, block by block (a function's whole CFG is four
+/// allocations, not two per block).
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    /// `succs[b]` — successors of block `b`, in terminator branch order.
-    /// A block targeted by both arms of a `CondBr` appears twice.
-    pub succs: Vec<Vec<BlockId>>,
-    /// `preds[b]` — predecessors of block `b` (deduplicated).
-    pub preds: Vec<Vec<BlockId>>,
+    /// `succ_list[succ_at[b]..succ_at[b + 1]]` — [`Cfg::succs`] of `b`.
+    succ_at: Vec<u32>,
+    succ_list: Vec<BlockId>,
+    /// `pred_list[pred_at[b]..pred_at[b + 1]]` — [`Cfg::preds`] of `b`.
+    pred_at: Vec<u32>,
+    pred_list: Vec<BlockId>,
     /// Reachable blocks in reverse-postorder; `rpo[0]` is the entry.
     pub rpo: Vec<BlockId>,
     /// `rpo_index[b]` — position of block `b` in [`Cfg::rpo`], or `None`
@@ -47,22 +50,62 @@ impl Cfg {
     /// empty graph.
     pub fn new(f: &Function) -> Cfg {
         let n = f.blocks.len();
-        let mut succs: Vec<Vec<BlockId>> = Vec::with_capacity(n);
-        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        for (i, blk) in f.blocks.iter().enumerate() {
-            let ss = term_successors(&blk.term);
-            for &s in &ss {
-                let p = &mut preds[s.0 as usize];
-                if !p.contains(&BlockId(i as u32)) {
-                    p.push(BlockId(i as u32));
+        let mut succ_at = Vec::with_capacity(n + 1);
+        let mut succ_list = Vec::with_capacity(2 * n);
+        // Predecessor counts, shifted by one for the prefix sum below.
+        let mut pred_at = vec![0u32; n + 1];
+        for blk in &f.blocks {
+            succ_at.push(succ_list.len() as u32);
+            match blk.term {
+                Terminator::Br(t) => succ_list.push(t),
+                Terminator::CondBr {
+                    then_bb, else_bb, ..
+                } => {
+                    succ_list.extend([then_bb, else_bb]);
                 }
+                Terminator::Ret(_) | Terminator::Unreachable => {}
             }
-            succs.push(ss);
         }
+        succ_at.push(succ_list.len() as u32);
+        // Each block once per distinct successor (both arms of a `CondBr`
+        // can name one block).
+        let distinct = |w: &[u32]| {
+            let succs = &succ_list[w[0] as usize..w[1] as usize];
+            let n = if succs.len() == 2 && succs[0] == succs[1] {
+                1
+            } else {
+                succs.len()
+            };
+            succs[..n].iter().copied()
+        };
+        for w in succ_at.windows(2) {
+            for s in distinct(w) {
+                pred_at[s.0 as usize + 1] += 1;
+            }
+        }
+        for b in 0..n {
+            pred_at[b + 1] += pred_at[b];
+        }
+        // Predecessors in block order, each once.
+        let mut pred_list = vec![BlockId(0); pred_at[n] as usize];
+        let mut fill = pred_at.clone();
+        for (i, w) in succ_at.windows(2).enumerate() {
+            for s in distinct(w) {
+                pred_list[fill[s.0 as usize] as usize] = BlockId(i as u32);
+                fill[s.0 as usize] += 1;
+            }
+        }
+        let rpo_index = vec![None; n];
+        let mut cfg = Cfg {
+            succ_at,
+            succ_list,
+            pred_at,
+            pred_list,
+            rpo: Vec::new(),
+            rpo_index,
+        };
 
         // Iterative DFS from the entry; postorder reversed gives RPO.
-        let mut rpo_index = vec![None; n];
-        let mut rpo = Vec::new();
         if n > 0 {
             let mut post: Vec<BlockId> = Vec::with_capacity(n);
             let mut visited = vec![false; n];
@@ -70,7 +113,7 @@ impl Cfg {
             let mut stack: Vec<(BlockId, usize)> = vec![(BlockId(0), 0)];
             visited[0] = true;
             while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-                let ss = &succs[b.0 as usize];
+                let ss = cfg.succs(b);
                 if *next < ss.len() {
                     let s = ss[*next];
                     *next += 1;
@@ -83,12 +126,36 @@ impl Cfg {
                     stack.pop();
                 }
             }
-            rpo = post.into_iter().rev().collect();
-            for (i, &b) in rpo.iter().enumerate() {
-                rpo_index[b.0 as usize] = Some(i as u32);
+            post.reverse();
+            for (i, &b) in post.iter().enumerate() {
+                cfg.rpo_index[b.0 as usize] = Some(i as u32);
             }
+            cfg.rpo = post;
         }
-        Cfg { succs, preds, rpo, rpo_index }
+        cfg
+    }
+
+    /// Successors of `b`, in terminator branch order. A block targeted by
+    /// both arms of a `CondBr` appears twice.
+    pub fn succs(&self, b: BlockId) -> &[BlockId] {
+        let i = b.0 as usize;
+        &self.succ_list[self.succ_at[i] as usize..self.succ_at[i + 1] as usize]
+    }
+
+    /// Predecessors of `b`, in block order, each once.
+    pub fn preds(&self, b: BlockId) -> &[BlockId] {
+        let i = b.0 as usize;
+        &self.pred_list[self.pred_at[i] as usize..self.pred_at[i + 1] as usize]
+    }
+
+    /// Number of blocks, reachable or not.
+    pub fn len(&self) -> usize {
+        self.rpo_index.len()
+    }
+
+    /// Whether the function has no blocks.
+    pub fn is_empty(&self) -> bool {
+        self.rpo_index.is_empty()
     }
 
     /// Whether `b` is reachable from the entry block.
@@ -141,8 +208,8 @@ pub(crate) mod tests {
             Terminator::Ret(None),
         ]);
         let cfg = Cfg::new(&f);
-        assert_eq!(cfg.succs[0], vec![BlockId(1), BlockId(2)]);
-        assert_eq!(cfg.preds[3], vec![BlockId(1), BlockId(2)]);
+        assert_eq!(cfg.succs(BlockId(0)), [BlockId(1), BlockId(2)]);
+        assert_eq!(cfg.preds(BlockId(3)), [BlockId(1), BlockId(2)]);
         assert_eq!(cfg.rpo.len(), 4);
         assert_eq!(cfg.rpo[0], BlockId(0));
         assert_eq!(cfg.rpo[3], BlockId(3));
@@ -168,7 +235,7 @@ pub(crate) mod tests {
     fn both_arms_to_same_block_dedup_preds() {
         let f = skeleton(vec![cond(1, 1), Terminator::Ret(None)]);
         let cfg = Cfg::new(&f);
-        assert_eq!(cfg.succs[0].len(), 2);
-        assert_eq!(cfg.preds[1], vec![BlockId(0)]);
+        assert_eq!(cfg.succs(BlockId(0)).len(), 2);
+        assert_eq!(cfg.preds(BlockId(1)), [BlockId(0)]);
     }
 }

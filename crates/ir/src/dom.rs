@@ -35,7 +35,7 @@ pub struct DomTree {
 impl DomTree {
     /// Computes the dominator tree for `cfg`.
     pub fn new(cfg: &Cfg) -> DomTree {
-        let n = cfg.succs.len();
+        let n = cfg.len();
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         if n == 0 || cfg.rpo.is_empty() {
             return DomTree { idom, rpo_index: cfg.rpo_index.clone() };
@@ -50,7 +50,7 @@ impl DomTree {
             for &b in cfg.rpo.iter().skip(1) {
                 // First processed predecessor seeds the intersection.
                 let mut new_idom: Option<BlockId> = None;
-                for &p in &cfg.preds[b.0 as usize] {
+                for &p in cfg.preds(b) {
                     if rpo_num(p).is_none() || idom[p.0 as usize].is_none() {
                         continue; // unreachable or not yet processed
                     }

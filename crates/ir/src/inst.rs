@@ -356,24 +356,15 @@ impl Inst {
         )
     }
 
-    /// Operands read by this instruction, `loc` included.
-    pub fn operands(&self) -> Vec<&Operand> {
-        let mut v = Vec::new();
-        each_operand!(self, |op| v.push(op));
-        v
-    }
-
-    /// Mutable access to the same operands as [`Inst::operands`], in the
-    /// same order, for renumbering and splicing passes.
-    pub fn operands_mut(&mut self) -> Vec<&mut Operand> {
-        let mut v = Vec::new();
-        each_operand!(self, |op| v.push(op));
-        v
-    }
-
-    /// Calls `f` on the same operands as [`Inst::operands`], in the same
-    /// order, without collecting them.
+    /// Calls `f` on each operand this instruction reads, in order, `loc`
+    /// included.
     pub fn for_each_operand(&self, f: impl FnMut(&Operand)) {
+        each_operand!(self, f)
+    }
+
+    /// Calls `f` on the same operands as [`Inst::for_each_operand`], in the
+    /// same order, mutably — for renumbering and splicing passes.
+    pub fn for_each_operand_mut(&mut self, f: impl FnMut(&mut Operand)) {
         each_operand!(self, f)
     }
 }
@@ -442,7 +433,9 @@ mod tests {
             site: PacSite::OnStore,
         };
         assert!(s.is_pac_op());
-        assert_eq!(s.operands().len(), 1);
+        let mut n = 0;
+        s.for_each_operand(|_| n += 1);
+        assert_eq!(n, 1);
         let l = Inst::Load {
             result: ValueId(1),
             ptr: Operand::Value(ValueId(0)),

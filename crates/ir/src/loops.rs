@@ -20,7 +20,6 @@ use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::function::{BasicBlock, BlockId, Function};
 use crate::inst::Terminator;
-use std::collections::BTreeSet;
 
 /// One natural loop (back edges merged per header).
 #[derive(Debug, Clone)]
@@ -30,8 +29,8 @@ pub struct NaturalLoop {
     pub header: BlockId,
     /// Sources of the back edges into [`NaturalLoop::header`].
     pub latches: Vec<BlockId>,
-    /// All blocks of the loop, header included.
-    pub blocks: BTreeSet<BlockId>,
+    /// All blocks of the loop, header included, in ascending order.
+    pub blocks: Vec<BlockId>,
     /// Nesting depth: 1 for an outermost loop, 2 for a loop whose header
     /// lies inside exactly one other loop, and so on.
     pub depth: u32,
@@ -40,7 +39,7 @@ pub struct NaturalLoop {
 impl NaturalLoop {
     /// Whether `b` belongs to this loop.
     pub fn contains(&self, b: BlockId) -> bool {
-        self.blocks.contains(&b)
+        self.blocks.binary_search(&b).is_ok()
     }
 
     /// Blocks inside the loop whose terminator leaves it — either via an
@@ -49,8 +48,7 @@ impl NaturalLoop {
     pub fn exiting_blocks(&self, cfg: &Cfg, f: &Function) -> Vec<BlockId> {
         let mut out = Vec::new();
         for &b in &self.blocks {
-            let leaves_by_edge =
-                cfg.succs[b.0 as usize].iter().any(|s| !self.blocks.contains(s));
+            let leaves_by_edge = cfg.succs(b).iter().any(|&s| !self.contains(s));
             let leaves_by_term = matches!(
                 f.blocks[b.0 as usize].term,
                 Terminator::Ret(_) | Terminator::Unreachable
@@ -84,7 +82,7 @@ impl LoopForest {
         let mut back_edges: Vec<(BlockId, BlockId)> = Vec::new(); // (latch, header)
         for &b in &cfg.rpo {
             let bi = cfg.rpo_index[b.0 as usize].unwrap();
-            for &s in &cfg.succs[b.0 as usize] {
+            for &s in cfg.succs(b) {
                 let si = match cfg.rpo_index[s.0 as usize] {
                     Some(i) => i,
                     None => continue,
@@ -104,13 +102,18 @@ impl LoopForest {
         // Natural loop of a back edge: walk predecessors from the latch,
         // stopping at the header. Merge loops that share a header.
         let mut loops: Vec<NaturalLoop> = Vec::new();
-        for (latch, header) in back_edges {
-            let mut blocks = BTreeSet::new();
-            blocks.insert(header);
+        // Per block, the last back edge (numbered from 1) whose walk reached it.
+        let mut seen = vec![0u32; cfg.len()];
+        for (e, (latch, header)) in back_edges.into_iter().enumerate() {
+            let walk = e as u32 + 1;
+            seen[header.0 as usize] = walk;
+            let mut blocks = vec![header];
             let mut work = vec![latch];
             while let Some(b) = work.pop() {
-                if blocks.insert(b) {
-                    for &p in &cfg.preds[b.0 as usize] {
+                if seen[b.0 as usize] != walk {
+                    seen[b.0 as usize] = walk;
+                    blocks.push(b);
+                    for &p in cfg.preds(b) {
                         if cfg.is_reachable(p) {
                             work.push(p);
                         }
@@ -131,16 +134,15 @@ impl LoopForest {
             }
         }
         loops.sort_by_key(|l| l.header);
+        for l in &mut loops {
+            l.blocks.sort_unstable();
+            l.blocks.dedup();
+        }
 
         // Depth: number of loops whose body contains this header.
         let depths: Vec<u32> = loops
             .iter()
-            .map(|l| {
-                loops
-                    .iter()
-                    .filter(|o| o.blocks.contains(&l.header))
-                    .count() as u32
-            })
+            .map(|l| loops.iter().filter(|o| o.contains(l.header)).count() as u32)
             .collect();
         for (l, d) in loops.iter_mut().zip(depths) {
             l.depth = d;
@@ -159,40 +161,49 @@ impl LoopForest {
 /// over the new shape (e.g. to find the preheaders as blocks) recompute the
 /// CFG afterwards. Returns `(header, preheader)` pairs.
 pub fn insert_preheaders(f: &mut Function, forest: &LoopForest) -> Vec<(BlockId, BlockId)> {
-    let mut created = Vec::new();
     if forest.irreducible {
-        return created;
+        return Vec::new();
     }
-    for l in &forest.loops {
-        let ph = BlockId(f.blocks.len() as u32);
-        // Retarget every entry edge. New preheaders (for other headers)
-        // can never target this header, so scanning all blocks — old and
-        // appended — is safe.
-        for (bi, blk) in f.blocks.iter_mut().enumerate() {
-            if l.blocks.contains(&BlockId(bi as u32)) {
-                continue; // back edge or in-loop edge
-            }
-            match &mut blk.term {
-                Terminator::Br(t) if *t == l.header => *t = ph,
-                Terminator::CondBr { then_bb, else_bb, .. } => {
-                    if *then_bb == l.header {
-                        *then_bb = ph;
-                    }
-                    if *else_bb == l.header {
-                        *else_bb = ph;
-                    }
-                }
-                _ => {}
-            }
+    // Loop (and so preheader) per header block; the forest merges loops
+    // that share a header, so each header names one loop.
+    let first = f.blocks.len();
+    let mut loop_of = vec![u32::MAX; first];
+    for (li, l) in forest.loops.iter().enumerate() {
+        loop_of[l.header.0 as usize] = li as u32;
+    }
+    // Retarget every entry edge (an edge into a header from outside its
+    // loop) in one pass; back edges are left alone.
+    let retarget = |from: usize, t: &mut BlockId| {
+        let li = loop_of.get(t.0 as usize).copied().unwrap_or(u32::MAX);
+        if li != u32::MAX && !forest.loops[li as usize].contains(BlockId(from as u32)) {
+            *t = BlockId((first + li as usize) as u32);
         }
-        f.blocks.push(BasicBlock {
-            insts: Vec::new(),
-            term: Terminator::Br(l.header),
-            term_loc: f.blocks[l.header.0 as usize].term_loc,
-        });
-        created.push((l.header, ph));
+    };
+    for (bi, blk) in f.blocks.iter_mut().enumerate() {
+        match &mut blk.term {
+            Terminator::Br(t) => retarget(bi, t),
+            Terminator::CondBr {
+                then_bb, else_bb, ..
+            } => {
+                retarget(bi, then_bb);
+                retarget(bi, else_bb);
+            }
+            _ => {}
+        }
     }
-    created
+    forest
+        .loops
+        .iter()
+        .enumerate()
+        .map(|(li, l)| {
+            f.blocks.push(BasicBlock {
+                insts: Vec::new(),
+                term: Terminator::Br(l.header),
+                term_loc: f.blocks[l.header.0 as usize].term_loc,
+            });
+            (l.header, BlockId((first + li) as u32))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -222,7 +233,7 @@ mod tests {
         let l = &forest.loops[0];
         assert_eq!(l.header, BlockId(1));
         assert_eq!(l.latches, vec![BlockId(2)]);
-        assert_eq!(l.blocks.iter().copied().collect::<Vec<_>>(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(l.blocks, vec![BlockId(1), BlockId(2)]);
         assert_eq!(l.depth, 1);
         assert_eq!(l.exiting_blocks(&cfg, &f), vec![BlockId(1)]);
     }
@@ -330,8 +341,13 @@ mod tests {
         let cfg = Cfg::new(&f);
         let dom = DomTree::new(&cfg);
         let forest2 = LoopForest::new(&cfg, &dom);
-        let l = forest2.loops.iter().find(|l| l.header == BlockId(1)).unwrap();
-        let entries: Vec<BlockId> = cfg.preds[1]
+        let l = forest2
+            .loops
+            .iter()
+            .find(|l| l.header == BlockId(1))
+            .unwrap();
+        let entries: Vec<BlockId> = cfg
+            .preds(BlockId(1))
             .iter()
             .copied()
             .filter(|p| !l.blocks.contains(p))
