@@ -1052,6 +1052,45 @@ mod tests {
         assert!(out.contains("nesting deeper than"), "{out}");
     }
 
+    /// Type shapes that once overflowed the stack or stalled the sizing
+    /// answer at every level: a struct holding itself by value is a
+    /// compile error, and a 64-level doubling struct (2^67 bytes, sized
+    /// once per type) fails the loader's segment bound.
+    #[test]
+    fn hostile_types_answer_at_every_level() {
+        let cyclic_sizeof = "struct a { struct a x; long y; };\n\
+                             int main() { return (int) sizeof(struct a); }";
+        let cyclic_global = "struct b { long y; struct c z; };\n\
+                             struct c { struct b w[2]; };\n\
+                             struct b g;\nint main() { return 0; }";
+        let mut doubling = String::from("struct s0 { long a; long b; };\n");
+        for i in 1..64 {
+            doubling += &format!("struct s{i} {{ struct s{} a; struct s{} b; }};\n", i - 1, i - 1);
+        }
+        doubling += "struct s63 g;\nint main() { return 0; }";
+        let files = [
+            write_temp("rsti_cli_cyclic_sizeof.mc", cyclic_sizeof),
+            write_temp("rsti_cli_cyclic_global.mc", cyclic_global),
+            write_temp("rsti_cli_doubling.mc", &doubling),
+        ];
+        for level in ["none", "block", "cfg", "ipo"] {
+            for (f, name) in files[..2].iter().zip(["a", "b"]) {
+                let (code, out) = run_cli(&["run".into(), f.clone(), "--opt".into(), level.into()]);
+                assert_eq!(code, 1, "{out}");
+                let want = format!("line 1: struct #0 `{name}` contains itself by value");
+                assert!(out.contains(&want), "{level}: {out}");
+            }
+            let (code, out) =
+                run_cli(&["run".into(), files[2].clone(), "--opt".into(), level.into()]);
+            assert_eq!(code, 0, "{out}");
+            assert!(
+                out.contains("trap: memory fault in <loader>: segment at 0x200000000000 requested \
+                              with 18446744073709551615 bytes"),
+                "{level}: {out}"
+            );
+        }
+    }
+
     #[test]
     fn every_usage_listed_backend_parses() {
         // The usage string and `parse_backends` must not drift: every name

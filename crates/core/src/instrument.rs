@@ -24,12 +24,13 @@
 
 use crate::ptr2ptr::{plan_pp, PpPlan};
 use crate::replay::DEFAULT_ECV_THRESHOLD;
-use crate::sti::{analyze, Mechanism, StiAnalysis};
+use crate::sti::{analyze, fnv1a_from, Mechanism, StiAnalysis};
 use crate::storage::{operand_type, root_of_value, storage_of_addr, DefMap, StorageKey};
 use rsti_ir::{
-    BasicBlock, GlobalId, GlobalInit, Inst, InstNode, Module, PacKey, PacSite,
-    TypeId, ValueId, VarId,
+    BasicBlock, DebugLoc, Function, GlobalId, GlobalInit, Inst, InstNode, Module, Operand,
+    PacKey, PacSite, Terminator, TypeId, ValueId, VarId,
 };
+use std::collections::HashMap;
 
 /// Instrumentation-site counters (per module). These are the quantities
 /// the paper correlates with overhead (§6.3.2: Pearson 0.75–0.8 between
@@ -126,12 +127,7 @@ impl LocPolicy {
 /// Fallback modifier for storage with no analysis class (should not occur
 /// in practice; kept total for robustness).
 fn fallback_modifier(m: &Module, ty: TypeId) -> u64 {
-    let mut h: u64 = 0x2545F4914F6CDD1D;
-    for b in m.types.display(ty).bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a_from(0x2545F4914F6CDD1D, m.types.display(ty).as_bytes())
 }
 
 /// Instruments `m` under `mechanism`. The input module must not already be
@@ -262,39 +258,64 @@ fn finish_instrument(
 ) -> InstrumentedProgram {
     let tel = rsti_telemetry::global();
     let _span = tel.span(rsti_telemetry::Phase::Instrument);
-    let mut out = m.clone();
     let mut stats = InstrumentStats::default();
 
-    for (fid, _) in m.funcs() {
-        if m.func(fid).is_external {
-            continue;
-        }
-        let rewritten =
-            rewrite_function(m, fid, mechanism, &analysis, &pp_plan, loc_policy, &mut stats);
-        out.funcs[fid.0 as usize] = rewritten;
+    // The plan gives each lost original type one CE and one FE.
+    let mut ce_of_ty = HashMap::new();
+    for s in &pp_plan.sites {
+        ce_of_ty.entry(s.original_ty).or_insert((s.ce, s.fe_modifier));
     }
+    // Each body is written once, into fresh blocks; externals have none.
+    let funcs = m
+        .funcs
+        .iter()
+        .map(|f| {
+            let mut w = Walk {
+                m,
+                f,
+                defs: DefMap::new(f),
+                mechanism,
+                analysis: &analysis,
+                tagged_params: &pp_plan.tagged_params,
+                ce_of_ty: &ce_of_ty,
+                loc_policy,
+                stats: &mut stats,
+                value_types: f.value_types.clone(),
+                insts: Vec::new(),
+                dbg: None,
+            };
+            let blocks = f.blocks.iter().map(|b| w.block(b)).collect();
+            Function {
+                name: f.name.clone(),
+                sig: f.sig.clone(),
+                params: f.params.clone(),
+                blocks,
+                value_types: w.value_types,
+                is_external: f.is_external,
+            }
+        })
+        .collect();
+    let out = Module {
+        name: m.name.clone(),
+        types: m.types.clone(),
+        funcs,
+        globals: m.globals.clone(),
+        strings: m.strings.clone(),
+        vars: m.vars.clone(),
+    };
 
     // Static pointer initializers must be signed at load time.
-    let mut global_signing = Vec::new();
-    for (gi, g) in m.globals.iter().enumerate() {
-        let gid = GlobalId(gi as u32);
-        if !m.types.is_ptr(g.ty) {
-            continue;
-        }
-        if matches!(g.init, GlobalInit::FuncAddr(_) | GlobalInit::Str(_)) {
-            let key = StorageKey::Var(g.var);
-            let (modifier, code) = match analysis.class_of(key) {
-                Some(c) => (c.modifier, c.code_ptr),
-                None => (fallback_modifier(m, g.ty), m.types.is_func_ptr(g.ty)),
-            };
-            global_signing.push(GlobalSign {
-                global: gid,
-                key: if code { PacKey::Ia } else { PacKey::Da },
-                modifier,
-                mix_location: loc_policy.applies(&analysis, key),
-            });
-        }
-    }
+    let global_signing = (m.globals.iter().enumerate())
+        .filter(|(_, g)| {
+            m.types.is_ptr(g.ty) && matches!(g.init, GlobalInit::FuncAddr(_) | GlobalInit::Str(_))
+        })
+        .map(|(gi, g)| {
+            let var = StorageKey::Var(g.var);
+            let (key, modifier) = class_info(m, &analysis, var, g.ty);
+            let mix_location = loc_policy.applies(&analysis, var);
+            GlobalSign { global: GlobalId(gi as u32), key, modifier, mix_location }
+        })
+        .collect();
 
     debug_assert!(
         rsti_ir::verify_module(&out).is_ok(),
@@ -313,7 +334,7 @@ fn finish_instrument(
     InstrumentedProgram { module: out, mechanism, analysis, pp_plan, stats, global_signing }
 }
 
-/// The (key, modifier, is-code) triple for a storage key.
+/// The PAC key and modifier of a storage key's RSTI class.
 fn class_info(
     m: &Module,
     analysis: &StiAnalysis,
@@ -329,386 +350,259 @@ fn class_info(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rewrite_function(
-    m: &Module,
-    fid: rsti_ir::FuncId,
+/// One function's rewrite: reads the original body and writes each block
+/// once, into fresh instruction lists. Fresh values extend `value_types`.
+struct Walk<'a> {
+    m: &'a Module,
+    f: &'a Function,
+    defs: DefMap<'a>,
     mechanism: Mechanism,
-    analysis: &StiAnalysis,
-    pp_plan: &PpPlan,
+    analysis: &'a StiAnalysis,
+    /// Universal double-pointer parameters that receive tagged pointers.
+    tagged_params: &'a [VarId],
+    /// Lost original type → its (CE, FE modifier).
+    ce_of_ty: &'a HashMap<TypeId, (u8, u64)>,
     loc_policy: LocPolicy,
-    stats: &mut InstrumentStats,
-) -> rsti_ir::Function {
-    let f = m.func(fid);
-    let defs = DefMap::new(f);
-    let mut new_f = f.clone();
+    stats: &'a mut InstrumentStats,
+    value_types: Vec<TypeId>,
+    /// The block being written.
+    insts: Vec<InstNode>,
+    /// Debug location of the source instruction being rewritten.
+    dbg: Option<DebugLoc>,
+}
 
-    // Fresh values extend the cloned function's table.
-    let mut next_value = new_f.value_types.len() as u32;
-    let mut fresh = |tys: &mut Vec<TypeId>, ty: TypeId| {
-        let id = ValueId(next_value);
-        next_value += 1;
-        tys.push(ty);
-        id
-    };
+impl Walk<'_> {
+    fn fresh(&mut self, ty: TypeId) -> ValueId {
+        self.value_types.push(ty);
+        ValueId(self.value_types.len() as u32 - 1)
+    }
 
-    let tagged_param_key = |v: VarId| pp_plan.tagged_params.contains(&v);
+    fn push(&mut self, inst: Inst) {
+        self.insts.push(InstNode { inst, loc: self.dbg });
+    }
 
-    for (bi, blk) in f.blocks.iter().enumerate() {
-        let mut out = BasicBlock::new();
-        out.term = blk.term.clone();
-        out.term_loc = blk.term_loc;
-
-        for node in &blk.insts {
-            let loc = node.loc;
-            match &node.inst {
-                Inst::Store { value, ptr } => {
-                    let vty = operand_type(m, f, value);
-                    if !m.types.is_ptr(vty) {
-                        out.insts.push(node.clone());
-                        continue;
-                    }
-                    let key = storage_of_addr(m, f, &defs, ptr);
-                    // Spill of a tagged universal double-pointer parameter:
-                    // the value arrives already pp-signed and tagged; store
-                    // it untouched so the tag survives in memory.
-                    if let StorageKey::Var(v) = key {
-                        if tagged_param_key(v) {
-                            let root = root_of_value(m, f, &defs, value);
-                            if root.key == Some(key) && !root.casted {
-                                out.insts.push(node.clone());
-                                continue;
-                            }
-                        }
-                    }
-                    let (pac_key, modifier) = class_info(m, analysis, key, vty);
-                    let use_loc = loc_policy.applies(analysis, key);
-                    let signed = fresh(&mut new_f.value_types, vty);
-                    out.insts.push(InstNode {
-                        inst: Inst::PacSign {
-                            result: signed,
-                            value: value.clone(),
-                            key: pac_key,
-                            modifier,
-                            loc: use_loc.then(|| ptr.clone()),
-                            site: PacSite::OnStore,
-                        },
-                        loc,
-                    });
-                    stats.signs_on_store += 1;
-                    out.insts.push(InstNode {
-                        inst: Inst::Store { value: signed.into(), ptr: ptr.clone() },
-                        loc,
-                    });
-                }
-                Inst::Load { result, ptr, ty } => {
-                    if !m.types.is_ptr(*ty) {
-                        out.insts.push(node.clone());
-                        continue;
-                    }
-                    let key = storage_of_addr(m, f, &defs, ptr);
-                    let raw = fresh(&mut new_f.value_types, *ty);
-                    out.insts.push(InstNode {
-                        inst: Inst::Load { result: raw, ptr: ptr.clone(), ty: *ty },
-                        loc,
-                    });
-                    if let StorageKey::Var(v) = key {
-                        if tagged_param_key(v) {
-                            out.insts.push(InstNode {
-                                inst: Inst::PpAuth {
-                                    result: *result,
-                                    value: raw.into(),
-                                    key: PacKey::Da,
-                                },
-                                loc,
-                            });
-                            stats.pp_auths += 1;
-                            continue;
-                        }
-                    }
-                    let (pac_key, modifier) = class_info(m, analysis, key, *ty);
-                    let use_loc = loc_policy.applies(analysis, key);
-                    out.insts.push(InstNode {
-                        inst: Inst::PacAuth {
-                            result: *result,
-                            value: raw.into(),
-                            key: pac_key,
-                            modifier,
-                            loc: use_loc.then(|| ptr.clone()),
-                            site: PacSite::OnLoad,
-                        },
-                        loc,
-                    });
-                    stats.auths_on_load += 1;
-                }
-                Inst::BitCast { result, value, to } => {
-                    out.insts.push(node.clone());
-                    // §4.6: STWC "authenticates and re-signs pointers when
-                    // casts happen"; STL does too (plus location). STC
-                    // merged the classes, so the cast is free; PARTS only
-                    // knows the element type and does nothing either.
-                    let is_const = !matches!(value, rsti_ir::Operand::Value(_));
-                    if matches!(mechanism, Mechanism::Stwc | Mechanism::Stl)
-                        && m.types.is_ptr(*to)
-                        && !is_const
-                    {
-                        let (pac_key, modifier) =
-                            (PacKey::Da, fallback_modifier(m, *to));
-                        let signed = fresh(&mut new_f.value_types, *to);
-                        out.insts.push(InstNode {
-                            inst: Inst::PacSign {
-                                result: signed,
-                                value: (*result).into(),
-                                key: pac_key,
-                                modifier,
-                                loc: None,
-                                site: PacSite::CastResign,
-                            },
-                            loc,
-                        });
-                        let authed = fresh(&mut new_f.value_types, *to);
-                        out.insts.push(InstNode {
-                            inst: Inst::PacAuth {
-                                result: authed,
-                                value: signed.into(),
-                                key: pac_key,
-                                modifier,
-                                loc: None,
-                                site: PacSite::CastResign,
-                            },
-                            loc,
-                        });
-                        stats.cast_resigns += 1;
-                        // Later uses still read the original result id; the
-                        // round-trip models the re-signing cost without
-                        // rewiring the dataflow (its output equals its
-                        // input on the clean in-register value).
-                        let _ = authed;
-                    }
-                }
-                Inst::Call { result, callee, args } => {
-                    let callee_f = m.func(*callee);
-                    let mut new_args = Vec::with_capacity(args.len());
-                    for (i, a) in args.iter().enumerate() {
-                        let aty = operand_type(m, f, a);
-                        if !m.types.is_ptr(aty) {
-                            new_args.push(a.clone());
-                            continue;
-                        }
-                        if callee_f.is_external {
-                            // §7: strip before entering uninstrumented code.
-                            let stripped = fresh(&mut new_f.value_types, aty);
-                            out.insts.push(InstNode {
-                                inst: Inst::PacStrip { result: stripped, value: a.clone() },
-                                loc,
-                            });
-                            stats.strips += 1;
-                            new_args.push(stripped.into());
-                            continue;
-                        }
-                        let root = root_of_value(m, f, &defs, a);
-                        let orig_ty = root.root_ty.unwrap_or(aty);
-                        let lost = root.casted
-                            && orig_ty != aty
-                            && m.types.ptr_depth(orig_ty) >= 2
-                            && mechanism != Mechanism::Parts;
-                        if lost {
-                            // Figure 7 sequence: pp_add, pp_sign, pp_add_tbi.
-                            if let Some(site) = pp_plan
-                                .sites
-                                .iter()
-                                .find(|s| s.func == fid && s.original_ty == orig_ty)
-                            {
-                                out.insts.push(InstNode {
-                                    inst: Inst::PpAdd {
-                                        ce: site.ce,
-                                        fe_modifier: site.fe_modifier,
-                                    },
-                                    loc,
-                                });
-                                let signed = fresh(&mut new_f.value_types, aty);
-                                out.insts.push(InstNode {
-                                    inst: Inst::PpSign {
-                                        result: signed,
-                                        value: a.clone(),
-                                        ce: site.ce,
-                                        key: PacKey::Da,
-                                    },
-                                    loc,
-                                });
-                                let tagged = fresh(&mut new_f.value_types, aty);
-                                out.insts.push(InstNode {
-                                    inst: Inst::PpAddTbi {
-                                        result: tagged,
-                                        value: signed.into(),
-                                        ce: site.ce,
-                                    },
-                                    loc,
-                                });
-                                stats.pp_signs += 1;
-                                new_args.push(tagged.into());
-                                continue;
-                            }
-                        }
-                        // Boundary re-signing: STWC on casted args; STL on
-                        // every pointer arg (the location changes).
-                        let resign = match mechanism {
-                            Mechanism::Stwc => root.casted,
-                            Mechanism::Stl => true,
-                            Mechanism::Stc | Mechanism::Parts => false,
-                        };
-                        if resign {
-                            let pkey = callee_f
-                                .params
-                                .get(i)
-                                .and_then(|(_, v)| *v)
-                                .map(StorageKey::Var);
-                            let (pac_key, modifier) = match pkey {
-                                Some(k) => class_info(m, analysis, k, aty),
-                                None => (PacKey::Da, fallback_modifier(m, aty)),
-                            };
-                            let site = if mechanism == Mechanism::Stl && !root.casted {
-                                PacSite::ArgResign
-                            } else {
-                                PacSite::CastResign
-                            };
-                            let signed = fresh(&mut new_f.value_types, aty);
-                            out.insts.push(InstNode {
-                                inst: Inst::PacSign {
-                                    result: signed,
-                                    value: a.clone(),
-                                    key: pac_key,
-                                    modifier,
-                                    loc: None,
-                                    site,
-                                },
-                                loc,
-                            });
-                            let authed = fresh(&mut new_f.value_types, aty);
-                            out.insts.push(InstNode {
-                                inst: Inst::PacAuth {
-                                    result: authed,
-                                    value: signed.into(),
-                                    key: pac_key,
-                                    modifier,
-                                    loc: None,
-                                    site,
-                                },
-                                loc,
-                            });
-                            if site == PacSite::ArgResign {
-                                stats.arg_resigns += 1;
-                            } else {
-                                stats.cast_resigns += 1;
-                            }
-                            new_args.push(authed.into());
-                            continue;
-                        }
-                        new_args.push(a.clone());
-                    }
-                    out.insts.push(InstNode {
-                        inst: Inst::Call { result: *result, callee: *callee, args: new_args },
-                        loc,
-                    });
-                }
-                Inst::CallIndirect { result, callee, args, sig } => {
-                    let mut new_args = Vec::with_capacity(args.len());
-                    for a in args.iter() {
-                        let aty = operand_type(m, f, a);
-                        let resign = m.types.is_ptr(aty)
-                            && match mechanism {
-                                Mechanism::Stl => true,
-                                Mechanism::Stwc => {
-                                    root_of_value(m, f, &defs, a).casted
-                                }
-                                _ => false,
-                            };
-                        if !resign {
-                            new_args.push(a.clone());
-                            continue;
-                        }
-                        // The callee is dynamic: bind to the argument's
-                        // static-type class (all the compiler can know).
-                        let (pac_key, modifier) = (PacKey::Da, fallback_modifier(m, aty));
-                        let signed = fresh(&mut new_f.value_types, aty);
-                        out.insts.push(InstNode {
-                            inst: Inst::PacSign {
-                                result: signed,
-                                value: a.clone(),
-                                key: pac_key,
-                                modifier,
-                                loc: None,
-                                site: PacSite::ArgResign,
-                            },
-                            loc,
-                        });
-                        let authed = fresh(&mut new_f.value_types, aty);
-                        out.insts.push(InstNode {
-                            inst: Inst::PacAuth {
-                                result: authed,
-                                value: signed.into(),
-                                key: pac_key,
-                                modifier,
-                                loc: None,
-                                site: PacSite::ArgResign,
-                            },
-                            loc,
-                        });
-                        stats.arg_resigns += 1;
-                        new_args.push(authed.into());
-                    }
-                    out.insts.push(InstNode {
-                        inst: Inst::CallIndirect {
-                            result: *result,
-                            callee: callee.clone(),
-                            sig: sig.clone(),
-                            args: new_args,
-                        },
-                        loc,
-                    });
-                }
-                _ => out.insts.push(node.clone()),
+    /// The one PA-sequence emitter. `site` picks the sequence and the
+    /// counter it bumps:
+    ///
+    /// | site          | sequence                    | counter          |
+    /// |---------------|-----------------------------|------------------|
+    /// | `OnStore`     | `pac` (before the store)    | `signs_on_store` |
+    /// | `OnLoad`      | `aut` into `into`           | `auths_on_load`  |
+    /// | `CastResign`  | `pac` → `aut` round trip    | `cast_resigns`   |
+    /// | `ArgResign`   | `pac` → `aut` round trip    | `arg_resigns`    |
+    ///
+    /// Fresh ids are allocated sign first, then auth. Returns the value
+    /// the sequence leaves: the signed pointer, or the authenticated one.
+    fn pa(
+        &mut self,
+        site: PacSite,
+        mut value: Operand,
+        ty: TypeId,
+        (key, modifier): (PacKey, u64),
+        loc: Option<Operand>,
+        into: Option<ValueId>,
+    ) -> ValueId {
+        let counter = match site {
+            PacSite::OnStore => &mut self.stats.signs_on_store,
+            PacSite::OnLoad => &mut self.stats.auths_on_load,
+            PacSite::CastResign => &mut self.stats.cast_resigns,
+            PacSite::ArgResign => &mut self.stats.arg_resigns,
+            PacSite::ExternalStrip | PacSite::NewPointer => {
+                unreachable!("the pass emits no {site:?} sign or auth")
             }
+        };
+        *counter += 1;
+        if site != PacSite::OnLoad {
+            let result = self.fresh(ty);
+            let loc = loc.clone();
+            self.push(Inst::PacSign { result, value, key, modifier, loc, site });
+            if site == PacSite::OnStore {
+                return result;
+            }
+            value = result.into();
         }
+        let result = into.unwrap_or_else(|| self.fresh(ty));
+        self.push(Inst::PacAuth { result, value, key, modifier, loc, site });
+        result
+    }
+
+    fn ty(&self, op: &Operand) -> TypeId {
+        operand_type(self.m, self.f, op)
+    }
+
+    fn is_ptr(&self, ty: TypeId) -> bool {
+        self.m.types.is_ptr(ty)
+    }
+
+    /// The class binding of a load/store of `ptr`: key, modifier and, when
+    /// the location policy applies, the slot address.
+    fn storage_class(
+        &self,
+        key: StorageKey,
+        ty: TypeId,
+        ptr: &Operand,
+    ) -> ((PacKey, u64), Option<Operand>) {
+        let use_loc = self.loc_policy.applies(self.analysis, key);
+        (class_info(self.m, self.analysis, key, ty), use_loc.then(|| ptr.clone()))
+    }
+
+    /// Whether `key` is a parameter receiving tagged double pointers.
+    fn tagged(&self, key: StorageKey) -> bool {
+        matches!(key, StorageKey::Var(v) if self.tagged_params.contains(&v))
+    }
+
+    fn block(&mut self, blk: &BasicBlock) -> BasicBlock {
+        self.insts = Vec::with_capacity(blk.insts.len());
+        for node in &blk.insts {
+            self.dbg = node.loc;
+            self.inst(&node.inst);
+        }
+        let mut term = blk.term.clone();
         // STL: a returned pointer changes location (callee frame → caller),
         // so it is re-signed at the boundary like an argument (§4.6).
-        if mechanism == Mechanism::Stl {
-            if let rsti_ir::Terminator::Ret(Some(op)) = &blk.term {
-                let rty = operand_type(m, f, op);
-                if m.types.is_ptr(rty) {
-                    let modifier = fallback_modifier(m, rty);
-                    let signed = fresh(&mut new_f.value_types, rty);
-                    out.insts.push(InstNode {
-                        inst: Inst::PacSign {
-                            result: signed,
-                            value: op.clone(),
-                            key: PacKey::Da,
-                            modifier,
-                            loc: None,
-                            site: PacSite::ArgResign,
-                        },
-                        loc: blk.term_loc,
-                    });
-                    let authed = fresh(&mut new_f.value_types, rty);
-                    out.insts.push(InstNode {
-                        inst: Inst::PacAuth {
-                            result: authed,
-                            value: signed.into(),
-                            key: PacKey::Da,
-                            modifier,
-                            loc: None,
-                            site: PacSite::ArgResign,
-                        },
-                        loc: blk.term_loc,
-                    });
-                    stats.arg_resigns += 1;
-                    out.term = rsti_ir::Terminator::Ret(Some(authed.into()));
-                }
+        if let (Mechanism::Stl, Terminator::Ret(Some(op))) = (self.mechanism, &blk.term) {
+            let rty = self.ty(op);
+            if self.is_ptr(rty) {
+                self.dbg = blk.term_loc;
+                let class = (PacKey::Da, fallback_modifier(self.m, rty));
+                let authed = self.pa(PacSite::ArgResign, op.clone(), rty, class, None, None);
+                term = Terminator::Ret(Some(authed.into()));
             }
         }
-        new_f.blocks[bi] = out;
+        BasicBlock { insts: std::mem::take(&mut self.insts), term, term_loc: blk.term_loc }
     }
-    new_f
+
+    fn inst(&mut self, inst: &Inst) {
+        let (m, f) = (self.m, self.f);
+        match inst {
+            Inst::Store { value, ptr } => {
+                let vty = self.ty(value);
+                if !self.is_ptr(vty) {
+                    return self.push(inst.clone());
+                }
+                let key = storage_of_addr(m, f, &self.defs, ptr);
+                // Spill of a tagged universal double-pointer parameter: the
+                // value arrives already pp-signed and tagged; store it
+                // untouched so the tag survives in memory.
+                if self.tagged(key) {
+                    let root = root_of_value(m, f, &self.defs, value);
+                    if root.key == Some(key) && !root.casted {
+                        return self.push(inst.clone());
+                    }
+                }
+                let (class, loc) = self.storage_class(key, vty, ptr);
+                let signed = self.pa(PacSite::OnStore, value.clone(), vty, class, loc, None);
+                self.push(Inst::Store { value: signed.into(), ptr: ptr.clone() });
+            }
+            Inst::Load { result, ptr, ty } => {
+                if !self.is_ptr(*ty) {
+                    return self.push(inst.clone());
+                }
+                let key = storage_of_addr(m, f, &self.defs, ptr);
+                let raw = self.fresh(*ty);
+                self.push(Inst::Load { result: raw, ptr: ptr.clone(), ty: *ty });
+                if self.tagged(key) {
+                    self.push(Inst::PpAuth { result: *result, value: raw.into(), key: PacKey::Da });
+                    self.stats.pp_auths += 1;
+                    return;
+                }
+                let (class, loc) = self.storage_class(key, *ty, ptr);
+                self.pa(PacSite::OnLoad, raw.into(), *ty, class, loc, Some(*result));
+            }
+            Inst::BitCast { result, value, to } => {
+                self.push(inst.clone());
+                // §4.6: STWC "authenticates and re-signs pointers when
+                // casts happen"; STL does too (plus location). STC merged
+                // the classes, so the cast is free; PARTS only knows the
+                // element type and does nothing either. Later uses still
+                // read the original result id: the round trip models the
+                // re-signing cost without rewiring the dataflow (its output
+                // equals its input on the clean in-register value).
+                if matches!(self.mechanism, Mechanism::Stwc | Mechanism::Stl)
+                    && self.is_ptr(*to)
+                    && matches!(value, Operand::Value(_))
+                {
+                    let class = (PacKey::Da, fallback_modifier(m, *to));
+                    self.pa(PacSite::CastResign, (*result).into(), *to, class, None, None);
+                }
+            }
+            Inst::Call { result, callee, args } => {
+                let callee_f = m.func(*callee);
+                let args = args.iter().enumerate().map(|(i, a)| self.call_arg(callee_f, i, a));
+                let args = args.collect();
+                self.push(Inst::Call { result: *result, callee: *callee, args });
+            }
+            Inst::CallIndirect { result, callee, args, sig } => {
+                let mut new_args = Vec::with_capacity(args.len());
+                for a in args {
+                    let aty = self.ty(a);
+                    let resign = self.is_ptr(aty)
+                        && match self.mechanism {
+                            Mechanism::Stl => true,
+                            Mechanism::Stwc => root_of_value(m, f, &self.defs, a).casted,
+                            Mechanism::Stc | Mechanism::Parts => false,
+                        };
+                    if !resign {
+                        new_args.push(a.clone());
+                        continue;
+                    }
+                    // The callee is dynamic: bind to the argument's
+                    // static-type class (all the compiler can know).
+                    let class = (PacKey::Da, fallback_modifier(m, aty));
+                    let authed = self.pa(PacSite::ArgResign, a.clone(), aty, class, None, None);
+                    new_args.push(authed.into());
+                }
+                self.push(Inst::CallIndirect {
+                    result: *result,
+                    callee: callee.clone(),
+                    sig: sig.clone(),
+                    args: new_args,
+                });
+            }
+            _ => self.push(inst.clone()),
+        }
+    }
+
+    /// Argument `i` of a direct call to `callee`, with whatever sequence
+    /// its boundary needs emitted before the call.
+    fn call_arg(&mut self, callee: &Function, i: usize, a: &Operand) -> Operand {
+        let aty = self.ty(a);
+        if !self.is_ptr(aty) {
+            return a.clone();
+        }
+        if callee.is_external {
+            // §7: strip before entering uninstrumented code.
+            let stripped = self.fresh(aty);
+            self.push(Inst::PacStrip { result: stripped, value: a.clone() });
+            self.stats.strips += 1;
+            return stripped.into();
+        }
+        let root = root_of_value(self.m, self.f, &self.defs, a);
+        let orig_ty = root.root_ty.unwrap_or(aty);
+        let lost = root.casted && orig_ty != aty && self.m.types.ptr_depth(orig_ty) >= 2;
+        // Figure 7 sequence: pp_add, pp_sign, pp_add_tbi (PARTS plans no CE).
+        if let Some(&(ce, fe_modifier)) = self.ce_of_ty.get(&orig_ty).filter(|_| lost) {
+            self.push(Inst::PpAdd { ce, fe_modifier });
+            let signed = self.fresh(aty);
+            self.push(Inst::PpSign { result: signed, value: a.clone(), ce, key: PacKey::Da });
+            let tagged = self.fresh(aty);
+            self.push(Inst::PpAddTbi { result: tagged, value: signed.into(), ce });
+            self.stats.pp_signs += 1;
+            return tagged.into();
+        }
+        // Boundary re-signing: STWC on casted args; STL on every pointer
+        // arg (the location changes).
+        let site = match self.mechanism {
+            Mechanism::Stl if !root.casted => PacSite::ArgResign,
+            Mechanism::Stl | Mechanism::Stwc if root.casted => PacSite::CastResign,
+            _ => return a.clone(),
+        };
+        let class = match callee.params.get(i).and_then(|(_, v)| *v) {
+            Some(v) => class_info(self.m, self.analysis, StorageKey::Var(v), aty),
+            None => (PacKey::Da, fallback_modifier(self.m, aty)),
+        };
+        self.pa(site, a.clone(), aty, class, None, None).into()
+    }
 }
 
 #[cfg(test)]

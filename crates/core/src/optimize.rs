@@ -1409,7 +1409,7 @@ fn find_hoistable_pair(
 /// per-execution modifier derivation (and its modeled `eor` surcharge)
 /// for these sites. Returns the number of modifiers folded.
 pub fn precompute_pac_modifiers(m: &mut Module) -> usize {
-    let gaddrs = m.global_addresses();
+    let (gaddrs, _) = m.global_addresses();
     let va = rsti_pac::VaConfig::paper_default();
     let mut folded = 0;
     for f in &mut m.funcs {

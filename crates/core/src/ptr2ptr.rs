@@ -14,7 +14,7 @@
 //! `pp_add` / `pp_sign` / `pp_add_tbi`, and the loads of the receiving
 //! parameters in `pp_auth`.
 
-use crate::sti::StiAnalysis;
+use crate::sti::{fnv1a_from, StiAnalysis};
 use crate::storage::{operand_type, root_of_value, DefMap};
 use rsti_ir::{FuncId, Inst, Module, Type, TypeId, VarId};
 use std::collections::HashMap;
@@ -61,10 +61,6 @@ pub struct PpPlan {
     pub census: PpCensus,
 }
 
-fn ptr_depth(m: &Module, ty: TypeId) -> u32 {
-    m.types.ptr_depth(ty)
-}
-
 /// Scans the module for double-pointer sites and assigns CEs for the
 /// lost-type subset.
 ///
@@ -85,7 +81,7 @@ pub fn plan_pp(m: &Module, analysis: &StiAnalysis) -> PpPlan {
         let defs = DefMap::new(f);
         for node in f.insts() {
             match &node.inst {
-                Inst::Load { ty, .. } if ptr_depth(m, *ty) >= 2 => {
+                Inst::Load { ty, .. } if m.types.ptr_depth(*ty) >= 2 => {
                     plan.census.total_sites += 1;
                 }
                 Inst::Call { callee, args, .. } => {
@@ -94,14 +90,14 @@ pub fn plan_pp(m: &Module, analysis: &StiAnalysis) -> PpPlan {
                         let aty = operand_type(m, f, a);
                         let root = root_of_value(m, f, &defs, a);
                         let orig_ty = root.root_ty.unwrap_or(aty);
-                        if ptr_depth(m, aty).max(ptr_depth(m, orig_ty)) < 2 {
+                        if m.types.ptr_depth(aty).max(m.types.ptr_depth(orig_ty)) < 2 {
                             continue;
                         }
                         plan.census.total_sites += 1;
                         // Lost type: cast on the path AND the static types
                         // disagree AND the original was a double pointer.
                         let lost =
-                            root.casted && orig_ty != aty && ptr_depth(m, orig_ty) >= 2;
+                            root.casted && orig_ty != aty && m.types.ptr_depth(orig_ty) >= 2;
                         if !lost || callee_f.is_external {
                             continue;
                         }
@@ -148,27 +144,15 @@ pub fn plan_pp(m: &Module, analysis: &StiAnalysis) -> PpPlan {
 /// ours is the type display hash, equally opaque to an attacker who cannot
 /// read the metadata store.)
 pub fn fe_modifier_for(m: &Module, analysis: &StiAnalysis, orig_ty: TypeId) -> u64 {
-    let mut h: u64 = 0x9E3779B97F4A7C15;
-    for b in m.types.display(orig_ty).bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h ^= analysis.mechanism as u64;
-    h
+    fnv1a_from(0x9E3779B97F4A7C15, m.types.display(orig_ty).as_bytes()) ^ analysis.mechanism as u64
 }
 
 /// Whether a type is a "universal" double pointer (`void**`, `char**`) —
 /// a parameter of this type that receives tagged arguments authenticates
 /// through `pp_auth`.
 pub fn is_universal_double_ptr(m: &Module, ty: TypeId) -> bool {
-    match m.types.get(ty) {
-        Type::Ptr(p) => match m.types.get(*p) {
-            Type::Ptr(q) => matches!(m.types.get(*q), Type::Void | Type::I8),
-            Type::Void => false,
-            _ => false,
-        },
-        _ => false,
-    }
+    let inner = m.types.pointee(ty).and_then(|p| m.types.pointee(p));
+    inner.is_some_and(|q| matches!(m.types.get(q), Type::Void | Type::I8))
 }
 
 #[cfg(test)]

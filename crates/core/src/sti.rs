@@ -182,12 +182,14 @@ impl StiAnalysis {
 /// FNV-1a, the stable hash behind modifiers (the paper uses internal LLVM
 /// type ids; any deterministic injection into 64 bits serves).
 fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    fnv1a_from(0xcbf29ce484222325, data)
+}
+
+/// FNV-1a's byte loop from another starting state: the instrumentation's
+/// fallback modifiers and the pointer-to-pointer FE modifiers hash a
+/// type's spelling from their own seeds.
+pub(crate) fn fnv1a_from(seed: u64, data: &[u8]) -> u64 {
+    data.iter().fold(seed, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
 }
 
 fn scope_name(m: &Module, s: Scope) -> String {

@@ -9,9 +9,8 @@
 //! which is exactly what the IR gives the LLVM pass in that case.
 
 use rsti_ir::{
-    FuncId, Function, Inst, Operand, StructId, TypeId, Module, ValueId, VarId,
+    Function, Inst, Operand, StructId, TypeId, Module, ValueId, VarId,
 };
-use std::collections::HashMap;
 
 /// Identifies the storage a pointer access touches. This is the unit the
 /// STI analysis assigns RSTI-types to.
@@ -26,19 +25,20 @@ pub enum StorageKey {
     TypeOf(TypeId),
 }
 
-/// Per-function map from value to its defining instruction, for def-chain
-/// walks.
+/// Per-function table from value to its defining instruction, for def-chain
+/// walks: one slot per [`ValueId`] of the function.
 pub struct DefMap<'f> {
-    defs: HashMap<ValueId, &'f Inst>,
+    defs: Vec<Option<&'f Inst>>,
 }
 
 impl<'f> DefMap<'f> {
-    /// Builds the def map of a function.
+    /// Builds the def table of a function. A result outside the
+    /// function's value table has no slot (the verifier reports it).
     pub fn new(f: &'f Function) -> Self {
-        let mut defs = HashMap::new();
+        let mut defs = vec![None; f.value_types.len()];
         for node in f.insts() {
-            if let Some(r) = node.inst.result() {
-                defs.insert(r, &node.inst);
+            if let Some(slot) = node.inst.result().and_then(|r| defs.get_mut(r.0 as usize)) {
+                *slot = Some(&node.inst);
             }
         }
         DefMap { defs }
@@ -46,7 +46,7 @@ impl<'f> DefMap<'f> {
 
     /// The defining instruction of `v`, if `v` is not a parameter.
     pub fn def(&self, v: ValueId) -> Option<&'f Inst> {
-        self.defs.get(&v).copied()
+        self.defs.get(v.0 as usize).copied().flatten()
     }
 }
 
@@ -109,20 +109,15 @@ fn storage_of_value_addr(
         Inst::FieldAddr { struct_id, field, .. } => {
             StorageKey::Field(*struct_id, *field as u32)
         }
-        Inst::IndexAddr { base, .. } => match base {
+        // Indexing, casts and PA ops keep the storage of their source.
+        Inst::IndexAddr { base: src, .. }
+        | Inst::BitCast { value: src, .. }
+        | Inst::PacAuth { value: src, .. }
+        | Inst::PacSign { value: src, .. }
+        | Inst::PacStrip { value: src, .. } => match src {
             Operand::Value(b) => storage_of_value_addr(m, f, defs, *b, depth + 1),
             other => storage_of_addr(m, f, defs, other),
         },
-        Inst::BitCast { value, .. } => match value {
-            Operand::Value(b) => storage_of_value_addr(m, f, defs, *b, depth + 1),
-            other => storage_of_addr(m, f, defs, other),
-        },
-        Inst::PacAuth { value, .. } | Inst::PacSign { value, .. } | Inst::PacStrip { value, .. } => {
-            match value {
-                Operand::Value(b) => storage_of_value_addr(m, f, defs, *b, depth + 1),
-                other => storage_of_addr(m, f, defs, other),
-            }
-        }
         // Address arrived through a load (e.g. `*pp` used as an address),
         // a call result, or malloc: anonymous storage of the pointee type.
         _ => {
@@ -244,16 +239,6 @@ fn root_of_value_id(
         },
         _ => ValueRoot { key: None, root_ty: None, casted, is_address: false },
     }
-}
-
-/// Convenience: the storage key of a function id (used to look up callee
-/// parameter variables).
-pub fn param_keys(m: &Module, fid: FuncId) -> Vec<Option<StorageKey>> {
-    m.func(fid)
-        .params
-        .iter()
-        .map(|(_, var)| var.map(StorageKey::Var))
-        .collect()
 }
 
 #[cfg(test)]

@@ -153,6 +153,16 @@ impl Lower {
                 self.module.types.struct_def_mut(sid).fields = defs;
             }
         }
+        // A struct holding itself by value has no size (C rejects the field
+        // as an incomplete type); the id check's sizing pass finds it.
+        if let Err(errs) = rsti_ir::check_ids(&self.module, []) {
+            let msg = &errs[0].msg;
+            let line = items.iter().find_map(|item| match item {
+                Item::Struct { name, line, .. } if msg.contains(&format!("`{name}`")) => Some(*line),
+                _ => None,
+            });
+            return Err(CompileError::new(line.unwrap_or(0), msg.clone()));
+        }
 
         // Pass 2: declare functions (so bodies can forward-reference).
         for item in items {

@@ -8,7 +8,7 @@
 
 use crate::debug::{VarId, VarInfo};
 use crate::function::Function;
-use crate::types::{TypeId, TypeTable};
+use crate::types::{Sizer, TypeId, TypeTable};
 use std::fmt;
 
 /// Index of a function in a module.
@@ -166,20 +166,27 @@ impl Module {
     }
 
     /// The virtual address every global will live at when this module is
-    /// loaded: `GLOBAL_SEG_BASE` plus the cumulative 8-byte-aligned sizes
-    /// of the preceding globals. Deterministic per module — the VM's
-    /// loader uses exactly this layout, which is what lets the optimizer
-    /// precompute STL location-mixed modifiers statically.
-    pub fn global_addresses(&self) -> Vec<u64> {
-        let mut addrs = Vec::with_capacity(self.globals.len());
-        let mut off = 0u64;
-        for g in &self.globals {
-            addrs.push(GLOBAL_SEG_BASE.saturating_add(off));
-            off = off.saturating_add(
-                self.types.size_of(g.ty).max(8).div_ceil(8).saturating_mul(8),
-            );
-        }
-        addrs
+    /// loaded, and the size in bytes of the globals segment: each global
+    /// sits at `GLOBAL_SEG_BASE` plus the sizes of the preceding globals,
+    /// each rounded up to a multiple of 8 bytes (at least 8), all
+    /// saturating, sized by [`crate::TypeTable::size_of`]'s one pass.
+    /// Deterministic per module — the VM's loader uses exactly this
+    /// layout, which is what lets the optimizer precompute STL
+    /// location-mixed modifiers statically.
+    pub fn global_addresses(&self) -> (Vec<u64>, u64) {
+        let mut sizer = Sizer::new(&self.types);
+        let mut end = 0u64;
+        let addrs = self
+            .globals
+            .iter()
+            .map(|g| {
+                let addr = GLOBAL_SEG_BASE.saturating_add(end);
+                let size = sizer.size(g.ty).unwrap_or(u64::MAX);
+                end = end.saturating_add(size.max(8).div_ceil(8).saturating_mul(8));
+                addr
+            })
+            .collect();
+        (addrs, end)
     }
 
     /// Iterator over `(FuncId, &Function)` pairs.

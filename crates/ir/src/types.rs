@@ -305,46 +305,41 @@ impl TypeTable {
         }
     }
 
-    /// Size of the type in bytes under the VM's data layout (pointers are 8
-    /// bytes, `bool` is 1 byte, structs have no padding beyond natural field
-    /// sizes — a simplification the whole workspace shares).
+    /// Size of the type in bytes under the VM's data layout, the one rule
+    /// the workspace shares: pointers, `long` and `double` are 8 bytes,
+    /// `int` 4, `short` 2, `char` and `bool` 1, `void` and bare function
+    /// types 0; a struct is the sum of its field sizes (no padding) and an
+    /// array its element size times its length, all saturating. A struct
+    /// that contains itself by value (directly, or through a field that
+    /// does) has no finite size and reads `u64::MAX`; [`crate::check_ids`]
+    /// reports it. Every size, offset and global address is read from one
+    /// iterative pass that sizes each type once.
     pub fn size_of(&self, id: TypeId) -> u64 {
-        match self.get(id) {
-            Type::Void => 0,
-            Type::Bool | Type::I8 => 1,
-            Type::I16 => 2,
-            Type::I32 => 4,
-            Type::I64 | Type::F64 | Type::Ptr(_) => 8,
-            Type::Struct(sid) => {
-                let def = self.struct_def(*sid);
-                def.fields
-                    .iter()
-                    .fold(0u64, |acc, f| acc.saturating_add(self.size_of(f.ty)))
-            }
-            // Saturating: a declared `long a[<huge>]` must yield a size the
-            // VM's segment bound can reject, not a multiply overflow.
-            Type::Array(elem, n) => self.size_of(*elem).saturating_mul(*n),
-            // A bare function type has no storage; only pointers to it do.
-            Type::Func(_) => 0,
-        }
+        Sizer::new(self).size(id).unwrap_or(u64::MAX)
     }
 
-    /// Byte offset of field `idx` inside struct `sid`.
+    /// Byte offset of field `idx` inside struct `sid` (saturating).
     ///
     /// # Panics
     /// Panics when `idx` is out of range for the struct.
     pub fn field_offset(&self, sid: StructId, idx: usize) -> u64 {
         let def = self.struct_def(sid);
         assert!(idx < def.fields.len(), "field index out of range");
-        def.fields[..idx].iter().map(|f| self.size_of(f.ty)).sum()
+        let mut sizer = Sizer::new(self);
+        def.fields[..idx]
+            .iter()
+            .fold(0, |off, f| off.saturating_add(sizer.size(f.ty).unwrap_or(u64::MAX)))
     }
 
     /// Precomputes the data layout of every interned type and struct, so
     /// per-access address arithmetic (the interpreter's `IndexAddr` /
     /// `FieldAddr` / `Alloca` paths) is an indexed load instead of a
-    /// recursive walk over struct definitions.
+    /// walk over struct definitions. One sizing pass sizes every type
+    /// once.
     pub fn layout(&self) -> TypeLayout {
-        let sizes = (0..self.types.len()).map(|i| self.size_of(TypeId(i as u32))).collect();
+        let mut sizer = Sizer::new(self);
+        let mut size = |ty| sizer.size(ty).unwrap_or(u64::MAX);
+        let sizes = (0..self.types.len() as u32).map(|i| size(TypeId(i))).collect();
         let field_offsets = self
             .structs
             .iter()
@@ -354,7 +349,7 @@ impl TypeTable {
                     .iter()
                     .map(|f| {
                         let o = off;
-                        off += self.size_of(f.ty);
+                        off = off.saturating_add(size(f.ty));
                         o
                     })
                     .collect()
@@ -408,6 +403,88 @@ impl TypeLayout {
     #[inline]
     pub fn field_offset(&self, sid: StructId, idx: usize) -> u64 {
         self.field_offsets[sid.0 as usize][idx]
+    }
+}
+
+/// The one sizing pass, under the rule [`TypeTable::size_of`] states:
+/// `size_of`, [`TypeTable::field_offset`], [`TypeTable::layout`],
+/// [`crate::Module::global_addresses`] and `check_ids`'s cycle report all
+/// read it. The walk follows by-value edges only (struct fields, array
+/// elements) on an explicit stack, so it sizes each type once and never
+/// recurses; a struct on a by-value cycle, or containing one by value,
+/// is left unsized.
+pub(crate) struct Sizer<'t> {
+    types: &'t TypeTable,
+    memo: HashMap<TypeId, Sizing>,
+}
+
+#[derive(Clone, Copy)]
+enum Sizing {
+    /// On the walk's stack: reaching it again closes a by-value cycle.
+    Open,
+    Done(Option<u64>),
+}
+
+impl<'t> Sizer<'t> {
+    pub(crate) fn new(types: &'t TypeTable) -> Self {
+        Sizer { types, memo: HashMap::new() }
+    }
+
+    /// The size of a type holding no other type by value.
+    fn leaf(&self, ty: TypeId) -> Option<u64> {
+        Some(match self.types.get(ty) {
+            Type::Void | Type::Func(_) => 0,
+            Type::Bool | Type::I8 => 1,
+            Type::I16 => 2,
+            Type::I32 => 4,
+            Type::I64 | Type::F64 | Type::Ptr(_) => 8,
+            Type::Struct(_) | Type::Array(..) => return None,
+        })
+    }
+
+    /// The `i`-th type `ty` holds by value.
+    fn part(&self, ty: TypeId, i: usize) -> Option<TypeId> {
+        match self.types.get(ty) {
+            Type::Struct(s) => self.types.struct_def(*s).fields.get(i).map(|f| f.ty),
+            Type::Array(e, _) => (i == 0).then_some(*e),
+            _ => None,
+        }
+    }
+
+    /// Size of `ty` in bytes; `None` when it contains itself by value.
+    pub(crate) fn size(&mut self, ty: TypeId) -> Option<u64> {
+        // Each frame: a type being sized, its next part, and the sum of
+        // its parts so far (`None` once one is unsized).
+        let mut stack: Vec<(TypeId, usize, Option<u64>)> = Vec::new();
+        let mut next = Some(ty);
+        loop {
+            let got = match next.take() {
+                Some(t) => match (self.leaf(t), self.memo.get(&t)) {
+                    (Some(n), _) => Some(n),
+                    (None, Some(Sizing::Done(n))) => *n,
+                    (None, Some(Sizing::Open)) => None,
+                    (None, None) => {
+                        self.memo.insert(t, Sizing::Open);
+                        stack.push((t, 1, Some(0)));
+                        next = self.part(t, 0);
+                        continue;
+                    }
+                },
+                None => {
+                    let (t, _, sum) = stack.pop().expect("a type is being sized");
+                    let n = match self.types.get(t) {
+                        Type::Array(_, len) => sum.map(|e| e.saturating_mul(*len)),
+                        _ => sum,
+                    };
+                    self.memo.insert(t, Sizing::Done(n));
+                    n
+                }
+            };
+            let Some((t, i, sum)) = stack.last_mut() else { return got };
+            *sum = sum.zip(got).map(|(a, b)| a.saturating_add(b));
+            next = self.part(*t, *i);
+            *i += 1;
+        }
     }
 }
 
@@ -479,6 +556,67 @@ mod tests {
         assert!(!t.is_func_ptr(t.i32()));
         let vp = t.void_ptr();
         assert!(!t.is_func_ptr(vp));
+    }
+
+    /// `chain[i]` holds `chain[i - 1]` by value, twice when `doubling`.
+    fn chain(t: &mut TypeTable, n: usize, doubling: bool) -> Vec<TypeId> {
+        let mut tys = vec![t.i64()];
+        for i in 0..n {
+            let field = |name: &str| FieldDef { name: name.into(), ty: tys[i], is_const: false };
+            let mut fields = vec![field("a")];
+            if doubling {
+                fields.push(field("b"));
+            }
+            let sid = t.declare_struct(StructDef { name: format!("s{i}"), fields });
+            tys.push(t.intern(Type::Struct(sid)));
+        }
+        tys
+    }
+
+    #[test]
+    fn doubling_types_saturate_in_one_pass() {
+        let mut t = TypeTable::new();
+        let tys = chain(&mut t, 64, true);
+        assert_eq!(t.size_of(tys[10]), 8 << 10);
+        assert_eq!(t.size_of(tys[64]), u64::MAX, "2^67 bytes saturates");
+        let last = StructId(63);
+        assert_eq!(t.field_offset(last, 1), u64::MAX);
+        let l = t.layout();
+        assert_eq!(l.size_of(tys[60]), 8 << 60);
+        assert_eq!(l.field_offset(last, 1), u64::MAX);
+    }
+
+    #[test]
+    fn long_linear_chains_lay_out() {
+        let mut t = TypeTable::new();
+        let tys = chain(&mut t, 100_000, false);
+        assert_eq!(t.size_of(tys[100_000]), 8);
+        assert_eq!(t.layout().size_of(tys[99_999]), 8);
+    }
+
+    #[test]
+    fn by_value_cycles_are_unsized_not_recursed() {
+        let mut t = TypeTable::new();
+        // a { b x; long y; }, b { a z[3]; }, c { a* p; b q; }
+        let declare = |t: &mut TypeTable, name: &str| {
+            let sid = t.declare_struct(StructDef { name: name.into(), fields: vec![] });
+            (sid, t.intern(Type::Struct(sid)))
+        };
+        let ((a, at), (b, bt), (c, _)) =
+            (declare(&mut t, "a"), declare(&mut t, "b"), declare(&mut t, "c"));
+        let f = |ty| FieldDef { name: "f".into(), ty, is_const: false };
+        let (i64t, a3, ap) = (t.i64(), t.array(at, 3), t.ptr(at));
+        t.struct_def_mut(a).fields = vec![f(bt), f(i64t)];
+        t.struct_def_mut(b).fields = vec![f(a3)];
+        t.struct_def_mut(c).fields = vec![f(ap), f(bt)];
+        assert_eq!(t.size_of(at), u64::MAX);
+        assert_eq!(t.size_of(ap), 8, "a pointer to a cyclic struct is sized");
+        assert_eq!(t.field_offset(c, 1), 8);
+        let mut sizer = Sizer::new(&t);
+        assert_eq!(sizer.size(at), None);
+        assert_eq!(sizer.size(bt), None);
+        assert_eq!(sizer.size(ap), Some(8));
+        assert_eq!(t.layout().size_of(a3), u64::MAX);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use crate::function::Function;
 use crate::inst::{Inst, Operand, Terminator};
 use crate::module::{GlobalId, GlobalInit, Module};
-use crate::types::{FuncSig, StructId, Type, TypeId, TypeTable};
+use crate::types::{FuncSig, Sizer, Type, TypeId, TypeTable};
 use std::fmt;
 
 /// A single verification failure.
@@ -181,26 +181,13 @@ impl Ids<'_> {
         if !self.errs.is_empty() {
             return;
         }
-        let by_value = |mut ty: TypeId| {
-            while let Type::Array(e, _) = t.get(ty) {
-                ty = *e;
+        // One sizing pass; a struct whose fields do not all size sits on,
+        // or contains, a by-value cycle.
+        let mut sizer = Sizer::new(t);
+        for (s, def) in t.structs() {
+            if def.fields.iter().any(|f| sizer.size(f.ty).is_none()) {
+                self.err(format!("struct #{} `{}` contains itself by value", s.0, def.name));
             }
-            match t.get(ty) {
-                Type::Struct(s) => Some(s.0 as usize),
-                _ => None,
-            }
-        };
-        // Sizes resolve bottom-up; a struct left unsized sits on a cycle.
-        let mut sized = vec![false; t.struct_count()];
-        let fields_sized = |s: usize, sized: &[bool]| {
-            let fields = &t.struct_def(StructId(s as u32)).fields;
-            fields.iter().all(|f| by_value(f.ty).is_none_or(|d| sized[d]))
-        };
-        while let Some(s) = (0..sized.len()).find(|&s| !sized[s] && fields_sized(s, &sized)) {
-            sized[s] = true;
-        }
-        for (s, def) in t.structs().filter(|(s, _)| !sized[s.0 as usize]) {
-            self.err(format!("struct #{} `{}` contains itself by value", s.0, def.name));
         }
     }
 

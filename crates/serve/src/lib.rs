@@ -908,6 +908,27 @@ mod tests {
         assert!(lines[1].contains("\"status\":\"exit 3\""), "{}", lines[1]);
     }
 
+    /// The hostile-types batch CI serves: a struct holding itself by value
+    /// (through `sizeof`, and as a global at ipo) and a 64-level doubling
+    /// global, each followed by a normal request that must be answered.
+    #[test]
+    fn hostile_types_are_answered_and_so_is_the_next_line() {
+        let server = Server::new(ServeConfig { workers: 2, ..ServeConfig::default() });
+        let input = include_str!("../../../samples/hostile_types.jsonl");
+        let mut out = Vec::new();
+        serve_lines(&server, input.as_bytes(), &mut out).unwrap();
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(lines.len(), 6, "{lines:?}");
+        for (line, name) in [(lines[0], "a"), (lines[2], "b")] {
+            let want = format!("\"ok\":false,\"error\":\"compile error: line 1: struct #0 `{name}`");
+            assert!(line.contains(&want) && line.contains("contains itself by value"), "{line}");
+        }
+        assert!(lines[4].contains("\"status\":\"trap: memory fault in <loader>"), "{}", lines[4]);
+        for line in [lines[1], lines[3], lines[5]] {
+            assert!(line.contains("\"status\":\"exit 3\""), "{line}");
+        }
+    }
+
     #[test]
     fn a_non_utf8_line_is_an_error_and_the_session_goes_on() {
         let server = Server::new(ServeConfig { workers: 1, ..ServeConfig::default() });

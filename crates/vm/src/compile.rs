@@ -389,7 +389,7 @@ pub(crate) fn compile_module(img: &Image) -> CompiledModule {
     let cx = Cx {
         m,
         tl: m.types.layout(),
-        gaddr: m.global_addresses(),
+        gaddr: m.global_addresses().0,
         saddr,
         cost: img.cost,
         backend: img.backend,

@@ -28,8 +28,8 @@
 use crate::cycles::CostModel;
 use crate::mem::{layout, Allocator, MemFault, Memory};
 use rsti_core::{
-    check_sites, optimize_module, optimize_program_at, CheckSite, GlobalSign, InstrumentStats,
-    InstrumentedProgram, MechChoice, Mechanism, OptLevel,
+    check_sites, optimize_module, optimize_program_at, pac_site_name, CheckSite, GlobalSign,
+    InstrumentStats, InstrumentedProgram, MechChoice, Mechanism, OptLevel,
 };
 use rsti_ir::{
     term_successors, BinOp, CmpOp, FuncId, GlobalInit, Inst, Module, Operand, PacKey,
@@ -314,17 +314,6 @@ enum PpFail {
     NotRegistered { ce: u64 },
     MissingTag,
     NotInStore { ce: u64 },
-}
-
-fn site_name(site: PacSite) -> &'static str {
-    match site {
-        PacSite::OnStore => "on_store",
-        PacSite::OnLoad => "on_load",
-        PacSite::CastResign => "cast_resign",
-        PacSite::ArgResign => "arg_resign",
-        PacSite::ExternalStrip => "external_strip",
-        PacSite::NewPointer => "new_pointer",
-    }
 }
 
 impl ExecResult {
@@ -1775,7 +1764,7 @@ impl<'img> Vm<'img> {
         key: u8,
     ) -> Trap {
         self.record_audit(
-            site_name(site),
+            pac_site_name(site),
             inst,
             modifier,
             format!("found PAC {found:#x}, expected {expected:#x}"),
@@ -1784,7 +1773,7 @@ impl<'img> Vm<'img> {
             self.rec_synthesize(
                 "pac_auth_failure",
                 inst,
-                site_name(site),
+                pac_site_name(site),
                 modifier,
                 value,
                 key,
@@ -1814,7 +1803,7 @@ impl<'img> Vm<'img> {
         key: u8,
     ) -> Trap {
         self.record_audit(
-            site_name(site),
+            pac_site_name(site),
             inst,
             modifier,
             format!("MAC missing or stale, expected {expected:#x}"),
@@ -1823,7 +1812,7 @@ impl<'img> Vm<'img> {
             self.rec_synthesize(
                 "pac_auth_failure",
                 inst,
-                site_name(site),
+                pac_site_name(site),
                 modifier,
                 value,
                 key,
@@ -2220,15 +2209,9 @@ fn load_data(
     // Globals layout — delegated to the module so the optimizer's
     // precomputed-modifier pass folds exactly the addresses the VM
     // loads at (`rsti_ir::Module::global_addresses` is the contract).
-    let gaddr = m.global_addresses();
-    let goff = match (gaddr.last(), m.globals.last()) {
-        (Some(&base), Some(g)) => base
-            .saturating_sub(layout::GLOBAL_BASE)
-            // Saturating: absurd global sizes must survive layout so
-            // the segment-size check below can reject them with a trap.
-            .saturating_add(m.types.size_of(g.ty).max(8).div_ceil(8).saturating_mul(8)),
-        _ => 0,
-    };
+    // The segment size saturates: absurd global sizes must survive layout
+    // so the segment-size check below can reject them with a trap.
+    let (gaddr, goff) = m.global_addresses();
     let (saddr, soff) = string_addresses(m);
     // Segment sizes are program-derived (a huge global array inflates
     // `goff`): an oversized request is a trap, not a host abort.

@@ -8,8 +8,9 @@
 //! a value of the wrong shape traps when its op runs.
 
 use rsti_ir::{
-    BasicBlock, BinOp, BlockId, FuncSig, GlobalDef, GlobalId, GlobalInit, Inst, InstNode, Module,
-    Operand, Scope, StrId, StructId, Terminator, TypeId, ValueId, VarId, VarInfo, VarKind,
+    BasicBlock, BinOp, BlockId, FieldDef, FuncSig, GlobalDef, GlobalId, GlobalInit, Inst,
+    InstNode, Module, Operand, Scope, StrId, StructDef, StructId, Terminator, Type, TypeId,
+    ValueId, VarId, VarInfo, VarKind,
 };
 use rsti_vm::{ExecBackend, Image, Status, Trap, Vm};
 
@@ -22,6 +23,22 @@ struct Tys {
     p_i32: TypeId,
     p_i64: TypeId,
     p_i8: TypeId,
+}
+
+/// A module holding only the type table [`Tys`] names; each case adds
+/// its `main`.
+fn base() -> (Module, Tys) {
+    let mut base = Module::new("ops");
+    let tys = Tys {
+        i32: base.types.i32(),
+        i64: base.types.i64(),
+        f64: base.types.f64(),
+        void: base.types.void(),
+        p_i32: base.types.ptr(base.types.i32()),
+        p_i64: base.types.ptr(base.types.i64()),
+        p_i8: base.types.ptr(base.types.i8()),
+    };
+    (base, tys)
 }
 
 /// When a case's `BadProgram` trap fires: at load, from the image's id
@@ -85,6 +102,17 @@ fn cases(base: &Module, t: &Tys) -> Vec<Case> {
     let external_main = {
         let mut m = base.clone();
         m.declare_func("main", FuncSig::new(t.i64, vec![]), true);
+        m
+    };
+    // A global of `struct s { struct s inner[2]; }`.
+    let cyclic_global = {
+        let mut m = with_global(t.i64, GlobalInit::Zero);
+        let s = m.types.declare_struct(StructDef { name: "s".into(), fields: vec![] });
+        let st = m.types.intern(Type::Struct(s));
+        let inner = m.types.array(st, 2);
+        let field = FieldDef { name: "inner".into(), ty: inner, is_const: false };
+        m.types.struct_def_mut(s).fields.push(field);
+        m.globals[0].ty = st;
         m
     };
     let blockless_callee = {
@@ -294,6 +322,12 @@ fn cases(base: &Module, t: &Tys) -> Vec<Case> {
             "main: `main` is an external declaration",
         ),
         (
+            "global of a struct that contains itself",
+            cyclic_global,
+            At::Load,
+            "types: struct #0 `s` contains itself by value",
+        ),
+        (
             "defined function without blocks",
             blockless_callee,
             At::Load,
@@ -302,19 +336,23 @@ fn cases(base: &Module, t: &Tys) -> Vec<Case> {
     ]
 }
 
+/// The optimizer's static global layout (the STL modifier folding at
+/// cfg/ipo) sizes a struct that contains itself by value without
+/// recursing, so the loader's id check is what answers it.
+#[test]
+fn a_cyclic_global_is_laid_out_without_recursing() {
+    let (base, tys) = base();
+    let (_, mut m, ..) = cases(&base, &tys)
+        .into_iter()
+        .find(|(what, ..)| what.contains("contains itself"))
+        .expect("the cyclic-global case");
+    assert_eq!(m.global_addresses(), (vec![rsti_ir::GLOBAL_SEG_BASE], u64::MAX));
+    assert_eq!(rsti_core::optimize::precompute_pac_modifiers(&mut m), 0);
+}
+
 #[test]
 fn malformed_ops_trap_with_exact_messages_under_both_engines() {
-    // A module holding only the type table; each case adds its `main`.
-    let mut base = Module::new("ops");
-    let tys = Tys {
-        i32: base.types.i32(),
-        i64: base.types.i64(),
-        f64: base.types.f64(),
-        void: base.types.void(),
-        p_i32: base.types.ptr(base.types.i32()),
-        p_i64: base.types.ptr(base.types.i64()),
-        p_i8: base.types.ptr(base.types.i8()),
-    };
+    let (base, tys) = base();
     for (what, m, at, msg) in cases(&base, &tys) {
         for exec in [ExecBackend::Interp, ExecBackend::Compiled] {
             let img = Image::baseline(&m).with_exec(exec);
