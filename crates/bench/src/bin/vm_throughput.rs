@@ -41,8 +41,8 @@
 //! record-on deterministic totals must be bit-identical to the default
 //! record-off run (the recorder only observes), and the recorder-on cost
 //! is recorded beside the attr cost. Every run appends one
-//! schema-versioned line to `reports/bench_history.jsonl` — the
-//! trajectory log that `rsti report` diffs.
+//! schema-versioned line to `reports/bench_history.jsonl`, the
+//! trajectory log the gates below diff.
 //!
 //! The run then gates itself ([`rsti_bench::gates`]): it diffs its entry
 //! against the last committed one (read before appending), prints
@@ -366,9 +366,8 @@ fn main() {
     std::fs::write("BENCH_vm.json", json + "\n").expect("write BENCH_vm.json");
     println!("wrote BENCH_vm.json");
 
-    // One schema-versioned line per run appended to the trajectory log —
-    // `rsti report` diffs the last two entries, and the gates below diff
-    // this one against the last committed one.
+    // One schema-versioned line per run appended to the trajectory log;
+    // the gates below diff it against the last committed one.
     let unix_ts = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())

@@ -103,14 +103,13 @@ mod tests {
     use super::*;
     use rsti_telemetry::parse_json;
 
-    /// A passing entry (insts/sec 1000 on both engines) with `edits`
-    /// applied; `None` drops the field.
+    /// A passing entry: insts/sec 1000 on both engines.
+    const PASSING: &str = r#"{"schema":1,"insts_per_sec":1000,"compiled_insts_per_sec":1000,
+        "compiled_speedup_vs_interp":1.2,"attr_cost_pct":10.0,"serve_warm_speedup":20.0}"#;
+
+    /// [`PASSING`] with `edits` applied; `None` drops the field.
     fn entry(edits: &[(&str, Option<f64>)]) -> Json {
-        let mut e = parse_json(
-            r#"{"schema":1,"insts_per_sec":1000,"compiled_insts_per_sec":1000,
-               "compiled_speedup_vs_interp":1.2,"attr_cost_pct":10.0,"serve_warm_speedup":20.0}"#,
-        )
-        .unwrap();
+        let mut e = parse_json(PASSING).unwrap();
         let Json::Obj(fields) = &mut e else { unreachable!() };
         for &(k, v) in edits {
             fields.retain(|(name, _)| name != k);
@@ -151,6 +150,10 @@ mod tests {
     fn missing_or_other_schema_prior_entry_skips_the_diff() {
         let halved = entry(&[("insts_per_sec", Some(500.0)), ("compiled_insts_per_sec", Some(500.0))]);
         assert_eq!(check_trajectory(Some(&entry(&[])), &halved).warnings.len(), 2);
+        // Older history lines were written with `": "` / `", "` separators;
+        // they diff the same.
+        let spaced = parse_json(&PASSING.replace(':', ": ").replace(',', ", ")).unwrap();
+        assert_eq!(check_trajectory(Some(&spaced), &halved).warnings.len(), 2);
         for prev in [None, Some(entry(&[("schema", Some(0.0))]))] {
             let r = check_trajectory(prev.as_ref(), &halved);
             assert!(r.warnings.is_empty() && r.notes[0].contains("skipped"), "{r:?}");

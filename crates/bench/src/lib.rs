@@ -1,15 +1,22 @@
 //! # rsti-bench — the performance-evaluation harness (paper §6.2–6.3)
 //!
 //! Regenerates every quantitative artifact of the paper's evaluation from
-//! the workload proxies:
+//! the workload proxies. Each committed report has one renderer in
+//! [`reports`]; the `make_report` binary writes them all into `reports/`
+//! and gates the optimizer ladder ([`reports::ladder_failures`]):
 //!
-//! | artifact | binary | module |
+//! | artifact | file under `reports/` | renderer |
 //! |---|---|---|
-//! | Figure 9 (per-benchmark overhead + geomeans) | `fig9` | [`reports::Fig9`] |
-//! | Figure 10 (box plots) | `fig10` | [`reports::render_fig10`] |
-//! | Table 3 (equivalence classes) | `table3` | [`reports::render_table3`] |
-//! | §6.2.2 (pointer-to-pointer census) | `pp_census` | [`reports::render_pp_census`] |
-//! | §6.3.2 (PARTS comparison) | `parts_compare` | [`reports::render_parts_compare`] |
+//! | Table 1 (attacks × defenses) | `table1.txt` | [`reports::render_table1`] |
+//! | Table 2 (attacker restrictions) | `table2.txt` | [`reports::render_table2`] |
+//! | Table 3 (equivalence classes) | `table3.txt` | [`reports::render_table3`] |
+//! | §6.2.2 (pointer-to-pointer census) | `pp_census.txt` | [`reports::render_pp_census`] |
+//! | §7 (replay surface, adaptive mechanism) | `replay_surface.txt` | [`reports::render_replay_surface`] |
+//! | Figure 9 (per-benchmark overhead + geomeans) | `fig9.txt` | [`reports::Fig9`] |
+//! | Figure 10 (box plots) | `fig10.txt` | [`reports::render_fig10`] |
+//! | §6.3.2 (PARTS comparison) | `parts_compare.txt` | [`reports::render_parts_compare`] |
+//! | §4.7.2 / §6.3.2 (optimization ablation) | `opt_compare.md` | [`reports::render_opt_compare`] |
+//! | attribution hotspots (nbench + NGINX) | `hotspots.md` | [`reports::render_hotspots`] |
 //!
 //! The ablation bench (plain timing harness, [`timing`]) lives under
 //! `benches/`; the `vm_throughput` binary records the VM's

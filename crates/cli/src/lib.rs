@@ -9,7 +9,6 @@
 //! rsti profile <file.mc> [--mech ...] [--backend ...] [--opt none|block|cfg|ipo]
 //!                        [--attr] [--top N] [--flame out.folded] [--chrome out.json]
 //!                        [--trace out.jsonl]
-//! rsti report [--out DIR] [--top N] [--history reports/bench_history.jsonl]
 //! rsti analyze <file.mc> [--mech stwc|stc|stl|parts]
 //! rsti instrument <file.mc> [--mech ...]        # dump instrumented IR
 //! rsti equivalence <file.mc>                    # Table 3 row for a file
@@ -22,11 +21,6 @@
 //! check stats, and sampled call paths. `--flame` writes the folded
 //! stacks (inferno/flamegraph.pl input); `--chrome` writes a Chrome
 //! `chrome://tracing` / Perfetto trace of the pipeline phases.
-//!
-//! `report` runs the nbench + NGINX workload mix under every mechanism
-//! with attribution on and renders `reports/hotspots.md` — the
-//! per-function app/PAC/pp cycle split — plus a trajectory diff of the
-//! last two `reports/bench_history.jsonl` entries.
 //!
 //! `fuzz` runs the differential campaign from `rsti-fuzz`: every seed's
 //! program must behave identically under the baseline and every
@@ -50,54 +44,80 @@
 //! `profile` always collects and prints the per-phase wall-time and
 //! counter tables.
 //!
+//! An error prints the usage text only when it is a usage mistake (an
+//! unknown command or flag value, a missing input file); a well-formed
+//! command that fails, such as a compile error, prints its one `error:`
+//! line alone.
+//!
 //! The command logic lives here (testable); `main.rs` only forwards
 //! `std::env::args`.
 
 #![warn(missing_docs)]
 
 use rsti_core::{MechChoice, Mechanism, OptLevel};
-use rsti_telemetry::{parse_json, Json, ToJson};
+use rsti_telemetry::ToJson;
 use rsti_vm::{ExecResult, Image, Status, Vm};
 use std::fmt::Write as _;
 
 /// Runs the CLI; returns (exit code, output text).
 pub fn run_cli(args: &[String]) -> (i32, String) {
-    // `fuzz` takes no input file and owns its exit code (nonzero on oracle
-    // violations, not only on bad arguments), so it bypasses `dispatch`.
-    if args.first().map(String::as_str) == Some("fuzz") {
-        return match cmd_fuzz(args) {
-            Ok(r) => r,
-            Err(e) => (1, format!("error: {e}\n{USAGE}")),
-        };
+    // `fuzz` and `serve` own their exit codes (`fuzz` is nonzero on oracle
+    // violations; `serve` streams its responses to stdout while running);
+    // `explain` may take `--attack <id>` instead of an input file.
+    let result = match args.first().map(String::as_str) {
+        Some("fuzz") => cmd_fuzz(args),
+        Some("explain") => cmd_explain(args).map(|out| (0, out)),
+        Some("serve") => cmd_serve(args),
+        _ => dispatch(args).map(|out| (0, out)),
+    };
+    match result {
+        Ok(r) => r,
+        Err(CliError::Usage(e)) => (1, format!("error: {e}\n{USAGE}")),
+        Err(CliError::Failed(e)) => (1, format!("error: {e}\n")),
     }
-    // `report` also takes no input file: it runs the built-in workload mix.
-    if args.first().map(String::as_str) == Some("report") {
-        return match cmd_report(args) {
-            Ok(out) => (0, out),
-            Err(e) => (1, format!("error: {e}\n{USAGE}")),
-        };
+}
+
+/// Why a command failed. Bare `String` errors from the flag parsers are
+/// usage mistakes; a well-formed command that fails says so with
+/// [`CliError::Failed`].
+enum CliError {
+    /// An unknown command or flag value, or a missing input file: printed
+    /// with the usage text.
+    Usage(String),
+    /// A well-formed command that failed (a compile error, an I/O error):
+    /// printed alone.
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Usage(e)
     }
-    // `explain` may take `--attack <id>` instead of an input file, so it
-    // bypasses `dispatch` too.
-    if args.first().map(String::as_str) == Some("explain") {
-        return match cmd_explain(args) {
-            Ok(out) => (0, out),
-            Err(e) => (1, format!("error: {e}\n{USAGE}")),
-        };
+}
+
+impl From<&str> for CliError {
+    fn from(e: &str) -> Self {
+        CliError::Usage(e.to_string())
     }
-    // `serve` streams JSONL responses straight to stdout while running
-    // (returning them in one batch would defeat a long-lived service), so
-    // it bypasses `dispatch` as well.
-    if args.first().map(String::as_str) == Some("serve") {
-        return match cmd_serve(args) {
-            Ok(r) => r,
-            Err(e) => (1, format!("error: {e}\n{USAGE}")),
-        };
-    }
-    match dispatch(args) {
-        Ok(out) => (0, out),
-        Err(e) => (1, format!("error: {e}\n{USAGE}")),
-    }
+}
+
+/// Compiles `src` (read from `file`); a compile error is a failure of a
+/// well-formed command, not a usage mistake.
+fn compile_source(src: &str, file: &str) -> Result<rsti_ir::Module, CliError> {
+    rsti_frontend::compile(src, file).map_err(|e| CliError::Failed(e.to_string()))
+}
+
+/// Turns the global telemetry collector on with a JSONL sink at `path`.
+fn open_trace(path: &str) -> Result<(), CliError> {
+    let tel = rsti_telemetry::global();
+    tel.enable();
+    tel.set_sink_path(path)
+        .map_err(|e| CliError::Failed(format!("cannot open trace file `{path}`: {e}")))
+}
+
+/// Writes an output file a command was asked for.
+fn write_output(path: &str, contents: impl AsRef<[u8]>) -> Result<(), CliError> {
+    std::fs::write(path, contents).map_err(|e| CliError::Failed(format!("cannot write `{path}`: {e}")))
 }
 
 /// The `fuzz` subcommand: a bounded differential campaign.
@@ -105,14 +125,11 @@ pub fn run_cli(args: &[String]) -> (i32, String) {
 /// # Errors
 /// Returns usage errors (bad flag values); oracle violations are *not*
 /// errors — they are reported in the output with exit code 1.
-fn cmd_fuzz(args: &[String]) -> Result<(i32, String), String> {
-    let tel = rsti_telemetry::global();
+fn cmd_fuzz(args: &[String]) -> Result<(i32, String), CliError> {
     if let Some(path) = flag_value(args, "--trace") {
-        tel.enable();
-        tel.set_sink_path(path)
-            .map_err(|e| format!("cannot open trace file `{path}`: {e}"))?;
+        open_trace(path)?;
     } else {
-        tel.init_from_env();
+        rsti_telemetry::global().init_from_env();
     }
 
     let parse_u64 = |flag: &str, default: u64| -> Result<u64, String> {
@@ -240,20 +257,17 @@ pub struct ServeOptions {
 /// Returns usage errors. Fatal I/O errors (bind/accept failures, a broken
 /// stdin or stdout) exit 1 with the error alone: they are not usage
 /// mistakes.
-fn cmd_serve(args: &[String]) -> Result<(i32, String), String> {
+fn cmd_serve(args: &[String]) -> Result<(i32, String), CliError> {
     let (cfg, opts) = parse_serve_config(args)?;
-    let tel = rsti_telemetry::global();
     if let Some(path) = &opts.trace {
-        tel.enable();
-        tel.set_sink_path(path)
-            .map_err(|e| format!("cannot open trace file `{path}`: {e}"))?;
+        open_trace(path)?;
     } else {
-        tel.init_from_env();
+        rsti_telemetry::global().init_from_env();
     }
     let server = rsti_serve::Server::new(cfg);
     let served = if let Some(path) = &opts.socket {
         #[cfg(not(unix))]
-        return Err(format!("--socket is only supported on unix (got `{path}`)"));
+        return Err(format!("--socket is only supported on unix (got `{path}`)").into());
         #[cfg(unix)]
         rsti_serve::serve_socket(&server, std::path::Path::new(path))
             .map_err(|e| format!("serve socket `{path}`: {e}"))
@@ -262,12 +276,9 @@ fn cmd_serve(args: &[String]) -> Result<(i32, String), String> {
         rsti_serve::serve_lines(&server, stdin.lock(), std::io::stdout())
             .map_err(|e| format!("serve I/O: {e}"))
     };
-    if let Err(e) = served {
-        return Ok((1, format!("error: {e}\n")));
-    }
+    served.map_err(CliError::Failed)?;
     if let Some(path) = &opts.stats_out {
-        std::fs::write(path, server.stats_json())
-            .map_err(|e| format!("cannot write stats file `{path}`: {e}"))?;
+        write_output(path, server.stats_json())?;
     }
     let m = server.metrics();
     let summary = format!(
@@ -287,7 +298,6 @@ usage:
   rsti run <file.mc> [--mech stwc|stc|stl|parts|none|adaptive] [--backend pac|mac|interp|compiled] [--opt none|block|cfg|ipo] [--record] [--stats] [--trace out.jsonl]
   rsti profile <file.mc> [--mech stwc|stc|stl|parts|none|adaptive] [--backend pac|mac|interp|compiled] [--opt none|block|cfg|ipo] [--attr] [--record] [--top N] [--flame out.folded] [--chrome out.json] [--trace out.jsonl]
 
-  --optimize is shorthand for --opt cfg (the full pipeline).
   --backend selects the enforcement scheme (pac|mac) or the driver's
   accounting mode: compiled (block pre-charge, the default) or interp
   (per-op reference accounting, same results); repeat the flag to set
@@ -295,11 +305,6 @@ usage:
   profile --attr adds per-function/per-check-site attribution tables;
   --flame writes folded call stacks (flamegraph.pl input, needs --attr);
   --chrome writes a Chrome/Perfetto trace of the pipeline phases.
-  rsti report [--out DIR] [--top N] [--history reports/bench_history.jsonl]
-
-  report runs the nbench+NGINX mix under every mechanism with attribution
-  on and writes DIR/hotspots.md (default reports/): the per-function
-  app/PAC/pp cycle split plus a diff of the last two bench-history entries.
   rsti explain <file.mc> [--mech stwc|stc|stl|parts|none|adaptive] [--backend pac|mac|interp|compiled] [--opt none|block|cfg|ipo] [--json]
   rsti explain --attack <scenario-id> [--mech stwc|stc|stl|parts|none] [--backend interp|compiled] [--opt none|block|cfg|ipo] [--json]
 
@@ -328,7 +333,7 @@ usage:
   \"mech\":\"stwc\",\"opt\":\"cfg\",\"exec\":\"compiled\",\"enforce\":\"pac\"})
   and answers one JSON line per request, in input order, on stdout.
   Instrumented modules (and their compiled closures) are cached in an LRU
-  keyed by hash(source, mech, opt, exec, enforce), shared by --workers
+  keyed by hash(source, mech, opt, enforce), shared by --workers
   threads; cmd is run|compile|profile|explain|stats|shutdown, and source
   may be replaced by a workload name (\"workload\":\"numeric sort\").
   --socket serves the same protocol on a Unix socket; --stats-out writes
@@ -355,21 +360,13 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(|s| s.as_str())
 }
 
-/// Resolves the optimization level from the flags: `--opt
-/// none|block|cfg|ipo` wins; the legacy boolean `--optimize` means the
-/// full intraprocedural (CFG) pipeline; the default is unoptimized.
+/// Resolves the optimization level from `--opt none|block|cfg|ipo`; the
+/// default is unoptimized.
 ///
 /// # Errors
 /// Returns a message for unknown level names.
 pub fn parse_opt_level(args: &[String]) -> Result<OptLevel, String> {
-    if let Some(v) = flag_value(args, "--opt") {
-        return OptLevel::parse(v);
-    }
-    Ok(if args.iter().any(|a| a == "--optimize") {
-        OptLevel::Cfg
-    } else {
-        OptLevel::None
-    })
+    flag_value(args, "--opt").map_or(Ok(OptLevel::None), OptLevel::parse)
 }
 
 /// Splits every `--backend` occurrence onto the two axes the flag selects:
@@ -495,208 +492,6 @@ fn render_attr_tables(out: &mut String, p: &rsti_vm::AttrProfile, top: usize) {
     }
 }
 
-/// A number field of one parsed history entry (`None` for an entry that
-/// is not valid JSON, or a field that is absent or not a number).
-fn entry_num(entry: &Option<Json>, key: &str) -> Option<f64> {
-    entry.as_ref()?.get(key)?.as_f64()
-}
-
-/// Renders the bench-trajectory lines from the non-empty `history` entries
-/// (oldest first): the last entry's headline numbers plus a percentage diff
-/// against the previous entry. With fewer than two entries — or when the
-/// previous entry was written under a different `schema` version, so its
-/// numbers are not comparable — the section says "no prior entry" instead
-/// of silently omitting the diff or comparing across schema changes.
-fn render_history_diff(md: &mut String, history: &str, lines: &[&str]) {
-    let Some(&last) = lines.last() else {
-        let _ = writeln!(md, "`{history}` is empty.");
-        return;
-    };
-    let last = parse_json(last).ok();
-    let field = |k: &str| entry_num(&last, k);
-    let _ = writeln!(
-        md,
-        "Last `{history}` entry: interp {:.0} insts/s, compiled {:.0} \
-         insts/s (x{:.2}), telemetry cost {:.2}% (compiled {:.2}%), \
-         attr-on cost {:.2}%.",
-        field("insts_per_sec").unwrap_or(0.0),
-        field("compiled_insts_per_sec").unwrap_or(0.0),
-        field("compiled_speedup_vs_interp").unwrap_or(0.0),
-        field("telemetry_enabled_cost_pct").unwrap_or(0.0),
-        field("compiled_telemetry_cost_pct").unwrap_or(0.0),
-        field("attr_cost_pct").unwrap_or(0.0),
-    );
-    if lines.len() < 2 {
-        let _ = writeln!(md, "No prior entry to diff against (first recorded run).");
-        return;
-    }
-    let prev = parse_json(lines[lines.len() - 2]).ok();
-    if entry_num(&prev, "schema") != entry_num(&last, "schema") {
-        let sch = |e| entry_num(e, "schema").map_or("?".into(), |v| format!("{v:.0}"));
-        let _ = writeln!(
-            md,
-            "No prior comparable entry (previous record has schema {}, this one {}) \
-             — diff skipped.",
-            sch(&prev),
-            sch(&last)
-        );
-        return;
-    }
-    let delta = |k: &str| -> Option<f64> {
-        let (p, l) = (entry_num(&prev, k)?, entry_num(&last, k)?);
-        (p > 0.0).then(|| (l / p - 1.0) * 100.0)
-    };
-    let _ = writeln!(
-        md,
-        "Vs previous entry: interp {:+.1}%, compiled {:+.1}% \
-         (wall-clock, machine-dependent).",
-        delta("insts_per_sec").unwrap_or(0.0),
-        delta("compiled_insts_per_sec").unwrap_or(0.0),
-    );
-}
-
-/// One aggregated hotspot row for the report: a function in one workload.
-struct HotRow {
-    name: String,
-    calls: u64,
-    cycles: u64,
-    pac_cycles: u64,
-    pp_cycles: u64,
-}
-
-/// The `report` subcommand: runs the nbench + NGINX mix under every
-/// mechanism with attribution on, writes `<out>/hotspots.md` (per-function
-/// app/PAC/pp cycle split, top check sites, bench-history diff), and
-/// returns the rendered report.
-///
-/// # Errors
-/// Returns usage errors and I/O failures writing the report.
-fn cmd_report(args: &[String]) -> Result<String, String> {
-    let top = parse_top(args)?;
-    let out_dir = flag_value(args, "--out").unwrap_or("reports");
-    let history = flag_value(args, "--history").unwrap_or("reports/bench_history.jsonl");
-
-    let mut md = String::new();
-    let _ = writeln!(md, "# Execution hotspots — nbench + NGINX mix\n");
-    let _ = writeln!(
-        md,
-        "Generated by `rsti report` (deterministic: model cycles, not wall time).\n\
-         Exclusive per-function cycles split into *app* (ordinary execution),\n\
-         *PAC* (`pac`/`aut`/`xpac` instructions), and *pp* (`pp_*` metadata\n\
-         checks); top {top} functions per mechanism ranked by check-cycle\n\
-         share (PAC + pp). Full pipeline (`--opt cfg`).\n"
-    );
-
-    for mech in Mechanism::ALL {
-        let mut rows: Vec<HotRow> = Vec::new();
-        let (mut tot, mut pac, mut pp) = (0u64, 0u64, 0u64);
-        let mut stwc_sites: Vec<rsti_vm::SiteAttr> = Vec::new();
-        let ws: Vec<_> =
-            rsti_workloads::nbench().into_iter().chain(rsti_workloads::nginx()).collect();
-        for w in &ws {
-            let img = Image::build(&w.proxy_module(), mech, OptLevel::Cfg).0.with_attr();
-            let mut vm = Vm::new(&img);
-            vm.set_fuel(200_000_000);
-            let r = vm.run();
-            if !matches!(r.status, Status::Exited(0)) {
-                return Err(format!("{}/{}: {:?}", w.name, mech.name(), r.status));
-            }
-            let prof = r.attr.expect("attribution profile");
-            for &i in &prof.ranked_funcs() {
-                let f = &prof.funcs[i];
-                tot += f.cycles;
-                pac += f.pac_cycles;
-                pp += f.pp_cycles;
-                rows.push(HotRow {
-                    name: format!("{}/{}", w.name, f.name),
-                    calls: f.calls,
-                    cycles: f.cycles,
-                    pac_cycles: f.pac_cycles,
-                    pp_cycles: f.pp_cycles,
-                });
-            }
-            if mech == Mechanism::Stwc {
-                stwc_sites.extend(prof.sites.iter().filter(|s| s.execs > 0).cloned());
-            }
-        }
-        rows.sort_by(|a, b| {
-            (b.pac_cycles + b.pp_cycles)
-                .cmp(&(a.pac_cycles + a.pp_cycles))
-                .then_with(|| b.cycles.cmp(&a.cycles))
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        let pct = |x: u64| x as f64 / tot.max(1) as f64 * 100.0;
-        let _ = writeln!(md, "## {}\n", mech.name());
-        let _ = writeln!(
-            md,
-            "Mix totals: {tot} cycles — app {} ({:.1}%), PAC {pac} ({:.1}%), pp {pp} ({:.1}%).\n",
-            tot - pac - pp,
-            pct(tot - pac - pp),
-            pct(pac),
-            pct(pp)
-        );
-        let _ = writeln!(md, "| function | calls | cycles | app | pac | pp | check share |");
-        let _ = writeln!(md, "|---|---:|---:|---:|---:|---:|---:|");
-        for r in rows.iter().take(top) {
-            let chk = r.pac_cycles + r.pp_cycles;
-            let _ = writeln!(
-                md,
-                "| {} | {} | {} | {} | {} | {} | {:.1}% |",
-                r.name,
-                r.calls,
-                r.cycles,
-                r.cycles - chk,
-                r.pac_cycles,
-                r.pp_cycles,
-                chk as f64 / r.cycles.max(1) as f64 * 100.0
-            );
-        }
-        let _ = writeln!(md);
-        if mech == Mechanism::Stwc {
-            stwc_sites
-                .sort_by(|a, b| b.cycles.cmp(&a.cycles).then_with(|| a.site.id.cmp(&b.site.id)));
-            let _ = writeln!(md, "### Top check sites ({})\n", mech.name());
-            let _ = writeln!(md, "| site | kind | line | execs | cycles | auths |");
-            let _ = writeln!(md, "|---|---|---:|---:|---:|---:|");
-            for s in stwc_sites.iter().take(top) {
-                let _ = writeln!(
-                    md,
-                    "| {} | {} | {} | {} | {} | {} |",
-                    s.site.label(),
-                    s.site.kind,
-                    s.site.line,
-                    s.execs,
-                    s.cycles,
-                    s.auths
-                );
-            }
-            let _ = writeln!(md);
-        }
-    }
-
-    let _ = writeln!(md, "## Bench trajectory\n");
-    match std::fs::read_to_string(history) {
-        Ok(body) => {
-            let lines: Vec<&str> = body.lines().filter(|l| !l.trim().is_empty()).collect();
-            render_history_diff(&mut md, history, &lines);
-        }
-        Err(_) => {
-            let _ = writeln!(
-                md,
-                "No bench history at `{history}` yet — run \
-                 `cargo run --release -p rsti-bench --bin vm_throughput`."
-            );
-        }
-    }
-
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create `{out_dir}`: {e}"))?;
-    let path = std::path::Path::new(out_dir).join("hotspots.md");
-    std::fs::write(&path, &md).map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
-    let mut out = md;
-    let _ = writeln!(out, "wrote {}", path.display());
-    Ok(out)
-}
-
 /// The `explain` subcommand: runs a program — or a Table 1 attack scenario
 /// with `--attack <id>` — with the flight recorder armed and renders the
 /// forensic incident report for the first RSTI detection trap, or says why
@@ -706,7 +501,7 @@ fn cmd_report(args: &[String]) -> Result<String, String> {
 /// Returns usage errors: unknown attack id or flag values, a missing or
 /// unreadable input, or `--mech adaptive` or `--backend pac|mac` combined
 /// with `--attack`.
-fn cmd_explain(args: &[String]) -> Result<String, String> {
+fn cmd_explain(args: &[String]) -> Result<String, CliError> {
     let (enforce, exec) = parse_backends(args)?;
     let choice = flag_value(args, "--mech")
         .map(MechChoice::parse)
@@ -747,8 +542,7 @@ fn cmd_explain(args: &[String]) -> Result<String, String> {
             .get(1)
             .filter(|a| !a.starts_with("--"))
             .ok_or("explain needs <file.mc> or --attack <scenario-id>")?;
-        let src = read_source(file)?;
-        let module = rsti_frontend::compile(&src, file).map_err(|e| e.to_string())?;
+        let module = compile_source(&read_source(file)?, file)?;
         let (img, _stats) = Image::build(&module, choice, level);
         let img = apply_backend(img, args)?.with_record();
         let r = Vm::new(&img).run();
@@ -767,8 +561,14 @@ fn cmd_explain(args: &[String]) -> Result<String, String> {
     })
 }
 
-fn dispatch(args: &[String]) -> Result<String, String> {
+/// The commands [`dispatch`] runs, each on one `<file.mc>`.
+const FILE_COMMANDS: [&str; 5] = ["run", "profile", "analyze", "instrument", "equivalence"];
+
+fn dispatch(args: &[String]) -> Result<String, CliError> {
     let cmd = args.first().ok_or("missing command")?;
+    if !FILE_COMMANDS.contains(&cmd.as_str()) {
+        return Err(format!("unknown command `{cmd}`").into());
+    }
     let file = args.get(1).ok_or("missing <file.mc>")?;
 
     // Telemetry setup precedes compilation so the parse/lower spans of
@@ -780,16 +580,13 @@ fn dispatch(args: &[String]) -> Result<String, String> {
         tel.enable();
     }
     let tracing = if let Some(path) = flag_value(args, "--trace") {
-        tel.enable();
-        tel.set_sink_path(path)
-            .map_err(|e| format!("cannot open trace file `{path}`: {e}"))?;
+        open_trace(path)?;
         true
     } else {
         tel.init_from_env()
     };
 
-    let src = read_source(file)?;
-    let module = rsti_frontend::compile(&src, file).map_err(|e| e.to_string())?;
+    let module = compile_source(&read_source(file)?, file)?;
     let choice = match flag_value(args, "--mech") {
         Some(s) => MechChoice::parse(s)?,
         None => MechChoice::Fixed(Mechanism::Stwc),
@@ -894,8 +691,7 @@ fn dispatch(args: &[String]) -> Result<String, String> {
                 let _ = writeln!(out);
                 render_attr_tables(&mut out, p, top);
                 if let Some(path) = flame {
-                    std::fs::write(path, p.folded_lines())
-                        .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+                    write_output(path, p.folded_lines())?;
                     let _ = writeln!(out, "folded stacks written: {path}");
                 }
             }
@@ -903,8 +699,7 @@ fn dispatch(args: &[String]) -> Result<String, String> {
             out.push_str(&tel.snapshot().render_tables());
             if let Some(path) = chrome {
                 let events = rsti_telemetry::phase_trace_events(&tel.snapshot());
-                std::fs::write(path, rsti_telemetry::chrome_trace(&events))
-                    .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+                write_output(path, rsti_telemetry::chrome_trace(&events))?;
                 let _ = writeln!(out, "chrome trace written: {path}");
             }
             Ok(out)
@@ -944,7 +739,7 @@ fn dispatch(args: &[String]) -> Result<String, String> {
                 s.ecv_stc, s.ecv_stwc, s.ect_stc, s.ect_stwc
             ))
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => unreachable!("`{other}` is not in FILE_COMMANDS"),
     }
 }
 
@@ -1026,15 +821,26 @@ mod tests {
 
     #[test]
     fn errors_are_reported() {
+        // Usage mistakes print the usage text.
         let (code, out) = run_cli(&["run".into(), "/nonexistent.mc".into()]);
         assert_eq!(code, 1);
-        assert!(out.contains("cannot read"), "{out}");
-        let (code, _) = run_cli(&["bogus".into(), "/x".into()]);
-        assert_eq!(code, 1);
-        let f = write_temp("rsti_cli_bad.mc", "int main( {");
-        let (code, out) = run_cli(&["run".into(), f]);
-        assert_eq!(code, 1);
-        assert!(out.contains("line"), "{out}");
+        assert!(out.contains("cannot read") && out.contains("usage:"), "{out}");
+        for args in [vec!["bogus".to_string(), "/x".into()], vec!["report".into()]] {
+            let (code, out) = run_cli(&args);
+            assert_eq!(code, 1);
+            let unknown = format!("error: unknown command `{}`", args[0]);
+            assert!(out.starts_with(&unknown) && out.contains("usage:"), "{out}");
+        }
+        // A compile error of a well-formed command is one `error:` line.
+        for (name, src, needle) in [
+            ("rsti_cli_bad.mc", "int main( {", "line 1"),
+            ("rsti_cli_unknown_ident.mc", "int main() { return nope; }", "unknown identifier"),
+        ] {
+            let (code, out) = run_cli(&["run".into(), write_temp(name, src)]);
+            assert_eq!(code, 1);
+            assert!(out.contains(needle), "{out}");
+            assert!(out.starts_with("error: ") && out.lines().count() == 1, "{out}");
+        }
     }
 
     #[test]
@@ -1168,7 +974,8 @@ mod tests {
             f.clone(),
             "--backend".into(),
             "mac".into(),
-            "--optimize".into(),
+            "--opt".into(),
+            "cfg".into(),
             "--stats".into(),
         ]);
         assert_eq!(code, 0, "{out}");
@@ -1508,76 +1315,6 @@ mod tests {
         ]);
         assert_eq!(code, 1);
         assert!(out.contains("--flame needs --attr"), "{out}");
-    }
-
-    #[test]
-    fn report_writes_hotspots_markdown() {
-        let dir = std::env::temp_dir().join("rsti_cli_report");
-        let hist = std::env::temp_dir().join("rsti_cli_report_hist.jsonl");
-        std::fs::write(
-            &hist,
-            "{\"schema\":1,\"insts_per_sec\":1000,\"compiled_insts_per_sec\":3000,\
-             \"compiled_speedup_vs_interp\":3.0,\"telemetry_enabled_cost_pct\":2.0,\
-             \"compiled_telemetry_cost_pct\":1.0,\"attr_cost_pct\":4.5}\n\
-             {\"schema\":1,\"insts_per_sec\":1100,\"compiled_insts_per_sec\":3300,\
-             \"compiled_speedup_vs_interp\":3.0,\"telemetry_enabled_cost_pct\":2.0,\
-             \"compiled_telemetry_cost_pct\":1.0,\"attr_cost_pct\":4.5}\n",
-        )
-        .unwrap();
-        let (code, out) = run_cli(&[
-            "report".into(),
-            "--out".into(),
-            dir.to_string_lossy().into_owned(),
-            "--top".into(),
-            "5".into(),
-            "--history".into(),
-            hist.to_string_lossy().into_owned(),
-        ]);
-        assert_eq!(code, 0, "{out}");
-        let md = std::fs::read_to_string(dir.join("hotspots.md")).unwrap();
-        assert!(md.contains("# Execution hotspots"), "{md}");
-        for mech in ["RSTI-STWC", "RSTI-STC", "RSTI-STL", "PARTS"] {
-            assert!(md.contains(&format!("## {mech}")), "missing section {mech}: {md}");
-        }
-        assert!(md.contains("| function | calls | cycles | app | pac | pp | check share |"), "{md}");
-        assert!(md.contains("Top check sites"), "{md}");
-        // History diff: both the last entry and the vs-previous delta.
-        assert!(md.contains("interp 1100 insts/s"), "{md}");
-        assert!(md.contains("Vs previous entry: interp +10.0%"), "{md}");
-    }
-
-    #[test]
-    fn history_diff_reports_missing_or_incomparable_prior_entry() {
-        // Satellite fix: fewer than two history entries (or a schema change
-        // in the tail) must say "no prior entry", never a bogus or silently
-        // absent diff.
-        let one = "{\"schema\":1,\"insts_per_sec\":1000,\"compiled_insts_per_sec\":3000,\
-                   \"compiled_speedup_vs_interp\":3.0,\"telemetry_enabled_cost_pct\":2.0,\
-                   \"compiled_telemetry_cost_pct\":1.0,\"attr_cost_pct\":4.5}";
-        let mut md = String::new();
-        render_history_diff(&mut md, "h.jsonl", &[one]);
-        assert!(md.contains("interp 1000 insts/s"), "{md}");
-        assert!(md.contains("No prior entry to diff against"), "{md}");
-        assert!(!md.contains("Vs previous entry"), "{md}");
-
-        let old_schema = one.replace("\"schema\":1", "\"schema\":0");
-        let mut md = String::new();
-        render_history_diff(&mut md, "h.jsonl", &[old_schema.as_str(), one]);
-        assert!(md.contains("No prior comparable entry"), "{md}");
-        assert!(md.contains("schema 0, this one 1"), "{md}");
-        assert!(!md.contains("Vs previous entry"), "{md}");
-
-        // Older lines were written with `": "` / `", "` separators; the
-        // reader takes both whitespace styles.
-        let newer = one.replace("1000", "1100");
-        let spaced = one.replace(':', ": ").replace(',', ", ");
-        let mut md = String::new();
-        render_history_diff(&mut md, "h.jsonl", &[spaced.as_str(), newer.as_str()]);
-        assert!(md.contains("Vs previous entry: interp +10.0%"), "{md}");
-
-        let mut md = String::new();
-        render_history_diff(&mut md, "h.jsonl", &[]);
-        assert!(md.contains("is empty"), "{md}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The workspace needs seeded randomness in three places: kernel key
 //! generation (`rsti_pac`'s `PacKeys::random`), the random-program
-//! generator (`rsti_workloads::generate`), and the randomized test
+//! generator (`rsti_workloads::generate_items`), and the randomized test
 //! batteries that replace `proptest` (the build environment carries no
 //! third-party registry, so every dependency must live in-tree).
 //!

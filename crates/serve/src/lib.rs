@@ -6,15 +6,15 @@
 //! of dynamic checks. This crate turns that one-shot pipeline into a
 //! server: requests arrive as JSONL (stdin or a Unix socket), and the
 //! instrumented [`Image`] for each distinct
-//! `(source, mechanism, opt, exec, enforce)` tuple is built **once**,
+//! `(source, mechanism, opt, enforce)` tuple is built **once**,
 //! cached in a size-bounded LRU ([`cache::ModuleCache`]), and shared
 //! across a pool of VM workers. A cache hit touches none of the pipeline:
 //! the per-phase latency histograms in [`ServeMetrics`] record zero new
 //! frontend/instrument/optimize/translate samples for warm requests, and
 //! the compiled block closures inside the image's `CompiledCache` are
-//! reused as-is (this is why the poisoned-lock `Clone` fix in `rsti-vm`
-//! is a satellite of this PR — a lost `CompiledCache` would silently turn
-//! warm profile/explain requests into recompiles).
+//! reused as-is, whichever accounting mode (`exec`) a request asks for
+//! (a lost `CompiledCache` would silently turn warm profile/explain
+//! requests into recompiles).
 //!
 //! Reliability contract:
 //!
@@ -327,7 +327,7 @@ impl Server {
             }
             (None, None) => return Err("request needs \"source\" or \"workload\"".into()),
         };
-        let key = proto::cache_key(&src, req.mech, req.opt, req.exec, req.enforce);
+        let key = proto::cache_key(&src, req.mech, req.opt, req.enforce);
         let (entry, cache_state) = match self.cache.get(key) {
             Some(e) => {
                 self.metrics.hits.fetch_add(1, Ordering::Relaxed);
@@ -344,13 +344,19 @@ impl Server {
             None
         } else {
             let t = Instant::now();
-            let r = if req.cmd == Cmd::Profile {
-                // Profiling and recording arm per-run state, so they run
-                // on a cheap clone; the clone shares the module *and*
-                // (post-fix) the CompiledCache, so this is still warm.
-                self.run_image(&(*entry.img).clone().with_attr())
-            } else if req.record {
-                self.run_image(&(*entry.img).clone().with_record())
+            let r = if req.cmd == Cmd::Profile || req.record || req.exec != entry.img.exec {
+                // Profiling, recording and the per-op accounting mode are
+                // per-run state, so they run on a cheap clone; the clone
+                // shares the module *and* the CompiledCache, so this is
+                // still warm.
+                let img = (*entry.img).clone().with_exec(req.exec);
+                self.run_image(&if req.cmd == Cmd::Profile {
+                    img.with_attr()
+                } else if req.record {
+                    img.with_record()
+                } else {
+                    img
+                })
             } else {
                 self.run_image(&entry.img)
             };
@@ -376,7 +382,7 @@ impl Server {
         let t = Instant::now();
         let img = Image::optimized(&module, p, req.opt);
         self.metrics.record_phase(ServePhase::Optimize, elapsed_ns(t));
-        let img = img.with_backend(req.enforce).with_exec(req.exec);
+        let img = img.with_backend(req.enforce);
         let t = Instant::now();
         img.precompile();
         self.metrics.record_phase(ServePhase::Translate, elapsed_ns(t));
@@ -645,31 +651,34 @@ mod tests {
         let server = Server::new(ServeConfig::default());
         for mech in ["none", "parts", "stc", "stwc", "stl", "adaptive"] {
             for opt in ["none", "block", "cfg", "ipo"] {
-                for (exec, enforce) in
-                    [("interp", "pac"), ("compiled", "pac"), ("interp", "mac"), ("compiled", "mac")]
-                {
+                // Both accounting modes share one entry: the first builds it.
+                for (enforce, exec, first) in [
+                    ("pac", "interp", "miss"),
+                    ("pac", "compiled", "hit"),
+                    ("mac", "compiled", "miss"),
+                    ("mac", "interp", "hit"),
+                ] {
                     let line = request_line(&src, mech, opt, exec, enforce);
                     let cold = server.handle_line(&line);
                     let warm = server.handle_line(&line);
-                    assert!(cold.contains("\"cache\":\"miss\""), "{mech}/{opt}/{exec}/{enforce}: {cold}");
-                    assert!(warm.contains("\"cache\":\"hit\""), "{mech}/{opt}/{exec}/{enforce}");
+                    let state = |s: &str| format!("\"cache\":\"{s}\"");
+                    assert!(cold.contains(&state(first)), "{mech}/{opt}/{exec}/{enforce}: {cold}");
                     assert_eq!(
-                        warm.replace("\"cache\":\"hit\"", "\"cache\":\"miss\""),
-                        cold,
+                        warm,
+                        cold.replace(&state(first), &state("hit")),
                         "warm response must be byte-identical to cold ({mech}/{opt}/{exec}/{enforce})"
                     );
                     // And both must match the one-shot `rsti run` pipeline.
                     let req = Request::parse(&line).unwrap();
                     let (instr, result) = oneshot(&req, &src);
-                    let key = cache_key(&src, req.mech, req.opt, req.exec, req.enforce);
-                    let expected =
-                        exec_response(&req, "miss", key, instr.as_ref(), Some(&result));
+                    let key = cache_key(&src, req.mech, req.opt, req.enforce);
+                    let expected = exec_response(&req, first, key, instr.as_ref(), Some(&result));
                     assert_eq!(cold, expected, "cold response must equal the one-shot pipeline");
                 }
             }
         }
-        assert_eq!(server.metrics().hits(), 6 * 4 * 4);
-        assert_eq!(server.metrics().misses(), 6 * 4 * 4);
+        assert_eq!(server.metrics().hits(), 6 * 4 * 6);
+        assert_eq!(server.metrics().misses(), 6 * 4 * 2);
     }
 
     /// Golden: whole `run`, error, `stats` and `shutdown` documents.
@@ -697,7 +706,7 @@ mod tests {
         );
         let system_doc = concat!(
             r#"{"id":1,"ok":true,"cmd":"run","cache":"miss","#,
-            r#""key":"b80983d2ba0459669b1dfa4862de44bd","instr":{"signs_on_store":0,"#,
+            r#""key":"ef1198765f7ceddeaf59f0f429786be1","instr":{"signs_on_store":0,"#,
             r#""auths_on_load":0,"cast_resigns":0,"arg_resigns":0,"strips":1,"pp_signs":0,"#,
             r#""pp_auths":0},"status":"exit 7","output":["3"],"#,
             r#""events":[{"name":"system","args":["0x300000000000"],"critical":true}],"#,
@@ -716,7 +725,7 @@ mod tests {
         let line = format!(r#"{{"id":4,"cmd":"run","source":{}}}"#, rsti_telemetry::json_str(src));
         let trap_run = concat!(
             r#"{"id":4,"ok":true,"cmd":"run","cache":"miss","#,
-            r#""key":"1da2f43ee12acef51df6e7bfdddce464","instr":{"signs_on_store":3,"#,
+            r#""key":"e785055f0ab0593ea9b057ff5f45c1fe","instr":{"signs_on_store":3,"#,
             r#""auths_on_load":5,"cast_resigns":3,"arg_resigns":0,"strips":0,"pp_signs":0,"#,
             r#""pp_auths":0},"status":"trap: PAC authentication failure in main:8 at "#,
             r#"OnLoad (found 0x0, expected 0x3e)","output":[],"events":[],"cycles":158,"#,

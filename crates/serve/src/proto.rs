@@ -144,21 +144,15 @@ impl Request {
 // Content-addressed cache key
 // ---------------------------------------------------------------------------
 
-/// 128-bit FNV-1a over the five axes that determine the instrumented
-/// module: source text, mechanism, opt level, execution engine, and
+/// 128-bit FNV-1a over the four axes that determine the instrumented
+/// module and its translation: source text, mechanism, opt level, and
 /// enforcement scheme. Axes are separated by a `0x1f` unit separator so
 /// concatenation ambiguities (`"ab" + "c"` vs `"a" + "bc"`) cannot
-/// collide. The `record` flag is deliberately **not** part of the key:
-/// the recorder is applied to a cheap [`rsti_vm::Image`] clone at run
-/// time, and (after the `CompiledCache` poison fix in this PR) that clone
-/// still shares the compiled block closures.
-pub fn cache_key(
-    source: &str,
-    mech: MechChoice,
-    opt: OptLevel,
-    exec: ExecBackend,
-    enforce: Backend,
-) -> u128 {
+/// collide. The accounting mode (`exec`) and the `record` flag are
+/// deliberately **not** part of the key: both accounting modes run one
+/// translation, and each is applied to a cheap [`rsti_vm::Image`] clone
+/// at run time that still shares the compiled block closures.
+pub fn cache_key(source: &str, mech: MechChoice, opt: OptLevel, enforce: Backend) -> u128 {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
     let mut h = OFFSET;
@@ -173,7 +167,6 @@ pub fn cache_key(
     eat(source.as_bytes());
     eat(mech.label().as_bytes());
     eat(opt.label().as_bytes());
-    eat(exec.label().as_bytes());
     eat(match enforce {
         Backend::PacInPointer => b"pac",
         Backend::MacTable => b"mac",
@@ -351,17 +344,16 @@ mod tests {
     #[test]
     fn cache_key_changes_with_every_axis() {
         // Property: flipping any single axis — source text, mechanism,
-        // opt level, execution engine, enforcement — yields a new key.
+        // opt level, enforcement — yields a new key.
         let base = (
             "int main() { return 0; }",
             MechChoice::Fixed(Mechanism::Stwc),
             OptLevel::Cfg,
-            ExecBackend::Interp,
             Backend::PacInPointer,
         );
-        let k0 = cache_key(base.0, base.1, base.2, base.3, base.4);
+        let k0 = cache_key(base.0, base.1, base.2, base.3);
         let mut keys = vec![k0];
-        keys.push(cache_key("int main() { return 1; }", base.1, base.2, base.3, base.4));
+        keys.push(cache_key("int main() { return 1; }", base.1, base.2, base.3));
         for m in [
             MechChoice::Baseline,
             MechChoice::Fixed(Mechanism::Stc),
@@ -369,13 +361,12 @@ mod tests {
             MechChoice::Fixed(Mechanism::Parts),
             MechChoice::Adaptive,
         ] {
-            keys.push(cache_key(base.0, m, base.2, base.3, base.4));
+            keys.push(cache_key(base.0, m, base.2, base.3));
         }
         for o in [OptLevel::None, OptLevel::BlockLocal, OptLevel::Ipo] {
-            keys.push(cache_key(base.0, base.1, o, base.3, base.4));
+            keys.push(cache_key(base.0, base.1, o, base.3));
         }
-        keys.push(cache_key(base.0, base.1, base.2, ExecBackend::Compiled, base.4));
-        keys.push(cache_key(base.0, base.1, base.2, base.3, Backend::MacTable));
+        keys.push(cache_key(base.0, base.1, base.2, Backend::MacTable));
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -387,23 +378,26 @@ mod tests {
         // The 0x1f separator keeps (source="a", mech label "stwc"...) from
         // colliding with a source that absorbs part of the next axis.
         let a = cache_key("a", MechChoice::Fixed(Mechanism::Stwc), OptLevel::None,
-            ExecBackend::Interp, Backend::PacInPointer);
+            Backend::PacInPointer);
         let b = cache_key("astwc", MechChoice::Fixed(Mechanism::Stwc), OptLevel::None,
-            ExecBackend::Interp, Backend::PacInPointer);
+            Backend::PacInPointer);
         assert_ne!(a, b);
     }
 
     #[test]
     fn record_flag_does_not_change_the_key() {
-        // `record` is applied to an Image clone at run time — same module.
-        let r1 = Request::parse(r#"{"cmd":"run","source":"int main() { return 0; }"}"#).unwrap();
-        let r2 = Request::parse(
-            r#"{"cmd":"run","source":"int main() { return 0; }","record":true}"#,
-        )
-        .unwrap();
-        let k = |r: &Request| {
-            cache_key(r.source.as_deref().unwrap(), r.mech, r.opt, r.exec, r.enforce)
+        // `record` and `exec` are applied to an Image clone at run time —
+        // same module, same translation.
+        let k = |line: &str| {
+            let r = Request::parse(line).unwrap();
+            cache_key(r.source.as_deref().unwrap(), r.mech, r.opt, r.enforce)
         };
-        assert_eq!(k(&r1), k(&r2));
+        let k0 = k(r#"{"cmd":"run","source":"int main() { return 0; }"}"#);
+        for line in [
+            r#"{"cmd":"run","source":"int main() { return 0; }","record":true}"#,
+            r#"{"cmd":"run","source":"int main() { return 0; }","exec":"interp"}"#,
+        ] {
+            assert_eq!(k(line), k0, "{line}");
+        }
     }
 }

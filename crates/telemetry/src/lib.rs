@@ -23,8 +23,7 @@
 //!   scope timeline, and the last-K event window;
 //! * [`json`] — the one JSON module: the writer every document above (and
 //!   every `serve` response and bench record) goes through, and the
-//!   bounded reader [`parse_json`] that `serve`, `rsti report` and the
-//!   bench gates use.
+//!   bounded reader [`parse_json`] that `serve` and the bench gates use.
 //!
 //! ## Off-by-default cost guarantee
 //!

@@ -6,160 +6,20 @@
 //! baseline output under every mechanism) and for stressing the STI
 //! analysis beyond the hand-written proxies.
 //!
-//! Two generators live here:
-//!
-//! * [`generate`] — the legacy string-template generator the measurement
-//!   harness uses (its output is stable across releases so Fig. 9/10
-//!   numbers stay comparable).
-//! * [`generate_items`] — a grammar-directed generator that builds
-//!   [`Item`] trees directly. `rsti-fuzz`
-//!   minimizes failures at the AST level, so its inputs must *be* ASTs;
-//!   the pretty-printer (`rsti_frontend::print_items`) turns them into
-//!   source for the pipeline under test. Every program it emits is
-//!   well-defined MiniC — null-guarded dereferences, constant-bounded
-//!   loops, division only by nonzero constants — so the instrumented and
-//!   baseline runs must agree and any divergence is a pipeline bug, not
-//!   undefined behaviour in the input.
+//! [`generate_items`] builds [`Item`] trees directly: `rsti-fuzz`
+//! minimizes failures at the AST level, so its inputs must *be* ASTs, and
+//! [`generate_source`] prints them (`rsti_frontend::print_items`) for
+//! everything that wants source text — Table 3's synthetic-scaling rows,
+//! the property tests and perfbench's cold-compile pool. Every program it
+//! emits is well-defined MiniC — null-guarded dereferences,
+//! constant-bounded loops, division only by nonzero constants — so the
+//! instrumented and baseline runs must agree and any divergence is a
+//! pipeline bug, not undefined behaviour in the input.
 
 use rsti_frontend::ast::{AstType, BinOpAst, Block, Expr, FieldDecl, Item, Param, Stmt, UnOp};
 use rsti_rng::Rng64;
-use std::fmt::Write as _;
-
-/// Generation parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct GenConfig {
-    /// Number of struct types.
-    pub structs: u32,
-    /// Number of worker functions.
-    pub funcs: u32,
-    /// Objects allocated per struct in `main`.
-    pub objects: u32,
-    /// Loop iterations in `main`.
-    pub iters: u32,
-}
-
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig { structs: 3, funcs: 5, objects: 4, iters: 6 }
-    }
-}
-
-/// Generates a deterministic random MiniC program for `seed`.
-pub fn generate(seed: u64, cfg: GenConfig) -> String {
-    let mut rng = Rng64::seed_from_u64(seed);
-    let mut src = String::new();
-    let ns = cfg.structs.max(1);
-
-    // Struct types: a long, a pointer to the previous struct (chains), and
-    // optionally a function pointer.
-    for s in 0..ns {
-        let fp = rng.gen_bool(0.5);
-        let _ = writeln!(src, "struct s{s} {{");
-        let _ = writeln!(src, "    long v;");
-        if s > 0 {
-            let _ = writeln!(src, "    struct s{} *peer;", s - 1);
-        } else {
-            let _ = writeln!(src, "    struct s0 *peer;");
-        }
-        if fp {
-            let _ = writeln!(src, "    long (*hook)(long x);");
-        }
-        let _ = writeln!(src, "}};");
-    }
-
-    // A couple of hook implementations.
-    let _ = writeln!(src, "long hook_a(long x) {{ return x + 1; }}");
-    let _ = writeln!(src, "long hook_b(long x) {{ return x * 2; }}");
-
-    // Global roots, one per struct.
-    for s in 0..ns {
-        let _ = writeln!(src, "struct s{s}* root{s};");
-    }
-
-    // Worker functions: take a pointer (sometimes as void*), walk/update.
-    let mut calls = Vec::new();
-    for f in 0..cfg.funcs {
-        let s = rng.gen_range(0, ns as u64);
-        let via_void = rng.gen_bool(0.4);
-        if via_void {
-            let _ = writeln!(
-                src,
-                "long work{f}(void* raw) {{\n    struct s{s}* p = (struct s{s}*) raw;\n    if (p == null) {{ return 0; }}\n    p->v = p->v + {inc};\n    return p->v;\n}}",
-                inc = rng.gen_range(1, 5)
-            );
-            calls.push(format!("acc = acc + work{f}((void*) root{s});"));
-        } else {
-            let deref_peer = rng.gen_bool(0.5);
-            let body = if deref_peer {
-                format!(
-                    "    if (p == null) {{ return 0; }}\n    if (p->peer != null) {{ p->peer->v = p->peer->v + 1; }}\n    p->v = p->v + {};\n    return p->v;",
-                    rng.gen_range(1, 5)
-                )
-            } else {
-                format!(
-                    "    if (p == null) {{ return 0; }}\n    p->v = p->v * {} + 1;\n    return p->v;",
-                    rng.gen_range(2, 4)
-                )
-            };
-            let _ = writeln!(src, "long work{f}(struct s{s}* p) {{\n{body}\n}}");
-            calls.push(format!("acc = acc + work{f}(root{s});"));
-        }
-    }
-
-    // A chain builder per struct so `objects` controls allocation count.
-    for s in 0..ns {
-        let peer = if s > 0 { s - 1 } else { 0 };
-        let _ = writeln!(
-            src,
-            "struct s{s}* build{s}(int n, struct s{peer}* peer) {{\n    \
-             struct s{s}* head = null;\n    \
-             for (int i = 0; i < n; i = i + 1) {{\n        \
-             struct s{s}* o = (struct s{s}*) malloc(sizeof(struct s{s}));\n        \
-             o->v = i;\n        o->peer = peer;\n        head = o;\n    }}\n    \
-             return head;\n}}"
-        );
-    }
-
-    // main: allocate object chains, set hooks, run the workers in a loop.
-    let _ = writeln!(src, "int main() {{");
-    let _ = writeln!(src, "    long acc = 0;");
-    for s in 0..ns {
-        let peer = if s > 0 { s - 1 } else { 0 };
-        if s == 0 {
-            let _ = writeln!(
-                src,
-                "    root0 = build0({}, null);",
-                cfg.objects.max(1)
-            );
-        } else {
-            let _ = writeln!(
-                src,
-                "    root{s} = build{s}({}, root{peer});",
-                cfg.objects.max(1)
-            );
-        }
-        let _ = writeln!(src, "    root{s}->v = {s};");
-    }
-    let _ = writeln!(src, "    for (int it = 0; it < {}; it = it + 1) {{", cfg.iters);
-    for c in &calls {
-        let _ = writeln!(src, "        {c}");
-    }
-    let _ = writeln!(src, "    }}");
-    let _ = writeln!(src, "    print_int(acc);");
-    let _ = writeln!(src, "    return 0;");
-    let _ = writeln!(src, "}}");
-    src
-}
-
-// ---------------------------------------------------------------------------
-// Grammar-directed AST generator
-// ---------------------------------------------------------------------------
 
 /// Parameters for the grammar-directed AST generator ([`generate_items`]).
-///
-/// Unlike [`GenConfig`], which drives the legacy string-template generator,
-/// this configuration controls a generator that emits AST trees the fuzzing
-/// subsystem can minimize node-by-node.
 #[derive(Debug, Clone, Copy)]
 pub struct AstGenConfig {
     /// Number of struct types (the vtable struct is extra).
@@ -1013,41 +873,15 @@ mod tests {
     use rsti_vm::{Image, Status, Vm};
 
     #[test]
-    fn generated_programs_compile_and_run() {
-        for seed in 0..30u64 {
-            let src = generate(seed, GenConfig::default());
-            let m = compile(&src, "gen").unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
-            let r = Vm::new(&Image::baseline(&m)).run();
-            assert!(matches!(r.status, Status::Exited(0)), "seed {seed}: {:?}\n{src}", r.status);
-        }
-    }
-
-    #[test]
-    fn differential_instrumented_equals_baseline() {
-        for seed in 0..15u64 {
-            let src = generate(seed, GenConfig::default());
-            let m = compile(&src, "gen").unwrap();
-            let base = Vm::new(&Image::baseline(&m)).run();
-            for mech in rsti_core::Mechanism::ALL {
-                let p = rsti_core::instrument(&m, mech);
-                let r = Vm::new(&Image::from_instrumented(&p)).run();
-                assert_eq!(r.status, base.status, "seed {seed} {mech}\n{src}");
-                assert_eq!(r.output, base.output, "seed {seed} {mech}");
-            }
-        }
-    }
-
-    #[test]
     fn table3_invariants_hold_on_generated_programs() {
         for seed in 0..20u64 {
-            let src = generate(seed, GenConfig { structs: 4, funcs: 8, objects: 3, iters: 2 });
+            let cfg = AstGenConfig { structs: 4, funcs: 8, ..AstGenConfig::default() };
+            let src = generate_source(seed, cfg);
             let m = compile(&src, "gen").unwrap();
             let stats = rsti_core::equivalence_stats(&m);
             assert_eq!(stats.invariant_violation(), None, "seed {seed}: {stats:?}");
         }
     }
-
-    // ---- grammar-directed AST generator ---------------------------------
 
     #[test]
     fn ast_generated_programs_roundtrip_through_the_printer() {

@@ -17,5 +17,5 @@ pub mod kernels;
 pub mod nbench_kernels;
 pub mod suites;
 
-pub use generator::{generate, generate_items, generate_source, AstGenConfig, GenConfig};
+pub use generator::{generate_items, generate_source, AstGenConfig};
 pub use suites::{all_workloads, cpython, nbench, nginx, spec2006, spec2017, Suite, Workload};

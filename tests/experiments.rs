@@ -66,7 +66,7 @@ fn pointer_to_pointer_lost_type_is_rare() {
 #[test]
 fn replay_surface_shrinks_with_stricter_mechanisms() {
     for seed in 0..10u64 {
-        let src = rsti_workloads::generate(seed, rsti_workloads::GenConfig::default());
+        let src = rsti_workloads::generate_source(seed, rsti_workloads::AstGenConfig::default());
         let m = rsti_frontend::compile(&src, "gen").unwrap();
         let surf = |mech| {
             rsti_core::replay_surface(&rsti_core::analyze(&m, mech), 4).substitutable_pairs

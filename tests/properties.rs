@@ -92,7 +92,7 @@ fn tbi_tag_transparent_to_auth() {
 #[test]
 fn generated_programs_differential() {
     for seed in 0..48 {
-        let src = rsti_workloads::generate(seed, rsti_workloads::GenConfig::default());
+        let src = rsti_workloads::generate_source(seed, rsti_workloads::AstGenConfig::default());
         let m = rsti_frontend::compile(&src, "gen").expect("generator emits valid MiniC");
         let base = Vm::new(&Image::baseline(&m)).run();
         assert!(base.status.is_exit(), "seed {seed}: {:?}", base.status);
@@ -113,7 +113,7 @@ fn generated_programs_differential() {
 #[test]
 fn optimizer_is_semantics_preserving() {
     for seed in 0..32 {
-        let src = rsti_workloads::generate(seed, rsti_workloads::GenConfig::default());
+        let src = rsti_workloads::generate_source(seed, rsti_workloads::AstGenConfig::default());
         let mut m = rsti_frontend::compile(&src, "gen").unwrap();
         let base = Vm::new(&Image::baseline(&m)).run();
         rsti_core::inline_leaf_functions(&mut m, rsti_core::LEAF_INLINE_BUDGET);
@@ -133,7 +133,7 @@ fn optimizer_is_semantics_preserving() {
 #[test]
 fn analysis_is_deterministic() {
     for seed in 0..32 {
-        let src = rsti_workloads::generate(seed, rsti_workloads::GenConfig::default());
+        let src = rsti_workloads::generate_source(seed, rsti_workloads::AstGenConfig::default());
         let m = rsti_frontend::compile(&src, "gen").unwrap();
         for mech in Mechanism::ALL {
             let a = rsti_core::analyze(&m, mech);
