@@ -50,7 +50,7 @@
 //! non-zero when the compiled/interp or serve warm/cold ratio falls below
 //! its floor.
 
-use rsti_bench::gates::check_trajectory;
+use rsti_bench::gates::{check_trajectory, last_entry};
 use rsti_core::{Mechanism, OptLevel};
 use rsti_telemetry::json::{self, Fixed};
 use rsti_telemetry::{parse_json, Json};
@@ -419,7 +419,5 @@ fn main() {
 /// appends its own (`None` when the log is absent, empty, or its last line
 /// does not parse).
 fn last_history_entry() -> Option<Json> {
-    let log = std::fs::read_to_string(HISTORY).ok()?;
-    let last = log.lines().rev().find(|l| !l.trim().is_empty())?;
-    parse_json(last).ok()
+    last_entry(&std::fs::read_to_string(HISTORY).ok()?)
 }

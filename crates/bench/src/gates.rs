@@ -18,7 +18,7 @@
 //! it was written under a different `schema` and its numbers are not
 //! comparable.
 
-use rsti_telemetry::Json;
+use rsti_telemetry::{parse_json, Json};
 
 /// Floor on `compiled_speedup_vs_interp`. Both accounting modes run the
 /// same ops through the same driver, so the ratio measures only block
@@ -98,10 +98,16 @@ pub fn check_trajectory(prev: Option<&Json>, new: &Json) -> GateReport {
     r
 }
 
+/// The last non-blank line of a trajectory log, parsed (`None` when the
+/// log has no such line or it does not parse).
+pub fn last_entry(log: &str) -> Option<Json> {
+    let last = log.lines().rev().find(|l| !l.trim().is_empty())?;
+    parse_json(last).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsti_telemetry::parse_json;
 
     /// A passing entry: insts/sec 1000 on both engines.
     const PASSING: &str = r#"{"schema":1,"insts_per_sec":1000,"compiled_insts_per_sec":1000,

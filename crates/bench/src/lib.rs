@@ -36,3 +36,42 @@ pub use overhead::{
     pearson, BoxStats, MeasureError, OverheadRow, MECHS,
 };
 pub use reports::{render_fig10, render_parts_compare, render_pp_census, render_table3, Fig9};
+
+#[cfg(test)]
+mod tests {
+    use crate::gates::{check_trajectory, last_entry};
+    use rsti_telemetry::parse_json;
+
+    /// A history line as `vm_throughput` writes it.
+    const ENTRY: &str = "{\"schema\":1,\"insts_per_sec\":1000,\"compiled_insts_per_sec\":1000,\
+                         \"compiled_speedup_vs_interp\":1.2,\"serve_warm_speedup\":20.0}";
+
+    #[test]
+    fn history_diff_reports_missing_or_incomparable_prior_entry() {
+        // The run diffs against the last committed line of the log, read
+        // the way `vm_throughput` reads it; an empty log, or a last line of
+        // another schema, skips the diff and says why.
+        let run = parse_json(&ENTRY.replace("1000", "500")).unwrap();
+        let diff = |log: &str| check_trajectory(last_entry(log).as_ref(), &run);
+
+        for log in ["", "\n  \n"] {
+            let r = diff(log);
+            assert_eq!(r.notes[0], "no committed bench-history entry — regression diff skipped");
+            assert!(r.warnings.is_empty(), "{r:?}");
+        }
+
+        let old_schema = ENTRY.replace("\"schema\":1", "\"schema\":0");
+        let r = diff(&format!("{ENTRY}\n{old_schema}\n"));
+        assert!(r.notes[0].contains("schema 0, this run 1"), "{r:?}");
+        assert!(r.warnings.is_empty(), "{r:?}");
+
+        // Older lines were written with `": "` / `", "` separators; the
+        // last non-blank line is the one diffed, in either style.
+        let spaced = ENTRY.replace(':', ": ").replace(',', ", ");
+        for log in [format!("{old_schema}\n{spaced}\n\n"), format!("{old_schema}\n{ENTRY}")] {
+            let r = diff(&log);
+            assert_eq!(r.warnings.len(), 2, "{log}: {r:?}");
+            assert!(r.notes[0].contains("committed insts_per_sec: 1000, this run: 500"), "{r:?}");
+        }
+    }
+}

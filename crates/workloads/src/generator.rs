@@ -872,6 +872,46 @@ mod tests {
     use rsti_frontend::compile;
     use rsti_vm::{Image, Status, Vm};
 
+    /// A program shape that varies with `seed`, from the one-struct,
+    /// one-worker minimum (hooks clamp to two) up to twice the default,
+    /// so the size knobs are exercised, not only [`AstGenConfig::default`].
+    fn shape(seed: u64) -> AstGenConfig {
+        let k = (seed % 6) as u32;
+        AstGenConfig {
+            structs: 1 + k,
+            hooks: k,
+            funcs: 1 + 2 * k,
+            stmts_per_func: 2 + k,
+            objects: 1 + k % 4,
+            ..AstGenConfig::default()
+        }
+    }
+
+    #[test]
+    fn generated_programs_compile_and_run() {
+        for seed in 0..30u64 {
+            let src = generate_source(seed, shape(seed));
+            let m = compile(&src, "gen").unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
+            let r = Vm::new(&Image::baseline(&m)).run();
+            assert!(matches!(r.status, Status::Exited(0)), "seed {seed}: {:?}\n{src}", r.status);
+        }
+    }
+
+    #[test]
+    fn differential_instrumented_equals_baseline() {
+        for seed in 0..12u64 {
+            let src = generate_source(seed, shape(seed));
+            let m = compile(&src, "gen").unwrap();
+            let base = Vm::new(&Image::baseline(&m)).run();
+            for mech in rsti_core::Mechanism::ALL {
+                let p = rsti_core::instrument(&m, mech);
+                let r = Vm::new(&Image::from_instrumented(&p)).run();
+                assert_eq!(r.status, base.status, "seed {seed} {mech}\n{src}");
+                assert_eq!(r.output, base.output, "seed {seed} {mech}");
+            }
+        }
+    }
+
     #[test]
     fn table3_invariants_hold_on_generated_programs() {
         for seed in 0..20u64 {
