@@ -12,7 +12,37 @@
 
 use rsti_core::{MechChoice, Mechanism, OptLevel};
 use rsti_ir::{BlockId, Terminator};
+use rsti_telemetry::ToJson;
 use rsti_vm::{Backend, ExecBackend, ExecResult, Image, RunStop, Status, Trap, Vm};
+
+/// The audit records and incidents the forensics tests below produce, one
+/// line per record: `audit <cell> <json>` and `incident <cell> <json>`.
+const PA_GOLDEN: &str = include_str!("pa_failures.golden");
+
+/// Compares the `kind` lines of [`PA_GOLDEN`] with `got`, printing the
+/// whole section (for pasting into the golden when a change is intended,
+/// shown with `--nocapture`) and the first differences on a mismatch.
+fn assert_pa_golden(kind: &str, got: &[String]) {
+    let prefix = format!("{kind} ");
+    let want: Vec<&str> = PA_GOLDEN.lines().filter(|l| l.starts_with(&prefix)).collect();
+    if want.iter().copied().eq(got.iter().map(String::as_str)) {
+        return;
+    }
+    println!("{}", got.join("\n"));
+    let diffs: Vec<String> = want
+        .iter()
+        .zip(got)
+        .filter(|(a, b)| **a != b.as_str())
+        .take(3)
+        .map(|(a, b)| format!("- {a}\n+ {b}"))
+        .collect();
+    panic!(
+        "{kind} lines drifted from pa_failures.golden ({} vs {} lines); first differences:\n{}",
+        want.len(),
+        got.len(),
+        diffs.join("\n")
+    );
+}
 
 /// Runs one image under one engine, applying `attack` at the `fire` pause
 /// point when given.
@@ -336,7 +366,8 @@ fn site_count_parity_under_stl() {
 /// between the engines, for every mechanism × enforcement backend. The
 /// `ExecResult` equality in `assert_parity` subsumes this, but spelling
 /// each field out keeps a divergence diagnosable (and pins the claim even
-/// if `ExecResult`'s derive ever changes).
+/// if `ExecResult`'s derive ever changes). Every record also matches
+/// [`PA_GOLDEN`] byte for byte.
 #[test]
 fn audit_record_full_field_parity() {
     let corrupt: &dyn Fn(&mut Vm) = &|vm| {
@@ -344,6 +375,7 @@ fn audit_record_full_field_parity() {
         let gadget = vm.func_addr("gadget").unwrap();
         vm.attacker_write_u64(obj + 8, gadget).unwrap();
     };
+    let mut golden = Vec::new();
     for mech in Mechanism::ALL {
         for enforce in [Backend::PacInPointer, Backend::MacTable] {
             let img = image(VICTIM, mech, OptLevel::Cfg).with_backend(enforce);
@@ -360,8 +392,10 @@ fn audit_record_full_field_parity() {
                 assert_eq!(a.inst, b.inst, "{label}: inst");
                 assert_eq!(a.detail, b.detail, "{label}: detail");
             }
+            golden.extend(c.audit.iter().map(|a| format!("audit {label} {}", a.to_json())));
         }
     }
+    assert_pa_golden("audit", &golden);
 }
 
 /// With the flight recorder armed, an RSTI detection synthesizes an
@@ -369,6 +403,7 @@ fn audit_record_full_field_parity() {
 /// timestamps — is bit-identical across engines (it rides on the
 /// `ExecResult` equality in `assert_parity`). Non-RSTI traps (e.g. a
 /// non-canonical call under a PAC-bit-breaking corruption) produce none.
+/// Every incident's JSON also matches [`PA_GOLDEN`] byte for byte.
 #[test]
 fn incident_parity_per_mechanism() {
     let corrupt: &dyn Fn(&mut Vm) = &|vm| {
@@ -376,7 +411,7 @@ fn incident_parity_per_mechanism() {
         let gadget = vm.func_addr("gadget").unwrap();
         vm.attacker_write_u64(obj + 8, gadget).unwrap();
     };
-    let mut incidents = 0;
+    let mut golden = Vec::new();
     for mech in Mechanism::ALL {
         for opt in OptLevel::ALL {
             for enforce in [Backend::PacInPointer, Backend::MacTable] {
@@ -393,7 +428,7 @@ fn incident_parity_per_mechanism() {
                     "{label}: incident iff RSTI detection"
                 );
                 let Some(inc) = &r.incident else { continue };
-                incidents += 1;
+                golden.push(format!("incident {label} {}", inc.to_json()));
                 assert_eq!(inc.mechanism, mech.name(), "{label}");
                 assert!(
                     inc.check_site.starts_with("fire:"),
@@ -413,7 +448,8 @@ fn incident_parity_per_mechanism() {
             }
         }
     }
-    assert!(incidents > 0, "no configuration produced an incident");
+    assert!(!golden.is_empty(), "no configuration produced an incident");
+    assert_pa_golden("incident", &golden);
 }
 
 /// Recorder inertness: with `--record` off the result — cycles, insts,

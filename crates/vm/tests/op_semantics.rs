@@ -5,14 +5,16 @@
 //! hand — shapes the frontend never emits — and asserts the exact status
 //! and trap text each must produce, under both engines. An id that does not
 //! resolve traps at load, from the image's id check, before any op runs;
-//! a value of the wrong shape traps when its op runs.
+//! a value of the wrong shape traps when its op runs. A second table pins
+//! every pointer-authentication failure — trap text, audit record and
+//! the incident's check site — under both enforcement backends.
 
 use rsti_ir::{
     BasicBlock, BinOp, BlockId, FieldDef, FuncSig, GlobalDef, GlobalId, GlobalInit, Inst,
-    InstNode, Module, Operand, Scope, StrId, StructDef, StructId, Terminator, Type, TypeId,
-    ValueId, VarId, VarInfo, VarKind,
+    InstNode, Module, Operand, PacKey, PacSite, Scope, StrId, StructDef, StructId, Terminator,
+    Type, TypeId, ValueId, VarId, VarInfo, VarKind,
 };
-use rsti_vm::{ExecBackend, Image, Status, Trap, Vm};
+use rsti_vm::{Backend, ExecBackend, Image, Status, Trap, Vm};
 
 /// The type table entries the cases need, interned once.
 struct Tys {
@@ -23,6 +25,7 @@ struct Tys {
     p_i32: TypeId,
     p_i64: TypeId,
     p_i8: TypeId,
+    pp_i64: TypeId,
 }
 
 /// A module holding only the type table [`Tys`] names; each case adds
@@ -37,6 +40,10 @@ fn base() -> (Module, Tys) {
         p_i32: base.types.ptr(base.types.i32()),
         p_i64: base.types.ptr(base.types.i64()),
         p_i8: base.types.ptr(base.types.i8()),
+        pp_i64: {
+            let p = base.types.ptr(base.types.i64());
+            base.types.ptr(p)
+        },
     };
     (base, tys)
 }
@@ -367,6 +374,274 @@ fn malformed_ops_trap_with_exact_messages_under_both_engines() {
             assert_eq!(want.to_string(), format!("bad program: {msg}"));
             assert!(r.audit.is_empty(), "{what}: not an RSTI detection");
             assert_eq!(r.insts == 0, at == At::Load, "{what}: traps {at:?}");
+        }
+    }
+}
+
+/// What one pointer-authentication failure must raise: the trap's text,
+/// and the audit record's site class, instruction and detail.
+#[derive(Clone, Copy)]
+struct PaFailure {
+    trap: &'static str,
+    site: &'static str,
+    inst: &'static str,
+    detail: &'static str,
+}
+
+/// One PA case: the module, the label of the check site that fails (the
+/// recorded incident's `check_site`), and the failure under PAC-in-pointer
+/// and under the MAC table, in that order.
+type PaCase = (&'static str, Module, &'static str, [PaFailure; 2]);
+
+fn pa_cases(base: &Module, t: &Tys) -> Vec<PaCase> {
+    let v = |i: u32| Operand::Value(ValueId(i));
+    let ret0 = Terminator::Ret(Some(Operand::ConstInt(0, t.i64)));
+    let body = |vts: Vec<TypeId>, insts: Vec<Inst>| with_main(base, t, vts, insts, ret0.clone());
+    let alloca = |r: u32, ty: TypeId| Inst::Alloca {
+        result: ValueId(r),
+        ty,
+        var: None,
+    };
+    let sign = |r: u32, value: Operand, modifier: u64| Inst::PacSign {
+        result: ValueId(r),
+        value,
+        key: PacKey::Da,
+        modifier,
+        loc: None,
+        site: PacSite::OnStore,
+    };
+    let auth = |r: u32, value: Operand, modifier: u64| Inst::PacAuth {
+        result: ValueId(r),
+        value,
+        key: PacKey::Da,
+        modifier,
+        loc: None,
+        site: PacSite::OnLoad,
+    };
+    let pp_auth = |r: u32, value: Operand| Inst::PpAuth {
+        result: ValueId(r),
+        value,
+        key: PacKey::Da,
+    };
+    let pp_sign = |r: u32, value: Operand, ce: u8| Inst::PpSign {
+        result: ValueId(r),
+        value,
+        ce,
+        key: PacKey::Da,
+    };
+    let tag = |r: u32, value: Operand, ce: u8| Inst::PpAddTbi {
+        result: ValueId(r),
+        value,
+        ce,
+    };
+    let both = |f: PaFailure| [f, f];
+    vec![
+        (
+            "pp_add of a CE already registered with another FE",
+            body(
+                vec![],
+                vec![
+                    Inst::PpAdd { ce: 3, fe_modifier: 0x11 },
+                    Inst::PpAdd { ce: 3, fe_modifier: 0x22 },
+                ],
+            ),
+            "main:bb0:1",
+            both(PaFailure {
+                trap: "pointer-to-pointer authentication failure in main: CE 3 metadata conflict",
+                site: "pp_metadata",
+                inst: "pp_add",
+                detail: "CE 3 metadata conflict (had 0x11)",
+            }),
+        ),
+        (
+            "pp_sign on an unregistered CE",
+            body(vec![t.p_i64, t.p_i64], vec![alloca(0, t.i64), pp_sign(1, v(0), 5)]),
+            "main:bb0:1",
+            both(PaFailure {
+                trap: "pointer-to-pointer authentication failure in main: pp_sign: CE 5 not registered",
+                site: "pp_metadata",
+                inst: "pp_sign",
+                detail: "CE 5 not registered",
+            }),
+        ),
+        (
+            "pp_auth of a pointer with no TBI tag",
+            body(vec![t.p_i64, t.p_i64], vec![alloca(0, t.i64), pp_auth(1, v(0))]),
+            "main:bb0:1",
+            both(PaFailure {
+                trap: "pointer-to-pointer authentication failure in main: pp_auth: missing CE tag (raw or corrupted pointer)",
+                site: "pp_metadata",
+                inst: "pp_auth",
+                detail: "missing CE tag (raw or corrupted pointer)",
+            }),
+        ),
+        (
+            "pp_auth of a CE not in the store",
+            body(
+                vec![t.p_i64, t.p_i64, t.p_i64],
+                vec![alloca(0, t.i64), tag(1, v(0), 7), pp_auth(2, v(1))],
+            ),
+            "main:bb0:2",
+            both(PaFailure {
+                trap: "pointer-to-pointer authentication failure in main: pp_auth: CE 7 not in metadata store",
+                site: "pp_metadata",
+                inst: "pp_auth",
+                detail: "CE 7 not in metadata store",
+            }),
+        ),
+        (
+            "pp_auth under the wrong FE",
+            body(
+                vec![t.p_i64, t.p_i64, t.p_i64, t.p_i64],
+                vec![
+                    Inst::PpAdd { ce: 7, fe_modifier: 0xAA },
+                    Inst::PpAdd { ce: 8, fe_modifier: 0xBB },
+                    alloca(0, t.i64),
+                    pp_sign(1, v(0), 7),
+                    tag(2, v(1), 8),
+                    pp_auth(3, v(2)),
+                ],
+            ),
+            "main:bb0:5",
+            [
+                PaFailure {
+                    trap: "PAC authentication failure in main:0 at OnLoad (found 0xfd, expected 0xa8)",
+                    site: "on_load",
+                    inst: "pp_auth",
+                    detail: "found PAC 0xfd, expected 0xa8",
+                },
+                PaFailure {
+                    trap: "PAC authentication failure in main:0 at OnLoad (found 0x0, expected 0xa8)",
+                    site: "on_load",
+                    inst: "pp_auth",
+                    detail: "MAC missing or stale, expected 0xa8",
+                },
+            ],
+        ),
+        (
+            "pac_auth under the wrong modifier",
+            body(
+                vec![t.p_i64, t.p_i64, t.p_i64],
+                vec![alloca(0, t.i64), sign(1, v(0), 0x10), auth(2, v(1), 0x20)],
+            ),
+            "main:bb0:2",
+            [
+                PaFailure {
+                    trap: "PAC authentication failure in main:0 at OnLoad (found 0x16, expected 0xde)",
+                    site: "on_load",
+                    inst: "pac_auth",
+                    detail: "found PAC 0x16, expected 0xde",
+                },
+                PaFailure {
+                    trap: "PAC authentication failure in main:0 at OnLoad (found 0x0, expected 0xde)",
+                    site: "on_load",
+                    inst: "pac_auth",
+                    detail: "MAC missing or stale, expected 0xde",
+                },
+            ],
+        ),
+        (
+            "pac_auth of a loaded pointer under the wrong modifier",
+            body(
+                vec![t.pp_i64, t.p_i64, t.p_i64, t.p_i64, t.p_i64],
+                vec![
+                    alloca(0, t.p_i64),
+                    alloca(1, t.i64),
+                    sign(2, v(1), 0x10),
+                    Inst::Store { value: v(2), ptr: v(0) },
+                    Inst::Load { result: ValueId(3), ptr: v(0), ty: t.p_i64 },
+                    auth(4, v(3), 0x20),
+                ],
+            ),
+            "main:bb0:5",
+            [
+                PaFailure {
+                    trap: "PAC authentication failure in main:0 at OnLoad (found 0xcb, expected 0x37)",
+                    site: "on_load",
+                    inst: "pac_auth",
+                    detail: "found PAC 0xcb, expected 0x37",
+                },
+                PaFailure {
+                    trap: "PAC authentication failure in main:0 at OnLoad (found 0x0, expected 0x37)",
+                    site: "on_load",
+                    inst: "pac_auth",
+                    detail: "MAC missing or stale, expected 0x37",
+                },
+            ],
+        ),
+        (
+            "pac_auth of a never-signed pointer",
+            body(vec![t.p_i64, t.p_i64], vec![alloca(0, t.i64), auth(1, v(0), 0x20)]),
+            "main:bb0:1",
+            [
+                PaFailure {
+                    trap: "PAC authentication failure in main:0 at OnLoad (found 0x0, expected 0xde)",
+                    site: "on_load",
+                    inst: "pac_auth",
+                    detail: "found PAC 0x0, expected 0xde",
+                },
+                PaFailure {
+                    trap: "PAC authentication failure in main:0 at OnLoad (found 0x0, expected 0xde)",
+                    site: "on_load",
+                    inst: "pac_auth",
+                    detail: "MAC missing or stale, expected 0xde",
+                },
+            ],
+        ),
+    ]
+}
+
+/// Every PA failure raises its exact trap and audit record under both
+/// enforcement backends and both accounting modes, and — with the flight
+/// recorder armed — an incident naming the check that failed.
+#[test]
+fn pa_failures_trap_with_exact_reports_under_both_backends() {
+    let (base, tys) = base();
+    for (what, m, check_site, want) in pa_cases(&base, &tys) {
+        for (enforce, want) in [Backend::PacInPointer, Backend::MacTable]
+            .into_iter()
+            .zip(want)
+        {
+            for exec in [ExecBackend::Interp, ExecBackend::Compiled] {
+                let label = format!("{what} ({enforce:?}, {})", exec.label());
+                let img = Image::baseline(&m)
+                    .with_backend(enforce)
+                    .with_exec(exec)
+                    .with_record();
+                let r = Vm::new(&img).run();
+                let Status::Trapped(trap) = &r.status else {
+                    panic!("{label}: ran to {:?}", r.status)
+                };
+                let [a] = r.audit.as_slice() else {
+                    panic!("{label}: {} audit records", r.audit.len())
+                };
+                let trap_text = trap.to_string();
+                assert!(trap.is_detection(), "{label}: {trap}");
+                assert_eq!(trap_text, want.trap, "{label}: trap");
+                assert_eq!(
+                    (a.site.as_str(), a.inst.as_str(), a.detail.as_str()),
+                    (want.site, want.inst, want.detail),
+                    "{label}: audit record"
+                );
+                assert_eq!(
+                    (a.func.as_str(), a.mechanism.as_str()),
+                    ("main", "baseline"),
+                    "{label}"
+                );
+                let inc = r
+                    .incident
+                    .as_deref()
+                    .expect("a detection synthesizes an incident");
+                assert_eq!(
+                    (
+                        inc.check_site.as_str(),
+                        inc.check_kind.as_str(),
+                        inc.detail.as_str()
+                    ),
+                    (check_site, a.inst.as_str(), a.detail.as_str()),
+                    "{label}: incident"
+                );
+            }
         }
     }
 }
