@@ -5,9 +5,9 @@
 //! and optimized) module — a `pac`/`aut`/`xpac` or a `pp_*` runtime call.
 //! [`check_sites`] enumerates them in deterministic `(function, block,
 //! instruction)` order over the module, so a site's index in the returned
-//! table is a stable identity the VM agrees on: its translation bakes the
-//! same index into each compiled op (it walks functions/blocks/insts in
-//! exactly this order). Because the table is computed *after*
+//! table is a stable identity the VM agrees on: its translation walks
+//! functions/blocks/insts in exactly this order and builds the same table
+//! through [`CheckSite::at`], baking each index into its compiled op. Because the table is computed *after*
 //! instrument/optimize, it survives every pass by construction — elided or
 //! hoisted sites simply aren't in it, and the instrumentation pass already
 //! propagates the source `DebugLoc` of the protected load/store onto the
@@ -27,7 +27,7 @@
 //! and, for cross-engine folded-stack bit-identity on the real mix, in the
 //! bench crate's `attr_parity` suite.
 
-use rsti_ir::{Inst, Module, PacSite};
+use rsti_ir::{Function, Inst, InstNode, Module, PacSite};
 
 /// One PAC-family instruction in the final module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,22 +93,38 @@ pub fn check_sites(module: &Module) -> Vec<CheckSite> {
     for (fi, func) in module.funcs.iter().enumerate() {
         for (bi, block) in func.blocks.iter().enumerate() {
             for (ii, node) in block.insts.iter().enumerate() {
-                if let Some((kind, site)) = check_kind(&node.inst) {
-                    sites.push(CheckSite {
-                        id: sites.len() as u32,
-                        func: fi as u32,
-                        func_name: func.name.clone(),
-                        block: bi as u32,
-                        inst: ii as u32,
-                        kind,
-                        site,
-                        line: node.loc.as_ref().map_or(0, |l| l.line),
-                    });
-                }
+                sites.extend(CheckSite::at(sites.len() as u32, fi, func, bi, ii, node));
             }
         }
     }
     sites
+}
+
+impl CheckSite {
+    /// The site numbered `id` that instruction `ii` of block `bi` of
+    /// function `fi` (`func`) forms, or `None` when it is no check — the
+    /// one rule behind [`check_sites`] and the VM's translation walk, which
+    /// builds the same table.
+    pub fn at(
+        id: u32,
+        fi: usize,
+        func: &Function,
+        bi: usize,
+        ii: usize,
+        node: &InstNode,
+    ) -> Option<Self> {
+        let (kind, site) = check_kind(&node.inst)?;
+        Some(CheckSite {
+            id,
+            func: fi as u32,
+            func_name: func.name.clone(),
+            block: bi as u32,
+            inst: ii as u32,
+            kind,
+            site,
+            line: node.loc.as_ref().map_or(0, |l| l.line),
+        })
+    }
 }
 
 #[cfg(test)]

@@ -28,6 +28,18 @@ pub enum KeyId {
 impl KeyId {
     /// All key ids, in register order.
     pub const ALL: [KeyId; 5] = [KeyId::Ia, KeyId::Ib, KeyId::Da, KeyId::Db, KeyId::Ga];
+
+    /// The register's mnemonic suffix (`da` as in `pacda`/`autda`), the
+    /// label incidents carry.
+    pub fn name(self) -> &'static str {
+        match self {
+            KeyId::Ia => "ia",
+            KeyId::Ib => "ib",
+            KeyId::Da => "da",
+            KeyId::Db => "db",
+            KeyId::Ga => "ga",
+        }
+    }
 }
 
 /// A full bank of PA keys.

@@ -12,8 +12,14 @@
 //!   offsets, `IndexAddr` element sizes, and `Load` width dispatch become
 //!   captured constants;
 //! * **PAC call shapes are pre-computed** — key ids, static modifiers,
-//!   site indices, and the enforcement-backend arm are chosen at compile
-//!   time;
+//!   site-class indices, and the enforcement-backend arm are chosen at
+//!   compile time, and every sign or auth op goes through the one sign
+//!   rule and the one auth rule ([`Vm::pa_sign`], [`Vm::pa_auth`]), which
+//!   hold the only PAC-in-pointer vs MAC-table split;
+//! * **check sites are numbered** — the walk builds the image's
+//!   [`CheckSite`] table ([`CompiledModule::sites`]) and each PA op
+//!   captures its own site id and position, which its recorder events and
+//!   its failure report take directly;
 //! * **terminators are pre-resolved** — `br`/`cond_br` successors and the
 //!   `ret` operand become [`CompiledTerm`] slots.
 //!
@@ -66,13 +72,14 @@ pub(crate) enum Control {
 
 type OpFn = Box<dyn for<'a, 'b> Fn(&'a mut Vm<'b>) -> Control + Send + Sync>;
 
-/// `?` for closures returning [`Control`]: unwraps a `Result<_, Trap>` or
-/// routes the trap through the (boxed) control channel.
+/// `?` for closures returning [`Control`]: unwraps a `Result` with a
+/// [`Trap`] (or an already boxed one) or routes the trap through the
+/// (boxed) control channel.
 macro_rules! tri {
     ($e:expr) => {
         match $e {
             Ok(v) => v,
-            Err(t) => return Control::Trap(Box::new(t)),
+            Err(t) => return Control::Trap(t.into()),
         }
     };
 }
@@ -84,10 +91,9 @@ pub(crate) struct OpCharge {
     cost: u64,
     /// Opcode class index, for telemetry's per-op opclass counts.
     class: usize,
-    /// Check-site id for PAC-family ops ([`NO_SITE`] otherwise), assigned
-    /// in the same `(func, block, inst)` scan order as
-    /// `rsti_core::check_sites` — the attribution and recorder hooks key
-    /// their per-site stats and events by it.
+    /// Check-site id for PAC-family ops ([`NO_SITE`] otherwise): the op's
+    /// index in [`CompiledModule::sites`], by which attribution keys its
+    /// per-site stats.
     site: u32,
 }
 
@@ -132,6 +138,12 @@ pub(crate) struct CompiledModule {
     /// The translated bodies, or the id check's first failure for a
     /// malformed image.
     pub(crate) funcs: Result<Vec<CompiledFunc>, String>,
+    /// The image's check sites, numbered by the translation walk in
+    /// `(func, block, inst)` order — the `rsti_core::check_sites` table,
+    /// built once per image. Each PA op carries its own id; attribution
+    /// and the flight recorder resolve ids here. Empty for a malformed
+    /// image.
+    pub(crate) sites: Vec<CheckSite>,
     /// The image configuration the code was specialized against; the
     /// cache revalidates this before reuse.
     pub(crate) fingerprint: (CostModel, Backend),
@@ -383,7 +395,8 @@ pub(crate) fn compile_module(img: &Image) -> CompiledModule {
     let m: &Module = &img.module;
     let fingerprint = (img.cost, img.backend);
     if let Err(errs) = rsti_ir::check_ids(m, img.global_signing.iter().map(|g| g.global)) {
-        return CompiledModule { funcs: Err(errs[0].to_string()), fingerprint, n_blocks: 0 };
+        let funcs = Err(errs[0].to_string());
+        return CompiledModule { funcs, sites: Vec::new(), fingerprint, n_blocks: 0 };
     }
     let (saddr, _) = string_addresses(m);
     let cx = Cx {
@@ -396,14 +409,14 @@ pub(crate) fn compile_module(img: &Image) -> CompiledModule {
         ty_i64: m.types.i64(),
     };
     let mut n_blocks = 0u64;
-    // Site ids count PAC-family instructions in (func, block, inst) scan
-    // order — externals have no blocks, so skipping them preserves the
+    // Externals have no blocks, so skipping them keeps the
     // `check_sites` numbering.
-    let mut next_site = 0u32;
+    let mut sites = Vec::new();
     let funcs = m
         .funcs
         .iter()
-        .map(|f| {
+        .enumerate()
+        .map(|(fi, f)| {
             if f.is_external {
                 return CompiledFunc { blocks: Vec::new() };
             }
@@ -413,20 +426,23 @@ pub(crate) fn compile_module(img: &Image) -> CompiledModule {
                     .blocks
                     .iter()
                     .enumerate()
-                    .map(|(bi, b)| compile_block(&cx, f, bi, b, &mut next_site))
+                    .map(|(bi, b)| compile_block(&cx, fi, f, bi, b, &mut sites))
                     .collect(),
             }
         })
         .collect();
-    CompiledModule { funcs: Ok(funcs), fingerprint, n_blocks }
+    CompiledModule { funcs: Ok(funcs), sites, fingerprint, n_blocks }
 }
 
+/// Compiles block `bi` of function `fi`, appending its check sites to
+/// `sites`.
 fn compile_block(
     cx: &Cx<'_>,
+    fi: usize,
     f: &Function,
     bi: usize,
     b: &BasicBlock,
-    next_site: &mut u32,
+    sites: &mut Vec<CheckSite>,
 ) -> CompiledBlock {
     let mut ops = Vec::with_capacity(b.insts.len());
     let mut charge = Vec::with_capacity(b.insts.len());
@@ -438,16 +454,13 @@ fn compile_block(
         let cost = cx.cost.cost(&node.inst);
         total += cost;
         cost_prefix.push(total);
-        ops.push(compile_inst(cx, f, bi, &node.inst, i + 1));
+        let check = CheckSite::at(sites.len() as u32, fi, f, bi, i, node);
+        let site = check.as_ref().map_or(NO_SITE, |c| c.id);
+        sites.extend(check);
+        let at = CheckAt { site, block: bi as u32, next_idx: i as u32 + 1 };
+        ops.push(compile_inst(cx, f, at, &node.inst));
         let class = opcode_class(&node.inst);
         class_counts[class] += 1;
-        let site = if class == OPCLASS_PAC {
-            let s = *next_site;
-            *next_site += 1;
-            s
-        } else {
-            NO_SITE
-        };
         charge.push(OpCharge { cost, class, site });
     }
     let term = match &b.term {
@@ -471,25 +484,65 @@ fn compile_block(
     }
 }
 
-/// Commits the frame's position so a trap's audit record reads the same
-/// source line the per-op loop (which commits before every op) would
-/// report, and so a call's pushed frame knows where the caller resumes.
-/// The driver does not touch the frame on straight-line block
-/// transfers, so committing closures must write the block index too.
-#[cold]
-#[inline(never)]
-fn commit_pos(vm: &mut Vm<'_>, block: usize, next_idx: usize) {
-    let fr = vm.frames.last_mut().expect("active frame");
-    fr.block = block;
-    fr.idx = next_idx;
+impl Vm<'_> {
+    /// The sign rule, for both enforcement backends. PAC-in-pointer
+    /// returns the signed bits; the MAC table counts the sign, stages the
+    /// MAC for the store that follows, and returns `p` unchanged. Either
+    /// way the recorder sees the value returned.
+    #[inline(always)]
+    fn pa_sign(&mut self, op: PaOp, p: u64, modifier: u64) -> u64 {
+        let signed = if op.mac {
+            self.pac.sign_count += 1;
+            self.pending_mac = Some(self.pac.compute_pac(op.key, p, modifier));
+            p
+        } else {
+            self.pac.sign(op.key, p, modifier)
+        };
+        if self.rec.is_some() {
+            self.rec_push(RecKind::Sign, op.at.site, signed, modifier, Some(op.key));
+        }
+        signed
+    }
+
+    /// The auth rule, for both enforcement backends, returning the
+    /// authenticated pointer. PAC-in-pointer checks the pointer's PAC and
+    /// strips it; the MAC table checks the MAC staged by the sign just
+    /// before or else the table entry of the slot last loaded from, and
+    /// returns `p` unchanged. A miss is reported by [`Vm::auth_fail`].
+    #[inline(always)]
+    fn pa_auth(&mut self, op: PaOp, p: u64, modifier: u64) -> Result<u64, Box<Trap>> {
+        let clean = if op.mac {
+            self.pac.auth_count += 1;
+            let expected = self.pac.compute_pac(op.key, p, modifier);
+            let ok = match (self.pending_mac.take(), self.last_ptr_load) {
+                (Some(staged), _) => staged == expected,
+                (None, Some(slot)) => self.mac_table.get(&slot) == Some(&expected),
+                (None, None) => false,
+            };
+            if !ok {
+                self.pac.fail_count += 1;
+                return Err(self.auth_fail(op, p, modifier, 0, expected));
+            }
+            p
+        } else {
+            match self.pac.auth(op.key, p, modifier) {
+                Ok(clean) => clean,
+                Err(e) => {
+                    return Err(self.auth_fail(op, p, modifier, e.found_pac, e.expected_pac))
+                }
+            }
+        };
+        if self.rec.is_some() {
+            self.rec_push(RecKind::Auth, op.at.site, p, modifier, Some(op.key));
+        }
+        Ok(clean)
+    }
 }
 
-/// Compiles one instruction into a closure. `bi` is the index of the
-/// block holding it; `next_idx` is the index the per-op loop commits
-/// before executing it (its position plus one): calls store both as the
-/// caller's resume point, and audit traps store them for line
-/// diagnostics.
-fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usize) -> OpFn {
+/// Compiles one instruction into a closure. `at` is its check-site id and
+/// its position: calls commit that position as the caller's resume
+/// point, and failing checks commit it for line diagnostics.
+fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
     let mac = cx.backend == Backend::MacTable;
     match inst {
         Inst::Alloca { result, ty, .. } => {
@@ -901,7 +954,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                     }
                     Callee::Internal(fid) => {
                         // The caller resumes after this instruction.
-                        commit_pos(vm, bi, next_idx);
+                        vm.commit_pos(at);
                         match vm.push_frame(*fid, &argv, result) {
                             Ok(()) => Control::Transfer,
                             Err(t) => Control::Trap(Box::new(t)),
@@ -951,7 +1004,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                     }
                     Control::Next
                 } else {
-                    commit_pos(vm, bi, next_idx);
+                    vm.commit_pos(at);
                     match vm.push_frame(fid, &argv, result) {
                         Ok(()) => Control::Transfer,
                         Err(t) => Control::Trap(Box::new(t)),
@@ -1015,7 +1068,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
         Inst::PacSign { result, value, key, modifier, loc, site } => {
             let result = *result;
             let value = cx.resolve(value);
-            let key = key_id(*key);
+            let op = PaOp { mac, key: key_id(*key), class: *site, at };
             let modifier = *modifier;
             let loc = loc.as_ref().map(|l| cx.resolve(l));
             let si = site_index(*site);
@@ -1026,32 +1079,18 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                     None => modifier,
                     Some(l) => modifier ^ vm.img.va.canonical(tri!(l.read_ptr(vm))),
                 };
-                if !mac {
-                    let signed = vm.pac.sign(key, p, modifier);
-                    if vm.rec.is_some() {
-                        vm.rec_push(RecKind::Sign, signed, modifier, key_code(key));
-                    }
-                    vm.set(result, RtVal::P(signed));
-                } else {
-                    vm.pac.sign_count += 1;
-                    let macv = vm.pac.compute_pac(key, p, modifier);
-                    vm.pending_mac = Some(macv);
-                    if vm.rec.is_some() {
-                        vm.rec_push(RecKind::Sign, p, modifier, key_code(key));
-                    }
-                    vm.set(result, RtVal::P(p));
-                }
+                let signed = vm.pa_sign(op, p, modifier);
+                vm.set(result, RtVal::P(signed));
                 Control::Next
             })
         }
         Inst::PacAuth { result, value, key, modifier, loc, site } => {
             let result = *result;
             let value = cx.resolve(value);
-            let key = key_id(*key);
+            let op = PaOp { mac, key: key_id(*key), class: *site, at };
             let modifier = *modifier;
             let loc = loc.as_ref().map(|l| cx.resolve(l));
-            let site = *site;
-            let si = site_index(site);
+            let si = site_index(*site);
             Box::new(move |vm| {
                 vm.site_counts[si] += 1;
                 let p = tri!(value.read_ptr(vm));
@@ -1059,59 +1098,9 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                     None => modifier,
                     Some(l) => modifier ^ vm.img.va.canonical(tri!(l.read_ptr(vm))),
                 };
-                if !mac {
-                    match vm.pac.auth(key, p, modifier) {
-                        Ok(clean) => {
-                            if vm.rec.is_some() {
-                                vm.rec_push(RecKind::Auth, p, modifier, key_code(key));
-                            }
-                            vm.set(result, RtVal::P(clean));
-                            Control::Next
-                        }
-                        Err(e) => {
-                            commit_pos(vm, bi, next_idx);
-                            Control::Trap(Box::new(vm.pac_auth_fail(
-                                "pac_auth",
-                                site,
-                                modifier,
-                                e.found_pac,
-                                e.expected_pac,
-                                p,
-                                key_code(key),
-                            )))
-                        }
-                    }
-                } else {
-                    vm.pac.auth_count += 1;
-                    let expected = vm.pac.compute_pac(key, p, modifier);
-                    if let Some(macv) = vm.pending_mac.take() {
-                        if macv == expected {
-                            if vm.rec.is_some() {
-                                vm.rec_push(RecKind::Auth, p, modifier, key_code(key));
-                            }
-                            vm.set(result, RtVal::P(p));
-                            return Control::Next;
-                        }
-                    } else if let Some(slot) = vm.last_ptr_load {
-                        if vm.mac_table.get(&slot) == Some(&expected) {
-                            if vm.rec.is_some() {
-                                vm.rec_push(RecKind::Auth, p, modifier, key_code(key));
-                            }
-                            vm.set(result, RtVal::P(p));
-                            return Control::Next;
-                        }
-                    }
-                    vm.pac.fail_count += 1;
-                    commit_pos(vm, bi, next_idx);
-                    Control::Trap(Box::new(vm.mac_stale_fail(
-                        "pac_auth",
-                        site,
-                        modifier,
-                        expected,
-                        p,
-                        key_code(key),
-                    )))
-                }
+                let clean = tri!(vm.pa_auth(op, p, modifier));
+                vm.set(result, RtVal::P(clean));
+                Control::Next
             })
         }
         Inst::PacStrip { result, value } => {
@@ -1123,7 +1112,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
                 let p = tri!(value.read_ptr(vm));
                 let stripped = vm.pac.strip(p);
                 if vm.rec.is_some() {
-                    vm.rec_push(RecKind::Strip, p, 0, KEY_NONE);
+                    vm.rec_push(RecKind::Strip, at.site, p, 0, None);
                 }
                 vm.set(result, RtVal::P(stripped));
                 Control::Next
@@ -1133,14 +1122,8 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
             let (ce, fe) = (*ce, *fe_modifier);
             Box::new(move |vm| match vm.pp_table.get(&ce) {
                 Some(&had) if had != fe => {
-                    commit_pos(vm, bi, next_idx);
-                    Control::Trap(Box::new(vm.pp_fail(
-                        "pp_add",
-                        fe,
-                        PpFail::Conflict { ce: ce as u64, had },
-                        0,
-                        KEY_NONE,
-                    )))
+                    let f = PpFail::Conflict { ce: ce as u64, had };
+                    Control::Trap(vm.pp_fail(at, fe, f, 0, None))
                 }
                 _ => {
                     vm.pp_table.insert(ce, fe);
@@ -1152,36 +1135,15 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
             let result = *result;
             let value = cx.resolve(value);
             let ce = *ce;
-            let key = key_id(*key);
+            let op = PaOp { mac, key: key_id(*key), class: PacSite::OnLoad, at };
             Box::new(move |vm| {
                 let p = tri!(value.read_ptr(vm));
-                let fe = match vm.pp_table.get(&ce) {
-                    Some(&fe) => fe,
-                    None => {
-                        commit_pos(vm, bi, next_idx);
-                        return Control::Trap(Box::new(vm.pp_fail(
-                            "pp_sign",
-                            ce as u64,
-                            PpFail::NotRegistered { ce: ce as u64 },
-                            p,
-                            key_code(key),
-                        )));
-                    }
+                let Some(&fe) = vm.pp_table.get(&ce) else {
+                    let f = PpFail::NotRegistered { ce: ce as u64 };
+                    return Control::Trap(vm.pp_fail(at, ce as u64, f, p, Some(op.key)));
                 };
-                if !mac {
-                    let signed = vm.pac.sign(key, p, fe);
-                    if vm.rec.is_some() {
-                        vm.rec_push(RecKind::Sign, signed, fe, key_code(key));
-                    }
-                    vm.set(result, RtVal::P(signed));
-                } else {
-                    vm.pac.sign_count += 1;
-                    vm.pending_mac = Some(vm.pac.compute_pac(key, p, fe));
-                    if vm.rec.is_some() {
-                        vm.rec_push(RecKind::Sign, p, fe, key_code(key));
-                    }
-                    vm.set(result, RtVal::P(p));
-                }
+                let signed = vm.pa_sign(op, p, fe);
+                vm.set(result, RtVal::P(signed));
                 Control::Next
             })
         }
@@ -1199,83 +1161,20 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, bi: usize, inst: &Inst, next_idx: usi
         Inst::PpAuth { result, value, key } => {
             let result = *result;
             let value = cx.resolve(value);
-            let key = key_id(*key);
+            let op = PaOp { mac, key: key_id(*key), class: PacSite::OnLoad, at };
             Box::new(move |vm| {
                 let p = tri!(value.read_ptr(vm));
                 let ce = vm.img.va.tbi_tag(p);
                 if ce == 0 {
-                    commit_pos(vm, bi, next_idx);
-                    return Control::Trap(Box::new(vm.pp_fail(
-                        "pp_auth",
-                        0,
-                        PpFail::MissingTag,
-                        p,
-                        key_code(key),
-                    )));
+                    return Control::Trap(vm.pp_fail(at, 0, PpFail::MissingTag, p, Some(op.key)));
                 }
-                let fe = match vm.pp_table.get(&ce) {
-                    Some(&fe) => fe,
-                    None => {
-                        commit_pos(vm, bi, next_idx);
-                        return Control::Trap(Box::new(vm.pp_fail(
-                            "pp_auth",
-                            ce as u64,
-                            PpFail::NotInStore { ce: ce as u64 },
-                            p,
-                            key_code(key),
-                        )));
-                    }
+                let Some(&fe) = vm.pp_table.get(&ce) else {
+                    let f = PpFail::NotInStore { ce: ce as u64 };
+                    return Control::Trap(vm.pp_fail(at, ce as u64, f, p, Some(op.key)));
                 };
-                let untagged = vm.img.va.clear_tbi(p);
-                if !mac {
-                    match vm.pac.auth(key, untagged, fe) {
-                        Ok(clean) => {
-                            if vm.rec.is_some() {
-                                vm.rec_push(RecKind::Auth, untagged, fe, key_code(key));
-                            }
-                            vm.set(result, RtVal::P(clean));
-                            Control::Next
-                        }
-                        Err(e) => {
-                            commit_pos(vm, bi, next_idx);
-                            Control::Trap(Box::new(vm.pac_auth_fail(
-                                "pp_auth",
-                                PacSite::OnLoad,
-                                fe,
-                                e.found_pac,
-                                e.expected_pac,
-                                untagged,
-                                key_code(key),
-                            )))
-                        }
-                    }
-                } else {
-                    vm.pac.auth_count += 1;
-                    let expected = vm.pac.compute_pac(key, untagged, fe);
-                    let ok = match (vm.pending_mac.take(), vm.last_ptr_load) {
-                        (Some(macv), _) => macv == expected,
-                        (None, Some(slot)) => vm.mac_table.get(&slot) == Some(&expected),
-                        _ => false,
-                    };
-                    if ok {
-                        if vm.rec.is_some() {
-                            vm.rec_push(RecKind::Auth, untagged, fe, key_code(key));
-                        }
-                        vm.set(result, RtVal::P(untagged));
-                        Control::Next
-                    } else {
-                        vm.pac.fail_count += 1;
-                        commit_pos(vm, bi, next_idx);
-                        Control::Trap(Box::new(vm.mac_stale_fail(
-                            "pp_auth",
-                            PacSite::OnLoad,
-                            fe,
-                            expected,
-                            untagged,
-                            key_code(key),
-                        )))
-                    }
-                }
+                let clean = tri!(vm.pa_auth(op, vm.img.va.clear_tbi(p), fe));
+                vm.set(result, RtVal::P(clean));
+                Control::Next
             })
         }
     }
@@ -1480,7 +1379,7 @@ impl<'img> Vm<'img> {
     /// frame.
     #[inline(never)]
     fn exec_ops(&mut self, cb: &CompiledBlock, block: usize, idx: usize) -> Result<bool, Trap> {
-        let observed = self.attr.is_some() || self.rec.is_some();
+        let observed = self.attr.is_some();
         let mut next = idx;
         for (op, charge) in cb.ops[idx..].iter().zip(&cb.charge[idx..]) {
             if self.insts >= self.fuel {
@@ -1516,21 +1415,11 @@ impl<'img> Vm<'img> {
         self.exec_ops(cb, block, idx)
     }
 
-    /// One op with attribution and/or the flight recorder on: the
-    /// recorder stages the op's check site (baked into the charge stream
-    /// in `check_sites` order) for the events it records, then the
-    /// sampler runs after the op's charge and per-site accounting wraps
-    /// the op. Outlined so the unobserved loop stays small.
+    /// One op with attribution on: the sampler runs after the op's charge
+    /// and per-site accounting wraps the op. Outlined so the unobserved
+    /// loop stays small.
     #[inline(never)]
     fn exec_op_observed(&mut self, op: &OpFn, charge: &OpCharge) -> Control {
-        if let Some(r) = self.rec.as_deref_mut() {
-            if charge.class == OPCLASS_PAC {
-                r.cur_site = charge.site;
-            }
-        }
-        if self.attr.is_none() {
-            return op(self);
-        }
         self.attr_maybe_sample();
         if charge.site == NO_SITE {
             return op(self);

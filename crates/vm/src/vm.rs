@@ -28,8 +28,8 @@
 use crate::cycles::CostModel;
 use crate::mem::{layout, Allocator, MemFault, Memory};
 use rsti_core::{
-    check_sites, optimize_module, optimize_program_at, pac_site_name, CheckSite, GlobalSign,
-    InstrumentStats, InstrumentedProgram, MechChoice, Mechanism, OptLevel,
+    optimize_module, optimize_program_at, pac_site_name, CheckSite, GlobalSign, InstrumentStats,
+    InstrumentedProgram, MechChoice, Mechanism, OptLevel,
 };
 use rsti_ir::{
     term_successors, BinOp, CmpOp, FuncId, GlobalInit, Inst, Module, Operand, PacKey,
@@ -316,6 +316,31 @@ enum PpFail {
     NotInStore { ce: u64 },
 }
 
+/// An op's identity, fixed at translation and captured in the closures
+/// that need it: its check-site id ([`NO_SITE`] unless it is a check),
+/// which a check's recorder events and failure report carry, and its
+/// position (its block, and the index the per-op loop commits before it),
+/// which calls and failing checks commit.
+#[derive(Clone, Copy)]
+struct CheckAt {
+    site: u32,
+    block: u32,
+    next_idx: u32,
+}
+
+/// A sign or auth op's translation-time constants, the inputs of
+/// [`Vm::auth_fail`] and of the sign and auth rules in `compile.rs`.
+#[derive(Clone, Copy)]
+struct PaOp {
+    /// The enforcement backend: the MAC table, or PAC-in-pointer.
+    mac: bool,
+    key: KeyId,
+    /// The site class a failing auth reports (`pp_auth` reports
+    /// `on_load`).
+    class: PacSite,
+    at: CheckAt,
+}
+
 impl ExecResult {
     /// Whether any critical external was reached.
     pub fn reached_critical(&self) -> bool {
@@ -449,9 +474,8 @@ struct FuncStat {
 /// identically by construction (attribution forces every block through
 /// the per-op loop; see `exec_ops`).
 struct AttrState {
-    /// The static check-site table, in deterministic scan order — the ids
-    /// the translation bakes into each op's `OpCharge::site`.
-    sites: Vec<CheckSite>,
+    /// Indexed by check-site id (the image's site table, whose ids the
+    /// translation bakes into each op's `OpCharge::site`).
     site_stats: Vec<SiteStat>,
     /// Indexed by function id.
     funcs: Vec<FuncStat>,
@@ -470,12 +494,9 @@ struct AttrState {
 }
 
 impl AttrState {
-    fn new(module: &Module, sample_every: u64) -> Box<Self> {
-        let sites = check_sites(module);
-        let n_sites = sites.len();
+    fn new(module: &Module, n_sites: usize, sample_every: u64) -> Box<Self> {
         let sample_every = sample_every.max(1);
         Box::new(AttrState {
-            sites,
             site_stats: vec![SiteStat::default(); n_sites],
             funcs: vec![FuncStat::default(); module.funcs.len()],
             last_cycles: 0,
@@ -500,28 +521,9 @@ impl AttrState {
 /// few KiB of plain `Copy` rows.
 pub const DEFAULT_RECORD_CAP: usize = 64;
 
-/// Key-code sentinel: no PA key involved in the event.
-const KEY_NONE: u8 = u8::MAX;
-
-fn key_code(k: KeyId) -> u8 {
-    match k {
-        KeyId::Ia => 0,
-        KeyId::Ib => 1,
-        KeyId::Da => 2,
-        KeyId::Db => 3,
-        KeyId::Ga => 4,
-    }
-}
-
-fn key_label(code: u8) -> &'static str {
-    match code {
-        0 => "ia",
-        1 => "ib",
-        2 => "da",
-        3 => "db",
-        4 => "ga",
-        _ => "",
-    }
+/// An event's key label: the register's name, or empty for none.
+fn key_label(key: Option<KeyId>) -> &'static str {
+    key.map_or("", KeyId::name)
 }
 
 /// The closed pointer-lifecycle event taxonomy the recorder captures.
@@ -570,7 +572,7 @@ struct RecEvent {
     addr: u64,
     value: u64,
     modifier: u64,
-    key: u8,
+    key: Option<KeyId>,
 }
 
 /// Per-run flight-recorder state, allocated only when [`Image::record`]
@@ -580,29 +582,21 @@ struct RecEvent {
 /// model, and the recorder forces every block through the per-op loop —
 /// so interp and compiled runs record bit-identical windows.
 struct RecState {
-    /// The static check-site table, in deterministic scan order (the same
-    /// ids the attribution profiler uses).
-    sites: Vec<CheckSite>,
     /// Bounded ring of recent events; `next` is the overwrite cursor
     /// (the oldest row) once the ring is full.
     ring: Vec<RecEvent>,
     next: usize,
     dropped: u64,
-    /// Check-site id of the op currently executing (staged by the per-op
-    /// loop before each PAC-family op; read by sign/auth/strip events).
-    cur_site: u32,
     /// The synthesized incident, set at the first detection trap.
     incident: Option<Box<Incident>>,
 }
 
 impl RecState {
-    fn new(module: &Module) -> Box<Self> {
+    fn new() -> Box<Self> {
         Box::new(RecState {
-            sites: check_sites(module),
             ring: Vec::with_capacity(DEFAULT_RECORD_CAP),
             next: 0,
             dropped: 0,
-            cur_site: NO_SITE,
             incident: None,
         })
     }
@@ -1176,6 +1170,7 @@ impl<'img> Vm<'img> {
     pub fn new(img: &'img Image) -> Self {
         let m = &img.module;
         let code = img.compiled();
+        let n_sites = code.sites.len();
         let mut pac = PacUnit::new(&img.keys, img.va);
         let mut mac_table = HashMap::new();
         let loaded = match &code.funcs {
@@ -1225,8 +1220,8 @@ impl<'img> Vm<'img> {
             opclass: [0; 6],
             audit: Vec::new(),
             telemetry_flushed: false,
-            attr: img.attr.then(|| AttrState::new(&img.module, img.attr_sample_every)),
-            rec: img.record.then(|| RecState::new(&img.module)),
+            attr: img.attr.then(|| AttrState::new(m, n_sites, img.attr_sample_every)),
+            rec: img.record.then(RecState::new),
         };
         // A malformed image loads into an already-trapped VM instead of
         // aborting the process: `run` then reports the trap like any other
@@ -1449,7 +1444,8 @@ impl<'img> Vm<'img> {
     fn attr_profile(&self) -> Option<Box<AttrProfile>> {
         let a = self.attr.as_deref()?;
         let m = &self.img.module;
-        let sites: Vec<SiteAttr> = a
+        let sites: Vec<SiteAttr> = self
+            .code
             .sites
             .iter()
             .zip(&a.site_stats)
@@ -1522,13 +1518,19 @@ impl<'img> Vm<'img> {
     // exec_ret, store_typed, the attacker API, and the translated
     // PAC/Load/Free ops), so recorded windows are mode-identical.
 
-    /// Records one PAC-family event at the currently staged check site.
+    /// Records one PAC-family event of check site `site`.
     #[inline(never)]
-    fn rec_push(&mut self, kind: RecKind, value: u64, modifier: u64, key: u8) {
+    fn rec_push(
+        &mut self,
+        kind: RecKind,
+        site: u32,
+        value: u64,
+        modifier: u64,
+        key: Option<KeyId>,
+    ) {
         let cycle = self.cycles;
         let func = self.frames.last().map_or(u32::MAX, |f| f.func.0);
         let r = self.rec.as_deref_mut().expect("recorder armed");
-        let site = r.cur_site;
         r.push(RecEvent { cycle, kind, func, site, addr: 0, value, modifier, key });
     }
 
@@ -1546,7 +1548,7 @@ impl<'img> Vm<'img> {
             addr,
             value,
             modifier: 0,
-            key: KEY_NONE,
+            key: None,
         });
     }
 
@@ -1563,37 +1565,37 @@ impl<'img> Vm<'img> {
             addr: 0,
             value: 0,
             modifier: 0,
-            key: KEY_NONE,
+            key: None,
         });
     }
 
     /// Synthesizes the structured [`Incident`] for the first detection
-    /// trap of a recorded run: records the trap's own `auth_fail` event,
-    /// resolves the sign-site lineage of the presented value from the
-    /// ring, and freezes the scope timeline and event window. Cold — a
-    /// detection ends the run.
+    /// trap of a recorded run, from the audit record just taken and the
+    /// presented `value` and `key`: records the trap's own `auth_fail`
+    /// event at check site `site`, resolves the sign-site lineage of the
+    /// presented value from the ring, and freezes the scope timeline and
+    /// event window. Cold — a detection ends the run.
     #[cold]
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
     fn rec_synthesize(
         &mut self,
         trap: &'static str,
-        inst: &'static str,
-        pac_site: &'static str,
-        modifier: u64,
+        site: u32,
         value: u64,
-        key: u8,
+        key: Option<KeyId>,
         found: u64,
         expected: u64,
     ) {
+        let audit = self.audit.last().cloned().expect("audit record taken first");
+        let modifier = audit.modifier;
         // The trap itself closes the window.
-        self.rec_push(RecKind::AuthFail, value, modifier, key);
+        self.rec_push(RecKind::AuthFail, site, value, modifier, key);
         let img = self.img;
         let m = &img.module;
+        let sites = &self.code.sites;
         let func = self.cur_func_name();
         let line = self.cur_line();
         let cycle = self.cycles;
-        let detail = self.audit.last().map(|a| a.detail.clone()).unwrap_or_default();
         let Some(r) = self.rec.as_deref() else { return };
         if r.incident.is_some() {
             return; // first detection only
@@ -1606,7 +1608,7 @@ impl<'img> Vm<'img> {
                 .funcs
                 .get(e.func as usize)
                 .map_or_else(|| "<none>".to_string(), |f| f.name.clone()),
-            site: site_label(&r.sites, e.site),
+            site: site_label(sites, e.site),
             addr: e.addr,
             value: e.value,
             modifier: e.modifier,
@@ -1621,7 +1623,7 @@ impl<'img> Vm<'img> {
             .rev()
             .find(|e| e.kind == RecKind::Sign && e.value == value && value != 0)
             .map(|e| SignLineage {
-                site: site_label(&r.sites, e.site),
+                site: site_label(sites, e.site),
                 func: m
                     .funcs
                     .get(e.func as usize)
@@ -1652,9 +1654,9 @@ impl<'img> Vm<'img> {
             cycle,
             func,
             line,
-            check_site: site_label(&r.sites, r.cur_site),
-            check_kind: inst.to_string(),
-            pac_site: pac_site.to_string(),
+            check_site: site_label(sites, site),
+            check_kind: audit.inst,
+            pac_site: audit.site,
             presented_modifier: modifier,
             presented_key: key_label(key).to_string(),
             presented_value: value,
@@ -1664,7 +1666,7 @@ impl<'img> Vm<'img> {
             scope_timeline,
             window,
             dropped_events: r.dropped,
-            detail,
+            detail: audit.detail,
         };
         self.rec.as_deref_mut().expect("recorder armed").incident = Some(Box::new(inc));
     }
@@ -1722,15 +1724,25 @@ impl<'img> Vm<'img> {
         });
     }
 
-    /// Builds the audit record for an RSTI detection trap, appends it to
-    /// the run's audit log, and forwards it to the global collector.
-    ///
-    /// Cold and out of line, like every failure constructor below: a
-    /// detection ends the run, and keeping the string formatting out of
-    /// the op closures keeps them small.
+    /// Commits the frame position of the op at `at`, as the per-op loop
+    /// does before running it. Calls do this to store where the caller
+    /// resumes, and failure reports so that their line reads the same
+    /// under both accounting modes; the driver does not touch the frame on
+    /// straight-line block transfers, so the block index is written too.
     #[cold]
     #[inline(never)]
-    fn record_audit(&mut self, site: &'static str, inst: &'static str, modifier: u64, detail: String) {
+    fn commit_pos(&mut self, at: CheckAt) {
+        let fr = self.frames.last_mut().expect("active frame");
+        fr.block = at.block as usize;
+        fr.idx = at.next_idx as usize;
+    }
+
+    /// Commits the failing check's position, then builds the audit record
+    /// for its detection trap, appends it to the run's audit log, and
+    /// forwards it to the global collector. The record's `inst` is the
+    /// check's kind in the image's site table.
+    fn record_audit(&mut self, at: CheckAt, site: &'static str, modifier: u64, detail: String) {
+        self.commit_pos(at);
         let rec = AuditRecord {
             mechanism: self
                 .img
@@ -1740,106 +1752,63 @@ impl<'img> Vm<'img> {
             site: site.to_string(),
             func: self.cur_func_name(),
             line: self.cur_line(),
-            inst: inst.to_string(),
+            inst: self.code.sites[at.site as usize].kind.to_string(),
             detail,
         };
         rsti_telemetry::global().record_violation(&rec);
         self.audit.push(rec);
     }
 
-    /// PAC mismatch on an `aut` (pac-in-pointer backend). `value`/`key`
-    /// are the presented bits and key — the flight recorder's forensic
-    /// inputs when it is armed.
+    /// The one auth-failure report, for both enforcement backends: a PAC
+    /// mismatch (`found` is the pointer's PAC) or a missing or stale MAC
+    /// (`found` is 0). `value` and `modifier` are what the check
+    /// authenticated — the flight recorder's forensic inputs when it is
+    /// armed.
+    ///
+    /// Cold and out of line, like [`Vm::pp_fail`]: a detection ends the
+    /// run, and keeping the string formatting out of the op closures keeps
+    /// them small.
     #[cold]
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn pac_auth_fail(
+    fn auth_fail(
         &mut self,
-        inst: &'static str,
-        site: PacSite,
+        op: PaOp,
+        value: u64,
         modifier: u64,
         found: u64,
         expected: u64,
-        value: u64,
-        key: u8,
-    ) -> Trap {
-        self.record_audit(
-            pac_site_name(site),
-            inst,
-            modifier,
-            format!("found PAC {found:#x}, expected {expected:#x}"),
-        );
+    ) -> Box<Trap> {
+        let detail = if op.mac {
+            format!("MAC missing or stale, expected {expected:#x}")
+        } else {
+            format!("found PAC {found:#x}, expected {expected:#x}")
+        };
+        self.record_audit(op.at, pac_site_name(op.class), modifier, detail);
         if self.rec.is_some() {
-            self.rec_synthesize(
-                "pac_auth_failure",
-                inst,
-                pac_site_name(site),
-                modifier,
-                value,
-                key,
-                found,
-                expected,
-            );
+            let key = Some(op.key);
+            self.rec_synthesize("pac_auth_failure", op.at.site, value, key, found, expected);
         }
-        Trap::PacAuthFailure {
+        Box::new(Trap::PacAuthFailure {
             func: self.cur_func_name(),
             line: self.cur_line(),
-            site,
+            site: op.class,
             found_pac: found,
             expected_pac: expected,
-        }
+        })
     }
 
-    /// Missing or stale MAC on an `aut` (MAC-table backend).
-    #[cold]
-    #[inline(never)]
-    fn mac_stale_fail(
-        &mut self,
-        inst: &'static str,
-        site: PacSite,
-        modifier: u64,
-        expected: u64,
-        value: u64,
-        key: u8,
-    ) -> Trap {
-        self.record_audit(
-            pac_site_name(site),
-            inst,
-            modifier,
-            format!("MAC missing or stale, expected {expected:#x}"),
-        );
-        if self.rec.is_some() {
-            self.rec_synthesize(
-                "pac_auth_failure",
-                inst,
-                pac_site_name(site),
-                modifier,
-                value,
-                key,
-                0,
-                expected,
-            );
-        }
-        Trap::PacAuthFailure {
-            func: self.cur_func_name(),
-            line: self.cur_line(),
-            site,
-            found_pac: 0,
-            expected_pac: expected,
-        }
-    }
-
-    /// Pointer-to-pointer metadata failure.
+    /// Pointer-to-pointer metadata failure, reported like
+    /// [`Vm::auth_fail`].
     #[cold]
     #[inline(never)]
     fn pp_fail(
         &mut self,
-        inst: &'static str,
+        at: CheckAt,
         modifier: u64,
         f: PpFail,
         value: u64,
-        key: u8,
-    ) -> Trap {
+        key: Option<KeyId>,
+    ) -> Box<Trap> {
         let (detail, reason) = match f {
             PpFail::Conflict { ce, had } => (
                 format!("CE {ce} metadata conflict (had {had:#x})"),
@@ -1858,11 +1827,11 @@ impl<'img> Vm<'img> {
                 format!("pp_auth: CE {ce} not in metadata store"),
             ),
         };
-        self.record_audit("pp_metadata", inst, modifier, detail);
+        self.record_audit(at, "pp_metadata", modifier, detail);
         if self.rec.is_some() {
-            self.rec_synthesize("pp_auth_failure", inst, "pp_metadata", modifier, value, key, 0, 0);
+            self.rec_synthesize("pp_auth_failure", at.site, value, key, 0, 0);
         }
-        Trap::PpAuthFailure { func: self.cur_func_name(), reason }
+        Box::new(Trap::PpAuthFailure { func: self.cur_func_name(), reason })
     }
 
     fn cur_func_name(&self) -> String {
