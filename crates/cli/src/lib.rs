@@ -138,26 +138,26 @@ fn cmd_fuzz(args: &[String]) -> Result<(i32, String), CliError> {
             None => Ok(default),
         }
     };
-    let cfg = rsti_fuzz::FuzzConfig {
-        start: parse_u64("--start", 0)?,
-        seeds: parse_u64("--seeds", 100)?,
-        minimize: args.iter().any(|a| a == "--minimize"),
-        ..Default::default()
-    };
     // The campaign cross-checks block pre-charge against the per-op
     // reference by default; `--backend interp` opts out. (Enforcement
     // backends are part of the oracle matrix itself, so `pac`/`mac` are
     // accepted but irrelevant.)
     let (_enforce, exec) = parse_backends(args)?;
-    rsti_fuzz::set_exec_oracle(exec != Some(rsti_vm::ExecBackend::Interp));
-    // `--attr` runs every oracle VM with the attribution profiler on: the
-    // verdicts must not change (inertness), and the exec oracle then also
-    // diffs the engines' profiles on every generated program.
-    rsti_fuzz::set_attr_profile(args.iter().any(|a| a == "--attr"));
-    // `--record` arms the flight recorder on every oracle VM: verdicts must
-    // not change, and the exec oracle then also diffs the engines'
-    // synthesized incidents bit-for-bit on every generated program.
-    rsti_fuzz::set_record(args.iter().any(|a| a == "--record"));
+    let cfg = rsti_fuzz::FuzzConfig {
+        start: parse_u64("--start", 0)?,
+        seeds: parse_u64("--seeds", 100)?,
+        minimize: args.iter().any(|a| a == "--minimize"),
+        exec_oracle: exec != Some(rsti_vm::ExecBackend::Interp),
+        // `--attr` runs every oracle VM with the attribution profiler on:
+        // the verdicts must not change (inertness), and the exec oracle
+        // then also diffs the engines' profiles on every generated program.
+        attr: args.iter().any(|a| a == "--attr"),
+        // `--record` arms the flight recorder on every oracle VM: verdicts
+        // must not change, and the exec oracle then also diffs the
+        // engines' synthesized incidents bit-for-bit on every program.
+        record: args.iter().any(|a| a == "--record"),
+        ..Default::default()
+    };
     let corpus_dir = flag_value(args, "--corpus");
 
     let report = rsti_fuzz::run_campaign(&cfg);
@@ -1444,7 +1444,6 @@ mod tests {
             run_cli(&["fuzz".into(), "--seeds".into(), "2".into(), "--record".into()]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("0 oracle violation(s)"), "{out}");
-        rsti_fuzz::set_record(false);
     }
 
     #[test]
@@ -1456,7 +1455,6 @@ mod tests {
             run_cli(&["fuzz".into(), "--seeds".into(), "2".into(), "--attr".into()]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("0 oracle violation(s)"), "{out}");
-        rsti_fuzz::set_attr_profile(false);
     }
 
     #[test]

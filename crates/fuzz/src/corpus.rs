@@ -8,6 +8,7 @@
 //! regressed.
 
 use crate::oracle::{check_source, FailureKind};
+use crate::FuzzConfig;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -27,7 +28,8 @@ pub fn write_repro(
     Ok(path)
 }
 
-/// Replays every `.mc` file in `dir` (sorted by name) through the oracles.
+/// Replays every `.mc` file in `dir` (sorted by name) through the oracles,
+/// with the default [`FuzzConfig`] knobs.
 /// Returns one `(path, verdict)` pair per file; an empty or missing corpus
 /// directory is an error — replaying nothing must not look like passing.
 pub fn replay_dir(dir: &Path) -> io::Result<Vec<(PathBuf, Result<(), FailureKind>)>> {
@@ -46,7 +48,7 @@ pub fn replay_dir(dir: &Path) -> io::Result<Vec<(PathBuf, Result<(), FailureKind
         .into_iter()
         .map(|p| {
             let src = fs::read_to_string(&p)?;
-            Ok((p, check_source(&src)))
+            Ok((p, check_source(&src, &FuzzConfig::default())))
         })
         .collect()
 }

@@ -9,9 +9,10 @@
 //!   ASTs that exercise the constructs RSTI cares about — function-pointer
 //!   tables, nested structs, double pointers, casts and type punning,
 //!   address-escaping locals, heap churn;
-//! * [`oracle`] pushes each program through three checks per pipeline
-//!   configuration: differential output vs. the baseline, IR verification at
-//!   every pass boundary, and no-panic-anywhere;
+//! * [`oracle`] pushes each program through three checks per cell that
+//!   `rsti_vm::Image::build` makes (every mechanism choice, adaptive
+//!   included, at every opt level): differential output vs. the baseline,
+//!   IR verification of the built module, and no-panic-anywhere;
 //! * [`minimize`](minimize::minimize) shrinks a failing AST while preserving
 //!   its failure class, leaning on the printer's round-trip guarantee
 //!   (`parse(print(ast)) == ast`) so every candidate is a valid program;
@@ -28,7 +29,7 @@ pub mod minimize;
 pub mod oracle;
 
 pub use minimize::MinimizeReport;
-pub use oracle::{set_attr_profile, set_exec_oracle, set_record, FailureKind};
+pub use oracle::FailureKind;
 
 use rsti_frontend::print_items;
 use rsti_telemetry::{CounterId, Phase};
@@ -48,6 +49,21 @@ pub struct FuzzConfig {
     pub minimize: bool,
     /// Oracle-run budget per minimization.
     pub budget: u32,
+    /// Cross-check block pre-charge against the per-op reference
+    /// accounting on every run (the `exec=compiled` oracle column). On by
+    /// default; `rsti fuzz --backend interp` turns it off for a
+    /// reference-only campaign.
+    pub exec_oracle: bool,
+    /// Run every oracle VM with the attribution profiler (`rsti fuzz
+    /// --attr`). The verdicts must not change, and with the exec oracle
+    /// both accounting modes must produce identical profiles, since
+    /// [`rsti_vm::ExecResult`] equality covers `attr`.
+    pub attr: bool,
+    /// Arm the flight recorder on every oracle VM (`rsti fuzz --record`).
+    /// Any run that traps on an RSTI detection then synthesizes an
+    /// incident in both accounting modes, and the exec oracle's
+    /// `ExecResult` equality covers it bit for bit.
+    pub record: bool,
 }
 
 impl Default for FuzzConfig {
@@ -58,6 +74,9 @@ impl Default for FuzzConfig {
             gen: AstGenConfig::default(),
             minimize: false,
             budget: 2000,
+            exec_oracle: true,
+            attr: false,
+            record: false,
         }
     }
 }
@@ -137,12 +156,12 @@ pub fn run_campaign(cfg: &FuzzConfig) -> CampaignReport {
                     }
                 }
             };
-            if let Err(kind) = oracle::check_items(&items) {
+            if let Err(kind) = oracle::check_items(&items, cfg) {
                 tel.add(CounterId::FuzzFailures, 1);
                 let source = print_items(&items);
                 let (minimized, attempts) = if cfg.minimize {
                     let _span = tel.span(Phase::FuzzMinimize);
-                    let rep = minimize::minimize(&items, &kind.class_key(), cfg.budget);
+                    let rep = minimize::minimize(&items, &kind.class_key(), cfg);
                     (Some(print_items(&rep.items)), rep.attempts)
                 } else {
                     (None, 0)
@@ -180,6 +199,7 @@ mod tests {
             gen: small(),
             minimize: true,
             budget: 200,
+            ..Default::default()
         });
         assert_eq!(report.seeds_run, 6);
         assert!(
@@ -191,7 +211,7 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic() {
-        let cfg = FuzzConfig { start: 7, seeds: 2, gen: small(), minimize: false, budget: 0 };
+        let cfg = FuzzConfig { start: 7, seeds: 2, gen: small(), budget: 0, ..Default::default() };
         let a = run_campaign(&cfg);
         let b = run_campaign(&cfg);
         assert_eq!(a.failures.len(), b.failures.len());
@@ -225,14 +245,15 @@ int main() {
     fn reducer_shrinks_a_divergence_and_preserves_its_class() {
         with_quiet_panics(|| {
             let items = rsti_frontend::parse(CONFUSED).expect("fixture parses");
-            let kind = check_items(&items).expect_err("fixture must diverge");
+            let cfg = FuzzConfig { budget: 400, ..Default::default() };
+            let kind = check_items(&items, &cfg).expect_err("fixture must diverge");
             let key = kind.class_key();
             assert!(
                 key.starts_with("status_divergence:"),
                 "expected a status divergence, got {key}"
             );
 
-            let rep = minimize(&items, &key, 400);
+            let rep = minimize(&items, &key, &cfg);
             assert!(rep.attempts > 0);
             assert!(
                 rep.stmts_after < rep.stmts_before,
@@ -241,7 +262,7 @@ int main() {
             );
             // The reducer invariant: the minimized program still fails with
             // the exact same class.
-            let kind2 = check_items(&rep.items).expect_err("minimized repro must still fail");
+            let kind2 = check_items(&rep.items, &cfg).expect_err("minimized repro must still fail");
             assert_eq!(kind2.class_key(), key);
         });
     }

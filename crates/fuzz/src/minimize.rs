@@ -24,6 +24,7 @@
 //!    operand).
 
 use crate::oracle::check_items;
+use crate::FuzzConfig;
 use rsti_frontend::ast::{Block, Expr, Item, Stmt, UnOp};
 use rsti_telemetry::CounterId;
 
@@ -43,9 +44,11 @@ pub struct MinimizeReport {
 /// Shrinks `items` while preserving the failure class `class_key`.
 ///
 /// The input is assumed to fail with that class; if it does not, the input
-/// is returned unchanged (no candidate can be accepted). At most `budget`
-/// oracle runs are spent.
-pub fn minimize(items: &[Item], class_key: &str, budget: u32) -> MinimizeReport {
+/// is returned unchanged (no candidate can be accepted). Candidates run
+/// under `cfg`'s oracle knobs, and at most `cfg.budget` oracle runs are
+/// spent.
+pub fn minimize(items: &[Item], class_key: &str, cfg: &FuzzConfig) -> MinimizeReport {
+    let budget = cfg.budget;
     let tel = rsti_telemetry::global();
     let mut cur: Vec<Item> = items.to_vec();
     let mut attempts: u32 = 0;
@@ -54,7 +57,7 @@ pub fn minimize(items: &[Item], class_key: &str, budget: u32) -> MinimizeReport 
     let reproduces = |cand: &[Item], attempts: &mut u32| -> bool {
         *attempts += 1;
         tel.add(CounterId::FuzzMinimizeAttempts, 1);
-        matches!(check_items(cand), Err(k) if k.class_key() == class_key)
+        matches!(check_items(cand, cfg), Err(k) if k.class_key() == class_key)
     };
 
     'outer: loop {

@@ -4,15 +4,16 @@
 //! committed corpus — is pushed through the same checks:
 //!
 //! 1. **Differential output**: the uninstrumented baseline run, the
-//!    baseline after the block and cfg levels and after leaf inlining, and
-//!    every `Mechanism × {unoptimized, block-local, cfg, ipo}` instrumented
-//!    run must agree on exit status and printed output. A well-defined
+//!    baseline after leaf inlining, and every cell `Image::build` makes —
+//!    each `MechChoice` (baseline, the four mechanisms, adaptive) × each
+//!    `OptLevel` — must agree on exit status and printed output. A well-defined
 //!    MiniC program never observes the PAC machinery, so any divergence is
 //!    a pipeline bug (or, for hand-written attack programs, a detection —
 //!    which is why the committed corpus contains only post-fix *passing*
 //!    programs).
 //! 2. **IR verification**: `rsti_ir::verify_module` must accept the module
-//!    after every pass boundary — lower, instrument, optimize.
+//!    after lowering and every built image's module: at `none` that is the
+//!    instrument boundary, at the higher levels the optimize boundary.
 //! 3. **No panics**: every stage runs under `catch_unwind`; a panic anywhere
 //!    in the frontend, a pass, or the VM is a reportable failure even when
 //!    the output would otherwise agree.
@@ -27,9 +28,8 @@
 //! reducer can insist that a shrunken candidate reproduces the *same* bug,
 //! not merely *a* bug.
 
-use rsti_core::{
-    inline_leaf_functions, instrument, optimize_module, Mechanism, OptLevel, LEAF_INLINE_BUDGET,
-};
+use crate::FuzzConfig;
+use rsti_core::{inline_leaf_functions, MechChoice, Mechanism, OptLevel, LEAF_INLINE_BUDGET};
 use rsti_frontend::ast::Item;
 use rsti_frontend::{ast_eq_items, compile, parse, print_items};
 use rsti_ir::verify_module;
@@ -68,8 +68,8 @@ pub enum FailureKind {
     },
     /// `verify_module` rejected the IR after a pass boundary.
     VerifyReject {
-        /// Pass that produced the ill-formed module: `lower`, `instrument`,
-        /// or `optimize`.
+        /// Pass that produced the ill-formed module: `lower`, `inline`,
+        /// `instrument` (a cell built at `none`) or `optimize`.
         stage: String,
         /// Pipeline configuration label (e.g. `stwc+opt`).
         config: String,
@@ -78,7 +78,8 @@ pub enum FailureKind {
     },
     /// An instrumentation or optimization pass panicked.
     PassPanic {
-        /// Pass that panicked.
+        /// Pass that panicked: `inline`, or `build` (`Image::build`'s
+        /// instrumentation and optimization).
         stage: String,
         /// Pipeline configuration label.
         config: String,
@@ -188,64 +189,25 @@ pub(crate) fn panic_msg(p: Box<dyn Any + Send>) -> String {
     }
 }
 
-thread_local! {
-    /// Whether [`run_image`] cross-checks block pre-charge against the
-    /// per-op reference accounting (the `exec=compiled` oracle column). On
-    /// by default; `rsti fuzz --backend interp` opts out for a
-    /// reference-only campaign. Thread-local because parallel in-process
-    /// campaigns (the test harness) must not see each other's choice.
-    static EXEC_ORACLE: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
-
-    /// Whether every VM run in the oracle matrix carries the attribution
-    /// profiler (`rsti fuzz --attr`). Off by default — the campaign then
-    /// exercises the production configuration. On, it pins the profiler's
-    /// inertness guarantee across the whole generated-program space: the
-    /// differential verdicts must be unchanged, and (with the exec oracle)
-    /// both accounting modes must produce identical profiles, since
-    /// [`rsti_vm::ExecResult`] equality covers `attr`.
-    static ATTR_PROFILE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-
-    /// Whether every VM run in the oracle matrix arms the pointer-lifecycle
-    /// flight recorder (`rsti fuzz --record`). Off by default. On, any run
-    /// that traps on an RSTI detection synthesizes an [`rsti_vm::Incident`]
-    /// in both accounting modes, and the exec oracle's `ExecResult`
-    /// equality then covers the full incident — failing check site,
-    /// lineage, event window, model-cycle timestamps — bit for bit.
-    static RECORD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Enables or disables the compiled-engine oracle column for campaigns on
-/// the current thread.
-pub fn set_exec_oracle(on: bool) {
-    EXEC_ORACLE.with(|c| c.set(on));
-}
-
-/// Enables or disables the attribution profiler on every oracle VM run on
-/// the current thread (the `--attr` fuzz knob; see `ATTR_PROFILE`).
-pub fn set_attr_profile(on: bool) {
-    ATTR_PROFILE.with(|c| c.set(on));
-}
-
-/// Enables or disables the flight recorder on every oracle VM run on the
-/// current thread (the `--record` fuzz knob; see `RECORD`).
-pub fn set_record(on: bool) {
-    RECORD.with(|c| c.set(on));
-}
-
-/// Runs one image under reference accounting and block pre-charge, diffs
-/// the complete [`ExecResult`]s (the `exec=compiled` oracle column), and
-/// returns the reference run's view.
-fn run_image(img: &Image, config: &str) -> Result<(Status, Vec<String>), FailureKind> {
+/// Runs one image under reference accounting and, with
+/// [`FuzzConfig::exec_oracle`], block pre-charge too, diffing the complete
+/// [`ExecResult`]s (the `exec=compiled` oracle column); returns the
+/// reference run's view.
+fn run_image(
+    img: &Image,
+    config: &str,
+    cfg: &FuzzConfig,
+) -> Result<(Status, Vec<String>), FailureKind> {
     let mut img = img.clone().with_exec(ExecBackend::Interp);
-    // With the `--attr` knob on, every run carries the profiler (a small
-    // sampling period so short generated programs still sample); the
-    // verdicts below must be exactly what the unprofiled run produces.
-    if ATTR_PROFILE.with(|c| c.get()) {
+    // With `attr`, every run carries the profiler (a small sampling period
+    // so short generated programs still sample); the verdicts below must
+    // be exactly what the unprofiled run produces.
+    if cfg.attr {
         img = img.with_attr_sampling(256);
     }
-    // `--record`: the flight recorder rides every run; incident equality
-    // between the two modes comes with the `ExecResult` diff below.
-    if RECORD.with(|c| c.get()) {
+    // With `record`, the flight recorder rides every run; incident
+    // equality between the two modes comes with the `ExecResult` diff.
+    if cfg.record {
         img = img.with_record();
     }
     let r = catch_unwind(AssertUnwindSafe(|| {
@@ -254,7 +216,7 @@ fn run_image(img: &Image, config: &str) -> Result<(Status, Vec<String>), Failure
         vm.run()
     }))
     .map_err(|p| FailureKind::VmPanic { config: config.into(), detail: panic_msg(p) })?;
-    if !EXEC_ORACLE.with(|c| c.get()) {
+    if !cfg.exec_oracle {
         return Ok((r.status, r.output));
     }
     let cimg = img.clone().with_exec(ExecBackend::Compiled);
@@ -341,9 +303,9 @@ fn compare(
 }
 
 /// Runs all three oracles on an AST, including the printer round-trip check
-/// against `items` itself. This is the entry point for generated programs
-/// and for reducer candidates.
-pub fn check_items(items: &[Item]) -> Result<(), FailureKind> {
+/// against `items` itself, with `cfg`'s oracle knobs. This is the entry
+/// point for generated programs and for reducer candidates.
+pub fn check_items(items: &[Item], cfg: &FuzzConfig) -> Result<(), FailureKind> {
     let src = catch_unwind(AssertUnwindSafe(|| print_items(items)))
         .map_err(|p| FailureKind::FrontendPanic { detail: format!("printer: {}", panic_msg(p)) })?;
     let reparsed = catch_unwind(AssertUnwindSafe(|| parse(&src)))
@@ -352,60 +314,60 @@ pub fn check_items(items: &[Item]) -> Result<(), FailureKind> {
     if !ast_eq_items(items, &reparsed) {
         return Err(FailureKind::RoundTrip { detail: "parse(print(ast)) != ast".into() });
     }
-    check_compiled(&src)
+    check_compiled(&src, cfg)
 }
 
 /// Runs the oracles on source text (corpus replay). The round-trip oracle
 /// checks `parse(print(parse(src))) == parse(src)`; the differential and
 /// verifier oracles are identical to [`check_items`].
-pub fn check_source(src: &str) -> Result<(), FailureKind> {
+pub fn check_source(src: &str, cfg: &FuzzConfig) -> Result<(), FailureKind> {
     let items = catch_unwind(AssertUnwindSafe(|| parse(src)))
         .map_err(|p| FailureKind::FrontendPanic { detail: format!("parser: {}", panic_msg(p)) })?
         .map_err(|e| FailureKind::CompileError { detail: e.msg })?;
-    check_items(&items)
+    check_items(&items, cfg)
+}
+
+/// The opt-level suffix of a configuration label: `""` (unoptimized),
+/// `"+opt"` (the block-local pipeline), `"+cfg"` (dominator elision,
+/// hoisting, precomputed modifiers), `"+ipo"` (interprocedural summaries,
+/// resign folding, inlining).
+fn level_suffix(level: OptLevel) -> &'static str {
+    match level {
+        OptLevel::None => "",
+        OptLevel::BlockLocal => "+opt",
+        OptLevel::Cfg => "+cfg",
+        OptLevel::Ipo => "+ipo",
+    }
+}
+
+/// Builds the cell `(choice, level)` of `m` with `Image::build`, the recipe
+/// `rsti run` and `serve` use, verifies the built module and runs it.
+fn build_and_run(
+    m: &Module,
+    choice: MechChoice,
+    level: OptLevel,
+    cfg: &FuzzConfig,
+) -> Result<(String, (Status, Vec<String>)), FailureKind> {
+    let config = format!("{}{}", choice.label(), level_suffix(level));
+    let img = catch_unwind(AssertUnwindSafe(|| Image::build(m, choice, level).0)).map_err(|p| {
+        FailureKind::PassPanic { stage: "build".into(), config: config.clone(), detail: panic_msg(p) }
+    })?;
+    let stage = match (choice, level) {
+        (MechChoice::Baseline, OptLevel::None) => "lower",
+        (_, OptLevel::None) => "instrument",
+        _ => "optimize",
+    };
+    check_verified(&img.module, stage, &config)?;
+    let got = run_image(&img, &config, cfg)?;
+    Ok((config, got))
 }
 
 /// The differential and verifier oracles on already-round-tripped source.
-fn check_compiled(src: &str) -> Result<(), FailureKind> {
+fn check_compiled(src: &str, cfg: &FuzzConfig) -> Result<(), FailureKind> {
     let m = catch_unwind(AssertUnwindSafe(|| compile(src, "fuzz")))
         .map_err(|p| FailureKind::FrontendPanic { detail: panic_msg(p) })?
         .map_err(|e| FailureKind::CompileError { detail: e.msg })?;
-    check_verified(&m, "lower", "baseline")?;
-
-    let img = Image::baseline(&m);
-    let base = run_image(&img, "baseline")?;
-
-    // Short opt-level suffixes: `""` (unoptimized), `"+opt"` (the
-    // block-local pipeline), `"+cfg"` (dominator elision, hoisting,
-    // precomputed modifiers), `"+ipo"` (interprocedural summaries,
-    // resign folding, inlining).
-    fn level_suffix(level: OptLevel) -> &'static str {
-        match level {
-            OptLevel::None => "",
-            OptLevel::BlockLocal => "+opt",
-            OptLevel::Cfg => "+cfg",
-            OptLevel::Ipo => "+ipo",
-        }
-    }
-
-    // Optimizer correctness on the uninstrumented module (mem2reg,
-    // hoisting etc. must not change observable behaviour even before any
-    // PAC ops exist), at every level a baseline is built at
-    // (`Image::build` optimizes `--mech none` at the requested level).
-    for level in [OptLevel::BlockLocal, OptLevel::Cfg, OptLevel::Ipo] {
-        let config = format!("baseline{}", level_suffix(level));
-        let mut om = m.clone();
-        catch_unwind(AssertUnwindSafe(|| optimize_module(&mut om, level))).map_err(|p| {
-            FailureKind::PassPanic {
-                stage: "optimize".into(),
-                config: config.clone(),
-                detail: panic_msg(p),
-            }
-        })?;
-        check_verified(&om, "optimize", &config)?;
-        let got = run_image(&Image::baseline(&om), &config)?;
-        compare(&config, &base, &got)?;
-    }
+    let (_, base) = build_and_run(&m, MechChoice::Baseline, OptLevel::None, cfg)?;
 
     // The transform every Fig. 9 proxy goes through before instrumentation:
     // leaf inlining, checked on the uninstrumented module.
@@ -418,30 +380,21 @@ fn check_compiled(src: &str) -> Result<(), FailureKind> {
             detail: panic_msg(p),
         })?;
     check_verified(&im, "inline", config)?;
-    let got = run_image(&Image::baseline(&im), config)?;
+    let got = run_image(&Image::baseline(&im), config, cfg)?;
     compare(config, &base, &got)?;
 
-    for mech in Mechanism::ALL {
+    // Every other cell: the optimizer on the uninstrumented module (its
+    // passes must not change observable behaviour even before any PAC ops
+    // exist), then every instrumenting choice at every level.
+    let choices = std::iter::once(MechChoice::Baseline)
+        .chain(Mechanism::ALL.map(MechChoice::Fixed))
+        .chain([MechChoice::Adaptive]);
+    for choice in choices {
         for level in OptLevel::ALL {
-            let config = format!("{}{}", mech.label(), level_suffix(level));
-            let mut p = catch_unwind(AssertUnwindSafe(|| instrument(&m, mech))).map_err(|p| {
-                FailureKind::PassPanic {
-                    stage: "instrument".into(),
-                    config: config.clone(),
-                    detail: panic_msg(p),
-                }
-            })?;
-            check_verified(&p.module, "instrument", &config)?;
-            if level != OptLevel::None {
-                catch_unwind(AssertUnwindSafe(|| optimize_module(&mut p.module, level)))
-                    .map_err(|e| FailureKind::PassPanic {
-                        stage: "optimize".into(),
-                        config: config.clone(),
-                        detail: panic_msg(e),
-                    })?;
-                check_verified(&p.module, "optimize", &config)?;
+            if (choice, level) == (MechChoice::Baseline, OptLevel::None) {
+                continue;
             }
-            let got = run_image(&Image::from_instrumented(&p), &config)?;
+            let (config, got) = build_and_run(&m, choice, level, cfg)?;
             compare(&config, &base, &got)?;
         }
     }
