@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 use std::io::{self, BufRead, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use rsti_telemetry::{global as tel, json, CounterId, Histogram};
@@ -210,6 +210,9 @@ pub struct Server {
     cache: ModuleCache,
     metrics: ServeMetrics,
     shutdown: AtomicBool,
+    /// The workload table a request's `workload` name resolves against,
+    /// generated on the first such request (55 proxy sources).
+    workloads: OnceLock<Vec<rsti_workloads::Workload>>,
 }
 
 impl Server {
@@ -220,6 +223,7 @@ impl Server {
             cfg,
             metrics: ServeMetrics::default(),
             shutdown: AtomicBool::new(false),
+            workloads: OnceLock::new(),
         }
     }
 
@@ -316,18 +320,20 @@ impl Server {
     /// The pipeline commands: resolve source, hit or build the cache,
     /// then (except for `compile`) execute on the shared image.
     fn handle_exec(&self, req: &Request) -> Result<String, String> {
-        let src: std::borrow::Cow<'_, str> = match (&req.source, &req.workload) {
-            (Some(s), _) => std::borrow::Cow::Borrowed(s.as_str()),
+        let src: &str = match (&req.source, &req.workload) {
+            (Some(s), _) => s,
             (None, Some(w)) => {
-                let wl = rsti_workloads::all_workloads()
-                    .into_iter()
+                let wl = self
+                    .workloads
+                    .get_or_init(rsti_workloads::all_workloads)
+                    .iter()
                     .find(|x| x.name.eq_ignore_ascii_case(w))
                     .ok_or_else(|| format!("unknown workload {w:?}"))?;
-                std::borrow::Cow::Owned(wl.source)
+                &wl.source
             }
             (None, None) => return Err("request needs \"source\" or \"workload\"".into()),
         };
-        let key = proto::cache_key(&src, req.mech, req.opt, req.enforce);
+        let key = proto::cache_key(src, req.mech, req.opt, req.enforce);
         let (entry, cache_state) = match self.cache.get(key) {
             Some(e) => {
                 self.metrics.hits.fetch_add(1, Ordering::Relaxed);
@@ -337,7 +343,7 @@ impl Server {
             None => {
                 self.metrics.misses.fetch_add(1, Ordering::Relaxed);
                 tel().add(CounterId::ServeCacheMisses, 1);
-                (self.build_entry(&src, req, key)?, "miss")
+                (self.build_entry(src, req, key)?, "miss")
             }
         };
         let result = if req.cmd == Cmd::Compile {
