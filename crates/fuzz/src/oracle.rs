@@ -6,11 +6,11 @@
 //! 1. **Differential output**: the uninstrumented baseline run, the
 //!    baseline after leaf inlining, and every cell `Image::build` makes —
 //!    each `MechChoice` (baseline, the four mechanisms, adaptive) × each
-//!    `OptLevel` — must agree on exit status and printed output. A well-defined
-//!    MiniC program never observes the PAC machinery, so any divergence is
-//!    a pipeline bug (or, for hand-written attack programs, a detection —
-//!    which is why the committed corpus contains only post-fix *passing*
-//!    programs).
+//!    `OptLevel` — must agree on exit status and printed output. A
+//!    well-defined MiniC program never observes the PAC machinery, so any
+//!    divergence is a pipeline bug (or, for hand-written attack programs,
+//!    a detection — which is why the committed corpus contains only
+//!    post-fix *passing* programs).
 //! 2. **IR verification**: `rsti_ir::verify_module` must accept the module
 //!    after lowering and every built image's module: at `none` that is the
 //!    instrument boundary, at the higher levels the optimize boundary.

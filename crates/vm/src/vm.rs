@@ -1080,8 +1080,8 @@ pub struct Vm<'img> {
     /// CCFI's inline MACs would instead be copyable alongside the object,
     /// a weakening we do not model.
     mac_table: HashMap<u64, u64>,
-    /// MacTable backend: MAC staged by a `PacSign` awaiting its store, or
-    /// consumed by an immediately following `PacAuth` (register-domain
+    /// MacTable backend: MAC staged by a sign (`pa_sign`) awaiting its
+    /// store, or consumed by an immediately following auth (register-domain
     /// re-sign round trips).
     pending_mac: Option<u64>,
     /// MacTable backend: slot address of the last pointer load.
