@@ -139,9 +139,9 @@ fn cmd_fuzz(args: &[String]) -> Result<(i32, String), CliError> {
         }
     };
     // The campaign cross-checks block pre-charge against the per-op
-    // reference by default; `--backend interp` opts out. (Enforcement
-    // backends are part of the oracle matrix itself, so `pac`/`mac` are
-    // accepted but irrelevant.)
+    // reference by default; `--backend interp` opts out. (The oracle runs
+    // every instrumented cell under both enforcement backends and compares
+    // them, so `pac`/`mac` are accepted but irrelevant.)
     let (_enforce, exec) = parse_backends(args)?;
     let cfg = rsti_fuzz::FuzzConfig {
         start: parse_u64("--start", 0)?,
@@ -349,8 +349,25 @@ pub const USAGE_MECHS: [&str; 6] = ["stwc", "stc", "stl", "parts", "none", "adap
 /// schemes and two execution engines (kept in sync by a unit test).
 pub const USAGE_BACKENDS: [&str; 4] = ["pac", "mac", "interp", "compiled"];
 
-fn read_source(path: &str) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+/// Reads a source file within the budget `serve` puts on a request line
+/// ([`rsti_serve::MAX_LINE_BYTES`]): a larger file is refused before it is
+/// read, and a file that grows (or a device that never ends) is read no
+/// further than one byte past the budget.
+fn read_source(path: &str) -> Result<String, CliError> {
+    use std::io::Read;
+    let unreadable = |e: std::io::Error| CliError::Usage(format!("cannot read `{path}`: {e}"));
+    let budget = rsti_serve::MAX_LINE_BYTES as u64;
+    let too_big = || CliError::Failed(format!("`{path}` exceeds {budget} bytes"));
+    let file = std::fs::File::open(path).map_err(unreadable)?;
+    if file.metadata().map_err(unreadable)?.len() > budget {
+        return Err(too_big());
+    }
+    let mut src = String::new();
+    file.take(budget + 1).read_to_string(&mut src).map_err(unreadable)?;
+    if src.len() as u64 > budget {
+        return Err(too_big());
+    }
+    Ok(src)
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
@@ -673,7 +690,7 @@ fn dispatch(args: &[String]) -> Result<String, CliError> {
                 out,
                 "engine: {} (both accounting modes run one translation per image: \
                  vm_compile and vm_compiled_blocks count it under either)",
-                img.exec.label()
+                img.exec().label()
             );
             match &r.status {
                 Status::Exited(c) => {
@@ -820,6 +837,24 @@ mod tests {
     }
 
     #[test]
+    fn a_source_file_over_the_budget_is_refused_unread() {
+        let budget = rsti_serve::MAX_LINE_BYTES as u64;
+        let path = std::env::temp_dir().join("rsti_cli_over_budget.mc");
+        let sparse = |len: u64| std::fs::File::create(&path).unwrap().set_len(len).unwrap();
+        let file = path.to_string_lossy().into_owned();
+        sparse(budget + 1);
+        let (code, out) = run_cli(&["run".into(), file.clone()]);
+        assert_eq!(code, 1);
+        assert_eq!(out, format!("error: `{file}` exceeds {budget} bytes\n"));
+        // At the budget the file is read (and fails to compile instead).
+        sparse(budget);
+        let (code, out) = run_cli(&["run".into(), file]);
+        assert_eq!(code, 1);
+        assert!(out.starts_with("error: ") && !out.contains("exceeds"), "{out}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn errors_are_reported() {
         // Usage mistakes print the usage text.
         let (code, out) = run_cli(&["run".into(), "/nonexistent.mc".into()]);
@@ -930,7 +965,7 @@ mod tests {
             Image::baseline(&m).with_exec(rsti_vm::ExecBackend::Interp),
             &[],
         );
-        assert_eq!(img.unwrap().exec, rsti_vm::ExecBackend::Compiled);
+        assert_eq!(img.unwrap().exec(), rsti_vm::ExecBackend::Compiled);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! 1. **Differential output**: the uninstrumented baseline run, the
 //!    baseline after leaf inlining, and every cell `Image::build` makes —
 //!    each `MechChoice` (baseline, the four mechanisms, adaptive) × each
-//!    `OptLevel` — must agree on exit status and printed output. A
-//!    well-defined MiniC program never observes the PAC machinery, so any
-//!    divergence is a pipeline bug (or, for hand-written attack programs,
-//!    a detection — which is why the committed corpus contains only
-//!    post-fix *passing* programs).
+//!    `OptLevel`, each instrumented cell under both enforcement backends
+//!    (PAC-in-pointer and the MAC table) — must agree on exit status and
+//!    printed output. A well-defined MiniC program never observes the PAC
+//!    machinery, so any divergence is a pipeline bug (or, for hand-written
+//!    attack programs, a detection — which is why the committed corpus
+//!    contains only post-fix *passing* programs).
 //! 2. **IR verification**: `rsti_ir::verify_module` must accept the module
 //!    after lowering and every built image's module: at `none` that is the
 //!    instrument boundary, at the higher levels the optimize boundary.
@@ -34,7 +35,7 @@ use rsti_frontend::ast::Item;
 use rsti_frontend::{ast_eq_items, compile, parse, print_items};
 use rsti_ir::verify_module;
 use rsti_ir::Module;
-use rsti_vm::{ExecBackend, ExecResult, Image, Status, Trap, Vm};
+use rsti_vm::{Backend, ExecBackend, ExecResult, Image, Status, Trap, Vm};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -341,7 +342,9 @@ fn level_suffix(level: OptLevel) -> &'static str {
 }
 
 /// Builds the cell `(choice, level)` of `m` with `Image::build`, the recipe
-/// `rsti run` and `serve` use, verifies the built module and runs it.
+/// `rsti run` and `serve` use, verifies the built module and runs it. An
+/// instrumented cell also runs under the MAC-table enforcement backend,
+/// which must agree with the PAC-in-pointer run.
 fn build_and_run(
     m: &Module,
     choice: MechChoice,
@@ -357,8 +360,13 @@ fn build_and_run(
         (_, OptLevel::None) => "instrument",
         _ => "optimize",
     };
-    check_verified(&img.module, stage, &config)?;
+    check_verified(img.module(), stage, &config)?;
     let got = run_image(&img, &config, cfg)?;
+    if choice != MechChoice::Baseline {
+        let mac_config = format!("{config}@mac");
+        let mac = run_image(&img.with_backend(Backend::MacTable), &mac_config, cfg)?;
+        compare(&mac_config, &got, &mac)?;
+    }
     Ok((config, got))
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Entries are `Arc`ed [`Image`]s keyed by the 128-bit content hash from
 //! [`crate::proto::cache_key`]. The image inside an entry carries its
-//! `CompiledCache`, so a hit reuses the compiled block closures as well —
+//! translation, so a hit reuses the compiled block closures as well —
 //! a warm request touches no frontend, lowering, instrumentation,
 //! optimization, or translation code at all.
 //!
@@ -15,8 +15,7 @@
 //! pure map manipulation — no user code runs under it — so a panic while
 //! holding it cannot leave a half-applied state worse than a missing or
 //! stale entry. Every lock therefore recovers the guard from a poisoned
-//! mutex instead of unwrapping, the same policy as `CompiledCache` and
-//! the telemetry sink.
+//! mutex instead of unwrapping, the same policy as the telemetry sink.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -11,10 +11,9 @@
 //! across a pool of VM workers. A cache hit touches none of the pipeline:
 //! the per-phase latency histograms in [`ServeMetrics`] record zero new
 //! frontend/instrument/optimize/translate samples for warm requests, and
-//! the compiled block closures inside the image's `CompiledCache` are
-//! reused as-is, whichever accounting mode (`exec`) a request asks for
-//! (a lost `CompiledCache` would silently turn warm profile/explain
-//! requests into recompiles).
+//! the image's translation (its compiled block closures) is reused
+//! as-is, whichever accounting mode (`exec`) a request asks for: clones
+//! of an image share it.
 //!
 //! Reliability contract:
 //!
@@ -350,10 +349,10 @@ impl Server {
             None
         } else {
             let t = Instant::now();
-            let r = if req.cmd == Cmd::Profile || req.record || req.exec != entry.img.exec {
+            let r = if req.cmd == Cmd::Profile || req.record || req.exec != entry.img.exec() {
                 // Profiling, recording and the per-op accounting mode are
                 // per-run state, so they run on a cheap clone; the clone
-                // shares the module *and* the CompiledCache, so this is
+                // shares the module *and* the translation, so this is
                 // still warm.
                 let img = (*entry.img).clone().with_exec(req.exec);
                 self.run_image(&if req.cmd == Cmd::Profile {
@@ -864,7 +863,7 @@ mod tests {
         let warmup = request_line(&src, "stwc", "cfg", "compiled", "pac");
         server.handle_line(&warmup);
         // Same key, different run-time adornments: record + attr run on
-        // clones that share the CompiledCache (the satellite-1 fix).
+        // clones that share the translation.
         for cmd in ["profile", "explain"] {
             let line = format!(
                 "{{\"id\":2,\"cmd\":\"{}\",\"source\":{},\"mech\":\"stwc\",\"opt\":\"cfg\",\

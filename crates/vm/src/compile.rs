@@ -33,8 +33,8 @@
 //!   from per-block cycle prefix sums and — with telemetry on — per-block
 //!   opclass totals, and the unexecuted suffix is rolled back when an op
 //!   traps or transfers control;
-//! * **per-op charging** ([`Vm::exec_ops`]): every op is fuel-checked,
-//!   charged and position-committed before it runs. Reference accounting
+//! * **per-op charging** ([`Vm::exec_ops`]): every op is fuel-checked
+//!   and charged before it runs. Reference accounting
 //!   ([`ExecBackend::Interp`]) runs every block this way; the fast path
 //!   drops here whenever per-op charging is observable: attribution, the
 //!   flight recorder, or a fuel budget that may expire mid-block.
@@ -144,11 +144,20 @@ pub(crate) struct CompiledModule {
     /// and the flight recorder resolve ids here. Empty for a malformed
     /// image.
     pub(crate) sites: Vec<CheckSite>,
-    /// The image configuration the code was specialized against; the
-    /// cache revalidates this before reuse.
-    pub(crate) fingerprint: (CostModel, Backend),
+    /// Every global's address and every string's address, as operands
+    /// were resolved against them and as the loader lays the data out.
+    pub(crate) gaddr: Vec<u64>,
+    pub(crate) saddr: Vec<u64>,
+    /// The globals and strings segment sizes (bytes).
+    pub(crate) data_sizes: [u64; 2],
     /// Total compiled blocks (telemetry).
     pub(crate) n_blocks: u64,
+}
+
+impl fmt::Debug for CompiledModule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "CompiledModule({} blocks)", self.n_blocks)
+    }
 }
 
 /// A pre-resolved operand.
@@ -340,13 +349,13 @@ enum Callee {
     Internal(FuncId),
 }
 
-/// Shared compile context: the module plus its deterministic layout,
-/// matching what `Vm::new` computes at load time.
+/// Shared compile context: the module plus its deterministic data layout,
+/// which the loader then fills.
 struct Cx<'m> {
     m: &'m Module,
     tl: TypeLayout,
-    gaddr: Vec<u64>,
-    saddr: Vec<u64>,
+    gaddr: &'m [u64],
+    saddr: &'m [u64],
     cost: CostModel,
     backend: Backend,
     ty_i64: TypeId,
@@ -390,21 +399,32 @@ impl Cx<'_> {
 
 /// Compiles an image's module against its cost model and enforcement
 /// backend, after checking every id in the image. Pure over the image —
-/// runs share the result through the image's cache.
+/// runs share the result through the image's `OnceLock`.
 pub(crate) fn compile_module(img: &Image) -> CompiledModule {
     let m: &Module = &img.module;
-    let fingerprint = (img.cost, img.backend);
     if let Err(errs) = rsti_ir::check_ids(m, img.global_signing.iter().map(|g| g.global)) {
         let funcs = Err(errs[0].to_string());
-        return CompiledModule { funcs, sites: Vec::new(), fingerprint, n_blocks: 0 };
+        let (sites, gaddr, saddr) = (Vec::new(), Vec::new(), Vec::new());
+        return CompiledModule { funcs, sites, gaddr, saddr, data_sizes: [0; 2], n_blocks: 0 };
     }
-    let (saddr, _) = string_addresses(m);
+    // The globals layout is the module's (`Module::global_addresses`), so
+    // the optimizer's precomputed-modifier pass folds exactly the
+    // addresses the VM loads at. The segment size saturates: absurd
+    // global sizes must survive layout so the loader can reject them
+    // with a trap.
+    let (gaddr, goff) = m.global_addresses();
+    let mut saddr = Vec::with_capacity(m.strings.len());
+    let mut soff = 0u64;
+    for s in &m.strings {
+        saddr.push(layout::STR_BASE + soff);
+        soff += s.len() as u64 + 1;
+    }
     let cx = Cx {
         m,
         tl: m.types.layout(),
-        gaddr: m.global_addresses().0,
-        saddr,
-        cost: img.cost,
+        gaddr: &gaddr,
+        saddr: &saddr,
+        cost: CostModel::for_mechanism(img.mechanism),
         backend: img.backend,
         ty_i64: m.types.i64(),
     };
@@ -431,7 +451,7 @@ pub(crate) fn compile_module(img: &Image) -> CompiledModule {
             }
         })
         .collect();
-    CompiledModule { funcs: Ok(funcs), sites, fingerprint, n_blocks }
+    CompiledModule { funcs: Ok(funcs), sites, gaddr, saddr, data_sizes: [goff, soff], n_blocks }
 }
 
 /// Compiles block `bi` of function `fi`, appending its check sites to
@@ -541,7 +561,7 @@ impl Vm<'_> {
 
 /// Compiles one instruction into a closure. `at` is its check-site id and
 /// its position: calls commit that position as the caller's resume
-/// point, and failing checks commit it for line diagnostics.
+/// point, and a failing check's report looks up its site.
 fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
     let mac = cx.backend == Backend::MacTable;
     match inst {
@@ -558,7 +578,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
                 let addr = vm.stack_top;
                 if addr
                     .checked_add(size)
-                    .is_none_or(|end| end >= layout::STACK_BASE + vm.img.stack_size)
+                    .is_none_or(|end| end >= layout::STACK_BASE + layout::STACK_SIZE)
                 {
                     return Control::Trap(Box::new(Trap::StackOverflow));
                 }
@@ -972,13 +992,13 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
             let ret = sig.ret;
             Box::new(move |vm| {
                 let p = tri!(callee.read_ptr(vm));
-                if !vm.img.va.is_canonical(p) {
+                if !VA.is_canonical(p) {
                     return Control::Trap(Box::new(Trap::NonCanonicalCall {
                         func: vm.cur_func_name(),
                         ptr: p,
                     }));
                 }
-                let target = vm.img.va.canonical(p);
+                let target = VA.canonical(p);
                 let Some((fid, external)) = resolve_code_addr(&vm.img.module, target) else {
                     return Control::Trap(Box::new(Trap::CallNonFunction {
                         func: vm.cur_func_name(),
@@ -1036,7 +1056,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
             let ptr = cx.resolve(ptr);
             Box::new(move |vm| {
                 let p = tri!(ptr.read_ptr(vm));
-                let a = vm.img.va.canonical(p);
+                let a = VA.canonical(p);
                 if vm.rec.is_some() {
                     vm.rec_plain(RecKind::Free, a, p);
                 }
@@ -1077,7 +1097,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
                 let p = tri!(value.read_ptr(vm));
                 let modifier = match &loc {
                     None => modifier,
-                    Some(l) => modifier ^ vm.img.va.canonical(tri!(l.read_ptr(vm))),
+                    Some(l) => modifier ^ VA.canonical(tri!(l.read_ptr(vm))),
                 };
                 let signed = vm.pa_sign(op, p, modifier);
                 vm.set(result, RtVal::P(signed));
@@ -1096,7 +1116,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
                 let p = tri!(value.read_ptr(vm));
                 let modifier = match &loc {
                     None => modifier,
-                    Some(l) => modifier ^ vm.img.va.canonical(tri!(l.read_ptr(vm))),
+                    Some(l) => modifier ^ VA.canonical(tri!(l.read_ptr(vm))),
                 };
                 let clean = tri!(vm.pa_auth(op, p, modifier));
                 vm.set(result, RtVal::P(clean));
@@ -1153,7 +1173,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
             let ce = *ce;
             Box::new(move |vm| {
                 let p = tri!(value.read_ptr(vm));
-                let tagged = vm.img.va.with_tbi_tag(p, ce);
+                let tagged = VA.with_tbi_tag(p, ce);
                 vm.set(result, RtVal::P(tagged));
                 Control::Next
             })
@@ -1164,7 +1184,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
             let op = PaOp { mac, key: key_id(*key), class: PacSite::OnLoad, at };
             Box::new(move |vm| {
                 let p = tri!(value.read_ptr(vm));
-                let ce = vm.img.va.tbi_tag(p);
+                let ce = VA.tbi_tag(p);
                 if ce == 0 {
                     return Control::Trap(vm.pp_fail(at, 0, PpFail::MissingTag, p, Some(op.key)));
                 }
@@ -1172,7 +1192,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
                     let f = PpFail::NotInStore { ce: ce as u64 };
                     return Control::Trap(vm.pp_fail(at, ce as u64, f, p, Some(op.key)));
                 };
-                let clean = tri!(vm.pa_auth(op, vm.img.va.clear_tbi(p), fe));
+                let clean = tri!(vm.pa_auth(op, VA.clear_tbi(p), fe));
                 vm.set(result, RtVal::P(clean));
                 Control::Next
             })
@@ -1186,7 +1206,7 @@ impl<'img> Vm<'img> {
     /// of a source scope — it runs one block per dispatch and pauses on
     /// entering any of them.
     pub(crate) fn drive(&mut self, watch: Option<&HashSet<(FuncId, usize)>>) {
-        let code = Arc::clone(&self.code);
+        let code = self.code;
         // An image that failed the id check has no code; its VM was
         // trapped at load.
         let Ok(funcs) = &code.funcs else {
@@ -1235,7 +1255,7 @@ impl<'img> Vm<'img> {
         // The block table changes only when the frame does (a return),
         // so resolve it per function, not per block.
         let mut fblocks = &code[func].blocks;
-        let branch_cost = self.img.cost.branch;
+        let branch_cost = CostModel::for_mechanism(self.img.mechanism).branch;
         // Loop-invariant driver state lives in registers: telemetry
         // tracing, attribution and the recorder cannot toggle mid-run, and
         // the fuel headroom only needs re-deriving after the per-op loop
@@ -1289,7 +1309,7 @@ impl<'img> Vm<'img> {
                     }
                 }
             } else {
-                if !self.exec_ops_cold(cb, block, idx)? {
+                if !self.exec_ops_cold(cb, idx)? {
                     return Ok(());
                 }
                 budget = self.fuel.saturating_sub(self.insts);
@@ -1317,9 +1337,8 @@ impl<'img> Vm<'img> {
             }
             // Straight-line transfers track the position in locals only.
             // The frame is written exactly where it is observed: by
-            // committing closures (calls, audit traps), by the per-op
-            // loop, and — here — when watch mode must see every block
-            // entry.
+            // committing closures (calls) and — here — when watch mode
+            // must see every block entry.
             idx = 0;
             if single_block {
                 let fr = self.frames.last_mut().expect("active frame");
@@ -1369,18 +1388,16 @@ impl<'img> Vm<'img> {
         self.opclass[OPCLASS_BRANCH] += 1;
     }
 
-    /// The per-op loop: ops `idx..` of block `block`, each fuel-checked
-    /// and charged before it runs, with the frame position committed
-    /// before it, then the terminator's charge. Reference accounting runs
+    /// The per-op loop: ops `idx..` of block `cb`, each fuel-checked and
+    /// charged before it runs, then the terminator's charge. Reference accounting runs
     /// every block through here; the fast path drops here whenever per-op
     /// charging is observable (attribution, the recorder, or fuel that may
     /// run out mid-block). Returns `true` when the block ran to its
     /// terminator, `false` when an op transferred control out of the
     /// frame.
     #[inline(never)]
-    fn exec_ops(&mut self, cb: &CompiledBlock, block: usize, idx: usize) -> Result<bool, Trap> {
+    fn exec_ops(&mut self, cb: &CompiledBlock, idx: usize) -> Result<bool, Trap> {
         let observed = self.attr.is_some();
-        let mut next = idx;
         for (op, charge) in cb.ops[idx..].iter().zip(&cb.charge[idx..]) {
             if self.insts >= self.fuel {
                 return Err(Trap::FuelExhausted);
@@ -1390,12 +1407,6 @@ impl<'img> Vm<'img> {
                 self.opclass[charge.class] += 1;
             }
             self.cycles += charge.cost;
-            // Commit the position before executing: calls resume the
-            // caller here, and trap diagnostics read it.
-            next += 1;
-            let fr = self.frames.last_mut().expect("active frame");
-            fr.block = block;
-            fr.idx = next;
             let ctl = if observed { self.exec_op_observed(op, charge) } else { op(self) };
             match ctl {
                 Control::Next => {}
@@ -1411,8 +1422,8 @@ impl<'img> Vm<'img> {
     /// path's code layout treats it as the exception it is.
     #[cold]
     #[inline(never)]
-    fn exec_ops_cold(&mut self, cb: &CompiledBlock, block: usize, idx: usize) -> Result<bool, Trap> {
-        self.exec_ops(cb, block, idx)
+    fn exec_ops_cold(&mut self, cb: &CompiledBlock, idx: usize) -> Result<bool, Trap> {
+        self.exec_ops(cb, idx)
     }
 
     /// One op with attribution on: the sampler runs after the op's charge

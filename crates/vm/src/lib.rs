@@ -776,31 +776,44 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_compiled_cache_still_shares_code_across_clones() {
-        // Regression: Clone used to treat a poisoned compiled-cache lock as
-        // an *empty* cache, so one panic during compilation forced every
-        // later clone of that image to recompile forever. The guard must be
-        // recovered instead — the Option inside is always valid.
+    fn with_backend_retranslates_and_a_clone_shares_the_translation() {
+        // The backend is folded into the translation: switching it on an
+        // already-translated image must give MAC-table semantics (a fresh
+        // translation), while a plain clone reuses the translation.
         use std::sync::Arc;
-        let m = compile("int main() { print_int(42); return 0; }", "t").unwrap();
-        let p = rsti_core::instrument(&m, Mechanism::Stwc);
-        let img = Image::from_instrumented(&p).with_exec(ExecBackend::Compiled);
-        let code = img.compiled(); // translate once, fill the cache
-        img.poison_compiled_lock_for_tests();
-        // A clone of the poisoned image must still share the compiled
-        // module (not silently start from an empty cache)…
-        let cloned = img.clone();
-        assert!(
-            Arc::ptr_eq(&code, &cloned.compiled()),
-            "clone of a poisoned image must share the already-compiled code"
-        );
-        // …the original recovers too, and both still execute.
-        assert!(Arc::ptr_eq(&code, &img.compiled()));
-        for i in [&img, &cloned] {
-            let r = Vm::new(i).run();
-            assert_eq!(r.status, Status::Exited(0));
-            assert_eq!(r.output, vec!["42"]);
-        }
+        let src = r#"
+            void benign() { }
+            void evil() { print_str("EVIL"); }
+            struct ctx { long pad; void (*cb)(); };
+            struct ctx* g_ctx;
+            void dispatch() { g_ctx->cb(); }
+            int main() {
+                g_ctx = (struct ctx*) malloc(sizeof(struct ctx));
+                g_ctx->cb = benign;
+                dispatch();
+                return 0;
+            }
+        "#;
+        let m = compile(src, "t").unwrap();
+        let corrupted = |img: &Image| {
+            let mut vm = Vm::new(img);
+            assert_eq!(vm.run_to_function("dispatch"), RunStop::Entered);
+            let obj = vm.heap_live()[0].0;
+            let evil = vm.func_addr("evil").unwrap();
+            vm.attacker_write_u64(obj + 8, evil).unwrap();
+            vm.finish()
+        };
+        let pac = Image::from_instrumented(&rsti_core::instrument(&m, Mechanism::Stwc));
+        let r = corrupted(&pac);
+        assert!(r.audit[0].detail.starts_with("found PAC"), "{:?}", r.audit);
+        let code = pac.compiled();
+        assert!(Arc::ptr_eq(code, pac.clone().compiled()), "a clone retranslated");
+
+        let mac = pac.clone().with_backend(Backend::MacTable);
+        let r = corrupted(&mac);
+        assert!(!Arc::ptr_eq(code, mac.compiled()), "the MAC image reused PAC code");
+        assert!(r.audit[0].detail.starts_with("MAC missing or stale"), "{:?}", r.audit);
+        assert!(r.output.is_empty());
     }
 
     #[test]
@@ -812,10 +825,9 @@ mod tests {
             Image::from_instrumented(&p),
             Image::from_instrumented_owned(p.clone()),
             Image::baseline(&m),
-            Image::baseline_shared(std::sync::Arc::new(m.clone())),
             Image::baseline_owned(m.clone()),
         ] {
-            assert_eq!(img.exec, ExecBackend::Compiled);
+            assert_eq!(img.exec(), ExecBackend::Compiled);
         }
     }
 
@@ -828,12 +840,12 @@ mod tests {
         let p = rsti_core::instrument(&m, Mechanism::Stwc);
         for exec in [ExecBackend::Interp, ExecBackend::Compiled] {
             let img = Image::from_instrumented(&p).with_exec(exec);
-            assert!(format!("{img:?}").contains("CompiledCache(empty)"));
+            assert!(format!("{img:?}").contains("<uninit>"));
             let first = Vm::new(&img).run();
-            assert!(format!("{img:?}").contains("CompiledCache(compiled)"), "{exec:?}");
+            assert!(format!("{img:?}").contains("CompiledModule("), "{exec:?}");
             let code = img.compiled();
             let second = Vm::new(&img.clone()).run();
-            assert!(Arc::ptr_eq(&code, &img.compiled()), "{exec:?} retranslated");
+            assert!(Arc::ptr_eq(code, img.compiled()), "{exec:?} retranslated");
             assert_eq!(first, second);
         }
     }

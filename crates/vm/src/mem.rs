@@ -37,6 +37,10 @@ pub mod layout {
     pub const HEAP_BASE: u64 = 0x4000_0000_0000;
     /// Stack arena.
     pub const STACK_BASE: u64 = 0x7F00_0000_0000;
+    /// Heap arena size (bytes).
+    pub const HEAP_SIZE: u64 = 4 << 20;
+    /// Stack arena size (bytes).
+    pub const STACK_SIZE: u64 = 4 << 20;
     /// Bytes between consecutive function addresses.
     pub const CODE_STRIDE: u64 = 16;
     /// Largest size a single data segment may be created with (bytes).
@@ -44,7 +48,7 @@ pub mod layout {
     /// Segment sizes are program-influenceable (a huge global array grows
     /// the globals segment), so an unchecked `vec![0u8; size]` would turn
     /// a hostile-but-valid program into a host allocation abort instead of
-    /// a guest trap. 256 MiB is ~64x the default heap/stack arenas and far
+    /// a guest trap. 256 MiB is 64x the heap and stack arenas and far
     /// above anything the workloads need, while staying trivially
     /// allocatable on the host.
     pub const MAX_SEGMENT: u64 = 256 << 20;

@@ -42,7 +42,7 @@ use rsti_telemetry::{
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 // Translation into pre-resolved ops and the driver that runs them. Declared as
 // a child of this module (rather than a sibling under `lib.rs`) so its
@@ -319,8 +319,8 @@ enum PpFail {
 /// An op's identity, fixed at translation and captured in the closures
 /// that need it: its check-site id ([`NO_SITE`] unless it is a check),
 /// which a check's recorder events and failure report carry, and its
-/// position (its block, and the index the per-op loop commits before it),
-/// which calls and failing checks commit.
+/// position (its block, and the index after it), which a call commits as
+/// the caller's resume point.
 #[derive(Clone, Copy)]
 struct CheckAt {
     site: u32,
@@ -660,8 +660,8 @@ pub enum Backend {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// Reference accounting: block pre-charge off, so every op is
-    /// fuel-checked, charged and position-committed before it runs
-    /// (`interp` on the wire and the command line).
+    /// fuel-checked and charged before it runs (`interp` on the wire and
+    /// the command line).
     Interp,
     /// Block pre-charge (the default): straight-line runs are charged
     /// from cycle prefix sums and per-block opclass totals, the
@@ -681,100 +681,156 @@ impl ExecBackend {
     }
 }
 
-/// Lazily-built translated code, shared by clones of an [`Image`] and by
-/// both accounting modes, and revalidated against the image's current
-/// cost model and enforcement backend (the two knobs folded into the
-/// closures) on every use — mutating a pub field after a run cannot leave
-/// stale code behind.
-pub(crate) struct CompiledCache(Mutex<Option<Arc<compile::CompiledModule>>>);
+/// The VA layout every image runs under: the paper's 48-bit VA with TBI,
+/// the layout the optimizer folds STL modifiers against.
+const VA: VaConfig = VaConfig::paper_default();
 
-impl CompiledCache {
-    fn empty() -> Self {
-        CompiledCache(Mutex::new(None))
-    }
-}
-
-impl fmt::Debug for CompiledCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = match self.0.lock() {
-            Ok(g) if g.is_some() => "compiled",
-            Ok(_) => "empty",
-            Err(_) => "poisoned",
-        };
-        write!(f, "CompiledCache({state})")
-    }
-}
-
-impl Clone for CompiledCache {
-    fn clone(&self) -> Self {
-        // Share the already-compiled code. A poisoned lock is recovered,
-        // not treated as empty: the `Option<Arc<CompiledModule>>` inside is
-        // always valid (the panic happened in some other holder's critical
-        // section, e.g. mid-`compile_module`, which writes the slot only on
-        // success), and cloning `None` here would silently force every
-        // future clone of a once-panicked image to recompile forever.
-        let inner = self.0.lock().unwrap_or_else(|p| p.into_inner()).clone();
-        CompiledCache(Mutex::new(inner))
-    }
-}
-
-/// A loadable program image: module + runtime configuration.
+/// A loadable program image: the module, its defense, and the per-run
+/// choices made with the builders ([`Image::with_backend`],
+/// [`Image::with_exec`], ...). Everything else is fixed when the image is
+/// built: the VA layout ([`VaConfig::paper_default`]), the arena sizes
+/// ([`layout::HEAP_SIZE`], [`layout::STACK_SIZE`]) and the cost model
+/// ([`CostModel::for_mechanism`]).
 ///
-/// The module is held behind an [`Arc`] so that building an image — and
-/// cloning one per measurement run — never deep-copies the program. The
-/// measurement harness constructs hundreds of images per Fig. 9 sweep;
-/// with the shared module an `Image` is a handful of plain-data fields.
+/// The module and the translation are held behind [`Arc`]s, so building
+/// an image — and cloning one per measurement run — never deep-copies
+/// the program, and a clone of a translated image reuses its translation.
 #[derive(Debug, Clone)]
 pub struct Image {
-    /// The (possibly instrumented) module, shared between images and runs.
-    pub module: Arc<Module>,
-    /// Mechanism, `None` for an uninstrumented baseline image.
-    pub mechanism: Option<Mechanism>,
+    module: Arc<Module>,
+    /// `None` for an uninstrumented baseline image.
+    mechanism: Option<Mechanism>,
     /// Globals the loader signs before `main`.
-    pub global_signing: Vec<GlobalSign>,
+    global_signing: Vec<GlobalSign>,
     /// PA keys (per-process, kernel-generated).
-    pub keys: PacKeys,
-    /// VA layout.
-    pub va: VaConfig,
-    /// Cycle model.
-    pub cost: CostModel,
-    /// Heap arena size in bytes.
-    pub heap_size: u64,
-    /// Stack arena size in bytes.
-    pub stack_size: u64,
-    /// Enforcement backend.
-    pub backend: Backend,
+    keys: PacKeys,
+    backend: Backend,
     /// Whether return addresses are protected out-of-band (the paper's §3
-    /// shadow-stack assumption; default `true`). With `false`, each frame
-    /// spills its return address into attacker-reachable stack memory and
-    /// honours whatever is there on return — the classic ROP surface RSTI
-    /// explicitly does *not* cover.
-    pub shadow_stack: bool,
-    /// Accounting mode of the driver (default [`ExecBackend::Compiled`]).
-    pub exec: ExecBackend,
+    /// shadow-stack assumption). Without it, each frame spills its return
+    /// address into attacker-reachable stack memory and honours whatever
+    /// is there on return — the classic ROP surface RSTI explicitly does
+    /// *not* cover.
+    shadow_stack: bool,
+    exec: ExecBackend,
     /// Attribution profiling: per-function/per-site accounting plus the
-    /// deterministic call-stack sampler. Off by default and provably
-    /// inert — with `false`, runs charge not one extra cycle/inst and the
-    /// VM's only cost is a handful of is-none branches.
-    pub attr: bool,
-    /// Sampling period for the call-path profiler, in model cycles
-    /// (used only while `attr` is on).
-    pub attr_sample_every: u64,
+    /// deterministic call-stack sampler, every `attr_sample_every` model
+    /// cycles. Off by default and inert like `record`.
+    attr: bool,
+    attr_sample_every: u64,
     /// Flight recorder: a bounded ring of pointer-lifecycle events plus
-    /// incident synthesis at the first detection trap. Off by default and
-    /// inert like `attr` — with `false`, runs charge not one extra
-    /// cycle/inst and the VM's only cost is a handful of is-none
-    /// branches.
-    pub record: bool,
-    /// Cache of translated code, filled on the first run (or by
-    /// [`Image::precompile`]).
-    compiled: CompiledCache,
+    /// incident synthesis at the first detection trap. Off, a run charges
+    /// not one extra cycle or instruction and the VM pays a handful of
+    /// is-none branches.
+    record: bool,
+    /// The translation, built on the first run (or by
+    /// [`Image::precompile`]) and reset by [`Image::with_backend`], the
+    /// one builder folded into it.
+    compiled: OnceLock<Arc<compile::CompiledModule>>,
 }
 
 impl Image {
-    /// Switches the enforcement backend (builder style).
+    fn new(
+        module: Arc<Module>,
+        mechanism: Option<Mechanism>,
+        global_signing: Vec<GlobalSign>,
+    ) -> Self {
+        Image {
+            module,
+            mechanism,
+            global_signing,
+            keys: PacKeys::test_keys(),
+            backend: Backend::PacInPointer,
+            shadow_stack: true,
+            exec: ExecBackend::Compiled,
+            attr: false,
+            attr_sample_every: DEFAULT_ATTR_SAMPLE_EVERY,
+            record: false,
+            compiled: OnceLock::new(),
+        }
+    }
+
+    /// Builds an image from an instrumented program.
+    pub fn from_instrumented(p: &InstrumentedProgram) -> Self {
+        Self::new(Arc::new(p.module.clone()), Some(p.mechanism), p.global_signing.clone())
+    }
+
+    /// Builds an image from an instrumented program, taking ownership —
+    /// the zero-copy path for harnesses that instrument once per run.
+    pub fn from_instrumented_owned(p: InstrumentedProgram) -> Self {
+        Self::new(Arc::new(p.module), Some(p.mechanism), p.global_signing)
+    }
+
+    /// Builds an uninstrumented baseline image.
+    pub fn baseline(m: &Module) -> Self {
+        Self::baseline_owned(m.clone())
+    }
+
+    /// Builds an uninstrumented baseline image, taking ownership of the
+    /// module (zero-copy).
+    pub fn baseline_owned(m: Module) -> Self {
+        Self::new(Arc::new(m), None, Vec::new())
+    }
+
+    /// The one build recipe for a (program, defense, opt level) cell:
+    /// instruments `m` as `choice` selects, then optimizes at `level`
+    /// ([`Image::optimized`]). The baseline goes through the same level,
+    /// so an overhead is always measured against a baseline optimized
+    /// alike. Returns the instrumentation counters (`None` for the
+    /// baseline).
+    pub fn build(
+        m: &Module,
+        choice: impl Into<MechChoice>,
+        level: OptLevel,
+    ) -> (Self, Option<InstrumentStats>) {
+        let p = choice.into().instrument(m);
+        let stats = p.as_ref().map(|p| p.stats);
+        (Self::optimized(m, p, level), stats)
+    }
+
+    /// The optimizing half of [`Image::build`], for callers that time
+    /// instrumentation on its own: `p` is `m` instrumented, or `None` for
+    /// the baseline. A baseline is `optimize_module` on a copy of `m`; a
+    /// program goes through `optimize_program_at` (telemetry span and
+    /// per-stage counters). Either way the image owns the result, trimmed
+    /// of the spare capacity the passes left ([`Module::shrink_to_fit`]):
+    /// `serve` caches these images.
+    pub fn optimized(m: &Module, p: Option<InstrumentedProgram>, level: OptLevel) -> Self {
+        match p {
+            None => {
+                let mut m = m.clone();
+                optimize_module(&mut m, level);
+                m.shrink_to_fit();
+                Self::baseline_owned(m)
+            }
+            Some(mut p) => {
+                optimize_program_at(&mut p, level);
+                p.module.shrink_to_fit();
+                Self::from_instrumented_owned(p)
+            }
+        }
+    }
+
+    /// The (possibly instrumented) module.
+    pub fn module(&self) -> &Module {
+        &self.module
+    }
+
+    /// The driver's accounting mode.
+    pub fn exec(&self) -> ExecBackend {
+        self.exec
+    }
+
+    /// Switches the enforcement backend (builder style). The backend is
+    /// folded into the translation, so the image starts without one.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
+        self.compiled = OnceLock::new();
+        self
+    }
+
+    /// Replaces the PA keys (builder style) — a different process.
+    pub fn with_keys(mut self, keys: PacKeys) -> Self {
+        self.keys = keys;
         self
     }
 
@@ -825,164 +881,17 @@ impl Image {
     /// The translated form of this image (or, for a malformed image, the
     /// id check's failure), building it on first use under either
     /// accounting mode (timed as [`Phase::VmCompile`], counted in
-    /// `vm_compiled_blocks`). Cached code is reused only while the image's
-    /// cost model and enforcement backend still match the fingerprint it
-    /// was compiled under.
-    pub(crate) fn compiled(&self) -> Arc<compile::CompiledModule> {
-        let mut guard = self.compiled.0.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(code) = guard.as_ref() {
-            if code.fingerprint == (self.cost, self.backend) {
-                return Arc::clone(code);
-            }
-        }
-        let tel = rsti_telemetry::global();
-        let code = {
-            let _span = tel.span(Phase::VmCompile);
-            Arc::new(compile::compile_module(self))
-        };
-        tel.add(CounterId::VmCompiledBlocks, code.n_blocks);
-        *guard = Some(Arc::clone(&code));
-        code
-    }
-
-    /// Poisons the compiled-cache lock the way a real panic during
-    /// compilation would: a thread panics while holding the guard. For the
-    /// poison-recovery regression tests.
-    #[cfg(test)]
-    pub(crate) fn poison_compiled_lock_for_tests(&self) {
-        let result = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = self.compiled.0.lock().unwrap_or_else(|p| p.into_inner());
-                panic!("poisoning the compiled-cache lock (expected test panic)");
-            })
-            .join()
-        });
-        assert!(result.is_err(), "the poisoning thread must have panicked");
-        assert!(self.compiled.0.lock().is_err(), "lock must now be poisoned");
-    }
-}
-
-impl Image {
-    /// Builds an image from an instrumented program.
-    ///
-    /// The PARTS baseline pays a higher per-PAC-op cost: the paper
-    /// attributes PARTS' much larger overhead (19.5% vs RSTI's 1.54% on
-    /// nbench) to engineering, not extra checks — "using LLVM ptrauth
-    /// intrinsics, running the pass in the backend, using LTO and -O2
-    /// optimizations allowed our compiler to produce more optimized code"
-    /// (§6.3.2). We model PARTS' non-inlined runtime calls and spills as
-    /// `pac_op = 22` cycles (PA op + call + two memory accesses) instead
-    /// of RSTI's inlined 7.
-    pub fn from_instrumented(p: &InstrumentedProgram) -> Self {
-        Self::instrumented_parts(Arc::new(p.module.clone()), p.mechanism, p.global_signing.clone())
-    }
-
-    /// Builds an image from an instrumented program, taking ownership —
-    /// the zero-copy path for harnesses that instrument once per run.
-    pub fn from_instrumented_owned(p: InstrumentedProgram) -> Self {
-        let mechanism = p.mechanism;
-        Self::instrumented_parts(Arc::new(p.module), mechanism, p.global_signing)
-    }
-
-    fn instrumented_parts(
-        module: Arc<Module>,
-        mechanism: Mechanism,
-        global_signing: Vec<GlobalSign>,
-    ) -> Self {
-        let mut cost = CostModel::default();
-        if mechanism == Mechanism::Parts {
-            cost.pac_op = 22;
-            cost.pp_pac = 24;
-        }
-        Image {
-            module,
-            mechanism: Some(mechanism),
-            global_signing,
-            keys: PacKeys::test_keys(),
-            va: VaConfig::paper_default(),
-            cost,
-            heap_size: 4 << 20,
-            stack_size: 4 << 20,
-            backend: Backend::PacInPointer,
-            shadow_stack: true,
-            exec: ExecBackend::Compiled,
-            attr: false,
-            attr_sample_every: DEFAULT_ATTR_SAMPLE_EVERY,
-            record: false,
-            compiled: CompiledCache::empty(),
-        }
-    }
-
-    /// Builds an uninstrumented baseline image.
-    pub fn baseline(m: &Module) -> Self {
-        Self::baseline_shared(Arc::new(m.clone()))
-    }
-
-    /// Builds an uninstrumented baseline image around an already-shared
-    /// module — no copy at all.
-    pub fn baseline_shared(module: Arc<Module>) -> Self {
-        Image {
-            module,
-            mechanism: None,
-            global_signing: Vec::new(),
-            keys: PacKeys::test_keys(),
-            va: VaConfig::paper_default(),
-            cost: CostModel::default(),
-            heap_size: 4 << 20,
-            stack_size: 4 << 20,
-            backend: Backend::PacInPointer,
-            shadow_stack: true,
-            exec: ExecBackend::Compiled,
-            attr: false,
-            attr_sample_every: DEFAULT_ATTR_SAMPLE_EVERY,
-            record: false,
-            compiled: CompiledCache::empty(),
-        }
-    }
-
-    /// Builds an uninstrumented baseline image, taking ownership of the
-    /// module (zero-copy).
-    pub fn baseline_owned(m: Module) -> Self {
-        Self::baseline_shared(Arc::new(m))
-    }
-
-    /// The one build recipe for a (program, defense, opt level) cell:
-    /// instruments `m` as `choice` selects, then optimizes at `level`
-    /// ([`Image::optimized`]). The baseline goes through the same level,
-    /// so an overhead is always measured against a baseline optimized
-    /// alike. Returns the instrumentation counters (`None` for the
-    /// baseline).
-    pub fn build(
-        m: &Module,
-        choice: impl Into<MechChoice>,
-        level: OptLevel,
-    ) -> (Self, Option<InstrumentStats>) {
-        let p = choice.into().instrument(m);
-        let stats = p.as_ref().map(|p| p.stats);
-        (Self::optimized(m, p, level), stats)
-    }
-
-    /// The optimizing half of [`Image::build`], for callers that time
-    /// instrumentation on its own: `p` is `m` instrumented, or `None` for
-    /// the baseline. A baseline is `optimize_module` on a copy of `m`; a
-    /// program goes through `optimize_program_at` (telemetry span and
-    /// per-stage counters). Either way the image owns the result, trimmed
-    /// of the spare capacity the passes left ([`Module::shrink_to_fit`]):
-    /// `serve` caches these images.
-    pub fn optimized(m: &Module, p: Option<InstrumentedProgram>, level: OptLevel) -> Self {
-        match p {
-            None => {
-                let mut m = m.clone();
-                optimize_module(&mut m, level);
-                m.shrink_to_fit();
-                Self::baseline_owned(m)
-            }
-            Some(mut p) => {
-                optimize_program_at(&mut p, level);
-                p.module.shrink_to_fit();
-                Self::from_instrumented_owned(p)
-            }
-        }
+    /// `vm_compiled_blocks`).
+    pub(crate) fn compiled(&self) -> &Arc<compile::CompiledModule> {
+        self.compiled.get_or_init(|| {
+            let tel = rsti_telemetry::global();
+            let code = {
+                let _span = tel.span(Phase::VmCompile);
+                Arc::new(compile::compile_module(self))
+            };
+            tel.add(CounterId::VmCompiledBlocks, code.n_blocks);
+            code
+        })
     }
 }
 
@@ -1037,7 +946,7 @@ impl Frame {
 pub struct Vm<'img> {
     img: &'img Image,
     /// The image's translation, taken from its cache at load.
-    code: Arc<compile::CompiledModule>,
+    code: &'img compile::CompiledModule,
     /// Memory (attacker-reachable data lives here).
     pub mem: Memory,
     alloc: Allocator,
@@ -1057,12 +966,6 @@ pub struct Vm<'img> {
     cur_gen: u64,
     /// Source of globally unique activation generations.
     gen_counter: u64,
-    /// Precomputed from `img.va` at construction: the bits that make a
-    /// pointer non-canonical, and the translated-address mask — so the
-    /// per-access canonicality check in [`Vm::deref_addr`] is two ANDs
-    /// instead of a walk over the VA configuration.
-    noncanon_mask: u64,
-    addr_mask: u64,
     /// Retired frames kept for reuse: their `alloca_cache` buffers are
     /// recycled so steady-state call/return performs no heap allocation.
     frame_pool: Vec<Frame>,
@@ -1071,7 +974,6 @@ pub struct Vm<'img> {
     cycles: u64,
     insts: u64,
     fuel: u64,
-    global_addrs: Vec<u64>,
     stack_top: u64,
     status: Option<Status>,
     paused: bool,
@@ -1169,27 +1071,24 @@ impl<'img> Vm<'img> {
     /// hosts — yields a VM already trapped rather than a panic.
     pub fn new(img: &'img Image) -> Self {
         let m = &img.module;
-        let code = img.compiled();
+        let code: &compile::CompiledModule = img.compiled();
         let n_sites = code.sites.len();
-        let mut pac = PacUnit::new(&img.keys, img.va);
+        let mut pac = PacUnit::new(&img.keys, VA);
         let mut mac_table = HashMap::new();
         let loaded = match &code.funcs {
-            Ok(_) => load_data(img, &mut pac, &mut mac_table),
+            Ok(_) => load_data(img, code, &mut pac, &mut mac_table),
             Err(msg) => Err(Trap::BadProgram(msg.clone())),
         };
-        let (mem, gaddr, load_trap) = match loaded {
-            Ok((mem, gaddr)) => (mem, gaddr, None),
-            Err(t) => {
-                let mem = Memory::new(8, 8, 64, 64).expect("minimal layout fits");
-                (mem, Vec::new(), Some(t))
-            }
+        let (mem, load_trap) = match loaded {
+            Ok(mem) => (mem, None),
+            Err(t) => (Memory::new(8, 8, 64, 64).expect("minimal layout fits"), Some(t)),
         };
 
         let mut vm = Vm {
             img,
             code,
             mem,
-            alloc: Allocator::new(img.heap_size),
+            alloc: Allocator::new(layout::HEAP_SIZE),
             pac,
             pp_table: HashMap::new(),
             frames: Vec::new(),
@@ -1198,16 +1097,12 @@ impl<'img> Vm<'img> {
             reg_base: 0,
             cur_gen: 0,
             gen_counter: 0,
-            noncanon_mask: img.va.pac_mask()
-                | if img.va.tbi_mask() == 0 { 0xFF00_0000_0000_0000 } else { 0 },
-            addr_mask: img.va.addr_mask(),
             frame_pool: Vec::new(),
             output: Vec::new(),
             events: Vec::new(),
             cycles: 0,
             insts: 0,
             fuel: 500_000_000,
-            global_addrs: gaddr,
             stack_top: layout::STACK_BASE,
             status: None,
             paused: false,
@@ -1288,7 +1183,7 @@ impl<'img> Vm<'img> {
     /// Address of a global by name.
     pub fn global_addr(&self, name: &str) -> Option<u64> {
         let gid = self.img.module.global_by_name(name)?;
-        self.global_addrs.get(gid.0 as usize).copied()
+        self.code.gaddr.get(gid.0 as usize).copied()
     }
 
     /// The code address of a function by name (what an attacker writes
@@ -1594,7 +1489,7 @@ impl<'img> Vm<'img> {
         let m = &img.module;
         let sites = &self.code.sites;
         let func = self.cur_func_name();
-        let line = self.cur_line();
+        let line = sites[site as usize].line;
         let cycle = self.cycles;
         let Some(r) = self.rec.as_deref() else { return };
         if r.incident.is_some() {
@@ -1725,10 +1620,9 @@ impl<'img> Vm<'img> {
     }
 
     /// Commits the frame position of the op at `at`, as the per-op loop
-    /// does before running it. Calls do this to store where the caller
-    /// resumes, and failure reports so that their line reads the same
-    /// under both accounting modes; the driver does not touch the frame on
-    /// straight-line block transfers, so the block index is written too.
+    /// does before running it: calls store where the caller resumes. The
+    /// driver does not touch the frame on straight-line block transfers,
+    /// so the block index is written too.
     #[cold]
     #[inline(never)]
     fn commit_pos(&mut self, at: CheckAt) {
@@ -1737,12 +1631,12 @@ impl<'img> Vm<'img> {
         fr.idx = at.next_idx as usize;
     }
 
-    /// Commits the failing check's position, then builds the audit record
-    /// for its detection trap, appends it to the run's audit log, and
-    /// forwards it to the global collector. The record's `inst` is the
-    /// check's kind in the image's site table.
+    /// Builds the audit record for a detection trap at check `at`,
+    /// appends it to the run's audit log, and forwards it to the global
+    /// collector. The record's `inst` and `line` are the check's in the
+    /// image's site table.
     fn record_audit(&mut self, at: CheckAt, site: &'static str, modifier: u64, detail: String) {
-        self.commit_pos(at);
+        let check = &self.code.sites[at.site as usize];
         let rec = AuditRecord {
             mechanism: self
                 .img
@@ -1751,8 +1645,8 @@ impl<'img> Vm<'img> {
             modifier,
             site: site.to_string(),
             func: self.cur_func_name(),
-            line: self.cur_line(),
-            inst: self.code.sites[at.site as usize].kind.to_string(),
+            line: check.line,
+            inst: check.kind.to_string(),
             detail,
         };
         rsti_telemetry::global().record_violation(&rec);
@@ -1790,7 +1684,7 @@ impl<'img> Vm<'img> {
         }
         Box::new(Trap::PacAuthFailure {
             func: self.cur_func_name(),
-            line: self.cur_line(),
+            line: self.code.sites[op.at.site as usize].line,
             site: op.class,
             found_pac: found,
             expected_pac: expected,
@@ -1840,17 +1734,6 @@ impl<'img> Vm<'img> {
             .and_then(|f| self.img.module.funcs.get(f.func.0 as usize))
             .map(|f| f.name.clone())
             .unwrap_or_else(|| "<none>".into())
-    }
-
-    fn cur_line(&self) -> u32 {
-        let Some(fr) = self.frames.last() else { return 0 };
-        let Some(f) = self.img.module.funcs.get(fr.func.0 as usize) else { return 0 };
-        f.blocks
-            .get(fr.block)
-            .and_then(|b| b.insts.get(fr.idx))
-            .and_then(|n| n.loc)
-            .map(|l| l.line)
-            .unwrap_or(0)
     }
 
     fn push_frame(
@@ -1975,12 +1858,12 @@ impl<'img> Vm<'img> {
     /// Checks canonical form and returns the translated address.
     #[inline(always)]
     fn deref_addr(&self, p: u64) -> Result<u64, Trap> {
-        if p & self.noncanon_mask != 0 {
+        if !VA.is_canonical(p) {
             // Non-canonical (PAC-carrying, poisoned, forged): hardware
             // translation faults.
             return Err(self.noncanonical_trap(p));
         }
-        Ok(p & self.addr_mask)
+        Ok(VA.canonical(p))
     }
 
     #[cold]
@@ -2038,7 +1921,7 @@ impl<'img> Vm<'img> {
         if self.trace_enabled {
             self.opclass[OPCLASS_BRANCH] += 1;
         }
-        self.cycles += self.img.cost.branch;
+        self.cycles += CostModel::for_mechanism(self.img.mechanism).branch;
         if self.attr.is_some() {
             self.attr_maybe_sample();
         }
@@ -2067,7 +1950,7 @@ impl<'img> Vm<'img> {
                     self.rec_scope(RecKind::ScopeExit, fr.func);
                 }
                 self.recycle(fr);
-                let target = self.img.va.canonical(found);
+                let target = VA.canonical(found);
                 return match resolve_code_addr(&self.img.module, target) {
                     Some((fid, true)) => {
                         let name = self.img.module.funcs[fid.0 as usize].name.clone();
@@ -2162,38 +2045,36 @@ fn ord_vals(a: RtVal, b: RtVal) -> std::cmp::Ordering {
     }
 }
 
-/// Lays out and fills an id-checked image's data: the globals and strings
-/// segments, global initializers, and load-time signing of static pointer
-/// initializers (PAC-in-pointer), or their boot MACs into `mac_table`.
-/// Returns the memory and every global's address.
+/// Fills an id-checked image's data at the layout its translation `code`
+/// computed: the globals and strings segments, global initializers, and
+/// load-time signing of static pointer initializers (PAC-in-pointer), or
+/// their boot MACs into `mac_table`.
 ///
 /// # Errors
 /// A [`Trap::Mem`] when the segments are larger than the VM hosts.
 fn load_data(
     img: &Image,
+    code: &compile::CompiledModule,
     pac: &mut PacUnit,
     mac_table: &mut HashMap<u64, u64>,
-) -> Result<(Memory, Vec<u64>), Trap> {
+) -> Result<Memory, Trap> {
     let m = &img.module;
-    // Globals layout — delegated to the module so the optimizer's
-    // precomputed-modifier pass folds exactly the addresses the VM
-    // loads at (`rsti_ir::Module::global_addresses` is the contract).
-    // The segment size saturates: absurd global sizes must survive layout
-    // so the segment-size check below can reject them with a trap.
-    let (gaddr, goff) = m.global_addresses();
-    let (saddr, soff) = string_addresses(m);
+    let (gaddr, saddr) = (&code.gaddr, &code.saddr);
     // Segment sizes are program-derived (a huge global array inflates
-    // `goff`): an oversized request is a trap, not a host abort.
-    let mut mem = Memory::new(goff.max(8), soff.max(8), img.heap_size, img.stack_size)
-        .map_err(|fault| Trap::Mem { func: "<loader>".into(), fault })?;
+    // the globals segment): an oversized request is a trap, not a host
+    // abort.
+    let [goff, soff] = code.data_sizes;
+    let mut mem =
+        Memory::new(goff.max(8), soff.max(8), layout::HEAP_SIZE, layout::STACK_SIZE)
+            .map_err(|fault| Trap::Mem { func: "<loader>".into(), fault })?;
     // String contents (program-read-only segment; written here via the
     // loader's privileged path).
-    for (s, &a) in m.strings.iter().zip(&saddr) {
+    for (s, &a) in m.strings.iter().zip(saddr) {
         let mut bytes = s.as_bytes().to_vec();
         bytes.push(0);
         mem.attacker_write(a, &bytes).expect("string fits");
     }
-    for (g, &a) in m.globals.iter().zip(&gaddr) {
+    for (g, &a) in m.globals.iter().zip(gaddr) {
         match &g.init {
             GlobalInit::Zero => {}
             GlobalInit::Int(v) => {
@@ -2226,20 +2107,7 @@ fn load_data(
             }
         }
     }
-    Ok((mem, gaddr))
-}
-
-/// String-segment layout: the address of each interned string, plus the
-/// total segment size. Shared by the loader and the block compiler so
-/// both resolve `Operand::Str` to the same addresses.
-pub(crate) fn string_addresses(m: &Module) -> (Vec<u64>, u64) {
-    let mut saddr = Vec::with_capacity(m.strings.len());
-    let mut soff = 0u64;
-    for s in &m.strings {
-        saddr.push(layout::STR_BASE + soff);
-        soff += s.len() as u64 + 1;
-    }
-    (saddr, soff)
+    Ok(mem)
 }
 
 /// The code address of a function. An out-of-range id gets a code-segment

@@ -645,3 +645,60 @@ fn pa_failures_trap_with_exact_reports_under_both_backends() {
         }
     }
 }
+
+/// A detection reports the line of the check that failed — not that of
+/// the instruction after it, nor 0 when the check ends its block — in the
+/// trap, the audit record and the incident, under both enforcement
+/// backends and both accounting modes.
+#[test]
+fn a_detection_reports_the_failing_checks_own_line() {
+    let (base, t) = base();
+    let v = |i: u32| Operand::Value(ValueId(i));
+    let at = |line: u32| Some(rsti_ir::DebugLoc::new(Scope::Function(0), line));
+    let insts = [
+        Inst::Alloca { result: ValueId(0), ty: t.i64, var: None },
+        Inst::PacSign {
+            result: ValueId(1),
+            value: v(0),
+            key: PacKey::Da,
+            modifier: 0x10,
+            loc: None,
+            site: PacSite::OnStore,
+        },
+        Inst::PacAuth {
+            result: ValueId(2),
+            value: v(1),
+            key: PacKey::Da,
+            modifier: 0x20,
+            loc: None,
+            site: PacSite::OnLoad,
+        },
+        Inst::BitCast { result: ValueId(3), value: v(2), to: t.p_i8 },
+    ];
+    let lines = [5, 6, 7, 9];
+    for n in [4, 3] {
+        let mut m = with_main(
+            &base,
+            &t,
+            vec![t.p_i64, t.p_i64, t.p_i64, t.p_i8],
+            insts[..n].to_vec(),
+            Terminator::Ret(Some(Operand::ConstInt(0, t.i64))),
+        );
+        for (node, &line) in m.funcs[0].blocks[0].insts.iter_mut().zip(&lines) {
+            node.loc = at(line);
+        }
+        for enforce in [Backend::PacInPointer, Backend::MacTable] {
+            for exec in [ExecBackend::Interp, ExecBackend::Compiled] {
+                let label = format!("{n} insts ({enforce:?}, {})", exec.label());
+                let img = Image::baseline(&m).with_backend(enforce).with_exec(exec).with_record();
+                let r = Vm::new(&img).run();
+                let Status::Trapped(trap @ Trap::PacAuthFailure { line, .. }) = &r.status else {
+                    panic!("{label}: ran to {:?}", r.status)
+                };
+                assert_eq!(*line, 7, "{label}: {trap}");
+                assert_eq!(r.audit[0].line, 7, "{label}: audit record");
+                assert_eq!(r.incident.as_deref().map(|i| i.line), Some(7), "{label}: incident");
+            }
+        }
+    }
+}

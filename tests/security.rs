@@ -67,9 +67,8 @@ fn signed_pointers_do_not_transfer_across_key_banks() {
     assert_ne!(signed & 0x00FF_0000_0000_0000, 0, "pointer carries a PAC");
 
     // Process 2: fresh random keys; replay the captured value.
-    let mut img2 = Image::from_instrumented(&prog);
     let mut rng = rsti_rng::Rng64::seed_from_u64(99);
-    img2.keys = rsti_pac::PacKeys::random(&mut rng);
+    let img2 = Image::from_instrumented(&prog).with_keys(rsti_pac::PacKeys::random(&mut rng));
     let mut vm2 = Vm::new(&img2);
     assert_eq!(vm2.run_to_function("fire"), RunStop::Entered);
     let obj = vm2.heap_live()[0].0;
