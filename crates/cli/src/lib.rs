@@ -728,9 +728,9 @@ fn dispatch(args: &[String]) -> Result<String, CliError> {
             let _ = writeln!(out, "{} RSTI-types for `{file}`:", a.classes.len());
             for (i, c) in a.classes.iter().enumerate() {
                 let tys: Vec<String> =
-                    c.types.iter().map(|t| module.types.display(*t)).collect();
+                    a.types(c).iter().map(|t| module.types.display(*t)).collect();
                 let members: Vec<&str> =
-                    c.members.iter().map(|&v| a.facts.vars[v].name.as_str()).collect();
+                    a.members(c).iter().map(|&v| a.facts.vars[v].name.as_str()).collect();
                 let _ = writeln!(
                     out,
                     "M{:<3} types[{}] perm {} modifier {:#018x}\n     members: {}",
@@ -876,6 +876,16 @@ mod tests {
             assert!(out.contains(needle), "{out}");
             assert!(out.starts_with("error: ") && out.lines().count() == 1, "{out}");
         }
+    }
+
+    /// A source that ends inside an escaped char literal is one compile
+    /// error, not a panic.
+    #[test]
+    fn a_char_literal_cut_off_at_eof_is_one_compile_error() {
+        let f = write_temp("rsti_cli_eof_char.mc", "int main() { char c = '\\n");
+        let (code, out) = run_cli(&["run".into(), f]);
+        assert_eq!(code, 1, "{out}");
+        assert_eq!(out, "error: line 1: unterminated char literal\n");
     }
 
     #[test]

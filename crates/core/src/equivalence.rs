@@ -39,12 +39,12 @@ pub struct EquivalenceStats {
 
 /// Largest member count over classes.
 pub fn largest_ecv(a: &StiAnalysis) -> usize {
-    a.classes.iter().map(|c| c.members.len()).max().unwrap_or(0)
+    a.classes.iter().map(|c| a.members(c).len()).max().unwrap_or(0)
 }
 
 /// Largest basic-type count over classes.
 pub fn largest_ect(a: &StiAnalysis) -> usize {
-    a.classes.iter().map(|c| c.types.len()).max().unwrap_or(0)
+    a.classes.iter().map(|c| a.types(c).len()).max().unwrap_or(0)
 }
 
 /// Computes the full Table 3 row for a module.

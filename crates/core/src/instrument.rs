@@ -22,9 +22,9 @@
 //!   function or string addresses are recorded so the loader (the VM)
 //!   signs them before `main` runs.
 
-use crate::ptr2ptr::{plan_pp, PpPlan};
+use crate::ptr2ptr::{plan_pp_with, PpPlan};
 use crate::replay::DEFAULT_ECV_THRESHOLD;
-use crate::sti::{analyze, fnv1a_from, Mechanism, StiAnalysis};
+use crate::sti::{analyze_with, fnv1a_type, Mechanism, StiAnalysis};
 use crate::storage::{operand_type, root_of_value, storage_of_addr, DefMap, StorageKey};
 use rsti_ir::{
     BasicBlock, DebugLoc, Function, GlobalId, GlobalInit, Inst, InstNode, Module, Operand,
@@ -118,7 +118,7 @@ impl LocPolicy {
             LocPolicy::Always => true,
             LocPolicy::ClassesLargerThan(t) => analysis
                 .class_of(key)
-                .map(|c| c.members.len() > *t)
+                .map(|c| analysis.members(c).len() > *t)
                 .unwrap_or(false),
         }
     }
@@ -127,24 +127,31 @@ impl LocPolicy {
 /// Fallback modifier for storage with no analysis class (should not occur
 /// in practice; kept total for robustness).
 fn fallback_modifier(m: &Module, ty: TypeId) -> u64 {
-    fnv1a_from(0x2545F4914F6CDD1D, m.types.display(ty).as_bytes())
+    fnv1a_type(m, 0x2545F4914F6CDD1D, ty)
 }
 
 /// Instruments `m` under `mechanism`. The input module must not already be
 /// instrumented.
 pub fn instrument(m: &Module, mechanism: Mechanism) -> InstrumentedProgram {
-    let analysis = analyze(m, mechanism);
+    let defs = def_maps(m);
+    let analysis = analyze_with(m, &defs, mechanism);
     let pp_plan = if mechanism == Mechanism::Parts {
         PpPlan::default()
     } else {
-        plan_pp(m, &analysis)
+        plan_pp_with(m, &defs, &analysis)
     };
     let loc_policy = if mechanism.uses_location() {
         LocPolicy::Always
     } else {
         LocPolicy::Never
     };
-    finish_instrument(m, mechanism, analysis, pp_plan, loc_policy)
+    finish_instrument(m, &defs, mechanism, analysis, pp_plan, loc_policy)
+}
+
+/// One def table per function, shared by fact collection, the
+/// pointer-to-pointer plan and the rewrite walk.
+fn def_maps(m: &Module) -> Vec<DefMap<'_>> {
+    m.funcs.iter().map(DefMap::new).collect()
 }
 
 /// The paper's §7 adaptive variant: STWC everywhere, plus STL-style
@@ -152,10 +159,12 @@ pub fn instrument(m: &Module, mechanism: Mechanism) -> InstrumentedProgram {
 /// `ecv_threshold` members (e.g. xalancbmk's 122-variable class).
 /// Costs sit between STWC and STL; large-class substitution is closed.
 pub fn instrument_adaptive(m: &Module, ecv_threshold: usize) -> InstrumentedProgram {
-    let analysis = analyze(m, Mechanism::Stwc);
-    let pp_plan = plan_pp(m, &analysis);
+    let defs = def_maps(m);
+    let analysis = analyze_with(m, &defs, Mechanism::Stwc);
+    let pp_plan = plan_pp_with(m, &defs, &analysis);
     finish_instrument(
         m,
+        &defs,
         Mechanism::Stwc,
         analysis,
         pp_plan,
@@ -251,6 +260,7 @@ impl MechChoice {
 
 fn finish_instrument(
     m: &Module,
+    defs: &[DefMap<'_>],
     mechanism: Mechanism,
     analysis: StiAnalysis,
     pp_plan: PpPlan,
@@ -266,14 +276,13 @@ fn finish_instrument(
         ce_of_ty.entry(s.original_ty).or_insert((s.ce, s.fe_modifier));
     }
     // Each body is written once, into fresh blocks; externals have none.
-    let funcs = m
-        .funcs
-        .iter()
-        .map(|f| {
+    let mut scratch = Vec::new();
+    let funcs = (m.funcs.iter().zip(defs))
+        .map(|(f, defs)| {
             let mut w = Walk {
                 m,
                 f,
-                defs: DefMap::new(f),
+                defs,
                 mechanism,
                 analysis: &analysis,
                 tagged_params: &pp_plan.tagged_params,
@@ -281,10 +290,11 @@ fn finish_instrument(
                 loc_policy,
                 stats: &mut stats,
                 value_types: f.value_types.clone(),
-                insts: Vec::new(),
+                insts: std::mem::take(&mut scratch),
                 dbg: None,
             };
             let blocks = f.blocks.iter().map(|b| w.block(b)).collect();
+            scratch = w.insts;
             Function {
                 name: f.name.clone(),
                 sig: f.sig.clone(),
@@ -355,7 +365,7 @@ fn class_info(
 struct Walk<'a> {
     m: &'a Module,
     f: &'a Function,
-    defs: DefMap<'a>,
+    defs: &'a DefMap<'a>,
     mechanism: Mechanism,
     analysis: &'a StiAnalysis,
     /// Universal double-pointer parameters that receive tagged pointers.
@@ -365,7 +375,7 @@ struct Walk<'a> {
     loc_policy: LocPolicy,
     stats: &'a mut InstrumentStats,
     value_types: Vec<TypeId>,
-    /// The block being written.
+    /// The block being written, reused by every block of the walk.
     insts: Vec<InstNode>,
     /// Debug location of the source instruction being rewritten.
     dbg: Option<DebugLoc>,
@@ -452,7 +462,7 @@ impl Walk<'_> {
     }
 
     fn block(&mut self, blk: &BasicBlock) -> BasicBlock {
-        self.insts = Vec::with_capacity(blk.insts.len());
+        self.insts.clear();
         for node in &blk.insts {
             self.dbg = node.loc;
             self.inst(&node.inst);
@@ -469,7 +479,8 @@ impl Walk<'_> {
                 term = Terminator::Ret(Some(authed.into()));
             }
         }
-        BasicBlock { insts: std::mem::take(&mut self.insts), term, term_loc: blk.term_loc }
+        // The scratch keeps its capacity; the block gets an exact copy.
+        BasicBlock { insts: self.insts.drain(..).collect(), term, term_loc: blk.term_loc }
     }
 
     fn inst(&mut self, inst: &Inst) {
@@ -480,12 +491,12 @@ impl Walk<'_> {
                 if !self.is_ptr(vty) {
                     return self.push(inst.clone());
                 }
-                let key = storage_of_addr(m, f, &self.defs, ptr);
+                let key = storage_of_addr(m, f, self.defs, ptr);
                 // Spill of a tagged universal double-pointer parameter: the
                 // value arrives already pp-signed and tagged; store it
                 // untouched so the tag survives in memory.
                 if self.tagged(key) {
-                    let root = root_of_value(m, f, &self.defs, value);
+                    let root = root_of_value(m, f, self.defs, value);
                     if root.key == Some(key) && !root.casted {
                         return self.push(inst.clone());
                     }
@@ -498,7 +509,7 @@ impl Walk<'_> {
                 if !self.is_ptr(*ty) {
                     return self.push(inst.clone());
                 }
-                let key = storage_of_addr(m, f, &self.defs, ptr);
+                let key = storage_of_addr(m, f, self.defs, ptr);
                 let raw = self.fresh(*ty);
                 self.push(Inst::Load { result: raw, ptr: ptr.clone(), ty: *ty });
                 if self.tagged(key) {
@@ -539,7 +550,7 @@ impl Walk<'_> {
                     let resign = self.is_ptr(aty)
                         && match self.mechanism {
                             Mechanism::Stl => true,
-                            Mechanism::Stwc => root_of_value(m, f, &self.defs, a).casted,
+                            Mechanism::Stwc => root_of_value(m, f, self.defs, a).casted,
                             Mechanism::Stc | Mechanism::Parts => false,
                         };
                     if !resign {
@@ -577,7 +588,7 @@ impl Walk<'_> {
             self.stats.strips += 1;
             return stripped.into();
         }
-        let root = root_of_value(self.m, self.f, &self.defs, a);
+        let root = root_of_value(self.m, self.f, self.defs, a);
         let orig_ty = root.root_ty.unwrap_or(aty);
         let lost = root.casted && orig_ty != aty && self.m.types.ptr_depth(orig_ty) >= 2;
         // Figure 7 sequence: pp_add, pp_sign, pp_add_tbi (PARTS plans no CE).

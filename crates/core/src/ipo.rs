@@ -921,7 +921,7 @@ mod tests {
                 // `*p` sits on source line 2; after inlining, a check with
                 // that provenance must live under main.
                 assert!(
-                    t1.iter().any(|s| s.func_name == "main" && s.line == 2),
+                    t1.iter().any(|s| &*s.func_name == "main" && s.line == 2),
                     "{mech:?}: inlined check lost its callee line: {:?}",
                     t1.iter()
                         .map(|s| (s.func_name.clone(), s.line))

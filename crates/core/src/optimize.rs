@@ -98,15 +98,71 @@ const NIL: u32 = u32::MAX;
 ///
 /// Returns the number of load(+auth) sites promoted to copies.
 pub fn promote_single_store_slots(m: &mut Module) -> usize {
+    promote_with(m, &mut Promote::default())
+}
+
+/// [`promote_single_store_slots`] with the module's scratch.
+fn promote_with(m: &mut Module, p: &mut Promote) -> usize {
     let mut promoted = 0;
     let types = &m.types;
     for f in &mut m.funcs {
         if f.is_external || f.blocks.is_empty() {
             continue;
         }
-        promoted += promote_in_function(types, f);
+        promoted += promote_in_function(types, f, p);
     }
     promoted
+}
+
+/// [`promote_in_function`]'s tables, kept between functions.
+#[derive(Default)]
+struct Promote {
+    usage: Vec<Usage>,
+    /// Every load through a value and every auth of a value, as (value,
+    /// block, index), in scan order.
+    loads: Vec<(ValueId, u32, u32)>,
+    auths: Vec<(ValueId, u32, u32)>,
+    order: Vec<(ValueId, u32)>,
+    cand: Vec<u32>,
+    owner: Vec<u32>,
+    /// Each candidate's loads and the auths of their results, as (block,
+    /// index), one run per candidate starting at its `*_at` entry.
+    slot_loads: Vec<(u32, u32)>,
+    loads_at: Vec<u32>,
+    slot_auths: Vec<(u32, u32)>,
+    auths_at: Vec<u32>,
+    in_results: Vec<bool>,
+    load_results: Vec<ValueId>,
+    inserts: Vec<(usize, InstNode, Option<InstNode>)>,
+    entry: Vec<InstNode>,
+}
+
+/// Groups `items` (candidate, block, index), listed in scan order, into one
+/// run per candidate in `out`, keeping scan order within a run; `at[c]` is
+/// where candidate `c`'s run starts (`at` has `n + 1` entries).
+fn group_by_candidate(
+    items: impl Iterator<Item = (u32, u32, u32)> + Clone,
+    n: usize,
+    at: &mut Vec<u32>,
+    out: &mut Vec<(u32, u32)>,
+) {
+    refill(at, n + 1, 0);
+    for (c, _, _) in items.clone() {
+        at[c as usize + 1] += 1;
+    }
+    for c in 0..n {
+        at[c + 1] += at[c];
+    }
+    refill(out, at[n] as usize, (0, 0));
+    // Fill with the run starts as cursors, then shift them back.
+    for (c, b, i) in items {
+        out[at[c as usize] as usize] = (b, i);
+        at[c as usize] += 1;
+    }
+    for c in (1..=n).rev() {
+        at[c] = at[c - 1];
+    }
+    at[0] = 0;
 }
 
 /// One slot's uses, from the census walk of [`promote_in_function`].
@@ -136,32 +192,52 @@ fn dense<T: Clone + Default>(table: &mut Vec<T>, v: ValueId) -> &mut T {
 /// One census walk, then one rewrite per promoted slot over only its own
 /// loads and their auths, then one rebuild of the entry block with every
 /// canonical load(+auth) inserted.
-fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) -> usize {
+fn promote_in_function(
+    types: &rsti_ir::TypeTable,
+    f: &mut rsti_ir::Function,
+    p: &mut Promote,
+) -> usize {
+    let Promote {
+        usage,
+        loads,
+        auths,
+        order,
+        cand,
+        owner,
+        slot_loads,
+        loads_at,
+        slot_auths,
+        auths_at,
+        in_results,
+        load_results,
+        inserts,
+        entry,
+    } = p;
     // 1. Usage census over the original body. Every load through a value
     // and every auth of a value is listed in scan order for step 3.
-    let mut usage = vec![Usage::default(); f.value_types.len()];
-    let mut loads: Vec<(ValueId, u32, u32)> = Vec::new();
-    let mut auths: Vec<(ValueId, u32, u32)> = Vec::new();
+    refill(usage, f.value_types.len(), Usage::default());
+    loads.clear();
+    auths.clear();
     for (bi, blk) in f.blocks.iter().enumerate() {
         for (ii, node) in blk.insts.iter().enumerate() {
             let at = (bi as u32, ii as u32);
             match &node.inst {
-                Inst::Alloca { result, .. } => dense(&mut usage, *result).in_entry_alloca = bi == 0,
+                Inst::Alloca { result, .. } => dense(usage, *result).in_entry_alloca = bi == 0,
                 Inst::Store { value, ptr } => {
                     if let Operand::Value(v) = ptr {
-                        let u = dense(&mut usage, *v);
+                        let u = dense(usage, *v);
                         if u.stores == 0 {
                             u.store_at = at;
                         }
                         u.stores += 1;
                     }
                     if let Operand::Value(v) = value {
-                        dense(&mut usage, *v).other = true;
+                        dense(usage, *v).other = true;
                     }
                 }
                 Inst::Load { ptr, .. } => {
                     if let Operand::Value(v) = ptr {
-                        let u = dense(&mut usage, *v);
+                        let u = dense(usage, *v);
                         u.loads += 1;
                         u.load_before_store |= bi == 0 && u.stores == 0;
                         loads.push((*v, at.0, at.1));
@@ -177,7 +253,7 @@ fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) ->
                     }
                     other.for_each_operand(|op| {
                         if let Operand::Value(v) = op {
-                            dense(&mut usage, *v).other = true;
+                            dense(usage, *v).other = true;
                         }
                     });
                 }
@@ -185,13 +261,14 @@ fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) ->
         }
         // Terminator operands count as "other" uses.
         if let Some(Operand::Value(v)) = blk.term.operand() {
-            dense(&mut usage, *v).other = true;
+            dense(usage, *v).other = true;
         }
     }
 
     // 2. Candidates, with every entry-block load after the store, in
     // descending store order: the order the fresh value ids are drawn in.
-    let mut order: Vec<(ValueId, u32)> = usage
+    order.clear();
+    order.extend(usage
         .iter()
         .enumerate()
         .filter(|(_, u)| {
@@ -202,35 +279,31 @@ fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) ->
                 && u.loads >= 2
                 && !u.load_before_store
         })
-        .map(|(v, u)| (ValueId(v as u32), u.store_at.1))
-        .collect();
+        .map(|(v, u)| (ValueId(v as u32), u.store_at.1)));
     if order.is_empty() {
         return 0;
     }
     order.sort_by_key(|e| std::cmp::Reverse(e.1));
 
     // Each candidate's loads, and the auths of their results, in scan order.
-    let mut cand = vec![NIL; usage.len()];
+    refill(cand, usage.len(), NIL);
     for (ci, &(v, _)) in order.iter().enumerate() {
         cand[v.0 as usize] = ci as u32;
     }
-    let mut owner = vec![NIL; f.value_types.len()];
-    let mut slot_loads: Vec<Vec<(u32, u32)>> = vec![Vec::new(); order.len()];
-    for &(v, bi, ii) in &loads {
-        let ci = cand[v.0 as usize];
-        if ci != NIL {
-            slot_loads[ci as usize].push((bi, ii));
-            if let Inst::Load { result, .. } = &f.blocks[bi as usize].insts[ii as usize].inst {
-                *dense(&mut owner, *result) = ci;
-            }
+    refill(owner, f.value_types.len(), NIL);
+    let cand_loads = (loads.iter())
+        .map(|&(v, bi, ii)| (cand[v.0 as usize], bi, ii))
+        .filter(|&(ci, _, _)| ci != NIL);
+    for (ci, bi, ii) in cand_loads.clone() {
+        if let Inst::Load { result, .. } = &f.blocks[bi as usize].insts[ii as usize].inst {
+            *dense(owner, *result) = ci;
         }
     }
-    let mut slot_auths: Vec<Vec<(u32, u32)>> = vec![Vec::new(); order.len()];
-    for &(v, bi, ii) in &auths {
-        if let Some(&ci) = owner.get(v.0 as usize).filter(|&&ci| ci != NIL) {
-            slot_auths[ci as usize].push((bi, ii));
-        }
-    }
+    group_by_candidate(cand_loads, order.len(), loads_at, slot_loads);
+    let cand_auths = (auths.iter())
+        .filter_map(|&(v, bi, ii)| Some((*owner.get(v.0 as usize).filter(|&&ci| ci != NIL)?, bi, ii)));
+    group_by_candidate(cand_auths, order.len(), auths_at, slot_auths);
+    let run = |at: &[u32], ci: usize| at[ci] as usize..at[ci + 1] as usize;
 
     // 3. Rewrite, slot by slot. The modifier/key come from the auth after
     // the slot's last load (none after a pp-auth: those tags must be
@@ -239,13 +312,13 @@ fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) ->
     // later slots' scans; the canonical pairs go in at the end, after
     // their stores, which no load follows directly.
     let mut promoted = 0usize;
-    let mut in_results = vec![false; f.value_types.len()];
-    let mut inserts: Vec<(usize, InstNode, Option<InstNode>)> = Vec::new();
+    refill(in_results, f.value_types.len(), false);
+    inserts.clear();
     for (ci, &(slot, store_idx)) in order.iter().enumerate() {
         let mut load_ty = None;
         let mut auth_template = None;
-        let mut load_results: Vec<ValueId> = Vec::new();
-        for &(bi, ii) in &slot_loads[ci] {
+        load_results.clear();
+        for &(bi, ii) in &slot_loads[run(loads_at, ci)] {
             let insts = &f.blocks[bi as usize].insts;
             let Inst::Load { result, ty, .. } = &insts[ii as usize].inst else {
                 unreachable!("listed loads of a slot stay loads until the slot is rewritten")
@@ -323,17 +396,17 @@ fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) ->
                 Inst::Convert { result, value: canonical.into(), to: load_ty }
             }
         };
-        for &r in &load_results {
-            *dense(&mut in_results, r) = true;
+        for &r in load_results.iter() {
+            *dense(in_results, r) = true;
         }
-        for &(bi, ii) in &slot_loads[ci] {
+        for &(bi, ii) in &slot_loads[run(loads_at, ci)] {
             let node = &mut f.blocks[bi as usize].insts[ii as usize];
             if let Some(result) = node.inst.result() {
                 node.inst = copy(result);
                 promoted += 1;
             }
         }
-        for &(bi, ii) in &slot_auths[ci] {
+        for &(bi, ii) in &slot_auths[run(auths_at, ci)] {
             let node = &mut f.blocks[bi as usize].insts[ii as usize];
             if let Inst::PacAuth {
                 result,
@@ -351,18 +424,19 @@ fn promote_in_function(types: &rsti_ir::TypeTable, f: &mut rsti_ir::Function) ->
     // 4. One rebuild of the entry block with every canonical pair after
     // its store.
     if !inserts.is_empty() {
-        inserts.sort_by_key(|e| e.0);
-        let old = std::mem::take(&mut f.blocks[0].insts);
-        let mut insts = Vec::with_capacity(old.len() + 2 * inserts.len());
-        let mut next = inserts.into_iter().peekable();
-        for (ii, node) in old.into_iter().enumerate() {
-            insts.push(node);
+        inserts.sort_unstable_by_key(|e| e.0);
+        // The entry block is rebuilt in the scratch vector, which then
+        // trades places with it.
+        entry.clear();
+        let mut next = inserts.drain(..).peekable();
+        for (ii, node) in f.blocks[0].insts.drain(..).enumerate() {
+            entry.push(node);
             if let Some((_, load, auth)) = next.next_if(|e| e.0 == ii) {
-                insts.push(load);
-                insts.extend(auth);
+                entry.push(load);
+                entry.extend(auth);
             }
         }
-        f.blocks[0].insts = insts;
+        std::mem::swap(&mut f.blocks[0].insts, entry);
     }
     promoted
 }
@@ -403,10 +477,36 @@ impl AliasCensus {
 }
 
 fn alias_census(f: &rsti_ir::Function) -> AliasCensus {
-    let n = f.value_types.len();
-    let mut alloca = vec![false; n];
-    let mut escaped = vec![false; n];
-    let mut def_block = vec![None; n];
+    let mut census = AliasCensus::default();
+    census.recompute(f);
+    census
+}
+
+impl AliasCensus {
+    /// Makes this the census of `f`, reusing its tables.
+    fn recompute(&mut self, f: &rsti_ir::Function) {
+        let n = f.value_types.len();
+        let AliasCensus { alloca, non_escaped, def_block } = self;
+        for t in [&mut *alloca, &mut *non_escaped] {
+            t.clear();
+            t.resize(n, false);
+        }
+        def_block.clear();
+        def_block.resize(n, None);
+        // `non_escaped` holds "escaped" until the walk is over.
+        census_walk(f, alloca, non_escaped, def_block);
+        for (e, &a) in non_escaped.iter_mut().zip(alloca.iter()) {
+            *e = a && !*e;
+        }
+    }
+}
+
+fn census_walk(
+    f: &rsti_ir::Function,
+    alloca: &mut [bool],
+    escaped: &mut [bool],
+    def_block: &mut [Option<BlockId>],
+) {
     let mut escape = |op: &Operand| {
         if let Operand::Value(v) = op {
             if let Some(e) = escaped.get_mut(v.0 as usize) {
@@ -430,16 +530,6 @@ fn alias_census(f: &rsti_ir::Function) -> AliasCensus {
             }
         }
         blk.term.operand().into_iter().for_each(&mut escape);
-    }
-    let non_escaped = alloca
-        .iter()
-        .zip(&escaped)
-        .map(|(&a, &e)| a && !e)
-        .collect();
-    AliasCensus {
-        alloca,
-        non_escaped,
-        def_block,
     }
 }
 
@@ -618,6 +708,54 @@ struct Summaries {
     asked: Vec<u32>,
 }
 
+impl Summaries {
+    fn clear(&mut self) {
+        self.blocks.clear();
+        self.killed.clear();
+        self.gens.clear();
+        self.gen_fact.clear();
+        self.asked.clear();
+    }
+}
+
+/// The dataflow's tables for one function (see [`elide_in_function`]),
+/// kept between functions.
+#[derive(Default)]
+struct Flow {
+    sums: Summaries,
+    slot_facts: Vec<(u32, u32)>,
+    cursor: Vec<u32>,
+    unpinned: Vec<u64>,
+    interiors: Vec<u64>,
+    keep: Vec<u64>,
+    gen: Vec<u64>,
+    out: Vec<u64>,
+    computed: Vec<bool>,
+    entry: Vec<u64>,
+    next: Vec<u64>,
+}
+
+/// Everything the per-function stages build and drop — one CFG, dominator
+/// tree, loop forest, alias census, engine table set, dataflow table set
+/// and promotion census — kept for a whole module, so the optimizer
+/// allocates per module rather than per function or block.
+#[derive(Default)]
+struct Scratch {
+    cfg: Cfg,
+    dom: DomTree,
+    forest: LoopForest,
+    census: AliasCensus,
+    eng: EngineBufs,
+    flow: Flow,
+    promote: Promote,
+}
+
+/// Resizes `v` to `n` copies of `x`, reusing its allocation.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
+}
+
 /// Kill classes a block can kill as a whole.
 const KILLS_ALL: u8 = 1;
 const KILLS_UNPINNED: u8 = 2;
@@ -662,9 +800,56 @@ struct Engine<'a> {
     fact_block: Vec<BlockId>,
 }
 
+/// An [`Engine`]'s tables between runs: [`Engine::new`] takes them
+/// emptied and [`Engine::into_bufs`] gives them back, so one set serves
+/// every function and stage of a module.
+#[derive(Default)]
+struct EngineBufs {
+    slots: Vec<Slot>,
+    value_slot: Vec<u32>,
+    global_slot: Vec<u32>,
+    keys: Vec<FactKey>,
+    block_gens: Vec<u32>,
+    block_kills: Vec<u32>,
+    block_asked: Vec<u32>,
+    signs: Vec<(u32, ValueId, PacKey, u64)>,
+    fact_value: Vec<ValueId>,
+    fact_block: Vec<BlockId>,
+}
+
 impl<'a> Engine<'a> {
-    fn new(census: &'a AliasCensus, stage: Elision<'a>, values: usize) -> Engine<'a> {
-        let ipo = matches!(stage, Elision::Ipo(_));
+    fn new(
+        census: &'a AliasCensus,
+        stage: Elision<'a>,
+        values: usize,
+        bufs: EngineBufs,
+    ) -> Engine<'a> {
+        let EngineBufs {
+            mut slots,
+            mut value_slot,
+            mut global_slot,
+            mut keys,
+            mut block_gens,
+            mut block_kills,
+            mut block_asked,
+            mut signs,
+            mut fact_value,
+            mut fact_block,
+        } = bufs;
+        slots.clear();
+        value_slot.clear();
+        value_slot.resize(values, NIL);
+        global_slot.clear();
+        keys.clear();
+        block_gens.clear();
+        block_kills.clear();
+        block_asked.clear();
+        signs.clear();
+        if matches!(stage, Elision::Ipo(_)) {
+            signs.resize(values, (0, ValueId(0), PacKey::Da, 0));
+        }
+        fact_value.clear();
+        fact_block.clear();
         Engine {
             census,
             stage,
@@ -673,21 +858,46 @@ impl<'a> Engine<'a> {
             all_killed_at: 0,
             unpinned_killed_at: 0,
             interiors_killed_at: 0,
-            slots: Vec::new(),
-            value_slot: vec![NIL; values],
-            global_slot: Vec::new(),
-            keys: Vec::new(),
-            block_gens: Vec::new(),
+            slots,
+            value_slot,
+            global_slot,
+            keys,
+            block_gens,
             block_hit: false,
-            block_asked: Vec::new(),
-            block_kills: Vec::new(),
-            signs: if ipo {
-                vec![(0, ValueId(0), PacKey::Da, 0); values]
-            } else {
-                Vec::new()
-            },
-            fact_value: Vec::new(),
-            fact_block: Vec::new(),
+            block_asked,
+            block_kills,
+            signs,
+            fact_value,
+            fact_block,
+        }
+    }
+
+    /// The engine's tables, for the next [`Engine::new`].
+    fn into_bufs(self) -> EngineBufs {
+        let Engine {
+            slots,
+            value_slot,
+            global_slot,
+            keys,
+            block_gens,
+            block_kills,
+            block_asked,
+            signs,
+            fact_value,
+            fact_block,
+            ..
+        } = self;
+        EngineBufs {
+            slots,
+            value_slot,
+            global_slot,
+            keys,
+            block_gens,
+            block_kills,
+            block_asked,
+            signs,
+            fact_value,
+            fact_block,
         }
     }
 
@@ -975,17 +1185,21 @@ impl<'a> Engine<'a> {
     }
 
     /// Assigns fact ids, contiguous per key and per slot, to every summarized
-    /// generation; returns the bitset word count and each slot's fact range.
+    /// generation; returns the bitset word count, and fills each slot's
+    /// fact range into `slot_facts` (`cursor` is scratch).
     fn number_facts(
         &mut self,
         sums: &mut Summaries,
         order: &[BlockId],
-    ) -> (usize, Vec<(u32, u32)>) {
+        slot_facts: &mut Vec<(u32, u32)>,
+        cursor: &mut Vec<u32>,
+    ) -> usize {
         for &(k, _, _) in &sums.gens {
             self.keys[k as usize].facts.1 += 1;
         }
         let mut next = 0u32;
-        let mut slot_facts = vec![(0, 0); self.slots.len()];
+        slot_facts.clear();
+        slot_facts.resize(self.slots.len(), (0, 0));
         for (s, range) in slot_facts.iter_mut().enumerate() {
             range.0 = next;
             let mut k = self.slots[s].keys;
@@ -997,10 +1211,13 @@ impl<'a> Engine<'a> {
             }
             range.1 = next;
         }
-        self.fact_value = vec![ValueId(0); next as usize];
-        self.fact_block = vec![BlockId(0); next as usize];
-        let mut cursor: Vec<u32> = self.keys.iter().map(|fk| fk.facts.0).collect();
-        sums.gen_fact = Vec::with_capacity(sums.gens.len());
+        self.fact_value.clear();
+        self.fact_value.resize(next as usize, ValueId(0));
+        self.fact_block.clear();
+        self.fact_block.resize(next as usize, BlockId(0));
+        cursor.clear();
+        cursor.extend(self.keys.iter().map(|fk| fk.facts.0));
+        sums.gen_fact.clear();
         for (bs, &b) in sums.blocks.iter().zip(order) {
             for &(k, value, _) in &sums.gens[bs.gens.0 as usize..bs.gens.1 as usize] {
                 let f = cursor[k as usize];
@@ -1010,7 +1227,7 @@ impl<'a> Engine<'a> {
                 sums.gen_fact.push(f);
             }
         }
-        ((next as usize).div_ceil(64), slot_facts)
+        (next as usize).div_ceil(64)
     }
 }
 
@@ -1050,6 +1267,11 @@ fn set_bits(set: &mut [u64], (lo, hi): (u32, u32), on: bool) {
 /// what that stage added: at [`Elision::Ipo`], exactly the elisions the
 /// summaries and the store forwarding earned.
 pub fn elide_redundant_auths(m: &mut Module, stage: Elision<'_>) -> usize {
+    elide_with(m, stage, &mut Scratch::default())
+}
+
+/// [`elide_redundant_auths`] with the module's scratch.
+fn elide_with(m: &mut Module, stage: Elision<'_>, sc: &mut Scratch) -> usize {
     let mut elided = 0;
     for f in &mut m.funcs {
         if f.is_external || f.blocks.is_empty() {
@@ -1058,56 +1280,65 @@ pub fn elide_redundant_auths(m: &mut Module, stage: Elision<'_>) -> usize {
         if let Elision::Block = stage {
             // The block kill rule never consults the census.
             let census = AliasCensus::default();
-            let mut eng = Engine::new(&census, stage, f.value_types.len());
+            let bufs = std::mem::take(&mut sc.eng);
+            let mut eng = Engine::new(&census, stage, f.value_types.len(), bufs);
             let rw = Rewrite { types: &f.value_types, dom: None };
             for (bi, blk) in f.blocks.iter_mut().enumerate() {
                 elided += eng.walk(blk, BlockId(bi as u32), Some(&[][..]), Some(&rw));
             }
+            sc.eng = eng.into_bufs();
             continue;
         }
-        let cfg = Cfg::new(f);
-        let dom = DomTree::new(&cfg);
-        let census = alias_census(f);
-        elided += elide_in_function(f, &cfg, &dom, &census, stage);
+        sc.cfg.recompute(f);
+        sc.dom.recompute(&sc.cfg);
+        sc.census.recompute(f);
+        elided += elide_in_function(f, sc, stage);
     }
     elided
 }
 
 /// The CFG-scoped engine over one function, given its CFG, dominator tree
-/// and alias census.
-fn elide_in_function(
-    f: &mut rsti_ir::Function,
-    cfg: &Cfg,
-    dom: &DomTree,
-    census: &AliasCensus,
-    stage: Elision<'_>,
-) -> usize {
-    let mut eng = Engine::new(census, stage, f.value_types.len());
+/// and alias census in `sc`.
+fn elide_in_function(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision<'_>) -> usize {
+    let Scratch { cfg, dom, census, eng: bufs, flow, .. } = sc;
+    let Flow {
+        sums,
+        slot_facts,
+        cursor,
+        unpinned,
+        interiors,
+        keep,
+        gen,
+        out,
+        computed,
+        entry,
+        next,
+    } = flow;
+    let mut eng = Engine::new(census, stage, f.value_types.len(), std::mem::take(bufs));
 
     // 1. One summary walk per reachable block.
-    let mut sums = Summaries::default();
+    sums.clear();
     for &b in &cfg.rpo {
         eng.walk(&mut f.blocks[b.0 as usize], b, None, None);
-        eng.summarize(&mut sums);
+        eng.summarize(sums);
     }
-    let (words, slot_facts) = eng.number_facts(&mut sums, &cfg.rpo);
+    let words = eng.number_facts(sums, &cfg.rpo, slot_facts, cursor);
 
     // Per block (in RPO position): the facts it keeps, and the ones it
     // generates unconditionally.
-    let class_mask = |pick: fn(&Slot) -> bool| {
-        let mut mask = vec![0u64; words];
-        for (s, &range) in eng.slots.iter().zip(&slot_facts) {
+    let class_mask = |mask: &mut Vec<u64>, pick: fn(&Slot) -> bool| {
+        refill(mask, words, 0);
+        for (s, &range) in eng.slots.iter().zip(slot_facts.iter()) {
             if pick(s) {
-                set_bits(&mut mask, range, true);
+                set_bits(mask, range, true);
             }
         }
-        mask
     };
-    let unpinned = class_mask(|s| !s.pinned);
-    let interiors = class_mask(|s| s.interior);
+    class_mask(unpinned, |s| !s.pinned);
+    class_mask(interiors, |s| s.interior);
     let n = cfg.rpo.len();
-    let mut keep = vec![!0u64; n * words];
-    let mut gen = vec![0u64; n * words];
+    refill(keep, n * words, !0u64);
+    refill(gen, n * words, 0);
     for (pos, bs) in sums.blocks.iter().enumerate() {
         let (keep, gen) = (
             &mut keep[pos * words..][..words],
@@ -1138,9 +1369,10 @@ fn elide_in_function(
     // ⊤: back-edge predecessors start optimistic so facts can circulate
     // through loops, then shrink to the fixpoint.
     let rpo_pos = |b: BlockId| cfg.rpo_index[b.0 as usize].map(|i| i as usize);
-    let mut out = vec![0u64; n * words];
-    let mut computed = vec![false; n];
-    let (mut entry, mut next) = (vec![0u64; words], vec![0u64; words]);
+    refill(out, n * words, 0);
+    refill(computed, n, false);
+    refill(entry, words, 0);
+    refill(next, words, 0);
     let meet = |out: &[u64], computed: &[bool], b: BlockId, acc: &mut [u64]| -> bool {
         let mut any = false;
         for &p in cfg.preds(b) {
@@ -1166,7 +1398,7 @@ fn elide_in_function(
     loop {
         let mut changed = false;
         for (pos, &b) in cfg.rpo.iter().enumerate() {
-            if !meet(&out, &computed, b, &mut entry) {
+            if !meet(out, computed, b, entry) {
                 continue;
             }
             let bs = &sums.blocks[pos];
@@ -1175,12 +1407,12 @@ fn elide_in_function(
             }
             for g in bs.gens.0 as usize..bs.gens.1 as usize {
                 let (k, _, if_absent) = sums.gens[g];
-                if if_absent && first_in(&entry, eng.keys[k as usize].facts).is_none() {
-                    set_bits(&mut next, (sums.gen_fact[g], sums.gen_fact[g] + 1), true);
+                if if_absent && first_in(entry, eng.keys[k as usize].facts).is_none() {
+                    set_bits(next, (sums.gen_fact[g], sums.gen_fact[g] + 1), true);
                 }
             }
             if !computed[pos] || out[pos * words..][..words] != next[..] {
-                out[pos * words..][..words].copy_from_slice(&next);
+                out[pos * words..][..words].copy_from_slice(next);
                 computed[pos] = true;
                 changed = true;
             }
@@ -1198,14 +1430,15 @@ fn elide_in_function(
     let mut elided = 0;
     for (&b, bs) in cfg.rpo.iter().zip(&sums.blocks) {
         let asked = &sums.asked[bs.asked.0 as usize..bs.asked.1 as usize];
-        if !bs.hit && asked.is_empty() || !meet(&out, &computed, b, &mut entry) {
+        if !bs.hit && asked.is_empty() || !meet(out, computed, b, entry) {
             continue;
         }
-        let entry_has = |&k: &u32| first_in(&entry, eng.keys[k as usize].facts).is_some();
+        let entry_has = |&k: &u32| first_in(entry, eng.keys[k as usize].facts).is_some();
         if bs.hit || asked.iter().any(entry_has) {
-            elided += eng.walk(&mut f.blocks[b.0 as usize], b, Some(&entry), Some(&rw));
+            elided += eng.walk(&mut f.blocks[b.0 as usize], b, Some(entry), Some(&rw));
         }
     }
+    *bufs = eng.into_bufs();
     elided
 }
 
@@ -1263,26 +1496,16 @@ fn is_reorder_safe(inst: &Inst) -> bool {
 /// `forest` is the loop forest after [`rsti_ir::insert_preheaders`]: every
 /// header has a dedicated preheader as its single out-of-loop predecessor.
 /// Returns the number of pairs hoisted.
-fn hoist_loop_auths(
-    f: &mut rsti_ir::Function,
-    cfg: &Cfg,
-    forest: &LoopForest,
-    census: &AliasCensus,
-    stage: Elision<'_>,
-) -> usize {
+fn hoist_loop_auths(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision<'_>) -> usize {
+    let Scratch { cfg, forest, census, eng, .. } = sc;
     let mut hoisted = 0;
-    let mut kills = Engine::new(census, stage, f.value_types.len());
+    let mut kills = Engine::new(census, stage, f.value_types.len(), std::mem::take(eng));
     for l in &forest.loops {
         if l.header == BlockId(0) {
             continue;
         }
-        let entries: Vec<BlockId> = cfg
-            .preds(l.header)
-            .iter()
-            .copied()
-            .filter(|p| !l.contains(*p))
-            .collect();
-        let [ph] = entries[..] else { continue };
+        let mut entries = cfg.preds(l.header).iter().copied().filter(|p| !l.contains(*p));
+        let (Some(ph), None) = (entries.next(), entries.next()) else { continue };
         if cfg.succs(ph) != [l.header] {
             continue;
         }
@@ -1291,13 +1514,14 @@ fn hoist_loop_auths(
         let mut loop_kills = None;
         let mut from = 0;
         while let Some(li) = find_hoistable_pair(f, l, census, &mut kills, &mut loop_kills, from) {
-            let header = &mut f.blocks[l.header.0 as usize].insts;
-            let pair: Vec<InstNode> = header.drain(li..li + 2).collect();
-            f.blocks[ph.0 as usize].insts.extend(pair);
+            let mut header = std::mem::take(&mut f.blocks[l.header.0 as usize].insts);
+            f.blocks[ph.0 as usize].insts.extend(header.drain(li..li + 2));
+            f.blocks[l.header.0 as usize].insts = header;
             hoisted += 1;
             from = li;
         }
     }
+    *eng = kills.into_bufs();
     hoisted
 }
 
@@ -1307,35 +1531,29 @@ fn hoist_loop_auths(
 /// what each removed: `(hoisted, elided_dom, elided_ipo)`.
 ///
 /// The stages share one CFG, dominator tree and alias census: once the
-/// preheaders are in, hoisting and elision only move loads and auths or
-/// turn auths into copies, which changes neither the CFG nor which allocas
-/// escape. Every loop of a reducible CFG gets a preheader, even one that
+/// preheaders are in (and the three analyses updated for them in place),
+/// hoisting and elision only move loads and auths or turn auths into
+/// copies, which changes neither the CFG nor which allocas escape. Every loop of a reducible CFG gets a preheader, even one that
 /// ends up empty: block transfers cost model cycles, so the CFG shape is
 /// part of the output. Irreducible CFGs (never produced by structured
 /// MiniC, conceivable in hand-built IR) make the loop forest bail out, and
 /// nothing is hoisted.
-fn cfg_stages(f: &mut rsti_ir::Function, stage: Elision<'_>) -> (usize, usize, usize) {
-    let mut cfg = Cfg::new(f);
-    let mut dom = DomTree::new(&cfg);
-    let mut forest = LoopForest::new(&cfg, &dom);
+fn cfg_stages(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision<'_>) -> (usize, usize, usize) {
+    sc.cfg.recompute(f);
+    sc.dom.recompute(&sc.cfg);
+    sc.forest.recompute(&sc.cfg, &sc.dom);
     // The entry block has an implicit function-entry edge no preheader
     // can capture; a loop headed there is not hoistable.
+    let forest = &sc.forest;
     let loops = !forest.irreducible && forest.loops.iter().any(|l| l.header != BlockId(0));
     if loops {
-        rsti_ir::insert_preheaders(f, &forest);
-        cfg = Cfg::new(f);
-        dom = DomTree::new(&cfg);
-        forest = LoopForest::new(&cfg, &dom);
+        rsti_ir::insert_preheaders_in_place(f, &mut sc.cfg, &mut sc.dom, &mut sc.forest);
     }
-    let census = alias_census(f);
-    let hoisted = if loops {
-        hoist_loop_auths(f, &cfg, &forest, &census, stage)
-    } else {
-        0
-    };
-    let elided_dom = elide_in_function(f, &cfg, &dom, &census, Elision::Cfg);
+    sc.census.recompute(f);
+    let hoisted = if loops { hoist_loop_auths(f, sc, stage) } else { 0 };
+    let elided_dom = elide_in_function(f, sc, Elision::Cfg);
     let elided_ipo = match stage {
-        Elision::Ipo(_) => elide_in_function(f, &cfg, &dom, &census, stage),
+        Elision::Ipo(_) => elide_in_function(f, sc, stage),
         _ => 0,
     };
     (hoisted, elided_dom, elided_ipo)
@@ -1646,8 +1864,9 @@ pub fn optimize_module(m: &mut Module, level: OptLevel) -> OptSummary {
         s.inlined = crate::ipo::inline_small_functions(m, crate::ipo::IPO_INLINE_BUDGET);
         verify_stage(m, "ipo-inline");
     }
-    s.promoted = promote_single_store_slots(m);
-    s.elided_block = elide_redundant_auths(m, Elision::Block);
+    let mut sc = Scratch::default();
+    s.promoted = promote_with(m, &mut sc.promote);
+    s.elided_block = elide_with(m, Elision::Block, &mut sc);
     verify_stage(m, "block-local");
     if matches!(level, OptLevel::Cfg | OptLevel::Ipo) {
         let ipo_env = (level == OptLevel::Ipo).then(|| crate::ipo::IpoAnalysis::build(m));
@@ -1656,7 +1875,7 @@ pub fn optimize_module(m: &mut Module, level: OptLevel) -> OptSummary {
             if f.is_external || f.blocks.is_empty() {
                 continue;
             }
-            let (hoisted, elided_dom, elided_ipo) = cfg_stages(f, stage);
+            let (hoisted, elided_dom, elided_ipo) = cfg_stages(f, &mut sc, stage);
             s.hoisted += hoisted;
             s.elided_dom += elided_dom;
             s.elided_ipo += elided_ipo;

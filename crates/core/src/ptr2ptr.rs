@@ -14,7 +14,7 @@
 //! `pp_add` / `pp_sign` / `pp_add_tbi`, and the loads of the receiving
 //! parameters in `pp_auth`.
 
-use crate::sti::{fnv1a_from, StiAnalysis};
+use crate::sti::{fnv1a_type, StiAnalysis};
 use crate::storage::{operand_type, root_of_value, DefMap};
 use rsti_ir::{FuncId, Inst, Module, Type, TypeId, VarId};
 use std::collections::HashMap;
@@ -70,6 +70,12 @@ pub struct PpPlan {
 /// need the CE/FE indirection; everything else is statically resolvable
 /// from the IR (§4.7.7 "Usage").
 pub fn plan_pp(m: &Module, analysis: &StiAnalysis) -> PpPlan {
+    let defs: Vec<DefMap<'_>> = m.funcs.iter().map(DefMap::new).collect();
+    plan_pp_with(m, &defs, analysis)
+}
+
+/// [`plan_pp`] over the module's def tables, one per function.
+pub(crate) fn plan_pp_with(m: &Module, defs: &[DefMap<'_>], analysis: &StiAnalysis) -> PpPlan {
     let mut plan = PpPlan::default();
     let mut next_ce: u8 = 1;
     let mut ce_of_ty: HashMap<TypeId, u8> = HashMap::new();
@@ -78,7 +84,7 @@ pub fn plan_pp(m: &Module, analysis: &StiAnalysis) -> PpPlan {
         if f.is_external {
             continue;
         }
-        let defs = DefMap::new(f);
+        let defs = &defs[fid.0 as usize];
         for node in f.insts() {
             match &node.inst {
                 Inst::Load { ty, .. } if m.types.ptr_depth(*ty) >= 2 => {
@@ -88,7 +94,7 @@ pub fn plan_pp(m: &Module, analysis: &StiAnalysis) -> PpPlan {
                     let callee_f = m.func(*callee);
                     for (i, a) in args.iter().enumerate() {
                         let aty = operand_type(m, f, a);
-                        let root = root_of_value(m, f, &defs, a);
+                        let root = root_of_value(m, f, defs, a);
                         let orig_ty = root.root_ty.unwrap_or(aty);
                         if m.types.ptr_depth(aty).max(m.types.ptr_depth(orig_ty)) < 2 {
                             continue;
@@ -144,7 +150,7 @@ pub fn plan_pp(m: &Module, analysis: &StiAnalysis) -> PpPlan {
 /// ours is the type display hash, equally opaque to an attacker who cannot
 /// read the metadata store.)
 pub fn fe_modifier_for(m: &Module, analysis: &StiAnalysis, orig_ty: TypeId) -> u64 {
-    fnv1a_from(0x9E3779B97F4A7C15, m.types.display(orig_ty).as_bytes()) ^ analysis.mechanism as u64
+    fnv1a_type(m, 0x9E3779B97F4A7C15, orig_ty) ^ analysis.mechanism as u64
 }
 
 /// Whether a type is a "universal" double pointer (`void**`, `char**`) —

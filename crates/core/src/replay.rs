@@ -41,7 +41,7 @@ pub fn replay_surface(a: &StiAnalysis, threshold: usize) -> ReplaySurface {
     let mut largest = 0usize;
     let mut hot = 0usize;
     for c in &a.classes {
-        let n = c.members.len();
+        let n = a.members(c).len();
         largest = largest.max(n);
         pairs += n * (n - 1) / 2;
         if n > threshold {

@@ -27,7 +27,8 @@
 //! and, for cross-engine folded-stack bit-identity on the real mix, in the
 //! bench crate's `attr_parity` suite.
 
-use rsti_ir::{Function, Inst, InstNode, Module, PacSite};
+use rsti_ir::{Inst, InstNode, Module, PacSite};
+use std::sync::Arc;
 
 /// One PAC-family instruction in the final module.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,8 +37,9 @@ pub struct CheckSite {
     pub id: u32,
     /// Index of the containing function in `module.funcs`.
     pub func: u32,
-    /// Containing function's symbol name.
-    pub func_name: String,
+    /// Containing function's symbol name, shared by every site of the
+    /// function (one allocation per function, not per site).
+    pub func_name: Arc<str>,
     /// Basic-block index within the function.
     pub block: u32,
     /// Instruction index within the block.
@@ -91,9 +93,11 @@ pub fn check_kind(inst: &Inst) -> Option<(&'static str, &'static str)> {
 pub fn check_sites(module: &Module) -> Vec<CheckSite> {
     let mut sites = Vec::new();
     for (fi, func) in module.funcs.iter().enumerate() {
+        let mut name = None;
         for (bi, block) in func.blocks.iter().enumerate() {
             for (ii, node) in block.insts.iter().enumerate() {
-                sites.extend(CheckSite::at(sites.len() as u32, fi, func, bi, ii, node));
+                let id = sites.len() as u32;
+                sites.extend(CheckSite::at(id, fi, &func.name, &mut name, bi, ii, node));
             }
         }
     }
@@ -102,13 +106,15 @@ pub fn check_sites(module: &Module) -> Vec<CheckSite> {
 
 impl CheckSite {
     /// The site numbered `id` that instruction `ii` of block `bi` of
-    /// function `fi` (`func`) forms, or `None` when it is no check — the
-    /// one rule behind [`check_sites`] and the VM's translation walk, which
-    /// builds the same table.
+    /// function `fi` (named `name`) forms, or `None` when it is no check —
+    /// the one rule behind [`check_sites`] and the VM's translation walk,
+    /// which builds the same table. `shared` holds the function's shared
+    /// name once its first site made it (start each function with `None`).
     pub fn at(
         id: u32,
         fi: usize,
-        func: &Function,
+        name: &str,
+        shared: &mut Option<Arc<str>>,
         bi: usize,
         ii: usize,
         node: &InstNode,
@@ -117,7 +123,7 @@ impl CheckSite {
         Some(CheckSite {
             id,
             func: fi as u32,
-            func_name: func.name.clone(),
+            func_name: shared.get_or_insert_with(|| name.into()).clone(),
             block: bi as u32,
             inst: ii as u32,
             kind,
@@ -165,7 +171,7 @@ mod tests {
         for s in &sites {
             let node = &m.funcs[s.func as usize].blocks[s.block as usize].insts[s.inst as usize];
             assert!(check_kind(&node.inst).is_some(), "site {} is not a check", s.label());
-            assert_eq!(m.funcs[s.func as usize].name, s.func_name);
+            assert_eq!(m.funcs[s.func as usize].name, *s.func_name);
         }
     }
 

@@ -26,7 +26,9 @@
 
 use crate::storage::{operand_type, root_of_value, storage_of_addr, DefMap, StorageKey};
 use rsti_ir::{Inst, Module, Scope, Type, TypeId, VarKind};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::fmt::{self, Write};
+use std::ops::Range;
 
 /// The RSTI enforcement mechanisms (plus the PARTS baseline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,10 +92,8 @@ pub struct PointerVar {
     pub writable: bool,
     /// Declaration scope (`None` for anonymous storage).
     pub decl_scope: Option<Scope>,
-    /// Scopes the variable is used in (loads/stores of its storage).
-    pub use_scopes: BTreeSet<Scope>,
-    /// Widened scope set (decl + use + escape widening) — the STI scope.
-    pub scopes: BTreeSet<Scope>,
+    /// Where [`StiFacts::scopes`] keeps this variable's scope set.
+    scopes: Range<u32>,
     /// Report name.
     pub name: String,
     /// Whether the stored pointer is a code (function) pointer.
@@ -126,6 +126,8 @@ pub struct StiFacts {
     /// accesses through aliases can only be checked against the type-level
     /// class — the same constraint the LLVM prototype faces.
     pub forced_unions: Vec<(usize, usize)>,
+    /// Every variable's scope set, one sorted run per variable.
+    scopes: Vec<Scope>,
 }
 
 impl StiFacts {
@@ -133,24 +135,29 @@ impl StiFacts {
     pub fn var_of(&self, key: StorageKey) -> Option<usize> {
         self.index.get(&key).copied()
     }
+
+    /// Variable `vi`'s widened scope set (decl + use + escape widening),
+    /// sorted — the STI scope.
+    pub fn scopes(&self, vi: usize) -> &[Scope] {
+        run(&self.scopes, &self.vars[vi].scopes)
+    }
 }
 
 /// An RSTI-type: an equivalence class of pointer variables sharing one PAC
-/// modifier.
+/// modifier. Its sets live in the [`StiAnalysis`] that holds it
+/// ([`StiAnalysis::members`], [`StiAnalysis::types`],
+/// [`StiAnalysis::scopes`]).
 #[derive(Debug, Clone)]
 pub struct RstiClass {
-    /// Basic types in the class (singleton except under STC).
-    pub types: BTreeSet<TypeId>,
-    /// The STI scope set of the class.
-    pub scopes: BTreeSet<Scope>,
     /// Permission.
     pub writable: bool,
-    /// Member variable indices (into [`StiFacts::vars`]).
-    pub members: Vec<usize>,
     /// The 64-bit PAC modifier derived from the class facts.
     pub modifier: u64,
     /// Whether members hold code pointers (selects the `Ia` key).
     pub code_ptr: bool,
+    members: Range<u32>,
+    types: Range<u32>,
+    scopes: Range<u32>,
 }
 
 /// The full analysis result for one mechanism.
@@ -164,6 +171,15 @@ pub struct StiAnalysis {
     pub class_of_var: Vec<usize>,
     /// The underlying facts.
     pub facts: StiFacts,
+    /// Every class's members, types and scopes, one run per class.
+    members: Vec<usize>,
+    types: Vec<TypeId>,
+    scopes: Vec<Scope>,
+}
+
+/// The run `r` of a flat table.
+fn run<'a, T>(all: &'a [T], r: &Range<u32>) -> &'a [T] {
+    &all[r.start as usize..r.end as usize]
 }
 
 impl StiAnalysis {
@@ -177,14 +193,25 @@ impl StiAnalysis {
     pub fn modifier_of(&self, key: StorageKey) -> Option<u64> {
         self.class_of(key).map(|c| c.modifier)
     }
+
+    /// A class's member variable indices (into [`StiFacts::vars`]).
+    pub fn members(&self, c: &RstiClass) -> &[usize] {
+        run(&self.members, &c.members)
+    }
+
+    /// A class's basic types, sorted (a singleton except under STC).
+    pub fn types(&self, c: &RstiClass) -> &[TypeId] {
+        run(&self.types, &c.types)
+    }
+
+    /// A class's STI scope set, sorted.
+    pub fn scopes(&self, c: &RstiClass) -> &[Scope] {
+        run(&self.scopes, &c.scopes)
+    }
 }
 
 /// FNV-1a, the stable hash behind modifiers (the paper uses internal LLVM
 /// type ids; any deterministic injection into 64 bits serves).
-fn fnv1a(data: &[u8]) -> u64 {
-    fnv1a_from(0xcbf29ce484222325, data)
-}
-
 /// FNV-1a's byte loop from another starting state: the instrumentation's
 /// fallback modifiers and the pointer-to-pointer FE modifiers hash a
 /// type's spelling from their own seeds.
@@ -192,54 +219,132 @@ pub(crate) fn fnv1a_from(seed: u64, data: &[u8]) -> u64 {
     data.iter().fold(seed, |h, &b| (h ^ b as u64).wrapping_mul(0x100000001b3))
 }
 
-fn scope_name(m: &Module, s: Scope) -> String {
+/// FNV-1a over everything written to it, from a seed: modifiers hash the
+/// spelling of their facts without building it.
+pub(crate) struct Fnv(pub(crate) u64);
+
+impl Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a_from(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
+/// FNV-1a of a type's [`rsti_ir::TypeTable::display`] spelling, from `seed`.
+pub(crate) fn fnv1a_type(m: &Module, seed: u64, ty: TypeId) -> u64 {
+    let mut h = Fnv(seed);
+    let _ = m.types.write_display(ty, &mut h);
+    h.0
+}
+
+fn write_scope_name(m: &Module, s: Scope, w: &mut impl Write) -> fmt::Result {
     match s {
-        Scope::Function(i) => m.funcs[i as usize].name.clone(),
-        Scope::Struct(sid) => format!("struct {}", m.types.struct_def(sid).name),
-        Scope::Module => "<module>".into(),
-        Scope::External => "<external>".into(),
+        Scope::Function(i) => w.write_str(&m.funcs[i as usize].name),
+        Scope::Struct(sid) => write!(w, "struct {}", m.types.struct_def(sid).name),
+        Scope::Module => w.write_str("<module>"),
+        Scope::External => w.write_str("<external>"),
+    }
+}
+
+/// What [`collect_facts`] builds the facts with: the facts so far, the
+/// edges and unions already recorded (so each is recorded once, in
+/// first-insertion order, in constant time), and every (variable, scope)
+/// use seen.
+struct Collect {
+    facts: StiFacts,
+    edge_seen: HashSet<(usize, usize, bool)>,
+    union_seen: HashSet<(usize, usize)>,
+    uses: Vec<(u32, Scope)>,
+}
+
+impl Collect {
+    fn add_var(
+        &mut self,
+        key: StorageKey,
+        ty: TypeId,
+        writable: bool,
+        decl: Option<Scope>,
+        name: String,
+        code: bool,
+    ) {
+        if self.facts.index.contains_key(&key) {
+            return;
+        }
+        let idx = self.facts.vars.len();
+        self.facts.index.insert(key, idx);
+        self.facts.vars.push(PointerVar {
+            key,
+            ty,
+            writable,
+            decl_scope: decl,
+            scopes: 0..0,
+            name,
+            is_code_ptr: code,
+        });
+    }
+
+    /// Records a use of `key`'s storage in `scope`, first creating the
+    /// anonymous variable of a `TypeOf` key.
+    fn touch(&mut self, m: &Module, key: StorageKey, ty: TypeId, scope: Scope) {
+        if !self.facts.index.contains_key(&key) {
+            let StorageKey::TypeOf(t) = key else {
+                return;
+            };
+            let mut name = String::from("<*");
+            let _ = m.types.write_display(t, &mut name);
+            name.push('>');
+            self.add_var(key, ty, true, None, name, m.types.is_func_ptr(ty));
+        }
+        if let Some(&i) = self.facts.index.get(&key) {
+            self.uses.push((i as u32, scope));
+        }
+    }
+
+    /// Records a flow edge between two pointer variables, once per
+    /// (unordered pair, `casted`).
+    fn add_edge(&mut self, a: StorageKey, b: StorageKey, casted: bool) {
+        let (Some(&ai), Some(&bi)) = (self.facts.index.get(&a), self.facts.index.get(&b)) else {
+            return;
+        };
+        if ai != bi && self.edge_seen.insert((ai.min(bi), ai.max(bi), casted)) {
+            self.facts.edges.push(FlowEdge { a: ai, b: bi, casted });
+        }
+    }
+
+    /// Records that `a`'s and `b`'s classes must merge, once per pair.
+    fn force_union(&mut self, a: usize, b: usize) {
+        if a != b && self.union_seen.insert((a, b)) {
+            self.facts.forced_unions.push((a, b));
+        }
     }
 }
 
 /// Collects pointer variables and the flow graph for a module.
 pub fn collect_facts(m: &Module) -> StiFacts {
-    let _span = rsti_telemetry::global().span(rsti_telemetry::Phase::CollectFacts);
-    let mut facts = StiFacts {
-        vars: Vec::new(),
-        index: HashMap::new(),
-        edges: Vec::new(),
-        forced_unions: Vec::new(),
-    };
+    let defs: Vec<DefMap<'_>> = m.funcs.iter().map(DefMap::new).collect();
+    collect_facts_with(m, &defs)
+}
 
-    let add_var = |facts: &mut StiFacts,
-                       key: StorageKey,
-                       ty: TypeId,
-                       writable: bool,
-                       decl: Option<Scope>,
-                       name: String,
-                       code: bool| {
-        if facts.index.contains_key(&key) {
-            return;
-        }
-        let idx = facts.vars.len();
-        facts.index.insert(key, idx);
-        facts.vars.push(PointerVar {
-            key,
-            ty,
-            writable,
-            decl_scope: decl,
-            use_scopes: BTreeSet::new(),
-            scopes: BTreeSet::new(),
-            name,
-            is_code_ptr: code,
-        });
+/// [`collect_facts`] over the module's def tables, one per function.
+pub(crate) fn collect_facts_with(m: &Module, defs: &[DefMap<'_>]) -> StiFacts {
+    let _span = rsti_telemetry::global().span(rsti_telemetry::Phase::CollectFacts);
+    let mut c = Collect {
+        facts: StiFacts {
+            vars: Vec::new(),
+            index: HashMap::new(),
+            edges: Vec::new(),
+            forced_unions: Vec::new(),
+            scopes: Vec::new(),
+        },
+        edge_seen: HashSet::new(),
+        union_seen: HashSet::new(),
+        uses: Vec::new(),
     };
 
     // Named variables (locals, params, globals) with pointer types.
     for (i, v) in m.vars.iter().enumerate() {
         if m.types.is_ptr(v.ty) && v.kind != VarKind::Field {
-            add_var(
-                &mut facts,
+            c.add_var(
                 StorageKey::Var(rsti_ir::VarId(i as u32)),
                 v.ty,
                 !v.is_const,
@@ -254,8 +359,7 @@ pub fn collect_facts(m: &Module) -> StiFacts {
     for (sid, def) in m.types.structs() {
         for (fi, fd) in def.fields.iter().enumerate() {
             if m.types.is_ptr(fd.ty) {
-                add_var(
-                    &mut facts,
+                c.add_var(
                     StorageKey::Field(sid, fi as u32),
                     fd.ty,
                     !fd.is_const,
@@ -273,23 +377,7 @@ pub fn collect_facts(m: &Module) -> StiFacts {
             continue;
         }
         let fscope = Scope::Function(fid.0);
-        let defs = DefMap::new(f);
-
-        let mut touch = |facts: &mut StiFacts, key: StorageKey, ty: TypeId, scope: Scope| {
-            if !facts.index.contains_key(&key) {
-                if let StorageKey::TypeOf(t) = key {
-                    let name = format!("<*{}>", m.types.display(t));
-                    let code = m.types.is_func_ptr(ty);
-                    add_var(facts, key, ty, true, None, name, code);
-                } else {
-                    return;
-                }
-            }
-            if let Some(&i) = facts.index.get(&key) {
-                facts.vars[i].use_scopes.insert(scope);
-            }
-        };
-
+        let defs = &defs[fid.0 as usize];
         for node in f.insts() {
             let scope = node.loc.map(|l| l.scope).unwrap_or(fscope);
             match &node.inst {
@@ -298,14 +386,14 @@ pub fn collect_facts(m: &Module) -> StiFacts {
                     if !m.types.is_ptr(vty) {
                         continue;
                     }
-                    let dst = storage_of_addr(m, f, &defs, ptr);
-                    touch(&mut facts, dst, vty, scope);
-                    let root = root_of_value(m, f, &defs, value);
+                    let dst = storage_of_addr(m, f, defs, ptr);
+                    c.touch(m, dst, vty, scope);
+                    let root = root_of_value(m, f, defs, value);
                     if let Some(src) = root.key {
-                        touch(&mut facts, src, root.root_ty.unwrap_or(vty), scope);
-                        add_edge(&mut facts, src, dst, root.casted);
+                        c.touch(m, src, root.root_ty.unwrap_or(vty), scope);
+                        c.add_edge(src, dst, root.casted);
                         if root.is_address {
-                            address_escape(m, &mut facts, &mut touch, root, vty, scope);
+                            address_escape(m, &mut c, root, vty, scope);
                         }
                     }
                 }
@@ -313,8 +401,8 @@ pub fn collect_facts(m: &Module) -> StiFacts {
                     if !m.types.is_ptr(*ty) {
                         continue;
                     }
-                    let key = storage_of_addr(m, f, &defs, ptr);
-                    touch(&mut facts, key, *ty, scope);
+                    let key = storage_of_addr(m, f, defs, ptr);
+                    c.touch(m, key, *ty, scope);
                 }
                 Inst::Call { callee, args, .. } => {
                     let callee_f = m.func(*callee);
@@ -330,11 +418,11 @@ pub fn collect_facts(m: &Module) -> StiFacts {
                             continue;
                         };
                         let dst = StorageKey::Var(*pvar);
-                        let root = root_of_value(m, f, &defs, a);
+                        let root = root_of_value(m, f, defs, a);
                         if let Some(src) = root.key {
-                            add_edge(&mut facts, src, dst, root.casted);
+                            c.add_edge(src, dst, root.casted);
                             if root.is_address {
-                                address_escape(m, &mut facts, &mut touch, root, aty, scope);
+                                address_escape(m, &mut c, root, aty, scope);
                             }
                             // Lost-type double-pointer site (§4.7.7): the
                             // callee will access the inner pointer through
@@ -352,16 +440,12 @@ pub fn collect_facts(m: &Module) -> StiFacts {
                                 let ac = m.types.pointee(aty).expect("depth>=2");
                                 let (ka, kb) =
                                     (StorageKey::TypeOf(oc), StorageKey::TypeOf(ac));
-                                touch(&mut facts, ka, oc, scope);
-                                touch(&mut facts, kb, ac, scope);
+                                c.touch(m, ka, oc, scope);
+                                c.touch(m, kb, ac, scope);
                                 if let (Some(&ia), Some(&ib)) =
-                                    (facts.index.get(&ka), facts.index.get(&kb))
+                                    (c.facts.index.get(&ka), c.facts.index.get(&kb))
                                 {
-                                    if ia != ib
-                                        && !facts.forced_unions.contains(&(ia, ib))
-                                    {
-                                        facts.forced_unions.push((ia, ib));
-                                    }
+                                    c.force_union(ia, ib);
                                 }
                             }
                         }
@@ -373,13 +457,25 @@ pub fn collect_facts(m: &Module) -> StiFacts {
     }
 
     // Scope computation: decl ∪ use, then same-type escape widening.
-    for v in &mut facts.vars {
-        v.scopes = v.use_scopes.clone();
+    let mut pairs = c.uses;
+    for (i, v) in c.facts.vars.iter().enumerate() {
         if let Some(d) = v.decl_scope {
-            v.scopes.insert(d);
+            pairs.push((i as u32, d));
         }
     }
-    widen_scopes(&mut facts);
+    widen_scopes(&c.facts, &mut pairs);
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut facts = c.facts;
+    facts.scopes = pairs.iter().map(|&(_, s)| s).collect();
+    let mut at = 0usize;
+    for (i, v) in facts.vars.iter_mut().enumerate() {
+        let start = at;
+        while at < pairs.len() && pairs[at].0 == i as u32 {
+            at += 1;
+        }
+        v.scopes = start as u32..at as u32;
+    }
     facts
 }
 
@@ -391,8 +487,7 @@ pub fn collect_facts(m: &Module) -> StiFacts {
 /// a callee or — after inlining — the very same function).
 fn address_escape(
     m: &Module,
-    facts: &mut StiFacts,
-    touch: &mut impl FnMut(&mut StiFacts, StorageKey, TypeId, Scope),
+    c: &mut Collect,
     root: crate::storage::ValueRoot,
     viewed_ty: TypeId,
     scope: Scope,
@@ -406,41 +501,23 @@ fn address_escape(
     if !m.types.is_ptr(content) {
         return; // only pointer-holding storage matters to STI
     }
-    let mut union_with = |facts: &mut StiFacts, anon_ty: TypeId| {
+    let union_with = |c: &mut Collect, anon_ty: TypeId| {
         let anon = StorageKey::TypeOf(anon_ty);
-        touch(facts, anon, anon_ty, scope);
-        let (Some(&a), Some(&b)) = (facts.index.get(&key), facts.index.get(&anon)) else {
+        c.touch(m, anon, anon_ty, scope);
+        let (Some(&a), Some(&b)) = (c.facts.index.get(&key), c.facts.index.get(&anon)) else {
             return;
         };
-        if a != b && !facts.forced_unions.contains(&(a, b)) {
-            facts.forced_unions.push((a, b));
-        }
-        add_edge(facts, key, anon, false);
+        c.force_union(a, b);
+        c.add_edge(key, anon, false);
     };
-    union_with(facts, content);
+    union_with(c, content);
     // Cast view: `(T2**) &p` makes `p`'s slot readable as T2*.
     if root.casted {
         if let Some(viewed_content) = m.types.pointee(viewed_ty) {
             if m.types.is_ptr(viewed_content) && viewed_content != content {
-                union_with(facts, viewed_content);
+                union_with(c, viewed_content);
             }
         }
-    }
-}
-
-fn add_edge(facts: &mut StiFacts, a: StorageKey, b: StorageKey, casted: bool) {
-    let (Some(&ai), Some(&bi)) = (facts.index.get(&a), facts.index.get(&b)) else {
-        return;
-    };
-    if ai == bi {
-        return;
-    }
-    if !facts
-        .edges
-        .iter()
-        .any(|e| (e.a == ai && e.b == bi || e.a == bi && e.b == ai) && e.casted == casted)
-    {
-        facts.edges.push(FlowEdge { a: ai, b: bi, casted });
     }
 }
 
@@ -452,29 +529,29 @@ fn add_edge(facts: &mut StiFacts, a: StorageKey, b: StorageKey, casted: bool) {
 /// component keeps its narrow scope. This reproduces the paper's Figure 5a
 /// table: `ctx*` pointers get scope {main, foo, bar, foo2}, while the lone
 /// `void*` parameter keeps scope {foo2}.
-fn widen_scopes(facts: &mut StiFacts) {
+fn widen_scopes(facts: &StiFacts, pairs: &mut Vec<(u32, Scope)>) {
     let n = facts.vars.len();
     let mut uf = UnionFind::new(n);
     for e in &facts.edges {
         uf.union(e.a, e.b);
     }
-    // component → decl scopes of all members, and type-count per component.
-    let mut comp_scopes: HashMap<usize, BTreeSet<Scope>> = HashMap::new();
-    let mut comp_type_count: HashMap<(usize, TypeId), usize> = HashMap::new();
-    for i in 0..n {
-        let c = uf.find(i);
-        if let Some(d) = facts.vars[i].decl_scope {
-            comp_scopes.entry(c).or_default().insert(d);
-        }
-        *comp_type_count.entry((c, facts.vars[i].ty)).or_insert(0) += 1;
+    // (component, decl scope) of every member, sorted: each component's
+    // decl scopes are one run.
+    let comp: Vec<u32> = (0..n).map(|i| uf.find(i) as u32).collect();
+    let mut comp_scopes: Vec<(u32, Scope)> = (facts.vars.iter().zip(&comp))
+        .filter_map(|(v, &c)| Some((c, v.decl_scope?)))
+        .collect();
+    comp_scopes.sort_unstable();
+    comp_scopes.dedup();
+    let mut comp_type_count: HashMap<(u32, TypeId), usize> = HashMap::new();
+    for (v, &c) in facts.vars.iter().zip(&comp) {
+        *comp_type_count.entry((c, v.ty)).or_insert(0) += 1;
     }
-    for i in 0..n {
-        let c = uf.find(i);
-        let ty = facts.vars[i].ty;
-        if comp_type_count.get(&(c, ty)).copied().unwrap_or(0) >= 2 {
-            if let Some(ws) = comp_scopes.get(&c) {
-                facts.vars[i].scopes.extend(ws.iter().copied());
-            }
+    for (i, (v, &c)) in facts.vars.iter().zip(&comp).enumerate() {
+        if comp_type_count[&(c, v.ty)] >= 2 {
+            let lo = comp_scopes.partition_point(|&(k, _)| k < c);
+            let hi = comp_scopes.partition_point(|&(k, _)| k <= c);
+            pairs.extend(comp_scopes[lo..hi].iter().map(|&(_, s)| (i as u32, s)));
         }
     }
 }
@@ -504,7 +581,13 @@ impl UnionFind {
 
 /// Runs the full analysis for a mechanism.
 pub fn analyze(m: &Module, mechanism: Mechanism) -> StiAnalysis {
-    let facts = collect_facts(m);
+    let defs: Vec<DefMap<'_>> = m.funcs.iter().map(DefMap::new).collect();
+    analyze_with(m, &defs, mechanism)
+}
+
+/// [`analyze`] over the module's def tables, one per function.
+pub(crate) fn analyze_with(m: &Module, defs: &[DefMap<'_>], mechanism: Mechanism) -> StiAnalysis {
+    let facts = collect_facts_with(m, defs);
     let tel = rsti_telemetry::global();
     let _span = tel.span(rsti_telemetry::Phase::Analyze);
     let a = build_classes(m, facts, mechanism);
@@ -521,129 +604,136 @@ pub fn analyze(m: &Module, mechanism: Mechanism) -> StiAnalysis {
 
 fn build_classes(m: &Module, facts: StiFacts, mechanism: Mechanism) -> StiAnalysis {
     let n = facts.vars.len();
-    let mut class_of_var = vec![0usize; n];
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-
-    match mechanism {
-        Mechanism::Stl => {
-            // One class per variable.
-            for (i, c) in class_of_var.iter_mut().enumerate() {
-                *c = groups.len();
-                groups.push(vec![i]);
-            }
-        }
+    // Each variable's group, numbered in order of first member.
+    let mut groups = 0u32;
+    let mut fresh = || {
+        groups += 1;
+        groups - 1
+    };
+    let group: Vec<u32> = match mechanism {
+        // One class per variable.
+        Mechanism::Stl => (0..n).map(|_| fresh()).collect(),
         Mechanism::Parts => {
             // Basic type only.
-            let mut by_ty: BTreeMap<TypeId, usize> = BTreeMap::new();
-            for (i, c) in class_of_var.iter_mut().enumerate() {
-                let g = *by_ty.entry(facts.vars[i].ty).or_insert_with(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-                *c = g;
-                groups[g].push(i);
-            }
+            let mut by_ty: HashMap<TypeId, u32> = HashMap::new();
+            (facts.vars.iter())
+                .map(|v| *by_ty.entry(v.ty).or_insert_with(&mut fresh))
+                .collect()
         }
         Mechanism::Stwc | Mechanism::Stc => {
             // Group by (type, scope set, permission).
-            let mut by_key: BTreeMap<(TypeId, Vec<Scope>, bool), usize> = BTreeMap::new();
-            for (i, c) in class_of_var.iter_mut().enumerate() {
-                let v = &facts.vars[i];
-                let key = (v.ty, v.scopes.iter().copied().collect::<Vec<_>>(), v.writable);
-                let g = *by_key.entry(key).or_insert_with(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-                *c = g;
-                groups[g].push(i);
-            }
+            let mut by_key: HashMap<(TypeId, &[Scope], bool), u32> = HashMap::new();
+            (facts.vars.iter().enumerate())
+                .map(|(i, v)| {
+                    let key = (v.ty, facts.scopes(i), v.writable);
+                    *by_key.entry(key).or_insert_with(&mut fresh)
+                })
+                .collect()
         }
-    }
+    };
 
     // Cross-class merges: STC combines cast-compatible classes; every
-    // mechanism honours the forced (address-escape) unions.
-    let mut pairs: Vec<(usize, usize)> = facts.forced_unions.clone();
-    if mechanism == Mechanism::Stc {
-        for e in &facts.edges {
-            if e.casted {
-                pairs.push((e.a, e.b));
-            }
-        }
-    }
-    if !pairs.is_empty() {
-        let mut uf = UnionFind::new(groups.len());
+    // mechanism honours the forced (address-escape) unions. Merged classes
+    // are numbered in order of their first group.
+    let casted = (facts.edges.iter())
+        .filter(|e| mechanism == Mechanism::Stc && e.casted)
+        .map(|e| (e.a, e.b));
+    let mut pairs = facts.forced_unions.iter().copied().chain(casted).peekable();
+    let mut class_of_group: Vec<u32> = (0..groups).collect();
+    let mut classes_n = groups;
+    if pairs.peek().is_some() {
+        let mut uf = UnionFind::new(groups as usize);
         for (a, b) in pairs {
-            uf.union(class_of_var[a], class_of_var[b]);
+            uf.union(group[a] as usize, group[b] as usize);
         }
-        let mut remap: HashMap<usize, usize> = HashMap::new();
-        let mut merged: Vec<Vec<usize>> = Vec::new();
-        for (gi, g) in groups.iter().enumerate() {
-            let root = uf.find(gi);
-            let slot = *remap.entry(root).or_insert_with(|| {
-                merged.push(Vec::new());
-                merged.len() - 1
-            });
-            merged[slot].extend(g.iter().copied());
-        }
-        groups = merged;
-        for (gi, g) in groups.iter().enumerate() {
-            for &v in g {
-                class_of_var[v] = gi;
+        let mut class_of_root = vec![u32::MAX; groups as usize];
+        classes_n = 0;
+        for (gi, c) in class_of_group.iter_mut().enumerate() {
+            let root = &mut class_of_root[uf.find(gi)];
+            if *root == u32::MAX {
+                *root = classes_n;
+                classes_n += 1;
             }
+            *c = *root;
         }
     }
+    let class_of_var: Vec<usize> = group.iter().map(|&g| class_of_group[g as usize] as usize).collect();
+    // Members by class, then group, then index.
+    let mut members: Vec<usize> = (0..n).collect();
+    members.sort_by_key(|&v| (class_of_var[v], group[v]));
 
     // Materialize classes with modifiers.
-    let mut classes = Vec::with_capacity(groups.len());
-    for g in &groups {
-        let mut types = BTreeSet::new();
-        let mut scopes = BTreeSet::new();
+    let mut classes = Vec::with_capacity(classes_n as usize);
+    let (mut types, mut scopes) = (Vec::new(), Vec::new());
+    let mut at = 0usize;
+    while at < n {
+        let ci = class_of_var[members[at]];
+        let start = at;
+        while at < n && class_of_var[members[at]] == ci {
+            at += 1;
+        }
+        let g = &members[start..at];
+        let (t0, s0) = (types.len(), scopes.len());
         let mut writable = false;
         let mut code_ptr = false;
         for &vi in g {
             let v = &facts.vars[vi];
-            types.insert(v.ty);
-            scopes.extend(v.scopes.iter().copied());
+            types.push(v.ty);
+            scopes.extend_from_slice(facts.scopes(vi));
             writable |= v.writable;
             code_ptr |= v.is_code_ptr;
         }
-        let mut desc = format!("{mechanism}|");
-        for t in &types {
-            desc.push_str(&m.types.display(*t));
-            desc.push(';');
+        sort_dedup_tail(&mut types, t0);
+        sort_dedup_tail(&mut scopes, s0);
+        let mut desc = Fnv(0xcbf29ce484222325);
+        let _ = write!(desc, "{mechanism}|");
+        for &t in &types[t0..] {
+            let _ = m.types.write_display(t, &mut desc);
+            let _ = desc.write_char(';');
         }
-        desc.push('|');
+        let _ = desc.write_char('|');
         // PARTS ignores scope and permission in the modifier.
         if mechanism != Mechanism::Parts {
-            for s in &scopes {
-                desc.push_str(&scope_name(m, *s));
-                desc.push(';');
+            for &s in &scopes[s0..] {
+                let _ = write_scope_name(m, s, &mut desc);
+                let _ = desc.write_char(';');
             }
-            desc.push('|');
-            desc.push(if writable { 'W' } else { 'R' });
+            let _ = desc.write_char('|');
+            let _ = desc.write_char(if writable { 'W' } else { 'R' });
         }
         // STL keys each variable separately: two same-fact variables must
         // not share even the static part of the modifier (the location is
         // mixed in on top at runtime).
         if mechanism == Mechanism::Stl {
             for &vi in g {
-                desc.push('|');
-                desc.push_str(&facts.vars[vi].name);
-                desc.push_str(&format!("#{vi}"));
+                let _ = write!(desc, "|{}#{vi}", facts.vars[vi].name);
             }
         }
-        let modifier = fnv1a(desc.as_bytes());
+        let span = |a: usize, b: usize| a as u32..b as u32;
         classes.push(RstiClass {
-            types,
-            scopes,
             writable,
-            members: g.clone(),
-            modifier,
+            modifier: desc.0,
             code_ptr,
+            members: span(start, at),
+            types: span(t0, types.len()),
+            scopes: span(s0, scopes.len()),
         });
     }
 
-    StiAnalysis { mechanism, classes, class_of_var, facts }
+    StiAnalysis { mechanism, classes, class_of_var, facts, members, types, scopes }
+}
+
+/// Sorts `v[start..]` and drops its duplicates.
+fn sort_dedup_tail<T: Ord + Copy>(v: &mut Vec<T>, start: usize) {
+    v[start..].sort_unstable();
+    let mut keep = start;
+    for i in start..v.len() {
+        if keep == start || v[i] != v[keep - 1] {
+            v[keep] = v[i];
+            keep += 1;
+        }
+    }
+    v.truncate(keep);
 }
 
 /// Count of distinct *basic pointer types* among a module's pointer
@@ -690,8 +780,14 @@ mod tests {
         v
     }
 
-    fn scope_names(m: &Module, scopes: &BTreeSet<Scope>) -> BTreeSet<String> {
-        scopes.iter().map(|&s| scope_name(m, s)).collect()
+    fn scope_names(m: &Module, scopes: &[Scope]) -> BTreeSet<String> {
+        (scopes.iter())
+            .map(|&s| {
+                let mut name = String::new();
+                write_scope_name(m, s, &mut name).unwrap();
+                name
+            })
+            .collect()
     }
 
     #[test]
@@ -704,27 +800,27 @@ mod tests {
         let vconst_cls = a.class_of(key_of(&a, "v_const")).unwrap();
 
         // M1: ctx* with scope {main, foo, bar, foo2}, R/W.
-        assert_eq!(c_cls.types.len(), 1);
-        assert_eq!(m.types.display(*c_cls.types.iter().next().unwrap()), "struct ctx*");
+        assert_eq!(a.types(c_cls).len(), 1);
+        assert_eq!(m.types.display(a.types(c_cls)[0]), "struct ctx*");
         assert_eq!(
-            scope_names(&m, &c_cls.scopes),
+            scope_names(&m, a.scopes(c_cls)),
             ["main", "foo", "bar", "foo2"].iter().map(|s| s.to_string()).collect()
         );
         assert!(c_cls.writable);
         // The two ctx* params of foo and bar share M1 with c.
-        assert!(names(&m, &a.facts, &c_cls.members).contains(&"c".to_string()));
+        assert!(names(&m, &a.facts, a.members(c_cls)).contains(&"c".to_string()));
         assert!(
-            c_cls.members.len() >= 3,
+            a.members(c_cls).len() >= 3,
             "c plus the foo/bar params: {:?}",
-            names(&m, &a.facts, &c_cls.members)
+            names(&m, &a.facts, a.members(c_cls))
         );
 
         // M2: void* with scope {foo2}, R/W.
-        assert_eq!(scope_names(&m, &vctx_cls.scopes), ["foo2".to_string()].into());
+        assert_eq!(scope_names(&m, a.scopes(vctx_cls)), ["foo2".to_string()].into());
         assert!(vctx_cls.writable);
 
         // M3: void* with scope {main}, read-only.
-        assert_eq!(scope_names(&m, &vconst_cls.scopes), ["main".to_string()].into());
+        assert_eq!(scope_names(&m, a.scopes(vconst_cls)), ["main".to_string()].into());
         assert!(!vconst_cls.writable);
 
         // Three distinct modifiers.
@@ -742,7 +838,7 @@ mod tests {
         // ctx* and void* combined into one RSTI-type...
         assert_eq!(c_cls.modifier, vctx_cls.modifier);
         let tys: BTreeSet<String> =
-            c_cls.types.iter().map(|t| m.types.display(*t)).collect();
+            a.types(c_cls).iter().map(|t| m.types.display(*t)).collect();
         assert!(tys.contains("struct ctx*") && tys.contains("void*"));
         // ...but the const void* stays separate (M2 in Figure 5b).
         assert_ne!(c_cls.modifier, vconst_cls.modifier);
@@ -753,7 +849,7 @@ mod tests {
         let m = compile(FIG5, "fig5").unwrap();
         let a = analyze(&m, Mechanism::Stl);
         for cls in &a.classes {
-            assert_eq!(cls.members.len(), 1, "STL classes are singletons");
+            assert_eq!(a.members(cls).len(), 1, "STL classes are singletons");
         }
         // c, v_ctx, v_const, foo's c, bar's c all distinct (paper's M1–M5,
         // modulo the struct field and anonymous storage also present).
@@ -831,7 +927,7 @@ mod tests {
         let def = m.types.struct_def(sid);
         let fp_idx = def.field_index("fp").unwrap() as u32;
         let cls = a.class_of(StorageKey::Field(sid, fp_idx)).unwrap();
-        let sn = scope_names(&m, &cls.scopes);
+        let sn = scope_names(&m, a.scopes(cls));
         assert!(sn.contains("struct node"), "composite type is part of the scope: {sn:?}");
         assert!(sn.contains("main"), "using function is part of the scope: {sn:?}");
         assert!(cls.code_ptr, "fp holds a code pointer");

@@ -6,6 +6,14 @@
 //! pointers, explicit casts, `const` permissions, globals, heap allocation,
 //! pointer arithmetic, and external (uninstrumented) functions.
 
+use std::rc::Rc;
+
+/// An identifier: a variable, function, struct or field name. The parser
+/// interns each distinct spelling once per translation unit, so every use
+/// of a name shares one allocation. An AST is parsed and lowered on one
+/// thread, so the count needs no atomics.
+pub type Name = Rc<str>;
+
 /// A syntactic type, before resolution against the IR type table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AstType {
@@ -24,7 +32,7 @@ pub enum AstType {
     /// `double`
     Double,
     /// `struct NAME`
-    Struct(String),
+    Struct(Name),
     /// `T*`
     Ptr(Box<AstType>),
     /// `T name[N]` — only in declarations.
@@ -51,7 +59,7 @@ pub struct FieldDecl {
     /// Field type.
     pub ty: AstType,
     /// Field name.
-    pub name: String,
+    pub name: Name,
     /// Declared `const`.
     pub is_const: bool,
     /// Source line.
@@ -64,7 +72,7 @@ pub struct Param {
     /// Parameter type.
     pub ty: AstType,
     /// Parameter name.
-    pub name: String,
+    pub name: Name,
     /// Declared `const`.
     pub is_const: bool,
     /// Source line.
@@ -77,7 +85,7 @@ pub enum Item {
     /// `struct NAME { fields };`
     Struct {
         /// Struct name.
-        name: String,
+        name: Name,
         /// Field declarations.
         fields: Vec<FieldDecl>,
         /// Source line.
@@ -88,7 +96,7 @@ pub enum Item {
         /// Declared type.
         ty: AstType,
         /// Name.
-        name: String,
+        name: Name,
         /// Declared `const`.
         is_const: bool,
         /// Optional initializer (constant expressions only).
@@ -101,7 +109,7 @@ pub enum Item {
         /// Return type.
         ret: AstType,
         /// Name.
-        name: String,
+        name: Name,
         /// Parameters.
         params: Vec<Param>,
         /// Body; `None` for `extern` declarations (uninstrumented library
@@ -131,7 +139,7 @@ pub enum Stmt {
         /// Declared type.
         ty: AstType,
         /// Name.
-        name: String,
+        name: Name,
         /// Declared `const`.
         is_const: bool,
         /// Optional initializer.
@@ -255,7 +263,7 @@ pub enum Expr {
     /// `null`.
     Null(u32),
     /// A variable (or function) reference.
-    Var(String, u32),
+    Var(Name, u32),
     /// Unary operation.
     Unary {
         /// Operator.
@@ -269,10 +277,8 @@ pub enum Expr {
     Binary {
         /// Operator.
         op: BinOpAst,
-        /// Left operand.
-        lhs: Box<Expr>,
-        /// Right operand.
-        rhs: Box<Expr>,
+        /// Left and right operand, in one allocation.
+        operands: Box<(Expr, Expr)>,
         /// Source line.
         line: u32,
     },
@@ -291,7 +297,7 @@ pub enum Expr {
         /// Base expression.
         base: Box<Expr>,
         /// Field name.
-        field: String,
+        field: Name,
         /// `->` vs `.`.
         arrow: bool,
         /// Source line.
@@ -358,8 +364,7 @@ mod tests {
     fn expr_lines() {
         let e = Expr::Binary {
             op: BinOpAst::Add,
-            lhs: Box::new(Expr::IntLit(1, 3)),
-            rhs: Box::new(Expr::IntLit(2, 3)),
+            operands: Box::new((Expr::IntLit(1, 3), Expr::IntLit(2, 3))),
             line: 3,
         };
         assert_eq!(e.line(), 3);

@@ -41,7 +41,7 @@ pub fn compile(src: &str, name: &str) -> Result<Module, CompileError> {
         parse(src)?
     };
     let _span = tel.span(rsti_telemetry::Phase::Lower);
-    let mut lower = Lower::new(name);
+    let mut lower = Lower { module: Module::new(name), env: Env::default(), locals: Locals::default() };
     lower.run(&items)?;
     debug_assert!(
         rsti_ir::verify_module(&lower.module).is_ok(),
@@ -92,16 +92,19 @@ fn resolve_type(
 }
 
 /// Module-level symbol environment (kept apart from [`Module`] so function
-/// lowering can borrow both disjointly).
+/// lowering can borrow both disjointly), keyed by names borrowed from the
+/// AST.
 #[derive(Default)]
-struct Env {
-    funcs: HashMap<String, FuncId>,
-    globals: HashMap<String, (GlobalId, TypeId, bool)>,
+struct Env<'a> {
+    funcs: HashMap<&'a str, FuncId>,
+    globals: HashMap<&'a str, (GlobalId, TypeId, bool)>,
 }
 
-struct Lower {
+struct Lower<'a> {
     module: Module,
-    env: Env,
+    env: Env<'a>,
+    /// Reused by every function body.
+    locals: Locals<'a>,
 }
 
 /// A typed rvalue.
@@ -119,18 +122,69 @@ struct LV {
     is_const: bool,
 }
 
+/// Where a call's signature lives: a declared function's, or a function
+/// type's (for calls through a pointer).
+#[derive(Clone, Copy)]
+enum SigOf {
+    Func(FuncId),
+    Type(TypeId),
+}
+
 struct LocalSym {
     slot: ValueId,
     ty: TypeId,
     is_const: bool,
 }
 
-impl Lower {
-    fn new(name: &str) -> Self {
-        Lower { module: Module::new(name), env: Env::default() }
+/// The block-scoped locals of the function being lowered: every live
+/// binding on one stack, each name mapped to its innermost binding.
+#[derive(Default)]
+struct Locals<'a> {
+    /// Live bindings in declaration order, each with the index of the
+    /// binding of the same name it shadows.
+    stack: Vec<(&'a str, LocalSym, Option<u32>)>,
+    /// Name → index in `stack` of its innermost live binding.
+    innermost: HashMap<&'a str, u32>,
+    /// `stack.len()` when each open scope began.
+    marks: Vec<usize>,
+}
+
+impl<'a> Locals<'a> {
+    fn open(&mut self) {
+        self.marks.push(self.stack.len());
     }
 
-    fn run(&mut self, items: &[Item]) -> Result<(), CompileError> {
+    /// Ends the innermost scope, unshadowing what its bindings shadowed.
+    fn close(&mut self) {
+        let mark = self.marks.pop().expect("a scope is open");
+        for (name, _, shadowed) in self.stack.drain(mark..).rev() {
+            match shadowed {
+                Some(i) => self.innermost.insert(name, i),
+                None => self.innermost.remove(name),
+            };
+        }
+    }
+
+    /// Binds `name` in the innermost scope; `false` when that scope already
+    /// binds it.
+    fn declare(&mut self, name: &'a str, sym: LocalSym) -> bool {
+        let mark = *self.marks.last().expect("a scope is open");
+        let shadowed = self.innermost.get(name).copied();
+        if shadowed.is_some_and(|i| i as usize >= mark) {
+            return false;
+        }
+        self.innermost.insert(name, self.stack.len() as u32);
+        self.stack.push((name, sym, shadowed));
+        true
+    }
+
+    fn get(&self, name: &str) -> Option<&LocalSym> {
+        self.innermost.get(name).map(|&i| &self.stack[i as usize].1)
+    }
+}
+
+impl<'a> Lower<'a> {
+    fn run(&mut self, items: &'a [Item]) -> Result<(), CompileError> {
         // Pass 1: declare struct names (allows self-reference), then fields.
         for item in items {
             if let Item::Struct { name, line, .. } = item {
@@ -167,7 +221,7 @@ impl Lower {
         // Pass 2: declare functions (so bodies can forward-reference).
         for item in items {
             if let Item::Func { ret, name, params, is_extern, line, body } = item {
-                if self.env.funcs.contains_key(name) {
+                if self.env.funcs.contains_key(&**name) {
                     return Err(CompileError::new(*line, format!("duplicate function `{name}`")));
                 }
                 let r = resolve_type(&mut self.module.types, ret, *line)?;
@@ -184,7 +238,7 @@ impl Lower {
                     sig,
                     *is_extern && body.is_none(),
                 );
-                self.env.funcs.insert(clone_name(name), fid);
+                self.env.funcs.insert(name, fid);
             }
         }
 
@@ -198,7 +252,7 @@ impl Lower {
         // Pass 4: function bodies.
         for item in items {
             if let Item::Func { name, params, body: Some(body), .. } = item {
-                let fid = self.env.funcs[name];
+                let fid = self.env.funcs[&**name];
                 self.lower_body(fid, params, body)?;
             }
         }
@@ -208,7 +262,7 @@ impl Lower {
     fn lower_global(
         &mut self,
         ty: &AstType,
-        name: &str,
+        name: &'a str,
         is_const: bool,
         init: Option<&Expr>,
         line: u32,
@@ -225,7 +279,7 @@ impl Lower {
             Some(Expr::Null(_)) => GlobalInit::Zero,
             Some(Expr::StrLit(s, _)) => GlobalInit::Str(self.module.intern_str(s.as_str())),
             Some(Expr::Var(f, l)) => {
-                let fid = self.env.funcs.get(f).ok_or_else(|| {
+                let fid = self.env.funcs.get(&**f).ok_or_else(|| {
                     CompileError::new(*l, format!("global initializer must be constant or a function name, `{f}` is neither"))
                 })?;
                 GlobalInit::FuncAddr(*fid)
@@ -252,17 +306,20 @@ impl Lower {
             var,
             init: ginit,
         });
-        self.env.globals.insert(clone_name(name), (gid, tid, is_const));
+        self.env.globals.insert(name, (gid, tid, is_const));
         Ok(())
     }
 
     fn lower_body(
         &mut self,
         fid: FuncId,
-        params: &[Param],
-        body: &Block,
+        params: &'a [Param],
+        body: &'a Block,
     ) -> Result<(), CompileError> {
         let env = &self.env;
+        let locals = &mut self.locals;
+        // The parameters' scope; the body block opens its own inside it.
+        locals.open();
         let ret_ty = self.module.funcs[fid.0 as usize].sig.ret;
         let b = FunctionBuilder::new(&mut self.module, fid);
         let scope = Scope::Function(fid.0);
@@ -271,7 +328,7 @@ impl Lower {
             env,
             scope,
             ret_ty,
-            scopes: vec![HashMap::new()],
+            locals,
             loops: Vec::new(),
         };
 
@@ -311,6 +368,7 @@ impl Lower {
             }
         }
         fl.b.finish();
+        fl.locals.close();
         Ok(())
     }
 }
@@ -319,32 +377,31 @@ fn clone_name(s: &str) -> String {
     s.to_string()
 }
 
-struct FnLower<'m> {
+struct FnLower<'m, 'a> {
     b: FunctionBuilder<'m>,
-    env: &'m Env,
+    env: &'m Env<'a>,
     scope: Scope,
     ret_ty: TypeId,
-    scopes: Vec<HashMap<String, LocalSym>>,
+    locals: &'m mut Locals<'a>,
     loops: Vec<(BlockId, BlockId)>, // (continue target, break target)
 }
 
-impl FnLower<'_> {
+impl<'a> FnLower<'_, 'a> {
     fn declare_local(
         &mut self,
-        name: &str,
+        name: &'a str,
         sym: LocalSym,
         line: u32,
     ) -> Result<(), CompileError> {
-        let top = self.scopes.last_mut().expect("scope stack never empty");
-        if top.contains_key(name) {
-            return Err(CompileError::new(line, format!("duplicate variable `{name}`")));
+        if self.locals.declare(name, sym) {
+            Ok(())
+        } else {
+            Err(CompileError::new(line, format!("duplicate variable `{name}`")))
         }
-        top.insert(name.to_string(), sym);
-        Ok(())
     }
 
     fn lookup_local(&self, name: &str) -> Option<&LocalSym> {
-        self.scopes.iter().rev().find_map(|s| s.get(name))
+        self.locals.get(name)
     }
 
     fn numeric_rank(&self, ty: TypeId) -> Option<u8> {
@@ -393,19 +450,19 @@ impl FnLower<'_> {
 
     // ---- statements ------------------------------------------------------
 
-    fn block(&mut self, blk: &Block) -> Result<(), CompileError> {
-        self.scopes.push(HashMap::new());
+    fn block(&mut self, blk: &'a Block) -> Result<(), CompileError> {
+        self.locals.open();
         for s in &blk.stmts {
             if self.b.current_terminated() {
                 break; // dead code after return/break
             }
             self.stmt(s)?;
         }
-        self.scopes.pop();
+        self.locals.close();
         Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), CompileError> {
+    fn stmt(&mut self, s: &'a Stmt) -> Result<(), CompileError> {
         match s {
             Stmt::Decl { ty, name, is_const, init, line } => {
                 self.b.set_loc(DebugLoc::new(self.scope, *line));
@@ -503,7 +560,7 @@ impl FnLower<'_> {
             }
             Stmt::For { init, cond, step, body, line } => {
                 self.b.set_loc(DebugLoc::new(self.scope, *line));
-                self.scopes.push(HashMap::new()); // for-scope for the decl
+                self.locals.open(); // for-scope for the decl
                 if let Some(i) = init {
                     self.stmt(i)?;
                 }
@@ -533,7 +590,7 @@ impl FnLower<'_> {
                 }
                 self.b.br(head);
                 self.b.switch_to(exit);
-                self.scopes.pop();
+                self.locals.close();
                 Ok(())
             }
             Stmt::Return(v, line) => {
@@ -612,7 +669,7 @@ impl FnLower<'_> {
                         is_const: sym.is_const,
                     });
                 }
-                if let Some(&(gid, ty, is_const)) = self.env.globals.get(name.as_str()) {
+                if let Some(&(gid, ty, is_const)) = self.env.globals.get(&**name) {
                     let pty = self.b.module.types.ptr(ty);
                     return Ok(LV { addr: Operand::GlobalAddr(gid, pty), ty, is_const });
                 }
@@ -684,7 +741,7 @@ impl FnLower<'_> {
                 .lookup_local(name)
                 .map(|s| matches!(self.b.module.types.get(s.ty), Type::Array(..)))
                 .or_else(|| {
-                    self.env.globals.get(name.as_str()).map(|&(_, ty, _)| {
+                    self.env.globals.get(&**name).map(|&(_, ty, _)| {
                         matches!(self.b.module.types.get(ty), Type::Array(..))
                     })
                 })
@@ -755,7 +812,7 @@ impl FnLower<'_> {
                     let v = self.b.load(slot, ty);
                     return Ok(TV { op: v.into(), ty });
                 }
-                if let Some(&(gid, ty, _)) = self.env.globals.get(name.as_str()) {
+                if let Some(&(gid, ty, _)) = self.env.globals.get(&**name) {
                     let pty = self.b.module.types.ptr(ty);
                     if let Type::Array(elem, _) = *self.b.module.types.get(ty) {
                         let zero = Operand::ConstInt(0, self.b.module.types.i64());
@@ -768,7 +825,7 @@ impl FnLower<'_> {
                     let v = self.b.load(Operand::GlobalAddr(gid, pty), ty);
                     return Ok(TV { op: v.into(), ty });
                 }
-                if let Some(&fid) = self.env.funcs.get(name.as_str()) {
+                if let Some(&fid) = self.env.funcs.get(&**name) {
                     let sig = self.b.module.funcs[fid.0 as usize].sig.clone();
                     let fty = self.b.module.types.func(sig);
                     let pty = self.b.module.types.ptr(fty);
@@ -777,7 +834,7 @@ impl FnLower<'_> {
                 Err(CompileError::new(*line, format!("unknown identifier `{name}`")))
             }
             Expr::Unary { op, expr, line } => self.unary(*op, expr, *line),
-            Expr::Binary { op, lhs, rhs, line } => self.binary(*op, lhs, rhs, *line),
+            Expr::Binary { op, operands, line } => self.binary(*op, &operands.0, &operands.1, *line),
             Expr::Call { callee, args, line } => self.call(callee, args, *line),
             Expr::Member { .. } | Expr::Index { .. } => {
                 let lv = self.lvalue(e)?;
@@ -855,9 +912,9 @@ impl FnLower<'_> {
                 // &func yields the function pointer itself.
                 if let Expr::Var(name, _) = inner {
                     if self.lookup_local(name).is_none()
-                        && !self.env.globals.contains_key(name.as_str())
+                        && !self.env.globals.contains_key(&**name)
                     {
-                        if let Some(&fid) = self.env.funcs.get(name.as_str()) {
+                        if let Some(&fid) = self.env.funcs.get(&**name) {
                             let sig = self.b.module.funcs[fid.0 as usize].sig.clone();
                             let fty = self.b.module.types.func(sig);
                             let pty = self.b.module.types.ptr(fty);
@@ -1000,7 +1057,7 @@ impl FnLower<'_> {
 
         if let Expr::Var(name, _) = callee {
             // Builtins first.
-            match name.as_str() {
+            match &**name {
                 "malloc" => {
                     if args.len() != 1 {
                         return Err(CompileError::new(line, "malloc takes one argument"));
@@ -1050,13 +1107,13 @@ impl FnLower<'_> {
             // Direct call to a known function, unless shadowed by a local
             // or global function-pointer variable.
             if self.lookup_local(name).is_none()
-                && !self.env.globals.contains_key(name.as_str())
+                && !self.env.globals.contains_key(&**name)
             {
-                if let Some(&fid) = self.env.funcs.get(name.as_str()) {
-                    let sig = self.b.module.funcs[fid.0 as usize].sig.clone();
-                    let lowered = self.call_args(&sig, args, line)?;
+                if let Some(&fid) = self.env.funcs.get(&**name) {
+                    let lowered = self.call_args(SigOf::Func(fid), args, line)?;
                     let r = self.b.call(fid, lowered);
-                    let ty = if sig.ret == void { i64t } else { sig.ret };
+                    let ret = self.b.module.funcs[fid.0 as usize].sig.ret;
+                    let ty = if ret == void { i64t } else { ret };
                     let op = match r {
                         Some(v) => v.into(),
                         None => Operand::ConstInt(0, i64t),
@@ -1071,12 +1128,16 @@ impl FnLower<'_> {
         let Some(pointee) = self.b.module.types.pointee(f.ty) else {
             return Err(CompileError::new(line, "call of non-function"));
         };
-        let Type::Func(sig) = self.b.module.types.get(pointee).clone() else {
+        let Type::Func(sig) = self.b.module.types.get(pointee) else {
             return Err(CompileError::new(line, "call through non-function pointer"));
         };
-        let lowered = self.call_args(&sig, args, line)?;
+        let ret = sig.ret;
+        let lowered = self.call_args(SigOf::Type(pointee), args, line)?;
+        let Type::Func(sig) = self.b.module.types.get(pointee) else {
+            unreachable!("checked above");
+        };
         let r = self.b.call_indirect(f.op, sig.clone(), lowered);
-        let ty = if sig.ret == void { i64t } else { sig.ret };
+        let ty = if ret == void { i64t } else { ret };
         let op = match r {
             Some(v) => v.into(),
             None => Operand::ConstInt(0, i64t),
@@ -1084,12 +1145,24 @@ impl FnLower<'_> {
         Ok(TV { op, ty })
     }
 
+    /// The signature a call's arguments are checked against.
+    fn sig(&self, of: SigOf) -> &FuncSig {
+        match of {
+            SigOf::Func(fid) => &self.b.module.funcs[fid.0 as usize].sig,
+            SigOf::Type(t) => match self.b.module.types.get(t) {
+                Type::Func(sig) => sig,
+                _ => unreachable!("a function type"),
+            },
+        }
+    }
+
     fn call_args(
         &mut self,
-        sig: &FuncSig,
+        of: SigOf,
         args: &[Expr],
         line: u32,
     ) -> Result<Vec<Operand>, CompileError> {
+        let sig = self.sig(of);
         if args.len() < sig.params.len() || (!sig.varargs && args.len() != sig.params.len()) {
             return Err(CompileError::new(
                 line,
@@ -1099,7 +1172,7 @@ impl FnLower<'_> {
         let mut out = Vec::with_capacity(args.len());
         for (i, a) in args.iter().enumerate() {
             let tv = self.expr(a)?;
-            if let Some(&want) = sig.params.get(i) {
+            if let Some(&want) = self.sig(of).params.get(i) {
                 out.push(self.coerce(tv, want, line)?);
             } else {
                 out.push(tv.op); // varargs tail

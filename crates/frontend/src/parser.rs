@@ -3,6 +3,7 @@
 use crate::ast::*;
 use crate::error::CompileError;
 use crate::token::{lex, SpannedTok, Tok};
+use std::collections::HashMap;
 
 /// Parses a MiniC translation unit.
 ///
@@ -10,7 +11,14 @@ use crate::token::{lex, SpannedTok, Tok};
 /// Returns the first lexical or syntactic error encountered.
 pub fn parse(src: &str) -> Result<Vec<Item>, CompileError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0, depth: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+        names: HashMap::new(),
+        stmts: Vec::new(),
+        exprs: Vec::new(),
+    };
     p.translation_unit()
 }
 
@@ -24,14 +32,21 @@ pub fn parse(src: &str) -> Result<Vec<Item>, CompileError> {
 /// levels.
 const MAX_NESTING: u32 = 64;
 
-struct Parser {
-    toks: Vec<SpannedTok>,
+struct Parser<'a> {
+    toks: Vec<SpannedTok<'a>>,
     pos: usize,
     /// Current nesting depth, bounded by [`MAX_NESTING`].
     depth: u32,
+    /// One [`Name`] per distinct identifier spelling.
+    names: HashMap<&'a str, Name>,
+    /// The statements of the blocks, and the arguments of the calls, being
+    /// parsed, innermost last: each list is collected here and then moved
+    /// into one exact-size vector.
+    stmts: Vec<Stmt>,
+    exprs: Vec<Expr>,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Runs `f` one nesting level deeper, failing once the budget is spent.
     fn nested<T>(
         &mut self,
@@ -46,11 +61,11 @@ impl Parser {
         r
     }
 
-    fn peek(&self) -> &Tok {
+    fn peek(&self) -> &Tok<'a> {
         &self.toks[self.pos].tok
     }
 
-    fn peek2(&self) -> &Tok {
+    fn peek2(&self) -> &Tok<'a> {
         &self.toks[(self.pos + 1).min(self.toks.len() - 1)].tok
     }
 
@@ -67,13 +82,13 @@ impl Parser {
     /// Moves the current token out of the stream and advances. The one
     /// backtracking point (cast or parenthesized expression) rewinds over
     /// a `(` only, which it bumps rather than takes.
-    fn take(&mut self) -> Tok {
+    fn take(&mut self) -> Tok<'a> {
         let t = std::mem::replace(&mut self.toks[self.pos].tok, Tok::Eof);
         self.bump();
         t
     }
 
-    fn eat(&mut self, want: &Tok) -> Result<(), CompileError> {
+    fn eat(&mut self, want: &Tok<'_>) -> Result<(), CompileError> {
         if self.peek() == want {
             self.bump();
             Ok(())
@@ -85,17 +100,20 @@ impl Parser {
         }
     }
 
-    fn eat_ident(&mut self) -> Result<String, CompileError> {
-        if !matches!(self.peek(), Tok::Ident(_)) {
+    fn eat_ident(&mut self) -> Result<Name, CompileError> {
+        let Tok::Ident(s) = *self.peek() else {
             return Err(CompileError::new(
                 self.line(),
                 format!("expected identifier, found `{}`", self.peek()),
             ));
-        }
-        let Tok::Ident(s) = self.take() else {
-            unreachable!("peeked an identifier")
         };
-        Ok(s)
+        self.bump();
+        Ok(self.intern(s))
+    }
+
+    /// The shared [`Name`] for an identifier spelling.
+    fn intern(&mut self, s: &'a str) -> Name {
+        self.names.entry(s).or_insert_with(|| s.into()).clone()
     }
 
     /// Whether the current token can begin a type.
@@ -201,7 +219,7 @@ impl Parser {
     /// Parses a declarator after a type prefix. Handles three forms:
     /// `name`, `name[N]`, and `(*name)(params)` (function pointer).
     /// Returns (full type, name).
-    fn declarator(&mut self, base: AstType) -> Result<(AstType, String), CompileError> {
+    fn declarator(&mut self, base: AstType) -> Result<(AstType, Name), CompileError> {
         if self.peek() == &Tok::LParen && self.peek2() == &Tok::Star {
             self.bump(); // (
             self.eat(&Tok::Star)?;
@@ -325,12 +343,13 @@ impl Parser {
 
     fn block(&mut self) -> Result<Block, CompileError> {
         self.eat(&Tok::LBrace)?;
-        let mut stmts = Vec::new();
+        let start = self.stmts.len();
         while self.peek() != &Tok::RBrace {
-            stmts.push(self.stmt()?);
+            let s = self.stmt()?;
+            self.stmts.push(s);
         }
         self.eat(&Tok::RBrace)?;
-        Ok(Block { stmts })
+        Ok(Block { stmts: self.stmts.drain(start..).collect() })
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
@@ -475,12 +494,7 @@ impl Parser {
             Some(one) => one,
             None => self.expr()?,
         };
-        let value = Expr::Binary {
-            op,
-            lhs: Box::new(e.clone()),
-            rhs: Box::new(rhs),
-            line,
-        };
+        let value = Expr::Binary { op, operands: Box::new((e.clone(), rhs)), line };
         Ok(Stmt::Assign {
             target: e,
             value,
@@ -504,7 +518,7 @@ impl Parser {
             let line = self.line();
             self.bump();
             let rhs = self.bin_expr(prec + 1)?;
-            lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), line };
+            lhs = Expr::Binary { op, operands: Box::new((lhs, rhs)), line };
         }
         Ok(lhs)
     }
@@ -588,10 +602,11 @@ impl Parser {
     /// A call's parenthesized argument list.
     fn call_args(&mut self) -> Result<Vec<Expr>, CompileError> {
         self.eat(&Tok::LParen)?;
-        let mut args = Vec::new();
+        let start = self.exprs.len();
         if self.peek() != &Tok::RParen {
             loop {
-                args.push(self.expr()?);
+                let e = self.expr()?;
+                self.exprs.push(e);
                 if self.peek() != &Tok::Comma {
                     break;
                 }
@@ -599,7 +614,7 @@ impl Parser {
             }
         }
         self.eat(&Tok::RParen)?;
-        Ok(args)
+        Ok(self.exprs.drain(start..).collect())
     }
 
     fn primary(&mut self) -> Result<Expr, CompileError> {
@@ -612,7 +627,7 @@ impl Parser {
             Tok::KwTrue => Ok(Expr::BoolLit(true, line)),
             Tok::KwFalse => Ok(Expr::BoolLit(false, line)),
             Tok::KwNull => Ok(Expr::Null(line)),
-            Tok::Ident(name) => Ok(Expr::Var(name, line)),
+            Tok::Ident(name) => Ok(Expr::Var(self.intern(name), line)),
             Tok::LParen => {
                 let e = self.expr()?;
                 self.eat(&Tok::RParen)?;
@@ -628,7 +643,7 @@ impl Parser {
 
 /// A binary operator token's operator and precedence, loosest (0) to
 /// tightest (9).
-fn bin_op(t: &Tok) -> Option<(BinOpAst, u8)> {
+fn bin_op(t: &Tok<'_>) -> Option<(BinOpAst, u8)> {
     Some(match t {
         Tok::PipePipe => (BinOpAst::LogOr, 0),
         Tok::AmpAmp => (BinOpAst::LogAnd, 1),
@@ -675,7 +690,7 @@ mod tests {
         assert_eq!(items.len(), 2);
         match &items[0] {
             Item::Struct { name, fields, .. } => {
-                assert_eq!(name, "node");
+                assert_eq!(&**name, "node");
                 assert_eq!(fields.len(), 3);
                 assert!(matches!(fields[1].ty, AstType::FuncPtr { .. }));
             }
@@ -754,11 +769,11 @@ mod tests {
     fn precedence_shapes_tree() {
         let items = parse("int f() { return 1 + 2 * 3; }").unwrap();
         let Item::Func { body: Some(b), .. } = &items[0] else { panic!() };
-        let Stmt::Return(Some(Expr::Binary { op, rhs, .. }), _) = &b.stmts[0] else {
+        let Stmt::Return(Some(Expr::Binary { op, operands, .. }), _) = &b.stmts[0] else {
             panic!()
         };
         assert_eq!(*op, BinOpAst::Add);
-        assert!(matches!(**rhs, Expr::Binary { op: BinOpAst::Mul, .. }));
+        assert!(matches!(operands.1, Expr::Binary { op: BinOpAst::Mul, .. }));
     }
 
     fn nested_return(levels: usize) -> String {

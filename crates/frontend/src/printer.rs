@@ -347,7 +347,8 @@ impl Printer {
                 self.expr(expr);
                 self.out.push(')');
             }
-            Expr::Binary { op, lhs, rhs, .. } => {
+            Expr::Binary { op, operands, .. } => {
+                let (lhs, rhs) = &**operands;
                 self.out.push('(');
                 self.expr(lhs);
                 let _ = write!(self.out, " {} ", bin_op_str(*op));
@@ -546,9 +547,9 @@ pub fn expr_eq(a: &Expr, b: &Expr) -> bool {
             Expr::Unary { op: o2, expr: e2, .. },
         ) => o1 == o2 && expr_eq(e1, e2),
         (
-            Expr::Binary { op: o1, lhs: l1, rhs: r1, .. },
-            Expr::Binary { op: o2, lhs: l2, rhs: r2, .. },
-        ) => o1 == o2 && expr_eq(l1, l2) && expr_eq(r1, r2),
+            Expr::Binary { op: o1, operands: a, .. },
+            Expr::Binary { op: o2, operands: b, .. },
+        ) => o1 == o2 && expr_eq(&a.0, &b.0) && expr_eq(&a.1, &b.1),
         (
             Expr::Call { callee: c1, args: a1, .. },
             Expr::Call { callee: c2, args: a2, .. },

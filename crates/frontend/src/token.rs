@@ -3,9 +3,10 @@
 use crate::error::CompileError;
 use std::fmt;
 
-/// A lexical token.
+/// A lexical token. Identifiers borrow their spelling from the source, so
+/// lexing allocates only the token vector and string-literal contents.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub enum Tok<'a> {
     // literals & identifiers
     /// An integer literal.
     Int(i64),
@@ -15,8 +16,8 @@ pub enum Tok {
     Str(String),
     /// A character literal, lexed to its byte value.
     Char(u8),
-    /// An identifier.
-    Ident(String),
+    /// An identifier, borrowed from the source.
+    Ident(&'a str),
 
     // keywords
     /// `void`
@@ -140,7 +141,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Int(v) => write!(f, "{v}"),
@@ -218,9 +219,9 @@ impl fmt::Display for Tok {
 
 /// A token plus the 1-based source line it starts on.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpannedTok {
+pub struct SpannedTok<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Source line.
     pub line: u32,
 }
@@ -230,13 +231,13 @@ pub struct SpannedTok {
 /// # Errors
 /// Returns a [`CompileError`] for unterminated strings/chars or unknown
 /// characters.
-pub fn lex(src: &str) -> Result<Vec<SpannedTok>, CompileError> {
+pub fn lex(src: &str) -> Result<Vec<SpannedTok<'_>>, CompileError> {
     let mut out = Vec::new();
     let bytes = src.as_bytes();
     let mut i = 0usize;
     let mut line = 1u32;
 
-    let kw = |s: &str| -> Option<Tok> {
+    let kw = |s: &str| -> Option<Tok<'static>> {
         Some(match s {
             "void" => Tok::KwVoid,
             "bool" => Tok::KwBool,
@@ -338,7 +339,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, CompileError> {
                     i += 1;
                 }
                 let text = &src[start..i];
-                let tok = kw(text).unwrap_or_else(|| Tok::Ident(text.to_string()));
+                let tok = kw(text).unwrap_or(Tok::Ident(text));
                 out.push(SpannedTok { tok, line });
             }
             b'"' => {
@@ -388,7 +389,9 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, CompileError> {
                 } else {
                     (bytes[i + 1], 3)
                 };
-                if bytes[i + consumed - 1] != b'\'' {
+                // An escape at the very end of the input has no closing
+                // quote to look at.
+                if bytes.get(i + consumed - 1) != Some(&b'\'') {
                     return Err(CompileError::new(line, "unterminated char literal"));
                 }
                 out.push(SpannedTok { tok: Tok::Char(v), line });
@@ -462,7 +465,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, CompileError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -472,7 +475,7 @@ mod tests {
             toks("int x = 42;"),
             vec![
                 Tok::KwInt,
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::Assign,
                 Tok::Int(42),
                 Tok::Semi,
@@ -486,11 +489,11 @@ mod tests {
         assert_eq!(
             toks("p->next >= q << 1"),
             vec![
-                Tok::Ident("p".into()),
+                Tok::Ident("p"),
                 Tok::Arrow,
-                Tok::Ident("next".into()),
+                Tok::Ident("next"),
                 Tok::Ge,
-                Tok::Ident("q".into()),
+                Tok::Ident("q"),
                 Tok::Shl,
                 Tok::Int(1),
                 Tok::Eof
@@ -503,7 +506,7 @@ mod tests {
         let ts = lex("int a; // c1\n/* c2\nc3 */ int b;").unwrap();
         let b_line = ts
             .iter()
-            .find(|t| t.tok == Tok::Ident("b".into()))
+            .find(|t| t.tok == Tok::Ident("b"))
             .unwrap()
             .line;
         assert_eq!(b_line, 3);
@@ -538,6 +541,14 @@ mod tests {
         assert!(lex("0x1FFFFFFFFFFFFFFFF").is_err());
         // Bare `0x` with no digits is still rejected.
         assert!(lex("0x;").is_err());
+    }
+
+    #[test]
+    fn char_literal_cut_off_at_eof_is_an_error() {
+        for src in ["int main() { char c = '\\n", "'\\", "'a", "'"] {
+            let err = lex(src).unwrap_err();
+            assert_eq!(err.msg, "unterminated char literal", "{src:?}");
+        }
     }
 
     #[test]

@@ -255,8 +255,8 @@ fn collapse_first_call(e: &mut Expr) -> bool {
     }
     match e {
         Expr::Unary { expr, .. } | Expr::Cast { expr, .. } => collapse_first_call(expr),
-        Expr::Binary { lhs, rhs, .. } => {
-            collapse_first_call(lhs) || collapse_first_call(rhs)
+        Expr::Binary { operands, .. } => {
+            collapse_first_call(&mut operands.0) || collapse_first_call(&mut operands.1)
         }
         Expr::Member { base, .. } => collapse_first_call(base),
         Expr::Index { base, index, .. } => {
@@ -270,7 +270,7 @@ fn collapse_first_call(e: &mut Expr) -> bool {
 /// caught downstream (the candidate fails to compile and is rejected).
 fn shrink_expr(e: &mut Expr) -> bool {
     let repl = match e {
-        Expr::Binary { lhs, .. } => Some((**lhs).clone()),
+        Expr::Binary { operands, .. } => Some(operands.0.clone()),
         Expr::Cast { expr, .. } => Some((**expr).clone()),
         Expr::Unary { op: UnOp::Neg | UnOp::Not, expr, .. } => Some((**expr).clone()),
         _ => None,
@@ -318,10 +318,11 @@ mod tests {
             panic!("main missing")
         };
         match &b.stmts[0] {
-            Stmt::Decl { init: Some(Expr::Binary { rhs, .. }), .. } => {
+            Stmt::Decl { init: Some(Expr::Binary { operands, .. }), .. } => {
                 assert!(
-                    matches!(**rhs, Expr::IntLit(0, _)),
-                    "nullary call must collapse to 0: {rhs:?}"
+                    matches!(operands.1, Expr::IntLit(0, _)),
+                    "nullary call must collapse to 0: {:?}",
+                    operands.1
                 );
             }
             other => panic!("unexpected shape: {other:?}"),

@@ -41,17 +41,38 @@ impl Module {
 
 /// Builds the body of a previously declared function.
 ///
-/// The builder temporarily takes the [`Function`] out of the module so it can
-/// hand out `&mut` access to both; [`FunctionBuilder::finish`] puts it back.
-/// Dropping the builder without calling `finish` leaves the declaration
-/// empty (useful in tests that only need declarations).
+/// The builder takes the body (blocks and value types) out of the
+/// [`Function`] and leaves its declaration — name, signature, parameters —
+/// in the module, so that recursive and mutually recursive calls resolve
+/// while the body is under construction; [`FunctionBuilder::finish`] puts
+/// the body back. Dropping the builder without calling `finish` leaves the
+/// declaration without a body (useful in tests that only need
+/// declarations).
 pub struct FunctionBuilder<'m> {
     /// The module, available for interning types, strings, and variables.
     pub module: &'m mut Module,
-    func: Function,
     fid: FuncId,
+    blocks: Vec<BasicBlock>,
+    value_types: Vec<TypeId>,
     cur: BlockId,
     cur_loc: Option<DebugLoc>,
+    /// Instructions emitted into `cur` since the builder last moved to it.
+    /// They join the block when the builder moves on or finishes, so a
+    /// block written in one go gets one exact-size vector instead of a
+    /// growing one.
+    open: Vec<InstNode>,
+}
+
+/// An unfinished builder hands the parameters' types back to the
+/// declaration.
+impl Drop for FunctionBuilder<'_> {
+    fn drop(&mut self) {
+        let f = &mut self.module.funcs[self.fid.0 as usize];
+        if f.value_types.is_empty() {
+            self.value_types.truncate(f.sig.params.len());
+            f.value_types = std::mem::take(&mut self.value_types);
+        }
+    }
 }
 
 impl<'m> FunctionBuilder<'m> {
@@ -60,24 +81,20 @@ impl<'m> FunctionBuilder<'m> {
     /// # Panics
     /// Panics when the function already has a body or is external.
     pub fn new(module: &'m mut Module, fid: FuncId) -> Self {
-        // The placeholder keeps the declaration (name, signature, params)
-        // visible so that recursive and mutually recursive calls resolve
-        // correctly while the body is under construction.
-        let slot = &mut module.funcs[fid.0 as usize];
-        let placeholder = Function {
-            name: slot.name.clone(),
-            sig: slot.sig.clone(),
-            params: slot.params.clone(),
-            blocks: vec![],
-            value_types: slot.sig.params.clone(),
-            is_external: slot.is_external,
-        };
-        let func = std::mem::replace(slot, placeholder);
-        assert!(!func.is_external, "cannot build body of external `{}`", func.name);
-        assert!(func.blocks.is_empty(), "function `{}` already defined", func.name);
-        let mut b = FunctionBuilder { module, func, fid, cur: BlockId(0), cur_loc: None };
-        b.func.blocks.push(BasicBlock::new());
-        b
+        let f = &mut module.funcs[fid.0 as usize];
+        assert!(!f.is_external, "cannot build body of external `{}`", f.name);
+        assert!(f.blocks.is_empty(), "function `{}` already defined", f.name);
+        // The declaration's value table holds the parameters' types.
+        let value_types = std::mem::take(&mut f.value_types);
+        FunctionBuilder {
+            module,
+            fid,
+            blocks: vec![BasicBlock::new()],
+            value_types,
+            cur: BlockId(0),
+            cur_loc: None,
+            open: Vec::new(),
+        }
     }
 
     /// The id of the function under construction.
@@ -87,12 +104,12 @@ impl<'m> FunctionBuilder<'m> {
 
     /// The value bound to parameter `i`.
     pub fn param(&self, i: usize) -> ValueId {
-        self.func.params[i].0
+        self.module.funcs[self.fid.0 as usize].params[i].0
     }
 
     /// Attaches a debug variable to parameter `i`.
     pub fn set_param_var(&mut self, i: usize, var: VarId) {
-        self.func.params[i].1 = Some(var);
+        self.module.funcs[self.fid.0 as usize].params[i].1 = Some(var);
     }
 
     /// Sets the debug location attached to subsequently emitted
@@ -103,14 +120,25 @@ impl<'m> FunctionBuilder<'m> {
 
     /// Creates a new (empty, unterminated) block.
     pub fn new_block(&mut self) -> BlockId {
-        let id = BlockId(self.func.blocks.len() as u32);
-        self.func.blocks.push(BasicBlock::new());
+        let id = BlockId(self.blocks.len() as u32);
+        self.blocks.push(BasicBlock::new());
         id
     }
 
     /// Moves the insertion point to `bb`.
     pub fn switch_to(&mut self, bb: BlockId) {
+        self.close();
         self.cur = bb;
+    }
+
+    /// Moves the open instructions into the current block.
+    fn close(&mut self) {
+        let insts = &mut self.blocks[self.cur.0 as usize].insts;
+        if insts.is_empty() {
+            *insts = self.open.drain(..).collect();
+        } else {
+            insts.append(&mut self.open);
+        }
     }
 
     /// The current insertion block.
@@ -121,28 +149,26 @@ impl<'m> FunctionBuilder<'m> {
     /// Whether the current block already has a real terminator.
     pub fn current_terminated(&self) -> bool {
         !matches!(
-            self.func.blocks[self.cur.0 as usize].term,
+            self.blocks[self.cur.0 as usize].term,
             Terminator::Unreachable
         )
     }
 
     fn fresh(&mut self, ty: TypeId) -> ValueId {
-        let id = ValueId(self.func.value_types.len() as u32);
-        self.func.value_types.push(ty);
+        let id = ValueId(self.value_types.len() as u32);
+        self.value_types.push(ty);
         id
     }
 
     fn push(&mut self, inst: Inst) {
         let loc = self.cur_loc;
-        self.func.blocks[self.cur.0 as usize]
-            .insts
-            .push(InstNode { inst, loc });
+        self.open.push(InstNode { inst, loc });
     }
 
     /// Type of an operand under this function's value table.
     pub fn operand_type(&self, op: &Operand) -> TypeId {
         match op {
-            Operand::Value(v) => self.func.value_types[v.0 as usize],
+            Operand::Value(v) => self.value_types[v.0 as usize],
             Operand::ConstInt(_, t)
             | Operand::ConstFloat(_, t)
             | Operand::Null(t)
@@ -315,12 +341,12 @@ impl<'m> FunctionBuilder<'m> {
     // ---- terminators -----------------------------------------------------
 
     fn terminate(&mut self, t: Terminator) {
-        let blk = &mut self.func.blocks[self.cur.0 as usize];
+        let blk = &mut self.blocks[self.cur.0 as usize];
         debug_assert!(
             matches!(blk.term, Terminator::Unreachable),
             "block {} terminated twice in `{}`",
             self.cur,
-            self.func.name
+            self.module.funcs[self.fid.0 as usize].name
         );
         blk.term = t;
         blk.term_loc = self.cur_loc;
@@ -342,8 +368,11 @@ impl<'m> FunctionBuilder<'m> {
     }
 
     /// Installs the finished body back into the module.
-    pub fn finish(self) -> FuncId {
-        self.module.funcs[self.fid.0 as usize] = self.func;
+    pub fn finish(mut self) -> FuncId {
+        self.close();
+        let f = &mut self.module.funcs[self.fid.0 as usize];
+        f.blocks = std::mem::take(&mut self.blocks);
+        f.value_types = std::mem::take(&mut self.value_types);
         self.fid
     }
 }

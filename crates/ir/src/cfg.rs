@@ -28,9 +28,10 @@ pub fn term_successors(t: &Terminator) -> Vec<BlockId> {
 
 /// The control-flow graph of one function: successors, predecessors, and a
 /// reverse-postorder over the blocks reachable from the entry. The edge
-/// lists are stored flat, block by block (a function's whole CFG is four
-/// allocations, not two per block).
-#[derive(Debug, Clone)]
+/// lists are stored flat, block by block, and [`Cfg::recompute`] refills
+/// them in place: a pass that keeps one `Cfg` for every function of a
+/// module allocates per module, not per function.
+#[derive(Debug, Clone, Default)]
 pub struct Cfg {
     /// `succ_list[succ_at[b]..succ_at[b + 1]]` — [`Cfg::succs`] of `b`.
     succ_at: Vec<u32>,
@@ -43,96 +44,160 @@ pub struct Cfg {
     /// `rpo_index[b]` — position of block `b` in [`Cfg::rpo`], or `None`
     /// when `b` is unreachable from the entry.
     pub rpo_index: Vec<Option<u32>>,
+    /// The depth-first search's stack: (block, next successor to explore).
+    stack: Vec<(BlockId, usize)>,
 }
 
 impl Cfg {
     /// Builds the CFG of `f`. Functions with no blocks (externals) yield an
     /// empty graph.
     pub fn new(f: &Function) -> Cfg {
+        let mut cfg = Cfg::default();
+        cfg.recompute(f);
+        cfg
+    }
+
+    /// Makes this the CFG of `f`, reusing its buffers.
+    pub fn recompute(&mut self, f: &Function) {
         let n = f.blocks.len();
-        let mut succ_at = Vec::with_capacity(n + 1);
-        let mut succ_list = Vec::with_capacity(2 * n);
-        // Predecessor counts, shifted by one for the prefix sum below.
-        let mut pred_at = vec![0u32; n + 1];
+        self.fill_edges(f);
+
+        // Iterative DFS from the entry; postorder reversed gives RPO. A
+        // block is visited once its `rpo_index` is `Some` (a placeholder
+        // until the numbering below).
+        self.rpo_index.clear();
+        self.rpo_index.resize(n, None);
+        self.rpo.clear();
+        if n > 0 {
+            self.stack.clear();
+            self.stack.push((BlockId(0), 0));
+            self.rpo_index[0] = Some(0);
+            while let Some(&mut (b, ref mut next)) = self.stack.last_mut() {
+                let i = b.0 as usize;
+                let (lo, hi) = (self.succ_at[i] as usize, self.succ_at[i + 1] as usize);
+                if *next < hi - lo {
+                    let s = self.succ_list[lo + *next];
+                    *next += 1;
+                    if self.rpo_index[s.0 as usize].is_none() {
+                        self.rpo_index[s.0 as usize] = Some(0);
+                        self.stack.push((s, 0));
+                    }
+                } else {
+                    self.rpo.push(b);
+                    self.stack.pop();
+                }
+            }
+            self.rpo.reverse();
+            for (i, &b) in self.rpo.iter().enumerate() {
+                self.rpo_index[b.0 as usize] = Some(i as u32);
+            }
+        }
+    }
+
+    /// Updates the graph for preheaders `(header, preheader)` just appended
+    /// to `f` by [`crate::insert_preheaders`]: the edge lists are refilled
+    /// from `f`, and the reverse-postorder gains each preheader right
+    /// before its header — the depth-first search reaches a header first
+    /// through an entry edge, which now passes its preheader. A preheader
+    /// in front of the entry block has no predecessor and stays
+    /// unreachable.
+    pub(crate) fn add_preheaders(&mut self, f: &Function, pairs: &[(BlockId, BlockId)]) {
+        let n = f.blocks.len();
+        self.fill_edges(f);
+        // Preheader per header; the old order is rewritten back to front.
+        let preheader = |h: BlockId| {
+            let at = pairs.partition_point(|&(ph, _)| ph < h);
+            pairs.get(at).filter(|&&(ph, _)| ph == h && h != BlockId(0)).map(|&(_, p)| p)
+        };
+        let extra = pairs.iter().filter(|&&(h, _)| h != BlockId(0)).count();
+        let old = self.rpo.len();
+        self.rpo.resize(old + extra, BlockId(0));
+        let mut to = self.rpo.len();
+        for from in (0..old).rev() {
+            let b = self.rpo[from];
+            to -= 1;
+            self.rpo[to] = b;
+            if let Some(p) = preheader(b) {
+                to -= 1;
+                self.rpo[to] = p;
+            }
+        }
+        self.rpo_index.clear();
+        self.rpo_index.resize(n, None);
+        for (i, &b) in self.rpo.iter().enumerate() {
+            self.rpo_index[b.0 as usize] = Some(i as u32);
+        }
+    }
+
+    /// Fills the successor lists from `f`'s terminators, then the
+    /// predecessor lists from them: in block order, each predecessor once
+    /// (both arms of a `CondBr` can name one block).
+    fn fill_edges(&mut self, f: &Function) {
+        let n = f.blocks.len();
+        self.succ_at.clear();
+        self.succ_list.clear();
         for blk in &f.blocks {
-            succ_at.push(succ_list.len() as u32);
+            self.succ_at.push(self.succ_list.len() as u32);
             match blk.term {
-                Terminator::Br(t) => succ_list.push(t),
+                Terminator::Br(t) => self.succ_list.push(t),
                 Terminator::CondBr {
                     then_bb, else_bb, ..
                 } => {
-                    succ_list.extend([then_bb, else_bb]);
+                    self.succ_list.extend([then_bb, else_bb]);
                 }
                 Terminator::Ret(_) | Terminator::Unreachable => {}
             }
         }
-        succ_at.push(succ_list.len() as u32);
-        // Each block once per distinct successor (both arms of a `CondBr`
-        // can name one block).
-        let distinct = |w: &[u32]| {
-            let succs = &succ_list[w[0] as usize..w[1] as usize];
-            let n = if succs.len() == 2 && succs[0] == succs[1] {
+        self.succ_at.push(self.succ_list.len() as u32);
+        let (succ_at, succ_list) = (&self.succ_at, &self.succ_list);
+        let distinct = |i: usize| {
+            let succs = &succ_list[succ_at[i] as usize..succ_at[i + 1] as usize];
+            let k = if succs.len() == 2 && succs[0] == succs[1] {
                 1
             } else {
                 succs.len()
             };
-            succs[..n].iter().copied()
+            succs[..k].iter().copied()
         };
-        for w in succ_at.windows(2) {
-            for s in distinct(w) {
-                pred_at[s.0 as usize + 1] += 1;
+        // Predecessor counts, shifted by one for the prefix sum.
+        self.pred_at.clear();
+        self.pred_at.resize(n + 1, 0);
+        for i in 0..n {
+            for s in distinct(i) {
+                self.pred_at[s.0 as usize + 1] += 1;
             }
         }
         for b in 0..n {
-            pred_at[b + 1] += pred_at[b];
+            self.pred_at[b + 1] += self.pred_at[b];
         }
-        // Predecessors in block order, each once.
-        let mut pred_list = vec![BlockId(0); pred_at[n] as usize];
-        let mut fill = pred_at.clone();
-        for (i, w) in succ_at.windows(2).enumerate() {
-            for s in distinct(w) {
-                pred_list[fill[s.0 as usize] as usize] = BlockId(i as u32);
-                fill[s.0 as usize] += 1;
+        self.pred_list.clear();
+        self.pred_list.resize(self.pred_at[n] as usize, BlockId(0));
+        // Each block's fill cursor starts at its list's start; filling
+        // leaves it at the next block's start, so `pred_at` is rebuilt by
+        // shifting the cursors back by one block.
+        for i in 0..n {
+            for s in distinct(i) {
+                let at = &mut self.pred_at[s.0 as usize];
+                self.pred_list[*at as usize] = BlockId(i as u32);
+                *at += 1;
             }
         }
-        let rpo_index = vec![None; n];
-        let mut cfg = Cfg {
-            succ_at,
-            succ_list,
-            pred_at,
-            pred_list,
-            rpo: Vec::new(),
-            rpo_index,
-        };
-
-        // Iterative DFS from the entry; postorder reversed gives RPO.
+        for b in (1..=n).rev() {
+            self.pred_at[b] = self.pred_at[b - 1];
+        }
         if n > 0 {
-            let mut post: Vec<BlockId> = Vec::with_capacity(n);
-            let mut visited = vec![false; n];
-            // (block, next successor index to explore)
-            let mut stack: Vec<(BlockId, usize)> = vec![(BlockId(0), 0)];
-            visited[0] = true;
-            while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-                let ss = cfg.succs(b);
-                if *next < ss.len() {
-                    let s = ss[*next];
-                    *next += 1;
-                    if !visited[s.0 as usize] {
-                        visited[s.0 as usize] = true;
-                        stack.push((s, 0));
-                    }
-                } else {
-                    post.push(b);
-                    stack.pop();
-                }
-            }
-            post.reverse();
-            for (i, &b) in post.iter().enumerate() {
-                cfg.rpo_index[b.0 as usize] = Some(i as u32);
-            }
-            cfg.rpo = post;
+            self.pred_at[0] = 0;
         }
-        cfg
+    }
+
+    /// Whether `other` describes the same graph (scratch buffers aside).
+    pub(crate) fn same_graph(&self, other: &Cfg) -> bool {
+        self.succ_at == other.succ_at
+            && self.succ_list == other.succ_list
+            && self.pred_at == other.pred_at
+            && self.pred_list == other.pred_list
+            && self.rpo == other.rpo
+            && self.rpo_index == other.rpo_index
     }
 
     /// Successors of `b`, in terminator branch order. A block targeted by

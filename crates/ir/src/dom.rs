@@ -22,7 +22,7 @@ use crate::cfg::Cfg;
 use crate::function::BlockId;
 
 /// The dominator tree of one function, derived from its [`Cfg`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DomTree {
     /// `idom[b]` — immediate dominator of block `b`. The entry block is its
     /// own idom (the CHK convention); unreachable blocks have `None`.
@@ -35,10 +35,20 @@ pub struct DomTree {
 impl DomTree {
     /// Computes the dominator tree for `cfg`.
     pub fn new(cfg: &Cfg) -> DomTree {
+        let mut dom = DomTree::default();
+        dom.recompute(cfg);
+        dom
+    }
+
+    /// Makes this the dominator tree for `cfg`, reusing its buffers.
+    pub fn recompute(&mut self, cfg: &Cfg) {
         let n = cfg.len();
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
+        self.rpo_index.clone_from(&cfg.rpo_index);
+        let idom = &mut self.idom;
+        idom.clear();
+        idom.resize(n, None);
         if n == 0 || cfg.rpo.is_empty() {
-            return DomTree { idom, rpo_index: cfg.rpo_index.clone() };
+            return;
         }
         let entry = cfg.rpo[0];
         idom[entry.0 as usize] = Some(entry);
@@ -56,7 +66,7 @@ impl DomTree {
                     }
                     new_idom = Some(match new_idom {
                         None => p,
-                        Some(cur) => intersect(&idom, &cfg.rpo_index, p, cur),
+                        Some(cur) => intersect(idom, &cfg.rpo_index, p, cur),
                     });
                 }
                 if let Some(ni) = new_idom {
@@ -67,7 +77,22 @@ impl DomTree {
                 }
             }
         }
-        DomTree { idom, rpo_index: cfg.rpo_index.clone() }
+    }
+
+    /// Updates the tree for preheaders `(header, preheader)` just inserted
+    /// in front of their headers ([`crate::insert_preheaders`]), given the
+    /// updated `cfg`: a reachable preheader takes over its header's
+    /// immediate dominator and becomes the header's; one in front of the
+    /// entry block is unreachable.
+    pub(crate) fn add_preheaders(&mut self, cfg: &Cfg, pairs: &[(BlockId, BlockId)]) {
+        self.rpo_index.clone_from(&cfg.rpo_index);
+        self.idom.resize(cfg.len(), None);
+        for &(h, p) in pairs {
+            if cfg.is_reachable(p) {
+                self.idom[p.0 as usize] = self.idom[h.0 as usize];
+                self.idom[h.0 as usize] = Some(p);
+            }
+        }
     }
 
     /// Immediate dominator of `b` (`None` for the entry and for unreachable

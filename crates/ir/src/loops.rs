@@ -22,7 +22,7 @@ use crate::function::{BasicBlock, BlockId, Function};
 use crate::inst::Terminator;
 
 /// One natural loop (back edges merged per header).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NaturalLoop {
     /// The unique entry block of the loop: it dominates every block in
     /// [`NaturalLoop::blocks`].
@@ -62,7 +62,9 @@ impl NaturalLoop {
 }
 
 /// Every natural loop of one function, or an irreducibility verdict.
-#[derive(Debug, Clone)]
+/// [`LoopForest::recompute`] reuses the forest's buffers, the loops' own
+/// included.
+#[derive(Debug, Clone, Default)]
 pub struct LoopForest {
     /// The loops, sorted by header block id. Empty when
     /// [`LoopForest::irreducible`] is set.
@@ -70,16 +72,40 @@ pub struct LoopForest {
     /// `true` when a retreating edge targeted a non-dominating block
     /// (multi-entry cycle). Loop-aware passes must skip the function.
     pub irreducible: bool,
+    /// Loops of an earlier function, emptied, for reuse.
+    spare: Vec<NaturalLoop>,
+    /// Back edges `(latch, header)`, and the walk's scratch.
+    back_edges: Vec<(BlockId, BlockId)>,
+    seen: Vec<u32>,
+    work: Vec<BlockId>,
 }
 
 impl LoopForest {
     /// Finds all natural loops of a function from its CFG and dominator
     /// tree. Unreachable blocks never participate.
     pub fn new(cfg: &Cfg, dom: &DomTree) -> LoopForest {
+        let mut forest = LoopForest::default();
+        forest.recompute(cfg, dom);
+        forest
+    }
+
+    /// Whether `other` holds the same loops (scratch buffers aside).
+    pub(crate) fn same_loops(&self, other: &LoopForest) -> bool {
+        self.loops == other.loops && self.irreducible == other.irreducible
+    }
+
+    /// Makes this the loop forest for `cfg` and `dom`, reusing its buffers.
+    pub fn recompute(&mut self, cfg: &Cfg, dom: &DomTree) {
+        for mut l in self.loops.drain(..) {
+            l.latches.clear();
+            l.blocks.clear();
+            self.spare.push(l);
+        }
+        self.irreducible = false;
         // A retreating edge goes from a higher RPO number to a lower one.
         // Retreating + dominating target = back edge; retreating without
         // domination = irreducible.
-        let mut back_edges: Vec<(BlockId, BlockId)> = Vec::new(); // (latch, header)
+        self.back_edges.clear();
         for &b in &cfg.rpo {
             let bi = cfg.rpo_index[b.0 as usize].unwrap();
             for &s in cfg.succs(b) {
@@ -89,11 +115,12 @@ impl LoopForest {
                 };
                 if si <= bi {
                     if dom.dominates(s, b) {
-                        if !back_edges.contains(&(b, s)) {
-                            back_edges.push((b, s));
+                        if !self.back_edges.contains(&(b, s)) {
+                            self.back_edges.push((b, s));
                         }
                     } else {
-                        return LoopForest { loops: Vec::new(), irreducible: true };
+                        self.irreducible = true;
+                        return;
                     }
                 }
             }
@@ -101,54 +128,89 @@ impl LoopForest {
 
         // Natural loop of a back edge: walk predecessors from the latch,
         // stopping at the header. Merge loops that share a header.
-        let mut loops: Vec<NaturalLoop> = Vec::new();
         // Per block, the last back edge (numbered from 1) whose walk reached it.
-        let mut seen = vec![0u32; cfg.len()];
-        for (e, (latch, header)) in back_edges.into_iter().enumerate() {
+        self.seen.clear();
+        self.seen.resize(cfg.len(), 0);
+        for (e, &(latch, header)) in self.back_edges.iter().enumerate() {
             let walk = e as u32 + 1;
-            seen[header.0 as usize] = walk;
-            let mut blocks = vec![header];
-            let mut work = vec![latch];
-            while let Some(b) = work.pop() {
-                if seen[b.0 as usize] != walk {
-                    seen[b.0 as usize] = walk;
-                    blocks.push(b);
+            let li = match self.loops.iter().position(|l| l.header == header) {
+                Some(li) => li,
+                None => {
+                    let mut l = self.spare.pop().unwrap_or(NaturalLoop {
+                        header,
+                        latches: Vec::new(),
+                        blocks: Vec::new(),
+                        depth: 0,
+                    });
+                    l.header = header;
+                    self.loops.push(l);
+                    self.loops.len() - 1
+                }
+            };
+            let l = &mut self.loops[li];
+            l.latches.push(latch);
+            self.seen[header.0 as usize] = walk;
+            l.blocks.push(header);
+            self.work.clear();
+            self.work.push(latch);
+            while let Some(b) = self.work.pop() {
+                if self.seen[b.0 as usize] != walk {
+                    self.seen[b.0 as usize] = walk;
+                    l.blocks.push(b);
                     for &p in cfg.preds(b) {
                         if cfg.is_reachable(p) {
-                            work.push(p);
+                            self.work.push(p);
                         }
                     }
                 }
             }
-            match loops.iter_mut().find(|l| l.header == header) {
-                Some(l) => {
-                    l.latches.push(latch);
-                    l.blocks.extend(blocks);
-                }
-                None => loops.push(NaturalLoop {
-                    header,
-                    latches: vec![latch],
-                    blocks,
-                    depth: 0,
-                }),
-            }
         }
-        loops.sort_by_key(|l| l.header);
-        for l in &mut loops {
+        self.loops.sort_by_key(|l| l.header);
+        for l in &mut self.loops {
             l.blocks.sort_unstable();
             l.blocks.dedup();
         }
 
         // Depth: number of loops whose body contains this header.
-        let depths: Vec<u32> = loops
-            .iter()
-            .map(|l| loops.iter().filter(|o| o.contains(l.header)).count() as u32)
-            .collect();
-        for (l, d) in loops.iter_mut().zip(depths) {
-            l.depth = d;
+        for i in 0..self.loops.len() {
+            let h = self.loops[i].header;
+            self.loops[i].depth = self.loops.iter().filter(|o| o.contains(h)).count() as u32;
         }
-        LoopForest { loops, irreducible: false }
     }
+
+    /// Updates the forest for preheaders `(header, preheader)` just
+    /// inserted ([`insert_preheaders`]), given the updated `cfg`: each
+    /// reachable preheader joins every loop that holds its header, its own
+    /// excepted. Headers, latches and depths do not change.
+    fn add_preheaders(&mut self, cfg: &Cfg, pairs: &[(BlockId, BlockId)]) {
+        for i in 0..self.loops.len() {
+            for &(h, p) in pairs {
+                let l = &self.loops[i];
+                if h != l.header && cfg.is_reachable(p) && l.contains(h) {
+                    // Preheaders come after every old block, in order.
+                    self.loops[i].blocks.push(p);
+                }
+            }
+        }
+    }
+}
+
+/// [`insert_preheaders`], with `cfg`, `dom` and `forest` — the function's
+/// analyses before the insertion — updated in place to describe the new
+/// shape, as recomputing them would.
+pub fn insert_preheaders_in_place(
+    f: &mut Function,
+    cfg: &mut Cfg,
+    dom: &mut DomTree,
+    forest: &mut LoopForest,
+) {
+    let pairs = insert_preheaders(f, forest);
+    cfg.add_preheaders(f, &pairs);
+    dom.add_preheaders(cfg, &pairs);
+    forest.add_preheaders(cfg, &pairs);
+    debug_assert!(cfg.same_graph(&Cfg::new(f)), "preheader CFG update");
+    debug_assert!(*dom == DomTree::new(cfg), "preheader dominator update");
+    debug_assert!(forest.same_loops(&LoopForest::new(cfg, dom)), "preheader loop update");
 }
 
 /// Gives every loop header a dedicated *preheader*: a fresh block appended

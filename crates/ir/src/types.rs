@@ -110,6 +110,10 @@ impl StructDef {
 pub struct TypeTable {
     types: Vec<Type>,
     lookup: HashMap<Type, TypeId>,
+    /// `ptr_to[t]` — the id of `t*` once interned (`u32::MAX` before).
+    /// Lowering and instrumentation ask for pointer types far more often
+    /// than for any other, and this answers them without hashing.
+    ptr_to: Vec<u32>,
     structs: Vec<StructDef>,
     struct_names: HashMap<String, StructId>,
 }
@@ -126,6 +130,7 @@ impl TypeTable {
         let mut t = TypeTable {
             types: Vec::new(),
             lookup: HashMap::new(),
+            ptr_to: Vec::new(),
             structs: Vec::new(),
             struct_names: HashMap::new(),
         };
@@ -179,6 +184,13 @@ impl TypeTable {
             return id;
         }
         let id = TypeId(self.types.len() as u32);
+        if let Type::Ptr(p) = ty {
+            let p = p.0 as usize;
+            if p >= self.ptr_to.len() {
+                self.ptr_to.resize(p + 1, u32::MAX);
+            }
+            self.ptr_to[p] = id.0;
+        }
         self.types.push(ty.clone());
         self.lookup.insert(ty, id);
         id
@@ -186,7 +198,10 @@ impl TypeTable {
 
     /// Interns a pointer to `pointee`.
     pub fn ptr(&mut self, pointee: TypeId) -> TypeId {
-        self.intern(Type::Ptr(pointee))
+        match self.ptr_to.get(pointee.0 as usize) {
+            Some(&id) if id != u32::MAX => TypeId(id),
+            _ => self.intern(Type::Ptr(pointee)),
+        }
     }
 
     /// Interns `void*`, the universal pointer type.
@@ -361,21 +376,44 @@ impl TypeTable {
     /// Renders a type as C-flavoured source text (`struct node*`, `void*`,
     /// `int (*)(int)`), the spelling used in reports and tables.
     pub fn display(&self, id: TypeId) -> String {
+        let mut s = String::new();
+        let _ = self.write_display(id, &mut s);
+        s
+    }
+
+    /// Writes [`TypeTable::display`]'s spelling of a type to `w`, without
+    /// building a string per nested type.
+    ///
+    /// # Errors
+    /// Only those of `w`.
+    pub fn write_display(&self, id: TypeId, w: &mut impl fmt::Write) -> fmt::Result {
         match self.get(id) {
-            Type::Void => "void".into(),
-            Type::Bool => "bool".into(),
-            Type::I8 => "char".into(),
-            Type::I16 => "short".into(),
-            Type::I32 => "int".into(),
-            Type::I64 => "long".into(),
-            Type::F64 => "double".into(),
-            Type::Ptr(p) => format!("{}*", self.display(*p)),
-            Type::Struct(sid) => format!("struct {}", self.struct_def(*sid).name),
-            Type::Array(e, n) => format!("{}[{}]", self.display(*e), n),
+            Type::Void => w.write_str("void"),
+            Type::Bool => w.write_str("bool"),
+            Type::I8 => w.write_str("char"),
+            Type::I16 => w.write_str("short"),
+            Type::I32 => w.write_str("int"),
+            Type::I64 => w.write_str("long"),
+            Type::F64 => w.write_str("double"),
+            Type::Ptr(p) => {
+                self.write_display(*p, w)?;
+                w.write_char('*')
+            }
+            Type::Struct(sid) => write!(w, "struct {}", self.struct_def(*sid).name),
+            Type::Array(e, n) => {
+                self.write_display(*e, w)?;
+                write!(w, "[{n}]")
+            }
             Type::Func(sig) => {
-                let params: Vec<String> =
-                    sig.params.iter().map(|p| self.display(*p)).collect();
-                format!("{} ({})", self.display(sig.ret), params.join(", "))
+                self.write_display(sig.ret, w)?;
+                w.write_str(" (")?;
+                for (i, p) in sig.params.iter().enumerate() {
+                    if i > 0 {
+                        w.write_str(", ")?;
+                    }
+                    self.write_display(*p, w)?;
+                }
+                w.write_char(')')
             }
         }
     }

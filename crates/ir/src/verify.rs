@@ -89,10 +89,10 @@ pub fn check_ids(
     m: &Module,
     signed_globals: impl IntoIterator<Item = GlobalId>,
 ) -> Result<(), Vec<VerifyError>> {
-    let mut c = Ids { m, errs: Vec::new(), owner: "types".into(), block: usize::MAX, index: 0 };
+    let mut c = Ids { m, errs: Vec::new(), owner: Owner::Types, block: usize::MAX, index: 0 };
     c.type_table();
     for g in &m.globals {
-        c.owner = format!("global {}", g.name);
+        c.owner = Owner::Global(&g.name);
         c.ty(g.ty);
         c.id(g.var.0, m.vars.len(), "var var");
         match g.init {
@@ -101,7 +101,7 @@ pub fn check_ids(
             GlobalInit::Zero | GlobalInit::Int(_) => {}
         }
     }
-    c.owner = "global signing".into();
+    c.owner = Owner::GlobalSigning;
     for g in signed_globals {
         c.id(g.0, m.globals.len(), "global #");
     }
@@ -109,7 +109,7 @@ pub fn check_ids(
         c.function(f);
     }
     if m.func_by_name("main").is_some_and(|id| m.func(id).is_external) {
-        (c.owner, c.block) = ("main".into(), usize::MAX);
+        (c.owner, c.block) = (Owner::Func("main"), usize::MAX);
         c.err("`main` is an external declaration".into());
     }
     if c.errs.is_empty() {
@@ -119,18 +119,33 @@ pub fn check_ids(
     }
 }
 
+/// The item the id pass is in, named only when it reports a failure.
+#[derive(Clone, Copy)]
+enum Owner<'a> {
+    Types,
+    Global(&'a str),
+    GlobalSigning,
+    Func(&'a str),
+}
+
 /// The id pass's cursor: where the next failure is reported.
 struct Ids<'a> {
     m: &'a Module,
     errs: Vec<VerifyError>,
-    owner: String,
+    owner: Owner<'a>,
     block: usize,
     index: usize,
 }
 
-impl Ids<'_> {
+impl<'a> Ids<'a> {
     fn err(&mut self, msg: String) {
-        let (func, block, index) = (self.owner.clone(), self.block, self.index);
+        let func = match self.owner {
+            Owner::Types => "types".into(),
+            Owner::Global(name) => format!("global {name}"),
+            Owner::GlobalSigning => "global signing".into(),
+            Owner::Func(name) => name.into(),
+        };
+        let (block, index) = (self.block, self.index);
         self.errs.push(VerifyError { func, block, index, msg });
     }
 
@@ -191,9 +206,9 @@ impl Ids<'_> {
         }
     }
 
-    fn function(&mut self, f: &Function) {
+    fn function(&mut self, f: &'a Function) {
         let (m, nvals, nblocks) = (self.m, f.value_types.len(), f.blocks.len());
-        (self.owner, self.block, self.index) = (f.name.clone(), usize::MAX, 0);
+        (self.owner, self.block, self.index) = (Owner::Func(&f.name), usize::MAX, 0);
         self.sig(&f.sig);
         for &t in &f.value_types {
             self.ty(t);
@@ -218,11 +233,11 @@ impl Ids<'_> {
             }
             self.index = usize::MAX;
             let targets = match &b.term {
-                Terminator::Br(t) => vec![*t],
-                Terminator::CondBr { then_bb, else_bb, .. } => vec![*then_bb, *else_bb],
-                Terminator::Ret(_) | Terminator::Unreachable => vec![],
+                Terminator::Br(t) => [Some(*t), None],
+                Terminator::CondBr { then_bb, else_bb, .. } => [Some(*then_bb), Some(*else_bb)],
+                Terminator::Ret(_) | Terminator::Unreachable => [None, None],
             };
-            for t in targets {
+            for t in targets.into_iter().flatten() {
                 self.id(t.0, nblocks, "block bb");
             }
             if let Some(op) = b.term.operand() {

@@ -923,8 +923,9 @@ mod tests {
     }
 
     /// The hostile-types batch CI serves: a struct holding itself by value
-    /// (through `sizeof`, and as a global at ipo) and a 64-level doubling
-    /// global, each followed by a normal request that must be answered.
+    /// (through `sizeof`, and as a global at ipo), a 64-level doubling
+    /// global and a source cut off inside a char literal, each followed by
+    /// a normal request that must be answered.
     #[test]
     fn hostile_types_are_answered_and_so_is_the_next_line() {
         let server = Server::new(ServeConfig { workers: 2, ..ServeConfig::default() });
@@ -932,15 +933,43 @@ mod tests {
         let mut out = Vec::new();
         serve_lines(&server, input.as_bytes(), &mut out).unwrap();
         let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
-        assert_eq!(lines.len(), 6, "{lines:?}");
+        assert_eq!(lines.len(), 8, "{lines:?}");
         for (line, name) in [(lines[0], "a"), (lines[2], "b")] {
             let want = format!("\"ok\":false,\"error\":\"compile error: line 1: struct #0 `{name}`");
             assert!(line.contains(&want) && line.contains("contains itself by value"), "{line}");
         }
         assert!(lines[4].contains("\"status\":\"trap: memory fault in <loader>"), "{}", lines[4]);
-        for line in [lines[1], lines[3], lines[5]] {
+        assert!(
+            lines[6].contains("\"ok\":false,\"error\":\"compile error: line 1: unterminated char literal"),
+            "{}",
+            lines[6]
+        );
+        for line in [lines[1], lines[3], lines[5], lines[7]] {
             assert!(line.contains("\"status\":\"exit 3\""), "{line}");
         }
+        assert_eq!(server.metrics().panics(), 0);
+    }
+
+    #[test]
+    fn a_char_literal_cut_off_at_eof_is_a_compile_error_and_the_next_line_is_answered() {
+        let server = Server::new(ServeConfig { workers: 2, ..ServeConfig::default() });
+        let input = format!(
+            "{}\n{}\n",
+            request_line("int main() { char c = '\\n", "stwc", "cfg", "compiled", "pac"),
+            request_line("int main() { return 3; }", "stwc", "cfg", "compiled", "pac")
+        );
+        let mut out = Vec::new();
+        serve_lines(&server, input.as_bytes(), &mut out).unwrap();
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(
+            lines[0].contains("\"ok\":false") && lines[0].contains("unterminated char literal"),
+            "{}",
+            lines[0]
+        );
+        assert!(!lines[0].contains("panic"), "{}", lines[0]);
+        assert!(lines[1].contains("\"status\":\"exit 3\""), "{}", lines[1]);
+        assert_eq!(server.metrics().panics(), 0);
     }
 
     #[test]

@@ -85,16 +85,21 @@ macro_rules! tri {
 }
 
 /// Per-op accounting charged by the per-op loop — kept out of the closure
-/// array so the fast path streams only fat pointers.
+/// array so the fast path streams only fat pointers. A function's ops
+/// share one table ([`CompiledFunc::charge`]), block after block.
 pub(crate) struct OpCharge {
     /// Cycle cost ([`CostModel::cost`] of the source instruction).
     cost: u64,
-    /// Opcode class index, for telemetry's per-op opclass counts.
-    class: usize,
+    /// Cycles of the block's ops before this one: the fast path charges
+    /// (and rolls back) any run of ops with two subtractions instead of a
+    /// loop.
+    before: u64,
     /// Check-site id for PAC-family ops ([`NO_SITE`] otherwise): the op's
     /// index in [`CompiledModule::sites`], by which attribution keys its
     /// per-site stats.
     site: u32,
+    /// Opcode class index, for telemetry's per-op opclass counts.
+    class: u8,
 }
 
 /// A compiled terminator, executed by [`Vm::exec_term`] on either path.
@@ -111,15 +116,12 @@ pub(crate) enum CompiledTerm {
 /// One compiled basic block.
 pub(crate) struct CompiledBlock {
     ops: Vec<OpFn>,
-    /// Slow-path accounting, parallel to `ops`.
-    charge: Vec<OpCharge>,
-    /// `cost_prefix[i]` = cycles of `ops[..i]`; length `ops.len() + 1`.
-    /// Lets the fast path charge (and roll back) any run of ops with two
-    /// subtractions instead of a loop.
-    cost_prefix: Vec<u64>,
-    /// `cost_prefix[ops.len()]`, inlined in the block header: entries at
+    /// Where the block's accounting, parallel to `ops`, starts in its
+    /// function's [`CompiledFunc::charge`].
+    at: u32,
+    /// Cycles of all of `ops`, inlined in the block header: entries at
     /// `idx == 0` — every transfer except a call resume — charge without
-    /// touching the prefix-sum allocation.
+    /// touching the charge table.
     total_cost: u64,
     /// Ops per opcode class ([`OPCLASS_ORDER`]), terminator excluded: the
     /// fast path's telemetry count for a whole-block entry.
@@ -131,6 +133,22 @@ pub(crate) struct CompiledBlock {
 /// frame).
 pub(crate) struct CompiledFunc {
     blocks: Vec<CompiledBlock>,
+    /// Every op's accounting, block after block.
+    charge: Vec<OpCharge>,
+}
+
+impl CompiledBlock {
+    /// The block's slice of its function's charge table.
+    #[inline]
+    fn charge<'c>(&self, charge: &'c [OpCharge]) -> &'c [OpCharge] {
+        &charge[self.at as usize..][..self.ops.len()]
+    }
+
+    /// Cycles of `ops[..i]`, for `i` up to `ops.len()`.
+    #[inline]
+    fn cost_before(&self, charge: &[OpCharge], i: usize) -> u64 {
+        self.charge(charge).get(i).map_or(self.total_cost, |c| c.before)
+    }
 }
 
 /// A fully compiled module, cached on the [`Image`].
@@ -343,9 +361,10 @@ impl WrapKind {
     }
 }
 
-/// Pre-resolved direct-call target.
+/// Pre-resolved direct-call target. An external's name is read off the
+/// image's module when it runs.
 enum Callee {
-    External { name: String, ret: TypeId },
+    External { fid: FuncId, ret: TypeId },
     Internal(FuncId),
 }
 
@@ -437,51 +456,57 @@ pub(crate) fn compile_module(img: &Image) -> CompiledModule {
         .iter()
         .enumerate()
         .map(|(fi, f)| {
+            let mut charge = Vec::with_capacity(f.inst_count());
             if f.is_external {
-                return CompiledFunc { blocks: Vec::new() };
+                return CompiledFunc { blocks: Vec::new(), charge };
             }
             n_blocks += f.blocks.len() as u64;
-            CompiledFunc {
-                blocks: f
-                    .blocks
-                    .iter()
-                    .enumerate()
-                    .map(|(bi, b)| compile_block(&cx, fi, f, bi, b, &mut sites))
-                    .collect(),
-            }
+            let mut name = None;
+            let mut fsites = FuncSites { fi, name: &mut name, sites: &mut sites };
+            let blocks = (f.blocks.iter().enumerate())
+                .map(|(bi, b)| compile_block(&cx, f, bi, b, &mut fsites, &mut charge))
+                .collect();
+            CompiledFunc { blocks, charge }
         })
         .collect();
     CompiledModule { funcs: Ok(funcs), sites, gaddr, saddr, data_sizes: [goff, soff], n_blocks }
 }
 
-/// Compiles block `bi` of function `fi`, appending its check sites to
-/// `sites`.
+/// Where a function's check sites go: the image's table, under the
+/// function's one shared name.
+struct FuncSites<'s> {
+    fi: usize,
+    name: &'s mut Option<std::sync::Arc<str>>,
+    sites: &'s mut Vec<CheckSite>,
+}
+
+/// Compiles block `bi` of `f`, appending its check sites to `fs` and its
+/// ops' accounting to the function's `charge` table.
 fn compile_block(
     cx: &Cx<'_>,
-    fi: usize,
     f: &Function,
     bi: usize,
     b: &BasicBlock,
-    sites: &mut Vec<CheckSite>,
+    fs: &mut FuncSites<'_>,
+    charge: &mut Vec<OpCharge>,
 ) -> CompiledBlock {
     let mut ops = Vec::with_capacity(b.insts.len());
-    let mut charge = Vec::with_capacity(b.insts.len());
-    let mut cost_prefix = Vec::with_capacity(b.insts.len() + 1);
+    let start = charge.len() as u32;
     let mut total = 0u64;
     let mut class_counts = [0u32; 6];
-    cost_prefix.push(0);
     for (i, node) in b.insts.iter().enumerate() {
         let cost = cx.cost.cost(&node.inst);
+        let before = total;
         total += cost;
-        cost_prefix.push(total);
-        let check = CheckSite::at(sites.len() as u32, fi, f, bi, i, node);
+        let id = fs.sites.len() as u32;
+        let check = CheckSite::at(id, fs.fi, &f.name, fs.name, bi, i, node);
         let site = check.as_ref().map_or(NO_SITE, |c| c.id);
-        sites.extend(check);
+        fs.sites.extend(check);
         let at = CheckAt { site, block: bi as u32, next_idx: i as u32 + 1 };
         ops.push(compile_inst(cx, f, at, &node.inst));
         let class = opcode_class(&node.inst);
         class_counts[class] += 1;
-        charge.push(OpCharge { cost, class, site });
+        charge.push(OpCharge { cost, before, site, class: class as u8 });
     }
     let term = match &b.term {
         Terminator::Br(bb) => CompiledTerm::Br(bb.0),
@@ -496,8 +521,7 @@ fn compile_block(
     };
     CompiledBlock {
         ops,
-        charge,
-        cost_prefix,
+        at: start,
         total_cost: total,
         class_counts,
         term,
@@ -948,7 +972,7 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
             let args: Vec<Slot> = args.iter().map(|a| cx.resolve(a)).collect();
             let cf = cx.m.func(*callee);
             let kind = if cf.is_external {
-                Callee::External { name: cf.name.clone(), ret: cf.sig.ret }
+                Callee::External { fid: *callee, ret: cf.sig.ret }
             } else {
                 Callee::Internal(*callee)
             };
@@ -965,8 +989,9 @@ fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
                     }
                 }
                 let r = match &kind {
-                    Callee::External { name, ret } => {
-                        let v = vm.external_call(name, &argv, *ret);
+                    Callee::External { fid, ret } => {
+                        let img = vm.img;
+                        let v = vm.external_call(&img.module.funcs[fid.0 as usize].name, &argv, *ret);
                         if let (Some(rr), Some(v)) = (result, v) {
                             vm.set(rr, v);
                         }
@@ -1254,7 +1279,7 @@ impl<'img> Vm<'img> {
         let mut idx = fr.idx;
         // The block table changes only when the frame does (a return),
         // so resolve it per function, not per block.
-        let mut fblocks = &code[func].blocks;
+        let (mut fblocks, mut fcharge) = (&code[func].blocks, &code[func].charge[..]);
         let branch_cost = CostModel::for_mechanism(self.img.mechanism).branch;
         // Loop-invariant driver state lives in registers: telemetry
         // tracing, attribution and the recorder cannot toggle mid-run, and
@@ -1289,27 +1314,27 @@ impl<'img> Vm<'img> {
                     + if idx == 0 {
                         cb.total_cost
                     } else {
-                        cb.cost_prefix[n] - cb.cost_prefix[idx]
+                        cb.total_cost - cb.cost_before(fcharge, idx)
                     };
                 if trace {
-                    self.count_classes(cb, idx);
+                    self.count_classes(cb, fcharge, idx);
                 }
                 let mut j = idx;
                 for op in &cb.ops[idx..] {
                     match op(self) {
                         Control::Next => j += 1,
                         Control::Transfer => {
-                            self.rollback_suffix(cb, j, n, branch_cost, trace);
+                            self.rollback_suffix(cb, fcharge, j, n, branch_cost, trace);
                             return Ok(());
                         }
                         Control::Trap(t) => {
-                            self.rollback_suffix(cb, j, n, branch_cost, trace);
+                            self.rollback_suffix(cb, fcharge, j, n, branch_cost, trace);
                             return Err(*t);
                         }
                     }
                 }
             } else {
-                if !self.exec_ops_cold(cb, idx)? {
+                if !self.exec_ops_cold(cb, cb.charge(fcharge), idx)? {
                     return Ok(());
                 }
                 budget = self.fuel.saturating_sub(self.insts);
@@ -1327,7 +1352,7 @@ impl<'img> Vm<'img> {
                     func = fr.func.0 as usize;
                     block = fr.block;
                     idx = fr.idx;
-                    fblocks = &code[func].blocks;
+                    (fblocks, fcharge) = (&code[func].blocks, &code[func].charge[..]);
                     if single_block {
                         return Ok(());
                     }
@@ -1357,16 +1382,17 @@ impl<'img> Vm<'img> {
     fn rollback_suffix(
         &mut self,
         cb: &CompiledBlock,
+        fcharge: &[OpCharge],
         j: usize,
         n: usize,
         branch_cost: u64,
         trace: bool,
     ) {
         self.insts -= (n - (j + 1)) as u64 + 1;
-        self.cycles -= cb.cost_prefix[n] - cb.cost_prefix[j + 1] + branch_cost;
+        self.cycles -= cb.total_cost - cb.cost_before(fcharge, j + 1) + branch_cost;
         if trace {
-            for c in &cb.charge[j + 1..] {
-                self.opclass[c.class] -= 1;
+            for c in &cb.charge(fcharge)[j + 1..] {
+                self.opclass[c.class as usize] -= 1;
             }
             self.opclass[OPCLASS_BRANCH] -= 1;
         }
@@ -1375,14 +1401,14 @@ impl<'img> Vm<'img> {
     /// The fast path's opclass pre-count for ops `idx..` and the
     /// terminator: the block's translated per-class totals on a block
     /// entry, the charge stream's classes on a call resume.
-    fn count_classes(&mut self, cb: &CompiledBlock, idx: usize) {
+    fn count_classes(&mut self, cb: &CompiledBlock, fcharge: &[OpCharge], idx: usize) {
         if idx == 0 {
             for (c, k) in self.opclass.iter_mut().zip(cb.class_counts) {
                 *c += u64::from(k);
             }
         } else {
-            for c in &cb.charge[idx..] {
-                self.opclass[c.class] += 1;
+            for c in &cb.charge(fcharge)[idx..] {
+                self.opclass[c.class as usize] += 1;
             }
         }
         self.opclass[OPCLASS_BRANCH] += 1;
@@ -1396,15 +1422,15 @@ impl<'img> Vm<'img> {
     /// terminator, `false` when an op transferred control out of the
     /// frame.
     #[inline(never)]
-    fn exec_ops(&mut self, cb: &CompiledBlock, idx: usize) -> Result<bool, Trap> {
+    fn exec_ops(&mut self, cb: &CompiledBlock, charge: &[OpCharge], idx: usize) -> Result<bool, Trap> {
         let observed = self.attr.is_some();
-        for (op, charge) in cb.ops[idx..].iter().zip(&cb.charge[idx..]) {
+        for (op, charge) in cb.ops[idx..].iter().zip(&charge[idx..]) {
             if self.insts >= self.fuel {
                 return Err(Trap::FuelExhausted);
             }
             self.insts += 1;
             if self.trace_enabled {
-                self.opclass[charge.class] += 1;
+                self.opclass[charge.class as usize] += 1;
             }
             self.cycles += charge.cost;
             let ctl = if observed { self.exec_op_observed(op, charge) } else { op(self) };
@@ -1422,8 +1448,8 @@ impl<'img> Vm<'img> {
     /// path's code layout treats it as the exception it is.
     #[cold]
     #[inline(never)]
-    fn exec_ops_cold(&mut self, cb: &CompiledBlock, idx: usize) -> Result<bool, Trap> {
-        self.exec_ops(cb, idx)
+    fn exec_ops_cold(&mut self, cb: &CompiledBlock, charge: &[OpCharge], idx: usize) -> Result<bool, Trap> {
+        self.exec_ops(cb, charge, idx)
     }
 
     /// One op with attribution on: the sampler runs after the op's charge

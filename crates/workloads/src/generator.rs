@@ -16,7 +16,7 @@
 //! instrumented and baseline runs must agree and any divergence is a
 //! pipeline bug, not undefined behaviour in the input.
 
-use rsti_frontend::ast::{AstType, BinOpAst, Block, Expr, FieldDecl, Item, Param, Stmt, UnOp};
+use rsti_frontend::ast::{AstType, BinOpAst, Block, Expr, FieldDecl, Item, Name, Param, Stmt, UnOp};
 use rsti_rng::Rng64;
 
 /// Parameters for the grammar-directed AST generator ([`generate_items`]).
@@ -123,7 +123,7 @@ fn ilit(v: i64) -> Expr {
 }
 
 fn evar(n: &str) -> Expr {
-    Expr::Var(n.to_string(), LN)
+    Expr::Var(n.into(), LN)
 }
 
 fn null() -> Expr {
@@ -131,7 +131,7 @@ fn null() -> Expr {
 }
 
 fn bin(op: BinOpAst, lhs: Expr, rhs: Expr) -> Expr {
-    Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs), line: LN }
+    Expr::Binary { op, operands: Box::new((lhs, rhs)), line: LN }
 }
 
 fn un(op: UnOp, e: Expr) -> Expr {
@@ -147,11 +147,11 @@ fn call_via(callee: Expr, args: Vec<Expr>) -> Expr {
 }
 
 fn arrow(base: Expr, field: &str) -> Expr {
-    Expr::Member { base: Box::new(base), field: field.to_string(), arrow: true, line: LN }
+    Expr::Member { base: Box::new(base), field: field.into(), arrow: true, line: LN }
 }
 
 fn dot(base: Expr, field: &str) -> Expr {
-    Expr::Member { base: Box::new(base), field: field.to_string(), arrow: false, line: LN }
+    Expr::Member { base: Box::new(base), field: field.into(), arrow: false, line: LN }
 }
 
 fn idx(base: Expr, index: Expr) -> Expr {
@@ -167,7 +167,7 @@ fn assign(target: Expr, value: Expr) -> Stmt {
 }
 
 fn decl(ty: AstType, name: &str, init: Option<Expr>) -> Stmt {
-    Stmt::Decl { ty, name: name.to_string(), is_const: false, init, line: LN }
+    Stmt::Decl { ty, name: name.into(), is_const: false, init, line: LN }
 }
 
 fn sret(e: Expr) -> Stmt {
@@ -207,21 +207,21 @@ fn counted_for(name: &str, bound: Expr, body: Vec<Stmt>) -> Stmt {
 }
 
 fn param(ty: AstType, name: &str) -> Param {
-    Param { ty, name: name.to_string(), is_const: false, line: LN }
+    Param { ty, name: name.into(), is_const: false, line: LN }
 }
 
 fn field(ty: AstType, name: &str) -> FieldDecl {
-    FieldDecl { ty, name: name.to_string(), is_const: false, line: LN }
+    FieldDecl { ty, name: name.into(), is_const: false, line: LN }
 }
 
 fn global(ty: AstType, name: &str, init: Option<Expr>) -> Item {
-    Item::Global { ty, name: name.to_string(), is_const: false, init, line: LN }
+    Item::Global { ty, name: name.into(), is_const: false, init, line: LN }
 }
 
 fn func(ret: AstType, name: &str, params: Vec<Param>, body: Vec<Stmt>) -> Item {
     Item::Func {
         ret,
-        name: name.to_string(),
+        name: name.into(),
         params,
         body: Some(block(body)),
         is_extern: false,
@@ -230,7 +230,7 @@ fn func(ret: AstType, name: &str, params: Vec<Param>, body: Vec<Stmt>) -> Item {
 }
 
 fn sptr(name: &str) -> AstType {
-    AstType::Struct(name.to_string()).ptr()
+    AstType::Struct(name.into()).ptr()
 }
 
 /// `long (*)(long)` — the hook signature shared by vtable slots, struct
@@ -241,7 +241,7 @@ fn hook_ty() -> AstType {
 
 #[derive(Clone)]
 struct StructShape {
-    name: String,
+    name: Name,
     /// By-value nested field `struct s<j> inner;` (index of an earlier
     /// struct, so sizes stay finite).
     inner: Option<usize>,
@@ -280,7 +280,7 @@ impl AstGen {
                 None
             };
             let has_hook = self.rng.gen_bool(0.6);
-            self.structs.push(StructShape { name: format!("s{k}"), inner, has_hook });
+            self.structs.push(StructShape { name: format!("s{k}").into(), inner, has_hook });
         }
         // The fuzzing plan requires these constructs in *every* program,
         // not just with high probability.
@@ -316,7 +316,7 @@ impl AstGen {
         let fields = (0..self.hooks)
             .map(|j| field(hook_ty(), &format!("h{j}")))
             .collect();
-        Item::Struct { name: "vtbl".to_string(), fields, line: LN }
+        Item::Struct { name: "vtbl".into(), fields, line: LN }
     }
 
     fn hook_item(&mut self, h: u32) -> Item {
@@ -752,7 +752,7 @@ impl AstGen {
             evar("vt"),
             cast(
                 sptr("vtbl"),
-                call("malloc", vec![Expr::Sizeof(AstType::Struct("vtbl".to_string()), LN)]),
+                call("malloc", vec![Expr::Sizeof(AstType::Struct("vtbl".into()), LN)]),
             ),
         ));
         for j in 0..self.hooks {

@@ -30,9 +30,9 @@ fn main() {
         let a = rsti_core::analyze(&module, mech);
         println!("== {mech} ({} RSTI-types) ==", a.classes.len());
         for (i, c) in a.classes.iter().enumerate() {
-            let tys: Vec<String> = c.types.iter().map(|t| module.types.display(*t)).collect();
+            let tys: Vec<String> = a.types(c).iter().map(|t| module.types.display(*t)).collect();
             let members: Vec<&str> =
-                c.members.iter().map(|&v| a.facts.vars[v].name.as_str()).collect();
+                a.members(c).iter().map(|&v| a.facts.vars[v].name.as_str()).collect();
             println!(
                 "  M{} = types[{}] perm {} members {{{}}}",
                 i + 1,
