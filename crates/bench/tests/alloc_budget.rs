@@ -7,10 +7,13 @@
 //! forwards to [`System`] and counts, on the building thread only, every
 //! `alloc`, `alloc_zeroed` and `realloc` call inside each layer. The
 //! program set is fixed (the first programs of a cold-compile pool, drawn
-//! as the benchmark draws them), so the counts are exact and the same on
-//! every machine; a change that
-//! allocates per token, block or function again shows up as a budget
-//! overrun, not as a few percent of wall-clock noise.
+//! as the benchmark draws them), so for one toolchain the counts are exact
+//! and the same on every machine. They also depend on the standard
+//! library (how far `Vec`, `String` and `HashMap` grow, a sort's scratch
+//! buffer), which a new Rust release may change by a few allocations, so
+//! each budget sits 5% above its measured count. A change that allocates
+//! per token, block or function again overruns it by far more than that
+//! (a fresh vector per block in the instrumentation walk alone is +40%).
 //!
 //! Debug builds also run `verify_module` after every pass, which allocates,
 //! so the budgets hold for release builds only:
@@ -72,13 +75,13 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
 const LAYERS: [&str; 4] = ["frontend", "instrument", "optimize", "translate"];
 
 /// Committed mean allocations per build, per layer: the counts measured
-/// when each layer last moved (2,802 / 939 / 488 / 4,092), rounded up.
-/// Before the layers allocated per module they were 5,661 / 2,233 / 3,590
-/// / 5,528: a token, block or function that allocates again shows up
-/// here.
-const BUDGET: [u64; 4] = [2_850, 950, 500, 4_100];
-/// Committed mean allocations per build, all layers (was 17,012).
-const BUDGET_TOTAL: u64 = 8_400;
+/// when each layer last moved (2,802 / 939 / 489 / 4,092) plus 5%, rounded
+/// up. Before the layers allocated per module they were 5,661 / 2,233 /
+/// 3,590 / 5,528.
+const BUDGET: [u64; 4] = [2_950, 990, 520, 4_300];
+/// Committed mean allocations per build, all layers: 8,322 measured plus
+/// 5% (was 17,012).
+const BUDGET_TOTAL: u64 = 8_750;
 
 /// Generated programs in the set.
 const PROGRAMS: u64 = 16;

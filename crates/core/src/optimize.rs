@@ -745,7 +745,7 @@ struct Scratch {
     dom: DomTree,
     forest: LoopForest,
     census: AliasCensus,
-    eng: EngineBufs,
+    eng: EngineTables,
     flow: Flow,
     promote: Promote,
 }
@@ -780,17 +780,26 @@ struct Engine<'a> {
     all_killed_at: u32,
     unpinned_killed_at: u32,
     interiors_killed_at: u32,
+    /// Whether a pair in the block being walked found its key generated
+    /// earlier in the block.
+    block_hit: bool,
+    t: EngineTables,
+}
+
+/// An [`Engine`]'s tables. [`Engine::new`] takes them and resets them, and
+/// the caller takes them back from [`Engine::t`], so one set serves every
+/// function and stage of a module.
+#[derive(Default)]
+struct EngineTables {
     slots: Vec<Slot>,
     /// Slot id per value id and per global id.
     value_slot: Vec<u32>,
     global_slot: Vec<u32>,
     keys: Vec<FactKey>,
-    /// Keys generated, and slots first killed, by the block being walked;
-    /// whether a pair there found its key generated earlier in the block,
-    /// and the keys pairs found only if the entry has them.
+    /// Keys generated, and slots first killed, by the block being walked,
+    /// and the keys pairs there found only if the entry has them.
     block_gens: Vec<u32>,
     block_kills: Vec<u32>,
-    block_hit: bool,
     block_asked: Vec<u32>,
     /// At [`Elision::Ipo`], per value id: the sign defining it, as (clock
     /// reading of its block's walk, input, key, modifier).
@@ -800,21 +809,23 @@ struct Engine<'a> {
     fact_block: Vec<BlockId>,
 }
 
-/// An [`Engine`]'s tables between runs: [`Engine::new`] takes them
-/// emptied and [`Engine::into_bufs`] gives them back, so one set serves
-/// every function and stage of a module.
-#[derive(Default)]
-struct EngineBufs {
-    slots: Vec<Slot>,
-    value_slot: Vec<u32>,
-    global_slot: Vec<u32>,
-    keys: Vec<FactKey>,
-    block_gens: Vec<u32>,
-    block_kills: Vec<u32>,
-    block_asked: Vec<u32>,
-    signs: Vec<(u32, ValueId, PacKey, u64)>,
-    fact_value: Vec<ValueId>,
-    fact_block: Vec<BlockId>,
+impl EngineTables {
+    /// Empties every table for a function of `values` value ids.
+    fn reset(&mut self, values: usize, ipo: bool) {
+        self.slots.clear();
+        refill(&mut self.value_slot, values, NIL);
+        self.global_slot.clear();
+        self.keys.clear();
+        self.block_gens.clear();
+        self.block_kills.clear();
+        self.block_asked.clear();
+        self.signs.clear();
+        if ipo {
+            self.signs.resize(values, (0, ValueId(0), PacKey::Da, 0));
+        }
+        self.fact_value.clear();
+        self.fact_block.clear();
+    }
 }
 
 impl<'a> Engine<'a> {
@@ -822,34 +833,9 @@ impl<'a> Engine<'a> {
         census: &'a AliasCensus,
         stage: Elision<'a>,
         values: usize,
-        bufs: EngineBufs,
+        mut t: EngineTables,
     ) -> Engine<'a> {
-        let EngineBufs {
-            mut slots,
-            mut value_slot,
-            mut global_slot,
-            mut keys,
-            mut block_gens,
-            mut block_kills,
-            mut block_asked,
-            mut signs,
-            mut fact_value,
-            mut fact_block,
-        } = bufs;
-        slots.clear();
-        value_slot.clear();
-        value_slot.resize(values, NIL);
-        global_slot.clear();
-        keys.clear();
-        block_gens.clear();
-        block_kills.clear();
-        block_asked.clear();
-        signs.clear();
-        if matches!(stage, Elision::Ipo(_)) {
-            signs.resize(values, (0, ValueId(0), PacKey::Da, 0));
-        }
-        fact_value.clear();
-        fact_block.clear();
+        t.reset(values, matches!(stage, Elision::Ipo(_)));
         Engine {
             census,
             stage,
@@ -858,46 +844,8 @@ impl<'a> Engine<'a> {
             all_killed_at: 0,
             unpinned_killed_at: 0,
             interiors_killed_at: 0,
-            slots,
-            value_slot,
-            global_slot,
-            keys,
-            block_gens,
             block_hit: false,
-            block_asked,
-            block_kills,
-            signs,
-            fact_value,
-            fact_block,
-        }
-    }
-
-    /// The engine's tables, for the next [`Engine::new`].
-    fn into_bufs(self) -> EngineBufs {
-        let Engine {
-            slots,
-            value_slot,
-            global_slot,
-            keys,
-            block_gens,
-            block_kills,
-            block_asked,
-            signs,
-            fact_value,
-            fact_block,
-            ..
-        } = self;
-        EngineBufs {
-            slots,
-            value_slot,
-            global_slot,
-            keys,
-            block_gens,
-            block_kills,
-            block_asked,
-            signs,
-            fact_value,
-            fact_block,
+            t,
         }
     }
 
@@ -907,15 +855,15 @@ impl<'a> Engine<'a> {
             SlotKey::Global(_) => (false, false),
         };
         let (table, i) = match key {
-            SlotKey::Value(v) => (&mut self.value_slot, v.0 as usize),
-            SlotKey::Global(g) => (&mut self.global_slot, g as usize),
+            SlotKey::Value(v) => (&mut self.t.value_slot, v.0 as usize),
+            SlotKey::Global(g) => (&mut self.t.global_slot, g as usize),
         };
         if i >= table.len() {
             table.resize(i + 1, NIL);
         }
         if table[i] == NIL {
-            table[i] = self.slots.len() as u32;
-            self.slots.push(Slot {
+            table[i] = self.t.slots.len() as u32;
+            self.t.slots.push(Slot {
                 pinned,
                 interior,
                 killed_at: 0,
@@ -926,32 +874,32 @@ impl<'a> Engine<'a> {
     }
 
     fn fact_key(&mut self, slot: u32, modifier: u64, key: PacKey) -> u32 {
-        let mut k = self.slots[slot as usize].keys;
+        let mut k = self.t.slots[slot as usize].keys;
         while k != NIL {
-            let fk = &self.keys[k as usize];
+            let fk = &self.t.keys[k as usize];
             if fk.modifier == modifier && fk.key == key {
                 return k;
             }
             k = fk.next;
         }
-        let id = self.keys.len() as u32;
-        self.keys.push(FactKey {
+        let id = self.t.keys.len() as u32;
+        self.t.keys.push(FactKey {
             slot,
             modifier,
             key,
-            next: self.slots[slot as usize].keys,
+            next: self.t.slots[slot as usize].keys,
             facts: (0, 0),
             gen_at: 0,
             gen_value: ValueId(0),
             gen_if_absent: false,
         });
-        self.slots[slot as usize].keys = id;
+        self.t.slots[slot as usize].keys = id;
         id
     }
 
     /// Whether a kill after clock reading `t` reached `slot`.
     fn killed_since(&self, slot: u32, t: u32) -> bool {
-        let s = &self.slots[slot as usize];
+        let s = &self.t.slots[slot as usize];
         self.all_killed_at > t
             || s.killed_at > t
             || (self.unpinned_killed_at > t && !s.pinned)
@@ -960,9 +908,9 @@ impl<'a> Engine<'a> {
 
     fn kill_slot(&mut self, key: SlotKey) {
         let id = self.slot(key);
-        let s = &mut self.slots[id as usize];
+        let s = &mut self.t.slots[id as usize];
         if s.killed_at <= self.block_start {
-            self.block_kills.push(id);
+            self.t.block_kills.push(id);
         }
         s.killed_at = self.clock;
     }
@@ -992,21 +940,21 @@ impl<'a> Engine<'a> {
     }
 
     fn generate(&mut self, k: u32, value: ValueId, if_absent: bool) {
-        let fk = &mut self.keys[k as usize];
+        let fk = &mut self.t.keys[k as usize];
         fk.gen_at = self.clock;
         fk.gen_value = value;
         fk.gen_if_absent = if_absent;
-        self.block_gens.push(k);
+        self.t.block_gens.push(k);
     }
 
     /// Whether the walked block's generation of `k` is still available.
     fn generated_here(&self, k: u32) -> bool {
-        let fk = &self.keys[k as usize];
+        let fk = &self.t.keys[k as usize];
         fk.gen_at > self.block_start && !self.killed_since(fk.slot, fk.gen_at)
     }
 
     fn available(&self, k: u32, b: BlockId, entry: Option<&[u64]>) -> Avail {
-        let fk = &self.keys[k as usize];
+        let fk = &self.t.keys[k as usize];
         if self.generated_here(k) {
             return Avail::Here(fk.gen_value, b);
         }
@@ -1017,7 +965,7 @@ impl<'a> Engine<'a> {
             return Avail::IfEntryHas;
         };
         match first_in(entry, fk.facts) {
-            Some(f) => Avail::Here(self.fact_value[f as usize], self.fact_block[f as usize]),
+            Some(f) => Avail::Here(self.t.fact_value[f as usize], self.t.fact_block[f as usize]),
             None => Avail::Absent,
         }
     }
@@ -1057,10 +1005,10 @@ impl<'a> Engine<'a> {
         let forward = matches!(self.stage, Elision::Ipo(_));
         self.clock += 1;
         self.block_start = self.clock;
-        self.block_gens.clear();
-        self.block_kills.clear();
+        self.t.block_gens.clear();
+        self.t.block_kills.clear();
         self.block_hit = false;
-        self.block_asked.clear();
+        self.t.block_asked.clear();
         let mut elided = 0;
         for i in 0..blk.insts.len() {
             self.clock += 1;
@@ -1098,7 +1046,7 @@ impl<'a> Engine<'a> {
                     }
                     Avail::Absent => self.generate(k, auth_result, false),
                     Avail::IfEntryHas => {
-                        self.block_asked.push(k);
+                        self.t.block_asked.push(k);
                         self.generate(k, auth_result, true);
                     }
                 }
@@ -1113,7 +1061,7 @@ impl<'a> Engine<'a> {
                     ..
                 } = &blk.insts[i].inst
                 {
-                    if let Some(e) = self.signs.get_mut(result.0 as usize) {
+                    if let Some(e) = self.t.signs.get_mut(result.0 as usize) {
                         *e = (self.block_start, *v, *key, *modifier);
                     }
                 }
@@ -1131,7 +1079,7 @@ impl<'a> Engine<'a> {
                 } = &blk.insts[i].inst
                 {
                     if let (Some(&(at, orig, key, modifier)), Some(slot)) =
-                        (self.signs.get(sv.0 as usize), slot_key(ptr))
+                        (self.t.signs.get(sv.0 as usize), slot_key(ptr))
                     {
                         if at == self.block_start {
                             self.clock += 1;
@@ -1160,20 +1108,20 @@ impl<'a> Engine<'a> {
             }
         }
         let killed_from = sums.killed.len() as u32;
-        sums.killed.extend_from_slice(&self.block_kills);
+        sums.killed.extend_from_slice(&self.t.block_kills);
         let killed = (killed_from, sums.killed.len() as u32);
         let start = sums.gens.len() as u32;
-        for i in 0..self.block_gens.len() {
-            let k = self.block_gens[i];
+        for i in 0..self.t.block_gens.len() {
+            let k = self.t.block_gens[i];
             if self.generated_here(k) {
-                let fk = &mut self.keys[k as usize];
+                let fk = &mut self.t.keys[k as usize];
                 sums.gens.push((k, fk.gen_value, fk.gen_if_absent));
                 fk.gen_at = 0; // listed once
             }
         }
         let gens = (start, sums.gens.len() as u32);
         let asked_from = sums.asked.len() as u32;
-        sums.asked.extend_from_slice(&self.block_asked);
+        sums.asked.extend_from_slice(&self.t.block_asked);
         let asked = (asked_from, sums.asked.len() as u32);
         sums.blocks.push(BlockSummary {
             classes,
@@ -1195,35 +1143,35 @@ impl<'a> Engine<'a> {
         cursor: &mut Vec<u32>,
     ) -> usize {
         for &(k, _, _) in &sums.gens {
-            self.keys[k as usize].facts.1 += 1;
+            self.t.keys[k as usize].facts.1 += 1;
         }
         let mut next = 0u32;
         slot_facts.clear();
-        slot_facts.resize(self.slots.len(), (0, 0));
+        slot_facts.resize(self.t.slots.len(), (0, 0));
         for (s, range) in slot_facts.iter_mut().enumerate() {
             range.0 = next;
-            let mut k = self.slots[s].keys;
+            let mut k = self.t.slots[s].keys;
             while k != NIL {
-                let fk = &mut self.keys[k as usize];
+                let fk = &mut self.t.keys[k as usize];
                 fk.facts = (next, next + fk.facts.1);
                 next = fk.facts.1;
                 k = fk.next;
             }
             range.1 = next;
         }
-        self.fact_value.clear();
-        self.fact_value.resize(next as usize, ValueId(0));
-        self.fact_block.clear();
-        self.fact_block.resize(next as usize, BlockId(0));
+        self.t.fact_value.clear();
+        self.t.fact_value.resize(next as usize, ValueId(0));
+        self.t.fact_block.clear();
+        self.t.fact_block.resize(next as usize, BlockId(0));
         cursor.clear();
-        cursor.extend(self.keys.iter().map(|fk| fk.facts.0));
+        cursor.extend(self.t.keys.iter().map(|fk| fk.facts.0));
         sums.gen_fact.clear();
         for (bs, &b) in sums.blocks.iter().zip(order) {
             for &(k, value, _) in &sums.gens[bs.gens.0 as usize..bs.gens.1 as usize] {
                 let f = cursor[k as usize];
                 cursor[k as usize] += 1;
-                self.fact_value[f as usize] = value;
-                self.fact_block[f as usize] = b;
+                self.t.fact_value[f as usize] = value;
+                self.t.fact_block[f as usize] = b;
                 sums.gen_fact.push(f);
             }
         }
@@ -1280,13 +1228,13 @@ fn elide_with(m: &mut Module, stage: Elision<'_>, sc: &mut Scratch) -> usize {
         if let Elision::Block = stage {
             // The block kill rule never consults the census.
             let census = AliasCensus::default();
-            let bufs = std::mem::take(&mut sc.eng);
-            let mut eng = Engine::new(&census, stage, f.value_types.len(), bufs);
+            let t = std::mem::take(&mut sc.eng);
+            let mut eng = Engine::new(&census, stage, f.value_types.len(), t);
             let rw = Rewrite { types: &f.value_types, dom: None };
             for (bi, blk) in f.blocks.iter_mut().enumerate() {
                 elided += eng.walk(blk, BlockId(bi as u32), Some(&[][..]), Some(&rw));
             }
-            sc.eng = eng.into_bufs();
+            sc.eng = eng.t;
             continue;
         }
         sc.cfg.recompute(f);
@@ -1300,7 +1248,7 @@ fn elide_with(m: &mut Module, stage: Elision<'_>, sc: &mut Scratch) -> usize {
 /// The CFG-scoped engine over one function, given its CFG, dominator tree
 /// and alias census in `sc`.
 fn elide_in_function(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision<'_>) -> usize {
-    let Scratch { cfg, dom, census, eng: bufs, flow, .. } = sc;
+    let Scratch { cfg, dom, census, eng: tables, flow, .. } = sc;
     let Flow {
         sums,
         slot_facts,
@@ -1314,7 +1262,7 @@ fn elide_in_function(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision
         entry,
         next,
     } = flow;
-    let mut eng = Engine::new(census, stage, f.value_types.len(), std::mem::take(bufs));
+    let mut eng = Engine::new(census, stage, f.value_types.len(), std::mem::take(tables));
 
     // 1. One summary walk per reachable block.
     sums.clear();
@@ -1328,7 +1276,7 @@ fn elide_in_function(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision
     // generates unconditionally.
     let class_mask = |mask: &mut Vec<u64>, pick: fn(&Slot) -> bool| {
         refill(mask, words, 0);
-        for (s, &range) in eng.slots.iter().zip(slot_facts.iter()) {
+        for (s, &range) in eng.t.slots.iter().zip(slot_facts.iter()) {
             if pick(s) {
                 set_bits(mask, range, true);
             }
@@ -1407,7 +1355,7 @@ fn elide_in_function(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision
             }
             for g in bs.gens.0 as usize..bs.gens.1 as usize {
                 let (k, _, if_absent) = sums.gens[g];
-                if if_absent && first_in(entry, eng.keys[k as usize].facts).is_none() {
+                if if_absent && first_in(entry, eng.t.keys[k as usize].facts).is_none() {
                     set_bits(next, (sums.gen_fact[g], sums.gen_fact[g] + 1), true);
                 }
             }
@@ -1433,12 +1381,12 @@ fn elide_in_function(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision
         if !bs.hit && asked.is_empty() || !meet(out, computed, b, entry) {
             continue;
         }
-        let entry_has = |&k: &u32| first_in(entry, eng.keys[k as usize].facts).is_some();
+        let entry_has = |&k: &u32| first_in(entry, eng.t.keys[k as usize].facts).is_some();
         if bs.hit || asked.iter().any(entry_has) {
             elided += eng.walk(&mut f.blocks[b.0 as usize], b, Some(entry), Some(&rw));
         }
     }
-    *bufs = eng.into_bufs();
+    *tables = eng.t;
     elided
 }
 
@@ -1521,7 +1469,7 @@ fn hoist_loop_auths(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision<
             from = li;
         }
     }
-    *eng = kills.into_bufs();
+    *eng = kills.t;
     hoisted
 }
 
@@ -1547,7 +1495,10 @@ fn cfg_stages(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision<'_>) -
     let forest = &sc.forest;
     let loops = !forest.irreducible && forest.loops.iter().any(|l| l.header != BlockId(0));
     if loops {
-        rsti_ir::insert_preheaders_in_place(f, &mut sc.cfg, &mut sc.dom, &mut sc.forest);
+        rsti_ir::insert_preheaders(f, &sc.forest);
+        sc.cfg.recompute(f);
+        sc.dom.recompute(&sc.cfg);
+        sc.forest.recompute(&sc.cfg, &sc.dom);
     }
     sc.census.recompute(f);
     let hoisted = if loops { hoist_loop_auths(f, sc, stage) } else { 0 };

@@ -94,41 +94,6 @@ impl Cfg {
         }
     }
 
-    /// Updates the graph for preheaders `(header, preheader)` just appended
-    /// to `f` by [`crate::insert_preheaders`]: the edge lists are refilled
-    /// from `f`, and the reverse-postorder gains each preheader right
-    /// before its header — the depth-first search reaches a header first
-    /// through an entry edge, which now passes its preheader. A preheader
-    /// in front of the entry block has no predecessor and stays
-    /// unreachable.
-    pub(crate) fn add_preheaders(&mut self, f: &Function, pairs: &[(BlockId, BlockId)]) {
-        let n = f.blocks.len();
-        self.fill_edges(f);
-        // Preheader per header; the old order is rewritten back to front.
-        let preheader = |h: BlockId| {
-            let at = pairs.partition_point(|&(ph, _)| ph < h);
-            pairs.get(at).filter(|&&(ph, _)| ph == h && h != BlockId(0)).map(|&(_, p)| p)
-        };
-        let extra = pairs.iter().filter(|&&(h, _)| h != BlockId(0)).count();
-        let old = self.rpo.len();
-        self.rpo.resize(old + extra, BlockId(0));
-        let mut to = self.rpo.len();
-        for from in (0..old).rev() {
-            let b = self.rpo[from];
-            to -= 1;
-            self.rpo[to] = b;
-            if let Some(p) = preheader(b) {
-                to -= 1;
-                self.rpo[to] = p;
-            }
-        }
-        self.rpo_index.clear();
-        self.rpo_index.resize(n, None);
-        for (i, &b) in self.rpo.iter().enumerate() {
-            self.rpo_index[b.0 as usize] = Some(i as u32);
-        }
-    }
-
     /// Fills the successor lists from `f`'s terminators, then the
     /// predecessor lists from them: in block order, each predecessor once
     /// (both arms of a `CondBr` can name one block).
@@ -188,16 +153,6 @@ impl Cfg {
         if n > 0 {
             self.pred_at[0] = 0;
         }
-    }
-
-    /// Whether `other` describes the same graph (scratch buffers aside).
-    pub(crate) fn same_graph(&self, other: &Cfg) -> bool {
-        self.succ_at == other.succ_at
-            && self.succ_list == other.succ_list
-            && self.pred_at == other.pred_at
-            && self.pred_list == other.pred_list
-            && self.rpo == other.rpo
-            && self.rpo_index == other.rpo_index
     }
 
     /// Successors of `b`, in terminator branch order. A block targeted by

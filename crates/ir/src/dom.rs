@@ -22,7 +22,7 @@ use crate::cfg::Cfg;
 use crate::function::BlockId;
 
 /// The dominator tree of one function, derived from its [`Cfg`].
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct DomTree {
     /// `idom[b]` — immediate dominator of block `b`. The entry block is its
     /// own idom (the CHK convention); unreachable blocks have `None`.
@@ -75,22 +75,6 @@ impl DomTree {
                         changed = true;
                     }
                 }
-            }
-        }
-    }
-
-    /// Updates the tree for preheaders `(header, preheader)` just inserted
-    /// in front of their headers ([`crate::insert_preheaders`]), given the
-    /// updated `cfg`: a reachable preheader takes over its header's
-    /// immediate dominator and becomes the header's; one in front of the
-    /// entry block is unreachable.
-    pub(crate) fn add_preheaders(&mut self, cfg: &Cfg, pairs: &[(BlockId, BlockId)]) {
-        self.rpo_index.clone_from(&cfg.rpo_index);
-        self.idom.resize(cfg.len(), None);
-        for &(h, p) in pairs {
-            if cfg.is_reachable(p) {
-                self.idom[p.0 as usize] = self.idom[h.0 as usize];
-                self.idom[h.0 as usize] = Some(p);
             }
         }
     }

@@ -55,7 +55,7 @@ pub use debug::{DebugLoc, Scope, VarId, VarInfo, VarKind};
 pub use dom::DomTree;
 pub use function::{BasicBlock, BlockId, Function, InstNode, ValueId};
 pub use inst::{BinOp, CmpOp, Inst, Operand, PacKey, PacSite, Terminator};
-pub use loops::{insert_preheaders, insert_preheaders_in_place, LoopForest, NaturalLoop};
+pub use loops::{insert_preheaders, LoopForest, NaturalLoop};
 pub use module::{FuncId, GlobalDef, GlobalId, GlobalInit, Module, StrId, GLOBAL_SEG_BASE};
 pub use printer::{print_function, print_inst, print_module};
 pub use types::{FieldDef, FuncSig, StructDef, StructId, Type, TypeId, TypeLayout, TypeTable};

@@ -89,11 +89,6 @@ impl LoopForest {
         forest
     }
 
-    /// Whether `other` holds the same loops (scratch buffers aside).
-    pub(crate) fn same_loops(&self, other: &LoopForest) -> bool {
-        self.loops == other.loops && self.irreducible == other.irreducible
-    }
-
     /// Makes this the loop forest for `cfg` and `dom`, reusing its buffers.
     pub fn recompute(&mut self, cfg: &Cfg, dom: &DomTree) {
         for mut l in self.loops.drain(..) {
@@ -178,39 +173,6 @@ impl LoopForest {
         }
     }
 
-    /// Updates the forest for preheaders `(header, preheader)` just
-    /// inserted ([`insert_preheaders`]), given the updated `cfg`: each
-    /// reachable preheader joins every loop that holds its header, its own
-    /// excepted. Headers, latches and depths do not change.
-    fn add_preheaders(&mut self, cfg: &Cfg, pairs: &[(BlockId, BlockId)]) {
-        for i in 0..self.loops.len() {
-            for &(h, p) in pairs {
-                let l = &self.loops[i];
-                if h != l.header && cfg.is_reachable(p) && l.contains(h) {
-                    // Preheaders come after every old block, in order.
-                    self.loops[i].blocks.push(p);
-                }
-            }
-        }
-    }
-}
-
-/// [`insert_preheaders`], with `cfg`, `dom` and `forest` — the function's
-/// analyses before the insertion — updated in place to describe the new
-/// shape, as recomputing them would.
-pub fn insert_preheaders_in_place(
-    f: &mut Function,
-    cfg: &mut Cfg,
-    dom: &mut DomTree,
-    forest: &mut LoopForest,
-) {
-    let pairs = insert_preheaders(f, forest);
-    cfg.add_preheaders(f, &pairs);
-    dom.add_preheaders(cfg, &pairs);
-    forest.add_preheaders(cfg, &pairs);
-    debug_assert!(cfg.same_graph(&Cfg::new(f)), "preheader CFG update");
-    debug_assert!(*dom == DomTree::new(cfg), "preheader dominator update");
-    debug_assert!(forest.same_loops(&LoopForest::new(cfg, dom)), "preheader loop update");
 }
 
 /// Gives every loop header a dedicated *preheader*: a fresh block appended

@@ -951,28 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn a_char_literal_cut_off_at_eof_is_a_compile_error_and_the_next_line_is_answered() {
-        let server = Server::new(ServeConfig { workers: 2, ..ServeConfig::default() });
-        let input = format!(
-            "{}\n{}\n",
-            request_line("int main() { char c = '\\n", "stwc", "cfg", "compiled", "pac"),
-            request_line("int main() { return 3; }", "stwc", "cfg", "compiled", "pac")
-        );
-        let mut out = Vec::new();
-        serve_lines(&server, input.as_bytes(), &mut out).unwrap();
-        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
-        assert_eq!(lines.len(), 2, "{lines:?}");
-        assert!(
-            lines[0].contains("\"ok\":false") && lines[0].contains("unterminated char literal"),
-            "{}",
-            lines[0]
-        );
-        assert!(!lines[0].contains("panic"), "{}", lines[0]);
-        assert!(lines[1].contains("\"status\":\"exit 3\""), "{}", lines[1]);
-        assert_eq!(server.metrics().panics(), 0);
-    }
-
-    #[test]
     fn a_non_utf8_line_is_an_error_and_the_session_goes_on() {
         let server = Server::new(ServeConfig { workers: 1, ..ServeConfig::default() });
         let input = b"{\"cmd\":\"stats\"}\n\xff\xfe{\"cmd\":\"stats\"}\r\n{\"cmd\":\"stats\"}\n";
