@@ -332,7 +332,7 @@ usage:
   {\"id\":1,\"cmd\":\"run\",\"source\":\"int main() { return 0; }\",
   \"mech\":\"stwc\",\"opt\":\"cfg\",\"exec\":\"compiled\",\"enforce\":\"pac\"})
   and answers one JSON line per request, in input order, on stdout.
-  Instrumented modules (and their compiled closures) are cached in an LRU
+  Instrumented modules (and their translated ops) are cached in an LRU
   keyed by hash(source, mech, opt, enforce), shared by --workers
   threads; cmd is run|compile|profile|explain|stats|shutdown, and source
   may be replaced by a workload name (\"workload\":\"numeric sort\").
@@ -886,6 +886,29 @@ mod tests {
         let (code, out) = run_cli(&["run".into(), f]);
         assert_eq!(code, 1, "{out}");
         assert_eq!(out, "error: line 1: unterminated char literal\n");
+    }
+
+    /// A struct copy (assignment, through pointers, a by-value return or
+    /// parameter) is one compile error at its line: the VM moves scalars
+    /// only, so such a program used to compile and then trap on every
+    /// run, `--mech none` included.
+    #[test]
+    fn struct_copies_are_one_compile_error() {
+        let decls = "struct S { long a; long b; };\nstruct S g;\n";
+        for (name, body) in [
+            ("rsti_cli_struct_assign.mc", "int main() {\n struct S b;\n b = g;\n return 0;\n}"),
+            (
+                "rsti_cli_struct_deref.mc",
+                "int main() {\n struct S* p = &g;\n *p = *p;\n return 0;\n}",
+            ),
+            ("rsti_cli_struct_return.mc", "int main() { return 0; }\nstruct S f() {\n return g;\n}"),
+            ("rsti_cli_struct_param.mc", "int main() { return 0; }\nint f(long x,\n struct S s) {\n return 0;\n}"),
+        ] {
+            let f = write_temp(name, &format!("{decls}{body}"));
+            let (code, out) = run_cli(&["run".into(), f, "--mech".into(), "none".into()]);
+            assert_eq!(code, 1, "{name}: {out}");
+            assert_eq!(out, "error: line 5: cannot copy `struct S` by value; copy its fields\n");
+        }
     }
 
     #[test]

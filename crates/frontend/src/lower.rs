@@ -346,6 +346,7 @@ impl<'a> Lower<'a> {
                 line: p.line,
             });
             fl.b.set_param_var(i, var);
+            fl.no_struct_copy(ty, p.line)?;
             let slot = fl.b.alloca(ty, Some(var));
             let pv = fl.b.param(i);
             fl.b.store(pv, slot);
@@ -417,10 +418,29 @@ impl<'a> FnLower<'_, 'a> {
         })
     }
 
+    /// The rvalue load of a `ty` from `ptr`.
+    fn load(&mut self, ptr: Operand, ty: TypeId, line: u32) -> Result<TV, CompileError> {
+        self.no_struct_copy(ty, line)?;
+        let v = self.b.load(ptr, ty);
+        Ok(TV { op: v.into(), ty })
+    }
+
+    /// Rejects a struct used as a value: the VM moves scalars only, so a
+    /// struct is read and written through its fields, and copying one
+    /// (assignment, a by-value argument or return) is a compile error.
+    fn no_struct_copy(&self, ty: TypeId, line: u32) -> Result<(), CompileError> {
+        if !matches!(self.b.module.types.get(ty), Type::Struct(_)) {
+            return Ok(());
+        }
+        let t = self.b.module.types.display(ty);
+        Err(CompileError::new(line, format!("cannot copy `{t}` by value; copy its fields")))
+    }
+
     /// Converts `tv` to `want`, inserting `Convert` for numerics and
     /// `BitCast` for pointer/pointer (the implicit conversions Clang
     /// materialises in IR).
     fn coerce(&mut self, tv: TV, want: TypeId, line: u32) -> Result<Operand, CompileError> {
+        self.no_struct_copy(want, line)?;
         if tv.ty == want {
             return Ok(tv.op);
         }
@@ -809,8 +829,7 @@ impl<'a> FnLower<'_, 'a> {
                         let cast = self.b.bitcast(pa, pty);
                         return Ok(TV { op: cast.into(), ty: pty });
                     }
-                    let v = self.b.load(slot, ty);
-                    return Ok(TV { op: v.into(), ty });
+                    return self.load(slot.into(), ty, *line);
                 }
                 if let Some(&(gid, ty, _)) = self.env.globals.get(&**name) {
                     let pty = self.b.module.types.ptr(ty);
@@ -822,8 +841,7 @@ impl<'a> FnLower<'_, 'a> {
                         let cast = self.b.bitcast(pa, ety);
                         return Ok(TV { op: cast.into(), ty: ety });
                     }
-                    let v = self.b.load(Operand::GlobalAddr(gid, pty), ty);
-                    return Ok(TV { op: v.into(), ty });
+                    return self.load(Operand::GlobalAddr(gid, pty), ty, *line);
                 }
                 if let Some(&fid) = self.env.funcs.get(&**name) {
                     let sig = self.b.module.funcs[fid.0 as usize].sig.clone();
@@ -838,8 +856,7 @@ impl<'a> FnLower<'_, 'a> {
             Expr::Call { callee, args, line } => self.call(callee, args, *line),
             Expr::Member { .. } | Expr::Index { .. } => {
                 let lv = self.lvalue(e)?;
-                let v = self.b.load(lv.addr, lv.ty);
-                Ok(TV { op: v.into(), ty: lv.ty })
+                self.load(lv.addr, lv.ty, e.line())
             }
             Expr::Cast { ty, expr, line } => {
                 let tv = self.expr(expr)?;
@@ -905,8 +922,7 @@ impl<'a> FnLower<'_, 'a> {
                 if pointee == self.b.module.types.void() {
                     return Err(CompileError::new(line, "dereference of void*"));
                 }
-                let v = self.b.load(tv.op, pointee);
-                Ok(TV { op: v.into(), ty: pointee })
+                self.load(tv.op, pointee, line)
             }
             UnOp::AddrOf => {
                 // &func yields the function pointer itself.

@@ -331,6 +331,14 @@ impl Ctx<'_> {
         });
     }
 
+    /// Loads and stores move scalars only: a struct is accessed through
+    /// its fields (the frontend rejects struct copies).
+    fn expect_scalar(&mut self, what: &str, t: TypeId) {
+        if let Type::Struct(_) = self.m.types.get(t) {
+            self.err(format!("{what} of struct type {}", self.m.types.display(t)));
+        }
+    }
+
     fn operand_type(&self, op: &Operand) -> TypeId {
         match op {
             Operand::Value(v) => self.f.value_type(*v),
@@ -427,12 +435,14 @@ fn verify_inst(ctx: &mut Ctx<'_>, inst: &Inst) {
             }
             let rt = ctx.f.value_type(*result);
             ctx.expect_compatible("load result register", *ty, rt);
+            ctx.expect_scalar("load", *ty);
         }
         Inst::Store { value, ptr } => {
             let vt = ctx.operand_type(value);
             if let Some(pointee) = ctx.expect_ptr_op("store pointer", ptr) {
                 ctx.expect_compatible("store value", pointee, vt);
             }
+            ctx.expect_scalar("store", vt);
         }
         Inst::FieldAddr { base, .. } => {
             ctx.expect_ptr_op("fieldaddr base", base);
@@ -526,7 +536,7 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::inst::BinOp;
-    use crate::types::FuncSig;
+    use crate::types::{FieldDef, FuncSig, StructDef};
 
     #[test]
     fn valid_module_passes() {
@@ -555,6 +565,26 @@ mod tests {
         b.finish();
         let errs = verify_module(&m).unwrap_err();
         assert!(errs.iter().any(|e| e.msg.contains("store value")), "{errs:?}");
+    }
+
+    #[test]
+    fn struct_load_and_store_caught() {
+        let mut m = Module::new("t");
+        let i32t = m.types.i32();
+        let sid = m.types.declare_struct(StructDef {
+            name: "pair".into(),
+            fields: vec![FieldDef { name: "a".into(), ty: i32t, is_const: false }],
+        });
+        let st = m.types.intern(Type::Struct(sid));
+        let fid = m.declare_func("f", FuncSig::new(i32t, vec![]), false);
+        let mut b = FunctionBuilder::new(&mut m, fid);
+        let (x, y) = (b.alloca(st, None), b.alloca(st, None));
+        let v = b.load(x, st);
+        b.store(v, y);
+        b.ret(Some(Operand::ConstInt(0, i32t)));
+        b.finish();
+        let msgs: Vec<String> = verify_module(&m).unwrap_err().into_iter().map(|e| e.msg).collect();
+        assert_eq!(msgs, ["load of struct type struct pair", "store of struct type struct pair"]);
     }
 
     #[test]

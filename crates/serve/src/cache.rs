@@ -2,7 +2,7 @@
 //!
 //! Entries are `Arc`ed [`Image`]s keyed by the 128-bit content hash from
 //! [`crate::proto::cache_key`]. The image inside an entry carries its
-//! translation, so a hit reuses the compiled block closures as well —
+//! translation, so a hit reuses the translated ops as well —
 //! a warm request touches no frontend, lowering, instrumentation,
 //! optimization, or translation code at all.
 //!

@@ -11,7 +11,7 @@
 //! across a pool of VM workers. A cache hit touches none of the pipeline:
 //! the per-phase latency histograms in [`ServeMetrics`] record zero new
 //! frontend/instrument/optimize/translate samples for warm requests, and
-//! the image's translation (its compiled block closures) is reused
+//! the image's translation (its ops) is reused
 //! as-is, whichever accounting mode (`exec`) a request asks for: clones
 //! of an image share it.
 //!
@@ -79,7 +79,7 @@ pub enum ServePhase {
     Instrument,
     /// The optimizer at the requested level (the baseline's too).
     Optimize,
-    /// Closure translation (cached on the image; both accounting modes
+    /// Op translation (cached on the image; both accounting modes
     /// run it).
     Translate,
     /// VM execution.
@@ -875,7 +875,7 @@ mod tests {
             assert!(resp.contains("\"cache\":\"hit\""), "{cmd} must hit: {resp}");
             assert!(resp.contains("\"ok\":true"), "{resp}");
         }
-        // No new translate samples: the closures were reused.
+        // No new translate samples: the ops were reused.
         assert_eq!(server.metrics().phase_count(ServePhase::Translate), 1);
         assert_eq!(server.metrics().hits(), 2);
     }

@@ -151,7 +151,7 @@ impl Request {
 /// collide. The accounting mode (`exec`) and the `record` flag are
 /// deliberately **not** part of the key: both accounting modes run one
 /// translation, and each is applied to a cheap [`rsti_vm::Image`] clone
-/// at run time that still shares the compiled block closures.
+/// at run time that still shares the translated ops.
 pub fn cache_key(source: &str, mech: MechChoice, opt: OptLevel, enforce: Backend) -> u128 {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;

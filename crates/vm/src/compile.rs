@@ -1,30 +1,34 @@
 //! Translation of an image into pre-resolved ops, and the one driver
 //! that executes them.
 //!
-//! [`compile_module`] translates every basic block, once per image, into a
-//! chain of Rust closures (`OpFn`) with all per-instruction
-//! resolution hoisted to translation time:
+//! [`compile_module`] translates every function, once per image, into one
+//! vector of plain [`Op`] values with all per-instruction resolution
+//! hoisted to translation time, and [`Vm::exec_op`] runs an op with one
+//! `match`, each instruction's runtime rule in one arm:
 //!
 //! * **operand slots** are pre-resolved — a register index, an immediate,
 //!   or an already-laid-out global/string/function address — so executing
 //!   an operand is an array load instead of an `Operand` match;
 //! * **type layouts are pre-folded** — `Alloca` sizes, `FieldAddr`
-//!   offsets, `IndexAddr` element sizes, and `Load` width dispatch become
-//!   captured constants;
+//!   offsets, `IndexAddr` element sizes, and each `Load`'s and `Store`'s
+//!   [`Width`] become op fields;
 //! * **PAC call shapes are pre-computed** — key ids, static modifiers,
-//!   site-class indices, and the enforcement-backend arm are chosen at
-//!   compile time, and every sign or auth op goes through the one sign
-//!   rule and the one auth rule ([`Vm::pa_sign`], [`Vm::pa_auth`]), which
-//!   hold the only PAC-in-pointer vs MAC-table split;
+//!   site classes, and the enforcement backend are op fields, and every
+//!   sign or auth op goes through the one sign rule and the one auth rule
+//!   ([`Vm::pa_sign`], [`Vm::pa_auth`]), which hold the only
+//!   PAC-in-pointer vs MAC-table split;
 //! * **check sites are numbered** — the walk builds the image's
-//!   [`CheckSite`] table ([`CompiledModule::sites`]) and each PA op
-//!   captures its own site id and position, which its recorder events and
-//!   its failure report take directly;
+//!   [`CheckSite`] table ([`CompiledModule::sites`]) and each check op
+//!   holds its own site id ([`Op::site`]), which its recorder events, its
+//!   failure report and attribution take directly;
+//! * **call arguments** live in one slot pool per function, which each
+//!   call op references by range;
 //! * **terminators are pre-resolved** — `br`/`cond_br` successors and the
 //!   `ret` operand become [`CompiledTerm`] slots.
 //!
-//! The closures are the one implementation of op semantics, and one
-//! driver ([`Vm::drive`]) executes them: it direct-threads blocks through
+//! A block is the range `at..at + len` of its function's ops, and the same
+//! range of its per-op accounting ([`CompiledFunc::charge`]). One driver
+//! ([`Vm::drive`]) executes the ops: it direct-threads blocks through
 //! branch successors and commits the frame position lazily — only where
 //! it is observed. Each block is charged one of two ways:
 //!
@@ -54,13 +58,13 @@
 //! time.
 
 use super::*;
-use rsti_ir::{BasicBlock, Function};
+use rsti_ir::{BasicBlock, Function, StrId};
 use std::cmp::Ordering;
 
 /// What an op tells the driver to do next. Traps travel boxed so the
-/// closure return value fits in registers — the unboxed `Result<_, Trap>`
-/// is several words wide and forced a memory round-trip on *every* op
-/// dispatch, trapping or not.
+/// return value fits in registers — the unboxed `Result<_, Trap>` is
+/// several words wide and forced a memory round-trip on *every* op,
+/// trapping or not.
 pub(crate) enum Control {
     /// Fall through to the next op in the block.
     Next,
@@ -70,23 +74,29 @@ pub(crate) enum Control {
     Trap(Box<Trap>),
 }
 
-type OpFn = Box<dyn for<'a, 'b> Fn(&'a mut Vm<'b>) -> Control + Send + Sync>;
-
-/// `?` for closures returning [`Control`]: unwraps a `Result` with a
+/// `?` for op rules returning [`Control`]: unwraps a `Result` with a
 /// [`Trap`] (or an already boxed one) or routes the trap through the
 /// (boxed) control channel.
 macro_rules! tri {
     ($e:expr) => {
         match $e {
             Ok(v) => v,
-            Err(t) => return Control::Trap(t.into()),
+            Err(t) => return trapped(t),
         }
     };
 }
 
-/// Per-op accounting charged by the per-op loop — kept out of the closure
-/// array so the fast path streams only fat pointers. A function's ops
-/// share one table ([`CompiledFunc::charge`]), block after block.
+/// Routes a trap through the control channel. Cold and out of line, so
+/// that boxing it stays out of the op rules' code.
+#[cold]
+#[inline(never)]
+fn trapped(t: impl Into<Box<Trap>>) -> Control {
+    Control::Trap(t.into())
+}
+
+/// Per-op accounting charged by the per-op loop, kept out of the ops so
+/// the fast path streams only the ops. A function's ops share one table
+/// ([`CompiledFunc::charge`]), parallel to its ops.
 pub(crate) struct OpCharge {
     /// Cycle cost ([`CostModel::cost`] of the source instruction).
     cost: u64,
@@ -94,10 +104,6 @@ pub(crate) struct OpCharge {
     /// (and rolls back) any run of ops with two subtractions instead of a
     /// loop.
     before: u64,
-    /// Check-site id for PAC-family ops ([`NO_SITE`] otherwise): the op's
-    /// index in [`CompiledModule::sites`], by which attribution keys its
-    /// per-site stats.
-    site: u32,
     /// Opcode class index, for telemetry's per-op opclass counts.
     class: u8,
 }
@@ -115,13 +121,13 @@ pub(crate) enum CompiledTerm {
 
 /// One compiled basic block.
 pub(crate) struct CompiledBlock {
-    ops: Vec<OpFn>,
-    /// Where the block's accounting, parallel to `ops`, starts in its
-    /// function's [`CompiledFunc::charge`].
+    /// The block's ops are `ops[at..at + len]` of its function, and their
+    /// accounting the same range of its charge table.
     at: u32,
-    /// Cycles of all of `ops`, inlined in the block header: entries at
-    /// `idx == 0` — every transfer except a call resume — charge without
-    /// touching the charge table.
+    len: u32,
+    /// Cycles of all of the block's ops, inlined in the block header:
+    /// entries at `idx == 0` — every transfer except a call resume —
+    /// charge without touching the charge table.
     total_cost: u64,
     /// Ops per opcode class ([`OPCLASS_ORDER`]), terminator excluded: the
     /// fast path's telemetry count for a whole-block entry.
@@ -133,21 +139,31 @@ pub(crate) struct CompiledBlock {
 /// frame).
 pub(crate) struct CompiledFunc {
     blocks: Vec<CompiledBlock>,
-    /// Every op's accounting, block after block.
+    /// Every op, block after block.
+    ops: Vec<Op>,
+    /// Every op's accounting, parallel to `ops`.
     charge: Vec<OpCharge>,
+    /// Every call's argument slots, call after call.
+    args: Vec<Slot>,
 }
 
-impl CompiledBlock {
-    /// The block's slice of its function's charge table.
+impl CompiledFunc {
+    /// The ops of block `cb`.
     #[inline]
-    fn charge<'c>(&self, charge: &'c [OpCharge]) -> &'c [OpCharge] {
-        &charge[self.at as usize..][..self.ops.len()]
+    fn ops(&self, cb: &CompiledBlock) -> &[Op] {
+        &self.ops[cb.at as usize..][..cb.len as usize]
     }
 
-    /// Cycles of `ops[..i]`, for `i` up to `ops.len()`.
+    /// The accounting of block `cb`'s ops.
     #[inline]
-    fn cost_before(&self, charge: &[OpCharge], i: usize) -> u64 {
-        self.charge(charge).get(i).map_or(self.total_cost, |c| c.before)
+    fn charge(&self, cb: &CompiledBlock) -> &[OpCharge] {
+        &self.charge[cb.at as usize..][..cb.len as usize]
+    }
+
+    /// Cycles of block `cb`'s ops before op `i`, for `i` up to its length.
+    #[inline]
+    fn cost_before(&self, cb: &CompiledBlock, i: usize) -> u64 {
+        self.charge(cb).get(i).map_or(cb.total_cost, |c| c.before)
     }
 }
 
@@ -158,7 +174,7 @@ pub(crate) struct CompiledModule {
     pub(crate) funcs: Result<Vec<CompiledFunc>, String>,
     /// The image's check sites, numbered by the translation walk in
     /// `(func, block, inst)` order — the `rsti_core::check_sites` table,
-    /// built once per image. Each PA op carries its own id; attribution
+    /// built once per image. Each check op carries its own id; attribution
     /// and the flight recorder resolve ids here. Empty for a malformed
     /// image.
     pub(crate) sites: Vec<CheckSite>,
@@ -181,7 +197,7 @@ impl fmt::Debug for CompiledModule {
 /// A pre-resolved operand.
 #[derive(Clone, Copy)]
 pub(crate) enum Slot {
-    /// Frame register (generation-checked at read, like `Vm::eval`).
+    /// Frame register (generation-checked at read).
     Reg(ValueId),
     /// Immediate: constants, and global/string/function addresses folded
     /// against the module's deterministic layout.
@@ -190,8 +206,8 @@ pub(crate) enum Slot {
 
 #[cold]
 #[inline(never)]
-fn undefined_use(v: ValueId) -> Trap {
-    Trap::BadProgram(format!("use of undefined {v}"))
+fn undefined_use(v: ValueId) -> Box<Trap> {
+    Box::new(Trap::BadProgram(format!("use of undefined {v}")))
 }
 
 /// The silent int coercion of integer `Bin` operands.
@@ -200,172 +216,159 @@ fn int_of(v: RtVal) -> i64 {
     match v {
         RtVal::I(i) => i,
         RtVal::P(p) => p as i64,
-        RtVal::F(f) => f as i64,
+        RtVal::F(f) => truncate(f),
     }
+}
+
+/// `f as i64`, out of line: computed inline, the conversion is evaluated
+/// on every integer operand and the result discarded.
+#[cold]
+#[inline(never)]
+fn truncate(f: f64) -> i64 {
+    f as i64
 }
 
 /// The float coercion of `F64` `Bin` operands, trap text included.
 #[inline(always)]
-fn float_of(v: RtVal) -> Result<f64, Trap> {
+fn float_of(v: RtVal) -> Result<f64, Box<Trap>> {
     match v {
         RtVal::F(f) => Ok(f),
         RtVal::I(i) => Ok(i as f64),
-        RtVal::P(_) => Err(Trap::BadProgram("pointer in float op".into())),
+        RtVal::P(_) => Err(bad_program("pointer in float op")),
     }
 }
 
 impl Slot {
     #[inline(always)]
-    fn read(&self, vm: &Vm<'_>) -> Result<RtVal, Trap> {
+    fn read(&self, vm: &Vm<'_>) -> Result<RtVal, Box<Trap>> {
         match self {
-            Slot::Reg(v) => {
-                let Some(&(tag, val)) = vm.regs.get(vm.reg_base + v.0 as usize) else {
-                    return Err(oob("register", v.0 as usize));
-                };
-                if tag != vm.cur_gen {
-                    return Err(undefined_use(*v));
-                }
-                Ok(val)
-            }
+            Slot::Reg(v) => vm.reg(*v),
             Slot::Imm(v) => Ok(*v),
         }
     }
 
     #[inline(always)]
-    fn read_ptr(&self, vm: &Vm<'_>) -> Result<u64, Trap> {
+    fn read_ptr(&self, vm: &Vm<'_>) -> Result<u64, Box<Trap>> {
         vm.as_ptr(self.read(vm)?)
     }
 }
 
-/// Monomorphic operand access. A closure body that reads through [`Slot`]
-/// carries a per-execution variant branch — and because the closure code
-/// is shared by every instruction instance of that opcode, the branch
-/// site sees mixed Reg/Imm patterns and mispredicts. `dispatch2!` folds
-/// the match away at compile time for the dominant combinations.
-trait SlotR: Copy + Send + Sync + 'static {
-    fn get(self, vm: &Vm<'_>) -> Result<RtVal, Trap>;
-}
-
-/// A known-register operand: just the bounds + generation check.
+/// A memory access's width, decided at translation from the slot type.
 #[derive(Clone, Copy)]
-struct RegS(ValueId);
-
-/// A known-immediate operand: no runtime work at all.
-#[derive(Clone, Copy)]
-struct ImmS(RtVal);
-
-impl SlotR for RegS {
-    #[inline(always)]
-    fn get(self, vm: &Vm<'_>) -> Result<RtVal, Trap> {
-        let Some(&(tag, val)) = vm.regs.get(vm.reg_base + self.0 .0 as usize) else {
-            return Err(oob("register", self.0 .0 as usize));
-        };
-        if tag != vm.cur_gen {
-            return Err(undefined_use(self.0));
-        }
-        Ok(val)
-    }
-}
-
-impl SlotR for ImmS {
-    #[inline(always)]
-    fn get(self, _vm: &Vm<'_>) -> Result<RtVal, Trap> {
-        Ok(self.0)
-    }
-}
-
-/// The generic fallback (covers `Imm x Imm` pairs the optimizer didn't
-/// fold).
-impl SlotR for Slot {
-    #[inline(always)]
-    fn get(self, vm: &Vm<'_>) -> Result<RtVal, Trap> {
-        self.read(vm)
-    }
-}
-
-/// Expands `$body` once per operand-kind combination of two slots, with
-/// `$a`/`$b` bound to monomorphic [`SlotR`] accessors. Each expansion
-/// builds its own closure type, so the `Slot` match runs at compile time,
-/// not per executed op.
-macro_rules! dispatch2 {
-    ($l:expr, $r:expr, |$a:ident, $b:ident| $body:expr) => {
-        match ($l, $r) {
-            (Slot::Reg(x), Slot::Reg(y)) => {
-                let ($a, $b) = (RegS(x), RegS(y));
-                $body
-            }
-            (Slot::Reg(x), Slot::Imm(y)) => {
-                let ($a, $b) = (RegS(x), ImmS(y));
-                $body
-            }
-            (Slot::Imm(x), Slot::Reg(y)) => {
-                let ($a, $b) = (ImmS(x), RegS(y));
-                $body
-            }
-            (l, r) => {
-                let ($a, $b) = (l, r);
-                $body
-            }
-        }
-    };
-}
-
-/// Single-slot counterpart of [`dispatch2!`].
-macro_rules! dispatch1 {
-    ($l:expr, |$a:ident| $body:expr) => {
-        match $l {
-            Slot::Reg(x) => {
-                let $a = RegS(x);
-                $body
-            }
-            Slot::Imm(x) => {
-                let $a = ImmS(x);
-                $body
-            }
-        }
-    };
-}
-
-/// Pre-folded `Load` width dispatch, decided at compile time.
-enum LoadKind {
+pub(crate) enum Width {
+    /// `bool` and `i8`.
     I8,
     I16,
     I32,
     I64,
     F64,
     Ptr,
-    /// Unsupported pointee: the error, pre-rendered.
-    Bad(String),
+    /// Any other type: the access traps.
+    Other,
+    /// A store through an operand with no pointee type: an integer or a
+    /// float writes its natural 8 bytes, a pointer traps as an `i64` slot.
+    Shape,
 }
 
-/// Pre-folded integer result width (`Bin` and `Convert`).
-#[derive(Clone, Copy)]
-enum WrapKind {
-    Bool,
-    I8,
-    I16,
-    I32,
-    Pass,
+/// Pre-folded integer result width (`Bin` and `Convert`). The
+/// discriminant of a sign-extending width is its shift amount, so applying
+/// one does not branch on the width.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Wrap {
+    Bool = 1,
+    I8 = 56,
+    I16 = 48,
+    I32 = 32,
+    Pass = 0,
 }
 
-impl WrapKind {
+impl Wrap {
     #[inline(always)]
     fn apply(self, v: i64) -> i64 {
-        match self {
-            WrapKind::Bool => (v != 0) as i64,
-            WrapKind::I8 => v as i8 as i64,
-            WrapKind::I16 => v as i16 as i64,
-            WrapKind::I32 => v as i32 as i64,
-            WrapKind::Pass => v,
+        if self == Wrap::Bool {
+            return (v != 0) as i64;
         }
+        let s = self as u32;
+        (v << s) >> s
     }
 }
 
-/// Pre-resolved direct-call target. An external's name is read off the
-/// image's module when it runs.
-enum Callee {
-    External { fid: FuncId, ret: TypeId },
-    Internal(FuncId),
+/// A call's argument slots: `len` entries from `at` in its function's
+/// pool ([`CompiledFunc::args`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Args {
+    at: u32,
+    len: u32,
+}
+
+impl Args {
+    #[inline(always)]
+    fn of(self, pool: &[Slot]) -> &[Slot] {
+        &pool[self.at as usize..][..self.len as usize]
+    }
+}
+
+/// One translated instruction. Each variant holds the instruction's
+/// pre-resolved operands and folded type decisions; [`Vm::exec_op`] holds
+/// its rule. Check ops hold their check-site id (in their [`PaOp`], or
+/// `site`).
+pub(crate) enum Op {
+    /// `size` is the slot's size rounded up to 8 bytes.
+    Alloca { result: ValueId, size: u64 },
+    // The hottest widths' loads and stores, run by the same rules as
+    // `Load` and `Store` with a constant width: one jump per op instead
+    // of two (DESIGN §10).
+    LoadI32 { result: ValueId, ptr: Slot, ty: TypeId },
+    LoadI64 { result: ValueId, ptr: Slot, ty: TypeId },
+    LoadPtr { result: ValueId, ptr: Slot, ty: TypeId },
+    StoreI32 { value: Slot, ptr: Slot, ty: TypeId },
+    StoreI64 { value: Slot, ptr: Slot, ty: TypeId },
+    StorePtr { value: Slot, ptr: Slot, ty: TypeId },
+    /// `ty` is the loaded type, named by the trap of an [`Width::Other`]
+    /// load.
+    Load { result: ValueId, ptr: Slot, width: Width, ty: TypeId },
+    /// `ty` is the slot type (`i64` for [`Width::Shape`]), named by the
+    /// trap of a value the slot cannot hold.
+    Store { value: Slot, ptr: Slot, width: Width, ty: TypeId },
+    FieldAddr { result: ValueId, base: Slot, off: u64 },
+    IndexAddr { result: ValueId, base: Slot, index: Slot, size: i64 },
+    BitCast { result: ValueId, value: Slot },
+    Convert { result: ValueId, value: Slot, to_f64: bool, wrap: Wrap },
+    /// Integer arithmetic.
+    Bin { result: ValueId, op: BinOp, wrap: Wrap, lhs: Slot, rhs: Slot },
+    /// `f64` arithmetic.
+    FBin { result: ValueId, op: BinOp, lhs: Slot, rhs: Slot },
+    Cmp { result: ValueId, op: CmpOp, lhs: Slot, rhs: Slot },
+    /// `ret` is the callee's return type, which an external call's
+    /// result takes.
+    Call { result: Option<ValueId>, callee: FuncId, external: bool, ret: TypeId, args: Args },
+    /// `ret` is the call site's return type.
+    CallIndirect { result: Option<ValueId>, callee: Slot, ret: TypeId, args: Args },
+    Malloc { result: ValueId, size: Slot },
+    Free { ptr: Slot },
+    PrintInt { value: Slot },
+    PrintStr { s: StrId },
+    PacSign { result: ValueId, value: Slot, modifier: u64, loc: Option<Slot>, pa: PaOp },
+    PacAuth { result: ValueId, value: Slot, modifier: u64, loc: Option<Slot>, pa: PaOp },
+    PacStrip { result: ValueId, value: Slot, site: u32 },
+    PpAdd { ce: u8, fe: u64, site: u32 },
+    PpSign { result: ValueId, value: Slot, ce: u8, pa: PaOp },
+    PpAddTbi { result: ValueId, value: Slot, ce: u8, site: u32 },
+    PpAuth { result: ValueId, value: Slot, pa: PaOp },
+}
+
+impl Op {
+    /// The op's check-site id, [`NO_SITE`] unless it is a check.
+    fn site(&self) -> u32 {
+        match self {
+            Op::PacSign { pa, .. }
+            | Op::PacAuth { pa, .. }
+            | Op::PpSign { pa, .. }
+            | Op::PpAuth { pa, .. } => pa.site,
+            Op::PacStrip { site, .. } | Op::PpAdd { site, .. } | Op::PpAddTbi { site, .. } => *site,
+            _ => NO_SITE,
+        }
+    }
 }
 
 /// Shared compile context: the module plus its deterministic data layout,
@@ -376,8 +379,7 @@ struct Cx<'m> {
     gaddr: &'m [u64],
     saddr: &'m [u64],
     cost: CostModel,
-    backend: Backend,
-    ty_i64: TypeId,
+    mac: bool,
 }
 
 impl Cx<'_> {
@@ -393,26 +395,30 @@ impl Cx<'_> {
         }
     }
 
-    fn load_kind(&self, ty: TypeId) -> LoadKind {
+    fn width(&self, ty: TypeId) -> Width {
         match self.m.types.get(ty) {
-            Type::Bool | Type::I8 => LoadKind::I8,
-            Type::I16 => LoadKind::I16,
-            Type::I32 => LoadKind::I32,
-            Type::I64 => LoadKind::I64,
-            Type::F64 => LoadKind::F64,
-            Type::Ptr(_) => LoadKind::Ptr,
-            other => LoadKind::Bad(format!("load of unsupported type {other:?}")),
+            Type::Bool | Type::I8 => Width::I8,
+            Type::I16 => Width::I16,
+            Type::I32 => Width::I32,
+            Type::I64 => Width::I64,
+            Type::F64 => Width::F64,
+            Type::Ptr(_) => Width::Ptr,
+            _ => Width::Other,
         }
     }
 
-    fn wrap_kind(&self, ty: TypeId) -> WrapKind {
+    fn wrap(&self, ty: TypeId) -> Wrap {
         match self.m.types.get(ty) {
-            Type::Bool => WrapKind::Bool,
-            Type::I8 => WrapKind::I8,
-            Type::I16 => WrapKind::I16,
-            Type::I32 => WrapKind::I32,
-            _ => WrapKind::Pass,
+            Type::Bool => Wrap::Bool,
+            Type::I8 => Wrap::I8,
+            Type::I16 => Wrap::I16,
+            Type::I32 => Wrap::I32,
+            _ => Wrap::Pass,
         }
+    }
+
+    fn pa(&self, key: PacKey, class: PacSite, site: u32) -> PaOp {
+        PaOp { mac: self.mac, key: key_id(key), class, site }
     }
 }
 
@@ -444,8 +450,7 @@ pub(crate) fn compile_module(img: &Image) -> CompiledModule {
         gaddr: &gaddr,
         saddr: &saddr,
         cost: CostModel::for_mechanism(img.mechanism),
-        backend: img.backend,
-        ty_i64: m.types.i64(),
+        mac: img.backend == Backend::MacTable,
     };
     let mut n_blocks = 0u64;
     // Externals have no blocks, so skipping them keeps the
@@ -456,17 +461,21 @@ pub(crate) fn compile_module(img: &Image) -> CompiledModule {
         .iter()
         .enumerate()
         .map(|(fi, f)| {
-            let mut charge = Vec::with_capacity(f.inst_count());
-            if f.is_external {
-                return CompiledFunc { blocks: Vec::new(), charge };
-            }
+            let n = f.inst_count();
+            let mut cf = CompiledFunc {
+                blocks: Vec::with_capacity(f.blocks.len()),
+                ops: Vec::with_capacity(n),
+                charge: Vec::with_capacity(n),
+                args: Vec::new(),
+            };
             n_blocks += f.blocks.len() as u64;
             let mut name = None;
             let mut fsites = FuncSites { fi, name: &mut name, sites: &mut sites };
-            let blocks = (f.blocks.iter().enumerate())
-                .map(|(bi, b)| compile_block(&cx, f, bi, b, &mut fsites, &mut charge))
-                .collect();
-            CompiledFunc { blocks, charge }
+            for (bi, b) in f.blocks.iter().enumerate() {
+                let cb = compile_block(&cx, f, bi, b, &mut fsites, &mut cf);
+                cf.blocks.push(cb);
+            }
+            cf
         })
         .collect();
     CompiledModule { funcs: Ok(funcs), sites, gaddr, saddr, data_sizes: [goff, soff], n_blocks }
@@ -481,17 +490,16 @@ struct FuncSites<'s> {
 }
 
 /// Compiles block `bi` of `f`, appending its check sites to `fs` and its
-/// ops' accounting to the function's `charge` table.
+/// ops, their accounting and their call arguments to `cf`.
 fn compile_block(
     cx: &Cx<'_>,
     f: &Function,
     bi: usize,
     b: &BasicBlock,
     fs: &mut FuncSites<'_>,
-    charge: &mut Vec<OpCharge>,
+    cf: &mut CompiledFunc,
 ) -> CompiledBlock {
-    let mut ops = Vec::with_capacity(b.insts.len());
-    let start = charge.len() as u32;
+    let at = cf.ops.len() as u32;
     let mut total = 0u64;
     let mut class_counts = [0u32; 6];
     for (i, node) in b.insts.iter().enumerate() {
@@ -502,38 +510,530 @@ fn compile_block(
         let check = CheckSite::at(id, fs.fi, &f.name, fs.name, bi, i, node);
         let site = check.as_ref().map_or(NO_SITE, |c| c.id);
         fs.sites.extend(check);
-        let at = CheckAt { site, block: bi as u32, next_idx: i as u32 + 1 };
-        ops.push(compile_inst(cx, f, at, &node.inst));
+        cf.ops.push(translate(cx, f, site, &node.inst, &mut cf.args));
         let class = opcode_class(&node.inst);
         class_counts[class] += 1;
-        charge.push(OpCharge { cost, before, site, class: class as u8 });
+        cf.charge.push(OpCharge { cost, before, class: class as u8 });
     }
     let term = match &b.term {
         Terminator::Br(bb) => CompiledTerm::Br(bb.0),
         Terminator::CondBr { cond, then_bb, else_bb } => match cx.resolve(cond) {
-            Slot::Reg(v) => {
-                CompiledTerm::CondBrReg { v, then_bb: then_bb.0, else_bb: else_bb.0 }
-            }
+            Slot::Reg(v) => CompiledTerm::CondBrReg { v, then_bb: then_bb.0, else_bb: else_bb.0 },
             cond => CompiledTerm::CondBr { cond, then_bb: then_bb.0, else_bb: else_bb.0 },
         },
         Terminator::Ret(v) => CompiledTerm::Ret(v.as_ref().map(|v| cx.resolve(v))),
         Terminator::Unreachable => CompiledTerm::Unreachable,
     };
-    CompiledBlock {
-        ops,
-        at: start,
-        total_cost: total,
-        class_counts,
-        term,
+    CompiledBlock { at, len: b.insts.len() as u32, total_cost: total, class_counts, term }
+}
+
+/// Translates one instruction of `f` into its op. `site` is its check-site
+/// id ([`NO_SITE`] unless it is a check); a call's argument slots go to
+/// the end of `args`.
+fn translate(cx: &Cx<'_>, f: &Function, site: u32, inst: &Inst, args: &mut Vec<Slot>) -> Op {
+    let mut call_args = |list: &[Operand]| {
+        let at = args.len() as u32;
+        args.extend(list.iter().map(|a| cx.resolve(a)));
+        Args { at, len: list.len() as u32 }
+    };
+    match inst {
+        Inst::Alloca { result, ty, .. } => {
+            let size = cx.tl.size_of(*ty).max(1).div_ceil(8).saturating_mul(8);
+            Op::Alloca { result: *result, size }
+        }
+        Inst::Load { result, ptr, ty } => {
+            let (result, ptr, ty) = (*result, cx.resolve(ptr), *ty);
+            match cx.width(ty) {
+                Width::I32 => Op::LoadI32 { result, ptr, ty },
+                Width::I64 => Op::LoadI64 { result, ptr, ty },
+                Width::Ptr => Op::LoadPtr { result, ptr, ty },
+                width => Op::Load { result, ptr, width, ty },
+            }
+        }
+        Inst::Store { value, ptr } => {
+            // The slot (pointee) type the store writes through; without
+            // one the value's shape decides.
+            let slot_ty = match ptr {
+                Operand::Value(v) => cx.m.types.pointee(f.value_type(*v)),
+                Operand::GlobalAddr(_, t) | Operand::Null(t) | Operand::Str(_, t) => {
+                    cx.m.types.pointee(*t)
+                }
+                _ => None,
+            };
+            let (width, ty) = match slot_ty {
+                Some(ty) => (cx.width(ty), ty),
+                None => (Width::Shape, cx.m.types.i64()),
+            };
+            let (value, ptr) = (cx.resolve(value), cx.resolve(ptr));
+            match width {
+                Width::I32 => Op::StoreI32 { value, ptr, ty },
+                Width::I64 => Op::StoreI64 { value, ptr, ty },
+                Width::Ptr => Op::StorePtr { value, ptr, ty },
+                width => Op::Store { value, ptr, width, ty },
+            }
+        }
+        Inst::FieldAddr { result, base, struct_id, field } => Op::FieldAddr {
+            result: *result,
+            base: cx.resolve(base),
+            off: cx.tl.field_offset(*struct_id, *field),
+        },
+        Inst::IndexAddr { result, base, index, elem_ty } => Op::IndexAddr {
+            result: *result,
+            base: cx.resolve(base),
+            index: cx.resolve(index),
+            size: cx.tl.size_of(*elem_ty).max(1) as i64,
+        },
+        Inst::BitCast { result, value, .. } => {
+            Op::BitCast { result: *result, value: cx.resolve(value) }
+        }
+        Inst::Convert { result, value, to } => Op::Convert {
+            result: *result,
+            value: cx.resolve(value),
+            to_f64: matches!(cx.m.types.get(*to), Type::F64),
+            wrap: cx.wrap(*to),
+        },
+        Inst::Bin { result, op, lhs, rhs, ty } => {
+            let (result, op, lhs, rhs) = (*result, *op, cx.resolve(lhs), cx.resolve(rhs));
+            if matches!(cx.m.types.get(*ty), Type::F64) {
+                Op::FBin { result, op, lhs, rhs }
+            } else {
+                Op::Bin { result, op, wrap: cx.wrap(*ty), lhs, rhs }
+            }
+        }
+        Inst::Cmp { result, op, lhs, rhs } => {
+            Op::Cmp { result: *result, op: *op, lhs: cx.resolve(lhs), rhs: cx.resolve(rhs) }
+        }
+        Inst::Call { result, callee, args } => {
+            let cf = cx.m.func(*callee);
+            Op::Call {
+                result: *result,
+                callee: *callee,
+                external: cf.is_external,
+                ret: cf.sig.ret,
+                args: call_args(args),
+            }
+        }
+        Inst::CallIndirect { result, callee, args, sig } => Op::CallIndirect {
+            result: *result,
+            callee: cx.resolve(callee),
+            ret: sig.ret,
+            args: call_args(args),
+        },
+        Inst::Malloc { result, size, .. } => Op::Malloc { result: *result, size: cx.resolve(size) },
+        Inst::Free { ptr } => Op::Free { ptr: cx.resolve(ptr) },
+        Inst::PrintInt { value } => Op::PrintInt { value: cx.resolve(value) },
+        Inst::PrintStr { s } => Op::PrintStr { s: *s },
+        Inst::PacSign { result, value, key, modifier, loc, site: class } => Op::PacSign {
+            result: *result,
+            value: cx.resolve(value),
+            modifier: *modifier,
+            loc: loc.as_ref().map(|l| cx.resolve(l)),
+            pa: cx.pa(*key, *class, site),
+        },
+        Inst::PacAuth { result, value, key, modifier, loc, site: class } => Op::PacAuth {
+            result: *result,
+            value: cx.resolve(value),
+            modifier: *modifier,
+            loc: loc.as_ref().map(|l| cx.resolve(l)),
+            pa: cx.pa(*key, *class, site),
+        },
+        Inst::PacStrip { result, value } => {
+            Op::PacStrip { result: *result, value: cx.resolve(value), site }
+        }
+        Inst::PpAdd { ce, fe_modifier } => Op::PpAdd { ce: *ce, fe: *fe_modifier, site },
+        // The pointer-to-pointer checks report the `on_load` class.
+        Inst::PpSign { result, value, ce, key } => Op::PpSign {
+            result: *result,
+            value: cx.resolve(value),
+            ce: *ce,
+            pa: cx.pa(*key, PacSite::OnLoad, site),
+        },
+        Inst::PpAddTbi { result, value, ce } => {
+            Op::PpAddTbi { result: *result, value: cx.resolve(value), ce: *ce, site }
+        }
+        Inst::PpAuth { result, value, key } => Op::PpAuth {
+            result: *result,
+            value: cx.resolve(value),
+            pa: cx.pa(*key, PacSite::OnLoad, site),
+        },
     }
 }
 
 impl Vm<'_> {
+    /// Runs one op: each instruction's runtime rule is one arm. `args` is
+    /// its function's argument pool, and `(block, idx)` its position: a
+    /// call commits the position after it as the caller's resume point.
+    #[inline(always)]
+    fn exec_op(&mut self, op: &Op, args: &[Slot], block: usize, idx: usize) -> Control {
+        match *op {
+            Op::Alloca { result, size } => {
+                // One slot per activation: a loop that re-executes the
+                // alloca gets the same slot.
+                let fr = self.frames.last().expect("frame");
+                let (tag, cached) = fr.alloca_cache[result.0 as usize];
+                if tag == fr.gen {
+                    self.set(result, RtVal::P(cached));
+                    return Control::Next;
+                }
+                let addr = self.stack_top;
+                if addr.checked_add(size).is_none_or(|end| end >= layout::STACK_BASE + layout::STACK_SIZE) {
+                    return trapped(Trap::StackOverflow);
+                }
+                self.stack_top += size;
+                tri!(self.mem.write_zeros(addr, size).map_err(|e| self.mem_err(e)));
+                let fr = self.frames.last_mut().expect("frame");
+                fr.alloca_cache[result.0 as usize] = (fr.gen, addr);
+                self.set(result, RtVal::P(addr));
+            }
+            Op::Load { result, ptr, width, ty } => return self.load(result, ptr, width, ty),
+            Op::LoadI32 { result, ptr, ty } => return self.load(result, ptr, Width::I32, ty),
+            Op::LoadI64 { result, ptr, ty } => return self.load(result, ptr, Width::I64, ty),
+            Op::LoadPtr { result, ptr, ty } => return self.load(result, ptr, Width::Ptr, ty),
+            Op::Store { value, ptr, width, ty } => return self.store(value, ptr, width, ty),
+            Op::StoreI32 { value, ptr, ty } => return self.store(value, ptr, Width::I32, ty),
+            Op::StoreI64 { value, ptr, ty } => return self.store(value, ptr, Width::I64, ty),
+            Op::StorePtr { value, ptr, ty } => return self.store(value, ptr, Width::Ptr, ty),
+            Op::FieldAddr { result, base, off } => {
+                let b = tri!(base.read_ptr(self));
+                self.set(result, RtVal::P(b.wrapping_add(off)));
+            }
+            Op::IndexAddr { result, base, index, size } => {
+                let b = tri!(base.read_ptr(self));
+                let i = match tri!(index.read(self)) {
+                    RtVal::I(i) => i,
+                    RtVal::P(p) => p as i64,
+                    RtVal::F(_) => return trapped(bad_program("float index")),
+                };
+                self.set(result, RtVal::P(b.wrapping_add(i.wrapping_mul(size) as u64)));
+            }
+            Op::BitCast { result, value } => {
+                let v = tri!(value.read(self));
+                self.set(result, v);
+            }
+            Op::Convert { result, value, to_f64, wrap } => {
+                let out = match (tri!(value.read(self)), to_f64) {
+                    (RtVal::I(i), true) => RtVal::F(i as f64),
+                    (RtVal::F(fv), true) => RtVal::F(fv),
+                    (RtVal::F(fv), false) => RtVal::I(wrap.apply(truncate(fv))),
+                    (RtVal::I(i), false) => RtVal::I(wrap.apply(i)),
+                    (RtVal::P(p), _) => RtVal::I(wrap.apply(p as i64)),
+                };
+                self.set(result, out);
+            }
+            Op::Bin { result, op, wrap, lhs, rhs } => {
+                let x = int_of(tri!(lhs.read(self)));
+                let y = int_of(tri!(rhs.read(self)));
+                let v = match op {
+                    BinOp::Add => x.wrapping_add(y),
+                    BinOp::Sub => x.wrapping_sub(y),
+                    BinOp::Mul => x.wrapping_mul(y),
+                    BinOp::Div | BinOp::Rem if y == 0 => return self.div_by_zero(),
+                    BinOp::Div => x.wrapping_div(y),
+                    BinOp::Rem => x.wrapping_rem(y),
+                    BinOp::And => x & y,
+                    BinOp::Or => x | y,
+                    BinOp::Xor => x ^ y,
+                    BinOp::Shl => x.wrapping_shl(y as u32 & 63),
+                    BinOp::Shr => x.wrapping_shr(y as u32 & 63),
+                };
+                self.set(result, RtVal::I(wrap.apply(v)));
+            }
+            Op::FBin { result, op, lhs, rhs } => {
+                // Both operands coerce first: an lhs error wins over an
+                // rhs error, both over a bitwise op.
+                let x = tri!(float_of(tri!(lhs.read(self))));
+                let y = tri!(float_of(tri!(rhs.read(self))));
+                let v = match op {
+                    BinOp::Add => x + y,
+                    BinOp::Sub => x - y,
+                    BinOp::Mul => x * y,
+                    BinOp::Div => x / y,
+                    BinOp::Rem => x % y,
+                    _ => return trapped(bad_program("bitwise op on float")),
+                };
+                self.set(result, RtVal::F(v));
+            }
+            Op::Cmp { result, op, lhs, rhs } => {
+                let o = ord_vals(tri!(lhs.read(self)), tri!(rhs.read(self)));
+                let t = match op {
+                    CmpOp::Eq => o == Ordering::Equal,
+                    CmpOp::Ne => o != Ordering::Equal,
+                    CmpOp::Lt => o == Ordering::Less,
+                    CmpOp::Le => o != Ordering::Greater,
+                    CmpOp::Gt => o == Ordering::Greater,
+                    CmpOp::Ge => o != Ordering::Less,
+                };
+                self.set(result, RtVal::I(t as i64));
+            }
+            Op::Call { result, callee, external, ret, args: a } => {
+                return self.call(callee, external, ret, result, a.of(args), block, idx)
+            }
+            Op::CallIndirect { result, callee, ret, args: a } => {
+                let p = tri!(callee.read_ptr(self));
+                if !VA.is_canonical(p) {
+                    return trapped(Trap::NonCanonicalCall { func: self.cur_func_name(), ptr: p });
+                }
+                let target = VA.canonical(p);
+                let Some((fid, external)) = resolve_code_addr(&self.img.module, target) else {
+                    return trapped(Trap::CallNonFunction { func: self.cur_func_name(), target });
+                };
+                return self.call(fid, external, ret, result, a.of(args), block, idx);
+            }
+            Op::Malloc { result, size } => {
+                let sz = match tri!(size.read(self)) {
+                    RtVal::I(i) => i.max(0) as u64,
+                    RtVal::P(p) => p,
+                    RtVal::F(_) => return trapped(bad_program("float malloc size")),
+                };
+                let addr = tri!(self.alloc.malloc(sz).ok_or(Trap::HeapExhausted));
+                self.set(result, RtVal::P(addr));
+            }
+            Op::Free { ptr } => {
+                // Freeing an address the allocator does not own is an
+                // event, not a trap.
+                let p = tri!(ptr.read_ptr(self));
+                let a = VA.canonical(p);
+                if self.rec.is_some() {
+                    self.rec_plain(RecKind::Free, a, p);
+                }
+                if a != 0 && !self.alloc.free(a) {
+                    let args = vec![format!("{a:#x}")];
+                    self.events.push(ExtEvent { name: "invalid_free".into(), args, critical: false });
+                }
+            }
+            Op::PrintInt { value } => {
+                let v = tri!(value.read(self));
+                self.output.push(v.to_string());
+            }
+            Op::PrintStr { s } => {
+                let img = self.img;
+                self.output.push(img.module.strings[s.0 as usize].clone());
+            }
+            Op::PacSign { result, value, modifier, loc, pa } => {
+                self.site_counts[site_index(pa.class)] += 1;
+                let p = tri!(value.read_ptr(self));
+                let modifier = tri!(self.modifier_at(modifier, loc));
+                let signed = self.pa_sign(pa, p, modifier);
+                self.set(result, RtVal::P(signed));
+            }
+            Op::PacAuth { result, value, modifier, loc, pa } => {
+                self.site_counts[site_index(pa.class)] += 1;
+                let p = tri!(value.read_ptr(self));
+                let modifier = tri!(self.modifier_at(modifier, loc));
+                let clean = tri!(self.pa_auth(pa, p, modifier));
+                self.set(result, RtVal::P(clean));
+            }
+            Op::PacStrip { result, value, site } => {
+                self.site_counts[site_index(PacSite::ExternalStrip)] += 1;
+                let p = tri!(value.read_ptr(self));
+                let stripped = self.pac.strip(p);
+                if self.rec.is_some() {
+                    self.rec_push(RecKind::Strip, site, p, 0, None);
+                }
+                self.set(result, RtVal::P(stripped));
+            }
+            // A CE's FE modifier registers once; a different one is a
+            // conflict.
+            Op::PpAdd { ce, fe, site } => match self.pp_table.get(&ce) {
+                Some(&had) if had != fe => {
+                    let f = PpFail::Conflict { ce: ce as u64, had };
+                    return trapped(self.pp_fail(site, fe, f, 0, None));
+                }
+                _ => {
+                    self.pp_table.insert(ce, fe);
+                }
+            },
+            Op::PpSign { result, value, ce, pa } => {
+                let p = tri!(value.read_ptr(self));
+                let Some(&fe) = self.pp_table.get(&ce) else {
+                    let f = PpFail::NotRegistered { ce: ce as u64 };
+                    return trapped(self.pp_fail(pa.site, ce as u64, f, p, Some(pa.key)));
+                };
+                let signed = self.pa_sign(pa, p, fe);
+                self.set(result, RtVal::P(signed));
+            }
+            Op::PpAddTbi { result, value, ce, .. } => {
+                let p = tri!(value.read_ptr(self));
+                self.set(result, RtVal::P(VA.with_tbi_tag(p, ce)));
+            }
+            Op::PpAuth { result, value, pa } => {
+                let p = tri!(value.read_ptr(self));
+                let ce = VA.tbi_tag(p);
+                if ce == 0 {
+                    return trapped(self.pp_fail(pa.site, 0, PpFail::MissingTag, p, Some(pa.key)));
+                }
+                let Some(&fe) = self.pp_table.get(&ce) else {
+                    let f = PpFail::NotInStore { ce: ce as u64 };
+                    return trapped(self.pp_fail(pa.site, ce as u64, f, p, Some(pa.key)));
+                };
+                let clean = tri!(self.pa_auth(pa, VA.clear_tbi(p), fe));
+                self.set(result, RtVal::P(clean));
+            }
+        }
+        Control::Next
+    }
+
+    /// Reads register `v` of the current frame.
+    #[inline(always)]
+    fn reg(&self, v: ValueId) -> Result<RtVal, Box<Trap>> {
+        let Some(&(tag, val)) = self.regs.get(self.reg_base + v.0 as usize) else {
+            return Err(oob("register", v.0 as usize));
+        };
+        if tag != self.cur_gen {
+            return Err(undefined_use(v));
+        }
+        Ok(val)
+    }
+
+    #[inline(always)]
+    fn read_mem<const N: usize>(&self, addr: u64) -> Result<[u8; N], Box<Trap>> {
+        self.mem.read_arr(addr).map_err(|e| self.mem_err(e))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn div_by_zero(&self) -> Control {
+        trapped(Trap::DivByZero { func: self.cur_func_name() })
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn bad_load(&self, ty: TypeId) -> Box<Trap> {
+        let t = self.img.module.types.get(ty);
+        Box::new(Trap::BadProgram(format!("load of unsupported type {t:?}")))
+    }
+
+    /// The load rule: reads the `width`-wide value at `ptr` into
+    /// `result`. An unsupported type (`ty`) traps only after the pointer
+    /// itself resolved.
+    #[inline(always)]
+    fn load(&mut self, result: ValueId, ptr: Slot, width: Width, ty: TypeId) -> Control {
+        let addr = tri!(self.deref_addr(tri!(ptr.read_ptr(self))));
+        let v = match width {
+            Width::I8 => RtVal::I(tri!(self.read_mem::<1>(addr))[0] as i8 as i64),
+            Width::I16 => RtVal::I(i16::from_le_bytes(tri!(self.read_mem(addr))) as i64),
+            Width::I32 => RtVal::I(i32::from_le_bytes(tri!(self.read_mem(addr))) as i64),
+            Width::I64 => RtVal::I(i64::from_le_bytes(tri!(self.read_mem(addr)))),
+            Width::F64 => RtVal::F(f64::from_le_bytes(tri!(self.read_mem(addr)))),
+            Width::Ptr => {
+                let bits = u64::from_le_bytes(tri!(self.read_mem(addr)));
+                // The MAC table's auth reads the slot of the last pointer
+                // load.
+                self.last_ptr_load = Some(addr);
+                if self.rec.is_some() {
+                    self.rec_plain(RecKind::Load, addr, bits);
+                }
+                RtVal::P(bits)
+            }
+            Width::Other | Width::Shape => return trapped(self.bad_load(ty)),
+        };
+        self.set(result, v);
+        Control::Next
+    }
+
+    /// The store rule: writes `value` through `ptr` at the `width` its
+    /// translation decided, after handing the slot a MAC the sign before
+    /// it staged. An integer stored into an `f64` slot converts; a value
+    /// the slot (of type `ty`) cannot hold traps.
+    #[inline(always)]
+    fn store(&mut self, value: Slot, ptr: Slot, width: Width, ty: TypeId) -> Control {
+        let v = tri!(value.read(self));
+        let addr = tri!(self.deref_addr(tri!(ptr.read_ptr(self))));
+        if let Some(mac) = self.pending_mac.take() {
+            self.mac_table.insert(addr, mac);
+        }
+        let w = match (width, v) {
+            (Width::I8, RtVal::I(i)) => self.mem.write_arr(addr, [i as u8]),
+            (Width::I16, RtVal::I(i)) => self.mem.write_arr(addr, (i as i16).to_le_bytes()),
+            (Width::I32, RtVal::I(i)) => self.mem.write_arr(addr, (i as i32).to_le_bytes()),
+            (Width::I64 | Width::Shape, RtVal::I(i)) => self.mem.write_arr(addr, i.to_le_bytes()),
+            (Width::F64 | Width::Shape, RtVal::F(f)) => self.mem.write_arr(addr, f.to_le_bytes()),
+            (Width::F64, RtVal::I(i)) => self.mem.write_arr(addr, (i as f64).to_le_bytes()),
+            (Width::Ptr, v) => {
+                let p = tri!(self.as_ptr(v));
+                let w = self.mem.write_arr(addr, p.to_le_bytes());
+                if w.is_ok() && self.rec.is_some() {
+                    // A pointer slot changed hands — the lifecycle event
+                    // lineage resolution walks back through.
+                    self.rec_plain(RecKind::Store, addr, p);
+                }
+                w
+            }
+            (_, v) => return trapped(self.bad_store(v, ty)),
+        };
+        tri!(w.map_err(|e| self.mem_err(e)));
+        Control::Next
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn bad_store(&self, v: RtVal, ty: TypeId) -> Trap {
+        let t = self.img.module.types.get(ty);
+        Trap::BadProgram(format!("store of {v:?} into {t:?}"))
+    }
+
+    /// The call rule, for direct and indirect calls alike: reads the
+    /// argument slots, then runs an external in place or pushes the
+    /// internal callee's frame, the caller resuming after `(block, idx)`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn call(
+        &mut self,
+        fid: FuncId,
+        external: bool,
+        ret: TypeId,
+        result: Option<ValueId>,
+        args: &[Slot],
+        block: usize,
+        idx: usize,
+    ) -> Control {
+        let mut argv = std::mem::take(&mut self.call_args);
+        argv.clear();
+        for a in args {
+            match a.read(self) {
+                Ok(v) => argv.push(v),
+                Err(e) => {
+                    self.call_args = argv;
+                    return trapped(e);
+                }
+            }
+        }
+        let r = if external {
+            let img = self.img;
+            let v = self.external_call(&img.module.funcs[fid.0 as usize].name, &argv, ret);
+            if let (Some(rr), Some(v)) = (result, v) {
+                self.set(rr, v);
+            }
+            Control::Next
+        } else {
+            self.commit_pos(block, idx + 1);
+            match self.push_frame(fid, &argv, result) {
+                Ok(()) => Control::Transfer,
+                Err(t) => trapped(t),
+            }
+        };
+        self.call_args = argv;
+        r
+    }
+
+    /// A sign's or auth's modifier: the static one, mixed with the slot's
+    /// address when the check is location-bound.
+    #[inline(always)]
+    fn modifier_at(&self, modifier: u64, loc: Option<Slot>) -> Result<u64, Box<Trap>> {
+        Ok(match loc {
+            None => modifier,
+            Some(l) => modifier ^ VA.canonical(l.read_ptr(self)?),
+        })
+    }
+
     /// The sign rule, for both enforcement backends. PAC-in-pointer
     /// returns the signed bits; the MAC table counts the sign, stages the
     /// MAC for the store that follows, and returns `p` unchanged. Either
     /// way the recorder sees the value returned.
-    #[inline(always)]
+    ///
+    /// Out of line, like [`Vm::pa_auth`]: the cipher would otherwise
+    /// inflate every op's dispatch frame.
+    #[inline(never)]
     fn pa_sign(&mut self, op: PaOp, p: u64, modifier: u64) -> u64 {
         let signed = if op.mac {
             self.pac.sign_count += 1;
@@ -543,7 +1043,7 @@ impl Vm<'_> {
             self.pac.sign(op.key, p, modifier)
         };
         if self.rec.is_some() {
-            self.rec_push(RecKind::Sign, op.at.site, signed, modifier, Some(op.key));
+            self.rec_push(RecKind::Sign, op.site, signed, modifier, Some(op.key));
         }
         signed
     }
@@ -553,7 +1053,7 @@ impl Vm<'_> {
     /// strips it; the MAC table checks the MAC staged by the sign just
     /// before or else the table entry of the slot last loaded from, and
     /// returns `p` unchanged. A miss is reported by [`Vm::auth_fail`].
-    #[inline(always)]
+    #[inline(never)]
     fn pa_auth(&mut self, op: PaOp, p: u64, modifier: u64) -> Result<u64, Box<Trap>> {
         let clean = if op.mac {
             self.pac.auth_count += 1;
@@ -571,657 +1071,13 @@ impl Vm<'_> {
         } else {
             match self.pac.auth(op.key, p, modifier) {
                 Ok(clean) => clean,
-                Err(e) => {
-                    return Err(self.auth_fail(op, p, modifier, e.found_pac, e.expected_pac))
-                }
+                Err(e) => return Err(self.auth_fail(op, p, modifier, e.found_pac, e.expected_pac)),
             }
         };
         if self.rec.is_some() {
-            self.rec_push(RecKind::Auth, op.at.site, p, modifier, Some(op.key));
+            self.rec_push(RecKind::Auth, op.site, p, modifier, Some(op.key));
         }
         Ok(clean)
-    }
-}
-
-/// Compiles one instruction into a closure. `at` is its check-site id and
-/// its position: calls commit that position as the caller's resume
-/// point, and a failing check's report looks up its site.
-fn compile_inst(cx: &Cx<'_>, f: &Function, at: CheckAt, inst: &Inst) -> OpFn {
-    let mac = cx.backend == Backend::MacTable;
-    match inst {
-        Inst::Alloca { result, ty, .. } => {
-            let result = *result;
-            let size = cx.tl.size_of(*ty).max(1).div_ceil(8).saturating_mul(8);
-            Box::new(move |vm| {
-                let fr = vm.frames.last().expect("frame");
-                let (tag, cached) = fr.alloca_cache[result.0 as usize];
-                if tag == fr.gen {
-                    vm.set(result, RtVal::P(cached));
-                    return Control::Next;
-                }
-                let addr = vm.stack_top;
-                if addr
-                    .checked_add(size)
-                    .is_none_or(|end| end >= layout::STACK_BASE + layout::STACK_SIZE)
-                {
-                    return Control::Trap(Box::new(Trap::StackOverflow));
-                }
-                vm.stack_top += size;
-                tri!(vm.mem.write_zeros(addr, size).map_err(|e| vm.mem_err(e)));
-                let fr = vm.frames.last_mut().expect("frame");
-                fr.alloca_cache[result.0 as usize] = (fr.gen, addr);
-                vm.set(result, RtVal::P(addr));
-                Control::Next
-            })
-        }
-        Inst::Load { result, ptr, ty } => {
-            let result = *result;
-            let ptr = cx.resolve(ptr);
-            let kind = cx.load_kind(*ty);
-            let track = mac && cx.m.types.is_ptr(*ty);
-            // One closure per width (and per pointer-operand kind), so the
-            // executed path is ptr read -> canonicalize -> one fixed-width
-            // memory read -> register write, with no dispatch left.
-            dispatch1!(ptr, |ps| {
-                macro_rules! load_c {
-                    (|$vm:ident, $addr:ident| $body:expr) => {
-                        Box::new(move |$vm: &mut Vm<'_>| {
-                            let p = tri!($vm.as_ptr(tri!(ps.get($vm))));
-                            let $addr = tri!($vm.deref_addr(p));
-                            let v = $body;
-                            if track {
-                                $vm.last_ptr_load = Some($addr);
-                            }
-                            $vm.set(result, v);
-                            Control::Next
-                        })
-                    };
-                }
-                match kind {
-                    LoadKind::I8 => load_c!(|vm, addr| {
-                        let b = tri!(vm.mem.read_arr::<1>(addr).map_err(|e| vm.mem_err(e)));
-                        RtVal::I(b[0] as i8 as i64)
-                    }),
-                    LoadKind::I16 => load_c!(|vm, addr| {
-                        let b = tri!(vm.mem.read_arr::<2>(addr).map_err(|e| vm.mem_err(e)));
-                        RtVal::I(i16::from_le_bytes(b) as i64)
-                    }),
-                    LoadKind::I32 => load_c!(|vm, addr| {
-                        let b = tri!(vm.mem.read_arr::<4>(addr).map_err(|e| vm.mem_err(e)));
-                        RtVal::I(i32::from_le_bytes(b) as i64)
-                    }),
-                    LoadKind::I64 => load_c!(|vm, addr| {
-                        let b = tri!(vm.mem.read_arr::<8>(addr).map_err(|e| vm.mem_err(e)));
-                        RtVal::I(i64::from_le_bytes(b))
-                    }),
-                    LoadKind::F64 => load_c!(|vm, addr| {
-                        let b = tri!(vm.mem.read_arr::<8>(addr).map_err(|e| vm.mem_err(e)));
-                        RtVal::F(f64::from_le_bytes(b))
-                    }),
-                    // Written out (not via `load_c!`) for the recorder
-                    // hook: a load through a pointer-typed slot is a
-                    // lifecycle event.
-                    LoadKind::Ptr => Box::new(move |vm: &mut Vm<'_>| {
-                        let p = tri!(vm.as_ptr(tri!(ps.get(vm))));
-                        let addr = tri!(vm.deref_addr(p));
-                        let b = tri!(vm.mem.read_arr::<8>(addr).map_err(|e| vm.mem_err(e)));
-                        let bits = u64::from_le_bytes(b);
-                        if track {
-                            vm.last_ptr_load = Some(addr);
-                        }
-                        if vm.rec.is_some() {
-                            vm.rec_plain(RecKind::Load, addr, bits);
-                        }
-                        vm.set(result, RtVal::P(bits));
-                        Control::Next
-                    }),
-                    // The unsupported-type error comes only after the
-                    // pointer itself resolved, so the bad
-                    // arm still evaluates and canonicalizes it first.
-                    LoadKind::Bad(msg) => Box::new(move |vm: &mut Vm<'_>| {
-                        let p = tri!(vm.as_ptr(tri!(ps.get(vm))));
-                        tri!(vm.deref_addr(p));
-                        Control::Trap(Box::new(Trap::BadProgram(msg.clone())))
-                    }),
-                }
-            })
-        }
-        Inst::Store { value, ptr } => {
-            let value_s = cx.resolve(value);
-            let ptr_s = cx.resolve(ptr);
-            // The slot (pointee) type the store writes through; `None`
-            // falls back by value shape.
-            let sty = match ptr {
-                Operand::Value(v) => cx.m.types.pointee(f.value_type(*v)),
-                Operand::GlobalAddr(_, t) | Operand::Null(t) | Operand::Str(_, t) => {
-                    cx.m.types.pointee(*t)
-                }
-                _ => None,
-            };
-            let ty_i64 = cx.ty_i64;
-            // One closure per pre-decided slot-type source and width (and
-            // per operand-kind combination, via `dispatch2!`), so the hot
-            // (statically-typed) stores carry neither the slot-type
-            // derivation nor `store_typed`'s width match. The
-            // shape-mismatch arms defer to `store_typed` itself, which
-            // owns the error text (and the conversions, for F64).
-            dispatch2!(value_s, ptr_s, |vs, ps| {
-                // The shared prologue: value read, pointer read +
-                // canonicalize, and the MAC handoff, in that order.
-                macro_rules! prologue {
-                    ($vm:ident, $v:ident, $addr:ident) => {
-                        let $v = tri!(vs.get($vm));
-                        let p = tri!($vm.as_ptr(tri!(ps.get($vm))));
-                        let $addr = tri!($vm.deref_addr(p));
-                        if mac {
-                            if let Some(m) = $vm.pending_mac.take() {
-                                $vm.mac_table.insert($addr, m);
-                            }
-                        }
-                    };
-                }
-                macro_rules! store_c {
-                    ($ty:expr, $pat:pat => $bytes:expr) => {{
-                        let ty = $ty;
-                        Box::new(move |vm: &mut Vm<'_>| {
-                            prologue!(vm, v, addr);
-                            match v {
-                                $pat => {
-                                    tri!(vm.mem.write_arr(addr, $bytes).map_err(|e| vm.mem_err(e)))
-                                }
-                                other => tri!(vm.store_typed(addr, ty, other)),
-                            }
-                            Control::Next
-                        })
-                    }};
-                }
-                match sty {
-                    Some(ty) => match cx.m.types.get(ty) {
-                        Type::Bool | Type::I8 => store_c!(ty, RtVal::I(i) => [i as u8]),
-                        Type::I16 => store_c!(ty, RtVal::I(i) => (i as i16).to_le_bytes()),
-                        Type::I32 => store_c!(ty, RtVal::I(i) => (i as i32).to_le_bytes()),
-                        Type::I64 => store_c!(ty, RtVal::I(i) => i.to_le_bytes()),
-                        Type::F64 => Box::new(move |vm: &mut Vm<'_>| {
-                            prologue!(vm, v, addr);
-                            let f = match v {
-                                RtVal::F(f) => f,
-                                RtVal::I(i) => i as f64,
-                                other => {
-                                    tri!(vm.store_typed(addr, ty, other));
-                                    return Control::Next;
-                                }
-                            };
-                            tri!(vm
-                                .mem
-                                .write_arr(addr, f.to_le_bytes())
-                                .map_err(|e| vm.mem_err(e)));
-                            Control::Next
-                        }),
-                        Type::Ptr(_) => Box::new(move |vm: &mut Vm<'_>| {
-                            prologue!(vm, v, addr);
-                            let pv = tri!(vm.as_ptr(v));
-                            tri!(vm
-                                .mem
-                                .write_arr(addr, pv.to_le_bytes())
-                                .map_err(|e| vm.mem_err(e)));
-                            // Mirrors `store_typed`'s ptr-slot recorder
-                            // event (this closure inlines that arm).
-                            if vm.rec.is_some() {
-                                vm.rec_plain(RecKind::Store, addr, pv);
-                            }
-                            Control::Next
-                        }),
-                        // Unsupported slot type: `store_typed`'s error,
-                        // lazily.
-                        _ => Box::new(move |vm: &mut Vm<'_>| {
-                            prologue!(vm, v, addr);
-                            tri!(vm.store_typed(addr, ty, v));
-                            Control::Next
-                        }),
-                    },
-                    None => Box::new(move |vm: &mut Vm<'_>| {
-                        prologue!(vm, v, addr);
-                        // Shape-derived slot type: I and F write their
-                        // natural width; P derives i64 and lets
-                        // `store_typed` produce the mismatch error.
-                        match v {
-                            RtVal::I(i) => tri!(vm
-                                .mem
-                                .write_arr(addr, i.to_le_bytes())
-                                .map_err(|e| vm.mem_err(e))),
-                            RtVal::F(f) => tri!(vm
-                                .mem
-                                .write_arr(addr, f.to_le_bytes())
-                                .map_err(|e| vm.mem_err(e))),
-                            other => tri!(vm.store_typed(addr, ty_i64, other)),
-                        }
-                        Control::Next
-                    }),
-                }
-            })
-        }
-        Inst::FieldAddr { result, base, struct_id, field } => {
-            let result = *result;
-            let base = cx.resolve(base);
-            let off = cx.tl.field_offset(*struct_id, *field);
-            dispatch1!(base, |bs| {
-                Box::new(move |vm: &mut Vm<'_>| {
-                    let b = tri!(vm.as_ptr(tri!(bs.get(vm))));
-                    vm.set(result, RtVal::P(b.wrapping_add(off)));
-                    Control::Next
-                })
-            })
-        }
-        Inst::IndexAddr { result, base, index, elem_ty } => {
-            let result = *result;
-            let base = cx.resolve(base);
-            let index = cx.resolve(index);
-            let sz = cx.tl.size_of(*elem_ty).max(1) as i64;
-            dispatch2!(base, index, |bs, is| {
-                Box::new(move |vm: &mut Vm<'_>| {
-                    let b = tri!(vm.as_ptr(tri!(bs.get(vm))));
-                    let i = match tri!(is.get(vm)) {
-                        RtVal::I(i) => i,
-                        RtVal::P(p) => p as i64,
-                        RtVal::F(_) => {
-                            return Control::Trap(Box::new(Trap::BadProgram("float index".into())))
-                        }
-                    };
-                    vm.set(result, RtVal::P(b.wrapping_add(i.wrapping_mul(sz) as u64)));
-                    Control::Next
-                })
-            })
-        }
-        Inst::BitCast { result, value, .. } => {
-            let result = *result;
-            let value = cx.resolve(value);
-            dispatch1!(value, |vs| {
-                Box::new(move |vm: &mut Vm<'_>| {
-                    let v = tri!(vs.get(vm));
-                    vm.set(result, v);
-                    Control::Next
-                })
-            })
-        }
-        Inst::Convert { result, value, to } => {
-            let result = *result;
-            let value = cx.resolve(value);
-            let to_f64 = matches!(cx.m.types.get(*to), Type::F64);
-            let wk = cx.wrap_kind(*to);
-            dispatch1!(value, |vs| {
-                Box::new(move |vm: &mut Vm<'_>| {
-                    let v = tri!(vs.get(vm));
-                    let out = match (v, to_f64) {
-                        (RtVal::I(i), true) => RtVal::F(i as f64),
-                        (RtVal::F(fv), true) => RtVal::F(fv),
-                        (RtVal::F(fv), false) => RtVal::I(wk.apply(fv as i64)),
-                        (RtVal::I(i), false) => RtVal::I(wk.apply(i)),
-                        (RtVal::P(p), _) => RtVal::I(wk.apply(p as i64)),
-                    };
-                    vm.set(result, out);
-                    Control::Next
-                })
-            })
-        }
-        Inst::Bin { result, op, lhs, rhs, ty } => {
-            let (result, op, ty) = (*result, *op, *ty);
-            let lhs = cx.resolve(lhs);
-            let rhs = cx.resolve(rhs);
-            if matches!(cx.m.types.get(ty), Type::F64) {
-                return dispatch2!(lhs, rhs, |a, b| {
-                    macro_rules! fbin {
-                        ($f:expr) => {
-                            Box::new(move |vm: &mut Vm<'_>| {
-                                let fa = tri!(float_of(tri!(a.get(vm))));
-                                let fb = tri!(float_of(tri!(b.get(vm))));
-                                let f: fn(f64, f64) -> f64 = $f;
-                                vm.set(result, RtVal::F(f(fa, fb)));
-                                Control::Next
-                            })
-                        };
-                    }
-                    match op {
-                        BinOp::Add => fbin!(|x, y| x + y),
-                        BinOp::Sub => fbin!(|x, y| x - y),
-                        BinOp::Mul => fbin!(|x, y| x * y),
-                        BinOp::Div => fbin!(|x, y| x / y),
-                        BinOp::Rem => fbin!(|x, y| x % y),
-                        // Both operands still coerce first: an lhs error
-                        // wins over an rhs error, both over this one.
-                        _ => Box::new(move |vm: &mut Vm<'_>| {
-                            tri!(float_of(tri!(a.get(vm))));
-                            tri!(float_of(tri!(b.get(vm))));
-                            Control::Trap(Box::new(Trap::BadProgram("bitwise op on float".into())))
-                        }),
-                    }
-                });
-            }
-            let wk = cx.wrap_kind(ty);
-            dispatch2!(lhs, rhs, |a, b| {
-                macro_rules! ibin {
-                    ($f:expr) => {
-                        Box::new(move |vm: &mut Vm<'_>| {
-                            let ia = int_of(tri!(a.get(vm)));
-                            let ib = int_of(tri!(b.get(vm)));
-                            let f: fn(i64, i64) -> i64 = $f;
-                            vm.set(result, RtVal::I(wk.apply(f(ia, ib))));
-                            Control::Next
-                        })
-                    };
-                }
-                macro_rules! idiv {
-                    ($f:expr) => {
-                        Box::new(move |vm: &mut Vm<'_>| {
-                            let ia = int_of(tri!(a.get(vm)));
-                            let ib = int_of(tri!(b.get(vm)));
-                            if ib == 0 {
-                                return Control::Trap(Box::new(Trap::DivByZero {
-                                    func: vm.cur_func_name(),
-                                }));
-                            }
-                            let f: fn(i64, i64) -> i64 = $f;
-                            vm.set(result, RtVal::I(wk.apply(f(ia, ib))));
-                            Control::Next
-                        })
-                    };
-                }
-                match op {
-                    BinOp::Add => ibin!(|x, y| x.wrapping_add(y)),
-                    BinOp::Sub => ibin!(|x, y| x.wrapping_sub(y)),
-                    BinOp::Mul => ibin!(|x, y| x.wrapping_mul(y)),
-                    BinOp::Div => idiv!(|x, y| x.wrapping_div(y)),
-                    BinOp::Rem => idiv!(|x, y| x.wrapping_rem(y)),
-                    BinOp::And => ibin!(|x, y| x & y),
-                    BinOp::Or => ibin!(|x, y| x | y),
-                    BinOp::Xor => ibin!(|x, y| x ^ y),
-                    BinOp::Shl => ibin!(|x, y| x.wrapping_shl(y as u32 & 63)),
-                    BinOp::Shr => ibin!(|x, y| x.wrapping_shr(y as u32 & 63)),
-                }
-            })
-        }
-        Inst::Cmp { result, op, lhs, rhs } => {
-            let (result, op) = (*result, *op);
-            let lhs = cx.resolve(lhs);
-            let rhs = cx.resolve(rhs);
-            // One closure per comparison op over the shared `ord_vals`,
-            // so the op match disappears from the hot path.
-            dispatch2!(lhs, rhs, |a, b| {
-                macro_rules! cbin {
-                    ($t:expr) => {
-                        Box::new(move |vm: &mut Vm<'_>| {
-                            let av = tri!(a.get(vm));
-                            let bv = tri!(b.get(vm));
-                            let t: fn(Ordering) -> bool = $t;
-                            vm.set(result, RtVal::I(t(ord_vals(av, bv)) as i64));
-                            Control::Next
-                        })
-                    };
-                }
-                match op {
-                    CmpOp::Eq => cbin!(|o| o == Ordering::Equal),
-                    CmpOp::Ne => cbin!(|o| o != Ordering::Equal),
-                    CmpOp::Lt => cbin!(|o| o == Ordering::Less),
-                    CmpOp::Le => cbin!(|o| o != Ordering::Greater),
-                    CmpOp::Gt => cbin!(|o| o == Ordering::Greater),
-                    CmpOp::Ge => cbin!(|o| o != Ordering::Less),
-                }
-            })
-        }
-        Inst::Call { result, callee, args } => {
-            let result = *result;
-            let args: Vec<Slot> = args.iter().map(|a| cx.resolve(a)).collect();
-            let cf = cx.m.func(*callee);
-            let kind = if cf.is_external {
-                Callee::External { fid: *callee, ret: cf.sig.ret }
-            } else {
-                Callee::Internal(*callee)
-            };
-            Box::new(move |vm| {
-                let mut argv = std::mem::take(&mut vm.call_args);
-                argv.clear();
-                for a in &args {
-                    match a.read(vm) {
-                        Ok(v) => argv.push(v),
-                        Err(e) => {
-                            vm.call_args = argv;
-                            return Control::Trap(Box::new(e));
-                        }
-                    }
-                }
-                let r = match &kind {
-                    Callee::External { fid, ret } => {
-                        let img = vm.img;
-                        let v = vm.external_call(&img.module.funcs[fid.0 as usize].name, &argv, *ret);
-                        if let (Some(rr), Some(v)) = (result, v) {
-                            vm.set(rr, v);
-                        }
-                        Control::Next
-                    }
-                    Callee::Internal(fid) => {
-                        // The caller resumes after this instruction.
-                        vm.commit_pos(at);
-                        match vm.push_frame(*fid, &argv, result) {
-                            Ok(()) => Control::Transfer,
-                            Err(t) => Control::Trap(Box::new(t)),
-                        }
-                    }
-                };
-                vm.call_args = argv;
-                r
-            })
-        }
-        Inst::CallIndirect { result, callee, args, sig } => {
-            let result = *result;
-            let callee = cx.resolve(callee);
-            let args: Vec<Slot> = args.iter().map(|a| cx.resolve(a)).collect();
-            let ret = sig.ret;
-            Box::new(move |vm| {
-                let p = tri!(callee.read_ptr(vm));
-                if !VA.is_canonical(p) {
-                    return Control::Trap(Box::new(Trap::NonCanonicalCall {
-                        func: vm.cur_func_name(),
-                        ptr: p,
-                    }));
-                }
-                let target = VA.canonical(p);
-                let Some((fid, external)) = resolve_code_addr(&vm.img.module, target) else {
-                    return Control::Trap(Box::new(Trap::CallNonFunction {
-                        func: vm.cur_func_name(),
-                        target,
-                    }));
-                };
-                let mut argv = std::mem::take(&mut vm.call_args);
-                argv.clear();
-                for a in &args {
-                    match a.read(vm) {
-                        Ok(v) => argv.push(v),
-                        Err(e) => {
-                            vm.call_args = argv;
-                            return Control::Trap(Box::new(e));
-                        }
-                    }
-                }
-                let r = if external {
-                    let name = vm.img.module.funcs[fid.0 as usize].name.clone();
-                    let v = vm.external_call(&name, &argv, ret);
-                    if let (Some(rr), Some(v)) = (result, v) {
-                        vm.set(rr, v);
-                    }
-                    Control::Next
-                } else {
-                    vm.commit_pos(at);
-                    match vm.push_frame(fid, &argv, result) {
-                        Ok(()) => Control::Transfer,
-                        Err(t) => Control::Trap(Box::new(t)),
-                    }
-                };
-                vm.call_args = argv;
-                r
-            })
-        }
-        Inst::Malloc { result, size, .. } => {
-            let result = *result;
-            let size = cx.resolve(size);
-            Box::new(move |vm| {
-                let sz = match tri!(size.read(vm)) {
-                    RtVal::I(i) => i.max(0) as u64,
-                    RtVal::P(p) => p,
-                    RtVal::F(_) => {
-                        return Control::Trap(Box::new(Trap::BadProgram(
-                            "float malloc size".into(),
-                        )))
-                    }
-                };
-                let addr = tri!(vm.alloc.malloc(sz).ok_or(Trap::HeapExhausted));
-                vm.set(result, RtVal::P(addr));
-                Control::Next
-            })
-        }
-        Inst::Free { ptr } => {
-            let ptr = cx.resolve(ptr);
-            Box::new(move |vm| {
-                let p = tri!(ptr.read_ptr(vm));
-                let a = VA.canonical(p);
-                if vm.rec.is_some() {
-                    vm.rec_plain(RecKind::Free, a, p);
-                }
-                if a != 0 && !vm.alloc.free(a) {
-                    vm.events.push(ExtEvent {
-                        name: "invalid_free".into(),
-                        args: vec![format!("{a:#x}")],
-                        critical: false,
-                    });
-                }
-                Control::Next
-            })
-        }
-        Inst::PrintInt { value } => {
-            let value = cx.resolve(value);
-            Box::new(move |vm| {
-                let v = tri!(value.read(vm));
-                vm.output.push(v.to_string());
-                Control::Next
-            })
-        }
-        Inst::PrintStr { s } => {
-            let text = cx.m.strings[s.0 as usize].clone();
-            Box::new(move |vm| {
-                vm.output.push(text.clone());
-                Control::Next
-            })
-        }
-        Inst::PacSign { result, value, key, modifier, loc, site } => {
-            let result = *result;
-            let value = cx.resolve(value);
-            let op = PaOp { mac, key: key_id(*key), class: *site, at };
-            let modifier = *modifier;
-            let loc = loc.as_ref().map(|l| cx.resolve(l));
-            let si = site_index(*site);
-            Box::new(move |vm| {
-                vm.site_counts[si] += 1;
-                let p = tri!(value.read_ptr(vm));
-                let modifier = match &loc {
-                    None => modifier,
-                    Some(l) => modifier ^ VA.canonical(tri!(l.read_ptr(vm))),
-                };
-                let signed = vm.pa_sign(op, p, modifier);
-                vm.set(result, RtVal::P(signed));
-                Control::Next
-            })
-        }
-        Inst::PacAuth { result, value, key, modifier, loc, site } => {
-            let result = *result;
-            let value = cx.resolve(value);
-            let op = PaOp { mac, key: key_id(*key), class: *site, at };
-            let modifier = *modifier;
-            let loc = loc.as_ref().map(|l| cx.resolve(l));
-            let si = site_index(*site);
-            Box::new(move |vm| {
-                vm.site_counts[si] += 1;
-                let p = tri!(value.read_ptr(vm));
-                let modifier = match &loc {
-                    None => modifier,
-                    Some(l) => modifier ^ VA.canonical(tri!(l.read_ptr(vm))),
-                };
-                let clean = tri!(vm.pa_auth(op, p, modifier));
-                vm.set(result, RtVal::P(clean));
-                Control::Next
-            })
-        }
-        Inst::PacStrip { result, value } => {
-            let result = *result;
-            let value = cx.resolve(value);
-            let si = site_index(PacSite::ExternalStrip);
-            Box::new(move |vm| {
-                vm.site_counts[si] += 1;
-                let p = tri!(value.read_ptr(vm));
-                let stripped = vm.pac.strip(p);
-                if vm.rec.is_some() {
-                    vm.rec_push(RecKind::Strip, at.site, p, 0, None);
-                }
-                vm.set(result, RtVal::P(stripped));
-                Control::Next
-            })
-        }
-        Inst::PpAdd { ce, fe_modifier } => {
-            let (ce, fe) = (*ce, *fe_modifier);
-            Box::new(move |vm| match vm.pp_table.get(&ce) {
-                Some(&had) if had != fe => {
-                    let f = PpFail::Conflict { ce: ce as u64, had };
-                    Control::Trap(vm.pp_fail(at, fe, f, 0, None))
-                }
-                _ => {
-                    vm.pp_table.insert(ce, fe);
-                    Control::Next
-                }
-            })
-        }
-        Inst::PpSign { result, value, ce, key } => {
-            let result = *result;
-            let value = cx.resolve(value);
-            let ce = *ce;
-            let op = PaOp { mac, key: key_id(*key), class: PacSite::OnLoad, at };
-            Box::new(move |vm| {
-                let p = tri!(value.read_ptr(vm));
-                let Some(&fe) = vm.pp_table.get(&ce) else {
-                    let f = PpFail::NotRegistered { ce: ce as u64 };
-                    return Control::Trap(vm.pp_fail(at, ce as u64, f, p, Some(op.key)));
-                };
-                let signed = vm.pa_sign(op, p, fe);
-                vm.set(result, RtVal::P(signed));
-                Control::Next
-            })
-        }
-        Inst::PpAddTbi { result, value, ce } => {
-            let result = *result;
-            let value = cx.resolve(value);
-            let ce = *ce;
-            Box::new(move |vm| {
-                let p = tri!(value.read_ptr(vm));
-                let tagged = VA.with_tbi_tag(p, ce);
-                vm.set(result, RtVal::P(tagged));
-                Control::Next
-            })
-        }
-        Inst::PpAuth { result, value, key } => {
-            let result = *result;
-            let value = cx.resolve(value);
-            let op = PaOp { mac, key: key_id(*key), class: PacSite::OnLoad, at };
-            Box::new(move |vm| {
-                let p = tri!(value.read_ptr(vm));
-                let ce = VA.tbi_tag(p);
-                if ce == 0 {
-                    return Control::Trap(vm.pp_fail(at, 0, PpFail::MissingTag, p, Some(op.key)));
-                }
-                let Some(&fe) = vm.pp_table.get(&ce) else {
-                    let f = PpFail::NotInStore { ce: ce as u64 };
-                    return Control::Trap(vm.pp_fail(at, ce as u64, f, p, Some(op.key)));
-                };
-                let clean = tri!(vm.pa_auth(op, VA.clear_tbi(p), fe));
-                vm.set(result, RtVal::P(clean));
-                Control::Next
-            })
-        }
     }
 }
 
@@ -1274,12 +1130,9 @@ impl<'img> Vm<'img> {
     fn exec_blocks(&mut self, code: &[CompiledFunc], single_block: bool) -> Result<(), Trap> {
         let depth = self.frames.len();
         let fr = self.frames.last().expect("active frame");
-        let mut func = fr.func.0 as usize;
+        let mut cf = &code[fr.func.0 as usize];
         let mut block = fr.block;
         let mut idx = fr.idx;
-        // The block table changes only when the frame does (a return),
-        // so resolve it per function, not per block.
-        let (mut fblocks, mut fcharge) = (&code[func].blocks, &code[func].charge[..]);
         let branch_cost = CostModel::for_mechanism(self.img.mechanism).branch;
         // Loop-invariant driver state lives in registers: telemetry
         // tracing, attribution and the recorder cannot toggle mid-run, and
@@ -1294,8 +1147,9 @@ impl<'img> Vm<'img> {
             self.attr.is_some() || self.rec.is_some() || self.img.exec == ExecBackend::Interp;
         let mut budget = self.fuel.saturating_sub(self.insts);
         loop {
-            let cb = &fblocks[block];
-            let n = cb.ops.len();
+            let cb = &cf.blocks[block];
+            let ops = cf.ops(cb);
+            let n = ops.len();
             let remaining = (n - idx) as u64 + 1;
             if !per_op && remaining <= budget {
                 // Fast path: charge the whole straight-line run *and the
@@ -1314,32 +1168,31 @@ impl<'img> Vm<'img> {
                     + if idx == 0 {
                         cb.total_cost
                     } else {
-                        cb.total_cost - cb.cost_before(fcharge, idx)
+                        cb.total_cost - cf.cost_before(cb, idx)
                     };
                 if trace {
-                    self.count_classes(cb, fcharge, idx);
+                    self.count_classes(cf, cb, idx);
                 }
-                let mut j = idx;
-                for op in &cb.ops[idx..] {
-                    match op(self) {
-                        Control::Next => j += 1,
+                for (op, j) in ops[idx..].iter().zip(idx..) {
+                    match self.exec_op(op, &cf.args, block, j) {
+                        Control::Next => {}
                         Control::Transfer => {
-                            self.rollback_suffix(cb, fcharge, j, n, branch_cost, trace);
+                            self.rollback_suffix(cf, cb, j, branch_cost, trace);
                             return Ok(());
                         }
                         Control::Trap(t) => {
-                            self.rollback_suffix(cb, fcharge, j, n, branch_cost, trace);
+                            self.rollback_suffix(cf, cb, j, branch_cost, trace);
                             return Err(*t);
                         }
                     }
                 }
             } else {
-                if !self.exec_ops_cold(cb, cb.charge(fcharge), idx)? {
+                if !self.exec_ops_cold(cf, block, idx).map_err(|t| *t)? {
                     return Ok(());
                 }
                 budget = self.fuel.saturating_sub(self.insts);
             }
-            match self.exec_term(&cb.term)? {
+            match self.exec_term(&cb.term).map_err(|t| *t)? {
                 Some(next) => block = next,
                 None => {
                     if self.frames.len() != depth || self.status.is_some() {
@@ -1349,10 +1202,9 @@ impl<'img> Vm<'img> {
                     // return path swapped this frame for a "gadget"
                     // frame. Re-read the position and continue there.
                     let fr = self.frames.last().expect("active frame");
-                    func = fr.func.0 as usize;
+                    cf = &code[fr.func.0 as usize];
                     block = fr.block;
                     idx = fr.idx;
-                    (fblocks, fcharge) = (&code[func].blocks, &code[func].charge[..]);
                     if single_block {
                         return Ok(());
                     }
@@ -1362,8 +1214,8 @@ impl<'img> Vm<'img> {
             }
             // Straight-line transfers track the position in locals only.
             // The frame is written exactly where it is observed: by
-            // committing closures (calls) and — here — when watch mode
-            // must see every block entry.
+            // committing ops (calls) and — here — when watch mode must see
+            // every block entry.
             idx = 0;
             if single_block {
                 let fr = self.frames.last_mut().expect("active frame");
@@ -1374,24 +1226,23 @@ impl<'img> Vm<'img> {
         }
     }
 
-    /// Reverses the fast path's pre-charge for ops `j+1..n` and the
-    /// terminator, which did not execute because op `j` trapped or
-    /// transferred control. (A transferring call re-charges the suffix —
-    /// terminator included — when the frame resumes at `j+1`.)
+    /// Reverses the fast path's pre-charge for the ops of `cb` after op
+    /// `j` and the terminator, which did not execute because op `j`
+    /// trapped or transferred control. (A transferring call re-charges the
+    /// suffix — terminator included — when the frame resumes at `j+1`.)
     #[inline]
     fn rollback_suffix(
         &mut self,
+        cf: &CompiledFunc,
         cb: &CompiledBlock,
-        fcharge: &[OpCharge],
         j: usize,
-        n: usize,
         branch_cost: u64,
         trace: bool,
     ) {
-        self.insts -= (n - (j + 1)) as u64 + 1;
-        self.cycles -= cb.total_cost - cb.cost_before(fcharge, j + 1) + branch_cost;
+        self.insts -= (cb.len as usize - (j + 1)) as u64 + 1;
+        self.cycles -= cb.total_cost - cf.cost_before(cb, j + 1) + branch_cost;
         if trace {
-            for c in &cb.charge(fcharge)[j + 1..] {
+            for c in &cf.charge(cb)[j + 1..] {
                 self.opclass[c.class as usize] -= 1;
             }
             self.opclass[OPCLASS_BRANCH] -= 1;
@@ -1401,43 +1252,51 @@ impl<'img> Vm<'img> {
     /// The fast path's opclass pre-count for ops `idx..` and the
     /// terminator: the block's translated per-class totals on a block
     /// entry, the charge stream's classes on a call resume.
-    fn count_classes(&mut self, cb: &CompiledBlock, fcharge: &[OpCharge], idx: usize) {
+    fn count_classes(&mut self, cf: &CompiledFunc, cb: &CompiledBlock, idx: usize) {
         if idx == 0 {
             for (c, k) in self.opclass.iter_mut().zip(cb.class_counts) {
                 *c += u64::from(k);
             }
         } else {
-            for c in &cb.charge(fcharge)[idx..] {
+            for c in &cf.charge(cb)[idx..] {
                 self.opclass[c.class as usize] += 1;
             }
         }
         self.opclass[OPCLASS_BRANCH] += 1;
     }
 
-    /// The per-op loop: ops `idx..` of block `cb`, each fuel-checked and
-    /// charged before it runs, then the terminator's charge. Reference accounting runs
-    /// every block through here; the fast path drops here whenever per-op
-    /// charging is observable (attribution, the recorder, or fuel that may
-    /// run out mid-block). Returns `true` when the block ran to its
-    /// terminator, `false` when an op transferred control out of the
-    /// frame.
+    /// The per-op loop: ops `idx..` of block `block` of `cf`, each
+    /// fuel-checked and charged before it runs, then the terminator's
+    /// charge. Reference accounting runs every block through here; the
+    /// fast path drops here whenever per-op charging is observable
+    /// (attribution, the recorder, or fuel that may run out mid-block).
+    /// Returns `true` when the block ran to its terminator, `false` when
+    /// an op transferred control out of the frame.
     #[inline(never)]
-    fn exec_ops(&mut self, cb: &CompiledBlock, charge: &[OpCharge], idx: usize) -> Result<bool, Trap> {
-        let observed = self.attr.is_some();
-        for (op, charge) in cb.ops[idx..].iter().zip(&charge[idx..]) {
-            if self.insts >= self.fuel {
-                return Err(Trap::FuelExhausted);
+    fn exec_ops(&mut self, cf: &CompiledFunc, block: usize, idx: usize) -> Result<bool, Box<Trap>> {
+        let cb = &cf.blocks[block];
+        let (ops, charges) = (cf.ops(cb), cf.charge(cb));
+        // As in the driver: no op sets the budget or toggles an observer.
+        let (fuel, trace, observed) = (self.fuel, self.trace_enabled, self.attr.is_some());
+        for j in idx..ops.len() {
+            let (op, charge) = (&ops[j], &charges[j]);
+            if self.insts >= fuel {
+                return Err(Box::new(Trap::FuelExhausted));
             }
             self.insts += 1;
-            if self.trace_enabled {
+            if trace {
                 self.opclass[charge.class as usize] += 1;
             }
             self.cycles += charge.cost;
-            let ctl = if observed { self.exec_op_observed(op, charge) } else { op(self) };
+            let ctl = if observed {
+                self.exec_op_observed(op, charge.cost, &cf.args, block, j)
+            } else {
+                self.exec_op(op, &cf.args, block, j)
+            };
             match ctl {
                 Control::Next => {}
                 Control::Transfer => return Ok(false),
-                Control::Trap(t) => return Err(*t),
+                Control::Trap(t) => return Err(t),
             }
         }
         self.charge_block_transfer()?;
@@ -1448,22 +1307,34 @@ impl<'img> Vm<'img> {
     /// path's code layout treats it as the exception it is.
     #[cold]
     #[inline(never)]
-    fn exec_ops_cold(&mut self, cb: &CompiledBlock, charge: &[OpCharge], idx: usize) -> Result<bool, Trap> {
-        self.exec_ops(cb, charge, idx)
+    fn exec_ops_cold(
+        &mut self,
+        cf: &CompiledFunc,
+        block: usize,
+        idx: usize,
+    ) -> Result<bool, Box<Trap>> {
+        self.exec_ops(cf, block, idx)
     }
 
     /// One op with attribution on: the sampler runs after the op's charge
-    /// and per-site accounting wraps the op. Outlined so the unobserved
-    /// loop stays small.
+    /// (`cost`) and per-site accounting wraps a check op. Outlined so the
+    /// unobserved loop stays small.
     #[inline(never)]
-    fn exec_op_observed(&mut self, op: &OpFn, charge: &OpCharge) -> Control {
+    fn exec_op_observed(
+        &mut self,
+        op: &Op,
+        cost: u64,
+        args: &[Slot],
+        block: usize,
+        idx: usize,
+    ) -> Control {
         self.attr_maybe_sample();
-        if charge.site == NO_SITE {
-            return op(self);
-        }
         let (s0, a0) = (self.pac.sign_count, self.pac.auth_count);
-        let ctl = op(self);
-        self.attr_record_site(charge.site, charge.cost, s0, a0, matches!(ctl, Control::Trap(_)));
+        let ctl = self.exec_op(op, args, block, idx);
+        let site = op.site();
+        if site != NO_SITE {
+            self.attr_record_site(site, cost, s0, a0, matches!(ctl, Control::Trap(_)));
+        }
         ctl
     }
 
@@ -1472,10 +1343,10 @@ impl<'img> Vm<'img> {
     /// position in locals. `ret` and `unreachable` run here and return
     /// `None`.
     #[inline(always)]
-    fn exec_term(&mut self, t: &CompiledTerm) -> Result<Option<usize>, Trap> {
+    fn exec_term(&mut self, t: &CompiledTerm) -> Result<Option<usize>, Box<Trap>> {
         let (cond, then_bb, else_bb) = match t {
             CompiledTerm::Br(bb) => return Ok(Some(*bb as usize)),
-            CompiledTerm::CondBrReg { v, then_bb, else_bb } => (RegS(*v).get(self)?, then_bb, else_bb),
+            CompiledTerm::CondBrReg { v, then_bb, else_bb } => (self.reg(*v)?, then_bb, else_bb),
             CompiledTerm::CondBr { cond, then_bb, else_bb } => (cond.read(self)?, then_bb, else_bb),
             CompiledTerm::Ret(v) => {
                 let val = match v {
@@ -1485,7 +1356,9 @@ impl<'img> Vm<'img> {
                 self.exec_ret(val)?;
                 return Ok(None);
             }
-            CompiledTerm::Unreachable => return Err(unreachable_reached(&self.cur_func_name())),
+            CompiledTerm::Unreachable => {
+                return Err(Box::new(unreachable_reached(&self.cur_func_name())))
+            }
         };
         let taken = match cond {
             RtVal::I(v) => v != 0,
@@ -1493,5 +1366,73 @@ impl<'img> Vm<'img> {
             RtVal::F(f) => f != 0.0,
         };
         Ok(Some(if taken { *then_bb } else { *else_bb } as usize))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rsti_core::{check_sites, Mechanism};
+
+    /// `serve` caches 128 translated images: a fatter op shows in its
+    /// resident memory.
+    #[test]
+    fn an_op_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<Op>(), 56);
+    }
+
+    /// Each function holds one op and one charge entry per instruction, its
+    /// blocks' ranges tile its op vector in order, and each op carries the
+    /// check-site id `rsti_core::check_sites` gives its instruction.
+    fn assert_one_op_per_inst(img: &Image, what: &str) {
+        let code = img.compiled();
+        let funcs = code.funcs.as_ref().expect("id-checked image");
+        let m = img.module();
+        let sites = check_sites(m);
+        let mut next_site = sites.iter();
+        for (f, cf) in m.funcs.iter().zip(funcs) {
+            assert_eq!(cf.ops.len(), f.inst_count(), "{what}: {}", f.name);
+            assert_eq!(cf.charge.len(), f.inst_count(), "{what}: {}", f.name);
+            let mut at = 0;
+            for (bi, (b, cb)) in f.blocks.iter().zip(&cf.blocks).enumerate() {
+                assert_eq!((cb.at, cb.len), (at, b.insts.len() as u32), "{what}: {} bb{bi}", f.name);
+                at += cb.len;
+                for (ii, op) in cf.ops(cb).iter().enumerate() {
+                    let want = match rsti_core::check_kind(&b.insts[ii].inst) {
+                        Some(_) => next_site.next().expect("site").id,
+                        None => NO_SITE,
+                    };
+                    assert_eq!(op.site(), want, "{what}: {} bb{bi}[{ii}]", f.name);
+                }
+            }
+            assert_eq!(at as usize, cf.ops.len(), "{what}: {}", f.name);
+        }
+        assert!(next_site.next().is_none(), "{what}: sites left over");
+        assert_eq!(code.sites.len(), sites.len(), "{what}");
+    }
+
+    #[test]
+    fn every_function_holds_one_op_per_instruction() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+        let mut programs: Vec<(String, Module)> = std::fs::read_dir(dir)
+            .expect("corpus")
+            .map(|e| e.expect("entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "mc"))
+            .map(|p| {
+                let src = std::fs::read_to_string(&p).expect("source");
+                (p.display().to_string(), rsti_frontend::compile(&src, "t").expect("compiles"))
+            })
+            .collect();
+        assert!(programs.len() >= 10, "corpus went missing");
+        let proxy = &rsti_workloads::nbench()[0];
+        programs.push((proxy.name.to_string(), proxy.proxy_module()));
+        for (name, m) in &programs {
+            for mech in [None, Some(Mechanism::Stwc), Some(Mechanism::Stl)] {
+                for level in [OptLevel::None, OptLevel::Ipo] {
+                    let (img, _) = Image::build(m, mech, level);
+                    assert_one_op_per_inst(&img, &format!("{name} {mech:?} {level:?}"));
+                }
+            }
+        }
     }
 }

@@ -46,7 +46,7 @@ use std::sync::{Arc, OnceLock};
 
 // Translation into pre-resolved ops and the driver that runs them. Declared as
 // a child of this module (rather than a sibling under `lib.rs`) so its
-// closures can reach the VM's private state — the register file, the PA
+// op rules can reach the VM's private state — the register file, the PA
 // unit, the audit constructors — without widening any of it beyond this
 // file's contract.
 #[path = "compile.rs"]
@@ -253,7 +253,14 @@ pub const SITE_ORDER: [PacSite; 6] = [
 ];
 
 fn site_index(site: PacSite) -> usize {
-    SITE_ORDER.iter().position(|&s| s == site).expect("covered")
+    match site {
+        PacSite::OnStore => 0,
+        PacSite::OnLoad => 1,
+        PacSite::CastResign => 2,
+        PacSite::ArgResign => 3,
+        PacSite::ExternalStrip => 4,
+        PacSite::NewPointer => 5,
+    }
 }
 
 /// Names of the opcode classes counted in [`ExecResult::opclass_counts`].
@@ -293,12 +300,19 @@ fn opcode_class(inst: &Inst) -> usize {
 /// load-time id check keeps every register id inside its function's value
 /// table, so a checked image never gets here; the read stays total instead
 /// of panicking. Kept out of line so the bounds check in the hottest op
-/// closures compiles to a branch plus a call into cold code instead of
+/// rules compiles to a branch plus a call into cold code instead of
 /// inline `format!` machinery.
 #[cold]
 #[inline(never)]
-fn oob(what: &'static str, idx: usize) -> Trap {
-    Trap::BadProgram(format!("{what} {idx} out of range"))
+fn oob(what: &'static str, idx: usize) -> Box<Trap> {
+    Box::new(Trap::BadProgram(format!("{what} {idx} out of range")))
+}
+
+/// A [`Trap::BadProgram`] with a fixed message, built out of line.
+#[cold]
+#[inline(never)]
+fn bad_program(msg: &'static str) -> Box<Trap> {
+    Box::new(Trap::BadProgram(msg.into()))
 }
 
 #[cold]
@@ -316,18 +330,6 @@ enum PpFail {
     NotInStore { ce: u64 },
 }
 
-/// An op's identity, fixed at translation and captured in the closures
-/// that need it: its check-site id ([`NO_SITE`] unless it is a check),
-/// which a check's recorder events and failure report carry, and its
-/// position (its block, and the index after it), which a call commits as
-/// the caller's resume point.
-#[derive(Clone, Copy)]
-struct CheckAt {
-    site: u32,
-    block: u32,
-    next_idx: u32,
-}
-
 /// A sign or auth op's translation-time constants, the inputs of
 /// [`Vm::auth_fail`] and of the sign and auth rules in `compile.rs`.
 #[derive(Clone, Copy)]
@@ -338,7 +340,9 @@ struct PaOp {
     /// The site class a failing auth reports (`pp_auth` reports
     /// `on_load`).
     class: PacSite,
-    at: CheckAt,
+    /// The check-site id, which the op's recorder events and failure
+    /// report carry.
+    site: u32,
 }
 
 impl ExecResult {
@@ -443,7 +447,7 @@ impl AttrProfile {
 /// that sampling stays a rounding error next to per-op attribution.
 pub const DEFAULT_ATTR_SAMPLE_EVERY: u64 = 4096;
 
-/// `OpCharge::site` / site-lookup sentinel: not a check site.
+/// The site id of an op that is no check ([`compile::Op::site`]).
 pub(crate) const NO_SITE: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -475,7 +479,7 @@ struct FuncStat {
 /// the per-op loop; see `exec_ops`).
 struct AttrState {
     /// Indexed by check-site id (the image's site table, whose ids the
-    /// translation bakes into each op's `OpCharge::site`).
+    /// translation bakes into each check op).
     site_stats: Vec<SiteStat>,
     /// Indexed by function id.
     funcs: Vec<FuncStat>,
@@ -650,7 +654,7 @@ pub enum Backend {
 /// How the one driver charges the image's blocks.
 ///
 /// Both modes run the same translation of the image — each basic block
-/// compiled once into a chain of closures with pre-resolved operand slots
+/// compiled once into plain ops with pre-resolved operand slots
 /// — through the same direct-threaded driver, and differ only in
 /// accounting. They are observably identical (same traps, same audit
 /// records, same cycle/instruction accounting, same telemetry counters),
@@ -1307,7 +1311,7 @@ impl<'img> Vm<'img> {
     }
 
     /// Adds one execution of check site `sid` (the per-op loop calls this
-    /// with the site id baked into the op's `OpCharge`).
+    /// with the site id baked into the check op).
     pub(crate) fn attr_record_site(&mut self, sid: u32, cost: u64, s0: u64, a0: u64, trapped: bool) {
         let (signs, auths) = (self.pac.sign_count, self.pac.auth_count);
         let a = self.attr.as_deref_mut().expect("attr on");
@@ -1410,8 +1414,8 @@ impl<'img> Vm<'img> {
     // recorder off (the default) its entire footprint is a few never-taken
     // branches — the same inertness discipline as the attribution hooks.
     // Events fire from code both accounting modes share (push_frame,
-    // exec_ret, store_typed, the attacker API, and the translated
-    // PAC/Load/Free ops), so recorded windows are mode-identical.
+    // exec_ret, the attacker API, and the translated
+    // PAC/Load/Store/Free ops), so recorded windows are mode-identical.
 
     /// Records one PAC-family event of check site `site`.
     #[inline(never)]
@@ -1619,24 +1623,23 @@ impl<'img> Vm<'img> {
         });
     }
 
-    /// Commits the frame position of the op at `at`, as the per-op loop
-    /// does before running it: calls store where the caller resumes. The
-    /// driver does not touch the frame on straight-line block transfers,
-    /// so the block index is written too.
+    /// Commits the frame position `(block, idx)`: a call stores where
+    /// the caller resumes. The driver does not touch the frame on
+    /// straight-line block transfers, so the block index is written too.
     #[cold]
     #[inline(never)]
-    fn commit_pos(&mut self, at: CheckAt) {
+    fn commit_pos(&mut self, block: usize, idx: usize) {
         let fr = self.frames.last_mut().expect("active frame");
-        fr.block = at.block as usize;
-        fr.idx = at.next_idx as usize;
+        fr.block = block;
+        fr.idx = idx;
     }
 
-    /// Builds the audit record for a detection trap at check `at`,
+    /// Builds the audit record for a detection trap at check site `sid`,
     /// appends it to the run's audit log, and forwards it to the global
     /// collector. The record's `inst` and `line` are the check's in the
     /// image's site table.
-    fn record_audit(&mut self, at: CheckAt, site: &'static str, modifier: u64, detail: String) {
-        let check = &self.code.sites[at.site as usize];
+    fn record_audit(&mut self, sid: u32, site: &'static str, modifier: u64, detail: String) {
+        let check = &self.code.sites[sid as usize];
         let rec = AuditRecord {
             mechanism: self
                 .img
@@ -1660,7 +1663,7 @@ impl<'img> Vm<'img> {
     /// armed.
     ///
     /// Cold and out of line, like [`Vm::pp_fail`]: a detection ends the
-    /// run, and keeping the string formatting out of the op closures keeps
+    /// run, and keeping the string formatting out of the op rules keeps
     /// them small.
     #[cold]
     #[inline(never)]
@@ -1677,14 +1680,14 @@ impl<'img> Vm<'img> {
         } else {
             format!("found PAC {found:#x}, expected {expected:#x}")
         };
-        self.record_audit(op.at, pac_site_name(op.class), modifier, detail);
+        self.record_audit(op.site, pac_site_name(op.class), modifier, detail);
         if self.rec.is_some() {
             let key = Some(op.key);
-            self.rec_synthesize("pac_auth_failure", op.at.site, value, key, found, expected);
+            self.rec_synthesize("pac_auth_failure", op.site, value, key, found, expected);
         }
         Box::new(Trap::PacAuthFailure {
             func: self.cur_func_name(),
-            line: self.code.sites[op.at.site as usize].line,
+            line: self.code.sites[op.site as usize].line,
             site: op.class,
             found_pac: found,
             expected_pac: expected,
@@ -1697,7 +1700,7 @@ impl<'img> Vm<'img> {
     #[inline(never)]
     fn pp_fail(
         &mut self,
-        at: CheckAt,
+        sid: u32,
         modifier: u64,
         f: PpFail,
         value: u64,
@@ -1721,9 +1724,9 @@ impl<'img> Vm<'img> {
                 format!("pp_auth: CE {ce} not in metadata store"),
             ),
         };
-        self.record_audit(at, "pp_metadata", modifier, detail);
+        self.record_audit(sid, "pp_metadata", modifier, detail);
         if self.rec.is_some() {
-            self.rec_synthesize("pp_auth_failure", at.site, value, key, 0, 0);
+            self.rec_synthesize("pp_auth_failure", sid, value, key, 0, 0);
         }
         Box::new(Trap::PpAuthFailure { func: self.cur_func_name(), reason })
     }
@@ -1847,17 +1850,17 @@ impl<'img> Vm<'img> {
     }
 
     #[inline]
-    fn as_ptr(&self, v: RtVal) -> Result<u64, Trap> {
+    fn as_ptr(&self, v: RtVal) -> Result<u64, Box<Trap>> {
         match v {
             RtVal::P(p) => Ok(p),
             RtVal::I(i) => Ok(i as u64), // integer used as pointer (C laxity)
-            RtVal::F(_) => Err(Trap::BadProgram("float used as pointer".into())),
+            RtVal::F(_) => Err(bad_program("float used as pointer")),
         }
     }
 
     /// Checks canonical form and returns the translated address.
     #[inline(always)]
-    fn deref_addr(&self, p: u64) -> Result<u64, Trap> {
+    fn deref_addr(&self, p: u64) -> Result<u64, Box<Trap>> {
         if !VA.is_canonical(p) {
             // Non-canonical (PAC-carrying, poisoned, forged): hardware
             // translation faults.
@@ -1868,44 +1871,14 @@ impl<'img> Vm<'img> {
 
     #[cold]
     #[inline(never)]
-    fn noncanonical_trap(&self, p: u64) -> Trap {
-        Trap::Mem { func: self.cur_func_name(), fault: MemFault::Unmapped { addr: p } }
+    fn noncanonical_trap(&self, p: u64) -> Box<Trap> {
+        Box::new(Trap::Mem { func: self.cur_func_name(), fault: MemFault::Unmapped { addr: p } })
     }
 
     #[cold]
     #[inline(never)]
-    fn mem_err(&self, fault: MemFault) -> Trap {
-        Trap::Mem { func: self.cur_func_name(), fault }
-    }
-
-    fn store_typed(&mut self, addr: u64, ty: TypeId, v: RtVal) -> Result<(), Trap> {
-        let img = self.img;
-        let m = &img.module;
-        // All scalar stores are <= 8 bytes; each arm writes its exact
-        // width so the range check folds to one comparison.
-        let r = match (m.types.get(ty), v) {
-            (Type::Bool | Type::I8, RtVal::I(i)) => self.mem.write_arr::<1>(addr, [i as u8]),
-            (Type::I16, RtVal::I(i)) => self.mem.write_arr::<2>(addr, (i as i16).to_le_bytes()),
-            (Type::I32, RtVal::I(i)) => self.mem.write_arr::<4>(addr, (i as i32).to_le_bytes()),
-            (Type::I64, RtVal::I(i)) => self.mem.write_arr::<8>(addr, i.to_le_bytes()),
-            (Type::F64, RtVal::F(f)) => self.mem.write_arr::<8>(addr, f.to_le_bytes()),
-            (Type::F64, RtVal::I(i)) => self.mem.write_arr::<8>(addr, (i as f64).to_le_bytes()),
-            (Type::Ptr(_), v) => {
-                let p = self.as_ptr(v)?;
-                let w = self.mem.write_arr::<8>(addr, p.to_le_bytes());
-                if w.is_ok() && self.rec.is_some() {
-                    // A pointer slot changed hands — the lifecycle event
-                    // lineage resolution walks back through. (The compiled
-                    // engine's inlined ptr-store closure mirrors this.)
-                    self.rec_plain(RecKind::Store, addr, p);
-                }
-                w
-            }
-            (t, v) => {
-                return Err(Trap::BadProgram(format!("store of {v:?} into {t:?}")))
-            }
-        };
-        r.map_err(|e| self.mem_err(e))
+    fn mem_err(&self, fault: MemFault) -> Box<Trap> {
+        Box::new(Trap::Mem { func: self.cur_func_name(), fault })
     }
 
     /// The per-op loop's block exit charge: fuel check plus instruction,
@@ -1941,7 +1914,7 @@ impl<'img> Vm<'img> {
         // address from memory. A corrupted value redirects control
         // — the ROP surface the paper's §3 assumption closes.
         if let Some((slot, expected)) = self.frames.last().and_then(|f| f.ret_slot) {
-            let found = self.mem.read_u64(slot).map_err(|e| self.mem_err(e))?;
+            let found = self.mem.read_u64(slot).map_err(|e| *self.mem_err(e))?;
             if found != expected {
                 let fr = self.frames.pop().expect("frame");
                 self.stack_top = fr.stack_mark;
@@ -2023,7 +1996,7 @@ impl<'img> Vm<'img> {
 }
 
 /// Orders two runtime values under the comparison coercion rules (the
-/// `Cmp` op closures). The common `(I, I)` arm leads.
+/// `Cmp` op). The common `(I, I)` arm leads.
 #[inline(always)]
 fn ord_vals(a: RtVal, b: RtVal) -> std::cmp::Ordering {
     use std::cmp::Ordering;
