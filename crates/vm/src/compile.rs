@@ -315,15 +315,6 @@ impl Args {
 pub(crate) enum Op {
     /// `size` is the slot's size rounded up to 8 bytes.
     Alloca { result: ValueId, size: u64 },
-    // The hottest widths' loads and stores, run by the same rules as
-    // `Load` and `Store` with a constant width: one jump per op instead
-    // of two (DESIGN §10).
-    LoadI32 { result: ValueId, ptr: Slot, ty: TypeId },
-    LoadI64 { result: ValueId, ptr: Slot, ty: TypeId },
-    LoadPtr { result: ValueId, ptr: Slot, ty: TypeId },
-    StoreI32 { value: Slot, ptr: Slot, ty: TypeId },
-    StoreI64 { value: Slot, ptr: Slot, ty: TypeId },
-    StorePtr { value: Slot, ptr: Slot, ty: TypeId },
     /// `ty` is the loaded type, named by the trap of an [`Width::Other`]
     /// load.
     Load { result: ValueId, ptr: Slot, width: Width, ty: TypeId },
@@ -542,13 +533,7 @@ fn translate(cx: &Cx<'_>, f: &Function, site: u32, inst: &Inst, args: &mut Vec<S
             Op::Alloca { result: *result, size }
         }
         Inst::Load { result, ptr, ty } => {
-            let (result, ptr, ty) = (*result, cx.resolve(ptr), *ty);
-            match cx.width(ty) {
-                Width::I32 => Op::LoadI32 { result, ptr, ty },
-                Width::I64 => Op::LoadI64 { result, ptr, ty },
-                Width::Ptr => Op::LoadPtr { result, ptr, ty },
-                width => Op::Load { result, ptr, width, ty },
-            }
+            Op::Load { result: *result, ptr: cx.resolve(ptr), width: cx.width(*ty), ty: *ty }
         }
         Inst::Store { value, ptr } => {
             // The slot (pointee) type the store writes through; without
@@ -564,13 +549,7 @@ fn translate(cx: &Cx<'_>, f: &Function, site: u32, inst: &Inst, args: &mut Vec<S
                 Some(ty) => (cx.width(ty), ty),
                 None => (Width::Shape, cx.m.types.i64()),
             };
-            let (value, ptr) = (cx.resolve(value), cx.resolve(ptr));
-            match width {
-                Width::I32 => Op::StoreI32 { value, ptr, ty },
-                Width::I64 => Op::StoreI64 { value, ptr, ty },
-                Width::Ptr => Op::StorePtr { value, ptr, ty },
-                width => Op::Store { value, ptr, width, ty },
-            }
+            Op::Store { value: cx.resolve(value), ptr: cx.resolve(ptr), width, ty }
         }
         Inst::FieldAddr { result, base, struct_id, field } => Op::FieldAddr {
             result: *result,
@@ -686,13 +665,7 @@ impl Vm<'_> {
                 self.set(result, RtVal::P(addr));
             }
             Op::Load { result, ptr, width, ty } => return self.load(result, ptr, width, ty),
-            Op::LoadI32 { result, ptr, ty } => return self.load(result, ptr, Width::I32, ty),
-            Op::LoadI64 { result, ptr, ty } => return self.load(result, ptr, Width::I64, ty),
-            Op::LoadPtr { result, ptr, ty } => return self.load(result, ptr, Width::Ptr, ty),
             Op::Store { value, ptr, width, ty } => return self.store(value, ptr, width, ty),
-            Op::StoreI32 { value, ptr, ty } => return self.store(value, ptr, Width::I32, ty),
-            Op::StoreI64 { value, ptr, ty } => return self.store(value, ptr, Width::I64, ty),
-            Op::StorePtr { value, ptr, ty } => return self.store(value, ptr, Width::Ptr, ty),
             Op::FieldAddr { result, base, off } => {
                 let b = tri!(base.read_ptr(self));
                 self.set(result, RtVal::P(b.wrapping_add(off)));
@@ -810,21 +783,21 @@ impl Vm<'_> {
                 self.output.push(img.module.strings[s.0 as usize].clone());
             }
             Op::PacSign { result, value, modifier, loc, pa } => {
-                self.site_counts[site_index(pa.class)] += 1;
+                self.site_counts[pa.class as usize] += 1;
                 let p = tri!(value.read_ptr(self));
                 let modifier = tri!(self.modifier_at(modifier, loc));
                 let signed = self.pa_sign(pa, p, modifier);
                 self.set(result, RtVal::P(signed));
             }
             Op::PacAuth { result, value, modifier, loc, pa } => {
-                self.site_counts[site_index(pa.class)] += 1;
+                self.site_counts[pa.class as usize] += 1;
                 let p = tri!(value.read_ptr(self));
                 let modifier = tri!(self.modifier_at(modifier, loc));
                 let clean = tri!(self.pa_auth(pa, p, modifier));
                 self.set(result, RtVal::P(clean));
             }
             Op::PacStrip { result, value, site } => {
-                self.site_counts[site_index(PacSite::ExternalStrip)] += 1;
+                self.site_counts[PacSite::ExternalStrip as usize] += 1;
                 let p = tri!(value.read_ptr(self));
                 let stripped = self.pac.strip(p);
                 if self.rec.is_some() {
@@ -925,7 +898,8 @@ impl Vm<'_> {
                 }
                 RtVal::P(bits)
             }
-            Width::Other | Width::Shape => return trapped(self.bad_load(ty)),
+            // `Other` (`Shape` is a store-only width).
+            _ => return trapped(self.bad_load(ty)),
         };
         self.set(result, v);
         Control::Next
@@ -1276,23 +1250,29 @@ impl<'img> Vm<'img> {
     fn exec_ops(&mut self, cf: &CompiledFunc, block: usize, idx: usize) -> Result<bool, Box<Trap>> {
         let cb = &cf.blocks[block];
         let (ops, charges) = (cf.ops(cb), cf.charge(cb));
-        // As in the driver: no op sets the budget or toggles an observer.
-        let (fuel, trace, observed) = (self.fuel, self.trace_enabled, self.attr.is_some());
+        // No op toggles an observer.
+        let observed = self.attr.is_some();
         for j in idx..ops.len() {
             let (op, charge) = (&ops[j], &charges[j]);
-            if self.insts >= fuel {
+            if self.insts >= self.fuel {
                 return Err(Box::new(Trap::FuelExhausted));
             }
             self.insts += 1;
-            if trace {
+            if self.trace_enabled {
                 self.opclass[charge.class as usize] += 1;
             }
             self.cycles += charge.cost;
-            let ctl = if observed {
-                self.exec_op_observed(op, charge.cost, &cf.args, block, j)
-            } else {
-                self.exec_op(op, &cf.args, block, j)
-            };
+            // Attribution: the sampler runs after the op's charge, and
+            // per-site accounting wraps a check op (the pac class).
+            if observed {
+                self.attr_maybe_sample();
+            }
+            let (s0, a0) = (self.pac.sign_count, self.pac.auth_count);
+            let ctl = self.exec_op(op, &cf.args, block, j);
+            if observed && charge.class == OPCLASS_PAC as u8 {
+                let trapped = matches!(ctl, Control::Trap(_));
+                self.attr_record_site(op.site(), charge.cost, s0, a0, trapped);
+            }
             match ctl {
                 Control::Next => {}
                 Control::Transfer => return Ok(false),
@@ -1314,28 +1294,6 @@ impl<'img> Vm<'img> {
         idx: usize,
     ) -> Result<bool, Box<Trap>> {
         self.exec_ops(cf, block, idx)
-    }
-
-    /// One op with attribution on: the sampler runs after the op's charge
-    /// (`cost`) and per-site accounting wraps a check op. Outlined so the
-    /// unobserved loop stays small.
-    #[inline(never)]
-    fn exec_op_observed(
-        &mut self,
-        op: &Op,
-        cost: u64,
-        args: &[Slot],
-        block: usize,
-        idx: usize,
-    ) -> Control {
-        self.attr_maybe_sample();
-        let (s0, a0) = (self.pac.sign_count, self.pac.auth_count);
-        let ctl = self.exec_op(op, args, block, idx);
-        let site = op.site();
-        if site != NO_SITE {
-            self.attr_record_site(site, cost, s0, a0, matches!(ctl, Control::Trap(_)));
-        }
-        ctl
     }
 
     /// Executes a block's terminator, after its transfer charge. A branch
@@ -1379,6 +1337,15 @@ mod tests {
     #[test]
     fn an_op_is_56_bytes() {
         assert_eq!(std::mem::size_of::<Op>(), 56);
+    }
+
+    /// A check op counts its site at index `class as usize`: that is the
+    /// class's place in [`SITE_ORDER`].
+    #[test]
+    fn site_order_is_pac_site_declaration_order() {
+        for (i, &s) in SITE_ORDER.iter().enumerate() {
+            assert_eq!(s as usize, i, "{s:?}");
+        }
     }
 
     /// Each function holds one op and one charge entry per instruction, its

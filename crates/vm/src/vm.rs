@@ -242,7 +242,8 @@ pub struct ExecResult {
     pub incident: Option<Box<Incident>>,
 }
 
-/// Order of [`ExecResult::site_counts`].
+/// Order of [`ExecResult::site_counts`]: `PacSite`'s declaration order, so
+/// a site's index is its discriminant (`site as usize`).
 pub const SITE_ORDER: [PacSite; 6] = [
     PacSite::OnStore,
     PacSite::OnLoad,
@@ -251,17 +252,6 @@ pub const SITE_ORDER: [PacSite; 6] = [
     PacSite::ExternalStrip,
     PacSite::NewPointer,
 ];
-
-fn site_index(site: PacSite) -> usize {
-    match site {
-        PacSite::OnStore => 0,
-        PacSite::OnLoad => 1,
-        PacSite::CastResign => 2,
-        PacSite::ArgResign => 3,
-        PacSite::ExternalStrip => 4,
-        PacSite::NewPointer => 5,
-    }
-}
 
 /// Names of the opcode classes counted in [`ExecResult::opclass_counts`].
 pub const OPCLASS_ORDER: [&str; 6] = ["mem", "arith", "call", "pac", "branch", "other"];
@@ -1294,17 +1284,21 @@ impl<'img> Vm<'img> {
     /// boundary. Deterministic: the cycle model is deterministic and both
     /// accounting modes call this at the same accounting points (after each per-op
     /// charge and after each block-transfer charge), so the sample set is
-    /// a pure function of the image.
+    /// a pure function of the image. Inline: the per-op loop calls it on
+    /// every op, and only the boundary crossing does work.
+    #[inline(always)]
     fn attr_maybe_sample(&mut self) {
-        let cycles = self.cycles;
-        {
-            let Some(a) = self.attr.as_deref_mut() else { return };
-            if cycles < a.next_sample {
-                return;
-            }
+        if self.attr.as_deref().is_some_and(|a| self.cycles >= a.next_sample) {
+            self.attr_take_sample();
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn attr_take_sample(&mut self) {
+        let cycles = self.cycles;
         let path: Vec<u32> = self.frames.iter().map(|f| f.func.0).collect();
-        let a = self.attr.as_deref_mut().expect("checked above");
+        let a = self.attr.as_deref_mut().expect("attr on");
         *a.samples.entry(path).or_insert(0) += 1;
         a.n_samples += 1;
         a.next_sample = (cycles / a.sample_every + 1) * a.sample_every;
