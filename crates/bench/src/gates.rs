@@ -30,7 +30,8 @@ pub const COMPILED_SPEEDUP_FLOOR: f64 = 1.0;
 /// (parse, lower, instrument, optimize, translate).
 pub const SERVE_WARM_SPEEDUP_FLOOR: f64 = 10.0;
 
-/// `attr_cost_pct` above this warns: the profiler is off by default, and
+/// `attr_cost_pct` (attribution on, against the unobserved block
+/// pre-charge) above this warns: the profiler is off by default, and
 /// a blowup in its measured on-cost is a design break.
 pub const ATTR_COST_WARN_PCT: f64 = 60.0;
 

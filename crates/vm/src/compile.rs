@@ -32,23 +32,23 @@
 //! branch successors and commits the frame position lazily — only where
 //! it is observed. Each block is charged one of two ways:
 //!
-//! * **block pre-charge** (the fast path, [`ExecBackend::Compiled`]):
-//!   the whole straight-line run and its terminator are charged up front
-//!   from per-block cycle prefix sums and — with telemetry on — per-block
-//!   opclass totals, and the unexecuted suffix is rolled back when an op
-//!   traps or transfers control;
-//! * **per-op charging** ([`Vm::exec_ops`]): every op is fuel-checked
-//!   and charged before it runs. Reference accounting
-//!   ([`ExecBackend::Interp`]) runs every block this way; the fast path
-//!   drops here whenever per-op charging is observable: attribution, the
-//!   flight recorder, or a fuel budget that may expire mid-block.
+//! * **block pre-charge** ([`ExecBackend::Compiled`], every observed
+//!   run included): the straight-line run and its terminator are charged
+//!   up front from per-block cycle prefix sums and — with telemetry on —
+//!   per-block opclass totals (a fuel budget that ends inside the block
+//!   covers only its first ops), and the unexecuted suffix is rolled back
+//!   when an op traps or calls;
+//! * **per-op charging** ([`Vm::exec_ops`], [`ExecBackend::Interp`]
+//!   alone): every op is fuel-checked and charged before it runs — the
+//!   reference the block pre-charge is held to.
 //!
-//! The two accounting modes must be *observably identical*: same traps
-//! (including `BadProgram` message text), same violation audit records,
-//! same cycle-model and instruction accounting, same telemetry counters,
-//! same attribution profiles and incidents. The parity tests and the
-//! dual-mode fuzz oracle hold the block pre-charge and its rollback to
-//! the per-op reference.
+//! The observers read the same run either way. Attribution counts block
+//! runs (`attr_run`) and derives its totals from the charge table; the
+//! recorder stamps each event with its op's exact cycle ([`Vm::op_cycle`]).
+//! The two modes must be *observably identical* — traps and their text,
+//! audit records, cycle and instruction totals, telemetry counters,
+//! attribution profiles and incidents — which the parity tests, the
+//! attribution golden and the dual-mode fuzz oracle check.
 //!
 //! Translation starts with `rsti_ir::check_ids`, once per image: an image
 //! with an id that does not resolve gets no code, only the check's message,
@@ -68,8 +68,10 @@ use std::cmp::Ordering;
 pub(crate) enum Control {
     /// Fall through to the next op in the block.
     Next,
-    /// Control left the block (a frame was pushed): return to the driver.
-    Transfer,
+    /// An internal call, the callee and its arguments waiting in
+    /// `Vm::pending_call` and `Vm::call_args` (a payload here slowed every
+    /// op's return): the driver pushes the frame after its rollback.
+    Call,
     /// The op trapped.
     Trap(Box<Trap>),
 }
@@ -86,6 +88,11 @@ macro_rules! tri {
     };
 }
 
+/// How a per-op block run ended: `Ok` once its terminator is charged, or
+/// `Err((to, why))` short of it — op `to - 1` called or trapped (`why`),
+/// or the fuel ran out before op `to` — for [`Vm::leave_block`].
+type RunEnd = Result<(), (usize, Control)>;
+
 /// Routes a trap through the control channel. Cold and out of line, so
 /// that boxing it stays out of the op rules' code.
 #[cold]
@@ -99,7 +106,7 @@ fn trapped(t: impl Into<Box<Trap>>) -> Control {
 /// ([`CompiledFunc::charge`]), parallel to its ops.
 pub(crate) struct OpCharge {
     /// Cycle cost ([`CostModel::cost`] of the source instruction).
-    cost: u64,
+    pub(super) cost: u64,
     /// Cycles of the block's ops before this one: the fast path charges
     /// (and rolls back) any run of ops with two subtractions instead of a
     /// loop.
@@ -138,11 +145,11 @@ pub(crate) struct CompiledBlock {
 /// A compiled function body (empty for externals, which can never hold a
 /// frame).
 pub(crate) struct CompiledFunc {
-    blocks: Vec<CompiledBlock>,
+    pub(super) blocks: Vec<CompiledBlock>,
     /// Every op, block after block.
-    ops: Vec<Op>,
+    pub(super) ops: Vec<Op>,
     /// Every op's accounting, parallel to `ops`.
-    charge: Vec<OpCharge>,
+    pub(super) charge: Vec<OpCharge>,
     /// Every call's argument slots, call after call.
     args: Vec<Slot>,
 }
@@ -350,7 +357,7 @@ pub(crate) enum Op {
 
 impl Op {
     /// The op's check-site id, [`NO_SITE`] unless it is a check.
-    fn site(&self) -> u32 {
+    pub(super) fn site(&self) -> u32 {
         match self {
             Op::PacSign { pa, .. }
             | Op::PacAuth { pa, .. }
@@ -358,6 +365,15 @@ impl Op {
             | Op::PpAuth { pa, .. } => pa.site,
             Op::PacStrip { site, .. } | Op::PpAdd { site, .. } | Op::PpAddTbi { site, .. } => *site,
             _ => NO_SITE,
+        }
+    }
+
+    /// The signs and auths `done` completed runs of the op performed.
+    pub(super) fn signs_auths(&self, done: u64) -> (u64, u64) {
+        match self {
+            Op::PacSign { .. } | Op::PpSign { .. } => (done, 0),
+            Op::PacAuth { .. } | Op::PpAuth { .. } => (0, done),
+            _ => (0, 0),
         }
     }
 }
@@ -664,8 +680,8 @@ impl Vm<'_> {
                 fr.alloca_cache[result.0 as usize] = (fr.gen, addr);
                 self.set(result, RtVal::P(addr));
             }
-            Op::Load { result, ptr, width, ty } => return self.load(result, ptr, width, ty),
-            Op::Store { value, ptr, width, ty } => return self.store(value, ptr, width, ty),
+            Op::Load { result, ptr, width, ty } => return self.load(result, ptr, width, ty, idx),
+            Op::Store { value, ptr, width, ty } => return self.store(value, ptr, width, ty, idx),
             Op::FieldAddr { result, base, off } => {
                 let b = tri!(base.read_ptr(self));
                 self.set(result, RtVal::P(b.wrapping_add(off)));
@@ -767,7 +783,7 @@ impl Vm<'_> {
                 let p = tri!(ptr.read_ptr(self));
                 let a = VA.canonical(p);
                 if self.rec.is_some() {
-                    self.rec_plain(RecKind::Free, a, p);
+                    self.rec_plain(RecKind::Free, self.op_cycle(idx), a, p);
                 }
                 if a != 0 && !self.alloc.free(a) {
                     let args = vec![format!("{a:#x}")];
@@ -878,9 +894,10 @@ impl Vm<'_> {
 
     /// The load rule: reads the `width`-wide value at `ptr` into
     /// `result`. An unsupported type (`ty`) traps only after the pointer
-    /// itself resolved.
+    /// itself resolved. `j` is the op's place in its block, which the
+    /// recorder's timestamp reads.
     #[inline(always)]
-    fn load(&mut self, result: ValueId, ptr: Slot, width: Width, ty: TypeId) -> Control {
+    fn load(&mut self, result: ValueId, ptr: Slot, width: Width, ty: TypeId, j: usize) -> Control {
         let addr = tri!(self.deref_addr(tri!(ptr.read_ptr(self))));
         let v = match width {
             Width::I8 => RtVal::I(tri!(self.read_mem::<1>(addr))[0] as i8 as i64),
@@ -894,7 +911,7 @@ impl Vm<'_> {
                 // load.
                 self.last_ptr_load = Some(addr);
                 if self.rec.is_some() {
-                    self.rec_plain(RecKind::Load, addr, bits);
+                    self.rec_plain(RecKind::Load, self.op_cycle(j), addr, bits);
                 }
                 RtVal::P(bits)
             }
@@ -910,7 +927,7 @@ impl Vm<'_> {
     /// it staged. An integer stored into an `f64` slot converts; a value
     /// the slot (of type `ty`) cannot hold traps.
     #[inline(always)]
-    fn store(&mut self, value: Slot, ptr: Slot, width: Width, ty: TypeId) -> Control {
+    fn store(&mut self, value: Slot, ptr: Slot, width: Width, ty: TypeId, j: usize) -> Control {
         let v = tri!(value.read(self));
         let addr = tri!(self.deref_addr(tri!(ptr.read_ptr(self))));
         if let Some(mac) = self.pending_mac.take() {
@@ -929,7 +946,7 @@ impl Vm<'_> {
                 if w.is_ok() && self.rec.is_some() {
                     // A pointer slot changed hands — the lifecycle event
                     // lineage resolution walks back through.
-                    self.rec_plain(RecKind::Store, addr, p);
+                    self.rec_plain(RecKind::Store, self.op_cycle(j), addr, p);
                 }
                 w
             }
@@ -947,8 +964,9 @@ impl Vm<'_> {
     }
 
     /// The call rule, for direct and indirect calls alike: reads the
-    /// argument slots, then runs an external in place or pushes the
-    /// internal callee's frame, the caller resuming after `(block, idx)`.
+    /// argument slots, then runs an external in place or hands the
+    /// internal callee to the driver, the caller resuming after `(block,
+    /// idx)`.
     #[allow(clippy::too_many_arguments)]
     #[inline(never)]
     fn call(
@@ -981,10 +999,8 @@ impl Vm<'_> {
             Control::Next
         } else {
             self.commit_pos(block, idx + 1);
-            match self.push_frame(fid, &argv, result) {
-                Ok(()) => Control::Transfer,
-                Err(t) => trapped(t),
-            }
+            self.pending_call = (fid, result);
+            Control::Call
         };
         self.call_args = argv;
         r
@@ -1108,31 +1124,37 @@ impl<'img> Vm<'img> {
         let mut block = fr.block;
         let mut idx = fr.idx;
         let branch_cost = CostModel::for_mechanism(self.img.mechanism).branch;
-        // Loop-invariant driver state lives in registers: telemetry
-        // tracing, attribution and the recorder cannot toggle mid-run, and
-        // the fuel headroom only needs re-deriving after the per-op loop
-        // charges op by op. Attribution and the recorder force the per-op
-        // loop: the sampler and the recorder's event timestamps need
-        // per-op charge order, which the block pre-charge does not keep.
-        // Reference accounting (`ExecBackend::Interp`) takes the per-op
-        // loop for every block.
+        // Loop-invariant driver state lives in registers: the accounting
+        // mode, telemetry tracing and the observers cannot change mid-run,
+        // and the fuel headroom only needs re-deriving after a frame
+        // change.
         let trace = self.trace_enabled;
-        let per_op =
-            self.attr.is_some() || self.rec.is_some() || self.img.exec == ExecBackend::Interp;
+        let per_op = self.img.exec == ExecBackend::Interp;
+        let (attr, rec) = (self.attr.is_some(), self.rec.is_some());
         let mut budget = self.fuel.saturating_sub(self.insts);
         loop {
             let cb = &cf.blocks[block];
             let ops = cf.ops(cb);
             let n = ops.len();
-            let remaining = (n - idx) as u64 + 1;
-            if !per_op && remaining <= budget {
-                // Fast path: charge the whole straight-line run *and the
+            if per_op {
+                if let Err((to, ctl)) = self.exec_ops_cold(cf, block, idx) {
+                    return self.leave_block(block, idx, to, ctl);
+                }
+            } else {
+                // Block pre-charge: charge the straight-line run *and the
                 // terminator* up front (cycle prefix sums, and with
                 // telemetry on the opclass counts), roll back the
                 // unexecuted suffix on any early exit. Totals match per-op
-                // charging exactly: the entry condition guarantees the
-                // per-op fuel check could not have fired anywhere in this
-                // block either.
+                // charging exactly: the per-op fuel check fires nowhere in
+                // a run the budget covers, and a run the budget ends inside
+                // is the fuel tail's.
+                if rec {
+                    self.start_clock(cf, cb, idx);
+                }
+                let remaining = (n - idx) as u64 + 1;
+                if remaining > budget {
+                    return self.fuel_tail(cf, block, idx, budget as usize);
+                }
                 budget -= remaining;
                 self.insts += remaining;
                 // `idx == 0` on every transfer except a call resume: the
@@ -1145,26 +1167,21 @@ impl<'img> Vm<'img> {
                         cb.total_cost - cf.cost_before(cb, idx)
                     };
                 if trace {
-                    self.count_classes(cf, cb, idx);
+                    self.count_classes(cf, cb, idx, n);
+                    self.opclass[OPCLASS_BRANCH] += 1;
                 }
                 for (op, j) in ops[idx..].iter().zip(idx..) {
                     match self.exec_op(op, &cf.args, block, j) {
                         Control::Next => {}
-                        Control::Transfer => {
-                            self.rollback_suffix(cf, cb, j, branch_cost, trace);
-                            return Ok(());
-                        }
-                        Control::Trap(t) => {
-                            self.rollback_suffix(cf, cb, j, branch_cost, trace);
-                            return Err(*t);
+                        ctl => {
+                            self.rollback(cf, cb, j + 1, n, true);
+                            return self.leave_block(block, idx, j + 1, ctl);
                         }
                     }
                 }
-            } else {
-                if !self.exec_ops_cold(cf, block, idx).map_err(|t| *t)? {
-                    return Ok(());
-                }
-                budget = self.fuel.saturating_sub(self.insts);
+            }
+            if attr {
+                self.attr_run(block, idx, n, true, false);
             }
             match self.exec_term(&cb.term).map_err(|t| *t)? {
                 Some(next) => block = next,
@@ -1200,100 +1217,178 @@ impl<'img> Vm<'img> {
         }
     }
 
-    /// Reverses the fast path's pre-charge for the ops of `cb` after op
-    /// `j` and the terminator, which did not execute because op `j`
-    /// trapped or transferred control. (A transferring call re-charges the
-    /// suffix — terminator included — when the frame resumes at `j+1`.)
+    /// The block pre-charge of a run the fuel budget ends inside: ops
+    /// `i..i + n` alone are pre-charged and run, then the run traps
+    /// where per-op charging would. Kept out of the fast loop: a variable
+    /// end and terminator flag there slowed the unobserved fast path by
+    /// 5–7% (DESIGN §10).
+    #[cold]
+    #[inline(never)]
+    fn fuel_tail(&mut self, cf: &CompiledFunc, bb: usize, i: usize, n: usize) -> Result<(), Trap> {
+        let (cb, end) = (&cf.blocks[bb], i + n);
+        self.insts += n as u64;
+        self.cycles += cf.cost_before(cb, end) - cf.cost_before(cb, i);
+        if self.trace_enabled {
+            self.count_classes(cf, cb, i, end);
+        }
+        for (op, j) in cf.ops(cb)[i..end].iter().zip(i..) {
+            match self.exec_op(op, &cf.args, bb, j) {
+                Control::Next => {}
+                ctl => {
+                    self.rollback(cf, cb, j + 1, end, false);
+                    return self.leave_block(bb, i, j + 1, ctl);
+                }
+            }
+        }
+        self.leave_block(bb, i, end, trapped(Trap::FuelExhausted))
+    }
+
+    /// Reverses the fast path's pre-charge for ops `j..to` of `cb` and,
+    /// with `term`, its terminator, which did not execute because op
+    /// `j - 1` trapped or called. (A caller's frame re-charges them when
+    /// it resumes at `j`.)
     #[inline]
-    fn rollback_suffix(
-        &mut self,
-        cf: &CompiledFunc,
-        cb: &CompiledBlock,
-        j: usize,
-        branch_cost: u64,
-        trace: bool,
-    ) {
-        self.insts -= (cb.len as usize - (j + 1)) as u64 + 1;
-        self.cycles -= cb.total_cost - cf.cost_before(cb, j + 1) + branch_cost;
-        if trace {
-            for c in &cf.charge(cb)[j + 1..] {
+    fn rollback(&mut self, cf: &CompiledFunc, cb: &CompiledBlock, j: usize, to: usize, term: bool) {
+        let branch = CostModel::for_mechanism(self.img.mechanism).branch;
+        self.insts -= (to - j) as u64 + u64::from(term);
+        self.cycles -= cf.cost_before(cb, to) - cf.cost_before(cb, j) + u64::from(term) * branch;
+        if self.trace_enabled {
+            for c in &cf.charge(cb)[j..to] {
                 self.opclass[c.class as usize] -= 1;
             }
-            self.opclass[OPCLASS_BRANCH] -= 1;
+            self.opclass[OPCLASS_BRANCH] -= u64::from(term);
         }
     }
 
-    /// The fast path's opclass pre-count for ops `idx..` and the
-    /// terminator: the block's translated per-class totals on a block
-    /// entry, the charge stream's classes on a call resume.
-    fn count_classes(&mut self, cf: &CompiledFunc, cb: &CompiledBlock, idx: usize) {
-        if idx == 0 {
+    /// The fast path's opclass pre-count for ops `idx..to`: the block's
+    /// translated per-class totals on a whole-block entry, the charge
+    /// stream's classes otherwise.
+    fn count_classes(&mut self, cf: &CompiledFunc, cb: &CompiledBlock, idx: usize, to: usize) {
+        if idx == 0 && to == cb.len as usize {
             for (c, k) in self.opclass.iter_mut().zip(cb.class_counts) {
                 *c += u64::from(k);
             }
         } else {
-            for c in &cf.charge(cb)[idx..] {
+            for c in &cf.charge(cb)[idx..to] {
                 self.opclass[c.class as usize] += 1;
             }
         }
-        self.opclass[OPCLASS_BRANCH] += 1;
     }
 
-    /// The per-op loop: ops `idx..` of block `block` of `cf`, each
-    /// fuel-checked and charged before it runs, then the terminator's
-    /// charge. Reference accounting runs every block through here; the
-    /// fast path drops here whenever per-op charging is observable
-    /// (attribution, the recorder, or fuel that may run out mid-block).
-    /// Returns `true` when the block ran to its terminator, `false` when
-    /// an op transferred control out of the frame.
+    /// Ends a block run short of its terminator: ops `from..to` of block
+    /// `bb` ran and nothing after them stays charged. Op `to - 1` called or
+    /// trapped, or the fuel ran out before op `to`. A call's frame is
+    /// pushed here, at the call's exact cycle, after attribution counted
+    /// the run under the caller's stack.
     #[inline(never)]
-    fn exec_ops(&mut self, cf: &CompiledFunc, block: usize, idx: usize) -> Result<bool, Box<Trap>> {
+    fn leave_block(&mut self, bb: usize, from: usize, to: usize, ctl: Control) -> Result<(), Trap> {
+        if self.attr.is_some() {
+            // Fuel exhaustion is the one trap no op raises.
+            let op_trap = matches!(&ctl, Control::Trap(t) if !matches!(**t, Trap::FuelExhausted));
+            self.attr_run(bb, from, to, false, op_trap);
+        }
+        match ctl {
+            Control::Call => {
+                let (fid, ret_to) = self.pending_call;
+                let argv = std::mem::take(&mut self.call_args);
+                let r = self.push_frame(fid, &argv, ret_to);
+                self.call_args = argv;
+                r
+            }
+            Control::Trap(t) => Err(*t),
+            Control::Next => unreachable!("a run stops short only at a call or a trap"),
+        }
+    }
+
+    /// The per-op loop, reference accounting's driver: ops `idx..` of
+    /// block `block` of `cf`, each fuel-checked and charged before it
+    /// runs, then the terminator's charge.
+    #[inline(never)]
+    fn exec_ops(&mut self, cf: &CompiledFunc, block: usize, idx: usize) -> RunEnd {
         let cb = &cf.blocks[block];
         let (ops, charges) = (cf.ops(cb), cf.charge(cb));
-        // No op toggles an observer.
-        let observed = self.attr.is_some();
         for j in idx..ops.len() {
-            let (op, charge) = (&ops[j], &charges[j]);
             if self.insts >= self.fuel {
-                return Err(Box::new(Trap::FuelExhausted));
+                return Err((j, trapped(Trap::FuelExhausted)));
             }
             self.insts += 1;
             if self.trace_enabled {
-                self.opclass[charge.class as usize] += 1;
+                self.opclass[charges[j].class as usize] += 1;
             }
-            self.cycles += charge.cost;
-            // Attribution: the sampler runs after the op's charge, and
-            // per-site accounting wraps a check op (the pac class).
-            if observed {
-                self.attr_maybe_sample();
-            }
-            let (s0, a0) = (self.pac.sign_count, self.pac.auth_count);
-            let ctl = self.exec_op(op, &cf.args, block, j);
-            if observed && charge.class == OPCLASS_PAC as u8 {
-                let trapped = matches!(ctl, Control::Trap(_));
-                self.attr_record_site(op.site(), charge.cost, s0, a0, trapped);
-            }
-            match ctl {
+            self.cycles += charges[j].cost;
+            match self.exec_op(&ops[j], &cf.args, block, j) {
                 Control::Next => {}
-                Control::Transfer => return Ok(false),
-                Control::Trap(t) => return Err(t),
+                ctl => return Err((j + 1, ctl)),
             }
         }
-        self.charge_block_transfer()?;
-        Ok(true)
+        if self.insts >= self.fuel {
+            return Err((ops.len(), trapped(Trap::FuelExhausted)));
+        }
+        self.insts += 1;
+        if self.trace_enabled {
+            self.opclass[OPCLASS_BRANCH] += 1;
+        }
+        self.cycles += CostModel::for_mechanism(self.img.mechanism).branch;
+        Ok(())
     }
 
     /// The driver's entry into [`Vm::exec_ops`], marked cold so the fast
     /// path's code layout treats it as the exception it is.
     #[cold]
     #[inline(never)]
-    fn exec_ops_cold(
-        &mut self,
-        cf: &CompiledFunc,
-        block: usize,
-        idx: usize,
-    ) -> Result<bool, Box<Trap>> {
+    fn exec_ops_cold(&mut self, cf: &CompiledFunc, block: usize, idx: usize) -> RunEnd {
         self.exec_ops(cf, block, idx)
+    }
+
+    /// Attribution's one hook, at the end of every block run under either
+    /// accounting mode: ops `from..to` of `block` ran, then its terminator
+    /// when `term`, and op `to - 1` trapped when `trapped`. The run adds
+    /// to its function's execution counts and takes the call-stack samples
+    /// its cycles crossed: no charge exceeds the sampling period
+    /// ([`MIN_ATTR_SAMPLE_EVERY`]), and all of a run's charges fall under
+    /// one stack.
+    #[inline(never)]
+    fn attr_run(&mut self, block: usize, from: usize, to: usize, term: bool, trapped: bool) {
+        let fi = self.frames.last().expect("active frame").func.0 as usize;
+        let Ok(funcs) = &self.code.funcs else { return };
+        let at = funcs[fi].blocks[block].at as usize;
+        let cycles = self.cycles;
+        let a = self.attr.as_deref_mut().expect("attr on");
+        let f = &mut a.funcs[fi];
+        f.op_runs[at + from] += 1;
+        f.op_runs[at + to] -= 1;
+        f.term_runs[block] += u64::from(term);
+        if trapped {
+            a.trapped = Some((fi, at + to - 1));
+        }
+        if cycles >= a.next_sample {
+            let crossed = cycles / a.sample_every + 1 - a.next_sample / a.sample_every;
+            a.next_sample = (cycles / a.sample_every + 1) * a.sample_every;
+            self.attr_take_samples(crossed);
+        }
+    }
+
+    /// Starts the block clock [`Vm::op_cycle`] reads: the block pre-charge
+    /// of a run from op `idx` of `cb`, with the recorder armed.
+    #[inline(never)]
+    fn start_clock(&mut self, cf: &CompiledFunc, cb: &CompiledBlock, idx: usize) {
+        let clock = (self.cycles - cf.cost_before(cb, idx), cb.at as usize);
+        self.rec.as_deref_mut().expect("recorder armed").clock = clock;
+    }
+
+    /// The cycle count once op `j` of the running block is charged, which
+    /// the recorder's timestamps read: the running total under per-op
+    /// charging; under the block pre-charge, the block's clock plus the
+    /// op's prefix sum. Out of line, to keep the op rules small.
+    #[inline(never)]
+    pub(super) fn op_cycle(&self, j: usize) -> u64 {
+        match (&self.code.funcs, self.frames.last(), self.rec.as_deref()) {
+            (Ok(funcs), Some(fr), Some(r)) if self.img.exec == ExecBackend::Compiled => {
+                let c = &funcs[fr.func.0 as usize].charge[r.clock.1 + j];
+                r.clock.0 + c.before + c.cost
+            }
+            _ => self.cycles,
+        }
     }
 
     /// Executes a block's terminator, after its transfer charge. A branch

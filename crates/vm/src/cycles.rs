@@ -119,6 +119,18 @@ mod tests {
         }
     }
 
+    /// Attribution's shortest sampling period is at least every single
+    /// charge, so no charge crosses two sampling boundaries.
+    #[test]
+    fn no_charge_exceeds_the_shortest_sampling_period() {
+        for m in std::iter::once(None).chain(Mechanism::ALL.map(Some)) {
+            let c = CostModel::for_mechanism(m);
+            let charges =
+                [c.alu, c.mem, c.call, c.icall, c.malloc, c.pac_op + c.alu, c.pp_add, c.pp_pac, c.branch];
+            assert!(charges.iter().all(|&x| x <= crate::MIN_ATTR_SAMPLE_EVERY), "{m:?}");
+        }
+    }
+
     #[test]
     fn location_mix_costs_an_extra_alu() {
         let c = CostModel::for_mechanism(None);

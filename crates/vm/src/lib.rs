@@ -50,7 +50,8 @@ pub use mem::{layout, Allocator, MemFault, Memory};
 pub use vm::{
     func_address, resolve_code_addr, AttrProfile, Backend, ExecBackend, ExecResult, ExtEvent,
     FuncAttr, Image, RtVal, RunStop, SiteAttr, Status, Trap, Vm, CRITICAL_EXTERNALS,
-    DEFAULT_ATTR_SAMPLE_EVERY, DEFAULT_RECORD_CAP, OPCLASS_ORDER, SITE_ORDER,
+    DEFAULT_ATTR_SAMPLE_EVERY, DEFAULT_RECORD_CAP, MIN_ATTR_SAMPLE_EVERY, OPCLASS_ORDER,
+    SITE_ORDER,
 };
 // The audit-record type carried in [`ExecResult::audit`] and the
 // flight-recorder incident carried in [`ExecResult::incident`].

@@ -3,7 +3,7 @@
 //! Execution runs on the image's translated form (see `compile.rs`): one
 //! pre-resolved op per instruction, direct-threaded by one driver that
 //! charges whole blocks up front or — under reference accounting
-//! ([`ExecBackend::Interp`]) and the observers — one op at a time. This
+//! ([`ExecBackend::Interp`]) — one op at a time. This
 //! file holds the machine state, the loader, the frame protocol, the
 //! accounting and observation hooks, and the trap constructors.
 //!
@@ -348,7 +348,7 @@ impl ExecResult {
 
 /// Per-function exclusive attribution: everything charged while this
 /// function's frame was innermost.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FuncAttr {
     /// Function symbol name.
     pub name: String,
@@ -433,52 +433,45 @@ impl AttrProfile {
 }
 
 /// Default sampling period: fine enough to resolve call paths on the
-/// nbench/NGINX workloads (~hundreds of samples per run), coarse enough
-/// that sampling stays a rounding error next to per-op attribution.
+/// nbench/NGINX workloads (~hundreds of samples per run).
 pub const DEFAULT_ATTR_SAMPLE_EVERY: u64 = 4096;
+
+/// The shortest sampling period: the largest single charge of any cost
+/// model (`malloc`, 30 cycles), rounded up. No charge can then cross two
+/// sampling boundaries, so a block run takes one sample per boundary its
+/// cycles crossed — what sampling after every charge would take.
+pub const MIN_ATTR_SAMPLE_EVERY: u64 = 32;
 
 /// The site id of an op that is no check ([`compile::Op::site`]).
 pub(crate) const NO_SITE: u32 = u32::MAX;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct SiteStat {
-    execs: u64,
-    cycles: u64,
-    signs: u64,
-    auths: u64,
-    traps: u64,
-}
-
 #[derive(Debug, Clone, Default)]
 struct FuncStat {
     calls: u64,
-    cycles: u64,
-    insts: u64,
-    signs: u64,
-    auths: u64,
-    traps: u64,
     incl: Histogram,
+    /// Executions of each op, as a difference array: a run of ops
+    /// `from..to` adds one at `from` and takes one away at `to`.
+    op_runs: Vec<i64>,
+    /// Executions of each block's terminator.
+    term_runs: Vec<u64>,
 }
 
 /// Per-run attribution state, allocated only when [`Image::attr`] is on.
 ///
-/// Attribution observes the run at exactly the points both accounting
-/// modes share — `push_frame`, the return epilogue `exec_ret`, the per-op
-/// charge sites, and `charge_block_transfer` — so the two modes attribute
-/// identically by construction (attribution forces every block through
-/// the per-op loop; see `exec_ops`).
+/// Attribution counts block runs: at the end of every run, under either
+/// accounting mode, the driver adds the run's ops and terminator to its
+/// function's execution counts (`attr_run`). The profile derives every
+/// cycle, instruction, sign and auth total from those counts and the
+/// charge table. Activations and inclusive cycles come from the frame
+/// push and the return epilogue.
 struct AttrState {
-    /// Indexed by check-site id (the image's site table, whose ids the
-    /// translation bakes into each check op).
-    site_stats: Vec<SiteStat>,
     /// Indexed by function id.
     funcs: Vec<FuncStat>,
-    /// Checkpoint of the run totals at the last frame transition; the
-    /// delta since is charged to the outgoing function.
-    last_cycles: u64,
-    last_insts: u64,
-    last_signs: u64,
-    last_auths: u64,
+    /// The op that trapped: function and op index.
+    trapped: Option<(usize, usize)>,
+    /// Signs and auths at load: the loader's global signs are no
+    /// function's.
+    loaded: (u64, u64),
     /// Deterministic sampler: a call-stack sample is due each time
     /// `Vm::cycles` crosses a multiple of `sample_every`.
     sample_every: u64,
@@ -488,15 +481,18 @@ struct AttrState {
 }
 
 impl AttrState {
-    fn new(module: &Module, n_sites: usize, sample_every: u64) -> Box<Self> {
-        let sample_every = sample_every.max(1);
+    /// The state for a run of `vm`, just loaded.
+    fn new(vm: &Vm<'_>) -> Box<Self> {
+        let mut funcs = vec![FuncStat::default(); vm.img.module.funcs.len()];
+        for (st, cf) in funcs.iter_mut().zip(vm.code.funcs.iter().flatten()) {
+            st.op_runs = vec![0; cf.ops.len() + 1];
+            st.term_runs = vec![0; cf.blocks.len()];
+        }
+        let sample_every = vm.img.attr_sample_every;
         Box::new(AttrState {
-            site_stats: vec![SiteStat::default(); n_sites],
-            funcs: vec![FuncStat::default(); module.funcs.len()],
-            last_cycles: 0,
-            last_insts: 0,
-            last_signs: 0,
-            last_auths: 0,
+            funcs,
+            trapped: None,
+            loaded: (vm.pac.sign_count, vm.pac.auth_count),
             sample_every,
             next_sample: sample_every,
             n_samples: 0,
@@ -570,11 +566,11 @@ struct RecEvent {
 }
 
 /// Per-run flight-recorder state, allocated only when [`Image::record`]
-/// is on. Mirrors [`AttrState`]'s discipline: events are captured at
-/// logic both accounting modes share (or at mirrored points with
-/// identical arguments), timestamps come from the deterministic cycle
-/// model, and the recorder forces every block through the per-op loop —
-/// so interp and compiled runs record bit-identical windows.
+/// is on. Events are captured by the ops and the frame protocol both
+/// accounting modes share, and stamped with the deterministic cycle at
+/// which their op was charged (`op_cycle`: under the block pre-charge,
+/// the block's clock plus the op's prefix sum), so interp and compiled
+/// runs record bit-identical windows.
 struct RecState {
     /// Bounded ring of recent events; `next` is the overwrite cursor
     /// (the oldest row) once the ring is full.
@@ -583,6 +579,10 @@ struct RecState {
     dropped: u64,
     /// The synthesized incident, set at the first detection trap.
     incident: Option<Box<Incident>>,
+    /// Under the block pre-charge: `cycles` as it stood before the
+    /// running block's first op (whether or not that op ran in this run),
+    /// and that op's index in its function.
+    clock: (u64, usize),
 }
 
 impl RecState {
@@ -592,6 +592,7 @@ impl RecState {
             next: 0,
             dropped: 0,
             incident: None,
+            clock: (0, 0),
         })
     }
 
@@ -849,10 +850,10 @@ impl Image {
     }
 
     /// Enables the attribution profiler with a custom sampling period in
-    /// model cycles (builder style). `0` is clamped to 1.
+    /// model cycles (builder style), at least [`MIN_ATTR_SAMPLE_EVERY`].
     pub fn with_attr_sampling(mut self, every: u64) -> Self {
         self.attr = true;
-        self.attr_sample_every = every.max(1);
+        self.attr_sample_every = every.max(MIN_ATTR_SAMPLE_EVERY);
         self
     }
 
@@ -914,8 +915,7 @@ struct Frame {
     /// Without a shadow stack: the in-memory slot holding the return
     /// address, and the value it is supposed to contain.
     ret_slot: Option<(u64, u64)>,
-    /// `Vm::cycles` at frame push — the attribution profiler's inclusive
-    /// activation timer (a plain store; kept even with attribution off).
+    /// `Vm::cycles` at frame push: attribution's inclusive activation timer.
     entry_cycles: u64,
 }
 
@@ -999,11 +999,14 @@ pub struct Vm<'img> {
     /// Guards the once-per-run flush into the global collector.
     telemetry_flushed: bool,
     /// Attribution profiling state — `None` (one pointer-null branch per
-    /// hook) unless the image enables it.
+    /// block run) unless the image enables it.
     attr: Option<Box<AttrState>>,
     /// Flight-recorder state — `None` (one pointer-null branch per hook)
     /// unless the image arms it.
     rec: Option<Box<RecState>>,
+    /// The callee of the op that returned `Control::Call`, and the
+    /// register its result goes to.
+    pending_call: (FuncId, Option<ValueId>),
 }
 
 /// The `(function, block)` pairs at which a copy of `w`'s body begins:
@@ -1066,7 +1069,6 @@ impl<'img> Vm<'img> {
     pub fn new(img: &'img Image) -> Self {
         let m = &img.module;
         let code: &compile::CompiledModule = img.compiled();
-        let n_sites = code.sites.len();
         let mut pac = PacUnit::new(&img.keys, VA);
         let mut mac_table = HashMap::new();
         let loaded = match &code.funcs {
@@ -1109,9 +1111,11 @@ impl<'img> Vm<'img> {
             opclass: [0; 6],
             audit: Vec::new(),
             telemetry_flushed: false,
-            attr: img.attr.then(|| AttrState::new(m, n_sites, img.attr_sample_every)),
+            attr: None,
             rec: img.record.then(RecState::new),
+            pending_call: (FuncId(0), None),
         };
+        vm.attr = img.attr.then(|| AttrState::new(&vm));
         // A malformed image loads into an already-trapped VM instead of
         // aborting the process: `run` then reports the trap like any other
         // failure, and the audit/telemetry path still sees the run.
@@ -1153,7 +1157,7 @@ impl<'img> Vm<'img> {
             let mut v = [0u8; 8];
             let n = bytes.len().min(8);
             v[..n].copy_from_slice(&bytes[..n]);
-            self.rec_plain(RecKind::AttackerWrite, addr, u64::from_le_bytes(v));
+            self.rec_plain(RecKind::AttackerWrite, self.cycles, addr, u64::from_le_bytes(v));
         }
         r
     }
@@ -1252,103 +1256,30 @@ impl<'img> Vm<'img> {
         }
     }
 
-    // ---- attribution hooks -------------------------------------------------
+    // ---- attribution ---------------------------------------------------------
     //
-    // Every hook below sits behind an `attr.is_some()` branch at its call
-    // site (or begins with one), so with attribution off the profiler's
-    // entire footprint is a few never-taken branches — the inertness the
-    // vm_throughput guardrail asserts.
+    // The driver's one hook (`attr_run`, in `compile.rs`) counts block runs;
+    // every total below is derived from those counts. With attribution off
+    // the profiler's footprint is one never-taken branch per block run.
 
-    /// Charges the accounting delta since the last checkpoint to the
-    /// current (innermost) function. Called at the frame transitions every
-    /// run shares: frame push, return, and end of run.
-    fn attr_checkpoint(&mut self) {
-        let cur = self.frames.last().map(|f| f.func.0 as usize);
-        let (cycles, insts) = (self.cycles, self.insts);
-        let (signs, auths) = (self.pac.sign_count, self.pac.auth_count);
-        let Some(a) = self.attr.as_deref_mut() else { return };
-        if let Some(fi) = cur {
-            let f = &mut a.funcs[fi];
-            f.cycles += cycles - a.last_cycles;
-            f.insts += insts - a.last_insts;
-            f.signs += signs - a.last_signs;
-            f.auths += auths - a.last_auths;
-        }
-        a.last_cycles = cycles;
-        a.last_insts = insts;
-        a.last_signs = signs;
-        a.last_auths = auths;
-    }
-
-    /// Takes a call-stack sample when `cycles` has crossed the sampling
-    /// boundary. Deterministic: the cycle model is deterministic and both
-    /// accounting modes call this at the same accounting points (after each per-op
-    /// charge and after each block-transfer charge), so the sample set is
-    /// a pure function of the image. Inline: the per-op loop calls it on
-    /// every op, and only the boundary crossing does work.
-    #[inline(always)]
-    fn attr_maybe_sample(&mut self) {
-        if self.attr.as_deref().is_some_and(|a| self.cycles >= a.next_sample) {
-            self.attr_take_sample();
-        }
-    }
-
+    /// Takes `n` call-stack samples of the current stack.
     #[cold]
     #[inline(never)]
-    fn attr_take_sample(&mut self) {
-        let cycles = self.cycles;
+    fn attr_take_samples(&mut self, n: u64) {
         let path: Vec<u32> = self.frames.iter().map(|f| f.func.0).collect();
         let a = self.attr.as_deref_mut().expect("attr on");
-        *a.samples.entry(path).or_insert(0) += 1;
-        a.n_samples += 1;
-        a.next_sample = (cycles / a.sample_every + 1) * a.sample_every;
+        *a.samples.entry(path).or_insert(0) += n;
+        a.n_samples += n;
     }
 
-    /// Adds one execution of check site `sid` (the per-op loop calls this
-    /// with the site id baked into the check op).
-    pub(crate) fn attr_record_site(&mut self, sid: u32, cost: u64, s0: u64, a0: u64, trapped: bool) {
-        let (signs, auths) = (self.pac.sign_count, self.pac.auth_count);
-        let a = self.attr.as_deref_mut().expect("attr on");
-        let st = &mut a.site_stats[sid as usize];
-        st.execs += 1;
-        st.cycles += cost;
-        st.signs += signs - s0;
-        st.auths += auths - a0;
-        if trapped {
-            st.traps += 1;
-        }
-    }
-
-    /// End-of-run attribution: charge the tail delta to the function the
-    /// run ended in, and attribute the trap (if any) to it.
-    fn attr_finalize(&mut self) {
-        if self.attr.is_none() {
-            return;
-        }
-        self.attr_checkpoint();
-        let cur = self.frames.last().map(|f| f.func.0 as usize);
-        let trapped = matches!(self.status, Some(Status::Trapped(_)));
-        if let (Some(a), Some(fi), true) = (self.attr.as_deref_mut(), cur, trapped) {
-            a.funcs[fi].traps += 1;
-        }
-    }
-
-    /// Builds the public profile from the run's attribution state.
+    /// Builds the public profile from the run's attribution counts and
+    /// the charge table.
     fn attr_profile(&self) -> Option<Box<AttrProfile>> {
         let a = self.attr.as_deref()?;
         let m = &self.img.module;
-        let sites: Vec<SiteAttr> = self
-            .code
-            .sites
-            .iter()
-            .zip(&a.site_stats)
-            .map(|(site, st)| SiteAttr {
-                site: site.clone(),
-                execs: st.execs,
-                cycles: st.cycles,
-                signs: st.signs,
-                auths: st.auths,
-                traps: st.traps,
+        let mut sites: Vec<SiteAttr> = (self.code.sites.iter())
+            .map(|s| {
+                SiteAttr { site: s.clone(), execs: 0, cycles: 0, signs: 0, auths: 0, traps: 0 }
             })
             .collect();
         let mut funcs: Vec<FuncAttr> = m
@@ -1358,19 +1289,52 @@ impl<'img> Vm<'img> {
             .map(|(f, st)| FuncAttr {
                 name: f.name.clone(),
                 calls: st.calls,
-                cycles: st.cycles,
-                insts: st.insts,
-                pac_signs: st.signs,
-                pac_auths: st.auths,
-                traps: st.traps,
-                pac_cycles: 0,
-                pp_cycles: 0,
                 incl: st.incl.clone(),
+                ..FuncAttr::default()
             })
             .collect();
-        // Per-function PAC vs pp-check cycle split, summed from the sites.
+        // An op ran as often as the prefix sum of its run counts says; each
+        // completed sign or auth op signed or authenticated once.
+        let branch = CostModel::for_mechanism(self.img.mechanism).branch;
+        for (fi, cf) in self.code.funcs.iter().flatten().enumerate() {
+            let (st, f) = (&a.funcs[fi], &mut funcs[fi]);
+            let mut execs = 0;
+            for (i, (op, c)) in cf.ops.iter().zip(&cf.charge).enumerate() {
+                execs += st.op_runs[i];
+                let n = execs as u64;
+                f.insts += n;
+                f.cycles += n * c.cost;
+                if let Some(s) = sites.get_mut(op.site() as usize) {
+                    let (signs, auths) = op.signs_auths(n - u64::from(a.trapped == Some((fi, i))));
+                    s.execs += n;
+                    s.cycles += n * c.cost;
+                    s.signs += signs;
+                    s.auths += auths;
+                }
+            }
+            let terms: u64 = st.term_runs.iter().sum();
+            f.insts += terms;
+            f.cycles += terms * branch;
+        }
+        // The op that trapped holds the signs and auths no completed op did.
+        if let (Some((fi, op)), Ok(code)) = (a.trapped, &self.code.funcs) {
+            let signs: u64 = sites.iter().map(|s| s.signs).sum();
+            let auths: u64 = sites.iter().map(|s| s.auths).sum();
+            if let Some(s) = sites.get_mut(code[fi].ops[op].site() as usize) {
+                s.signs += self.pac.sign_count - a.loaded.0 - signs;
+                s.auths += self.pac.auth_count - a.loaded.1 - auths;
+                s.traps += 1;
+            }
+        }
+        if let (Some(Status::Trapped(_)), Some(fr)) = (&self.status, self.frames.last()) {
+            funcs[fr.func.0 as usize].traps += 1;
+        }
+        // Every sign and auth happens at a check site: the per-function
+        // counts and PAC vs pp-check cycle split are sums over the sites.
         for s in &sites {
             let f = &mut funcs[s.site.func as usize];
+            f.pac_signs += s.signs;
+            f.pac_auths += s.auths;
             if s.site.kind.starts_with("pp_") {
                 f.pp_cycles += s.cycles;
             } else {
@@ -1406,10 +1370,10 @@ impl<'img> Vm<'img> {
     //
     // Every call site below guards on `rec.is_some()`, so with the
     // recorder off (the default) its entire footprint is a few never-taken
-    // branches — the same inertness discipline as the attribution hooks.
-    // Events fire from code both accounting modes share (push_frame,
-    // exec_ret, the attacker API, and the translated
-    // PAC/Load/Store/Free ops), so recorded windows are mode-identical.
+    // branches. Events fire from code both accounting modes share
+    // (push_frame, exec_ret, the attacker API, and the translated
+    // PAC/Load/Store/Free ops) and carry their op's exact cycle, so
+    // recorded windows are mode-identical.
 
     /// Records one PAC-family event of check site `site`.
     #[inline(never)]
@@ -1421,45 +1385,20 @@ impl<'img> Vm<'img> {
         modifier: u64,
         key: Option<KeyId>,
     ) {
-        let cycle = self.cycles;
+        let s = &self.code.sites[site as usize];
+        let cycle = self.op_cycle(s.inst as usize);
         let func = self.frames.last().map_or(u32::MAX, |f| f.func.0);
         let r = self.rec.as_deref_mut().expect("recorder armed");
         r.push(RecEvent { cycle, kind, func, site, addr: 0, value, modifier, key });
     }
 
-    /// Records one siteless event (load/store/free/attacker-write).
+    /// Records one siteless event of the current frame at `cycle`: a
+    /// load, store, free, scope transition or attacker write.
     #[inline(never)]
-    fn rec_plain(&mut self, kind: RecKind, addr: u64, value: u64) {
-        let cycle = self.cycles;
+    fn rec_plain(&mut self, kind: RecKind, cycle: u64, addr: u64, value: u64) {
         let func = self.frames.last().map_or(u32::MAX, |f| f.func.0);
         let r = self.rec.as_deref_mut().expect("recorder armed");
-        r.push(RecEvent {
-            cycle,
-            kind,
-            func,
-            site: NO_SITE,
-            addr,
-            value,
-            modifier: 0,
-            key: None,
-        });
-    }
-
-    /// Records a scope transition for `fid` (the entered/exited function).
-    #[inline(never)]
-    fn rec_scope(&mut self, kind: RecKind, fid: FuncId) {
-        let cycle = self.cycles;
-        let r = self.rec.as_deref_mut().expect("recorder armed");
-        r.push(RecEvent {
-            cycle,
-            kind,
-            func: fid.0,
-            site: NO_SITE,
-            addr: 0,
-            value: 0,
-            modifier: 0,
-            key: None,
-        });
+        r.push(RecEvent { cycle, kind, func, site: NO_SITE, addr, value, modifier: 0, key: None });
     }
 
     /// Synthesizes the structured [`Incident`] for the first detection
@@ -1488,19 +1427,19 @@ impl<'img> Vm<'img> {
         let sites = &self.code.sites;
         let func = self.cur_func_name();
         let line = sites[site as usize].line;
-        let cycle = self.cycles;
         let Some(r) = self.rec.as_deref() else { return };
         if r.incident.is_some() {
             return; // first detection only
         }
         let events = r.in_order();
+        let cycle = events.last().map_or(self.cycles, |e| e.cycle);
+        let func_name = |fi: u32| {
+            m.funcs.get(fi as usize).map_or_else(|| "<none>".to_string(), |f| f.name.clone())
+        };
         let resolve = |e: &RecEvent| IncidentEvent {
             cycle: e.cycle,
             kind: e.kind.name().to_string(),
-            func: m
-                .funcs
-                .get(e.func as usize)
-                .map_or_else(|| "<none>".to_string(), |f| f.name.clone()),
+            func: func_name(e.func),
             site: site_label(sites, e.site),
             addr: e.addr,
             value: e.value,
@@ -1517,10 +1456,7 @@ impl<'img> Vm<'img> {
             .find(|e| e.kind == RecKind::Sign && e.value == value && value != 0)
             .map(|e| SignLineage {
                 site: site_label(sites, e.site),
-                func: m
-                    .funcs
-                    .get(e.func as usize)
-                    .map_or_else(|| "<none>".to_string(), |f| f.name.clone()),
+                func: func_name(e.func),
                 cycle: e.cycle,
                 modifier: e.modifier,
                 key: key_label(e.key).to_string(),
@@ -1572,7 +1508,6 @@ impl<'img> Vm<'img> {
             return;
         }
         self.telemetry_flushed = true;
-        self.attr_finalize();
         let tel = rsti_telemetry::global();
         if !tel.is_enabled() {
             return;
@@ -1742,12 +1677,6 @@ impl<'img> Vm<'img> {
         if self.frames.len() >= 4096 {
             return Err(Trap::StackOverflow);
         }
-        // Frame transition: charge the delta since the last checkpoint to
-        // the (outgoing) caller. Both accounting modes call through here,
-        // at the same accounting state, so attribution is mode-independent.
-        if self.attr.is_some() {
-            self.attr_checkpoint();
-        }
         let img = self.img;
         let f = img.module.func(fid);
         let mut frame = self.frame_pool.pop().unwrap_or_else(Frame::blank);
@@ -1808,7 +1737,7 @@ impl<'img> Vm<'img> {
         self.frames.push(frame);
         if self.rec.is_some() {
             // Scope entry, recorded in the one prologue every run shares.
-            self.rec_scope(RecKind::ScopeEnter, fid);
+            self.rec_plain(RecKind::ScopeEnter, self.cycles, 0, 0);
         }
         Ok(())
     }
@@ -1875,47 +1804,21 @@ impl<'img> Vm<'img> {
         Box::new(Trap::Mem { func: self.cur_func_name(), fault })
     }
 
-    /// The per-op loop's block exit charge: fuel check plus instruction,
-    /// opcode-class, and cycle accounting for a terminator. The fast path
-    /// pre-charges the same `branch` cost and one branch-class count with
-    /// its block.
-    #[inline]
-    fn charge_block_transfer(&mut self) -> Result<(), Trap> {
-        if self.insts >= self.fuel {
-            return Err(Trap::FuelExhausted);
-        }
-        self.insts += 1;
-        if self.trace_enabled {
-            self.opclass[OPCLASS_BRANCH] += 1;
-        }
-        self.cycles += CostModel::for_mechanism(self.img.mechanism).branch;
-        if self.attr.is_some() {
-            self.attr_maybe_sample();
-        }
-        Ok(())
-    }
-
     /// The return epilogue every run shares: pops the frame and hands
     /// `val` to the caller, or ends the run when `main` returns.
     fn exec_ret(&mut self, val: Option<RtVal>) -> Result<(), Trap> {
-        // Frame transition: charge the delta (return-terminator
-        // cost included — `charge_block_transfer` already ran) to
-        // the returning function before its frame pops.
-        if self.attr.is_some() {
-            self.attr_checkpoint();
-        }
         // Without a shadow stack, the epilogue loads the return
         // address from memory. A corrupted value redirects control
         // — the ROP surface the paper's §3 assumption closes.
         if let Some((slot, expected)) = self.frames.last().and_then(|f| f.ret_slot) {
             let found = self.mem.read_u64(slot).map_err(|e| *self.mem_err(e))?;
             if found != expected {
+                if self.rec.is_some() {
+                    self.rec_plain(RecKind::ScopeExit, self.cycles, 0, 0);
+                }
                 let fr = self.frames.pop().expect("frame");
                 self.stack_top = fr.stack_mark;
                 self.sync_reg_window(fr.reg_base);
-                if self.rec.is_some() {
-                    self.rec_scope(RecKind::ScopeExit, fr.func);
-                }
                 self.recycle(fr);
                 let target = VA.canonical(found);
                 return match resolve_code_addr(&self.img.module, target) {
@@ -1938,16 +1841,16 @@ impl<'img> Vm<'img> {
                 };
             }
         }
+        if self.rec.is_some() {
+            // Scope exit, in the one epilogue every run shares.
+            self.rec_plain(RecKind::ScopeExit, self.cycles, 0, 0);
+        }
         let fr = self.frames.pop().expect("frame");
         self.stack_top = fr.stack_mark;
         self.sync_reg_window(fr.reg_base);
         if let Some(a) = self.attr.as_deref_mut() {
             // Completed activation: inclusive cycles, entry→return.
             a.funcs[fr.func.0 as usize].incl.record(self.cycles - fr.entry_cycles);
-        }
-        if self.rec.is_some() {
-            // Scope exit, in the one epilogue every run shares.
-            self.rec_scope(RecKind::ScopeExit, fr.func);
         }
         if self.frames.is_empty() {
             let code = match val {

@@ -13,7 +13,9 @@
 use rsti_core::{MechChoice, Mechanism, OptLevel};
 use rsti_ir::{BlockId, Terminator};
 use rsti_telemetry::ToJson;
-use rsti_vm::{Backend, ExecBackend, ExecResult, Image, RunStop, Status, Trap, Vm};
+use rsti_vm::{
+    Backend, ExecBackend, ExecResult, Image, RunStop, Status, Trap, Vm, MIN_ATTR_SAMPLE_EVERY,
+};
 
 /// The audit records and incidents the forensics tests below produce, one
 /// line per record: `audit <cell> <json>` and `incident <cell> <json>`.
@@ -293,7 +295,7 @@ fn missing_block_parity() {
 /// The block entry/exit charge is backend-neutral: clean runs report
 /// identical `cycles` (the `cycle_model_total`) and `insts` across
 /// engines, for every mechanism × opt level — the regression test for
-/// the shared `charge_block_transfer` site.
+/// the terminator's charge, pre-charged or charged after the ops.
 #[test]
 fn cycle_model_total_is_backend_neutral() {
     for src in [MIXED, VICTIM] {
@@ -313,17 +315,62 @@ fn cycle_model_total_is_backend_neutral() {
 /// point mid-run leaves both engines with the same instruction and cycle
 /// totals — the compiled engine's pre-charge/rollback bookkeeping cannot
 /// drift from per-op charging even when the budget expires mid-block.
+/// With attribution and the recorder armed, the profile matches too.
 #[test]
 fn fuel_exhaustion_accounting_parity() {
-    let img = baseline(MIXED);
-    for fuel in [1, 7, 50, 333, 1234, 2500] {
-        let r = assert_parity(&img, fuel, None, &format!("fuel={fuel}"));
-        assert!(
-            matches!(r.status, Status::Trapped(Trap::FuelExhausted)),
-            "fuel={fuel}: {:?}",
-            r.status
-        );
-        assert_eq!(r.insts, fuel, "fuel={fuel}: exhaustion must stop exactly at the budget");
+    let plain = baseline(MIXED);
+    let observed = image(MIXED, Mechanism::Stwc, OptLevel::Cfg)
+        .with_attr_sampling(MIN_ATTR_SAMPLE_EVERY)
+        .with_record();
+    for (what, img) in [("plain", plain), ("observed", observed)] {
+        for fuel in [1, 7, 50, 333, 1234, 2500] {
+            let label = format!("{what} fuel={fuel}");
+            let r = assert_parity(&img, fuel, None, &label);
+            assert!(matches!(r.status, Status::Trapped(Trap::FuelExhausted)), "{label}: {:?}", r.status);
+            assert_eq!(r.insts, fuel, "{label}: exhaustion must stop exactly at the budget");
+        }
+    }
+}
+
+/// A corrupted function pointer fails its auth after calls mid-block.
+const PA_TRAP: &str = r#"
+    struct obj { long pad; void (*fp)(); };
+    struct obj* g;
+    void benign() { print_int(1); }
+    long helper(long x) { return x + 1; }
+    int main() {
+        g = (struct obj*) malloc(sizeof(struct obj));
+        g->fp = benign;
+        long n = helper(3);
+        g->fp();
+        long* raw = (long*) g;
+        raw[1] = raw[1] + 8;
+        n = helper(n);
+        g->fp();
+        return (int) n;
+    }
+"#;
+
+/// Every fuel budget from one instruction to the whole run, with
+/// attribution and the recorder armed: wherever the budget ends — before
+/// a call, inside a callee, on a terminator, at the failing check — both
+/// engines agree on the whole result, profile and incident included.
+#[test]
+fn every_fuel_budget_parity_with_observers() {
+    for enforce in [Backend::PacInPointer, Backend::MacTable] {
+        let img = image(PA_TRAP, Mechanism::Stwc, OptLevel::None)
+            .with_backend(enforce)
+            .with_attr_sampling(MIN_ATTR_SAMPLE_EVERY)
+            .with_record();
+        let full = assert_parity(&img, u64::MAX, None, &format!("{enforce:?} unlimited"));
+        assert!(matches!(full.status, Status::Trapped(Trap::PacAuthFailure { .. })), "{:?}", full.status);
+        assert!(full.incident.is_some(), "{enforce:?}: the detection synthesizes an incident");
+        for fuel in 1..=full.insts {
+            let r = assert_parity(&img, fuel, None, &format!("{enforce:?} fuel={fuel}"));
+            assert!(r.attr.is_some(), "{enforce:?} fuel={fuel}");
+            let want = if fuel < full.insts { Status::Trapped(Trap::FuelExhausted) } else { full.status.clone() };
+            assert_eq!(r.status, want, "{enforce:?} fuel={fuel}");
+        }
     }
 }
 

@@ -127,15 +127,20 @@ fn opclass_counts_match_when_a_trap_rolls_back_the_block() {
     }
 }
 
+/// Also with attribution and the recorder armed: their pre-charge stops
+/// where the budget does too.
 #[test]
 fn opclass_counts_match_when_fuel_runs_out_mid_block() {
     let img = image(MIXED, Some(Mechanism::Stwc), OptLevel::Cfg);
-    for fuel in [1, 7, 50, 333, 1234, 2500] {
-        let r = assert_parity(&img, fuel, false, &format!("fuel={fuel}"));
-        assert_eq!(
-            r.status,
-            Status::Trapped(Trap::FuelExhausted),
-            "fuel={fuel}"
-        );
+    let observed = img.clone().with_attr_sampling(256).with_record();
+    for (what, img) in [("plain", img), ("observed", observed)] {
+        for fuel in [1, 7, 50, 333, 1234, 2500] {
+            let r = assert_parity(&img, fuel, false, &format!("{what} fuel={fuel}"));
+            assert_eq!(
+                r.status,
+                Status::Trapped(Trap::FuelExhausted),
+                "{what} fuel={fuel}"
+            );
+        }
     }
 }
