@@ -260,23 +260,22 @@ impl<'a> Victim<'a> {
     }
 }
 
-/// Runs one scenario under one defense, unoptimized, in the default
-/// accounting mode, and derives the verdict.
+/// Runs one scenario under one defense, unoptimized, and derives the
+/// verdict.
 pub fn evaluate(s: &Scenario, defense: Option<Mechanism>) -> Verdict {
-    evaluate_at(s, defense, OptLevel::None, ExecBackend::default(), false).0
+    evaluate_at(s, defense, OptLevel::None, false).0
 }
 
-/// Runs one scenario under one defense at opt level `level` in accounting
-/// mode `exec`, optionally with the flight recorder (see
-/// [`Victim::attack`]).
+/// Runs one scenario under one defense at opt level `level`, optionally
+/// with the flight recorder (see [`Victim::attack`]), on the block
+/// pre-charge every caller but the parity checks runs.
 pub fn evaluate_at(
     s: &Scenario,
     defense: Option<Mechanism>,
     level: OptLevel,
-    exec: ExecBackend,
     record: bool,
 ) -> (Verdict, Option<Box<Incident>>) {
-    Victim::scenario(s).attack(defense, level, exec, record)
+    Victim::scenario(s).attack(defense, level, ExecBackend::default(), record)
 }
 
 /// One row of an evaluation matrix.

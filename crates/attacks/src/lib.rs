@@ -155,20 +155,12 @@ mod tests {
         // produces an incident naming the failing check site and the
         // expected-vs-presented modifier, with sign-site lineage for
         // replayed (legitimately signed) values and none for raw
-        // overwrites — bit-identical between the two engines.
+        // overwrites.
         for s in scenarios::all() {
-            let v = Victim::scenario(&s);
             for mech in [Mechanism::Stwc, Mechanism::Stc, Mechanism::Stl] {
-                let (vi, ii) = v.attack(Some(mech), OptLevel::None, ExecBackend::Interp, true);
-                let (vc, ic) = v.attack(Some(mech), OptLevel::None, ExecBackend::Compiled, true);
-                assert_eq!(vi, vc, "{} under {mech}: verdicts diverge", s.id);
-                assert_eq!(ii, ic, "{} under {mech}: incidents diverge", s.id);
-                assert!(
-                    matches!(vi, Verdict::Detected(_)),
-                    "{} under {mech}: {vi:?}",
-                    s.id
-                );
-                let inc = ii.unwrap_or_else(|| {
+                let (v, inc) = evaluate_at(&s, Some(mech), OptLevel::None, true);
+                assert!(matches!(v, Verdict::Detected(_)), "{} under {mech}: {v:?}", s.id);
+                let inc = inc.unwrap_or_else(|| {
                     panic!("{} under {mech}: detection must synthesize an incident", s.id)
                 });
                 assert_eq!(inc.mechanism, mech.name(), "{}", s.id);
@@ -211,6 +203,29 @@ mod tests {
                             s.id
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incident_json_is_identical_across_engines() {
+        // Every scenario under every detecting defense, PARTS included, at
+        // every level: the block pre-charge's incident is the per-op
+        // reference's, byte for byte, and newton-cscfi yields one under
+        // each defense.
+        use rsti_telemetry::ToJson;
+        for s in scenarios::all().into_iter().chain(scenarios::extras()) {
+            let v = Victim::scenario(&s);
+            for mech in [Mechanism::Parts, Mechanism::Stc, Mechanism::Stwc, Mechanism::Stl] {
+                for level in OptLevel::ALL {
+                    let [(vi, ii), (vc, ic)] = [ExecBackend::Interp, ExecBackend::Compiled]
+                        .map(|e| v.attack(Some(mech), level, e, true));
+                    let cell = format!("{} under {mech} at {}", s.id, level.label());
+                    assert_eq!(vi, vc, "{cell}: verdicts diverge");
+                    let [ji, jc] = [ii, ic].map(|i| i.map(|i| i.to_json()));
+                    assert_eq!(ji, jc, "{cell}: incident JSON diverges");
+                    assert!(s.id != "newton-cscfi" || ji.is_some(), "{cell}: no incident");
                 }
             }
         }

@@ -19,9 +19,9 @@
 //! instead of skewing one side.
 //!
 //! Both accounting modes of the one driver run the identical mix:
-//! per-op reference accounting (`exec=interp`, the historical
-//! `insts_per_sec` trajectory) and block pre-charge (`exec=compiled`, the
-//! default every other caller runs). Their instruction and cycle totals
+//! per-op reference accounting (`ExecBackend::Interp`, the historical
+//! `insts_per_sec` trajectory) and block pre-charge (`Compiled`, what
+//! every caller but the parity checks runs). Their instruction and cycle totals
 //! are asserted equal — the bench doubles as a whole-mix parity check —
 //! and the headline `compiled_speedup_vs_interp` ratio is
 //! machine-independent.
@@ -163,7 +163,6 @@ fn measure_serve() -> (f64, f64, f64) {
             .field("source", &src)
             .field("mech", "stwc")
             .field("opt", "cfg")
-            .field("exec", "compiled")
             .field("enforce", "pac");
     });
     let mut cold = f64::INFINITY;

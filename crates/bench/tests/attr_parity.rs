@@ -1,28 +1,31 @@
 //! Attribution-profiler parity and inertness on the real workload mix.
 //!
 //! The acceptance bar for the profiler is twofold. First, *parity*: the
-//! driver's two accounting modes (per-op `interp`, block pre-charge
-//! `compiled`) must produce the **identical** attribution profile —
-//! per-function cycles/insts/auths, per-site stats, histograms, and folded
-//! call-path samples — on the nbench + NGINX mix, because attribution
-//! forces every block onto the per-op loop in both modes. Second, *inertness*: with attribution off (the default), runs
-//! are bit-identical to what they were before the profiler existed, and
-//! turning it on never changes a verdict, an output line, or a
-//! deterministic total — it only observes.
+//! block pre-charge, which derives attribution from block-run counts, must
+//! produce the **identical** profile — per-function cycles/insts/auths,
+//! per-site stats, histograms, and folded call-path samples — to the
+//! per-op reference accounting, on the nbench + NGINX mix and on
+//! `samples/dispatcher.mc`. Second, *inertness*: with attribution off (the
+//! default), runs are bit-identical to what they were before the profiler
+//! existed, and turning it on never changes a verdict, an output line, or
+//! a deterministic total — it only observes.
 
 use rsti_core::{MechChoice, Mechanism, OptLevel};
 use rsti_vm::{ExecBackend, Image, Status, Vm};
 
-/// Baseline + STWC images for every workload in the mix at `level`,
-/// through the build recipe.
+/// Baseline + STWC images for `samples/dispatcher.mc` (the program CI's
+/// `rsti profile --attr` smoke exports) and every workload in the mix at
+/// `level`, through the build recipe.
 fn mix_images(level: OptLevel) -> Vec<(String, Image)> {
     let mut imgs = Vec::new();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../samples/dispatcher.mc");
+    let sample = rsti_frontend::compile(&std::fs::read_to_string(path).unwrap(), path).unwrap();
     let ws: Vec<_> = rsti_workloads::nbench().into_iter().chain(rsti_workloads::nginx()).collect();
-    for w in &ws {
-        let m = w.proxy_module();
+    let mix = ws.iter().map(|w| (w.name, w.proxy_module()));
+    for (name, m) in [("dispatcher.mc", sample)].into_iter().chain(mix) {
         for choice in [MechChoice::Baseline, MechChoice::Fixed(Mechanism::Stwc)] {
             let img = Image::build(&m, choice, level).0;
-            imgs.push((format!("{}/{}", w.name, choice.label()), img));
+            imgs.push((format!("{name}/{}", choice.label()), img));
         }
     }
     imgs
@@ -35,8 +38,8 @@ fn run(img: &Image) -> rsti_vm::ExecResult {
 }
 
 /// Per-function cycles/insts/auths, per-site stats, inclusive histograms,
-/// and sampled call paths are identical between `--backend interp` and
-/// `--backend compiled` on the full nbench + NGINX mix.
+/// and sampled call paths are identical between the two accounting modes
+/// on the full mix.
 #[test]
 fn attr_profiles_identical_across_engines() {
     assert_attr_parity(OptLevel::Cfg);

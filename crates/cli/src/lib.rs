@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! rsti run <file.mc> [--mech stwc|stc|stl|parts|none|adaptive]
-//!                    [--backend pac|mac|interp|compiled]
+//!                    [--backend pac|mac]
 //!                    [--opt none|block|cfg|ipo] [--stats] [--trace out.jsonl]
 //! rsti profile <file.mc> [--mech ...] [--backend ...] [--opt none|block|cfg|ipo]
 //!                        [--attr] [--top N] [--flame out.folded] [--chrome out.json]
@@ -138,23 +138,20 @@ fn cmd_fuzz(args: &[String]) -> Result<(i32, String), CliError> {
             None => Ok(default),
         }
     };
-    // The campaign cross-checks block pre-charge against the per-op
-    // reference by default; `--backend interp` opts out. (The oracle runs
-    // every instrumented cell under both enforcement backends and compares
-    // them, so `pac`/`mac` are accepted but irrelevant.)
-    let (_enforce, exec) = parse_backends(args)?;
+    // The oracle runs every instrumented cell under both enforcement
+    // backends, so `--backend pac|mac` is checked but irrelevant.
+    parse_backend(args)?;
     let cfg = rsti_fuzz::FuzzConfig {
         start: parse_u64("--start", 0)?,
         seeds: parse_u64("--seeds", 100)?,
         minimize: args.iter().any(|a| a == "--minimize"),
-        exec_oracle: exec != Some(rsti_vm::ExecBackend::Interp),
         // `--attr` runs every oracle VM with the attribution profiler on:
-        // the verdicts must not change (inertness), and the exec oracle
-        // then also diffs the engines' profiles on every generated program.
+        // the verdicts must not change (inertness), and the accounting
+        // oracle then also diffs both modes' profiles on every program.
         attr: args.iter().any(|a| a == "--attr"),
         // `--record` arms the flight recorder on every oracle VM: verdicts
-        // must not change, and the exec oracle then also diffs the
-        // engines' synthesized incidents bit-for-bit on every program.
+        // must not change, and the accounting oracle then also diffs both
+        // modes' synthesized incidents bit-for-bit on every program.
         record: args.iter().any(|a| a == "--record"),
         ..Default::default()
     };
@@ -295,18 +292,16 @@ fn cmd_serve(args: &[String]) -> Result<(i32, String), CliError> {
 
 const USAGE: &str = "\
 usage:
-  rsti run <file.mc> [--mech stwc|stc|stl|parts|none|adaptive] [--backend pac|mac|interp|compiled] [--opt none|block|cfg|ipo] [--record] [--stats] [--trace out.jsonl]
-  rsti profile <file.mc> [--mech stwc|stc|stl|parts|none|adaptive] [--backend pac|mac|interp|compiled] [--opt none|block|cfg|ipo] [--attr] [--record] [--top N] [--flame out.folded] [--chrome out.json] [--trace out.jsonl]
+  rsti run <file.mc> [--mech stwc|stc|stl|parts|none|adaptive] [--backend pac|mac] [--opt none|block|cfg|ipo] [--record] [--stats] [--trace out.jsonl]
+  rsti profile <file.mc> [--mech stwc|stc|stl|parts|none|adaptive] [--backend pac|mac] [--opt none|block|cfg|ipo] [--attr] [--record] [--top N] [--flame out.folded] [--chrome out.json] [--trace out.jsonl]
 
-  --backend selects the enforcement scheme (pac|mac) or the driver's
-  accounting mode: compiled (block pre-charge, the default) or interp
-  (per-op reference accounting, same results); repeat the flag to set
-  both axes.
+  --backend selects the enforcement scheme: pac (PAC in the pointer, the
+  default) or mac (MACs in a shadow table, pointers left canonical).
   profile --attr adds per-function/per-check-site attribution tables;
   --flame writes folded call stacks (flamegraph.pl input, needs --attr);
   --chrome writes a Chrome/Perfetto trace of the pipeline phases.
-  rsti explain <file.mc> [--mech stwc|stc|stl|parts|none|adaptive] [--backend pac|mac|interp|compiled] [--opt none|block|cfg|ipo] [--json]
-  rsti explain --attack <scenario-id> [--mech stwc|stc|stl|parts|none] [--backend interp|compiled] [--opt none|block|cfg|ipo] [--json]
+  rsti explain <file.mc> [--mech stwc|stc|stl|parts|none|adaptive] [--backend pac|mac] [--opt none|block|cfg|ipo] [--json]
+  rsti explain --attack <scenario-id> [--mech stwc|stc|stl|parts|none] [--opt none|block|cfg|ipo] [--json]
 
   explain arms the pointer-provenance flight recorder and renders the
   forensic incident report for the first RSTI detection trap: failing
@@ -318,19 +313,18 @@ usage:
   rsti analyze <file.mc> [--mech stwc|stc|stl|parts]
   rsti instrument <file.mc> [--mech stwc|stc|stl|parts]
   rsti equivalence <file.mc>
-  rsti fuzz [--seeds N] [--start S] [--backend interp|compiled] [--attr] [--record] [--minimize] [--corpus DIR] [--trace out.jsonl]
+  rsti fuzz [--seeds N] [--start S] [--attr] [--record] [--minimize] [--corpus DIR] [--trace out.jsonl]
 
-  fuzz cross-checks block pre-charge (compiled) against per-op reference
-  accounting (interp) on every run; --backend interp opts out (reference-
-  only campaign). --attr runs every oracle VM with the attribution
-  profiler on (verdicts must not change; both modes' profiles must
-  agree). --record likewise arms the flight recorder everywhere and diffs
-  the two modes' incidents.
+  fuzz cross-checks the VM's block pre-charge against its per-op
+  reference accounting on every run. --attr runs every oracle VM with the
+  attribution profiler on (verdicts must not change; both modes' profiles
+  must agree). --record likewise arms the flight recorder everywhere and
+  diffs the two modes' incidents.
   rsti serve [--workers N] [--cache-cap N] [--fuel N] [--socket PATH] [--stats-out FILE] [--trace out.jsonl]
 
   serve reads JSONL requests from stdin (one JSON object per line, e.g.
   {\"id\":1,\"cmd\":\"run\",\"source\":\"int main() { return 0; }\",
-  \"mech\":\"stwc\",\"opt\":\"cfg\",\"exec\":\"compiled\",\"enforce\":\"pac\"})
+  \"mech\":\"stwc\",\"opt\":\"cfg\",\"enforce\":\"pac\"})
   and answers one JSON line per request, in input order, on stdout.
   Instrumented modules (and their translated ops) are cached in an LRU
   keyed by hash(source, mech, opt, enforce), shared by --workers
@@ -345,9 +339,9 @@ usage:
 /// a unit test).
 pub const USAGE_MECHS: [&str; 6] = ["stwc", "stc", "stl", "parts", "none", "adaptive"];
 
-/// Backend names the usage string offers for `--backend`: two enforcement
-/// schemes and two execution engines (kept in sync by a unit test).
-pub const USAGE_BACKENDS: [&str; 4] = ["pac", "mac", "interp", "compiled"];
+/// Enforcement schemes the usage string offers for `--backend` (kept in
+/// sync by a unit test).
+pub const USAGE_BACKENDS: [&str; 2] = ["pac", "mac"];
 
 /// Reads a source file within the budget `serve` puts on a request line
 /// ([`rsti_serve::MAX_LINE_BYTES`]): a larger file is refused before it is
@@ -386,55 +380,30 @@ pub fn parse_opt_level(args: &[String]) -> Result<OptLevel, String> {
     flag_value(args, "--opt").map_or(Ok(OptLevel::None), OptLevel::parse)
 }
 
-/// Splits every `--backend` occurrence onto the two axes the flag selects:
-/// the enforcement scheme (`pac`|`mac` — how signatures are stored) and the
-/// accounting mode (`interp`|`compiled` — per-op or block pre-charge). The
-/// flag may be given once per axis; `None` on either axis means the caller's
-/// default (PAC-in-pointer; block pre-charge for `run`/`profile`/`explain`,
-/// the cross-checking differential pair for `fuzz`).
+/// Resolves the enforcement scheme from `--backend pac|mac`; `None`
+/// without the flag (the caller's default is PAC-in-pointer).
 ///
 /// # Errors
-/// Returns a message for unknown names, a missing value, or a repeated
-/// choice on the same axis.
-pub fn parse_backends(
-    args: &[String],
-) -> Result<(Option<rsti_vm::Backend>, Option<rsti_vm::ExecBackend>), String> {
-    let mut enforce: Option<rsti_vm::Backend> = None;
-    let mut exec: Option<rsti_vm::ExecBackend> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] != "--backend" {
-            i += 1;
-            continue;
+/// Returns a message for an unknown name, a missing value, or the flag
+/// given twice.
+pub fn parse_backend(args: &[String]) -> Result<Option<rsti_vm::Backend>, String> {
+    let mut backend = None;
+    for (i, _) in args.iter().enumerate().filter(|(_, a)| *a == "--backend") {
+        let b = match args.get(i + 1).map(String::as_str) {
+            Some("pac") => rsti_vm::Backend::PacInPointer,
+            Some("mac") => rsti_vm::Backend::MacTable,
+            Some(other) => return Err(format!("unknown backend `{other}` (pac|mac)")),
+            None => return Err("--backend needs a value (pac|mac)".into()),
+        };
+        if backend.replace(b).is_some() {
+            return Err("--backend given twice".into());
         }
-        let v = args
-            .get(i + 1)
-            .ok_or("--backend needs a value (pac|mac|interp|compiled)")?;
-        match v.as_str() {
-            "pac" | "mac" => {
-                let b = if v == "mac" { rsti_vm::Backend::MacTable } else { rsti_vm::Backend::PacInPointer };
-                if enforce.replace(b).is_some() {
-                    return Err(format!("enforcement backend given twice (`--backend {v}`)"));
-                }
-            }
-            "interp" | "compiled" => {
-                let e = if v == "compiled" { rsti_vm::ExecBackend::Compiled } else { rsti_vm::ExecBackend::Interp };
-                if exec.replace(e).is_some() {
-                    return Err(format!("execution backend given twice (`--backend {v}`)"));
-                }
-            }
-            other => return Err(format!("unknown backend `{other}` (pac|mac|interp|compiled)")),
-        }
-        i += 2;
     }
-    Ok((enforce, exec))
+    Ok(backend)
 }
 
 fn apply_backend(img: Image, args: &[String]) -> Result<Image, String> {
-    let (enforce, exec) = parse_backends(args)?;
-    Ok(img
-        .with_backend(enforce.unwrap_or(rsti_vm::Backend::PacInPointer))
-        .with_exec(exec.unwrap_or_default()))
+    Ok(img.with_backend(parse_backend(args)?.unwrap_or(rsti_vm::Backend::PacInPointer)))
 }
 
 fn render_audit(out: &mut String, r: &ExecResult) {
@@ -516,10 +485,10 @@ fn render_attr_tables(out: &mut String, p: &rsti_vm::AttrProfile, top: usize) {
 ///
 /// # Errors
 /// Returns usage errors: unknown attack id or flag values, a missing or
-/// unreadable input, or `--mech adaptive` or `--backend pac|mac` combined
-/// with `--attack`.
+/// unreadable input, or `--mech adaptive` or `--backend` combined with
+/// `--attack`.
 fn cmd_explain(args: &[String]) -> Result<String, CliError> {
-    let (enforce, exec) = parse_backends(args)?;
+    let enforce = parse_backend(args)?;
     let choice = flag_value(args, "--mech")
         .map(MechChoice::parse)
         .transpose()?
@@ -530,8 +499,8 @@ fn cmd_explain(args: &[String]) -> Result<String, CliError> {
     let (found, nothing, incident) = if let Some(id) = flag_value(args, "--attack") {
         if enforce.is_some() || choice == MechChoice::Adaptive {
             return Err("--attack runs Table 1's defenses (--mech none|parts|stc|stwc|stl) \
-                        under the harness's enforcement (--backend interp|compiled picks \
-                        the engine); adaptive, pac and mac do not combine with it"
+                        under the harness's enforcement; adaptive, pac and mac do not \
+                        combine with it"
                 .into());
         }
         let all: Vec<rsti_attacks::Scenario> = rsti_attacks::scenarios::all()
@@ -542,13 +511,12 @@ fn cmd_explain(args: &[String]) -> Result<String, CliError> {
             let ids: Vec<&str> = all.iter().map(|s| s.id).collect();
             format!("unknown attack `{id}`; one of: {}", ids.join(", "))
         })?;
-        let (mech, engine) = (choice.mechanism(), exec.unwrap_or_default());
-        let (verdict, inc) = rsti_attacks::evaluate_at(s, mech, level, engine, true);
+        let mech = choice.mechanism();
+        let (verdict, inc) = rsti_attacks::evaluate_at(s, mech, level, true);
         let head = format!(
-            "explain: attack `{}` under {} ({} engine, opt {}): {}",
+            "explain: attack `{}` under {} (opt {}): {}",
             s.id,
             rsti_attacks::defense_name(mech),
-            engine.label(),
             level.label(),
             verdict.label()
         );
@@ -686,12 +654,6 @@ fn dispatch(args: &[String]) -> Result<String, CliError> {
             let r = vm.run();
             let mut out = String::new();
             let _ = writeln!(out, "profile: {file} (mech {})", choice.name());
-            let _ = writeln!(
-                out,
-                "engine: {} (both accounting modes run one translation per image: \
-                 vm_compile and vm_compiled_blocks count it under either)",
-                img.exec().label()
-            );
             match &r.status {
                 Status::Exited(c) => {
                     let _ = writeln!(out, "status: exit {c}");
@@ -765,10 +727,10 @@ mod tests {
     use super::*;
 
     /// Held by every test that switches the process-global telemetry on
-    /// and by every fuzz campaign. The exec oracle diffs opclass counts
-    /// between two VMs, and each VM samples the global switch when it is
-    /// created, so a switch flipped between the two by a test running in
-    /// parallel reads as an engine divergence.
+    /// and by every fuzz campaign. The accounting oracle diffs opclass
+    /// counts between two VMs, and each VM samples the global switch when
+    /// it is created, so a switch flipped between the two by a test running
+    /// in parallel reads as an engine divergence.
     static GLOBAL_TELEMETRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn telemetry_guard() -> std::sync::MutexGuard<'static, ()> {
@@ -967,71 +929,43 @@ mod tests {
 
     #[test]
     fn every_usage_listed_backend_parses() {
-        // The usage string and `parse_backends` must not drift: every name
-        // the help offers is accepted and lands on the expected axis.
+        // The usage string and `parse_backend` must not drift: every name
+        // the help offers is accepted and maps to its scheme.
         for name in USAGE_BACKENDS {
             assert!(USAGE.contains(name), "usage lists `{name}`");
             let args = ["--backend".to_string(), name.to_string()];
-            let (enforce, exec) = parse_backends(&args).unwrap_or_else(|e| panic!("`{name}`: {e}"));
+            let b = parse_backend(&args).unwrap_or_else(|e| panic!("`{name}`: {e}"));
             match name {
-                "pac" => assert_eq!(enforce, Some(rsti_vm::Backend::PacInPointer)),
-                "mac" => assert_eq!(enforce, Some(rsti_vm::Backend::MacTable)),
-                "interp" => assert_eq!(exec, Some(rsti_vm::ExecBackend::Interp)),
-                "compiled" => assert_eq!(exec, Some(rsti_vm::ExecBackend::Compiled)),
+                "pac" => assert_eq!(b, Some(rsti_vm::Backend::PacInPointer)),
+                "mac" => assert_eq!(b, Some(rsti_vm::Backend::MacTable)),
                 other => panic!("untested usage backend `{other}`"),
             }
         }
-        // Both axes at once; duplicates on one axis are rejected.
-        let both: Vec<String> =
-            ["--backend", "mac", "--backend", "compiled"].map(String::from).into();
-        assert_eq!(
-            parse_backends(&both).unwrap(),
-            (Some(rsti_vm::Backend::MacTable), Some(rsti_vm::ExecBackend::Compiled))
-        );
-        let dup: Vec<String> =
-            ["--backend", "interp", "--backend", "compiled"].map(String::from).into();
-        assert!(parse_backends(&dup).unwrap_err().contains("twice"));
-        assert!(parse_backends(&["--backend".to_string()]).is_err());
-        // Without `--backend`, run/profile/explain use block pre-charge.
-        let m = rsti_frontend::compile(PROG, "t").unwrap();
-        let img = apply_backend(
-            Image::baseline(&m).with_exec(rsti_vm::ExecBackend::Interp),
-            &[],
-        );
-        assert_eq!(img.unwrap().exec(), rsti_vm::ExecBackend::Compiled);
+        let dup: Vec<String> = ["--backend", "mac", "--backend", "pac"].map(String::from).into();
+        assert!(parse_backend(&dup).unwrap_err().contains("twice"));
+        assert!(parse_backend(&["--backend".to_string()]).is_err());
+        assert_eq!(parse_backend(&[]), Ok(None));
     }
 
+    /// The VM's accounting mode is not a user choice: the names that
+    /// once selected it are unknown backends on every command.
     #[test]
-    fn run_with_compiled_engine_matches_interp_output() {
-        let f = write_temp("rsti_cli_compiled.mc", PROG);
-        let default = run_cli(&["run".into(), f.clone(), "--stats".into()]);
-        let [interp, compiled] = ["interp", "compiled"].map(|exec| {
-            run_cli(&[
-                "run".into(),
-                f.clone(),
-                "--backend".into(),
-                exec.into(),
-                "--stats".into(),
-            ])
-        });
-        assert_eq!(
-            interp, compiled,
-            "accounting modes must agree on output and stats"
-        );
-        assert_eq!(default, compiled);
-        // Both axes together, with the optimizer on.
-        let (code, out) = run_cli(&[
-            "run".into(),
-            f,
-            "--backend".into(),
-            "mac".into(),
-            "--backend".into(),
-            "compiled".into(),
-            "--opt".into(),
-            "cfg".into(),
-        ]);
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("42"), "{out}");
+    fn accounting_modes_are_unknown_backends() {
+        let f = write_temp("rsti_cli_modes.mc", PROG);
+        for mode in ["interp", "compiled"] {
+            for cmd in [
+                vec!["run".to_string(), f.clone()],
+                vec!["profile".into(), f.clone()],
+                vec!["explain".into(), f.clone()],
+                vec!["explain".into(), "--attack".into(), "newton-cscfi".into()],
+                vec!["fuzz".into(), "--seeds".into(), "1".into()],
+            ] {
+                let args: Vec<String> = cmd.into_iter().chain(["--backend".into(), mode.into()]).collect();
+                let (code, out) = run_cli(&args);
+                assert_eq!(code, 1, "{args:?}: {out}");
+                assert!(out.starts_with(&format!("error: unknown backend `{mode}`")), "{out}");
+            }
+        }
     }
 
     #[test]
@@ -1325,8 +1259,6 @@ mod tests {
         assert!(out.contains("status: exit 0"), "{out}");
         // Per-phase wall-time table: the run's own phases must appear.
         assert!(out.contains("phase"), "{out}");
-        // The default accounting mode is block pre-charge.
-        assert!(out.contains("engine: compiled"), "{out}");
         for phase in
             ["parse", "lower", "collect_facts", "analyze", "instrument", "vm_compile", "vm_run"]
         {
@@ -1417,25 +1349,28 @@ mod tests {
 
     #[test]
     fn explain_attack_json_is_engine_invariant() {
-        let mut bodies = Vec::new();
-        for engine in ["interp", "compiled"] {
-            let (code, out) = run_cli(&[
-                "explain".into(),
-                "--attack".into(),
-                "newton-cscfi".into(),
-                "--backend".into(),
-                engine.into(),
-                "--json".into(),
-            ]);
-            assert_eq!(code, 0, "{engine}: {out}");
-            let body = out.trim_end();
-            assert!(body.starts_with('{') && body.ends_with('}'), "{out}");
-            assert!(body.contains("\"schema\":1"), "{out}");
-            assert!(body.contains("\"check_site\":"), "{out}");
-            assert!(body.contains("\"presented_modifier\":"), "{out}");
-            bodies.push(out);
-        }
-        assert_eq!(bodies[0], bodies[1], "incident JSON must be engine-invariant");
+        // `explain --attack` runs the block pre-charge; its incident JSON
+        // is byte-identical to the per-op reference's.
+        let (code, out) = run_cli(&[
+            "explain".into(),
+            "--attack".into(),
+            "newton-cscfi".into(),
+            "--json".into(),
+        ]);
+        assert_eq!(code, 0, "{out}");
+        let body = out.trim_end();
+        assert!(body.starts_with('{') && body.ends_with('}'), "{out}");
+        assert!(body.contains("\"schema\":1"), "{out}");
+        assert!(body.contains("\"check_site\":"), "{out}");
+        assert!(body.contains("\"presented_modifier\":"), "{out}");
+        let s = rsti_attacks::scenarios::all().into_iter().find(|s| s.id == "newton-cscfi").unwrap();
+        let (_, reference) = rsti_attacks::Victim::scenario(&s).attack(
+            Some(Mechanism::Stwc),
+            OptLevel::None,
+            rsti_vm::ExecBackend::Interp,
+            true,
+        );
+        assert_eq!(body, reference.expect("an incident").to_json());
     }
 
     #[test]
@@ -1451,12 +1386,11 @@ mod tests {
         ]);
         assert_eq!(code, 0, "{out}");
         assert!(
-            out.contains("under RSTI-STWC (compiled engine, opt ipo): detected"),
+            out.contains("under RSTI-STWC (opt ipo): detected"),
             "{out}"
         );
         assert!(out.contains("== RSTI incident report =="), "{out}");
-        assert!(USAGE.contains("--attack <scenario-id> [--mech stwc|stc|stl|parts|none] \
-                                [--backend interp|compiled] [--opt"));
+        assert!(USAGE.contains("--attack <scenario-id> [--mech stwc|stc|stl|parts|none] [--opt"));
     }
 
     #[test]

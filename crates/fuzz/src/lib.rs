@@ -49,19 +49,14 @@ pub struct FuzzConfig {
     pub minimize: bool,
     /// Oracle-run budget per minimization.
     pub budget: u32,
-    /// Cross-check block pre-charge against the per-op reference
-    /// accounting on every run (the `exec=compiled` oracle column). On by
-    /// default; `rsti fuzz --backend interp` turns it off for a
-    /// reference-only campaign.
-    pub exec_oracle: bool,
     /// Run every oracle VM with the attribution profiler (`rsti fuzz
-    /// --attr`). The verdicts must not change, and with the exec oracle
-    /// both accounting modes must produce identical profiles, since
-    /// [`rsti_vm::ExecResult`] equality covers `attr`.
+    /// --attr`). The verdicts must not change, and both accounting modes
+    /// must produce identical profiles, since [`rsti_vm::ExecResult`]
+    /// equality covers `attr`.
     pub attr: bool,
     /// Arm the flight recorder on every oracle VM (`rsti fuzz --record`).
     /// Any run that traps on an RSTI detection then synthesizes an
-    /// incident in both accounting modes, and the exec oracle's
+    /// incident in both accounting modes, and the accounting oracle's
     /// `ExecResult` equality covers it bit for bit.
     pub record: bool,
 }
@@ -74,7 +69,6 @@ impl Default for FuzzConfig {
             gen: AstGenConfig::default(),
             minimize: false,
             budget: 2000,
-            exec_oracle: true,
             attr: false,
             record: false,
         }

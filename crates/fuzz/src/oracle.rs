@@ -190,9 +190,8 @@ pub(crate) fn panic_msg(p: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// Runs one image under reference accounting and, with
-/// [`FuzzConfig::exec_oracle`], block pre-charge too, diffing the complete
-/// [`ExecResult`]s (the `exec=compiled` oracle column); returns the
+/// Runs one image under reference accounting and block pre-charge,
+/// diffing the complete [`ExecResult`]s (oracle 4); returns the
 /// reference run's view.
 fn run_image(
     img: &Image,
@@ -217,9 +216,6 @@ fn run_image(
         vm.run()
     }))
     .map_err(|p| FailureKind::VmPanic { config: config.into(), detail: panic_msg(p) })?;
-    if !cfg.exec_oracle {
-        return Ok((r.status, r.output));
-    }
     let cimg = img.clone().with_exec(ExecBackend::Compiled);
     let c = catch_unwind(AssertUnwindSafe(|| {
         let mut vm = Vm::new(&cimg);

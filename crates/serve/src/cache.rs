@@ -30,8 +30,8 @@ use rsti_vm::Image;
 pub struct CacheEntry {
     /// The content-hash key this entry lives under.
     pub key: u128,
-    /// The instrumented (and, for compiled-exec requests, pre-translated)
-    /// image. Cloning the `Arc` is the whole point: hits share it.
+    /// The instrumented and pre-translated image. Cloning the `Arc` is
+    /// the whole point: hits share it.
     pub img: Arc<Image>,
     /// Instrumentation-site counters (`None` for the baseline).
     pub instr: Option<InstrumentStats>,

@@ -12,8 +12,7 @@
 //! the per-phase latency histograms in [`ServeMetrics`] record zero new
 //! frontend/instrument/optimize/translate samples for warm requests, and
 //! the image's translation (its ops) is reused
-//! as-is, whichever accounting mode (`exec`) a request asks for: clones
-//! of an image share it.
+//! as-is, by profiled and recorded runs too: clones of an image share it.
 //!
 //! Reliability contract:
 //!
@@ -349,21 +348,13 @@ impl Server {
             None
         } else {
             let t = Instant::now();
-            let r = if req.cmd == Cmd::Profile || req.record || req.exec != entry.img.exec() {
-                // Profiling, recording and the per-op accounting mode are
-                // per-run state, so they run on a cheap clone; the clone
-                // shares the module *and* the translation, so this is
-                // still warm.
-                let img = (*entry.img).clone().with_exec(req.exec);
-                self.run_image(&if req.cmd == Cmd::Profile {
-                    img.with_attr()
-                } else if req.record {
-                    img.with_record()
-                } else {
-                    img
-                })
-            } else {
-                self.run_image(&entry.img)
+            // Profiling and recording are per-run state, so they run on a
+            // cheap clone; the clone shares the module *and* the
+            // translation, so this is still warm.
+            let r = match (req.cmd, req.record) {
+                (Cmd::Profile, _) => self.run_image(&(*entry.img).clone().with_attr()),
+                (_, true) => self.run_image(&(*entry.img).clone().with_record()),
+                _ => self.run_image(&entry.img),
             };
             self.metrics.record_phase(ServePhase::Execute, elapsed_ns(t));
             Some(r)
@@ -627,15 +618,11 @@ mod tests {
         ])
     }
 
-    fn request_line(src: &str, mech: &str, opt: &str, exec: &str, enforce: &str) -> String {
+    fn request_line(src: &str, mech: &str, opt: &str, enforce: &str) -> String {
         format!(
-            "{{\"id\":1,\"cmd\":\"run\",\"source\":{},\"mech\":\"{}\",\"opt\":\"{}\",\
-             \"exec\":\"{}\",\"enforce\":\"{}\"}}",
+            "{{\"id\":1,\"cmd\":\"run\",\"source\":{},\"mech\":\"{mech}\",\"opt\":\"{opt}\",\
+             \"enforce\":\"{enforce}\"}}",
             rsti_telemetry::json_str(src),
-            mech,
-            opt,
-            exec,
-            enforce
         )
     }
 
@@ -644,7 +631,7 @@ mod tests {
     fn oneshot(req: &Request, src: &str) -> (Option<rsti_core::InstrumentStats>, ExecResult) {
         let module = rsti_frontend::compile(src, "<serve>").unwrap();
         let (img, instr) = Image::build(&module, req.mech, req.opt);
-        let img = img.with_backend(req.enforce).with_exec(req.exec);
+        let img = img.with_backend(req.enforce);
         let mut vm = Vm::new(&img);
         vm.set_fuel(ServeConfig::default().fuel);
         (instr, vm.run())
@@ -656,33 +643,26 @@ mod tests {
         let server = Server::new(ServeConfig::default());
         for mech in ["none", "parts", "stc", "stwc", "stl", "adaptive"] {
             for opt in ["none", "block", "cfg", "ipo"] {
-                // Both accounting modes share one entry: the first builds it.
-                for (enforce, exec, first) in [
-                    ("pac", "interp", "miss"),
-                    ("pac", "compiled", "hit"),
-                    ("mac", "compiled", "miss"),
-                    ("mac", "interp", "hit"),
-                ] {
-                    let line = request_line(&src, mech, opt, exec, enforce);
+                for enforce in ["pac", "mac"] {
+                    let line = request_line(&src, mech, opt, enforce);
                     let cold = server.handle_line(&line);
                     let warm = server.handle_line(&line);
-                    let state = |s: &str| format!("\"cache\":\"{s}\"");
-                    assert!(cold.contains(&state(first)), "{mech}/{opt}/{exec}/{enforce}: {cold}");
+                    assert!(cold.contains("\"cache\":\"miss\""), "{mech}/{opt}/{enforce}: {cold}");
                     assert_eq!(
                         warm,
-                        cold.replace(&state(first), &state("hit")),
-                        "warm response must be byte-identical to cold ({mech}/{opt}/{exec}/{enforce})"
+                        cold.replace("\"cache\":\"miss\"", "\"cache\":\"hit\""),
+                        "warm response must be byte-identical to cold ({mech}/{opt}/{enforce})"
                     );
                     // And both must match the one-shot `rsti run` pipeline.
                     let req = Request::parse(&line).unwrap();
                     let (instr, result) = oneshot(&req, &src);
                     let key = cache_key(&src, req.mech, req.opt, req.enforce);
-                    let expected = exec_response(&req, first, key, instr.as_ref(), Some(&result));
+                    let expected = exec_response(&req, "miss", key, instr.as_ref(), Some(&result));
                     assert_eq!(cold, expected, "cold response must equal the one-shot pipeline");
                 }
             }
         }
-        assert_eq!(server.metrics().hits(), 6 * 4 * 6);
+        assert_eq!(server.metrics().hits(), 6 * 4 * 2);
         assert_eq!(server.metrics().misses(), 6 * 4 * 2);
     }
 
@@ -789,7 +769,7 @@ mod tests {
         assert_eq!(v.get("id").and_then(Json::as_u64), Some(3));
         let server = Server::new(ServeConfig::default());
         let src = "int main() { print_int(3); return 7; }";
-        let v = parse_json(&server.handle_line(&request_line(src, "stl", "cfg", "interp", "mac")))
+        let v = parse_json(&server.handle_line(&request_line(src, "stl", "cfg", "mac")))
             .unwrap();
         assert_eq!(v.get("status").and_then(Json::as_str), Some("exit 7"));
         assert_eq!(v.get("output"), Some(&Json::Arr(vec![Json::Str("3".into())])));
@@ -833,7 +813,7 @@ mod tests {
     #[test]
     fn warm_requests_skip_frontend_instrument_optimize_and_translate() {
         let server = Server::new(ServeConfig::default());
-        let line = request_line(&sample_source(), "stwc", "cfg", "compiled", "pac");
+        let line = request_line(&sample_source(), "stwc", "cfg", "pac");
         let cold = server.handle_line(&line);
         assert!(cold.contains("\"ok\":true"), "{cold}");
         let m = server.metrics();
@@ -856,18 +836,38 @@ mod tests {
         assert_eq!(m.phase_count(ServePhase::Request), 2);
     }
 
+    /// `exec` is an ignored key: perfbench's serve client sends
+    /// `"exec":"compiled"` last on every `run` line, and older clients
+    /// sent `"interp"`. Each answer is the one a line without it gets.
+    #[test]
+    fn an_exec_key_is_accepted_and_ignored() {
+        let src = rsti_telemetry::json_str(&sample_source());
+        let answers: Vec<String> = ["", r#","exec":"compiled""#, r#","exec":"interp""#]
+            .iter()
+            .map(|exec| {
+                let line = format!(
+                    r#"{{"id":1,"cmd":"run","source":{src},"mech":"stwc","opt":"cfg"{exec}}}"#
+                );
+                Server::new(ServeConfig::default()).handle_line(&line)
+            })
+            .collect();
+        assert!(answers[0].contains(r#""ok":true"#), "{}", answers[0]);
+        assert_eq!(answers[1], answers[0], "\"exec\":\"compiled\"");
+        assert_eq!(answers[2], answers[0], "\"exec\":\"interp\"");
+    }
+
     #[test]
     fn profile_and_explain_reuse_the_cached_compiled_image() {
         let server = Server::new(ServeConfig::default());
         let src = sample_source();
-        let warmup = request_line(&src, "stwc", "cfg", "compiled", "pac");
+        let warmup = request_line(&src, "stwc", "cfg", "pac");
         server.handle_line(&warmup);
         // Same key, different run-time adornments: record + attr run on
         // clones that share the translation.
         for cmd in ["profile", "explain"] {
             let line = format!(
                 "{{\"id\":2,\"cmd\":\"{}\",\"source\":{},\"mech\":\"stwc\",\"opt\":\"cfg\",\
-                 \"exec\":\"compiled\",\"enforce\":\"pac\"}}",
+                 \"enforce\":\"pac\"}}",
                 cmd,
                 rsti_telemetry::json_str(&src)
             );
@@ -885,7 +885,7 @@ mod tests {
         let server = Server::new(ServeConfig { workers: 2, ..ServeConfig::default() });
         let input = format!(
             "{{\"id\":1,\"cmd\":\"__panic\"}}\nthis is not json\n{}\n",
-            request_line("int main() { return 0; }", "stwc", "none", "interp", "pac")
+            request_line("int main() { return 0; }", "stwc", "none", "pac")
         );
         let mut out = Vec::new();
         serve_lines(&server, input.as_bytes(), &mut out).unwrap();
@@ -908,7 +908,7 @@ mod tests {
         let input = format!(
             "{}\n{}\n",
             "[".repeat(200_000),
-            request_line("int main() { return 3; }", "stwc", "none", "interp", "pac")
+            request_line("int main() { return 3; }", "stwc", "none", "pac")
         );
         let mut out = Vec::new();
         serve_lines(&server, input.as_bytes(), &mut out).unwrap();
@@ -975,7 +975,7 @@ mod tests {
         // fails only as JSON), one byte over is skipped whole.
         let at = " ".repeat(MAX_LINE_BYTES - 1) + "x";
         let over = "y".repeat(MAX_LINE_BYTES + 1);
-        let run = request_line("int main() { return 5; }", "stwc", "none", "compiled", "pac");
+        let run = request_line("int main() { return 5; }", "stwc", "none", "pac");
         let input = format!("{at}\n{over}\n{run}\n{over}");
         let mut out = Vec::new();
         serve_lines(&server, input.as_bytes(), &mut out).unwrap();
@@ -1024,7 +1024,7 @@ mod tests {
     #[test]
     fn shutdown_drains_in_flight_requests_and_stops_reading() {
         let server = Server::new(ServeConfig { workers: 2, ..ServeConfig::default() });
-        let run = request_line("int main() { return 7; }", "stwc", "none", "interp", "pac");
+        let run = request_line("int main() { return 7; }", "stwc", "none", "pac");
         let input = format!("{run}\n{{\"id\":9,\"cmd\":\"shutdown\"}}\n{run}\n");
         let mut out = Vec::new();
         serve_lines(&server, input.as_bytes(), &mut out).unwrap();
@@ -1039,8 +1039,8 @@ mod tests {
     fn lru_eviction_under_load_never_breaks_in_flight_or_future_requests() {
         // Capacity 1: every alternating request evicts the other entry.
         let server = Server::new(ServeConfig { cache_cap: 1, ..ServeConfig::default() });
-        let a = request_line("int main() { return 1; }", "stwc", "none", "interp", "pac");
-        let b = request_line("int main() { return 2; }", "stwc", "none", "interp", "pac");
+        let a = request_line("int main() { return 1; }", "stwc", "none", "pac");
+        let b = request_line("int main() { return 2; }", "stwc", "none", "pac");
         for _ in 0..4 {
             assert!(server.handle_line(&a).contains("\"status\":\"exit 1\""));
             assert!(server.handle_line(&b).contains("\"status\":\"exit 2\""));
@@ -1137,8 +1137,8 @@ mod tests {
     fn mac_and_pac_enforcement_cache_separately() {
         let server = Server::new(ServeConfig::default());
         let src = sample_source();
-        let pac = request_line(&src, "stwc", "cfg", "interp", "pac");
-        let mac = request_line(&src, "stwc", "cfg", "interp", "mac");
+        let pac = request_line(&src, "stwc", "cfg", "pac");
+        let mac = request_line(&src, "stwc", "cfg", "mac");
         assert!(server.handle_line(&pac).contains("\"cache\":\"miss\""));
         assert!(server.handle_line(&mac).contains("\"cache\":\"miss\""), "mac must not hit pac");
         assert_eq!(server.metrics().misses(), 2);

@@ -13,7 +13,7 @@
 //!
 //! ```json
 //! {"id":1,"cmd":"run","source":"int main(){return 0;}",
-//!  "mech":"stwc","opt":"cfg","exec":"compiled","enforce":"pac"}
+//!  "mech":"stwc","opt":"cfg","enforce":"pac"}
 //! ```
 //!
 //! * `id` — optional request id echoed in the response (`null` if absent).
@@ -25,16 +25,19 @@
 //!   `adaptive` (default `stwc`; parsed by [`MechChoice::parse`], as
 //!   `rsti --mech` is).
 //! * `opt` — `none` | `block` | `cfg` | `ipo` (default `cfg`).
-//! * `exec` — `interp` | `compiled` (default `compiled`).
 //! * `enforce` — `pac` | `mac` (default `pac`).
 //! * `record` — boolean; arm the flight recorder (implied by `explain`).
+//!
+//! Any other key is ignored, among them `exec`: the accounting mode is
+//! not a request axis (every run takes the block pre-charge), and older
+//! clients still send it.
 
 use rsti_core::{MechChoice, Mechanism, OptLevel};
 use rsti_telemetry::json;
 // The request reader is the workspace's one JSON reader; re-exported so
 // existing `proto::{parse_json, Json}` users keep their path.
 pub use rsti_telemetry::{parse_json, Json};
-use rsti_vm::{Backend, ExecBackend, ExecResult, Status};
+use rsti_vm::{Backend, ExecResult, Status};
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -75,8 +78,6 @@ pub struct Request {
     pub mech: MechChoice,
     /// Optimization level axis.
     pub opt: OptLevel,
-    /// Accounting-mode axis (`exec`, default `compiled`).
-    pub exec: ExecBackend,
     /// Enforcement scheme axis.
     pub enforce: Backend,
     /// Arm the flight recorder (`explain` implies this).
@@ -122,12 +123,6 @@ impl Request {
             Some(s) => OptLevel::parse(s)?,
             None => OptLevel::Cfg,
         };
-        let exec = match v.get("exec").and_then(Json::as_str) {
-            Some("interp") => ExecBackend::Interp,
-            Some("compiled") => ExecBackend::Compiled,
-            Some(other) => return Err(format!("unknown exec {other:?} (expected interp|compiled)")),
-            None => ExecBackend::default(),
-        };
         let enforce = match v.get("enforce").and_then(Json::as_str) {
             Some("pac") => Backend::PacInPointer,
             Some("mac") => Backend::MacTable,
@@ -136,7 +131,7 @@ impl Request {
         };
         let record = v.get("record").and_then(Json::as_bool).unwrap_or(false)
             || cmd == Cmd::Explain;
-        Ok(Request { id, cmd, source, workload, mech, opt, exec, enforce, record })
+        Ok(Request { id, cmd, source, workload, mech, opt, enforce, record })
     }
 }
 
@@ -148,10 +143,9 @@ impl Request {
 /// module and its translation: source text, mechanism, opt level, and
 /// enforcement scheme. Axes are separated by a `0x1f` unit separator so
 /// concatenation ambiguities (`"ab" + "c"` vs `"a" + "bc"`) cannot
-/// collide. The accounting mode (`exec`) and the `record` flag are
-/// deliberately **not** part of the key: both accounting modes run one
-/// translation, and each is applied to a cheap [`rsti_vm::Image`] clone
-/// at run time that still shares the translated ops.
+/// collide. The `record` flag is deliberately **not** part of the key:
+/// it is applied to a cheap [`rsti_vm::Image`] clone at run time that
+/// still shares the translated ops.
 pub fn cache_key(source: &str, mech: MechChoice, opt: OptLevel, enforce: Backend) -> u128 {
     const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -284,8 +278,6 @@ mod tests {
         assert_eq!(r.id, None);
         assert_eq!(r.mech, MechChoice::Fixed(Mechanism::Stwc));
         assert_eq!(r.opt, OptLevel::Cfg);
-        // A request without "exec" runs the default block pre-charge.
-        assert_eq!(r.exec, ExecBackend::Compiled);
         assert_eq!(r.enforce, Backend::PacInPointer);
         assert!(!r.record);
     }
@@ -294,7 +286,7 @@ mod tests {
     fn parses_every_axis_and_the_id() {
         let r = Request::parse(
             r#"{"id":7,"cmd":"profile","workload":"NUMERIC SORT","mech":"stl",
-               "opt":"block","exec":"compiled","enforce":"mac","record":true}"#,
+               "opt":"block","enforce":"mac","record":true}"#,
         )
         .unwrap();
         assert_eq!(r.id, Some(7));
@@ -302,7 +294,6 @@ mod tests {
         assert_eq!(r.workload.as_deref(), Some("NUMERIC SORT"));
         assert_eq!(r.mech, MechChoice::Fixed(Mechanism::Stl));
         assert_eq!(r.opt, OptLevel::BlockLocal);
-        assert_eq!(r.exec, ExecBackend::Compiled);
         assert_eq!(r.enforce, Backend::MacTable);
         assert!(r.record);
     }
@@ -331,7 +322,6 @@ mod tests {
             (r#"{"source":"x"}"#, "needs a \"cmd\""),
             (r#"{"cmd":"frobnicate"}"#, "unknown cmd"),
             (r#"{"cmd":"run","mech":"quantum"}"#, "unknown mech"),
-            (r#"{"cmd":"run","exec":"jit"}"#, "unknown exec"),
             (r#"{"cmd":"run","enforce":"mte"}"#, "unknown enforce"),
             (r#"{"cmd":"run","source":"x","workload":"y"}"#, "mutually exclusive"),
             (r#"{"cmd":"run"} trailing"#, "trailing garbage"),
@@ -386,8 +376,8 @@ mod tests {
 
     #[test]
     fn record_flag_does_not_change_the_key() {
-        // `record` and `exec` are applied to an Image clone at run time —
-        // same module, same translation.
+        // `record` is applied to an Image clone at run time — same module,
+        // same translation — and `exec` is an ignored key.
         let k = |line: &str| {
             let r = Request::parse(line).unwrap();
             cache_key(r.source.as_deref().unwrap(), r.mech, r.opt, r.enforce)

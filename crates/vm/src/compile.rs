@@ -16,7 +16,8 @@
 //!   site classes, and the enforcement backend are op fields, and every
 //!   sign or auth op goes through the one sign rule and the one auth rule
 //!   ([`Vm::pa_sign`], [`Vm::pa_auth`]), which hold the only
-//!   PAC-in-pointer vs MAC-table split;
+//!   PAC-in-pointer vs MAC-table split (the loader signs through the same
+//!   [`sign`]);
 //! * **check sites are numbered** — the walk builds the image's
 //!   [`CheckSite`] table ([`CompiledModule::sites`]) and each check op
 //!   holds its own site id ([`Op::site`]), which its recorder events, its
@@ -39,8 +40,9 @@
 //!   covers only its first ops), and the unexecuted suffix is rolled back
 //!   when an op traps or calls;
 //! * **per-op charging** ([`Vm::exec_ops`], [`ExecBackend::Interp`]
-//!   alone): every op is fuel-checked and charged before it runs — the
-//!   reference the block pre-charge is held to.
+//!   alone, which only the parity checks select): every op is
+//!   fuel-checked and charged before it runs — the reference the block
+//!   pre-charge is held to.
 //!
 //! The observers read the same run either way. Attribution counts block
 //! runs (`attr_run`) and derives its totals from the charge table; the
@@ -654,6 +656,20 @@ fn translate(cx: &Cx<'_>, f: &Function, site: u32, inst: &Inst, args: &mut Vec<S
     }
 }
 
+/// The one PAC-in-pointer vs MAC-table split of a sign, for the sign op
+/// ([`Vm::pa_sign`]) and the loader alike: PAC-in-pointer returns the
+/// signed bits and no MAC; the MAC table returns `p` unchanged and the MAC
+/// for the slot it is stored to. Either way the sign counts once.
+#[inline(always)]
+pub(crate) fn sign(pac: &mut PacUnit, mac: bool, key: KeyId, p: u64, modifier: u64) -> (u64, Option<u64>) {
+    if mac {
+        pac.sign_count += 1;
+        (p, Some(pac.compute_pac(key, p, modifier)))
+    } else {
+        (pac.sign(key, p, modifier), None)
+    }
+}
+
 impl Vm<'_> {
     /// Runs one op: each instruction's runtime rule is one arm. `args` is
     /// its function's argument pool, and `(block, idx)` its position: a
@@ -1016,22 +1032,18 @@ impl Vm<'_> {
         })
     }
 
-    /// The sign rule, for both enforcement backends. PAC-in-pointer
-    /// returns the signed bits; the MAC table counts the sign, stages the
-    /// MAC for the store that follows, and returns `p` unchanged. Either
-    /// way the recorder sees the value returned.
+    /// The sign rule, for both enforcement backends ([`sign`]): a MAC is
+    /// staged for the store that follows. Either way the recorder sees the
+    /// value returned.
     ///
     /// Out of line, like [`Vm::pa_auth`]: the cipher would otherwise
     /// inflate every op's dispatch frame.
     #[inline(never)]
     fn pa_sign(&mut self, op: PaOp, p: u64, modifier: u64) -> u64 {
-        let signed = if op.mac {
-            self.pac.sign_count += 1;
-            self.pending_mac = Some(self.pac.compute_pac(op.key, p, modifier));
-            p
-        } else {
-            self.pac.sign(op.key, p, modifier)
-        };
+        let (signed, mac) = sign(&mut self.pac, op.mac, op.key, p, modifier);
+        if mac.is_some() {
+            self.pending_mac = mac;
+        }
         if self.rec.is_some() {
             self.rec_push(RecKind::Sign, op.site, signed, modifier, Some(op.key));
         }

@@ -5,9 +5,9 @@
 //! evaluated end-to-end. Each image is translated once into pre-resolved
 //! ops (operand slots, folded type layouts, PAC call shapes), and one
 //! driver ([`Vm::run`]) direct-threads that translation — charging whole
-//! blocks up front ([`ExecBackend::Compiled`], the default) or one op at
-//! a time ([`ExecBackend::Interp`], the reference accounting) — so op
-//! semantics have one implementation:
+//! blocks up front ([`ExecBackend::Compiled`], what every run takes) or one
+//! op at a time ([`ExecBackend::Interp`], the reference accounting the
+//! parity checks hold it to) — so op semantics have one implementation:
 //!
 //! * [`mem`] — segmented process memory, heap allocator, and the boundary
 //!   between program-level permissions and the attacker's corruption
@@ -427,6 +427,27 @@ mod tests {
             let r = Vm::new(&img).run();
             assert_eq!(r.status, Status::Exited(28), "{mech}: {:?}", r.status);
             assert_eq!(r.output, vec!["cb"], "{mech}");
+        }
+    }
+
+    #[test]
+    fn loader_signs_count_alike_under_both_backends() {
+        // Signed global initializers are signs under either enforcement
+        // backend: the loader signs through the sign op's split.
+        let src = r#"
+            int f(int x) { return x + 1; }
+            int (*fp)(int) = f;
+            char* s = "hi";
+            int main() { return fp(2); }
+        "#;
+        let m = compile(src, "t").unwrap();
+        for mech in Mechanism::ALL {
+            let p = rsti_core::instrument(&m, mech);
+            let [pac, mac] = [Backend::PacInPointer, Backend::MacTable]
+                .map(|b| Vm::new(&Image::from_instrumented(&p).with_backend(b)).run());
+            assert_eq!(pac.status, Status::Exited(3), "{mech}: {:?}", pac.status);
+            assert!(pac.pac_signs > 0, "{mech}");
+            assert_eq!((mac.pac_signs, mac.cycles), (pac.pac_signs, pac.cycles), "{mech}");
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Execution runs on the image's translated form (see `compile.rs`): one
 //! pre-resolved op per instruction, direct-threaded by one driver that
-//! charges whole blocks up front or — under reference accounting
-//! ([`ExecBackend::Interp`]) — one op at a time. This
+//! charges whole blocks up front or — under the parity checks' reference
+//! accounting ([`ExecBackend::Interp`]) — one op at a time. This
 //! file holds the machine state, the loader, the frame protocol, the
 //! accounting and observation hooks, and the trap constructors.
 //!
@@ -651,12 +651,13 @@ pub enum Backend {
 /// records, same cycle/instruction accounting, same telemetry counters),
 /// which the parity tests and the fuzz matrix (every mechanism × opt
 /// level under both) check: `Interp` is the reference the block
-/// pre-charge and its rollback are held to.
+/// pre-charge and its rollback are held to. It is not a user choice: the
+/// CLI, `serve` and the attack API run the default, and only those
+/// checks (and `vm_throughput`, which times both) select `Interp`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// Reference accounting: block pre-charge off, so every op is
-    /// fuel-checked and charged before it runs (`interp` on the wire and
-    /// the command line).
+    /// fuel-checked and charged before it runs.
     Interp,
     /// Block pre-charge (the default): straight-line runs are charged
     /// from cycle prefix sums and per-block opclass totals, the
@@ -1917,8 +1918,9 @@ fn ord_vals(a: RtVal, b: RtVal) -> std::cmp::Ordering {
 
 /// Fills an id-checked image's data at the layout its translation `code`
 /// computed: the globals and strings segments, global initializers, and
-/// load-time signing of static pointer initializers (PAC-in-pointer), or
-/// their boot MACs into `mac_table`.
+/// load-time signing of static pointer initializers through the sign op's
+/// split (`compile::sign`): signed in place, or their boot MACs into
+/// `mac_table`.
 ///
 /// # Errors
 /// A [`Trap::Mem`] when the segments are larger than the VM hosts.
@@ -1967,14 +1969,11 @@ fn load_data(
             continue;
         }
         let modifier = if gs.mix_location { gs.modifier ^ a } else { gs.modifier };
-        match img.backend {
-            Backend::PacInPointer => {
-                let signed = pac.sign(key_id(gs.key), raw, modifier);
-                mem.write_u64(a, signed).expect("global mapped");
-            }
-            Backend::MacTable => {
-                mac_table.insert(a, pac.compute_pac(key_id(gs.key), raw, modifier));
-            }
+        let mac = img.backend == Backend::MacTable;
+        let (signed, mac) = compile::sign(pac, mac, key_id(gs.key), raw, modifier);
+        mem.write_u64(a, signed).expect("global mapped");
+        if let Some(mac) = mac {
+            mac_table.insert(a, mac);
         }
     }
     Ok(mem)
