@@ -49,14 +49,12 @@ fn line(
 ) {
     let OptSummary {
         promoted,
-        elided_block,
+        elided,
         hoisted,
-        elided_dom,
         premods,
         compacted,
         resigns_folded,
         inlined,
-        elided_ipo,
         refined,
     } = *s;
     let auths = m
@@ -68,10 +66,9 @@ fn line(
     let ir = fnv1a64(rsti_ir::print_module(m).as_bytes());
     let _ = writeln!(
         out,
-        "{name} {mech:?} {} promoted={promoted} elided_block={elided_block} hoisted={hoisted} \
-         elided_dom={elided_dom} premods={premods} compacted={compacted} \
-         resigns_folded={resigns_folded} inlined={inlined} elided_ipo={elided_ipo} \
-         refined={refined} auths={auths} ir={ir:016x}",
+        "{name} {mech:?} {} promoted={promoted} elided={elided} hoisted={hoisted} \
+         premods={premods} compacted={compacted} resigns_folded={resigns_folded} \
+         inlined={inlined} refined={refined} auths={auths} ir={ir:016x}",
         level.label()
     );
 }

@@ -45,7 +45,8 @@
 //! counter tables.
 //!
 //! An error prints the usage text only when it is a usage mistake (an
-//! unknown command or flag value, a missing input file); a well-formed
+//! unknown command or flag value, a value flag given twice, without a value
+//! or written `--flag=value`, a missing input file); a well-formed
 //! command that fails, such as a compile error, prints its one `error:`
 //! line alone.
 //!
@@ -126,14 +127,14 @@ fn write_output(path: &str, contents: impl AsRef<[u8]>) -> Result<(), CliError> 
 /// Returns usage errors (bad flag values); oracle violations are *not*
 /// errors — they are reported in the output with exit code 1.
 fn cmd_fuzz(args: &[String]) -> Result<(i32, String), CliError> {
-    if let Some(path) = flag_value(args, "--trace") {
+    if let Some(path) = flag_value(args, "--trace")? {
         open_trace(path)?;
     } else {
         rsti_telemetry::global().init_from_env();
     }
 
     let parse_u64 = |flag: &str, default: u64| -> Result<u64, String> {
-        match flag_value(args, flag) {
+        match flag_value(args, flag)? {
             Some(s) => s.parse().map_err(|_| format!("bad {flag} value `{s}`")),
             None => Ok(default),
         }
@@ -155,7 +156,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(i32, String), CliError> {
         record: args.iter().any(|a| a == "--record"),
         ..Default::default()
     };
-    let corpus_dir = flag_value(args, "--corpus");
+    let corpus_dir = flag_value(args, "--corpus")?;
 
     let report = rsti_fuzz::run_campaign(&cfg);
     let mut out = String::new();
@@ -208,13 +209,13 @@ pub fn parse_serve_config(
     args: &[String],
 ) -> Result<(rsti_serve::ServeConfig, ServeOptions), String> {
     let parse_usize = |flag: &str, default: usize| -> Result<usize, String> {
-        match flag_value(args, flag) {
+        match flag_value(args, flag)? {
             Some(s) => s.parse().map_err(|_| format!("bad {flag} value `{s}`")),
             None => Ok(default),
         }
     };
     let defaults = rsti_serve::ServeConfig::default();
-    let fuel = match flag_value(args, "--fuel") {
+    let fuel = match flag_value(args, "--fuel")? {
         Some(s) => s.parse().map_err(|_| format!("bad --fuel value `{s}`"))?,
         None => defaults.fuel,
     };
@@ -224,9 +225,9 @@ pub fn parse_serve_config(
         fuel,
     };
     let opts = ServeOptions {
-        socket: flag_value(args, "--socket").map(str::to_owned),
-        stats_out: flag_value(args, "--stats-out").map(str::to_owned),
-        trace: flag_value(args, "--trace").map(str::to_owned),
+        socket: flag_value(args, "--socket")?.map(str::to_owned),
+        stats_out: flag_value(args, "--stats-out")?.map(str::to_owned),
+        trace: flag_value(args, "--trace")?.map(str::to_owned),
     };
     Ok((cfg, opts))
 }
@@ -364,42 +365,50 @@ fn read_source(path: &str) -> Result<String, CliError> {
     Ok(src)
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
+/// The value after `flag`, or `None` without the flag. The one rule for
+/// every value flag: a flag given twice, a flag with no value after it (the
+/// last argument, or followed by another `--flag`), and a `--flag=value`
+/// argument are usage errors.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    let joined = |a: &&String| a.strip_prefix(flag).is_some_and(|rest| rest.starts_with('='));
+    if let Some(a) = args.iter().find(joined) {
+        return Err(format!("write `{flag} <value>`, not `{a}`"));
+    }
+    let mut at = args.iter().enumerate().filter(|(_, a)| *a == flag).map(|(i, _)| i);
+    let Some(i) = at.next() else { return Ok(None) };
+    if at.next().is_some() {
+        return Err(format!("{flag} given twice"));
+    }
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(format!("{flag} needs a value")),
+    }
 }
 
 /// Resolves the optimization level from `--opt none|block|cfg|ipo`; the
 /// default is unoptimized.
 ///
 /// # Errors
-/// Returns a message for unknown level names.
+/// Returns a message for an unknown level name, a missing value, the flag
+/// given twice, or `--opt=<level>`.
 pub fn parse_opt_level(args: &[String]) -> Result<OptLevel, String> {
-    flag_value(args, "--opt").map_or(Ok(OptLevel::None), OptLevel::parse)
+    flag_value(args, "--opt")?.map_or(Ok(OptLevel::None), OptLevel::parse)
 }
 
 /// Resolves the enforcement scheme from `--backend pac|mac`; `None`
 /// without the flag (the caller's default is PAC-in-pointer).
 ///
 /// # Errors
-/// Returns a message for an unknown name, a missing value, or the flag
-/// given twice.
+/// Returns a message for an unknown name, a missing value, the flag given
+/// twice, or `--backend=<name>`.
 pub fn parse_backend(args: &[String]) -> Result<Option<rsti_vm::Backend>, String> {
-    let mut backend = None;
-    for (i, _) in args.iter().enumerate().filter(|(_, a)| *a == "--backend") {
-        let b = match args.get(i + 1).map(String::as_str) {
-            Some("pac") => rsti_vm::Backend::PacInPointer,
-            Some("mac") => rsti_vm::Backend::MacTable,
-            Some(other) => return Err(format!("unknown backend `{other}` (pac|mac)")),
-            None => return Err("--backend needs a value (pac|mac)".into()),
-        };
-        if backend.replace(b).is_some() {
-            return Err("--backend given twice".into());
-        }
-    }
-    Ok(backend)
+    flag_value(args, "--backend")?
+        .map(|b| match b {
+            "pac" => Ok(rsti_vm::Backend::PacInPointer),
+            "mac" => Ok(rsti_vm::Backend::MacTable),
+            other => Err(format!("unknown backend `{other}` (pac|mac)")),
+        })
+        .transpose()
 }
 
 fn apply_backend(img: Image, args: &[String]) -> Result<Image, String> {
@@ -418,7 +427,7 @@ fn render_audit(out: &mut String, r: &ExecResult) {
 
 /// `--top N` (default 10): how many rows the attribution tables show.
 fn parse_top(args: &[String]) -> Result<usize, String> {
-    match flag_value(args, "--top") {
+    match flag_value(args, "--top")? {
         Some(s) => s.parse().map_err(|_| format!("bad --top value `{s}`")),
         None => Ok(10),
     }
@@ -489,14 +498,14 @@ fn render_attr_tables(out: &mut String, p: &rsti_vm::AttrProfile, top: usize) {
 /// `--attack`.
 fn cmd_explain(args: &[String]) -> Result<String, CliError> {
     let enforce = parse_backend(args)?;
-    let choice = flag_value(args, "--mech")
+    let choice = flag_value(args, "--mech")?
         .map(MechChoice::parse)
         .transpose()?
         .unwrap_or(MechChoice::Fixed(Mechanism::Stwc));
     let level = parse_opt_level(args)?;
     // The header over an incident, the line that says there is none, and
     // the incident.
-    let (found, nothing, incident) = if let Some(id) = flag_value(args, "--attack") {
+    let (found, nothing, incident) = if let Some(id) = flag_value(args, "--attack")? {
         if enforce.is_some() || choice == MechChoice::Adaptive {
             return Err("--attack runs Table 1's defenses (--mech none|parts|stc|stwc|stl) \
                         under the harness's enforcement; adaptive, pac and mac do not \
@@ -564,7 +573,7 @@ fn dispatch(args: &[String]) -> Result<String, CliError> {
         tel.reset();
         tel.enable();
     }
-    let tracing = if let Some(path) = flag_value(args, "--trace") {
+    let tracing = if let Some(path) = flag_value(args, "--trace")? {
         open_trace(path)?;
         true
     } else {
@@ -572,7 +581,7 @@ fn dispatch(args: &[String]) -> Result<String, CliError> {
     };
 
     let module = compile_source(&read_source(file)?, file)?;
-    let choice = match flag_value(args, "--mech") {
+    let choice = match flag_value(args, "--mech")? {
         Some(s) => MechChoice::parse(s)?,
         None => MechChoice::Fixed(Mechanism::Stwc),
     };
@@ -637,8 +646,8 @@ fn dispatch(args: &[String]) -> Result<String, CliError> {
             let level = parse_opt_level(args)?;
             let attr = args.iter().any(|a| a == "--attr");
             let top = parse_top(args)?;
-            let flame = flag_value(args, "--flame");
-            let chrome = flag_value(args, "--chrome");
+            let flame = flag_value(args, "--flame")?;
+            let chrome = flag_value(args, "--chrome")?;
             if flame.is_some() && !attr {
                 return Err("--flame needs --attr (folded stacks come from the profiler)".into());
             }
@@ -1135,6 +1144,37 @@ mod tests {
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("2 seed(s)"), "{out}");
         assert!(out.contains("0 oracle violation(s)"), "{out}");
+    }
+
+    /// One rule for every value flag of every command: `--flag=value`, a
+    /// flag with no value after it, and a flag given twice are usage
+    /// errors, never a silent default or a silently dropped value.
+    #[test]
+    fn value_flags_reject_joined_missing_and_repeated_values() {
+        let _telemetry = telemetry_guard();
+        let f = write_temp("rsti_cli_flag_rule.mc", PROG);
+        let cases: [(&[&str], &str, &str, &str); 6] = [
+            (&["run", &f], "--opt", "cfg", "none"),
+            (&["profile", &f], "--top", "3", "4"),
+            (&["explain", &f], "--mech", "stwc", "stc"),
+            (&["explain"], "--attack", "newton-cscfi", "newton-cscfi"),
+            (&["fuzz"], "--seeds", "1", "2"),
+            (&["serve"], "--workers", "1", "2"),
+        ];
+        for (base, flag, value, other) in cases {
+            let joined = format!("{flag}={value}");
+            for (extra, want) in [
+                (vec![joined.as_str()], format!("write `{flag} <value>`, not `{joined}`")),
+                (vec![flag], format!("{flag} needs a value")),
+                (vec![flag, "--json"], format!("{flag} needs a value")),
+                (vec![flag, value, flag, other], format!("{flag} given twice")),
+            ] {
+                let args: Vec<String> = base.iter().chain(&extra).map(|a| a.to_string()).collect();
+                let (code, out) = run_cli(&args);
+                assert_eq!(code, 1, "{args:?}: {out}");
+                assert!(out.starts_with(&format!("error: {want}\n")), "{args:?}: {out}");
+            }
+        }
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //!    bottom-up over the SCC condensation of [`rsti_ir::CallGraph`]: which
 //!    named globals a function (transitively) writes, whether it writes
 //!    through any pointer it did not allocate itself (`writes_unknown`),
-//!    and whether it frees heap memory (`frees` — under the MAC-table
-//!    backend a `free` is a metadata change, so it invalidates more than a
-//!    data write would). Stores through a function's *own* allocas are
-//!    invisible to callers: a callee frame is fresh memory no caller fact
-//!    can alias. The elision engine then kills only what the callee can
-//!    actually clobber ([`IpoAnalysis`] feeds
-//!    [`crate::optimize::Elision::Ipo`]).
+//!    and whether it frees heap memory (`frees`). Stores through a
+//!    function's *own* allocas are invisible to callers: a callee frame is
+//!    fresh memory no caller fact can alias. The level's one elision run
+//!    then kills only what the callee can actually clobber ([`IpoAnalysis`]
+//!    feeds it). A callee that writes through an unknown pointer or frees
+//!    kills what any call kills at `cfg` — every fact but those of the
+//!    caller's non-escaped slots, which no callee can reach — so the ipo
+//!    run never keeps fewer facts across a call than the cfg run does.
 //! 2. **Internal-boundary resign folding**
 //!    ([`fold_boundary_resigns`]): instrumentation models the
 //!    callee-boundary re-signing cost as an adjacent `PacSign`→`PacAuth`
@@ -32,8 +33,8 @@
 //!    callers through the shared inliner loop, removing the call boundary
 //!    entirely; only the module gate (no recursion, no indirect call) is
 //!    specific to this level. The spilled argument chains this exposes are
-//!    then cleaned up by the sign→store forwarding of the
-//!    [`crate::optimize::Elision::Ipo`] elision run.
+//!    then cleaned up by the sign→store forwarding of the level's elision
+//!    run.
 //!
 //! Everything here is gated on behaviour being bit-identical to the lower
 //! levels — the fuzz oracle runs the full mechanism × level × engine
@@ -670,10 +671,49 @@ mod tests {
         assert_eq!(s_ipo.inlined, 0, "recursion must disable the inliner");
         assert!(s_ipo.refined >= 1, "{s_ipo:?}");
         assert!(
-            s_ipo.elided_ipo > 0,
-            "summary kill must unlock the join re-auth: {s_ipo:?}"
+            auths(&ipo.module) < auths(&cfg.module),
+            "summary kill must unlock the join re-auth: {s_cfg:?} {s_ipo:?}"
         );
-        assert!(auths(&ipo.module) < auths(&cfg.module), "{s_cfg:?} {s_ipo:?}");
+        rsti_ir::verify_module(&ipo.module).unwrap();
+    }
+
+    /// A callee that frees kills what any call kills: the caller's
+    /// non-escaped `p` (stored twice, so not promoted) keeps its fact
+    /// across `rel(h)`, so the reload after the call is elided and ipo
+    /// keeps no more auths than cfg. `depth` is recursive, so the inliner
+    /// stands down and the call stays.
+    #[test]
+    fn freeing_callee_keeps_non_escaped_slot_facts() {
+        let src = r#"
+            long depth(long n) { if (n <= 0) { return 0; } return depth(n - 1) + 1; }
+            void rel(long* q) { free(q); }
+            int main() { long* p = (long*) malloc(8); long* h = (long*) malloc(8);
+              if (depth(2) > 5) { p = (long*) malloc(16); }
+              *p = 1; long a = *p; rel(h); long b = *p; print_int(a + b); return 0; }
+        "#;
+        let m = compile(src, "t").unwrap();
+        let rel = m.func_by_name("rel").unwrap();
+        let mut cfg = instrument(&m, Mechanism::Stwc);
+        optimize_module(&mut cfg.module, OptLevel::Cfg);
+        let mut ipo = instrument(&m, Mechanism::Stwc);
+        let s = optimize_module(&mut ipo.module, OptLevel::Ipo);
+        assert_eq!(s.inlined, 0, "recursion must disable the inliner");
+        let main = &ipo.module.funcs[m.func_by_name("main").unwrap().0 as usize];
+        let after_rel = main
+            .blocks
+            .iter()
+            .find_map(|b| {
+                let at = b.insts.iter().position(
+                    |n| matches!(&n.inst, Inst::Call { callee, .. } if *callee == rel),
+                )?;
+                Some(&b.insts[at + 1..])
+            })
+            .expect("the call to rel stays");
+        assert!(
+            after_rel.iter().all(|n| !matches!(n.inst, Inst::PacAuth { .. })),
+            "the reload of p after rel(h) must be elided: {s:?}"
+        );
+        assert!(auths(&ipo.module) <= auths(&cfg.module), "{s:?}");
         rsti_ir::verify_module(&ipo.module).unwrap();
     }
 
@@ -885,10 +925,9 @@ mod tests {
             let mut ipo = instrument(&m, mech);
             let s = optimize_module(&mut ipo.module, OptLevel::Ipo);
             assert!(
-                s.elided_ipo > 0,
+                auths(&ipo.module) < auths(&cfg.module),
                 "{mech:?}: forwarded store must elide the reload auth: {s:?}"
             );
-            assert!(auths(&ipo.module) < auths(&cfg.module), "{mech:?}");
             rsti_ir::verify_module(&ipo.module).unwrap();
         }
     }

@@ -11,41 +11,44 @@
 //! Our MiniC lowering is -O0-style (every local in a slot), so the same
 //! pointer slot is often loaded — and re-authenticated — several times.
 //! One [`OptLevel`]-driven pipeline removes the provably redundant
-//! re-checks. Every elision stage runs through one engine (see
-//! [`elide_redundant_auths`]): one block walk over "available
+//! re-checks. Each level runs the elision engine exactly once per function
+//! (see `elide_redundant_auths`): one block walk over "available
 //! authentications" (a `(slot, modifier, key)` fact per adjacent load+auth
 //! pair) and one bitset fixpoint over the blocks' summaries, parameterized
-//! by an [`Elision`] value that picks the scope, the kill rule, and the
-//! fact sources. No stage rescans a function per candidate (DESIGN.md §6,
-//! "The O2 model's cost", gives each stage's cost).
+//! by an `Elision` value that picks the scope, the kill rule, and the fact
+//! sources. So every elided site is removed by exactly one run, and the
+//! level's count is that run's. No stage rescans a function per candidate
+//! (DESIGN.md §6, "The O2 model's cost", gives each stage's cost).
 //!
 //! * [`OptLevel::BlockLocal`] — single-store slot promotion (mem2reg),
-//!   then [`Elision::Block`]: if slot `P` was loaded and authenticated
+//!   then the block-scoped run: if slot `P` was loaded and authenticated
 //!   under modifier `M`, a later identical load+auth pair in the same block
 //!   reuses the earlier authenticated value, as long as nothing in between
 //!   could have changed memory (any store, call, free or malloc).
-//! * [`OptLevel::Cfg`] — adds the CFG-aware stages built on `rsti-ir`'s
-//!   dominator tree and loop forest: (1) **loop-invariant auth hoisting** —
-//!   a header-resident load+auth pair of a loop-invariant slot the loop
-//!   never writes moves to the loop preheader, so a hot loop pays one check
-//!   per entry instead of one per iteration (the header runs at least once
-//!   whenever the preheader does, so behaviour — traps included — is
-//!   preserved even for zero-trip loops); (2) **dominator-based elision**
-//!   ([`Elision::Cfg`]) — the facts propagated as a forward dataflow (meet
-//!   = intersection over predecessors, reuse gated on the defining block
-//!   dominating the use) with *refined* kill-sets: a store through an
-//!   alloca's own address kills only that slot, and calls/unknown stores
-//!   cannot touch a slot whose address never escaped; (3) **precomputed
-//!   PAC modifiers** — an STL location-mix (`M ^ &p`, Fig. 5c) whose
-//!   location is a global folds to a plain modifier at optimize time,
-//!   because the loader's global layout is deterministic
-//!   ([`rsti_ir::Module::global_addresses`]), letting the VM skip
-//!   per-execution modifier derivation.
+//! * [`OptLevel::Cfg`] — promotion, then the CFG-aware stages built on
+//!   `rsti-ir`'s dominator tree and loop forest: (1) **loop-invariant auth
+//!   hoisting** — a header-resident load+auth pair of a loop-invariant slot
+//!   the loop never writes moves to the loop preheader, so a hot loop pays
+//!   one check per entry instead of one per iteration (the header runs at
+//!   least once whenever the preheader does, so behaviour — traps included
+//!   — is preserved even for zero-trip loops); (2) **dominator-based
+//!   elision**, the level's one run — the facts propagated as a forward
+//!   dataflow (meet = intersection over predecessors, reuse gated on the
+//!   defining block dominating the use) with *refined* kill-sets: a store
+//!   through an alloca's own address kills only that slot, and
+//!   calls/unknown stores cannot touch a slot whose address never escaped.
+//!   It subsumes the block-scoped run, whose facts are the ones generated
+//!   in the same block; (3) **precomputed PAC modifiers** — an STL
+//!   location-mix (`M ^ &p`, Fig. 5c) whose location is a global folds to
+//!   a plain modifier at optimize time, because the loader's global layout
+//!   is deterministic ([`rsti_ir::Module::global_addresses`]), letting the
+//!   VM skip per-execution modifier derivation.
 //! * [`OptLevel::Ipo`] — first folds internal-boundary re-signs and inlines
-//!   small callees ([`crate::ipo`]); hoisting then uses the summary-refined
-//!   kills, and after the cfg elision a second engine run at
-//!   [`Elision::Ipo`] adds summary-refined call kills and sign→store
-//!   forwarding.
+//!   small callees ([`crate::ipo`]), then promotes and hoists as `cfg`
+//!   does, and its one elision run is the cfg dataflow with direct-call
+//!   kills refined by the callee summaries plus sign→store forwarding. A
+//!   call to a callee that frees kills what any call kills at `cfg`: a
+//!   callee cannot reach a caller's non-escaped slot.
 //!
 //! Both inliners — [`inline_leaf_functions`] before instrumentation and
 //! [`crate::ipo::inline_small_functions`] after it — share one loop,
@@ -533,11 +536,11 @@ fn census_walk(
     }
 }
 
-/// Which elision stage the engine runs: the fact scope, the kill rule, and
-/// the fact sources. Loop-invariant hoisting takes the same value for its
-/// "the loop never writes the slot" check.
+/// Which level's elision run the engine makes: the fact scope, the kill
+/// rule, and the fact sources. Loop-invariant hoisting takes the same value
+/// for its "the loop never writes the slot" check.
 #[derive(Clone, Copy)]
-pub enum Elision<'a> {
+pub(crate) enum Elision<'a> {
     /// Per-block scope: every block starts with nothing available, and any
     /// store, call, free or malloc kills every fact.
     Block,
@@ -598,18 +601,13 @@ fn kill_of<'a>(inst: &Inst, census: &AliasCensus, stage: Elision<'a>) -> Kill<'a
             _ => Kill::AllButNonEscaped,
         },
         // A direct call with an interprocedural summary kills only what
-        // the callee (transitively) can write. `frees` is *stronger* than
-        // the intraprocedural rule — a heap release invalidates MAC-table
-        // state just like a local `free`, which `AllButNonEscaped` would
-        // understate — but the ipo stage runs after the cfg one, so
-        // stricter kills here can only decline to add elisions, never undo
-        // cfg's.
+        // the callee (transitively) can write. A callee that frees kills
+        // what any call kills: it may release memory some fact's slot
+        // lives in, but it cannot reach a caller's non-escaped slot.
         Inst::Call { callee, .. } => match stage {
             Elision::Ipo(summaries) => {
                 let s = &summaries[callee.0 as usize];
-                if s.frees {
-                    Kill::All
-                } else if s.writes_unknown {
+                if s.frees || s.writes_unknown {
                     Kill::AllButNonEscaped
                 } else if s.writes_globals.is_empty() {
                     Kill::None
@@ -1198,29 +1196,24 @@ fn set_bits(set: &mut [u64], (lo, hi): (u32, u32), on: bool) {
     }
 }
 
-/// The redundant-auth elimination engine behind every elision stage. At
-/// [`Elision::Block`] each block is rewritten on its own. Otherwise a
-/// forward "available authentications" dataflow runs over the CFG
-/// (optimistic iteration to the greatest fixpoint, meet = intersection),
-/// then a rewrite pass replaces re-authentications whose fact arrives on
-/// every path — and whose definition dominates the use, so the
-/// authenticated register is live — with register copies.
+/// The redundant-auth elimination engine, run once per function at the
+/// level's `stage`. At [`Elision::Block`] each block is rewritten on its
+/// own. Otherwise loop-invariant pairs are hoisted first (see
+/// `cfg_stages`), then a forward "available authentications" dataflow runs
+/// over the CFG (optimistic iteration to the greatest fixpoint, meet =
+/// intersection), then a rewrite pass replaces re-authentications whose
+/// fact arrives on every path — and whose definition dominates the use, so
+/// the authenticated register is live — with register copies.
 ///
 /// The dataflow runs on block summaries: one walk per block records what
 /// it kills and generates, each distinct fact gets a dense id, and the
 /// fixpoint iterates on bitsets (meet = AND, change test = word compare)
 /// before one rewrite walk per block.
 ///
-/// The pipeline runs the stages in order, so the count each returns is
-/// what that stage added: at [`Elision::Ipo`], exactly the elisions the
-/// summaries and the store forwarding earned.
-pub fn elide_redundant_auths(m: &mut Module, stage: Elision<'_>) -> usize {
-    elide_with(m, stage, &mut Scratch::default())
-}
-
-/// [`elide_redundant_auths`] with the module's scratch.
-fn elide_with(m: &mut Module, stage: Elision<'_>, sc: &mut Scratch) -> usize {
-    let mut elided = 0;
+/// Returns `(hoisted, elided)`: the pairs moved to preheaders and the
+/// auths turned into copies.
+fn elide_redundant_auths(m: &mut Module, stage: Elision<'_>, sc: &mut Scratch) -> (usize, usize) {
+    let (mut hoisted, mut elided) = (0, 0);
     for f in &mut m.funcs {
         if f.is_external || f.blocks.is_empty() {
             continue;
@@ -1237,12 +1230,11 @@ fn elide_with(m: &mut Module, stage: Elision<'_>, sc: &mut Scratch) -> usize {
             sc.eng = eng.t;
             continue;
         }
-        sc.cfg.recompute(f);
-        sc.dom.recompute(&sc.cfg);
-        sc.census.recompute(f);
-        elided += elide_in_function(f, sc, stage);
+        let (h, e) = cfg_stages(f, sc, stage);
+        hoisted += h;
+        elided += e;
     }
-    elided
+    (hoisted, elided)
 }
 
 /// The CFG-scoped engine over one function, given its CFG, dominator tree
@@ -1473,20 +1465,20 @@ fn hoist_loop_auths(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision<
     hoisted
 }
 
-/// The CFG-aware stages over one function, in pipeline order: loop-invariant
-/// auth hoisting with `stage`'s kill rule, the [`Elision::Cfg`] dataflow,
-/// and with `ipo` set the summary-refined [`Elision::Ipo`] dataflow. Returns
-/// what each removed: `(hoisted, elided_dom, elided_ipo)`.
+/// The CFG-scoped run over one function: loop-invariant auth hoisting,
+/// then the dataflow, both with `stage`'s kill rule. Returns `(hoisted,
+/// elided)`.
 ///
-/// The stages share one CFG, dominator tree and alias census: once the
+/// The two share one CFG, dominator tree and alias census: once the
 /// preheaders are in (and the three analyses updated for them in place),
 /// hoisting and elision only move loads and auths or turn auths into
-/// copies, which changes neither the CFG nor which allocas escape. Every loop of a reducible CFG gets a preheader, even one that
-/// ends up empty: block transfers cost model cycles, so the CFG shape is
-/// part of the output. Irreducible CFGs (never produced by structured
-/// MiniC, conceivable in hand-built IR) make the loop forest bail out, and
+/// copies, which changes neither the CFG nor which allocas escape. Every
+/// loop of a reducible CFG gets a preheader, even one that ends up empty:
+/// block transfers cost model cycles, so the CFG shape is part of the
+/// output. Irreducible CFGs (never produced by structured MiniC,
+/// conceivable in hand-built IR) make the loop forest bail out, and
 /// nothing is hoisted.
-fn cfg_stages(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision<'_>) -> (usize, usize, usize) {
+fn cfg_stages(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision<'_>) -> (usize, usize) {
     sc.cfg.recompute(f);
     sc.dom.recompute(&sc.cfg);
     sc.forest.recompute(&sc.cfg, &sc.dom);
@@ -1502,12 +1494,7 @@ fn cfg_stages(f: &mut rsti_ir::Function, sc: &mut Scratch, stage: Elision<'_>) -
     }
     sc.census.recompute(f);
     let hoisted = if loops { hoist_loop_auths(f, sc, stage) } else { 0 };
-    let elided_dom = elide_in_function(f, sc, Elision::Cfg);
-    let elided_ipo = match stage {
-        Elision::Ipo(_) => elide_in_function(f, sc, stage),
-        _ => 0,
-    };
-    (hoisted, elided_dom, elided_ipo)
+    (hoisted, elide_in_function(f, sc, stage))
 }
 
 /// Finds the first header-resident load+auth pair at or after `from` that
@@ -1621,14 +1608,15 @@ pub enum OptLevel {
     /// Single-store slot promotion + per-block redundant-auth elision
     /// (the pre-CFG optimizer).
     BlockLocal,
-    /// BlockLocal plus the CFG-aware stages: dominator-based elision,
-    /// loop-invariant auth hoisting, precomputed PAC modifiers.
+    /// Promotion plus the CFG-aware stages: loop-invariant auth hoisting,
+    /// dominator-based elision in place of the per-block one, precomputed
+    /// PAC modifiers.
     Cfg,
-    /// Cfg plus the interprocedural stages built on the call graph
-    /// ([`rsti_ir::CallGraph`]): internal-boundary resign folding,
-    /// size-budgeted inlining of small non-recursive callees, and a second
-    /// dataflow pass with summary-refined call kills plus sign→store
-    /// forwarding (see [`crate::ipo`]).
+    /// Cfg with the interprocedural stages built on the call graph
+    /// ([`rsti_ir::CallGraph`]): internal-boundary resign folding and
+    /// size-budgeted inlining of small non-recursive callees first, then a
+    /// dataflow with summary-refined call kills plus sign→store forwarding
+    /// in place of cfg's (see [`crate::ipo`]).
     Ipo,
 }
 
@@ -1668,12 +1656,12 @@ impl OptLevel {
 pub struct OptSummary {
     /// Load(+auth) sites promoted to copies by mem2reg.
     pub promoted: usize,
-    /// Auths elided by the block-scoped elision stage.
-    pub elided_block: usize,
+    /// Auths elided by the level's one elision run: block-scoped at
+    /// `block`, the CFG dataflow at `cfg`, the summary-refined dataflow at
+    /// `ipo`.
+    pub elided: usize,
     /// Load(+auth) pairs hoisted to loop preheaders.
     pub hoisted: usize,
-    /// Auths elided by the CFG dataflow stage.
-    pub elided_dom: usize,
     /// STL modifiers folded to immediates.
     pub premods: usize,
     /// Dead value ids dropped by the final renumbering.
@@ -1683,9 +1671,6 @@ pub struct OptSummary {
     pub resigns_folded: usize,
     /// Call sites inlined by the post-instrumentation inliner (ipo only).
     pub inlined: usize,
-    /// Auths elided by the second, summary-refined dataflow pass (ipo
-    /// only).
-    pub elided_ipo: usize,
     /// Static call sites whose kill set the callee summaries weakened
     /// below the intraprocedural `AllButNonEscaped` default (ipo only).
     pub refined: usize,
@@ -1695,12 +1680,7 @@ impl OptSummary {
     /// Total check sites removed (modifier folds excluded — those sites
     /// still check, they just derive nothing at runtime).
     pub fn total(&self) -> usize {
-        self.promoted
-            + self.elided_block
-            + self.hoisted
-            + self.elided_dom
-            + self.resigns_folded
-            + self.elided_ipo
+        self.promoted + self.elided + self.hoisted + self.resigns_folded
     }
 }
 
@@ -1817,21 +1797,16 @@ pub fn optimize_module(m: &mut Module, level: OptLevel) -> OptSummary {
     }
     let mut sc = Scratch::default();
     s.promoted = promote_with(m, &mut sc.promote);
-    s.elided_block = elide_with(m, Elision::Block, &mut sc);
-    verify_stage(m, "block-local");
-    if matches!(level, OptLevel::Cfg | OptLevel::Ipo) {
-        let ipo_env = (level == OptLevel::Ipo).then(|| crate::ipo::IpoAnalysis::build(m));
-        let stage = ipo_env.as_ref().map_or(Elision::Cfg, |a| Elision::Ipo(&a.summaries));
-        for f in &mut m.funcs {
-            if f.is_external || f.blocks.is_empty() {
-                continue;
-            }
-            let (hoisted, elided_dom, elided_ipo) = cfg_stages(f, &mut sc, stage);
-            s.hoisted += hoisted;
-            s.elided_dom += elided_dom;
-            s.elided_ipo += elided_ipo;
-        }
-        verify_stage(m, "hoist+dataflow");
+    verify_stage(m, "promote");
+    let ipo_env = (level == OptLevel::Ipo).then(|| crate::ipo::IpoAnalysis::build(m));
+    let stage = match &ipo_env {
+        Some(a) => Elision::Ipo(&a.summaries),
+        None if level == OptLevel::Cfg => Elision::Cfg,
+        None => Elision::Block,
+    };
+    (s.hoisted, s.elided) = elide_redundant_auths(m, stage, &mut sc);
+    verify_stage(m, "elide");
+    if level != OptLevel::BlockLocal {
         s.refined = ipo_env.as_ref().map_or(0, |a| a.refined_call_sites);
         s.premods = precompute_pac_modifiers(m);
         verify_stage(m, "premod");
@@ -1850,16 +1825,20 @@ pub fn optimize_program_at(
     let tel = rsti_telemetry::global();
     let _span = tel.span(rsti_telemetry::Phase::Optimize);
     let s = optimize_module(&mut p.module, level);
-    tel.add(
-        rsti_telemetry::CounterId::AuthsElidedBlock,
-        (s.promoted + s.elided_block) as u64,
-    );
-    tel.add(rsti_telemetry::CounterId::AuthsElidedDom, s.elided_dom as u64);
+    // Each level's one elision run counts under that level's counter;
+    // promotion counts with the block-local work at every level.
+    let (block, dom, ipo) = match level {
+        OptLevel::Cfg => (0, s.elided, 0),
+        OptLevel::Ipo => (0, 0, s.elided),
+        _ => (s.elided, 0, 0),
+    };
+    tel.add(rsti_telemetry::CounterId::AuthsElidedBlock, (s.promoted + block) as u64);
+    tel.add(rsti_telemetry::CounterId::AuthsElidedDom, dom as u64);
     tel.add(rsti_telemetry::CounterId::AuthsHoisted, s.hoisted as u64);
     tel.add(rsti_telemetry::CounterId::ModifiersPrecomputed, s.premods as u64);
     tel.add(
         rsti_telemetry::CounterId::AuthsElidedIpo,
-        (s.elided_ipo + s.resigns_folded) as u64,
+        (ipo + s.resigns_folded) as u64,
     );
     tel.add(rsti_telemetry::CounterId::CallsInlined, s.inlined as u64);
     tel.add(
@@ -2220,7 +2199,7 @@ mod tests {
         let src = diamond_src("sink = 2;");
         let (sb, mb) = opt_at(&src, Mechanism::Stwc, OptLevel::BlockLocal);
         let (sc, mc) = opt_at(&src, Mechanism::Stwc, OptLevel::Cfg);
-        assert!(sc.elided_dom > 0, "join re-auth should elide: {sc:?}");
+        assert!(sc.elided > 0, "join re-auth should elide: {sc:?}");
         assert!(
             count_auths(&mc) < count_auths(&mb),
             "cfg must remove auths block-local cannot: {} vs {}",
@@ -2230,16 +2209,15 @@ mod tests {
         let _ = sb;
     }
 
-    /// The satellite property: dominator elision never propagates a fact
-    /// across a block that stores to the slot, calls, or frees. Each killer
-    /// variant must elide nothing beyond block-local; the kill-free control
-    /// must elide the join's re-auth.
+    /// Dominator elision never propagates a fact across a block that
+    /// stores to the slot, calls, or frees. Each killer variant must elide
+    /// nothing; the kill-free control must elide the join's re-auth.
     #[test]
     fn elision_never_crosses_store_call_free() {
         // A store to an unrelated *global* is not a kill for a private
         // stack slot — the control shows the fact flowing.
         let (control, _) = opt_at(&diamond_src("sink = 2;"), Mechanism::Stwc, OptLevel::Cfg);
-        assert!(control.elided_dom > 0, "control must elide: {control:?}");
+        assert!(control.elided > 0, "control must elide: {control:?}");
 
         // Store to the slot itself.
         let (s, _) = opt_at(
@@ -2247,7 +2225,7 @@ mod tests {
             Mechanism::Stwc,
             OptLevel::Cfg,
         );
-        assert_eq!(s.elided_dom, 0, "store must kill the fact: {s:?}");
+        assert_eq!(s.elided, 0, "store must kill the fact: {s:?}");
 
         // A call to a function that could reach the (escaped) slot.
         let src = format!(
@@ -2255,7 +2233,7 @@ mod tests {
             diamond_src("poke(&p);")
         );
         let (s, _) = opt_at(&src, Mechanism::Stwc, OptLevel::Cfg);
-        assert_eq!(s.elided_dom, 0, "call must kill escaped-slot facts: {s:?}");
+        assert_eq!(s.elided, 0, "call must kill escaped-slot facts: {s:?}");
 
         // A free: under the MAC backend a metadata change, kills everything.
         let (s, _) = opt_at(
@@ -2263,7 +2241,7 @@ mod tests {
             Mechanism::Stwc,
             OptLevel::Cfg,
         );
-        assert_eq!(s.elided_dom, 0, "free must kill all facts: {s:?}");
+        assert_eq!(s.elided, 0, "free must kill all facts: {s:?}");
     }
 
     #[test]
@@ -2386,6 +2364,11 @@ mod tests {
         m
     }
 
+    /// The cfg-level elision run over `m`; returns the auths it elided.
+    fn elide_cfg(m: &mut Module) -> usize {
+        elide_redundant_auths(m, Elision::Cfg, &mut Scratch::default()).1
+    }
+
     /// A block that kills a key and then generates it twice: the second
     /// pair is elided within the block, and what leaves the block is the
     /// first fact after the kill — not the one before it.
@@ -2402,7 +2385,7 @@ mod tests {
             b.switch_to(next);
             later = load_auth(b, slot, pty);
         });
-        assert_eq!(elide_redundant_auths(&mut m, Elision::Cfg), 2);
+        assert_eq!(elide_cfg(&mut m), 2);
         let f = &m.funcs[0];
         assert_eq!(copy_source(f, second), Some(first));
         assert_eq!(copy_source(f, later), Some(first));
@@ -2430,7 +2413,7 @@ mod tests {
             b.br(header);
             b.switch_to(exit);
         });
-        assert_eq!(elide_redundant_auths(&mut m, Elision::Cfg), 0);
+        assert_eq!(elide_cfg(&mut m), 0);
         assert_eq!(copy_source(&m.funcs[0], header_auth), None);
         assert!(m.funcs[0].insts().any(|n| matches!(&n.inst,
             Inst::PacAuth { result, .. } if *result == header_auth)));

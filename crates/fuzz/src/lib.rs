@@ -276,10 +276,10 @@ int main() {
             (
                 FailureKind::VerifyReject {
                     stage: "optimize".into(),
-                    config: "stl+opt".into(),
+                    config: "stl+block".into(),
                     detail: "x".into(),
                 },
-                "verify_reject:optimize:stl+opt",
+                "verify_reject:optimize:stl+block",
             ),
             (
                 FailureKind::PassPanic {
@@ -302,8 +302,8 @@ int main() {
                 "status_divergence:stc",
             ),
             (
-                FailureKind::OutputDivergence { config: "stc+opt".into(), detail: "x".into() },
-                "output_divergence:stc+opt",
+                FailureKind::OutputDivergence { config: "stc+block".into(), detail: "x".into() },
+                "output_divergence:stc+block",
             ),
         ];
         for (kind, want) in cases {

@@ -72,7 +72,7 @@ pub enum FailureKind {
         /// Pass that produced the ill-formed module: `lower`, `inline`,
         /// `instrument` (a cell built at `none`) or `optimize`.
         stage: String,
-        /// Pipeline configuration label (e.g. `stwc+opt`).
+        /// Pipeline configuration label (e.g. `stwc+block`).
         config: String,
         /// First verifier error.
         detail: String,
@@ -324,19 +324,6 @@ pub fn check_source(src: &str, cfg: &FuzzConfig) -> Result<(), FailureKind> {
     check_items(&items, cfg)
 }
 
-/// The opt-level suffix of a configuration label: `""` (unoptimized),
-/// `"+opt"` (the block-local pipeline), `"+cfg"` (dominator elision,
-/// hoisting, precomputed modifiers), `"+ipo"` (interprocedural summaries,
-/// resign folding, inlining).
-fn level_suffix(level: OptLevel) -> &'static str {
-    match level {
-        OptLevel::None => "",
-        OptLevel::BlockLocal => "+opt",
-        OptLevel::Cfg => "+cfg",
-        OptLevel::Ipo => "+ipo",
-    }
-}
-
 /// Builds the cell `(choice, level)` of `m` with `Image::build`, the recipe
 /// `rsti run` and `serve` use, verifies the built module and runs it. An
 /// instrumented cell also runs under the MAC-table enforcement backend,
@@ -347,7 +334,12 @@ fn build_and_run(
     level: OptLevel,
     cfg: &FuzzConfig,
 ) -> Result<(String, (Status, Vec<String>)), FailureKind> {
-    let config = format!("{}{}", choice.label(), level_suffix(level));
+    // The configuration label: the choice, then `+` and the level's label
+    // when the cell is optimized (`stwc`, `stwc+block`, `stwc+ipo`).
+    let config = match level {
+        OptLevel::None => choice.label().to_string(),
+        _ => format!("{}+{}", choice.label(), level.label()),
+    };
     let img = catch_unwind(AssertUnwindSafe(|| Image::build(m, choice, level).0)).map_err(|p| {
         FailureKind::PassPanic { stage: "build".into(), config: config.clone(), detail: panic_msg(p) }
     })?;

@@ -125,18 +125,19 @@ pub enum CounterId {
     SignsInserted,
     /// On-load (and pp) authentications inserted by the pass.
     AuthsInserted,
-    /// Redundant authentications elided block-locally (single-store slot
-    /// promotion plus the straight-line available-auth cache).
+    /// Load(+auth) sites promoted to copies by single-store slot promotion
+    /// (every level), plus the authentications the `block` level's
+    /// straight-line available-auth run elided.
     AuthsElidedBlock,
-    /// Additional authentications elided by the CFG-level dataflow pass
+    /// Authentications elided by the `cfg` level's one dataflow run
     /// (available auths intersected across predecessors, reuse gated on
     /// the dominator tree).
     AuthsElidedDom,
     /// Loop-header load+auth pairs hoisted into loop preheaders.
     AuthsHoisted,
-    /// Authentications removed by the interprocedural level: summary-kill
-    /// dataflow elisions, sign→store forwarding, and folded internal-
-    /// boundary re-sign round-trips.
+    /// Authentications removed by the interprocedural level: its one
+    /// dataflow run (summary-refined call kills, sign→store forwarding)
+    /// and folded internal-boundary re-sign round-trips.
     AuthsElidedIpo,
     /// Call sites inlined by the post-instrumentation size-budgeted
     /// inliner.
